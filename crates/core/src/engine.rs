@@ -979,15 +979,14 @@ impl Engine {
         let mut packets_cpu = 0usize;
         let mut packets_gpu = 0usize;
         let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
+        let mut candidates: Vec<CandidateLoad> = Vec::with_capacity(workers.len());
         for (i, (work, costs, wall)) in works.iter().enumerate() {
             let bytes = work.bytes.max(1);
-            let candidates: Vec<CandidateLoad> = workers
-                .iter()
-                .map(|w| CandidateLoad {
-                    ready_at: w.ready_at(start, bytes),
-                    est_ns_per_byte: w.est_ns_per_byte(),
-                })
-                .collect();
+            candidates.clear();
+            candidates.extend(workers.iter().map(|w| CandidateLoad {
+                ready_at: w.ready_at(start, bytes),
+                est_ns_per_byte: w.est_ns_per_byte(),
+            }));
             let pick = router.pick(&packets[i], &candidates);
             let sim_ready = candidates[pick].ready_at;
             // ---- Fault plane: triggers keyed on the routed GPU's

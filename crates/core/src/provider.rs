@@ -54,15 +54,6 @@ pub const GPU_WORKER_SEED_NS_PER_BYTE: f64 = 0.12;
 /// PCIe transfers against kernels, so they run deeper queues than a core.
 pub const GPU_PACKET_SHARE: usize = 4;
 
-/// Result of pushing one packet through a compiled pipeline.
-#[derive(Debug)]
-pub struct PacketResult {
-    /// Output rows (for build pipelines); `None` when aggregated away.
-    pub output: Option<Batch>,
-    /// Simulated device time consumed.
-    pub time: SimTime,
-}
-
 /// What a [`DeviceProvider`] reports after the control plane commits one
 /// routed packet against its clocks.
 #[derive(Debug, Clone, Copy)]
@@ -585,29 +576,6 @@ impl CpuProvider {
         }
         Ok(time)
     }
-
-    /// Push one packet through the fused pipeline.
-    ///
-    /// `agg` is this worker's partial aggregation state (for stream
-    /// pipelines). A probe of a never-built hash table is the typed
-    /// [`EngineError::HashTableNotBuilt`], not a panic.
-    pub fn run_packet(
-        &self,
-        packet: Batch,
-        pipeline: &Pipeline,
-        tables: &TableStore,
-        agg: Option<&mut AggState>,
-    ) -> Result<PacketResult, EngineError> {
-        let work = run_ops(packet, pipeline, tables, &mut Scratch::new())?;
-        let mut time = self.charge(&work, tables)?;
-        if let Some(state) = agg {
-            if work.out.rows() > 0 {
-                time += cpu_ops::agg_update(state, &work.out, &self.model);
-            }
-            return Ok(PacketResult { output: None, time });
-        }
-        Ok(PacketResult { output: Some(work.out), time })
-    }
 }
 
 /// The GPU device provider.
@@ -687,30 +655,6 @@ impl GpuProvider {
             time += gpu_ops::agg_cost(&self.sim, region, &work.out, spec).time;
         }
         Ok(time)
-    }
-
-    /// Push one packet through the fused pipeline as GPU kernels.
-    ///
-    /// `ht_regions` maps hash-table names to their device-memory regions
-    /// (placed there by the pre-stage broadcast `mem-move`).
-    pub fn run_packet(
-        &self,
-        packet: Batch,
-        pipeline: &Pipeline,
-        tables: &TableStore,
-        ht_regions: &HashMap<String, Region>,
-        agg: Option<&mut AggState>,
-    ) -> Result<PacketResult, EngineError> {
-        let work = run_ops(packet, pipeline, tables, &mut Scratch::new())?;
-        let spec = agg.as_ref().map(|s| s.spec().clone());
-        let time = self.charge(&work, spec.as_ref(), tables, ht_regions)?;
-        if let Some(state) = agg {
-            if work.out.rows() > 0 {
-                state.update(&work.out);
-            }
-            return Ok(PacketResult { output: None, time });
-        }
-        Ok(PacketResult { output: Some(work.out), time })
     }
 
     /// Charge a GPU join probe of `keys` against a device-resident table.
@@ -1160,56 +1104,86 @@ mod tests {
             ]))
     }
 
+    fn cpu_worker(agg: Option<&AggSpec>) -> CpuWorker {
+        let model = CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12);
+        CpuWorker::new(0, 0, model, agg.cloned().map(AggState::new))
+    }
+
+    fn gpu_worker(agg: Option<&AggSpec>, broadcast: Vec<String>) -> GpuWorker {
+        GpuWorker::new(
+            0,
+            GpuSpec::gtx_1080(),
+            Link::pcie3_x16("pcie0"),
+            Fidelity::Analytic,
+            agg.cloned().map(AggState::new),
+            broadcast,
+        )
+    }
+
+    /// One packet the way the engine runs it: kernels, class pricing, fold.
+    fn run(
+        w: &mut dyn DeviceProvider,
+        pkt: Batch,
+        p: &Pipeline,
+        tables: &TableStore,
+    ) -> Result<(PacketWork, SimTime), EngineError> {
+        let work = run_ops(pkt, p, tables, &mut Scratch::new())?;
+        let time = w.charge(&work, p.agg.as_ref(), tables)?;
+        if work.folds && work.out.rows() > 0 {
+            w.fold_packet(&work.out);
+        }
+        Ok((work, time))
+    }
+
     #[test]
     fn cpu_and_gpu_providers_agree_on_results() {
         let mut tables = TableStore::new();
         tables.insert("d".into(), dim_table());
         let p = pipeline();
 
-        let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
-        let mut cpu_state = AggState::new(p.agg.clone().unwrap());
-        let r1 = cpu.run_packet(packet(1000), &p, &tables, Some(&mut cpu_state)).unwrap();
-        assert!(r1.output.is_none());
+        let mut cpu = cpu_worker(p.agg.as_ref());
+        let (w1, t1) = run(&mut cpu, packet(1000), &p, &tables).unwrap();
+        let mut gpu = gpu_worker(p.agg.as_ref(), Vec::new());
+        let (w2, t2) = run(&mut gpu, packet(1000), &p, &tables).unwrap();
+        assert!(w1.folds && w2.folds);
 
-        let gpu = GpuProvider { sim: GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic) };
-        let mut gpu_state = AggState::new(p.agg.clone().unwrap());
-        let r2 = gpu
-            .run_packet(packet(1000), &p, &tables, &HashMap::new(), Some(&mut gpu_state))
-            .unwrap();
-        assert!(r2.output.is_none());
-
-        let a = cpu_state.finish();
-        let b = gpu_state.finish();
+        let a = cpu.agg().unwrap().finish();
+        let b = gpu.agg().unwrap().finish();
         assert_eq!(a, b);
         // 50 keys of 0..100 are even and survive the filter.
         assert_eq!(a[0].1[0], 50.0);
         assert_eq!(a[0].1[1], (0..50).map(|i| (i * 2 * 10) as f64).sum::<f64>());
-        assert!(r1.time.as_ns() > 0.0);
-        assert!(r2.time.as_ns() > 0.0);
+        assert!(t1.as_ns() > 0.0);
+        assert!(t2.as_ns() > 0.0);
     }
 
     #[test]
     fn build_pipeline_returns_output() {
-        let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
         let p = Pipeline::scan("t").filter(Expr::lt(Expr::col(0), Expr::LitI32(10)));
-        let r = cpu.run_packet(packet(100), &p, &TableStore::new(), None).unwrap();
-        let out = r.output.unwrap();
-        assert_eq!(out.rows(), 10);
+        let (work, _) =
+            run(&mut cpu_worker(None), packet(100), &p, &TableStore::new()).unwrap();
+        assert!(!work.folds && work.agg.is_none());
+        assert_eq!(work.out.rows(), 10);
     }
 
     #[test]
     fn unbuilt_hash_table_is_a_typed_error() {
-        let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
         let p = Pipeline::scan("t").join("ghost", 0, vec![], JoinAlgo::NonPartitioned);
-        let err = cpu.run_packet(packet(16), &p, &TableStore::new(), None).unwrap_err();
+        let err = run(&mut cpu_worker(None), packet(16), &p, &TableStore::new()).unwrap_err();
         assert!(
             matches!(err, EngineError::HashTableNotBuilt { ref table } if table == "ghost")
         );
-        let gpu = GpuProvider { sim: GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic) };
-        let err = gpu
-            .run_packet(packet(16), &p, &TableStore::new(), &HashMap::new(), None)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::HashTableNotBuilt { .. }));
+        // Pricing a recorded probe against a store that lost the table is
+        // the same typed error on either device, not a panic.
+        let mut tables = TableStore::new();
+        tables.insert("ghost".into(), dim_table());
+        let work = run_ops(packet(16), &p, &tables, &mut Scratch::new()).unwrap();
+        let workers: [&dyn DeviceProvider; 2] =
+            [&cpu_worker(None), &gpu_worker(None, Vec::new())];
+        for w in workers {
+            let err = w.charge(&work, None, &TableStore::new()).unwrap_err();
+            assert!(matches!(err, EngineError::HashTableNotBuilt { .. }));
+        }
     }
 
     #[test]
@@ -1224,25 +1198,20 @@ mod tests {
             0,
         ));
         let mut tables = TableStore::new();
-        tables.insert("big".into(), jt.clone());
-        let gpu = GpuProvider { sim: GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic) };
-        let mut regions = HashMap::new();
-        regions.insert("big".to_string(), Region::at(1 << 44, jt.bytes()));
+        tables.insert("big".into(), jt);
 
         let probe = packet(1 << 18);
-        let npj = Pipeline::scan("t")
-            .join("big", 0, vec![1], JoinAlgo::NonPartitioned)
-            .aggregate(AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))]));
-        let part = Pipeline::scan("t")
-            .join("big", 0, vec![1], JoinAlgo::Partitioned)
-            .aggregate(AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))]));
-        let mut s1 = AggState::new(npj.agg.clone().unwrap());
-        let mut s2 = AggState::new(part.agg.clone().unwrap());
-        let t_npj =
-            gpu.run_packet(probe.clone(), &npj, &tables, &regions, Some(&mut s1)).unwrap().time;
-        let t_part =
-            gpu.run_packet(probe, &part, &tables, &regions, Some(&mut s2)).unwrap().time;
-        assert_eq!(s1.finish(), s2.finish());
+        let count = AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))]);
+        let price = |algo| {
+            let p = Pipeline::scan("t").join("big", 0, vec![1], algo).aggregate(count.clone());
+            let mut gpu = gpu_worker(p.agg.as_ref(), vec!["big".into()]);
+            gpu.install_tables(&p, &tables, SimTime::ZERO).unwrap();
+            let (_, time) = run(&mut gpu, probe.clone(), &p, &tables).unwrap();
+            (gpu.agg().unwrap().finish(), time)
+        };
+        let (rows_npj, t_npj) = price(JoinAlgo::NonPartitioned);
+        let (rows_part, t_part) = price(JoinAlgo::Partitioned);
+        assert_eq!(rows_npj, rows_part);
         assert!(t_part.as_secs() < t_npj.as_secs(), "partitioned {t_part} !< npj {t_npj}");
     }
 
@@ -1253,20 +1222,8 @@ mod tests {
         let p = pipeline();
         let agg = p.agg.clone().unwrap();
         let mut workers: Vec<Box<dyn DeviceProvider>> = vec![
-            Box::new(CpuWorker::new(
-                0,
-                0,
-                CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12),
-                Some(AggState::new(agg.clone())),
-            )),
-            Box::new(GpuWorker::new(
-                0,
-                GpuSpec::gtx_1080(),
-                Link::pcie3_x16("pcie0"),
-                Fidelity::Analytic,
-                Some(AggState::new(agg.clone())),
-                vec!["d".into()],
-            )),
+            Box::new(cpu_worker(Some(&agg))),
+            Box::new(gpu_worker(Some(&agg), vec!["d".into()])),
         ];
         let mut merged = AggState::new(agg.clone());
         let mut scratch = Scratch::new();
@@ -1291,28 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn run_packet_equals_split_charge_plus_commit() {
-        // The compatibility wrapper and the split planes must price a
-        // packet identically — the bit-identity the control plane's replay
-        // rests on.
-        let mut tables = TableStore::new();
-        tables.insert("d".into(), dim_table());
-        let p = pipeline();
-        let agg = p.agg.clone().unwrap();
-        let model = CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12);
-        let cpu = CpuProvider { model: model.clone() };
-        let mut state = AggState::new(agg.clone());
-        let whole = cpu.run_packet(packet(1000), &p, &tables, Some(&mut state)).unwrap().time;
-
-        let mut worker = CpuWorker::new(0, 0, model, Some(AggState::new(agg.clone())));
-        let work = run_ops(packet(1000), &p, &tables, &mut Scratch::new()).unwrap();
-        let base = worker.charge(&work, Some(&agg), &tables).unwrap();
-        let out = worker.commit_packet(&work, base, SimTime::ZERO);
-        assert_eq!(out.done, whole, "split planes diverge from the fused path");
-        assert_eq!(worker.busy(), whole);
-    }
-
-    #[test]
     fn duplicate_broadcast_entries_install_once() {
         let mut tables = TableStore::new();
         tables.insert("d".into(), dim_table());
@@ -1322,22 +1257,8 @@ mod tests {
             vec![1],
             JoinAlgo::NonPartitioned,
         );
-        let mut once = GpuWorker::new(
-            0,
-            GpuSpec::gtx_1080(),
-            Link::pcie3_x16("pcie0"),
-            Fidelity::Analytic,
-            None,
-            vec!["d".into()],
-        );
-        let mut twice = GpuWorker::new(
-            0,
-            GpuSpec::gtx_1080(),
-            Link::pcie3_x16("pcie0"),
-            Fidelity::Analytic,
-            None,
-            vec!["d".into(), "d".into()],
-        );
+        let mut once = gpu_worker(None, vec!["d".into()]);
+        let mut twice = gpu_worker(None, vec!["d".into(), "d".into()]);
         let a = once.install_tables(&p, &tables, SimTime::ZERO).unwrap();
         let b = twice.install_tables(&p, &tables, SimTime::ZERO).unwrap();
         assert_eq!(a, b, "a duplicated table must cross the link once");
@@ -1349,14 +1270,7 @@ mod tests {
         // A build pipeline (no aggregation) produces output the host
         // consumes: the worker is not done until the d2h return lands —
         // at least two link trips for a pass-through scan.
-        let mut w = GpuWorker::new(
-            0,
-            GpuSpec::gtx_1080(),
-            Link::pcie3_x16("pcie0"),
-            Fidelity::Analytic,
-            None,
-            Vec::new(),
-        );
+        let mut w = gpu_worker(None, Vec::new());
         let pkt = packet(100_000);
         let bytes = pkt.bytes();
         let tables = TableStore::new();

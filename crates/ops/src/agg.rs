@@ -1,17 +1,42 @@
-//! Aggregation: ungrouped and hash group-by, with mergeable partial states.
+//! Aggregation: ungrouped and group-by, with mergeable partial states.
 //!
 //! Parallel aggregation follows the paper's horizontal co-processing example
 //! (§5): every worker (CPU core or GPU) folds its packets into a *partial*
 //! [`AggState`]; the states are then merged — the routers never have to
 //! synchronise on a shared hash table, which is exactly what makes the
 //! operator heterogeneity-oblivious.
+//!
+//! # The group-id kernel
+//!
+//! Group keys are computed in exactly one place, `group_ids`: one batch in,
+//! a dense `u32` id per row plus the distinct keys in first-seen row order
+//! out. When the batch's combined key range is small (dictionary codes,
+//! nation × year) the ids come from a direct-mapped table indexed by the
+//! mixed-radix key offset; otherwise from one hash-map lookup per row. Both
+//! consumers share it: [`distinct_groups`] (the control plane's pricing
+//! statistic) is its `keys` output, and [`AggState::update`] maps each
+//! batch-local id to a state slot once per distinct group, then runs one
+//! columnar loop per aggregate over `accs[agg][slot[row]]`, touching only
+//! the fields its [`AggFunc`] reads.
+//!
+//! # Bit-identity
+//!
+//! Results equal a row-at-a-time fold bit for bit (the `#[cfg(test)]`
+//! oracle below asserts it), for two reasons. Every loop visits rows in
+//! batch order, so each group's accumulator sees its values in the same
+//! order and floating-point sums round identically; splitting the work by
+//! aggregate instead of by row reorders only operations on *different*
+//! accumulators. And both id paths number keys in first-seen row order, so
+//! [`distinct_groups`] — hence every simulated makespan priced from it —
+//! cannot depend on which path a batch took.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use hape_storage::table::DataType;
 use hape_storage::{Batch, Column};
 
-use crate::expr::{eval, Expr};
+use crate::expr::{eval_distinct, Expr};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +85,8 @@ impl AggSpec {
 /// A composite group key (up to 4 integer-valued columns).
 pub type GroupKey = [i64; 4];
 
-/// One accumulator.
+/// One accumulator. An aggregate maintains only the fields its [`AggFunc`]
+/// finishes from; the rest keep their identity values.
 #[derive(Debug, Clone, Copy)]
 struct Acc {
     sum: f64,
@@ -72,17 +98,6 @@ struct Acc {
 impl Acc {
     fn new() -> Self {
         Acc { sum: 0.0, count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    fn update(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
     }
 
     fn merge(&mut self, o: &Acc) {
@@ -109,13 +124,97 @@ impl Acc {
     }
 }
 
-fn group_value(col: &Column, row: usize) -> i64 {
+/// Largest combined key range `group_ids` direct-maps: a 64 KiB table of
+/// `u32` ids stays L1/L2-resident and costs less to clear than a packet
+/// costs to hash.
+const DENSE_LIMIT: u64 = 1 << 14;
+
+/// Rows [`AggState::update`] folds at a time: a block's slot ids and
+/// argument vectors stay L2-resident, so the cost per row does not grow
+/// with the batch.
+const BLOCK_ROWS: usize = 1 << 14;
+
+/// Output of the group-id kernel for one batch.
+struct GroupIds {
+    /// Per row, the index of its key in `keys`.
+    ids: Vec<u32>,
+    /// Distinct group keys, in first-seen row order.
+    keys: Vec<GroupKey>,
+}
+
+/// A group-by column widened to `i64` key components.
+fn key_column(col: &Column) -> Cow<'_, [i64]> {
     match col.data_type() {
-        DataType::I32 | DataType::Date => col.as_i32()[row] as i64,
-        DataType::I64 => col.as_i64()[row],
-        DataType::Str => col.as_codes()[row] as i64,
+        DataType::I32 | DataType::Date => {
+            Cow::Owned(col.as_i32().iter().map(|&v| v as i64).collect())
+        }
+        DataType::I64 => Cow::Borrowed(col.as_i64()),
+        DataType::Str => Cow::Owned(col.as_codes().iter().map(|&v| v as i64).collect()),
         DataType::F64 => panic!("cannot group by a float column"),
     }
+}
+
+/// Per column `(min, range)` when the batch's combined key range fits the
+/// direct map. All range arithmetic is checked: extreme keys, or a single
+/// column wider than the limit, fall through to the hashed path.
+fn dense_domain(cols: &[Cow<'_, [i64]>]) -> Option<Vec<(i64, u64)>> {
+    let mut size = 1u64;
+    cols.iter()
+        .map(|col| {
+            let (lo, hi) =
+                col.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let range = hi.abs_diff(lo).checked_add(1)?;
+            size = size.checked_mul(range).filter(|&s| s <= DENSE_LIMIT)?;
+            Some((lo, range))
+        })
+        .collect()
+}
+
+/// The group-id kernel: a dense id per row of `batch` under `spec`'s
+/// group-by columns, plus the distinct keys in first-seen row order. An
+/// ungrouped spec puts every row in the single all-zero key.
+fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
+    let n = batch.rows();
+    let cols: Vec<Cow<'_, [i64]>> =
+        spec.group_by.iter().map(|&i| key_column(batch.col(i))).collect();
+    let key_at = |row: usize| {
+        let mut key: GroupKey = [0; 4];
+        for (slot, col) in key.iter_mut().zip(&cols) {
+            *slot = col[row];
+        }
+        key
+    };
+    let mut keys: Vec<GroupKey> = Vec::new();
+    let mut ids = vec![0u32; n];
+    if let Some(dims) = dense_domain(&cols) {
+        // Mixed-radix offset of each row's key, column by column; every
+        // digit is below its range, so the offset is below DENSE_LIMIT.
+        for (col, &(lo, range)) in cols.iter().zip(&dims) {
+            for (id, &v) in ids.iter_mut().zip(col.iter()) {
+                *id = *id * range as u32 + v.wrapping_sub(lo) as u32;
+            }
+        }
+        let size: u64 = dims.iter().map(|d| d.1).product();
+        let mut table = vec![u32::MAX; size as usize];
+        for (row, id) in ids.iter_mut().enumerate() {
+            let slot = &mut table[*id as usize];
+            if *slot == u32::MAX {
+                *slot = keys.len() as u32;
+                keys.push(key_at(row));
+            }
+            *id = *slot;
+        }
+    } else {
+        let mut seen: HashMap<GroupKey, u32> = HashMap::new();
+        for (row, id) in ids.iter_mut().enumerate() {
+            let key = key_at(row);
+            *id = *seen.entry(key).or_insert_with(|| {
+                keys.push(key);
+                keys.len() as u32 - 1
+            });
+        }
+    }
+    GroupIds { ids, keys }
 }
 
 /// Distinct group keys `batch` contributes under `spec`, in first-seen row
@@ -124,30 +223,18 @@ fn group_value(col: &Column, row: usize) -> i64 {
 /// random-access term) without folding the actual [`AggState`], which the
 /// data plane does later in routed packet order.
 pub fn distinct_groups(spec: &AggSpec, batch: &Batch) -> Vec<GroupKey> {
-    let n = batch.rows();
-    if n == 0 {
-        return Vec::new();
-    }
-    let group_cols: Vec<&Column> = spec.group_by.iter().map(|&i| batch.col(i)).collect();
-    let mut seen: std::collections::HashSet<GroupKey> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for row in 0..n {
-        let mut key: GroupKey = [0; 4];
-        for (slot, col) in key.iter_mut().zip(&group_cols) {
-            *slot = group_value(col, row);
-        }
-        if seen.insert(key) {
-            out.push(key);
-        }
-    }
-    out
+    group_ids(spec, batch).keys
 }
 
 /// A mergeable (partial) aggregation state.
 #[derive(Debug, Clone)]
 pub struct AggState {
     spec: AggSpec,
-    groups: HashMap<GroupKey, Vec<Acc>>,
+    /// Group keys in first-seen order; a key's index is its slot.
+    keys: Vec<GroupKey>,
+    slots: HashMap<GroupKey, u32>,
+    /// `accs[agg][slot]`.
+    accs: Vec<Vec<Acc>>,
     /// Input rows folded in (for observability / cost accounting).
     pub rows_seen: u64,
 }
@@ -155,7 +242,8 @@ pub struct AggState {
 impl AggState {
     /// Fresh state for a spec.
     pub fn new(spec: AggSpec) -> Self {
-        AggState { spec, groups: HashMap::new(), rows_seen: 0 }
+        let accs = vec![Vec::new(); spec.aggs.len()];
+        AggState { spec, keys: Vec::new(), slots: HashMap::new(), accs, rows_seen: 0 }
     }
 
     /// The spec.
@@ -165,45 +253,63 @@ impl AggState {
 
     /// Number of groups so far.
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
+    }
+
+    /// The state slot of `key`, allocating identity accumulators on first
+    /// sight.
+    fn slot(&mut self, key: GroupKey) -> u32 {
+        *self.slots.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            for accs in &mut self.accs {
+                accs.push(Acc::new());
+            }
+            self.keys.len() as u32 - 1
+        })
     }
 
     /// Fold one batch into the state.
     pub fn update(&mut self, batch: &Batch) {
         let n = batch.rows();
-        if n == 0 {
-            return;
-        }
         self.rows_seen += n as u64;
-        // Evaluate aggregate arguments once, vectorised. Bare column
-        // references borrow the packet's Arc-backed storage — no copy.
-        let args: Vec<std::borrow::Cow<'_, [f64]>> = self
-            .spec
-            .aggs
-            .iter()
-            .map(|(f, e)| {
-                if *f == AggFunc::Count {
-                    std::borrow::Cow::Owned(Vec::new()) // count ignores its argument
-                } else {
-                    eval(e, batch).into_f64()
-                }
-            })
-            .collect();
-        let group_cols: Vec<&Column> =
-            self.spec.group_by.iter().map(|&i| batch.col(i)).collect();
-        let n_aggs = self.spec.aggs.len();
-        #[allow(clippy::needless_range_loop)] // row indexes group_cols and args in lockstep
-        for row in 0..n {
-            let mut key: GroupKey = [0; 4];
-            for (slot, col) in key.iter_mut().zip(&group_cols) {
-                *slot = group_value(col, row);
-            }
-            let accs = self.groups.entry(key).or_insert_with(|| vec![Acc::new(); n_aggs]);
-            for (ai, (func, _)) in self.spec.aggs.iter().enumerate() {
-                match func {
-                    AggFunc::Count => accs[ai].update(1.0),
-                    _ => accs[ai].update(args[ai][row]),
-                }
+        for off in (0..n).step_by(BLOCK_ROWS) {
+            self.fold_block(&batch.slice(off, BLOCK_ROWS.min(n - off)));
+        }
+    }
+
+    fn fold_block(&mut self, batch: &Batch) {
+        let GroupIds { ids: mut slots, keys } = group_ids(&self.spec, batch);
+        // Batch-local id -> state slot: one map lookup per distinct group.
+        let slot_of: Vec<u32> = keys.into_iter().map(|k| self.slot(k)).collect();
+        for s in &mut slots {
+            *s = slot_of[*s as usize];
+        }
+        // Each distinct argument expression is evaluated once, vectorised
+        // (bare `f64` column references borrow the batch's storage); count
+        // ignores its argument.
+        let exprs: Vec<Option<&Expr>> =
+            self.spec.aggs.iter().map(|(f, e)| (*f != AggFunc::Count).then_some(e)).collect();
+        let (vals, arg_of) = eval_distinct(&exprs, batch);
+        for (((func, _), accs), arg) in self.spec.aggs.iter().zip(&mut self.accs).zip(arg_of) {
+            let vals: &[f64] = arg.map_or(&[], |i| &vals[i]);
+            let rows = slots.iter().map(|&s| s as usize).zip(vals);
+            match func {
+                AggFunc::Count => slots.iter().for_each(|&s| accs[s as usize].count += 1),
+                AggFunc::Sum => rows.for_each(|(s, &v)| accs[s].sum += v),
+                AggFunc::Avg => rows.for_each(|(s, &v)| {
+                    accs[s].sum += v;
+                    accs[s].count += 1;
+                }),
+                AggFunc::Min => rows.for_each(|(s, &v)| {
+                    if v < accs[s].min {
+                        accs[s].min = v;
+                    }
+                }),
+                AggFunc::Max => rows.for_each(|(s, &v)| {
+                    if v > accs[s].max {
+                        accs[s].max = v;
+                    }
+                }),
             }
         }
     }
@@ -213,16 +319,10 @@ impl AggState {
         assert_eq!(self.spec.group_by, other.spec.group_by, "merging different specs");
         assert_eq!(self.spec.aggs.len(), other.spec.aggs.len());
         self.rows_seen += other.rows_seen;
-        for (key, accs) in &other.groups {
-            match self.groups.get_mut(key) {
-                Some(mine) => {
-                    for (m, o) in mine.iter_mut().zip(accs) {
-                        m.merge(o);
-                    }
-                }
-                None => {
-                    self.groups.insert(*key, accs.clone());
-                }
+        for (theirs, key) in other.keys.iter().enumerate() {
+            let mine = self.slot(*key) as usize;
+            for (m, o) in self.accs.iter_mut().zip(&other.accs) {
+                m[mine].merge(&o[theirs]);
             }
         }
     }
@@ -230,11 +330,16 @@ impl AggState {
     /// Finish into `(key, values)` rows, sorted by key for determinism.
     pub fn finish(&self) -> Vec<(GroupKey, Vec<f64>)> {
         let mut out: Vec<(GroupKey, Vec<f64>)> = self
-            .groups
+            .keys
             .iter()
-            .map(|(k, accs)| {
-                let vals =
-                    accs.iter().zip(&self.spec.aggs).map(|(a, (f, _))| a.finish(*f)).collect();
+            .enumerate()
+            .map(|(slot, k)| {
+                let vals = self
+                    .accs
+                    .iter()
+                    .zip(&self.spec.aggs)
+                    .map(|(accs, (f, _))| accs[slot].finish(*f))
+                    .collect();
                 (*k, vals)
             })
             .collect();
@@ -246,7 +351,8 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hape_storage::Column;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn batch() -> Batch {
         Batch::new(vec![
@@ -325,5 +431,276 @@ mod tests {
         st.update(&batch().slice(0, 0));
         assert_eq!(st.n_groups(), 0);
         assert_eq!(st.rows_seen, 0);
+    }
+
+    /// The row-at-a-time hashed fold this module used before the group-id
+    /// kernel, kept as the reference the columnar fold must match bit for
+    /// bit: one `HashMap` entry lookup per row, every accumulator field
+    /// updated for every aggregate, in row order.
+    struct RefState {
+        spec: AggSpec,
+        groups: HashMap<GroupKey, Vec<Acc>>,
+    }
+
+    fn ref_key(spec: &AggSpec, batch: &Batch, row: usize) -> GroupKey {
+        let mut key: GroupKey = [0; 4];
+        for (slot, &c) in key.iter_mut().zip(&spec.group_by) {
+            let col = batch.col(c);
+            *slot = match col.data_type() {
+                DataType::I32 | DataType::Date => col.as_i32()[row] as i64,
+                DataType::I64 => col.as_i64()[row],
+                DataType::Str => col.as_codes()[row] as i64,
+                DataType::F64 => panic!("cannot group by a float column"),
+            };
+        }
+        key
+    }
+
+    fn ref_distinct_groups(spec: &AggSpec, batch: &Batch) -> Vec<GroupKey> {
+        let mut seen = std::collections::HashSet::new();
+        (0..batch.rows())
+            .map(|row| ref_key(spec, batch, row))
+            .filter(|k| seen.insert(*k))
+            .collect()
+    }
+
+    impl RefState {
+        fn new(spec: AggSpec) -> Self {
+            RefState { spec, groups: HashMap::new() }
+        }
+
+        fn update(&mut self, batch: &Batch) {
+            let args: Vec<Vec<f64>> = self
+                .spec
+                .aggs
+                .iter()
+                .map(|(f, e)| match f {
+                    AggFunc::Count => vec![1.0; batch.rows()],
+                    _ => crate::expr::eval(e, batch).into_f64().into_owned(),
+                })
+                .collect();
+            for row in 0..batch.rows() {
+                let key = ref_key(&self.spec, batch, row);
+                let accs =
+                    self.groups.entry(key).or_insert_with(|| vec![Acc::new(); args.len()]);
+                for (acc, vals) in accs.iter_mut().zip(&args) {
+                    let v = vals[row];
+                    acc.sum += v;
+                    acc.count += 1;
+                    if v < acc.min {
+                        acc.min = v;
+                    }
+                    if v > acc.max {
+                        acc.max = v;
+                    }
+                }
+            }
+        }
+
+        fn merge(&mut self, other: &RefState) {
+            for (key, accs) in &other.groups {
+                match self.groups.get_mut(key) {
+                    Some(mine) => mine.iter_mut().zip(accs).for_each(|(m, o)| m.merge(o)),
+                    None => {
+                        self.groups.insert(*key, accs.clone());
+                    }
+                }
+            }
+        }
+
+        fn finish(&self) -> Vec<(GroupKey, Vec<u64>)> {
+            let mut out: Vec<_> = self
+                .groups
+                .iter()
+                .map(|(k, accs)| {
+                    let bits = accs.iter().zip(&self.spec.aggs).map(|(a, (f, _))| a.finish(*f));
+                    (*k, bits.map(f64::to_bits).collect())
+                })
+                .collect();
+            out.sort_by_key(|a| a.0);
+            out
+        }
+    }
+
+    fn bits(rows: Vec<(GroupKey, Vec<f64>)>) -> Vec<(GroupKey, Vec<u64>)> {
+        rows.into_iter().map(|(k, v)| (k, v.into_iter().map(f64::to_bits).collect())).collect()
+    }
+
+    /// Key-column generators the differential sweep draws from.
+    #[derive(Debug, Clone, Copy)]
+    enum Keys {
+        /// `I32` in a small domain that includes negatives.
+        SmallI32,
+        /// `I64` in a small domain far from zero.
+        SmallI64,
+        /// Dates (days since epoch, physically `I32`).
+        Date,
+        /// Dictionary-coded strings.
+        Str,
+        /// One column spanning exactly [`DENSE_LIMIT`] values: still dense.
+        AtLimit,
+        /// One column spanning one value more: hashed.
+        AboveLimit,
+        /// `i64::MIN`, `i64::MAX` and their neighbours: range arithmetic
+        /// must not overflow.
+        Extreme,
+    }
+
+    fn key_column_of(kind: Keys, n: usize, rng: &mut StdRng) -> Column {
+        let limit = DENSE_LIMIT as i32;
+        let mut i32s = |lo: i32, hi: i32| -> Vec<i32> {
+            // Both ends present (once there are two rows), so the range is
+            // exactly `hi - lo + 1`.
+            let mut v: Vec<i32> = (0..n).map(|_| rng.gen_range(lo..=hi)).collect();
+            if n >= 2 {
+                v[0] = hi;
+                v[n - 1] = lo;
+            }
+            v
+        };
+        match kind {
+            Keys::SmallI32 => Column::from_i32(i32s(-3, 3)),
+            Keys::Date => Column::from_i32(i32s(8_766, 8_772)),
+            Keys::AtLimit => Column::from_i32(i32s(-5, limit - 6)),
+            Keys::AboveLimit => Column::from_i32(i32s(-5, limit - 5)),
+            Keys::SmallI64 => {
+                Column::from_i64((0..n).map(|_| (1 << 40) + rng.gen_range(0..5i64)).collect())
+            }
+            Keys::Str => {
+                let names = ["A", "N", "R", "F", "O"];
+                let picks: Vec<&str> =
+                    (0..n).map(|_| names[rng.gen_range(0..5usize)]).collect();
+                Column::from_strs(picks)
+            }
+            Keys::Extreme => {
+                let pool = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+                Column::from_i64((0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect())
+            }
+        }
+    }
+
+    /// `keys.len()` group columns followed by two `f64` value columns whose
+    /// magnitudes differ enough that summation order shows in the bits.
+    fn random_batch(keys: &[Keys], n: usize, rng: &mut StdRng) -> Batch {
+        let mut cols: Vec<Column> = keys.iter().map(|&k| key_column_of(k, n, rng)).collect();
+        for scale in [1e6, 1e-3] {
+            cols.push(Column::from_f64((0..n).map(|_| rng.gen_range(-scale..scale)).collect()));
+        }
+        Batch::new(cols)
+    }
+
+    /// Every [`AggFunc`], over bare columns, computed arguments (with a
+    /// literal on either side) and one argument that repeats.
+    fn every_func(group_by: Vec<usize>) -> AggSpec {
+        let (x, y) = (group_by.len(), group_by.len() + 1);
+        let disc_price = Expr::mul(Expr::col(x), Expr::sub(Expr::LitF64(1.0), Expr::col(y)));
+        let aggs = vec![
+            (AggFunc::Sum, Expr::col(x)),
+            (AggFunc::Sum, disc_price.clone()),
+            (
+                AggFunc::Sum,
+                Expr::mul(disc_price.clone(), Expr::add(Expr::LitF64(1.0), Expr::col(y))),
+            ),
+            (AggFunc::Count, Expr::col(x)),
+            (AggFunc::Min, Expr::sub(Expr::col(y), Expr::LitI32(7))),
+            (AggFunc::Max, Expr::col(y)),
+            (AggFunc::Avg, disc_price),
+            (AggFunc::Avg, Expr::col(x)),
+        ];
+        AggSpec { group_by, aggs }
+    }
+
+    /// Fold `batch` whole, then split into packets over two partial states
+    /// that are merged — the engine's shape — and compare every result and
+    /// the pricing statistic against the row-at-a-time reference.
+    fn assert_matches_reference(spec: &AggSpec, batch: &Batch, rng: &mut StdRng) {
+        assert_eq!(distinct_groups(spec, batch), ref_distinct_groups(spec, batch));
+        let g = group_ids(spec, batch);
+        assert_eq!(g.ids.len(), batch.rows());
+        for (row, &id) in g.ids.iter().enumerate() {
+            assert_eq!(g.keys[id as usize], ref_key(spec, batch, row));
+        }
+
+        let mut whole = AggState::new(spec.clone());
+        let mut ref_whole = RefState::new(spec.clone());
+        whole.update(batch);
+        ref_whole.update(batch);
+        assert_eq!(bits(whole.finish()), ref_whole.finish());
+        assert_eq!(whole.n_groups(), ref_whole.groups.len());
+        assert_eq!(whole.rows_seen, batch.rows() as u64);
+
+        let mut parts = [AggState::new(spec.clone()), AggState::new(spec.clone())];
+        let mut ref_parts = [RefState::new(spec.clone()), RefState::new(spec.clone())];
+        let mut off = 0;
+        while off < batch.rows() {
+            let len = rng.gen_range(1..=batch.rows() - off).min(97);
+            let (packet, w) = (batch.slice(off, len), rng.gen_range(0..2usize));
+            parts[w].update(&packet);
+            ref_parts[w].update(&packet);
+            off += len;
+        }
+        let mut merged = AggState::new(spec.clone());
+        let mut ref_merged = RefState::new(spec.clone());
+        for (p, r) in parts.iter().zip(&ref_parts) {
+            merged.merge(p);
+            ref_merged.merge(r);
+        }
+        assert_eq!(bits(merged.finish()), ref_merged.finish());
+        assert_eq!(merged.rows_seen, batch.rows() as u64);
+    }
+
+    #[test]
+    fn columnar_fold_is_bit_identical_to_the_row_at_a_time_reference() {
+        use Keys::*;
+        let shapes: &[&[Keys]] = &[
+            &[],
+            &[SmallI32],
+            &[Str, Str],
+            &[Date, SmallI64],
+            &[Str, SmallI32, Date],
+            &[SmallI64, Str, Date, SmallI32],
+            &[AtLimit],
+            &[AboveLimit],
+            &[Extreme],
+            &[Extreme, Str],
+            &[SmallI32, AboveLimit],
+            &[Extreme, Extreme, Extreme, Extreme],
+        ];
+        let mut rng = StdRng::seed_from_u64(15);
+        for keys in shapes {
+            let spec = every_func((0..keys.len()).collect());
+            for n in [0, 1, 2, 500, 3_000, BLOCK_ROWS + 3] {
+                let batch = random_batch(keys, n, &mut rng);
+                assert_matches_reference(&spec, &batch, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_path_takes_small_domains_and_refuses_the_rest_without_overflow() {
+        let limit = DENSE_LIMIT as i64;
+        let dense = |cols: &[Vec<i64>]| {
+            let cols: Vec<Cow<'_, [i64]>> =
+                cols.iter().map(|c| Cow::Borrowed(&c[..])).collect();
+            dense_domain(&cols)
+        };
+        // Q1's shape: two tiny columns, offsets from the column minimum.
+        assert_eq!(dense(&[vec![2, 0, 1], vec![-7, -6, -7]]), Some(vec![(0, 3), (-7, 2)]));
+        // Ungrouped: the empty product.
+        assert_eq!(dense(&[]), Some(vec![]));
+        // Exactly the limit is dense; one more value, or a product that
+        // crosses it, is not.
+        assert!(dense(&[vec![10, 10 + limit - 1]]).is_some());
+        assert!(dense(&[vec![10, 10 + limit]]).is_none());
+        assert!(dense(&[vec![0, limit / 2], vec![0, 1]]).is_none());
+        // One column alone beyond the limit, whatever the others hold.
+        assert!(dense(&[vec![0, 1], vec![0, 1 << 40]]).is_none());
+        // Negative and extreme keys: `hi - lo + 1` would overflow `i64`
+        // (and the full range even `u64`); both must simply refuse.
+        assert!(dense(&[vec![i64::MIN, i64::MAX]]).is_none());
+        assert!(dense(&[vec![i64::MIN, 0]]).is_none());
+        assert!(dense(&[vec![-1, i64::MAX], vec![i64::MIN, i64::MAX]]).is_none());
+        assert_eq!(dense(&[vec![i64::MIN, i64::MIN + 1]]), Some(vec![(i64::MIN, 2)]));
+        assert_eq!(dense(&[vec![i64::MAX]]), Some(vec![(i64::MAX, 1)]));
     }
 }

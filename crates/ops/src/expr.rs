@@ -5,6 +5,8 @@
 //! code generation keeps intermediate results in (§2.2): they are never
 //! materialised across operators.
 
+use std::borrow::Cow;
+
 use hape_storage::table::DataType;
 use hape_storage::Batch;
 
@@ -406,7 +408,7 @@ pub enum ExprValue<'a> {
     /// Numeric values (all arithmetic is carried out in `f64`; exact-integer
     /// paths matter only for key columns, which operators read directly).
     /// Borrowed when the expression is a bare `f64` column reference.
-    F64(std::borrow::Cow<'a, [f64]>),
+    F64(Cow<'a, [f64]>),
     /// Boolean vector (predicates).
     Bool(Vec<bool>),
 }
@@ -429,7 +431,7 @@ impl<'a> ExprValue<'a> {
     }
 
     /// The numeric values as a possibly-borrowed slice; panics on booleans.
-    pub fn into_f64(self) -> std::borrow::Cow<'a, [f64]> {
+    pub fn into_f64(self) -> Cow<'a, [f64]> {
         match self {
             ExprValue::F64(v) => v,
             ExprValue::Bool(_) => panic!("expected numeric expression, got boolean"),
@@ -437,8 +439,7 @@ impl<'a> ExprValue<'a> {
     }
 }
 
-fn column_as_f64(batch: &Batch, i: usize) -> std::borrow::Cow<'_, [f64]> {
-    use std::borrow::Cow;
+fn column_as_f64(batch: &Batch, i: usize) -> Cow<'_, [f64]> {
     let c = batch.col(i);
     match c.data_type() {
         DataType::I32 | DataType::Date => {
@@ -452,57 +453,128 @@ fn column_as_f64(batch: &Batch, i: usize) -> std::borrow::Cow<'_, [f64]> {
 
 /// Evaluate `expr` over `batch`.
 pub fn eval<'a>(expr: &Expr, batch: &'a Batch) -> ExprValue<'a> {
-    let n = batch.rows();
-    match expr {
-        Expr::Col(i) => ExprValue::F64(column_as_f64(batch, *i)),
-        Expr::LitI32(v) => ExprValue::F64(std::borrow::Cow::Owned(vec![*v as f64; n])),
-        Expr::LitI64(v) => ExprValue::F64(std::borrow::Cow::Owned(vec![*v as f64; n])),
-        Expr::LitF64(v) => ExprValue::F64(std::borrow::Cow::Owned(vec![*v; n])),
-        Expr::Add(a, b) => binary_num(a, b, batch, |x, y| x + y),
-        Expr::Sub(a, b) => binary_num(a, b, batch, |x, y| x - y),
-        Expr::Mul(a, b) => binary_num(a, b, batch, |x, y| x * y),
-        Expr::Eq(a, b) => binary_cmp(a, b, batch, |x, y| x == y),
-        Expr::Lt(a, b) => binary_cmp(a, b, batch, |x, y| x < y),
-        Expr::Le(a, b) => binary_cmp(a, b, batch, |x, y| x <= y),
-        Expr::Gt(a, b) => binary_cmp(a, b, batch, |x, y| x > y),
-        Expr::Ge(a, b) => binary_cmp(a, b, batch, |x, y| x >= y),
-        Expr::And(a, b) => binary_bool(a, b, batch, |x, y| x && y),
-        Expr::Or(a, b) => binary_bool(a, b, batch, |x, y| x || y),
+    eval_memo(expr, batch, &[])
+}
+
+/// Evaluate several numeric expressions over one batch, each distinct
+/// expression once: the returned indices map every `Some` entry of `exprs`
+/// to its values (`None` entries are skipped). An expression that recurs
+/// as an operand inside a later one — Q1's `disc_price` inside `charge` —
+/// is reused there too rather than recomputed.
+pub(crate) fn eval_distinct<'a>(
+    exprs: &[Option<&Expr>],
+    batch: &'a Batch,
+) -> (Vec<Cow<'a, [f64]>>, Vec<Option<usize>>) {
+    let mut done: Vec<&Expr> = Vec::new();
+    let mut vals: Vec<Cow<'a, [f64]>> = Vec::new();
+    let mut index = Vec::with_capacity(exprs.len());
+    for expr in exprs {
+        index.push(expr.map(|e| {
+            done.iter().position(|d| same_expr(d, e)).unwrap_or_else(|| {
+                let memo: Vec<(&Expr, &[f64])> =
+                    done.iter().copied().zip(vals.iter().map(|v| &**v)).collect();
+                let v = eval_memo(e, batch, &memo).into_f64();
+                done.push(e);
+                vals.push(v);
+                vals.len() - 1
+            })
+        }));
+    }
+    (vals, index)
+}
+
+/// Whether two expressions evaluate to the same bits, so one may stand in
+/// for the other. Float literals compare by bit pattern: the derived
+/// `PartialEq` equates `0.0` and `-0.0`, which `x * lit` tells apart.
+fn same_expr(a: &Expr, b: &Expr) -> bool {
+    use Expr::*;
+    match (a, b) {
+        (LitF64(x), LitF64(y)) => x.to_bits() == y.to_bits(),
+        (Add(a1, a2), Add(b1, b2))
+        | (Sub(a1, a2), Sub(b1, b2))
+        | (Mul(a1, a2), Mul(b1, b2))
+        | (Eq(a1, a2), Eq(b1, b2))
+        | (Lt(a1, a2), Lt(b1, b2))
+        | (Le(a1, a2), Le(b1, b2))
+        | (Gt(a1, a2), Gt(b1, b2))
+        | (Ge(a1, a2), Ge(b1, b2))
+        | (And(a1, a2), And(b1, b2))
+        | (Or(a1, a2), Or(b1, b2)) => same_expr(a1, b1) && same_expr(a2, b2),
+        // Remaining leaves, and nodes of different kinds.
+        (Col(_) | LitI32(_) | LitI64(_), _) => a == b,
+        _ => false,
     }
 }
 
-fn binary_num<'a>(
-    a: &Expr,
-    b: &Expr,
-    batch: &'a Batch,
-    f: impl Fn(f64, f64) -> f64,
-) -> ExprValue<'a> {
-    let va = eval(a, batch);
-    let vb = eval(b, batch);
-    let (va, vb) = (va.as_f64(), vb.as_f64());
-    ExprValue::F64(std::borrow::Cow::Owned(va.iter().zip(vb).map(|(&x, &y)| f(x, y)).collect()))
+/// [`eval`] with a memo of already-evaluated expressions an operand may
+/// borrow instead of recomputing.
+fn eval_memo<'a>(expr: &Expr, batch: &'a Batch, memo: &[(&Expr, &[f64])]) -> ExprValue<'a> {
+    let n = batch.rows();
+    let num = |vals: Vec<f64>| ExprValue::F64(Cow::Owned(vals));
+    match expr {
+        Expr::Col(i) => ExprValue::F64(column_as_f64(batch, *i)),
+        Expr::LitI32(v) => num(vec![*v as f64; n]),
+        Expr::LitI64(v) => num(vec![*v as f64; n]),
+        Expr::LitF64(v) => num(vec![*v; n]),
+        Expr::Add(a, b) => num(zip_with(a, b, batch, memo, |x, y| x + y)),
+        Expr::Sub(a, b) => num(zip_with(a, b, batch, memo, |x, y| x - y)),
+        Expr::Mul(a, b) => num(zip_with(a, b, batch, memo, |x, y| x * y)),
+        Expr::Eq(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x == y)),
+        Expr::Lt(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x < y)),
+        Expr::Le(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x <= y)),
+        Expr::Gt(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x > y)),
+        Expr::Ge(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x >= y)),
+        Expr::And(a, b) => binary_bool(a, b, batch, memo, |x, y| x && y),
+        Expr::Or(a, b) => binary_bool(a, b, batch, memo, |x, y| x || y),
+    }
 }
 
-fn binary_cmp<'a>(
+/// A numeric operand of a binary node: literals stay scalar, so the node
+/// runs one scalar loop instead of materialising `vec![lit; n]`.
+enum Operand<'x> {
+    Lit(f64),
+    Vals(Cow<'x, [f64]>),
+}
+
+fn operand<'x>(expr: &Expr, batch: &'x Batch, memo: &[(&Expr, &'x [f64])]) -> Operand<'x> {
+    match expr {
+        Expr::LitI32(v) => Operand::Lit(*v as f64),
+        Expr::LitI64(v) => Operand::Lit(*v as f64),
+        Expr::LitF64(v) => Operand::Lit(*v),
+        _ => match memo.iter().find(|(e, _)| same_expr(e, expr)) {
+            Some((_, vals)) => Operand::Vals(Cow::Borrowed(vals)),
+            None => Operand::Vals(eval_memo(expr, batch, memo).into_f64()),
+        },
+    }
+}
+
+/// `f` over the rows of two numeric operands, in operand order.
+fn zip_with<T: Clone>(
     a: &Expr,
     b: &Expr,
-    batch: &'a Batch,
-    f: impl Fn(f64, f64) -> bool,
-) -> ExprValue<'a> {
-    let va = eval(a, batch);
-    let vb = eval(b, batch);
-    let (va, vb) = (va.as_f64(), vb.as_f64());
-    ExprValue::Bool(va.iter().zip(vb).map(|(&x, &y)| f(x, y)).collect())
+    batch: &Batch,
+    memo: &[(&Expr, &[f64])],
+    f: impl Fn(f64, f64) -> T,
+) -> Vec<T> {
+    match (operand(a, batch, memo), operand(b, batch, memo)) {
+        (Operand::Vals(va), Operand::Vals(vb)) => {
+            va.iter().zip(vb.iter()).map(|(&x, &y)| f(x, y)).collect()
+        }
+        (Operand::Vals(va), Operand::Lit(y)) => va.iter().map(|&x| f(x, y)).collect(),
+        (Operand::Lit(x), Operand::Vals(vb)) => vb.iter().map(|&y| f(x, y)).collect(),
+        (Operand::Lit(x), Operand::Lit(y)) => vec![f(x, y); batch.rows()],
+    }
 }
 
 fn binary_bool<'a>(
     a: &Expr,
     b: &Expr,
-    batch: &'a Batch,
+    batch: &Batch,
+    memo: &[(&Expr, &[f64])],
     f: impl Fn(bool, bool) -> bool,
 ) -> ExprValue<'a> {
-    let va = eval(a, batch);
-    let vb = eval(b, batch);
+    let va = eval_memo(a, batch, memo);
+    let vb = eval_memo(b, batch, memo);
     let (va, vb) = (va.as_bool(), vb.as_bool());
     ExprValue::Bool(va.iter().zip(vb).map(|(&x, &y)| f(x, y)).collect())
 }
@@ -558,16 +630,101 @@ mod tests {
         // must evaluate to a borrow of the Arc-backed slice, not a copy.
         let b = batch();
         match eval(&Expr::col(1), &b) {
-            ExprValue::F64(std::borrow::Cow::Borrowed(s)) => {
+            ExprValue::F64(Cow::Borrowed(s)) => {
                 assert_eq!(s.as_ptr(), b.col(1).as_f64().as_ptr());
             }
             other => panic!("expected a borrowed slice, got {other:?}"),
         }
         // Computed expressions still own their result.
         match eval(&Expr::add(Expr::col(1), Expr::LitF64(0.0)), &b) {
-            ExprValue::F64(std::borrow::Cow::Owned(_)) => {}
+            ExprValue::F64(Cow::Owned(_)) => {}
             other => panic!("expected an owned vector, got {other:?}"),
         }
+    }
+
+    fn f64_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn literal_operands_evaluate_as_scalars_on_either_side() {
+        let b = batch();
+        let (x, one) = (Expr::col(1), Expr::LitF64(1.0));
+        // Sub is not commutative: `1 - x` must not become `x - 1`.
+        assert_eq!(
+            eval(&Expr::sub(one.clone(), x.clone()), &b).as_f64(),
+            &[-9.0, -19.0, -29.0, -39.0]
+        );
+        assert_eq!(eval(&Expr::sub(x.clone(), one), &b).as_f64(), &[9.0, 19.0, 29.0, 39.0]);
+        assert_eq!(eval(&Expr::sub(Expr::LitI32(3), Expr::LitI64(5)), &b).as_f64(), &[-2.0; 4]);
+        // A bare literal still materialises one value per row.
+        assert_eq!(eval(&Expr::LitI64(7), &b).as_f64(), &[7.0; 4]);
+        // Comparisons keep operand order with the literal on the left.
+        let twenty = Expr::LitF64(20.0);
+        assert_eq!(
+            eval_bool(&Expr::lt(twenty.clone(), x.clone()), &b),
+            [false, false, true, true]
+        );
+        assert_eq!(
+            eval_bool(&Expr::ge(twenty.clone(), x.clone()), &b),
+            [true, true, false, false]
+        );
+        assert_eq!(eval_bool(&Expr::ge(x, twenty), &b), [false, true, true, true]);
+        assert_eq!(eval_bool(&Expr::lt(Expr::LitI32(1), Expr::LitI32(2)), &b), [true; 4]);
+    }
+
+    #[test]
+    fn scalar_loops_round_like_the_materialised_literal() {
+        // The scalar path must be the same IEEE operation per row as the
+        // `vec![lit; n]` path it replaced, not an algebraic rewrite.
+        let xs = vec![0.1, 1e16, -3.3e-9, 2.5];
+        let b = Batch::new(vec![Column::from_f64(xs.clone())]);
+        let lit = 0.3;
+        let e = Expr::mul(Expr::sub(Expr::LitF64(lit), Expr::col(0)), Expr::LitF64(lit));
+        let want: Vec<f64> = xs.iter().map(|&x| (lit - x) * lit).collect();
+        assert_eq!(f64_bits(eval(&e, &b).as_f64()), f64_bits(&want));
+    }
+
+    #[test]
+    fn repeated_arguments_are_evaluated_once_with_the_same_bits() {
+        // Q1's shape: disc_price, charge = disc_price * (1 + tax), and
+        // disc_price again; a skipped (count) slot in between.
+        let b = Batch::new(vec![
+            Column::from_f64(vec![901.5, 33.25, 1e7]),
+            Column::from_f64(vec![0.05, 0.1, 0.07]),
+        ]);
+        let disc_price = Expr::mul(Expr::col(0), Expr::sub(Expr::LitF64(1.0), Expr::col(1)));
+        let charge = Expr::mul(disc_price.clone(), Expr::add(Expr::LitF64(1.0), Expr::col(1)));
+        let exprs = [Some(&disc_price), None, Some(&charge), Some(&disc_price), Some(&charge)];
+        let (vals, index) = eval_distinct(&exprs, &b);
+        assert_eq!(index, [Some(0), None, Some(1), Some(0), Some(1)]);
+        assert_eq!(vals.len(), 2);
+        assert_eq!(f64_bits(&vals[0]), f64_bits(eval(&disc_price, &b).as_f64()));
+        assert_eq!(f64_bits(&vals[1]), f64_bits(eval(&charge, &b).as_f64()));
+
+        // The operand of `charge` that equals an evaluated expression is
+        // borrowed from the memo, not recomputed: plant a sentinel there.
+        let sentinel = [2.0, 4.0, 8.0];
+        let memo = [(&disc_price, &sentinel[..])];
+        match operand(&disc_price, &b, &memo) {
+            Operand::Vals(Cow::Borrowed(v)) => assert_eq!(v.as_ptr(), sentinel.as_ptr()),
+            _ => panic!("memo hit must borrow the memoised values"),
+        }
+        let from_memo = eval_memo(&charge, &b, &memo).into_f64();
+        assert_eq!(&from_memo[..], &[2.0 * 1.05, 4.0 * 1.1, 8.0 * 1.07]);
+
+        // Literals that differ only in the sign of zero are `==` but fold
+        // different bits (`x * 0.0` vs `x * -0.0`): not the same argument,
+        // neither at the top level nor as an operand.
+        let times = |z: f64| Expr::mul(Expr::col(0), Expr::LitF64(z));
+        let (pos, neg) = (times(0.0), times(-0.0));
+        assert_eq!(pos, neg);
+        let nested = Expr::add(neg.clone(), Expr::LitF64(-0.0));
+        let (vals, index) = eval_distinct(&[Some(&pos), Some(&neg), Some(&nested)], &b);
+        assert_eq!(index, [Some(0), Some(1), Some(2)]);
+        assert_eq!(f64_bits(&vals[0]), [0.0f64.to_bits(); 3]);
+        assert_eq!(f64_bits(&vals[1]), [(-0.0f64).to_bits(); 3]);
+        assert_eq!(f64_bits(&vals[2]), [(-0.0f64).to_bits(); 3]);
     }
 
     #[test]

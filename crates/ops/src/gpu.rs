@@ -9,8 +9,8 @@
 use hape_sim::{BlockCtx, GpuSim, KernelReport, LaunchConfig, Region, SimTime};
 use hape_storage::Batch;
 
-use crate::agg::{AggSpec, AggState};
-use crate::expr::{eval_bool, Expr};
+use crate::agg::AggSpec;
+use crate::expr::Expr;
 
 /// Rows each thread block processes.
 pub const ITEMS_PER_BLOCK: usize = 8192;
@@ -44,12 +44,12 @@ pub fn block_survivors(sel: &[u32], rows: usize) -> Vec<u32> {
     counts
 }
 
-/// Cost-only replay of [`filter`] from recorded statistics: `rows` input
-/// rows whose predicate touches `row_bytes` per row, `out_row_bytes` per
-/// surviving row, and the per-block survivor counts the functional pass
-/// observed (see [`block_survivors`]). Charges exactly what [`filter`]
-/// charges, without re-running the predicate — this is what lets the
-/// data plane evaluate a packet once and price it for every device class.
+/// Charge a fused filter from recorded statistics: `rows` input rows whose
+/// predicate touches `row_bytes` per row, `out_row_bytes` per surviving
+/// row, and the per-block survivor counts the functional pass observed
+/// (see [`block_survivors`]). The predicate is not re-run — this is what
+/// lets the data plane evaluate a packet once and price it for every
+/// device class.
 pub fn filter_cost(
     sim: &GpuSim,
     region: Region,
@@ -74,40 +74,9 @@ pub fn filter_cost(
     })
 }
 
-/// GPU filter: evaluates `pred` per block and compacts survivors.
-///
-/// `region` is the device-memory residence of the input batch.
-pub fn filter(
-    sim: &GpuSim,
-    region: Region,
-    batch: &Batch,
-    pred: &Expr,
-) -> (Batch, KernelReport) {
-    let rows = batch.rows();
-    let row_bytes = bytes_used_per_row(pred, batch).max(1);
-    let out_row_bytes: u64 = batch.columns.iter().map(|c| c.data_type().width() as u64).sum();
-    let keep = eval_bool(pred, batch);
-    let sel: Vec<u32> =
-        keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i as u32).collect();
-    let report = filter_cost(
-        sim,
-        region,
-        rows,
-        row_bytes,
-        out_row_bytes,
-        pred.ops_per_row(),
-        &block_survivors(&sel, rows),
-    );
-    let out = Batch {
-        columns: batch.columns.iter().map(|c| c.take(&sel)).collect(),
-        partition: batch.partition,
-    };
-    (out, report)
-}
-
-/// Cost-only replay of [`agg_update`]: charges the fused-aggregation
-/// kernel for `batch` under `spec` without folding any state — the fold
-/// itself runs on the data plane, in routed packet order.
+/// Charge the fused-aggregation kernel (per-block partial aggregates in
+/// the scratchpad) for `batch` under `spec` without folding any state — the
+/// fold itself runs on the data plane, in routed packet order.
 pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> KernelReport {
     let rows = batch.rows();
     let mut row_bytes = 0u64;
@@ -142,20 +111,6 @@ pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> 
             blk.smem_atomic(&warp_atomics);
         }
     })
-}
-
-/// GPU aggregation: per-block partial aggregates in the scratchpad, folded
-/// into the host-side [`AggState`] (the cross-device merge the router
-/// performs in plan-level co-processing).
-pub fn agg_update(
-    sim: &GpuSim,
-    region: Region,
-    batch: &Batch,
-    state: &mut AggState,
-) -> KernelReport {
-    let spec = state.spec().clone();
-    state.update(batch);
-    agg_cost(sim, region, batch, &spec)
 }
 
 /// Cost-only helper: a fused streaming pass of `bytes` through a GPU
@@ -193,40 +148,44 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn gpu_filter_matches_cpu_semantics() {
-        let b = batch(20_000);
-        let pred = Expr::lt(Expr::col(0), Expr::LitI32(5_000));
-        let region = Region::at(1 << 20, b.bytes());
-        let (out, report) = filter(&sim(), region, &b, &pred);
-        assert_eq!(out.rows(), 5_000);
-        assert_eq!(out.col(0).as_i32()[4_999], 4_999);
-        assert!(report.time.as_us() > 0.0);
-        assert!(report.stats.dram_bytes > 0.0);
+    /// Price `pred` over `b` the way `run_ops` records it: per-block
+    /// survivor counts of the rows where column 0 is below `below`.
+    fn price_filter(b: &Batch, below: i32, region: Region) -> KernelReport {
+        let pred = Expr::lt(Expr::col(0), Expr::LitI32(below));
+        let sel: Vec<u32> = (0..b.rows() as u32).filter(|&i| (i as i32) < below).collect();
+        let survivors = block_survivors(&sel, b.rows());
+        filter_cost(&sim(), region, b.rows(), 4, 12, pred.ops_per_row(), &survivors)
     }
 
     #[test]
-    fn gpu_agg_matches_reference() {
+    fn filter_cost_charges_stream_and_survivors() {
+        let b = batch(20_000);
+        let region = Region::at(1 << 20, b.bytes());
+        let none = price_filter(&b, 0, region);
+        let some = price_filter(&b, 5_000, region);
+        assert!(none.time.as_us() > 0.0);
+        assert!(none.stats.dram_bytes > 0.0);
+        // Survivors are written back: more of them, more traffic.
+        assert!(some.stats.dram_bytes > none.stats.dram_bytes);
+    }
+
+    #[test]
+    fn agg_cost_uses_the_scratchpad() {
         let b = batch(10_000);
         let spec = AggSpec::ungrouped(vec![
             (AggFunc::Sum, Expr::col(1)),
             (AggFunc::Count, Expr::col(1)),
         ]);
-        let mut st = AggState::new(spec);
-        let region = Region::at(1 << 20, b.bytes());
-        let report = agg_update(&sim(), region, &b, &mut st);
-        let rows = st.finish();
-        assert_eq!(rows[0].1[0], (0..10_000u64).sum::<u64>() as f64);
-        assert_eq!(rows[0].1[1], 10_000.0);
+        let report = agg_cost(&sim(), Region::at(1 << 20, b.bytes()), &b, &spec);
+        assert!(report.time.as_us() > 0.0);
         assert!(report.stats.smem_ops > 0);
     }
 
     #[test]
     fn filter_time_scales_with_rows() {
-        let pred = Expr::lt(Expr::col(0), Expr::LitI32(0));
         let region = Region::at(1 << 20, 1 << 30);
-        let (_, small) = filter(&sim(), region, &batch(100_000), &pred);
-        let (_, large) = filter(&sim(), region, &batch(4_000_000), &pred);
+        let small = price_filter(&batch(100_000), 0, region);
+        let large = price_filter(&batch(4_000_000), 0, region);
         assert!(
             large.time.as_secs() > 5.0 * small.time.as_secs(),
             "large={} small={}",
