@@ -1,43 +1,30 @@
-//! Regenerate the paper's figures and the wall-clock benchmark.
+//! Regenerate the paper's figures and run the verify / chaos / trace sweeps.
 //!
 //! ```text
 //! figures [fig5|fig6|fig7|fig8|fig9|all] [--full] [--smoke] [--sf <f64>]
 //!         [--placements <p,p,...>] [--packet-rows <n>] [--threads <n,n,...>]
-//!         [--wall [--out <path>]] [--serve [--out <path>]]
-//!         [--behavioral [--users <n>] [--out <path>]]
+//!         [--verify | --chaos [--seed <n>]] [--users <n>] [--out <path>]
 //!         [--trace <path>] [--profile]
 //! ```
 //!
-//! Default sizes are scaled down (see EXPERIMENTS.md); `--full` uses
-//! paper-scale inputs where host memory permits (slow). `--smoke` shrinks
-//! every figure to seconds of runtime — the CI guard that keeps this
-//! harness runnable while the criterion benches stay gated off.
+//! Default sizes are scaled down (each figure function in
+//! `hape_bench::figures` documents its rule); `--full` uses paper-scale
+//! inputs where host memory permits (slow). `--smoke` shrinks every figure
+//! to seconds of runtime — the CI guard that keeps this harness runnable.
+//! Wall-clock timing is the repo benchmark's job (`benchmarks/`), not this
+//! binary's.
 //!
 //! `--placements` selects the Proteus series of fig8 by name (`cpu`,
 //! `gpu`, `hybrid`, `auto` — `Placement`'s `FromStr`); `auto` plots the
 //! cost-based optimizer against the manual placements. `--packet-rows`
 //! overrides the auto packet-sizing heuristic for sweeps; `--threads`
-//! pins the data-plane pool size (fig8 uses the first value).
+//! pins the data-plane pool size (its first value is used).
 //!
-//! `--wall` runs the wall-clock TPC-H sweep instead of the figures: real
-//! `Instant`-measured elapsed per `(query, placement, threads)` next to
-//! the (thread-count-invariant) simulated makespan, written to
-//! `BENCH_tpch.json` (`--out` overrides the path). CI smoke invokes it so
-//! the perf trajectory has data points.
-//!
-//! `--serve` runs the concurrent-admission smoke instead: a
-//! mixed-placement TPC-H workload submitted to a `SessionServer` twice
-//! (cold, then warm against the cross-query build cache), reporting
-//! queries/sec, admission waits and cache-served builds per batch, written
-//! to `BENCH_serve.json` (`--out` overrides; `--threads` pins the
-//! data-plane pool with its first value). CI uploads it next to
-//! `BENCH_tpch.json`.
-//!
-//! `--behavioral` runs the stateful-analytics suite × placement matrix
-//! over the deterministic web-analytics event log (`--users` sizes it;
-//! `--smoke` shrinks it for CI), asserting `auto` matches the best manual
-//! placement on every query and writing `BENCH_behavioral.json` (`--out`
-//! overrides; `--threads` pins the data-plane pool with its first value).
+//! `--verify` runs the static-verification sweep instead: every benchmark
+//! query × placement through the four-pass IR checker, cross-checked
+//! against the engine's runtime verdict (`--users` sizes the behavioral
+//! event log). Written to `VERIFY_tpch.json` (`--out` overrides); the
+//! process exits non-zero unless every cell agrees.
 //!
 //! `--chaos` runs the fault-injection sweep instead: every benchmark
 //! query × placement executed clean and under the canonical seeded fault
@@ -54,17 +41,14 @@
 //! deterministic plain-text predicted-vs-observed profile table instead
 //! (the two flags compose: one traced run feeds both exporters).
 //!
-//! Unknown `--flags` are rejected with an error and the usage synopsis —
-//! a typo like `--trase x.json` aborts instead of silently running the
-//! figures.
+//! Unknown `--flags` and unknown figure ids are rejected with an error
+//! and the usage synopsis (exit code 2) — a typo like `--trase x.json` or
+//! `fig10` aborts instead of silently running something else, or nothing.
 
-use hape_bench::behavioral::{bench_behavioral, print_behavioral};
 use hape_bench::chaos::{chaos_tpch, print_chaos};
 use hape_bench::figures::{fig5, fig6, fig7, fig8_opts, fig9, print_figure};
-use hape_bench::serve::{bench_serve, print_serve};
 use hape_bench::trace::{trace_tpch, write_chrome_trace};
 use hape_bench::verify::{print_verify, verify_tpch};
-use hape_bench::wall::{bench_tpch, print_wall, write_json};
 use hape_core::Placement;
 
 /// Flags that take a value.
@@ -79,22 +63,14 @@ const VALUE_FLAGS: [&str; 8] = [
     "--seed",
 ];
 /// Flags that stand alone.
-const BOOL_FLAGS: [&str; 8] = [
-    "--full",
-    "--smoke",
-    "--wall",
-    "--serve",
-    "--behavioral",
-    "--profile",
-    "--verify",
-    "--chaos",
-];
+const BOOL_FLAGS: [&str; 5] = ["--full", "--smoke", "--profile", "--verify", "--chaos"];
+/// The positional figure ids.
+const FIGURE_IDS: [&str; 6] = ["fig5", "fig6", "fig7", "fig8", "fig9", "all"];
 
 const USAGE: &str = "usage: figures [fig5|fig6|fig7|fig8|fig9|all] [--full] [--smoke] \
                      [--sf <f64>] [--placements <p,p,...>] [--packet-rows <n>] \
-                     [--threads <n,n,...>] [--wall] [--serve] [--behavioral [--users <n>]] \
-                     [--verify] [--chaos [--seed <n>]] [--out <path>] [--trace <path>] \
-                     [--profile]";
+                     [--threads <n,n,...>] [--verify | --chaos [--seed <n>]] [--users <n>] \
+                     [--out <path>] [--trace <path>] [--profile]";
 
 /// A rejected command line — typed, so a typo aborts with the usage
 /// synopsis instead of silently running without the intended flag.
@@ -104,6 +80,8 @@ enum CliError {
     UnknownFlag(String),
     /// A value flag at the end of the line, with nothing following it.
     MissingValue(String),
+    /// A positional argument that names no figure.
+    UnknownFigure(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -111,16 +89,19 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
             CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
+            CliError::UnknownFigure(id) => write!(f, "unknown figure: {id}"),
         }
     }
 }
 
 impl std::error::Error for CliError {}
 
-/// Every argument must be a known flag, a known flag's value, or the
-/// positional figure id.
-fn validate_args(args: &[String]) -> Result<(), CliError> {
+/// Every argument must be a known flag, a known flag's value (`--sf 0.1`
+/// must not make `0.1` the figure id), or a positional figure id. Returns
+/// the first figure id given.
+fn validate_args(args: &[String]) -> Result<Option<&str>, CliError> {
     let mut is_value = false;
+    let mut figure = None;
     for a in args {
         if is_value {
             is_value = false;
@@ -136,32 +117,15 @@ fn validate_args(args: &[String]) -> Result<(), CliError> {
         if a.starts_with("--") {
             return Err(CliError::UnknownFlag(a.clone()));
         }
+        if !FIGURE_IDS.contains(&a.as_str()) {
+            return Err(CliError::UnknownFigure(a.clone()));
+        }
+        figure = figure.or(Some(a.as_str()));
     }
     if is_value {
         return Err(CliError::MissingValue(args.last().expect("non-empty").clone()));
     }
-    Ok(())
-}
-
-/// The first positional argument, skipping flags *and their values*
-/// (`--sf 0.1` must not make `0.1` the figure id).
-fn positional(args: &[String]) -> Option<&String> {
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_value = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        return Some(a);
-    }
-    None
+    Ok(figure)
 }
 
 /// The value following `flag`, if present.
@@ -171,11 +135,10 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = validate_args(&args) {
+    let figure = validate_args(&args).unwrap_or_else(|e| {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
-    }
-    let which = positional(&args).map(String::as_str).unwrap_or("all").to_string();
+    });
     let full = args.iter().any(|a| a == "--full");
     let smoke = args.iter().any(|a| a == "--smoke");
     let sf = flag_value(&args, "--sf").and_then(|v| v.parse::<f64>().ok()).unwrap_or(if full {
@@ -197,24 +160,21 @@ fn main() {
     let packet_rows = flag_value(&args, "--packet-rows").map(|v| {
         v.parse::<usize>().unwrap_or_else(|_| panic!("--packet-rows expects a row count"))
     });
-    // `--threads` as given; absent means "engine default" for the figure
-    // runs and the [1, max] comparison sweep for `--wall`.
-    let threads_flag: Option<Vec<usize>> = flag_value(&args, "--threads").map(|list| {
-        list.split(',')
-            .map(|t| {
-                t.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("--threads expects a list like 1,8"))
-                    .max(1)
-            })
-            .collect()
+    // `--threads`: the data-plane pool size (of a list, the first value);
+    // absent means "engine default".
+    let threads: Option<usize> = flag_value(&args, "--threads").map(|list| {
+        let first = list.split(',').next().unwrap_or_default();
+        first.parse::<usize>().unwrap_or_else(|_| panic!("--threads expects a count")).max(1)
     });
+    let users = flag_value(&args, "--users")
+        .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
+        .unwrap_or(if smoke { 2_000 } else { 20_000 });
 
     // `--trace` / `--profile`: one traced TPC-H run under Auto feeds both
     // exporters — the Chrome JSON artifact and/or the profile table.
     let trace_path = flag_value(&args, "--trace");
     let profile = args.iter().any(|a| a == "--profile");
     if trace_path.is_some() || profile {
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
         let trace = trace_tpch(sf, threads, packet_rows);
         if let Some(path) = trace_path {
             write_chrome_trace(&trace, path).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -232,9 +192,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--verify") {
         let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("VERIFY_tpch.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
         let sweep = verify_tpch(sf, users);
         print_verify(&sweep);
         hape_bench::verify::write_json(&sweep, out)
@@ -249,9 +206,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--chaos") {
         let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("CHAOS_tpch.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
         let seed = flag_value(&args, "--seed")
             .map(|v| v.parse::<u64>().unwrap_or_else(|_| panic!("--seed expects a u64")))
             .unwrap_or(42);
@@ -267,50 +221,7 @@ fn main() {
         return;
     }
 
-    if args.iter().any(|a| a == "--behavioral") {
-        let out =
-            flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_behavioral.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        let bench = bench_behavioral(users, threads);
-        print_behavioral(&bench);
-        hape_bench::behavioral::write_json(&bench, out)
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--serve") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_serve.json");
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        let bench = bench_serve(sf, threads);
-        print_serve(&bench);
-        hape_bench::serve::write_json(&bench, out)
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--wall") {
-        let threads = threads_flag.unwrap_or_else(|| {
-            let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if max > 1 {
-                vec![1, max]
-            } else {
-                vec![1]
-            }
-        });
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_tpch.json");
-        let points = bench_tpch(sf, &placements, &threads, packet_rows);
-        print_wall(&points);
-        write_json(sf, &points, out).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
-    }
-
-    let run = |id: &str| which == "all" || which == id;
+    let run = |id: &str| figure.is_none_or(|f| f == "all" || f == id);
 
     if run("fig5") {
         let tuples = if full {
@@ -345,10 +256,38 @@ fn main() {
         print_figure(&fig7(&sizes));
     }
     if run("fig8") {
-        let fig8_threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        print_figure(&fig8_opts(sf, &placements, packet_rows, fig8_threads));
+        print_figure(&fig8_opts(sf, &placements, packet_rows, threads));
     }
     if run("fig9") {
         print_figure(&fig9(sf));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_flags_and_figure_ids_are_rejected() {
+        assert!(matches!(validate_args(&args("--sf 0.01 fig8 --smoke")), Ok(Some("fig8"))));
+        assert!(matches!(validate_args(&args("--chaos --seed 7 --users 100")), Ok(None)));
+        // A flag's value is not mistaken for a figure id.
+        assert!(matches!(validate_args(&args("--out fig10")), Ok(None)));
+        assert!(matches!(
+            validate_args(&args("--trase x.json")),
+            Err(CliError::UnknownFlag(f)) if f == "--trase"
+        ));
+        assert!(matches!(
+            validate_args(&args("fig10 --smoke")),
+            Err(CliError::UnknownFigure(id)) if id == "fig10"
+        ));
+        assert!(matches!(
+            validate_args(&args("fig8 --sf")),
+            Err(CliError::MissingValue(f)) if f == "--sf"
+        ));
     }
 }

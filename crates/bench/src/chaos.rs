@@ -27,9 +27,9 @@
 //!
 //! [`write_json`] serialises to `CHAOS_tpch.json` (hand-rolled — no serde
 //! in the offline workspace), regenerated by CI smoke and uploaded next to
-//! the `BENCH_*`/`VERIFY_*` artifacts.
+//! the `VERIFY_*` artifact.
 
-use hape_core::trace::TraceRecorder;
+use hape_core::trace::{json_escape, TraceRecorder};
 use hape_core::{Engine, ExecConfig, FaultPlan, JoinAlgo, Placement};
 use hape_sim::topology::Server;
 use hape_tpch::events::{behavioral_queries, generate_events};
@@ -165,7 +165,7 @@ pub fn chaos_tpch(sf: f64, n_users: usize, seed: u64) -> ChaosSweep {
         [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
     let mut points = Vec::new();
 
-    // TPC-H over the scaled testbed (the wall-clock sweep's setup).
+    // TPC-H over the scaled testbed (the repo benchmark's setup).
     let data = hape_tpch::generate(sf, 420);
     let catalog = base_catalog(&data);
     let engine = Engine::new(Server::tpch_scaled(sf));
@@ -189,8 +189,7 @@ pub fn chaos_tpch(sf: f64, n_users: usize, seed: u64) -> ChaosSweep {
         }
     }
 
-    // The behavioral suite over the paper testbed (the stateful bench's
-    // setup).
+    // The behavioral suite over the paper testbed.
     let mut catalog = hape_core::Catalog::new();
     catalog.register(generate_events(n_users, 7171));
     let engine = Engine::new(Server::paper_testbed());
@@ -251,10 +250,6 @@ pub fn print_chaos(sweep: &ChaosSweep) {
         sweep.total_injected(),
         sweep.rows_identical()
     );
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serialise the sweep to JSON (hand-rolled; the offline workspace has no

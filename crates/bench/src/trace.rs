@@ -41,7 +41,7 @@ pub fn trace_tpch(sf: f64, threads: Option<usize>, packet_rows: Option<usize>) -
 }
 
 /// Write a trace's Chrome JSON export to `path` (conventionally
-/// `TRACE_tpch.json`, uploaded by CI next to the `BENCH_*.json` files).
+/// `TRACE_tpch.json`, uploaded by CI next to the verify and chaos sweeps).
 pub fn write_chrome_trace(trace: &Trace, path: &str) -> std::io::Result<()> {
     std::fs::write(path, trace.to_chrome_json())
 }

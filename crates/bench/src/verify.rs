@@ -15,9 +15,10 @@
 //!
 //! [`write_json`] serialises to `VERIFY_tpch.json` (hand-rolled — no
 //! serde in the offline workspace), regenerated by CI smoke and uploaded
-//! next to the `BENCH_*`/`TRACE_*` artifacts; the top-level `"clean"`
+//! next to the `CHAOS_*`/`TRACE_*` artifacts; the top-level `"clean"`
 //! flag is the machine-checkable acceptance bit.
 
+use hape_core::trace::json_escape;
 use hape_core::verify::check_placed;
 use hape_core::{optimize, place, Engine, ExecConfig, JoinAlgo, Placement};
 use hape_sim::topology::Server;
@@ -112,7 +113,7 @@ pub fn verify_tpch(sf: f64, n_users: usize) -> VerifySweep {
         [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
     let mut points = Vec::new();
 
-    // TPC-H over the scaled testbed (the wall-clock sweep's setup).
+    // TPC-H over the scaled testbed (the repo benchmark's setup).
     let data = hape_tpch::generate(sf, 420);
     let catalog = base_catalog(&data);
     let engine = Engine::new(Server::tpch_scaled(sf));
@@ -129,8 +130,7 @@ pub fn verify_tpch(sf: f64, n_users: usize) -> VerifySweep {
         }
     }
 
-    // The behavioral suite over the paper testbed (the stateful bench's
-    // setup).
+    // The behavioral suite over the paper testbed.
     let mut catalog = hape_core::Catalog::new();
     catalog.register(generate_events(n_users, 7171));
     let engine = Engine::new(Server::paper_testbed());
@@ -176,10 +176,6 @@ pub fn print_verify(sweep: &VerifySweep) {
         }
     }
     println!("clean: {}", sweep.clean());
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serialise the sweep to JSON (hand-rolled; the offline workspace has no

@@ -1,22 +1,55 @@
 //! The HAPE engine: discrete-event execution of placed plans over the
-//! simulated server.
+//! simulated server (§4.2, §5).
 //!
-//! Execution follows §4.2/§5 as a generic interpretation of a
-//! [`PlacedPlan`]: each placed stage instantiates one
-//! [`crate::provider::DeviceProvider`] worker per operator
-//! instance of its segments (a [`CpuWorker`] per core, a [`GpuWorker`] per
-//! GPU), the stage's [`Exchange::Router`](crate::exchange::Exchange)
-//! distributes source packets over *all* workers, and each worker realises
-//! the exchanges on its own input edge — GPU workers charge the mem-move
-//! across their PCIe link, broadcast the probed hash tables into device
-//! memory first (the paper's Q9 capacity constraint, §6.4), and swap in
-//! the GPU code-generation backend (the device crossing). Every worker
-//! folds into a private aggregation state; states merge at the end — no
-//! cross-device shared mutable structures, which is the paper's answer to
-//! missing system-wide cache coherence.
+//! | `engine` IS | `engine` IS NOT |
+//! |---|---|
+//! | an interpreter of a verified [`PlacedPlan`] | a planner |
+//! | the only writer of the per-query [`Ledger`] | a stats keeper |
+//! | where device-aware work is realised | a validator |
 //!
-//! The interpreter never branches on [`Placement`]: placement decisions
-//! are made once by [`crate::place::place`] and read back from the IR.
+//! *Interpreter, not planner*: each placed stage instantiates one
+//! [`DeviceProvider`] worker per operator instance of its segments (a
+//! [`CpuWorker`] per core, a [`GpuWorker`] per GPU) and routes the source
+//! packets over them. Nothing branches on [`Placement`]: device subsets,
+//! exchanges and the co-processing decision are read back from the IR
+//! ([`mod@crate::place`], [`mod@crate::optimize`]), and mid-query
+//! re-placement calls those same passes. *Only writer, not stats keeper*:
+//! every control-plane decision — tables installed, packet committed,
+//! fault fired, retry priced, build served from cache, stage done — is
+//! reported to the ledger exactly once; [`QueryReport`] fields, trace
+//! counters and spans are derived there ([`crate::trace`]), nothing is
+//! tallied here. *Realised, not validated*: GPU workers charge the
+//! mem-move across their PCIe link, broadcast the probed hash tables into
+//! device memory first (the Q9 capacity constraint, §6.4) and swap in the
+//! GPU back-end (the device crossing); structure is checked by
+//! [`QueryPlan::try_new`] and [`crate::verify`], and what remains here
+//! are the typed runtime refusals (absent device, unbuilt table,
+//! capacity).
+//!
+//! Every worker folds into a private aggregation state; states merge at
+//! the stage barrier — no cross-device shared mutable structures, the
+//! paper's answer to missing system-wide cache coherence.
+//!
+//! **Determinism.** A packet loop has three beats on two planes:
+//!
+//! 1. *data plane* (the [`runtime`] pool, parallel) — every packet runs
+//!    the fused-kernel pass ([`run_ops`]) exactly once and is priced per
+//!    worker cost class ([`DeviceProvider::charge`]): pure per packet, so
+//!    the pool's schedule cannot matter;
+//! 2. *control plane* (one sequential loop) — per packet, in packet order:
+//!    the candidates' `ready_at` state, the router's pick, the fault
+//!    plane's verdict, the commit against the routed worker's simulated
+//!    clocks ([`DeviceProvider::commit_packet`]), and one ledger entry;
+//! 3. *data plane again* — one fold job per worker folds the packets
+//!    routed to it, in routed order; partial states merge at the stage
+//!    barrier in worker order.
+//!
+//! Everything observable — rows, makespans, the report, spans, counters,
+//! which fault fired where — is therefore derived on the control plane,
+//! in packet order, from one ledger, and is bit-identical at any thread
+//! count, traced or not; wall timestamps ride along in spans and never
+//! feed back (`tests/runtime_determinism.rs`, `tests/chaos.rs` and
+//! `tests/trace.rs` pin this).
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -33,7 +66,7 @@ use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput
 use crate::catalog::Catalog;
 use crate::error::PlanError;
 use crate::exchange::{CandidateLoad, Exchange, Router, RoutingPolicy};
-use crate::fault::{FaultPlan, FaultSession, HealthRegistry, PacketFault};
+use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage, Segment};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
 use crate::provider::{
@@ -41,7 +74,7 @@ use crate::provider::{
     Scratch, TableStore,
 };
 use crate::runtime;
-use crate::trace::{Span, SpanKind, TraceCtx, TraceRecorder};
+use crate::trace::{Ledger, Span, SpanKind, TraceRecorder};
 use crate::traits::DeviceType;
 
 pub use crate::error::EngineError;
@@ -124,14 +157,12 @@ pub struct ExecConfig {
     pub packet_rows: Option<usize>,
     /// Data-plane threads (`None` = the `HAPE_THREADS` environment
     /// variable, else the host's available parallelism — see
-    /// [`crate::runtime::resolve_threads`]). A pure wall-clock knob:
-    /// simulated makespans and result rows are bit-identical at any value.
+    /// [`crate::runtime::resolve_threads`]). A pure wall-clock knob.
     pub threads: Option<usize>,
     /// The execution tracing plane's recorder (disabled by default).
     /// When enabled ([`ExecConfig::with_trace`]), runs through
     /// [`Engine::run`] / [`crate::session::Session`] record query, stage
-    /// and packet spans plus counters into it — a pure observer: results
-    /// and simulated makespans stay bit-identical to untraced runs.
+    /// and packet spans plus counters into it — a pure observer.
     pub trace: TraceRecorder,
     /// The fault-injection plane's schedule (off by default, zero-cost
     /// when disabled — the tracer's discipline). When armed
@@ -177,9 +208,7 @@ impl ExecConfig {
     /// Arm the fault-injection plane: queries run under this config fire
     /// `faults`' deterministic schedule and recover through the
     /// [`crate::fault`] machinery (priced retries, re-placement on the
-    /// surviving fleet). Triggers are simulated-time/packet-ordinal
-    /// conditions, so a fixed plan stays bit-identical across thread
-    /// counts.
+    /// surviving fleet).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -200,7 +229,7 @@ impl ExecConfig {
 }
 
 /// The result of running a query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryReport {
     /// Aggregated result rows, sorted by group key.
     pub rows: Vec<(GroupKey, Vec<f64>)>,
@@ -242,15 +271,29 @@ pub struct Engine {
 /// Aggregated result rows, sorted by group key.
 type AggRows = Vec<(GroupKey, Vec<f64>)>;
 
-/// What one placed stage reported back to the interpreter.
-struct StageOutcome {
+/// What a packet loop hands back: the packets' outputs (build pipelines;
+/// aggregating ones fold theirs into the workers) and when the last packet
+/// finished. Everything else that happened is in the ledger.
+struct Streamed {
     outputs: Vec<Batch>,
     end: SimTime,
-    cpu_busy: SimTime,
-    gpu_busy: SimTime,
-    h2d_bytes: u64,
-    packets_cpu: usize,
-    packets_gpu: usize,
+}
+
+/// The one way into the packet loop: everything a stage's interpretation
+/// reads or reports through, borrowed from its [`QueryExec`] once per
+/// stage attempt.
+struct StageEnv<'a> {
+    engine: &'a Engine,
+    catalog: &'a Catalog,
+    tables: &'a TableStore,
+    /// Tables already in device memory (the serving layer's cross-query
+    /// cache installed them): GPU workers still account their footprint
+    /// but skip the broadcast transfer and partition prep.
+    resident: &'a HashSet<String>,
+    threads: usize,
+    packet_rows: Option<usize>,
+    faults: &'a FaultSession,
+    ledger: &'a mut Ledger,
 }
 
 impl Engine {
@@ -259,10 +302,9 @@ impl Engine {
         Engine { server, fidelity: Fidelity::Analytic }
     }
 
-    /// Place and run `plan` against `catalog` under `cfg`: sugar for the
-    /// placement step followed by [`Engine::run_placed`]. Manual
-    /// placements go through [`crate::place::place`];
-    /// [`Placement::Auto`] goes through the cost-based optimizer
+    /// The placement step, the only place-or-optimize dispatch: manual
+    /// placements go through [`crate::place::place`]; [`Placement::Auto`]
+    /// goes through the cost-based optimizer
     /// ([`crate::optimize::optimize`]), which consumes the catalog's scan
     /// statistics to pick per-stage device subsets. Either way the
     /// interpreter sees only the placed IR.
@@ -271,22 +313,29 @@ impl Engine {
     /// hand-assembled physical plans that bypass [`QueryPlan::try_new`]
     /// surface [`EngineError::InvalidPlan`] instead of panicking
     /// mid-execution.
+    pub fn place(
+        &self,
+        catalog: &Catalog,
+        plan: &QueryPlan,
+        cfg: &ExecConfig,
+    ) -> Result<PlacedPlan, EngineError> {
+        match cfg.placement {
+            Placement::Auto => crate::optimize::optimize(plan, catalog, cfg, &self.server),
+            _ => place(plan, cfg, &self.server),
+        }
+    }
+
+    /// Place and run `plan` against `catalog` under `cfg`: sugar for
+    /// [`Engine::place`] followed by a traced, fault-armed
+    /// [`QueryExec::run`].
     pub fn run(
         &self,
         catalog: &Catalog,
         plan: &QueryPlan,
         cfg: &ExecConfig,
     ) -> Result<QueryReport, EngineError> {
-        let placed = match cfg.placement {
-            Placement::Auto => crate::optimize::optimize(plan, catalog, cfg, &self.server)?,
-            _ => place(plan, cfg, &self.server)?,
-        };
-        let mut exec =
-            self.begin(catalog, &placed)?.with_trace(&cfg.trace).with_faults(&cfg.faults);
-        while !exec.is_done() {
-            exec.step()?;
-        }
-        Ok(exec.finish())
+        let placed = self.place(catalog, plan, cfg)?;
+        self.begin(catalog, &placed)?.with_trace(&cfg.trace).with_faults(&cfg.faults).run()
     }
 
     /// Interpret a placed plan: stages in order, each over the workers its
@@ -298,22 +347,18 @@ impl Engine {
         catalog: &Catalog,
         placed: &PlacedPlan,
     ) -> Result<QueryReport, EngineError> {
-        let mut exec = self.begin(catalog, placed)?;
-        while !exec.is_done() {
-            exec.step()?;
-        }
-        Ok(exec.finish())
+        self.begin(catalog, placed)?.run()
     }
 
     /// Start interpreting a placed plan without driving it to completion:
     /// the returned [`QueryExec`] owns every piece of per-query execution
-    /// state (the run's table store, its simulated clock, busy/packet
-    /// counters, partial results) and advances one stage per
-    /// [`QueryExec::step`]. The engine itself stays stateless across
-    /// queries — workers (and their clocks, aggregation states and
-    /// calibrated estimates) are instantiated per stage inside the step —
-    /// so one engine (one simulated fleet) serves any number of
-    /// interleaved `QueryExec`s re-entrantly.
+    /// state (the run's table store, its simulated clock, its ledger,
+    /// partial results) and advances one stage per [`QueryExec::step`].
+    /// The engine itself stays stateless across queries — workers (and
+    /// their clocks, aggregation states and calibrated estimates) are
+    /// instantiated per stage inside the step — so one engine (one
+    /// simulated fleet) serves any number of interleaved `QueryExec`s
+    /// re-entrantly.
     ///
     /// Fallible since the fault-plane work: a set-but-invalid
     /// `HAPE_THREADS` surfaces as [`EngineError::InvalidConfig`] here
@@ -338,16 +383,9 @@ impl Engine {
             tables: TableStore::new(),
             resident: HashSet::new(),
             clock: SimTime::ZERO,
-            cpu_busy: SimTime::ZERO,
-            gpu_busy: SimTime::ZERO,
-            h2d_bytes: 0,
-            packets_cpu: 0,
-            packets_gpu: 0,
-            builds_cached: 0,
             rows: Vec::new(),
             next_stage: 0,
-            trace: TraceRecorder::off(),
-            wall_start_ns: 0,
+            ledger: Ledger::default(),
             faults: FaultSession::disabled(),
         })
     }
@@ -373,22 +411,30 @@ impl Engine {
                 stage: pipeline.source.clone(),
             }));
         }
-        let segments = self.cpu_segments();
-        let out = self.run_stage(
+        // Ad-hoc CPU-side segments: this hook predates placement and
+        // takes a bare pipeline.
+        let segments: Vec<Segment> = participants(Placement::CpuOnly, &self.server)
+            .into_iter()
+            .map(|d| Segment {
+                target: d,
+                traits: crate::place::segment_traits(d, &self.server),
+                exchanges: Vec::new(),
+            })
+            .collect();
+        let mut env = StageEnv {
+            engine: self,
             catalog,
-            pipeline,
-            &segments,
-            RoutingPolicy::LoadAware,
-            None,
             tables,
-            &HashSet::new(),
-            start,
-            None,
-            runtime::resolve_threads(None)?,
-            &FaultSession::disabled(),
-            &TraceCtx::disabled(),
-        )?;
-        Ok((concat_outputs(out.outputs), out.end, out.cpu_busy))
+            resident: &HashSet::new(),
+            threads: runtime::resolve_threads(None)?,
+            packet_rows: None,
+            faults: &FaultSession::disabled(),
+            ledger: &mut Ledger::default(),
+        };
+        let mut workers = env.workers_for(&segments, None)?;
+        let out = env.run_workers(pipeline, &mut workers, RoutingPolicy::LoadAware, start)?;
+        let busy = workers.iter().map(|w| w.busy()).sum();
+        Ok((concat_outputs(out.outputs), out.end, busy))
     }
 
     /// Build a named hash table by materialising `pipeline` on the CPU.
@@ -403,27 +449,32 @@ impl Engine {
         let (batch, end, busy) = self.materialize_cpu(catalog, pipeline, tables, start)?;
         Ok((Arc::new(JoinTable::build(batch, key_col)), end, busy))
     }
+}
 
-    /// Ad-hoc CPU-side segments for the explicit materialisation hooks
-    /// (which predate placement and take a bare pipeline).
-    fn cpu_segments(&self) -> Vec<Segment> {
-        crate::place::participants(Placement::CpuOnly, &self.server)
-            .into_iter()
-            .map(|d| Segment {
-                target: d,
-                traits: crate::place::segment_traits(d, &self.server),
-                exchanges: Vec::new(),
-            })
-            .collect()
+/// The terminal aggregation an aggregating stage must carry.
+fn stream_agg(pipeline: &Pipeline) -> Result<&AggSpec, EngineError> {
+    pipeline.agg.as_ref().ok_or_else(|| {
+        EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
+            name: pipeline.source.clone(),
+        })
+    })
+}
+
+/// Merge the workers' partial aggregates at the stage barrier (cheap:
+/// group counts are small), in worker order for determinism.
+fn merge_partials(spec: &AggSpec, workers: &[Box<dyn DeviceProvider>]) -> AggRows {
+    let mut merged = AggState::new(spec.clone());
+    for partial in workers.iter().filter_map(|w| w.agg()) {
+        merged.merge(partial);
     }
+    merged.finish()
+}
 
+impl StageEnv<'_> {
     /// Instantiate the workers a segment list describes: one
     /// [`CpuWorker`] per core of a CPU segment, one [`GpuWorker`] per GPU
     /// segment. A segment targeting a device this server lacks is the
-    /// typed [`EngineError::DeviceNotPresent`]. Tables named in `resident`
-    /// are already in device memory (the serving layer's cross-query
-    /// cache installed them): GPU workers still account their footprint
-    /// but skip the broadcast transfer and partition prep.
+    /// typed [`EngineError::DeviceNotPresent`].
     ///
     /// The fault plane hooks in here: a segment targeting a quarantined
     /// GPU is the typed [`EngineError::DeviceFailed`] (which the stepper
@@ -434,14 +485,13 @@ impl Engine {
         &self,
         segments: &[Segment],
         agg: Option<&AggSpec>,
-        resident: &HashSet<String>,
-        faults: &FaultSession,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
+        let (server, faults) = (&self.engine.server, self.faults);
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for seg in segments {
             match seg.target {
                 DeviceId::Cpu(socket) => {
-                    let spec = self.server.cpus.get(socket).ok_or_else(|| {
+                    let spec = server.cpus.get(socket).ok_or_else(|| {
                         EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
                     })?;
                     let model = CpuCostModel::new(spec.clone(), spec.cores);
@@ -459,9 +509,9 @@ impl Engine {
                         return Err(EngineError::DeviceFailed { device: format!("gpu{idx}") });
                     }
                     let (spec, link) =
-                        self.server.gpus.get(idx).zip(self.server.pcie.get(idx)).ok_or_else(
-                            || EngineError::DeviceNotPresent { device: format!("gpu{idx}") },
-                        )?;
+                        server.gpus.get(idx).zip(server.pcie.get(idx)).ok_or_else(|| {
+                            EngineError::DeviceNotPresent { device: format!("gpu{idx}") }
+                        })?;
                     let mut link = link.clone();
                     if faults.is_active() {
                         if let Some(f) = faults.health().slow_factor(idx) {
@@ -485,49 +535,16 @@ impl Engine {
                             idx,
                             spec.clone(),
                             link,
-                            self.fidelity,
+                            self.engine.fidelity,
                             agg.map(|a| AggState::new(a.clone())),
                             broadcast,
                         )
-                        .with_resident(resident.clone()),
+                        .with_resident(self.resident.clone()),
                     ));
                 }
             }
         }
         Ok(workers)
-    }
-
-    /// Run one placed stage: instantiate its workers and route the source
-    /// packets over them.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage(
-        &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        segments: &[Segment],
-        policy: RoutingPolicy,
-        agg: Option<&AggSpec>,
-        tables: &TableStore,
-        resident: &HashSet<String>,
-        start: SimTime,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<StageOutcome, EngineError> {
-        let mut workers = self.workers_for(segments, agg, resident, faults)?;
-        self.run_workers(
-            catalog,
-            pipeline,
-            &mut workers,
-            policy,
-            tables,
-            start,
-            packet_rows,
-            threads,
-            faults,
-            ctx,
-        )
     }
 
     /// Run a placed co-processing stage
@@ -544,49 +561,48 @@ impl Engine {
     ///    in-pipeline probe would produce, and the remaining operators
     ///    plus the terminal aggregation fold on the CPU workers.
     ///
-    /// All failures are typed [`EngineError`]s — the skew/capacity cases
-    /// surface as [`EngineError::OversizedCoPartition`], never a panic.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns the aggregated rows and the stage's end time. All failures
+    /// are typed [`EngineError`]s — the skew/capacity cases surface as
+    /// [`EngineError::OversizedCoPartition`], never a panic.
     fn run_coprocess_stage(
-        &self,
-        catalog: &Catalog,
+        &mut self,
         pipeline: &Pipeline,
         ht: &str,
         segments: &[Segment],
         policy: RoutingPolicy,
         gpus: &[DeviceId],
-        tables: &TableStore,
-        resident: &HashSet<String>,
         start: SimTime,
-        agg_spec: &AggSpec,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<(AggRows, StageOutcome), EngineError> {
+    ) -> Result<(AggRows, SimTime), EngineError> {
+        let agg_spec = stream_agg(pipeline)?;
+        let gpu_ids: Vec<usize> = gpus
+            .iter()
+            .filter_map(|d| match d {
+                DeviceId::Gpu(g) => Some(*g),
+                DeviceId::Cpu(_) => None,
+            })
+            .collect();
         // The co-processed join drives its GPU lanes outside the generic
         // packet loop, so quarantined lanes are checked up front.
-        if faults.is_active() {
-            for d in gpus {
-                if let DeviceId::Gpu(g) = d {
-                    if faults.is_excluded(*g) {
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
-                    }
-                }
+        if self.faults.is_active() {
+            if let Some(g) = gpu_ids.iter().find(|&&g| self.faults.is_excluded(g)) {
+                return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
             }
         }
         // ---- Split the pipeline at its final probe.
+        let invalid = || EngineError::InvalidCoProcessStage { table: ht.to_string() };
         let probe_idx = match pipeline.last_probe() {
             Some((idx, probe_ht)) if probe_ht == ht => idx,
-            _ => return Err(EngineError::InvalidCoProcessStage { table: ht.to_string() }),
+            _ => return Err(invalid()),
         };
         let PipeOp::JoinProbe { key_col, build_payload_cols, .. } = &pipeline.ops[probe_idx]
         else {
-            return Err(EngineError::InvalidCoProcessStage { table: ht.to_string() });
+            return Err(invalid());
         };
+        let (tables, threads) = (self.tables, self.threads);
         let jt = tables
             .get(ht)
             .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })?;
+        let dop: usize = segments.iter().map(|s| s.traits.dop).sum();
 
         // ---- 1. CPU prefix through the device providers.
         let prefix = Pipeline {
@@ -594,23 +610,11 @@ impl Engine {
             ops: pipeline.ops[..probe_idx].to_vec(),
             agg: None,
         };
-        let wall_prefix_start = ctx.now_ns();
-        let pre = self.run_stage(
-            catalog,
-            &prefix,
-            segments,
-            policy,
-            None,
-            tables,
-            resident,
-            start,
-            packet_rows,
-            threads,
-            faults,
-            ctx,
-        )?;
+        let wall_prefix_start = self.ledger.recorder().now_ns();
+        let mut workers = self.workers_for(segments, None)?;
+        let pre = self.run_workers(&prefix, &mut workers, policy, start)?;
         let inter = concat_outputs(pre.outputs);
-        let wall_prefix_end = ctx.now_ns();
+        let wall_prefix_end = self.ledger.recorder().now_ns();
 
         // ---- 2. Co-partition + single-pass GPU joins on the stage's
         // lanes. Sides follow the §5 convention: the (smaller) build side
@@ -620,32 +624,22 @@ impl Engine {
         let mut join_time = SimTime::ZERO;
         let mut first_join_done = SimTime::ZERO;
         let mut cpu_partition_time = SimTime::ZERO;
-        let mut gpu_busy = SimTime::ZERO;
-        let mut h2d_bytes = 0u64;
-        let mut packets_gpu = 0usize;
         if inter.rows() > 0 {
             // Zero-copy: the co-partitioner reads the Arc-backed key
             // column slice directly; no per-stage key vector is built.
             let probe_keys: &[i32] = inter.col(*key_col).as_i32();
             let probe_vals: Vec<u32> = (0..inter.rows() as u32).collect();
             let build_vals: Vec<u32> = (0..jt.rows() as u32).collect();
-            let gpu_ids: Vec<usize> = gpus
-                .iter()
-                .filter_map(|d| match d {
-                    DeviceId::Gpu(g) => Some(*g),
-                    DeviceId::Cpu(_) => None,
-                })
-                .collect();
             let cfg = CoprocessConfig {
                 n_gpus: gpu_ids.len(),
-                cpu_workers: segments.iter().map(|s| s.traits.dop).sum(),
+                cpu_workers: dop,
                 variant: BuildProbeVariant::Sm,
                 mode: OutputMode::MatchIndices,
-                fidelity: self.fidelity,
+                fidelity: self.engine.fidelity,
                 threads,
             };
             let rep = coprocess_join_on(
-                &self.server,
+                &self.engine.server,
                 &gpu_ids,
                 JoinInput::new(&jt.keys, &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
@@ -657,20 +651,13 @@ impl Engine {
             join_time = rep.outcome.time;
             first_join_done = rep.first_join_done;
             cpu_partition_time = rep.cpu_partition_time;
-            gpu_busy = rep.gpu_busy;
-            h2d_bytes = rep.h2d_bytes;
-            packets_gpu = rep.per_gpu_assignments.iter().sum();
-            if ctx.is_enabled() {
-                // One co-partition assignment per lane: the per-lane
-                // packet counters the profile's packet breakdown reads.
-                for (g, n) in gpu_ids.iter().zip(&rep.per_gpu_assignments) {
-                    ctx.add(&format!("packets.worker.gpu{g}"), *n as u64);
-                }
-                ctx.add("h2d.packet_bytes", rep.h2d_bytes);
-            }
+            // One co-partition assignment per lane is one GPU packet.
+            let lanes = gpu_ids.iter().copied().zip(rep.per_gpu_assignments.iter().copied());
+            self.ledger.lanes_joined(lanes, rep.h2d_bytes);
+            self.ledger.busy(cpu_partition_time, rep.gpu_busy);
         }
         let join_end = pre.end + join_time;
-        let wall_join_end = ctx.now_ns();
+        let wall_join_end = self.ledger.recorder().now_ns();
 
         // ---- 3. Remaining operators + aggregation on the CPU workers.
         // Match pairs stream back as co-partitions complete, so the fold
@@ -680,7 +667,7 @@ impl Engine {
         // the last join and the fold have finished.
         let fold_start = pre.end + first_join_done.max(cpu_partition_time);
         let suffix_ops = &pipeline.ops[probe_idx + 1..];
-        let (rows, end, fold_cpu_busy, fold_h2d, fold_packets_cpu);
+        let (rows, end);
         if suffix_ops.is_empty() {
             // The §5 shape: the co-processed probe feeds the aggregation
             // directly, so the match pairs stream through registers into
@@ -693,12 +680,11 @@ impl Engine {
                     DeviceId::Cpu(socket) => Some(socket),
                     DeviceId::Gpu(_) => None,
                 })
-                .ok_or_else(|| EngineError::InvalidCoProcessStage { table: ht.to_string() })?;
-            let spec = self.server.cpus.get(socket).ok_or_else(|| {
+                .ok_or_else(invalid)?;
+            let spec = self.engine.server.cpus.get(socket).ok_or_else(|| {
                 EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
             })?;
             let model = CpuCostModel::new(spec.clone(), spec.cores);
-            let dop: usize = segments.iter().map(|s| s.traits.dop).sum();
             // The fold rides the same worker pool as the packet loop:
             // deterministic per-dop chunks folded in parallel, partial
             // states merged in chunk order (thread-count-independent),
@@ -731,12 +717,9 @@ impl Engine {
             } else {
                 SimTime::ZERO
             };
-            let fold_time = fold_busy / (dop.max(1) as f64 * 0.9);
+            self.ledger.busy(fold_busy, SimTime::ZERO);
             rows = state.finish();
-            end = (fold_start + fold_time).max(join_end);
-            fold_cpu_busy = fold_busy;
-            fold_h2d = 0;
-            fold_packets_cpu = 0;
+            end = (fold_start + fold_busy / (dop.max(1) as f64 * 0.9)).max(join_end);
         } else {
             // Operators remain after the co-processed probe: the joined
             // rows genuinely re-enter the generic packet loop on the CPU
@@ -746,98 +729,60 @@ impl Engine {
                 ops: suffix_ops.to_vec(),
                 agg: pipeline.agg.clone(),
             };
-            let mut workers = self.workers_for(segments, Some(agg_spec), resident, faults)?;
+            let mut workers = self.workers_for(segments, Some(agg_spec))?;
             let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
             let packets = if joined.rows() > 0 {
-                joined.split(ExecConfig::auto_packet_rows(joined.rows(), shares, packet_rows))
+                let rows =
+                    ExecConfig::auto_packet_rows(joined.rows(), shares, self.packet_rows);
+                joined.split(rows)
             } else {
                 Vec::new()
             };
-            let post = self.packet_loop(
-                &packets,
-                &suffix,
-                &mut workers,
-                policy,
-                tables,
-                fold_start,
-                threads,
-                faults,
-                ctx,
-            )?;
-            let mut merged = AggState::new(agg_spec.clone());
-            for w in &workers {
-                if let Some(a) = w.agg() {
-                    merged.merge(a);
-                }
-            }
-            rows = merged.finish();
+            let post = self.packet_loop(&packets, &suffix, &mut workers, policy, fold_start)?;
+            rows = merge_partials(agg_spec, &workers);
             end = post.end.max(join_end);
-            fold_cpu_busy = post.cpu_busy;
-            fold_h2d = post.h2d_bytes;
-            fold_packets_cpu = post.packets_cpu;
         }
 
-        if ctx.is_enabled() {
-            // The §5 phase spans: CPU prefix, the co-partitioned GPU
-            // lanes, and the overlapping CPU fold.
-            let wall_fold_end = ctx.now_ns();
-            ctx.record(
-                Span::new(SpanKind::Phase, "coprocess prefix", "")
-                    .at_sim(start, pre.end)
-                    .at_wall(wall_prefix_start, wall_prefix_end)
-                    .rows(0, inter.rows() as u64),
-            );
-            ctx.record(
-                Span::new(SpanKind::Phase, format!("coprocess lanes {ht}"), "")
-                    .at_sim(pre.end, join_end)
-                    .at_wall(wall_prefix_end, wall_join_end)
-                    .rows(inter.rows() as u64, joined.rows() as u64),
-            );
-            ctx.record(
-                Span::new(SpanKind::Phase, "coprocess fold", "")
-                    .at_sim(fold_start, end)
-                    .at_wall(wall_join_end, wall_fold_end)
-                    .rows(joined.rows() as u64, rows.len() as u64),
-            );
-        }
-
-        Ok((
-            rows,
-            StageOutcome {
-                outputs: Vec::new(),
-                end,
-                cpu_busy: pre.cpu_busy + cpu_partition_time + fold_cpu_busy,
-                gpu_busy: pre.gpu_busy + gpu_busy,
-                h2d_bytes: pre.h2d_bytes + h2d_bytes + fold_h2d,
-                packets_cpu: pre.packets_cpu + fold_packets_cpu,
-                packets_gpu,
-            },
-        ))
+        // The §5 phase spans: CPU prefix, the co-partitioned GPU lanes,
+        // and the overlapping CPU fold.
+        let wall_fold_end = self.ledger.recorder().now_ns();
+        let (n_inter, n_joined, n_rows) =
+            (inter.rows() as u64, joined.rows() as u64, rows.len() as u64);
+        self.ledger.phase(|| {
+            Span::new(SpanKind::Phase, "coprocess prefix", "")
+                .at_sim(start, pre.end)
+                .at_wall(wall_prefix_start, wall_prefix_end)
+                .rows(0, n_inter)
+        });
+        self.ledger.phase(|| {
+            Span::new(SpanKind::Phase, format!("coprocess lanes {ht}"), "")
+                .at_sim(pre.end, join_end)
+                .at_wall(wall_prefix_end, wall_join_end)
+                .rows(n_inter, n_joined)
+        });
+        self.ledger.phase(|| {
+            Span::new(SpanKind::Phase, "coprocess fold", "")
+                .at_sim(fold_start, end)
+                .at_wall(wall_join_end, wall_fold_end)
+                .rows(n_joined, n_rows)
+        });
+        Ok((rows, end))
     }
 
     /// The generic packet loop over a catalog source: one router, N
     /// `dyn DeviceProvider` workers, no knowledge of device classes beyond
     /// the trait.
-    #[allow(clippy::too_many_arguments)]
     fn run_workers(
-        &self,
-        catalog: &Catalog,
+        &mut self,
         pipeline: &Pipeline,
         workers: &mut [Box<dyn DeviceProvider>],
         policy: RoutingPolicy,
-        tables: &TableStore,
         start: SimTime,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<StageOutcome, EngineError> {
-        let table = catalog.lookup(&pipeline.source)?;
-        if workers.is_empty() {
-            return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
-        }
+    ) -> Result<Streamed, EngineError> {
+        let table = self.catalog.lookup(&pipeline.source)?;
         let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-        let rows_per_packet = ExecConfig::auto_packet_rows(table.rows(), shares, packet_rows);
+        let rows_per_packet =
+            ExecConfig::auto_packet_rows(table.rows(), shares, self.packet_rows);
         // Stateful aggregates consume whole per-user runs, so their packet
         // boundaries snap to user boundaries (plan validation guarantees
         // only filters precede the op, making its user column a valid
@@ -851,48 +796,25 @@ impl Engine {
             ),
             None => table.data.split(rows_per_packet),
         };
-        self.packet_loop(
-            &packets, pipeline, workers, policy, tables, start, threads, faults, ctx,
-        )
+        self.packet_loop(&packets, pipeline, workers, policy, start)
     }
 
-    /// The packet loop proper, over pre-split packets — also driven
-    /// directly by the co-processing stage for its post-join remainder
-    /// (whose input is an in-memory batch, not a catalog table).
-    ///
-    /// Execution is split into the engine's two planes:
-    ///
-    /// 1. **Data plane (parallel)** — every packet runs the canonical
-    ///    fused-kernel pass ([`run_ops`]) exactly once on the
-    ///    [`runtime`] pool and is priced per worker *cost class*
-    ///    ([`DeviceProvider::charge`]). Results are pure per packet.
-    /// 2. **Control plane (sequential)** — the router replays today's
-    ///    exact semantics on the coordinator: per-packet candidate
-    ///    `ready_at` state, the pick, and the commit against the routed
-    ///    worker's simulated clocks ([`DeviceProvider::commit_packet`]),
-    ///    in packet order. Simulated makespans are therefore
-    ///    bit-identical at any thread count.
-    /// 3. **Data plane again** — each worker folds the packets routed to
-    ///    it into its partial aggregation state, in routed order, one
-    ///    fold job per worker on the same pool; partial states merge at
-    ///    the stage barrier in worker order as before.
-    #[allow(clippy::too_many_arguments)]
+    /// The packet loop proper (the module header's three beats), over
+    /// pre-split packets — also driven directly by the co-processing
+    /// stage for its post-join remainder (whose input is an in-memory
+    /// batch, not a catalog table).
     fn packet_loop(
-        &self,
+        &mut self,
         packets: &[Batch],
         pipeline: &Pipeline,
         workers: &mut [Box<dyn DeviceProvider>],
         policy: RoutingPolicy,
-        tables: &TableStore,
         start: SimTime,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<StageOutcome, EngineError> {
+    ) -> Result<Streamed, EngineError> {
         if workers.is_empty() {
             return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
         }
-        let traced = ctx.is_enabled();
+        let (tables, threads) = (self.tables, self.threads);
 
         // ---- Broadcast the probed hash tables along each worker's input
         // exchanges (a no-op for host-local workers) and check capacities.
@@ -900,27 +822,12 @@ impl Engine {
         // broadcast copy fails, the device is quarantined, and the typed
         // `DeviceFailed` hands recovery to the stepper's re-placement
         // loop.
-        let mut h2d_bytes = 0u64;
         for w in workers.iter_mut() {
-            if faults.is_active() {
-                if let Some(g) = w.gpu_index() {
-                    if faults.oom_at_install(g) {
-                        if traced {
-                            ctx.record(Span::new(
-                                SpanKind::Fault,
-                                format!("broadcast OOM on gpu{g}"),
-                                "",
-                            ));
-                            ctx.add("fault.injected", 1);
-                        }
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
-                    }
-                }
+            if let Some(g) = w.gpu_index().filter(|&g| self.faults.oom_at_install(g)) {
+                self.ledger.fault_fired(|| format!("broadcast OOM on gpu{g}"));
+                return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
             }
-            h2d_bytes += w.install_tables(pipeline, tables, start)?;
-        }
-        if traced && h2d_bytes > 0 {
-            ctx.add("h2d.broadcast_bytes", h2d_bytes);
+            self.ledger.tables_installed(w.install_tables(pipeline, tables, start)?);
         }
 
         // ---- Cost classes: one charge per packet per distinct class,
@@ -945,22 +852,22 @@ impl Engine {
         let agg_spec = pipeline.agg.as_ref();
         let shared: &[Box<dyn DeviceProvider>] = workers;
         // Per-packet wall interval + the pool thread that computed it —
-        // measured on the data plane, shipped back through the same mpsc
-        // plumbing as the results, recorded on the control plane.
-        // Observability only: wall values never touch simulated state.
+        // measured on the data plane (zeros when the recorder is off),
+        // shipped back with the results, entered on the control plane.
         type PacketWall = (u64, u64, usize);
+        let rec = self.ledger.recorder();
         let charged = runtime::scatter(
             threads,
             packets.len(),
             |t| (Scratch::new(), t),
             |i, state: &mut (Scratch, usize)| {
-                let wall_start = if traced { ctx.now_ns() } else { 0 };
+                let wall_start = rec.now_ns();
                 let work = run_ops(packets[i].clone(), pipeline, tables, &mut state.0)?;
                 let costs = reps
                     .iter()
                     .map(|&r| shared[r].charge(&work, agg_spec, tables))
                     .collect::<Result<Vec<SimTime>, EngineError>>()?;
-                let wall = (wall_start, if traced { ctx.now_ns() } else { 0 }, state.1);
+                let wall = (wall_start, rec.now_ns(), state.1);
                 Ok::<(PacketWork, Vec<SimTime>, PacketWall), EngineError>((work, costs, wall))
             },
         );
@@ -976,8 +883,6 @@ impl Engine {
         // accounting, replaying worker `ready_at` state in packet order.
         let mut router = Router::new(policy);
         let mut end = start;
-        let mut packets_cpu = 0usize;
-        let mut packets_gpu = 0usize;
         let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
         let mut candidates: Vec<CandidateLoad> = Vec::with_capacity(workers.len());
         for (i, (work, costs, wall)) in works.iter().enumerate() {
@@ -989,96 +894,37 @@ impl Engine {
             }));
             let pick = router.pick(&packets[i], &candidates);
             let sim_ready = candidates[pick].ready_at;
+            let worker = &mut workers[pick];
             // ---- Fault plane: triggers keyed on the routed GPU's
-            // control-plane packet ordinal, checked here on the
-            // sequential control plane — injection points are therefore
-            // identical at any thread count. A `TransferError` prices its
-            // retries (backoff + the re-sent transfer) onto the worker's
-            // compute resource before the commit; a `GpuFailed` aborts
-            // the stage with the recoverable `DeviceFailed`.
-            if faults.is_active() {
-                if let Some(g) = workers[pick].gpu_index() {
-                    match faults.on_gpu_packet(g) {
-                        Some(PacketFault::Fail) => {
-                            if traced {
-                                ctx.record(Span::new(
-                                    SpanKind::Fault,
-                                    format!("gpu{g} failed at packet {i}"),
-                                    "",
-                                ));
-                                ctx.add("fault.injected", 1);
-                            }
-                            return Err(EngineError::DeviceFailed {
-                                device: format!("gpu{g}"),
-                            });
-                        }
-                        Some(PacketFault::Transfer { failures }) => {
-                            let policy = faults.retry_policy();
-                            if failures > policy.max_retries {
-                                return Err(EngineError::TransferRetriesExhausted {
-                                    device: format!("gpu{g}"),
-                                    attempts: policy.max_retries,
-                                });
-                            }
-                            let mut delay = SimTime::ZERO;
-                            for attempt in 1..=failures {
-                                delay += policy.backoff(attempt)
-                                    + workers[pick].transfer_duration(bytes);
-                            }
-                            workers[pick].charge_fault_delay(start, delay);
-                            faults.add_retries(failures as usize);
-                            if traced {
-                                ctx.record(Span::new(
-                                    SpanKind::Fault,
-                                    format!(
-                                        "transfer to gpu{g} retried {failures}x at packet {i}"
-                                    ),
-                                    "",
-                                ));
-                                ctx.add("fault.injected", 1);
-                                ctx.add("fault.retries", failures as u64);
-                            }
-                        }
-                        None => {}
+            // control-plane packet ordinal. A `TransferError` comes back
+            // already priced onto the worker (before the commit); a
+            // `GpuFailed` aborts the stage with the recoverable
+            // `DeviceFailed`.
+            match self.faults.before_commit(worker.as_mut(), start, bytes) {
+                Ok(0) => {}
+                Ok(failures) => self.ledger.retry_priced(failures, || {
+                    format!("transfer to {} retried {failures}x at packet {i}", worker.id())
+                }),
+                Err(e) => {
+                    if matches!(e, EngineError::DeviceFailed { .. }) {
+                        self.ledger
+                            .fault_fired(|| format!("{} failed at packet {i}", worker.id()));
                     }
+                    return Err(e);
                 }
             }
-            let outcome = workers[pick].commit_packet(work, costs[class_of[pick]], start);
+            let outcome = worker.commit_packet(work, costs[class_of[pick]], start);
             end = end.max(outcome.done);
-            h2d_bytes += outcome.h2d_bytes;
-            match workers[pick].device() {
-                DeviceType::Cpu => packets_cpu += 1,
-                DeviceType::Gpu => packets_gpu += 1,
-            }
             assignments[pick].push(i);
-            if traced {
-                // Recorded here, on the sequential control plane, so span
-                // order is packet order at any thread count. The sim
-                // interval is the routed worker's occupancy; the wall
-                // interval is the data-plane kernel pass measured above.
-                let lane = workers[pick].id().to_string();
-                ctx.record(
-                    Span::new(SpanKind::Packet, format!("packet {i}"), "")
-                        .lane(lane.clone())
-                        .pool_thread(wall.2)
-                        .at_sim(sim_ready, outcome.done)
-                        .at_wall(wall.0, wall.1)
-                        .rows(packets[i].rows() as u64, work.out.rows() as u64),
-                );
-                ctx.add(&format!("packets.worker.{lane}"), 1);
-                let class = match workers[pick].device() {
-                    DeviceType::Cpu => "cpu",
-                    DeviceType::Gpu => "gpu",
-                };
-                ctx.add(&format!("packets.class.{class}"), 1);
-                if outcome.h2d_bytes > 0 {
-                    ctx.add("h2d.packet_bytes", outcome.h2d_bytes);
-                }
-                for op in &work.ops {
-                    ctx.add(&format!("rows.{}.in", op.label()), op.rows_in());
-                    ctx.add(&format!("rows.{}.out", op.label()), op.rows_out());
-                }
-            }
+            // The span's sim interval is the routed worker's occupancy;
+            // its wall interval is the data-plane kernel pass.
+            self.ledger.packet_committed(worker.id(), outcome.h2d_bytes, &work.ops, || {
+                Span::new(SpanKind::Packet, format!("packet {i}"), "")
+                    .pool_thread(wall.2)
+                    .at_sim(sim_ready, outcome.done)
+                    .at_wall(wall.0, wall.1)
+                    .rows(packets[i].rows() as u64, work.out.rows() as u64)
+            });
         }
 
         // ---- Phase 3: stage outputs (build), or the per-worker fold
@@ -1118,22 +964,15 @@ impl Engine {
         let busy_of = |device: DeviceType| {
             workers.iter().filter(|w| w.device() == device).map(|w| w.busy()).sum()
         };
-        Ok(StageOutcome {
-            outputs,
-            end,
-            cpu_busy: busy_of(DeviceType::Cpu),
-            gpu_busy: busy_of(DeviceType::Gpu),
-            h2d_bytes,
-            packets_cpu,
-            packets_gpu,
-        })
+        self.ledger.busy(busy_of(DeviceType::Cpu), busy_of(DeviceType::Gpu));
+        Ok(Streamed { outputs, end })
     }
 }
 
 /// The per-query execution state of one in-flight placed plan: the table
 /// store accumulating built hash tables, the query's private simulated
 /// clock (always starting at [`SimTime::ZERO`], regardless of what else
-/// the fleet is serving), busy/packet counters and partial results.
+/// the fleet is serving), its ledger and partial results.
 ///
 /// Created by [`Engine::begin`]; advanced one placed stage at a time by
 /// [`QueryExec::step`]; consumed by [`QueryExec::finish`]. Because all
@@ -1152,16 +991,9 @@ pub struct QueryExec<'a> {
     tables: TableStore,
     resident: HashSet<String>,
     clock: SimTime,
-    cpu_busy: SimTime,
-    gpu_busy: SimTime,
-    h2d_bytes: u64,
-    packets_cpu: usize,
-    packets_gpu: usize,
-    builds_cached: usize,
     rows: AggRows,
     next_stage: usize,
-    trace: TraceRecorder,
-    wall_start_ns: u64,
+    ledger: Ledger,
     faults: FaultSession,
 }
 
@@ -1170,11 +1002,9 @@ impl<'a> QueryExec<'a> {
     /// span over the whole run, one stage span per [`QueryExec::step`] —
     /// carrying the optimizer's estimate when the plan has one — and
     /// per-packet spans from the packet loop. A disabled recorder keeps
-    /// this a no-op; either way results and simulated times are
-    /// bit-identical to an untraced execution.
+    /// this a no-op.
     pub fn with_trace(mut self, trace: &TraceRecorder) -> Self {
-        self.trace = trace.clone();
-        self.wall_start_ns = trace.now_ns();
+        self.ledger = Ledger::new(trace.clone(), &self.placed.name);
         self
     }
 
@@ -1218,19 +1048,17 @@ impl<'a> QueryExec<'a> {
     /// layer's cross-query cache does at admission: the matching
     /// [`PlacedStage::Build`] stage is then skipped entirely — no build
     /// work, no clock advance — and counted in
-    /// [`QueryReport::builds_cached`]. With `device_resident`, GPU
-    /// workers additionally treat the table as already broadcast: its
-    /// footprint still counts against device memory, but the PCIe
-    /// transfer and partition prep are skipped.
+    /// [`QueryReport::builds_cached`] when the execution reaches it. With
+    /// `device_resident`, GPU workers additionally treat the table as
+    /// already broadcast: its footprint still counts against device
+    /// memory, but the PCIe transfer and partition prep are skipped.
     pub fn install_cached_build(
         &mut self,
         name: &str,
         table: Arc<JoinTable>,
         device_resident: bool,
     ) {
-        if self.tables.insert(name.to_string(), table).is_none() {
-            self.builds_cached += 1;
-        }
+        self.tables.insert(name.to_string(), table);
         if device_resident {
             self.resident.insert(name.to_string());
         }
@@ -1240,6 +1068,17 @@ impl<'a> QueryExec<'a> {
     /// serving layer harvests freshly built tables into its cache.
     pub fn built_table(&self, name: &str) -> Option<Arc<JoinTable>> {
         self.tables.get(name).cloned()
+    }
+
+    /// Drive the execution to completion — the one begin → step → finish
+    /// loop every solo front door ([`Engine::run`],
+    /// [`Engine::run_placed`], [`crate::session::Session::execute_with`])
+    /// goes through.
+    pub fn run(mut self) -> Result<QueryReport, EngineError> {
+        while !self.is_done() {
+            self.step()?;
+        }
+        Ok(self.finish())
     }
 
     /// Run the next placed stage to completion. A no-op once
@@ -1252,23 +1091,30 @@ impl<'a> QueryExec<'a> {
     /// is re-placed on the surviving fleet and re-run from this barrier —
     /// bounded by [`crate::fault::RetryPolicy::max_replans`], after which the typed
     /// [`EngineError::RecoveryFailed`] surfaces. Aborted attempts leave
-    /// no trace in the query's clock or counters: all accumulation
-    /// happens after the stage result is `Ok`.
+    /// no trace in the query's clock, report or counters (only their
+    /// fault spans): the ledger publishes a stage when it returns `Ok`.
     pub fn step(&mut self) -> Result<(), EngineError> {
-        if self.next_stage >= self.placed.stages.len() {
-            return Ok(());
-        }
         let idx = self.next_stage;
+        let Some(stage) = self.placed.stages.get(idx) else {
+            return Ok(());
+        };
+        let is_build = matches!(stage, PlacedStage::Build { .. });
         self.next_stage += 1;
-        if !self.faults.is_active() {
-            return self.run_stage_at(idx);
+        self.ledger.open_stage(idx, is_build);
+        // Stage-/time-triggered faults fire at the barrier, before any of
+        // the stage's workers exist: permanent losses land in the health
+        // registry, slow-downs derate links, OOMs arm for the next
+        // broadcast install.
+        for spec in self.faults.begin_stage(idx, self.clock) {
+            self.ledger.fault_fired(|| {
+                format!("injected {:?} on gpu{} at stage {idx} barrier", spec.kind, spec.gpu)
+            });
         }
-        self.fire_barrier_faults(idx);
         loop {
             match self.run_stage_at(idx) {
-                Err(EngineError::DeviceFailed { device }) => {
+                Err(EngineError::DeviceFailed { device }) if self.faults.is_active() => {
                     let policy = self.faults.retry_policy();
-                    if self.faults.replans() >= policy.max_replans as usize {
+                    if self.ledger.tally().replans >= policy.max_replans as usize {
                         return Err(EngineError::RecoveryFailed {
                             reason: format!(
                                 "replan budget ({}) exhausted after losing {device}",
@@ -1277,182 +1123,86 @@ impl<'a> QueryExec<'a> {
                         });
                     }
                     self.replan_surviving(idx, &device)?;
+                    self.ledger.open_stage(idx, is_build);
                 }
                 other => return other,
             }
         }
     }
 
-    /// Interpret one placed stage by index — the body of the fault-free
-    /// fast path, and the retried unit of the recovery loop. Clones the
-    /// stage up front: the plan may be `Cow::Owned` after a re-placement
-    /// and the interpretation mutates `self` throughout.
+    /// Interpret one placed stage by index — the retried unit of the
+    /// recovery loop. Clones the stage up front: the plan may be
+    /// `Cow::Owned` after a re-placement and the interpretation mutates
+    /// `self` throughout.
     fn run_stage_at(&mut self, idx: usize) -> Result<(), EngineError> {
         let Some(stage) = self.placed.stages.get(idx).cloned() else {
             return Ok(());
         };
-        let stage = &stage;
-        let engine = self.engine;
-        let catalog = self.catalog;
-        let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
-        let sim_start = self.clock;
-        let wall_start = ctx.now_ns();
-        // Observed source cardinality — the stage span's rows_in.
-        let rows_in = if ctx.is_enabled() {
-            catalog.lookup(stage.pipeline().source.as_str()).map_or(0, |t| t.rows() as u64)
-        } else {
-            0
+        let (pipeline, policy) = (stage.pipeline(), stage.policy());
+        let (start, wall_start) = (self.clock, self.ledger.recorder().now_ns());
+        let mut env = StageEnv {
+            engine: self.engine,
+            catalog: self.catalog,
+            tables: &self.tables,
+            resident: &self.resident,
+            threads: self.threads,
+            packet_rows: self.placed.packet_rows,
+            faults: &self.faults,
+            ledger: &mut self.ledger,
         };
-        let stage_name: String;
-        let rows_out: u64;
-        match stage {
-            PlacedStage::Build { name, key_col, pipeline, segments, .. } => {
-                if self.tables.contains_key(name) {
-                    // Served from the cross-query cache at admission:
-                    // nothing to build, no simulated time passes.
-                    if ctx.is_enabled() {
-                        ctx.add("cache.builds_served", 1);
-                        ctx.record(
-                            Span::new(SpanKind::Cache, format!("cached build {name}"), "")
-                                .at_sim(self.clock, self.clock)
-                                .at_wall(wall_start, ctx.now_ns()),
-                        );
-                    }
+        let rows_out = match &stage {
+            PlacedStage::Build { name, key_col, segments, .. } => {
+                if env.tables.contains_key(name) {
+                    // Served from the cross-query cache at admission.
+                    env.ledger.build_served(name, start, wall_start);
                     return Ok(());
                 }
-                let out = engine.run_stage(
-                    catalog,
-                    pipeline,
-                    segments,
-                    stage.policy(),
-                    None,
-                    &self.tables,
-                    &self.resident,
-                    self.clock,
-                    None,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
+                // Build stages always auto-size: plumbing, not the workload.
+                env.packet_rows = None;
+                let mut workers = env.workers_for(segments, None)?;
+                let out = env.run_workers(pipeline, &mut workers, policy, start)?;
                 self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                let batch = concat_outputs(out.outputs);
-                let table = Arc::new(JoinTable::build(batch, *key_col));
-                stage_name = format!("build {name}");
-                rows_out = table.rows() as u64;
+                let table = Arc::new(JoinTable::build(concat_outputs(out.outputs), *key_col));
+                let rows = table.rows();
                 self.tables.insert(name.clone(), table);
+                rows
             }
-            PlacedStage::Stream { pipeline, segments, .. } => {
-                let agg_spec = pipeline.agg.as_ref().ok_or_else(|| {
-                    EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-                        name: pipeline.source.clone(),
-                    })
-                })?;
-                let mut workers = engine.workers_for(
-                    segments,
-                    Some(agg_spec),
-                    &self.resident,
-                    &self.faults,
-                )?;
-                let out = engine.run_workers(
-                    catalog,
-                    pipeline,
-                    &mut workers,
-                    stage.policy(),
-                    &self.tables,
-                    self.clock,
-                    self.placed.packet_rows,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
-                self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                self.packets_cpu += out.packets_cpu;
-                self.packets_gpu += out.packets_gpu;
-                // ---- Merge partial aggregates (cheap: group counts
-                // are small), in worker order for determinism.
-                let mut merged = AggState::new(agg_spec.clone());
-                for w in &workers {
-                    if let Some(a) = w.agg() {
-                        merged.merge(a);
-                    }
-                }
-                self.rows = merged.finish();
-                stage_name = format!("stream {}", pipeline.source);
-                rows_out = self.rows.len() as u64;
+            PlacedStage::Stream { segments, .. } => {
+                let agg_spec = stream_agg(pipeline)?;
+                let mut workers = env.workers_for(segments, Some(agg_spec))?;
+                self.clock = env.run_workers(pipeline, &mut workers, policy, start)?.end;
+                self.rows = merge_partials(agg_spec, &workers);
+                self.rows.len()
             }
-            PlacedStage::CoProcess { pipeline, ht, segments, gpus, .. } => {
-                let agg_spec = pipeline.agg.as_ref().ok_or_else(|| {
-                    EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-                        name: pipeline.source.clone(),
-                    })
-                })?;
-                let (merged_rows, out) = engine.run_coprocess_stage(
-                    catalog,
-                    pipeline,
-                    ht,
-                    segments,
-                    stage.policy(),
-                    gpus,
-                    &self.tables,
-                    &self.resident,
-                    self.clock,
-                    agg_spec,
-                    self.placed.packet_rows,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
-                self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                self.packets_cpu += out.packets_cpu;
-                self.packets_gpu += out.packets_gpu;
-                self.rows = merged_rows;
-                stage_name = format!("coprocess {ht}");
-                rows_out = self.rows.len() as u64;
+            PlacedStage::CoProcess { ht, segments, gpus, .. } => {
+                (self.rows, self.clock) =
+                    env.run_coprocess_stage(pipeline, ht, segments, policy, gpus, start)?;
+                self.rows.len()
             }
-        }
-        if ctx.is_enabled() {
-            // The predicted-vs-observed record: the optimizer's chosen
-            // estimate (Auto plans only) rides the stage span next to the
-            // observed simulated elapsed time and row counts.
-            let mut span = Span::new(SpanKind::Stage, stage_name, "")
-                .at_sim(sim_start, self.clock)
-                .at_wall(wall_start, ctx.now_ns())
-                .rows(rows_in, rows_out);
-            if let Some(est) = self.placed.costs.as_ref().and_then(|c| c.stages.get(idx)) {
-                span = span.estimate(est.clone());
+        };
+        // The predicted-vs-observed record: the optimizer's chosen
+        // estimate (Auto plans only) rides the stage span next to the
+        // observed simulated elapsed time and row counts.
+        let (catalog, end, wall_end) =
+            (self.catalog, self.clock, self.ledger.recorder().now_ns());
+        let estimate = self.placed.costs.as_ref().and_then(|c| c.stages.get(idx));
+        self.ledger.stage_done(|| {
+            let name = match &stage {
+                PlacedStage::Build { name, .. } => format!("build {name}"),
+                PlacedStage::Stream { .. } => format!("stream {}", pipeline.source),
+                PlacedStage::CoProcess { ht, .. } => format!("coprocess {ht}"),
+            };
+            let rows_in = catalog.lookup(&pipeline.source).map_or(0, |t| t.rows() as u64);
+            let span = Span::new(SpanKind::Stage, name, "")
+                .at_sim(start, end)
+                .at_wall(wall_start, wall_end)
+                .rows(rows_in, rows_out as u64);
+            match estimate {
+                Some(est) => span.estimate(est.clone()),
+                None => span,
             }
-            ctx.record(span);
-        }
+        });
         Ok(())
-    }
-
-    /// Fire the fault plan's stage-/time-triggered faults at this stage
-    /// barrier (before any of the stage's workers exist): permanent
-    /// losses land in the health registry, slow-downs derate links, OOMs
-    /// arm for the next broadcast install.
-    fn fire_barrier_faults(&self, idx: usize) {
-        let fired = self.faults.begin_stage(idx, self.clock);
-        if fired.is_empty() || !self.trace.is_enabled() {
-            return;
-        }
-        let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
-        for spec in &fired {
-            ctx.record(Span::new(
-                SpanKind::Fault,
-                format!("injected {:?} on gpu{} at stage {idx} barrier", spec.kind, spec.gpu),
-                "",
-            ));
-            ctx.add("fault.injected", 1);
-        }
     }
 
     /// Mid-query re-placement after losing `lost`: re-derive the logical
@@ -1460,7 +1210,7 @@ impl<'a> QueryExec<'a> {
     /// placement passes, gate the result on the static verifier's
     /// *structural* diagnostics, price one backoff onto the sim clock and
     /// swap the degraded plan in. The stage at `idx` then re-runs from
-    /// its barrier; completed builds replay as cache hits from their host
+    /// its barrier; completed builds stay in the table store as host
     /// copies (device-resident copies on the old fleet are dropped).
     fn replan_surviving(&mut self, idx: usize, lost: &str) -> Result<(), EngineError> {
         let excluded = self.faults.excluded();
@@ -1519,45 +1269,19 @@ impl<'a> QueryExec<'a> {
         self.resident.clear();
         // Recovery is priced: one backoff per replan attempt lands on the
         // query's simulated clock (see the cost-formula table).
-        let policy = self.faults.retry_policy();
-        let attempt = self.faults.replans() as u32 + 1;
-        self.clock += policy.backoff(attempt);
-        self.faults.note_replan();
-        if self.trace.is_enabled() {
-            let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
-            ctx.record(Span::new(
-                SpanKind::Fault,
-                format!("replanned stage {idx} on surviving fleet after losing {lost}"),
-                "",
-            ));
-            ctx.add("fault.replans", 1);
-        }
+        let attempt = self.ledger.tally().replans as u32 + 1;
+        self.clock += self.faults.retry_policy().backoff(attempt);
+        self.ledger.replanned(|| {
+            format!("replanned stage {idx} on surviving fleet after losing {lost}")
+        });
         self.placed = Cow::Owned(new_placed);
         Ok(())
     }
 
-    /// Consume the execution into its final report.
+    /// Consume the execution into its final report — read off the ledger.
     pub fn finish(self) -> QueryReport {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                Span::new(SpanKind::Query, self.placed.name.clone(), self.placed.name.clone())
-                    .at_sim(SimTime::ZERO, self.clock)
-                    .at_wall(self.wall_start_ns, self.trace.now_ns())
-                    .rows(0, self.rows.len() as u64),
-            );
-        }
-        QueryReport {
-            rows: self.rows,
-            time: self.clock,
-            cpu_busy: self.cpu_busy,
-            gpu_busy: self.gpu_busy,
-            h2d_bytes: self.h2d_bytes,
-            packets_cpu: self.packets_cpu,
-            packets_gpu: self.packets_gpu,
-            builds_cached: self.builds_cached,
-            retries: self.faults.retries(),
-            replans: self.faults.replans(),
-        }
+        self.ledger.query_done(self.clock, self.rows.len() as u64);
+        QueryReport { rows: self.rows, time: self.clock, ..self.ledger.tally().clone() }
     }
 }
 

@@ -80,7 +80,7 @@ impl std::fmt::Display for Exchange {
 }
 
 /// Identity of a worker instance the router can route to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkerId {
     /// CPU core `core` on socket `socket`.
     CpuCore {

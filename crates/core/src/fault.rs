@@ -4,8 +4,8 @@
 //! *input* to the optimize → place passes. This module makes a degraded
 //! topology just another such input: a seeded [`FaultPlan`] fires typed
 //! faults at **simulated-time / packet-count triggers** — never wall-clock —
-//! so a fixed plan produces bit-identical behaviour at any data-plane thread
-//! count (the determinism contract of `tests/runtime_determinism.rs`).
+//! consulted only on the engine's sequential control plane (whose
+//! determinism argument lives in [`mod@crate::engine`]).
 //!
 //! Fault taxonomy ([`FaultKind`]):
 //!
@@ -37,6 +37,9 @@ use std::sync::{Arc, Mutex};
 
 use hape_sim::time::SimTime;
 
+use crate::error::EngineError;
+use crate::provider::DeviceProvider;
+
 /// What breaks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -60,9 +63,8 @@ pub enum FaultKind {
     },
 }
 
-/// When a fault fires. Triggers are simulated-time or packet-ordinal
-/// conditions — both fully determined by the sequential control plane — so
-/// injection is invariant under the data-plane thread count.
+/// When a fault fires: a simulated-time or packet-ordinal condition, both
+/// fully determined by the sequential control plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Trigger {
     /// Fire at the barrier before stage `n` (0-based) runs.
@@ -279,7 +281,7 @@ impl HealthRegistry {
 
 /// A packet-granular fault fired by [`FaultSession::on_gpu_packet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketFault {
+enum PacketFault {
     /// The device died mid-stage (permanent).
     Fail,
     /// The transfer failed transiently `failures` times before succeeding.
@@ -291,16 +293,15 @@ pub enum PacketFault {
 
 /// Per-query injection state, owned by `QueryExec` and consulted only on the
 /// sequential control plane (stage barriers, broadcast installs, and the
-/// packet-commit loop) — never from data-plane worker threads, which keeps a
-/// fixed plan bit-identical across thread counts.
+/// packet-commit loop) — never from data-plane worker threads. What fired
+/// and what recovery cost is the ledger's to remember
+/// ([`crate::trace::Ledger`]), not this session's.
 #[derive(Debug)]
 pub struct FaultSession {
     plan: FaultPlan,
     health: HealthRegistry,
     fired: RefCell<Vec<bool>>,
     gpu_packets: Cell<usize>,
-    retries: Cell<usize>,
-    replans: Cell<usize>,
     /// Query-local quarantine (BroadcastOom): the device is healthy for
     /// other queries but excluded from this one's re-placements.
     quarantine: RefCell<BTreeSet<usize>>,
@@ -323,8 +324,6 @@ impl FaultSession {
             health,
             fired: RefCell::new(fired),
             gpu_packets: Cell::new(0),
-            retries: Cell::new(0),
-            replans: Cell::new(0),
             quarantine: RefCell::new(BTreeSet::new()),
             oom_pending: RefCell::new(BTreeSet::new()),
         }
@@ -384,10 +383,49 @@ impl FaultSession {
         fired_now
     }
 
-    /// Control-plane hook: a packet is about to be committed to `gpu`.
-    /// Advances the query-wide GPU packet ordinal and returns the fault
-    /// firing at this ordinal, if any.
-    pub fn on_gpu_packet(&self, gpu: usize) -> Option<PacketFault> {
+    /// Control-plane hook, called in packet order just before a packet of
+    /// `bytes` commits on the routed `worker`: advances the query-wide GPU
+    /// packet ordinal and fires what is due. A `TransferError` within the
+    /// retry budget is *priced* — every failed attempt's backoff plus its
+    /// wasted transfer lands on the worker's compute resource — and its
+    /// failure count returned (0 when nothing fired); past the budget it
+    /// is the typed `TransferRetriesExhausted`. A `GpuFailed` is the
+    /// recoverable `DeviceFailed`.
+    pub fn before_commit(
+        &self,
+        worker: &mut dyn DeviceProvider,
+        start: SimTime,
+        bytes: u64,
+    ) -> Result<u32, EngineError> {
+        let Some(gpu) = worker.gpu_index() else {
+            return Ok(0);
+        };
+        match self.on_gpu_packet(gpu) {
+            None => Ok(0),
+            Some(PacketFault::Fail) => {
+                Err(EngineError::DeviceFailed { device: format!("gpu{gpu}") })
+            }
+            Some(PacketFault::Transfer { failures }) => {
+                let policy = self.retry_policy();
+                if failures > policy.max_retries {
+                    return Err(EngineError::TransferRetriesExhausted {
+                        device: format!("gpu{gpu}"),
+                        attempts: policy.max_retries,
+                    });
+                }
+                let mut delay = SimTime::ZERO;
+                for attempt in 1..=failures {
+                    delay += policy.backoff(attempt) + worker.transfer_duration(bytes);
+                }
+                worker.charge_fault_delay(start, delay);
+                Ok(failures)
+            }
+        }
+    }
+
+    /// Advance the query-wide GPU packet ordinal for a packet routed to
+    /// `gpu` and return the fault firing at this ordinal, if any.
+    fn on_gpu_packet(&self, gpu: usize) -> Option<PacketFault> {
         if !self.is_active() {
             return None;
         }
@@ -443,26 +481,6 @@ impl FaultSession {
     /// True when `gpu` is failed fleet-wide or quarantined by this query.
     pub fn is_excluded(&self, gpu: usize) -> bool {
         self.health.is_failed(gpu) || self.quarantine.borrow().contains(&gpu)
-    }
-
-    /// Record `n` priced transfer retries.
-    pub fn add_retries(&self, n: usize) {
-        self.retries.set(self.retries.get() + n);
-    }
-
-    /// Record one mid-query re-placement.
-    pub fn note_replan(&self) {
-        self.replans.set(self.replans.get() + 1);
-    }
-
-    /// Transfer retries priced into this query so far.
-    pub fn retries(&self) -> usize {
-        self.retries.get()
-    }
-
-    /// Mid-query re-placements performed so far.
-    pub fn replans(&self) -> usize {
-        self.replans.get()
     }
 }
 
@@ -596,9 +614,5 @@ mod tests {
             "first gpu1 packet at/after ordinal 3 kills the device"
         );
         assert!(s.health().is_failed(1));
-        s.add_retries(2);
-        s.note_replan();
-        assert_eq!(s.retries(), 2);
-        assert_eq!(s.replans(), 1);
     }
 }

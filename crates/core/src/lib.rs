@@ -228,11 +228,11 @@ pub use provider::DeviceProvider;
 pub use query::{LoweredMaterialize, LoweredQuery, Query};
 pub use runtime::resolve_threads;
 pub use serve::{
-    BuildCache, CacheStats, CancelToken, Outcome, QueryHandle, QueryOutcome, ServeMetrics,
-    ServeReport, SessionServer,
+    BuildCache, CacheStats, CancelToken, Outcome, QueryHandle, QueryOutcome, ServeReport,
+    SessionServer,
 };
 pub use session::Session;
-pub use trace::{Span, SpanKind, Trace, TraceCtx, TraceRecorder};
+pub use trace::{Ledger, Span, SpanKind, Trace, TraceRecorder};
 pub use traits::{DeviceType, HetTraits, Packing};
 pub use verify::{verify_placed, verify_plan, Diagnostic, DiagnosticKind, Pass, VerifyError};
 

@@ -147,14 +147,14 @@ pub enum OpTrace {
 }
 
 impl OpTrace {
-    /// Counter-key label of the operator kind (the tracing plane's
-    /// `rows.<label>.in/out` counters).
-    pub fn label(&self) -> &'static str {
+    /// The tracing plane's rows-in / rows-out counter names for the
+    /// operator kind.
+    pub fn row_counters(&self) -> [&'static str; 2] {
         match self {
-            OpTrace::Filter { .. } => "filter",
-            OpTrace::Project { .. } => "project",
-            OpTrace::Probe { .. } => "probe",
-            OpTrace::Stateful { .. } => "stateful",
+            OpTrace::Filter { .. } => ["rows.filter.in", "rows.filter.out"],
+            OpTrace::Project { .. } => ["rows.project.in", "rows.project.out"],
+            OpTrace::Probe { .. } => ["rows.probe.in", "rows.probe.out"],
+            OpTrace::Stateful { .. } => ["rows.stateful.in", "rows.stateful.out"],
         }
     }
 
@@ -195,8 +195,8 @@ pub struct PacketAgg {
 /// Everything one packet's trip through the fused operator chain produced:
 /// the functional result plus the per-operator cost statistics. Computed
 /// once per packet on the data plane ([`run_ops`]), priced per device
-/// class ([`CpuProvider::charge`] / [`GpuProvider::charge`]), and committed
-/// against the routed worker's clocks by the control plane
+/// class ([`DeviceProvider::charge`]), and committed against the routed
+/// worker's clocks by the control plane
 /// ([`DeviceProvider::commit_packet`]).
 #[derive(Debug, Clone)]
 pub struct PacketWork {
@@ -497,11 +497,7 @@ pub fn probe_join_with(
             build_sel.push(e);
         }) as u64;
     }
-    let mut cols: Vec<Column> = packet.columns.iter().map(|c| c.take(probe_sel)).collect();
-    for &b in build_payload_cols {
-        cols.push(jt.batch.col(b).take(build_sel));
-    }
-    let out = Batch { columns: cols, partition: packet.partition };
+    let out = gather_matches(packet, jt, probe_sel, build_sel, build_payload_cols);
     let avg_chain = if keys.is_empty() { 0.0 } else { steps_total as f64 / keys.len() as f64 };
     (out, avg_chain)
 }
@@ -530,22 +526,83 @@ fn lookup_ht<'a>(tables: &'a TableStore, ht: &str) -> Result<&'a Arc<JoinTable>,
     tables.get(ht).ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })
 }
 
-/// The CPU device provider.
-#[derive(Debug, Clone)]
-pub struct CpuProvider {
-    /// Per-worker cost model (bandwidth share folded in).
-    pub model: CpuCostModel,
+/// Exponentially-weighted update of a worker's ns-per-byte estimate.
+fn update_estimate(est: &mut f64, time: SimTime, bytes: u64) {
+    *est = 0.7 * *est + 0.3 * (time.as_ns() / bytes as f64);
 }
 
-impl CpuProvider {
-    /// Price a packet's recorded statistics on this model: source scan +
-    /// per-operator charges. Excludes the terminal aggregation entirely —
-    /// its cost depends on the routed worker's cumulative group count,
-    /// which the control plane applies at commit time
-    /// ([`hape_ops::cpu::agg_cost`]).
-    pub fn charge(
+/// One CPU core as a placed worker.
+#[derive(Debug)]
+pub struct CpuWorker {
+    socket: usize,
+    core: usize,
+    res: Resource,
+    /// Per-worker cost model (bandwidth share folded in).
+    model: CpuCostModel,
+    agg: Option<AggState>,
+    /// Distinct group keys of the packets committed so far — the control
+    /// plane's mirror of the fold state's group count, used to price the
+    /// cumulative group-table random-access term before the actual fold
+    /// (which runs later, on the data plane, in this same commit order).
+    groups_seen: HashSet<GroupKey>,
+    est: f64,
+}
+
+impl CpuWorker {
+    /// A worker for `core` of `socket`, charging `model` (the per-core
+    /// share of the socket's bandwidth is already folded in).
+    pub fn new(socket: usize, core: usize, model: CpuCostModel, agg: Option<AggState>) -> Self {
+        CpuWorker {
+            socket,
+            core,
+            res: Resource::new(format!("cpu{socket}.{core}")),
+            model,
+            agg,
+            groups_seen: HashSet::new(),
+            est: CPU_WORKER_SEED_NS_PER_BYTE,
+        }
+    }
+}
+
+impl DeviceProvider for CpuWorker {
+    fn id(&self) -> WorkerId {
+        WorkerId::CpuCore { socket: self.socket, core: self.core }
+    }
+
+    fn device(&self) -> DeviceType {
+        DeviceType::Cpu
+    }
+
+    fn cost_class(&self) -> CostClass {
+        CostClass::Cpu { socket: self.socket }
+    }
+
+    fn ready_at(&self, start: SimTime, _bytes: u64) -> SimTime {
+        self.res.free_at().max(start)
+    }
+
+    fn est_ns_per_byte(&self) -> f64 {
+        self.est
+    }
+
+    fn install_tables(
+        &mut self,
+        _pipeline: &Pipeline,
+        _tables: &TableStore,
+        _start: SimTime,
+    ) -> Result<u64, EngineError> {
+        // Built tables already live in host memory: no mem-move needed.
+        Ok(0)
+    }
+
+    /// Source scan + per-operator charges. Excludes the terminal
+    /// aggregation entirely — on the CPU model its cost depends on the
+    /// routed worker's cumulative group count, which the control plane
+    /// applies at commit time ([`hape_ops::cpu::agg_cost`]).
+    fn charge(
         &self,
         work: &PacketWork,
+        _agg: Option<&AggSpec>,
         tables: &TableStore,
     ) -> Result<SimTime, EngineError> {
         let mut time = cpu_ops::scan_cost(work.bytes, &self.model);
@@ -576,85 +633,111 @@ impl CpuProvider {
         }
         Ok(time)
     }
-}
 
-/// The GPU device provider.
-#[derive(Debug, Clone)]
-pub struct GpuProvider {
-    /// The kernel simulator for the target GPU.
-    pub sim: GpuSim,
-}
-
-impl GpuProvider {
-    /// Price a packet's recorded statistics as GPU kernels against
-    /// `ht_regions` (the broadcast hash tables' device-memory residences).
-    /// The per-block survivor counts and the zero-copy key column recorded
-    /// by [`run_ops`] let the simulator replay exactly the kernels the
-    /// interleaved implementation used to launch — including the terminal
-    /// aggregation kernel, whose GPU cost is packet-local (per-block
-    /// scratchpad tables, no cumulative term).
-    pub fn charge(
-        &self,
+    fn commit_packet(
+        &mut self,
         work: &PacketWork,
-        agg: Option<&AggSpec>,
-        tables: &TableStore,
-        ht_regions: &HashMap<String, Region>,
-    ) -> Result<SimTime, EngineError> {
-        let mut time = SimTime::ZERO;
-        let in_region = Region::at(1 << 24, work.bytes.max(1));
-        for op in &work.ops {
-            match op {
-                OpTrace::Filter {
-                    rows_in,
-                    pred_ops,
-                    pred_row_bytes,
-                    out_row_bytes,
-                    survivors,
-                } => {
-                    time += gpu_ops::filter_cost(
-                        &self.sim,
-                        in_region,
-                        *rows_in,
-                        *pred_row_bytes,
-                        *out_row_bytes,
-                        *pred_ops,
-                        survivors,
-                    )
-                    .time;
-                }
-                OpTrace::Project { ops, bytes_in, .. } => {
-                    // Fused projection: stream + compute, outputs stay in
-                    // registers for the next fused operator.
-                    time += gpu_ops::stream_pass(&self.sim, in_region, *bytes_in, *ops);
-                }
-                OpTrace::Probe {
-                    ht, algo, avg_chain, keys, rows_out, payload_cols, ..
-                } => {
-                    let jt = lookup_ht(tables, ht)?;
-                    let region = ht_regions
-                        .get(ht)
-                        .copied()
-                        .unwrap_or_else(|| Region::at(1 << 44, jt.bytes().max(1)));
-                    time += self.charge_probe(keys.as_i32(), jt, region, *avg_chain, *algo);
-                    time += SimTime::from_ns((*rows_out * *payload_cols) as f64 * 0.05);
-                }
-                OpTrace::Stateful { rows_in, row_bytes, state_bytes, ops_per_row, .. } => {
-                    time += stateful::gpu_cost(
-                        &self.sim,
-                        in_region,
-                        *rows_in,
-                        *row_bytes,
-                        *state_bytes,
-                        *ops_per_row,
-                    );
-                }
+        base: SimTime,
+        start: SimTime,
+    ) -> CommitOutcome {
+        let bytes = work.bytes.max(1);
+        let mut time = base;
+        if let (Some(state), Some(info)) = (&self.agg, &work.agg) {
+            for k in &info.groups {
+                self.groups_seen.insert(*k);
             }
+            time +=
+                cpu_ops::agg_cost(state.spec(), info.rows, self.groups_seen.len(), &self.model);
         }
-        if let (Some(spec), Some(_)) = (agg, &work.agg) {
-            let region = Region::at(1 << 24, work.out.bytes().max(1));
-            time += gpu_ops::agg_cost(&self.sim, region, &work.out, spec).time;
+        let (_, done) = self.res.acquire(start, time);
+        update_estimate(&mut self.est, time, bytes);
+        CommitOutcome { done, h2d_bytes: 0 }
+    }
+
+    fn fold_packet(&mut self, batch: &Batch) {
+        if let Some(state) = &mut self.agg {
+            state.update(batch);
         }
-        Ok(time)
+    }
+
+    fn agg(&self) -> Option<&AggState> {
+        self.agg.as_ref()
+    }
+
+    fn busy(&self) -> SimTime {
+        self.res.busy_time()
+    }
+}
+
+/// One GPU as a placed worker: packets (and broadcast hash tables) reach
+/// it over its PCIe link — realising the mem-move exchanges its segment
+/// carries.
+#[derive(Debug)]
+pub struct GpuWorker {
+    idx: usize,
+    res: Resource,
+    /// The kernel simulator for the target GPU.
+    sim: GpuSim,
+    link: Link,
+    dram_capacity: u64,
+    dram_bw: f64,
+    /// Hash tables this worker's segment broadcasts to it (from the
+    /// segment's `MemMove { table: Some(_) }` exchanges, in order).
+    broadcast: Vec<String>,
+    /// Broadcast tables already resident in device memory from an earlier
+    /// run of the shared fleet (the serving layer's cross-query build
+    /// cache): they still occupy capacity and get regions, but skip the
+    /// PCIe transfer and the partition prep.
+    resident: HashSet<String>,
+    ht_regions: HashMap<String, Region>,
+    /// Cost-equivalence fingerprint: spec + broadcast list (see
+    /// [`CostClass::Gpu`]).
+    class_key: String,
+    agg: Option<AggState>,
+    est: f64,
+}
+
+impl GpuWorker {
+    /// A worker for GPU `idx` with spec `spec`, reached over `link`.
+    ///
+    /// `broadcast` names the hash tables the worker's segment moves into
+    /// device memory ahead of the stage — the IR's broadcast mem-move
+    /// exchanges, which [`GpuWorker::install_tables`] executes.
+    pub fn new(
+        idx: usize,
+        spec: GpuSpec,
+        mut link: Link,
+        fidelity: Fidelity,
+        agg: Option<AggState>,
+        broadcast: Vec<String>,
+    ) -> Self {
+        link.reset();
+        // Identical spec + identical broadcast list ⇒ identical regions ⇒
+        // bit-identical `charge` for every packet: one class, one price.
+        let class_key = format!("{spec:?}#{broadcast:?}");
+        GpuWorker {
+            idx,
+            res: Resource::new(format!("gpu{idx}")),
+            dram_capacity: spec.dram_capacity as u64,
+            dram_bw: spec.dram_bw,
+            sim: GpuSim::new(spec, fidelity),
+            link,
+            broadcast,
+            resident: HashSet::new(),
+            ht_regions: HashMap::new(),
+            class_key,
+            agg,
+            est: GPU_WORKER_SEED_NS_PER_BYTE,
+        }
+    }
+
+    /// Mark broadcast tables as already device-resident (retained from an
+    /// earlier query of the same serving fleet): [`GpuWorker::install_tables`]
+    /// still assigns their regions and counts them against capacity, but
+    /// skips the PCIe transfer and device-side prep.
+    pub fn with_resident(mut self, resident: HashSet<String>) -> Self {
+        self.resident = resident;
+        self
     }
 
     /// Charge a GPU join probe of `keys` against a device-resident table.
@@ -721,195 +804,6 @@ impl GpuProvider {
             }),
         };
         report.time
-    }
-}
-
-/// Exponentially-weighted update of a worker's ns-per-byte estimate.
-fn update_estimate(est: &mut f64, time: SimTime, bytes: u64) {
-    *est = 0.7 * *est + 0.3 * (time.as_ns() / bytes as f64);
-}
-
-/// One CPU core as a placed worker.
-#[derive(Debug)]
-pub struct CpuWorker {
-    socket: usize,
-    core: usize,
-    res: Resource,
-    provider: CpuProvider,
-    agg: Option<AggState>,
-    /// Distinct group keys of the packets committed so far — the control
-    /// plane's mirror of the fold state's group count, used to price the
-    /// cumulative group-table random-access term before the actual fold
-    /// (which runs later, on the data plane, in this same commit order).
-    groups_seen: HashSet<GroupKey>,
-    est: f64,
-}
-
-impl CpuWorker {
-    /// A worker for `core` of `socket`, charging `model` (the per-core
-    /// share of the socket's bandwidth is already folded in).
-    pub fn new(socket: usize, core: usize, model: CpuCostModel, agg: Option<AggState>) -> Self {
-        CpuWorker {
-            socket,
-            core,
-            res: Resource::new(format!("cpu{socket}.{core}")),
-            provider: CpuProvider { model },
-            agg,
-            groups_seen: HashSet::new(),
-            est: CPU_WORKER_SEED_NS_PER_BYTE,
-        }
-    }
-}
-
-impl DeviceProvider for CpuWorker {
-    fn id(&self) -> WorkerId {
-        WorkerId::CpuCore { socket: self.socket, core: self.core }
-    }
-
-    fn device(&self) -> DeviceType {
-        DeviceType::Cpu
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Cpu { socket: self.socket }
-    }
-
-    fn ready_at(&self, start: SimTime, _bytes: u64) -> SimTime {
-        self.res.free_at().max(start)
-    }
-
-    fn est_ns_per_byte(&self) -> f64 {
-        self.est
-    }
-
-    fn install_tables(
-        &mut self,
-        _pipeline: &Pipeline,
-        _tables: &TableStore,
-        _start: SimTime,
-    ) -> Result<u64, EngineError> {
-        // Built tables already live in host memory: no mem-move needed.
-        Ok(0)
-    }
-
-    fn charge(
-        &self,
-        work: &PacketWork,
-        _agg: Option<&AggSpec>,
-        tables: &TableStore,
-    ) -> Result<SimTime, EngineError> {
-        // The aggregation term is history-dependent on the CPU model
-        // (cumulative group-table growth): commit_packet applies it.
-        self.provider.charge(work, tables)
-    }
-
-    fn commit_packet(
-        &mut self,
-        work: &PacketWork,
-        base: SimTime,
-        start: SimTime,
-    ) -> CommitOutcome {
-        let bytes = work.bytes.max(1);
-        let mut time = base;
-        if let (Some(state), Some(info)) = (&self.agg, &work.agg) {
-            for k in &info.groups {
-                self.groups_seen.insert(*k);
-            }
-            time += cpu_ops::agg_cost(
-                state.spec(),
-                info.rows,
-                self.groups_seen.len(),
-                &self.provider.model,
-            );
-        }
-        let (_, done) = self.res.acquire(start, time);
-        update_estimate(&mut self.est, time, bytes);
-        CommitOutcome { done, h2d_bytes: 0 }
-    }
-
-    fn fold_packet(&mut self, batch: &Batch) {
-        if let Some(state) = &mut self.agg {
-            state.update(batch);
-        }
-    }
-
-    fn agg(&self) -> Option<&AggState> {
-        self.agg.as_ref()
-    }
-
-    fn busy(&self) -> SimTime {
-        self.res.busy_time()
-    }
-}
-
-/// One GPU as a placed worker: packets (and broadcast hash tables) reach
-/// it over its PCIe link — realising the mem-move exchanges its segment
-/// carries.
-#[derive(Debug)]
-pub struct GpuWorker {
-    idx: usize,
-    res: Resource,
-    provider: GpuProvider,
-    link: Link,
-    dram_capacity: u64,
-    dram_bw: f64,
-    /// Hash tables this worker's segment broadcasts to it (from the
-    /// segment's `MemMove { table: Some(_) }` exchanges, in order).
-    broadcast: Vec<String>,
-    /// Broadcast tables already resident in device memory from an earlier
-    /// run of the shared fleet (the serving layer's cross-query build
-    /// cache): they still occupy capacity and get regions, but skip the
-    /// PCIe transfer and the partition prep.
-    resident: HashSet<String>,
-    ht_regions: HashMap<String, Region>,
-    /// Cost-equivalence fingerprint: spec + broadcast list (see
-    /// [`CostClass::Gpu`]).
-    class_key: String,
-    agg: Option<AggState>,
-    est: f64,
-}
-
-impl GpuWorker {
-    /// A worker for GPU `idx` with spec `spec`, reached over `link`.
-    ///
-    /// `broadcast` names the hash tables the worker's segment moves into
-    /// device memory ahead of the stage — the IR's broadcast mem-move
-    /// exchanges, which [`GpuWorker::install_tables`] executes.
-    pub fn new(
-        idx: usize,
-        spec: GpuSpec,
-        mut link: Link,
-        fidelity: Fidelity,
-        agg: Option<AggState>,
-        broadcast: Vec<String>,
-    ) -> Self {
-        link.reset();
-        // Identical spec + identical broadcast list ⇒ identical regions ⇒
-        // bit-identical `charge` for every packet: one class, one price.
-        let class_key = format!("{spec:?}#{broadcast:?}");
-        GpuWorker {
-            idx,
-            res: Resource::new(format!("gpu{idx}")),
-            dram_capacity: spec.dram_capacity as u64,
-            dram_bw: spec.dram_bw,
-            provider: GpuProvider { sim: GpuSim::new(spec, fidelity) },
-            link,
-            broadcast,
-            resident: HashSet::new(),
-            ht_regions: HashMap::new(),
-            class_key,
-            agg,
-            est: GPU_WORKER_SEED_NS_PER_BYTE,
-        }
-    }
-
-    /// Mark broadcast tables as already device-resident (retained from an
-    /// earlier query of the same serving fleet): [`GpuWorker::install_tables`]
-    /// still assigns their regions and counts them against capacity, but
-    /// skips the PCIe transfer and device-side prep.
-    pub fn with_resident(mut self, resident: HashSet<String>) -> Self {
-        self.resident = resident;
-        self
     }
 }
 
@@ -1012,13 +906,74 @@ impl DeviceProvider for GpuWorker {
         Ok(moved)
     }
 
+    /// Price the packet as GPU kernels against the broadcast hash tables'
+    /// device-memory residences. The per-block survivor counts and the
+    /// zero-copy key column recorded by [`run_ops`] let the simulator
+    /// replay exactly the kernels an interleaved implementation would
+    /// launch — including the terminal aggregation kernel, whose GPU cost
+    /// is packet-local (per-block scratchpad tables, no cumulative term).
     fn charge(
         &self,
         work: &PacketWork,
         agg: Option<&AggSpec>,
         tables: &TableStore,
     ) -> Result<SimTime, EngineError> {
-        self.provider.charge(work, agg, tables, &self.ht_regions)
+        let mut time = SimTime::ZERO;
+        let in_region = Region::at(1 << 24, work.bytes.max(1));
+        for op in &work.ops {
+            match op {
+                OpTrace::Filter {
+                    rows_in,
+                    pred_ops,
+                    pred_row_bytes,
+                    out_row_bytes,
+                    survivors,
+                } => {
+                    time += gpu_ops::filter_cost(
+                        &self.sim,
+                        in_region,
+                        *rows_in,
+                        *pred_row_bytes,
+                        *out_row_bytes,
+                        *pred_ops,
+                        survivors,
+                    )
+                    .time;
+                }
+                OpTrace::Project { ops, bytes_in, .. } => {
+                    // Fused projection: stream + compute, outputs stay in
+                    // registers for the next fused operator.
+                    time += gpu_ops::stream_pass(&self.sim, in_region, *bytes_in, *ops);
+                }
+                OpTrace::Probe {
+                    ht, algo, avg_chain, keys, rows_out, payload_cols, ..
+                } => {
+                    let jt = lookup_ht(tables, ht)?;
+                    let region = self
+                        .ht_regions
+                        .get(ht)
+                        .copied()
+                        .unwrap_or_else(|| Region::at(1 << 44, jt.bytes().max(1)));
+                    time += self.charge_probe(keys.as_i32(), jt, region, *avg_chain, *algo);
+                    time += SimTime::from_ns((*rows_out * *payload_cols) as f64 * 0.05);
+                }
+                OpTrace::Stateful { rows_in, row_bytes, state_bytes, ops_per_row, .. } => {
+                    time += stateful::gpu_cost(
+                        &self.sim,
+                        in_region,
+                        *rows_in,
+                        *row_bytes,
+                        *state_bytes,
+                        *ops_per_row,
+                    );
+                }
+            }
+        }
+        if let (Some(spec), Some(_)) = (agg, &work.agg) {
+            let region = Region::at(1 << 24, work.out.bytes().max(1));
+            time += gpu_ops::agg_cost(&self.sim, region, &work.out, spec).time;
+        }
+        Ok(time)
     }
 
     fn commit_packet(

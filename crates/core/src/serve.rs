@@ -61,7 +61,7 @@ use crate::place::{PlacedPlan, PlacedStage};
 use crate::plan::JoinTable;
 use crate::query::{LoweredQuery, Query};
 use crate::session::Session;
-use crate::trace::{Span, SpanKind, TraceRecorder};
+use crate::trace::{Ledger, TraceRecorder};
 
 /// Identifies one submitted query within its [`SessionServer`]; index into
 /// [`ServeReport::outcomes`].
@@ -145,6 +145,17 @@ struct PreparedPlan {
     /// Session catalog version at submit time; cache entries produced by
     /// this query carry it.
     version: u64,
+}
+
+impl PreparedPlan {
+    /// The build stage at `stage` and its structural fingerprint — the
+    /// cross-query cache key — when the stage is a fingerprinted build.
+    fn cacheable_build(&self, stage: usize) -> Option<(&String, &String)> {
+        let PlacedStage::Build { name, .. } = self.placed.stages.get(stage)? else {
+            return None;
+        };
+        Some((name, self.lowered.build_fingerprints.get(name)?))
+    }
 }
 
 /// One pending submission (prepared plan or its preparation error).
@@ -308,25 +319,6 @@ pub struct QueryOutcome {
     pub report: Result<QueryReport, HapeError>,
 }
 
-/// Aggregate metrics of one [`SessionServer::run_all`] batch — the
-/// serving layer's contribution to the tracing + metrics plane
-/// ([`mod@crate::trace`]), snapshotted into [`ServeReport::metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeMetrics {
-    /// Queries in the batch (successes and failures).
-    pub queries: usize,
-    /// Queries whose outcome is an error (preparation or execution).
-    pub failures: usize,
-    /// Total scheduler rounds queries spent queued behind admission.
-    pub admission_waits: usize,
-    /// Build stages served from the cross-query cache across the batch.
-    pub builds_cached: usize,
-    /// Cache entries evicted by the capacity bound during the batch.
-    pub builds_evicted: usize,
-    /// The build cache's cumulative counters after the batch.
-    pub cache: CacheStats,
-}
-
 /// The batch result of [`SessionServer::run_all`].
 #[derive(Debug)]
 pub struct ServeReport {
@@ -338,8 +330,6 @@ pub struct ServeReport {
     /// Build-cache entries the capacity bound evicted (LRU-first) while
     /// this batch ran. Always 0 on an unbounded cache.
     pub builds_evicted: usize,
-    /// Aggregate batch metrics (always populated, tracing or not).
-    pub metrics: ServeMetrics,
 }
 
 impl ServeReport {
@@ -384,11 +374,11 @@ impl std::fmt::Display for ServeReport {
             f,
             "served {} queries (gpu budget {budget}): {} failed, {} admission waits, \
              {} cached builds, {} evicted",
-            self.metrics.queries,
-            self.metrics.failures,
-            self.metrics.admission_waits,
-            self.metrics.builds_cached,
-            self.metrics.builds_evicted,
+            self.outcomes.len(),
+            self.outcomes.iter().filter(|o| o.report.is_err()).count(),
+            self.total_admission_waits(),
+            self.total_builds_cached(),
+            self.builds_evicted,
         )?;
         for o in &self.outcomes {
             match &o.report {
@@ -431,7 +421,9 @@ pub struct SessionServer {
     cache_enabled: bool,
     pending: Vec<Prepared>,
     next_id: usize,
-    trace: TraceRecorder,
+    /// The server's own ledger (admission and cache events); each served
+    /// query gets one more over the same recorder.
+    ledger: Ledger,
     /// The fault plan every served query runs under (off by default).
     faults: FaultPlan,
     /// Fleet-wide device health, shared across all served queries: a GPU
@@ -449,7 +441,7 @@ impl SessionServer {
             cache_enabled: true,
             pending: Vec::new(),
             next_id: 0,
-            trace: TraceRecorder::off(),
+            ledger: Ledger::default(),
             faults: FaultPlan::off(),
             health: HealthRegistry::new(),
         }
@@ -458,10 +450,9 @@ impl SessionServer {
     /// Attach a [`TraceRecorder`]: every query executed by
     /// [`SessionServer::run_all`] records its spans and counters into it,
     /// plus the serving layer's own events — admission grants/waits and
-    /// cross-query cache hits/misses. Recording never changes results or
-    /// simulated makespans.
+    /// cross-query cache hits/misses.
     pub fn with_trace(mut self, trace: TraceRecorder) -> Self {
-        self.trace = trace;
+        self.ledger = Ledger::new(trace, "");
         self
     }
 
@@ -659,66 +650,43 @@ impl SessionServer {
         let prepared = std::mem::take(&mut self.pending);
         let evictions_before = self.cache.stats.evictions;
         let gpu_budget = self.gpu_budget();
-        let cache_enabled = self.cache_enabled;
         let current_version = self.session.catalog().version();
         let engine = self.session.engine();
 
-        // Split preparation failures out; the live plans are owned here so
-        // the per-query executions can borrow their catalogs and plans.
-        struct Live {
-            handle: QueryHandle,
-            name: String,
-            plan: PreparedPlan,
-            budget: Option<SimTime>,
-            cancel: CancelToken,
-        }
-        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(prepared.len());
-        let mut live: Vec<Live> = Vec::new();
-        for p in prepared {
-            match p.prep {
-                Ok(plan) => live.push(Live {
-                    handle: p.handle,
-                    name: p.name,
-                    plan,
-                    budget: p.budget,
-                    cancel: p.cancel,
-                }),
-                Err(e) => outcomes.push(QueryOutcome {
+        // Split preparation failures out; the live submissions stay owned
+        // here so the per-query executions can borrow their catalogs and
+        // plans.
+        let (live, failed): (Vec<Prepared>, Vec<Prepared>) =
+            prepared.into_iter().partition(|p| p.prep.is_ok());
+        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(live.len() + failed.len());
+        for p in failed {
+            if let Err(e) = p.prep {
+                outcomes.push(QueryOutcome {
                     handle: p.handle,
                     query: p.name,
                     admission_wait: 0,
                     gpu_reserved: 0,
                     outcome: Outcome::Failed,
                     report: Err(e),
-                }),
+                });
             }
         }
 
         struct Slot<'a> {
-            handle: QueryHandle,
-            name: &'a str,
+            sub: &'a Prepared,
             plan: &'a PreparedPlan,
-            budget: Option<SimTime>,
-            cancel: &'a CancelToken,
+            /// The running execution, once admitted and until it is done.
             exec: Option<QueryExec<'a>>,
-            report: Option<Result<QueryReport, HapeError>>,
-            outcome: Option<Outcome>,
+            /// How the query left the batch, with its report or error.
+            done: Option<(Outcome, Result<QueryReport, HapeError>)>,
             admission_wait: usize,
             reserved: u64,
         }
         let mut slots: Vec<Slot> = live
             .iter()
-            .map(|l| Slot {
-                handle: l.handle,
-                name: &l.name,
-                plan: &l.plan,
-                budget: l.budget,
-                cancel: &l.cancel,
-                exec: None,
-                report: None,
-                outcome: None,
-                admission_wait: 0,
-                reserved: 0,
+            .filter_map(|sub| {
+                let plan = sub.prep.as_ref().ok()?;
+                Some(Slot { sub, plan, exec: None, done: None, admission_wait: 0, reserved: 0 })
             })
             .collect();
 
@@ -737,7 +705,7 @@ impl SessionServer {
             // everything still queued.
             let budget = self.gpu_budget().unwrap_or(u64::MAX);
             for slot in slots.iter_mut() {
-                if slot.report.is_some() || slot.exec.is_some() {
+                if slot.done.is_some() || slot.exec.is_some() {
                     continue;
                 }
                 let fp = slot.plan.gpu_footprint;
@@ -747,31 +715,18 @@ impl SessionServer {
                 }
                 reserved_total += fp;
                 slot.reserved = fp;
-                if self.trace.is_enabled() {
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        Span::new(
-                            SpanKind::Admission,
-                            format!("admit {}", slot.name),
-                            slot.name,
-                        )
-                        .at_wall(now, now)
-                        .rows(slot.admission_wait as u64, fp),
-                    );
-                    self.trace.add("admission.grants", 1);
-                }
+                self.ledger.admitted(&slot.sub.name, slot.admission_wait, fp);
                 match engine.begin(&slot.plan.lowered.catalog, &slot.plan.placed) {
                     Ok(exec) => {
                         slot.exec = Some(
-                            exec.with_trace(&self.trace)
+                            exec.with_trace(self.ledger.recorder())
                                 .with_fault_health(&self.faults, self.health.clone()),
                         );
                     }
                     Err(e) => {
                         // Admission failed at execution setup: isolate the
                         // error into this query and release its reservation.
-                        slot.report = Some(Err(HapeError::Engine(e)));
-                        slot.outcome = Some(Outcome::Failed);
+                        slot.done = Some((Outcome::Failed, Err(HapeError::Engine(e))));
                         reserved_total -= fp;
                         slot.reserved = 0;
                     }
@@ -781,26 +736,22 @@ impl SessionServer {
             // ---- One fair round: each admitted query advances one stage.
             let mut progressed = false;
             for slot in slots.iter_mut() {
-                let Some(exec) = slot.exec.as_mut() else {
+                let Some(mut exec) = slot.exec.take() else {
                     // Still queued behind the admission gate: one more
                     // round of waiting.
-                    if slot.report.is_none() {
+                    if slot.done.is_none() {
                         slot.admission_wait += 1;
-                        self.trace.add("admission.waits", 1);
+                        self.ledger.scheduled("admission.waits");
                     }
                     continue;
                 };
                 progressed = true;
                 // ---- Cancellation: checked between stage steps. The
                 // query keeps the partial report it accumulated.
-                if slot.cancel.is_canceled() {
-                    let exec = slot.exec.take().expect("exec present");
-                    slot.report = Some(Ok(exec.finish()));
-                    slot.outcome = Some(Outcome::Canceled);
+                if slot.sub.cancel.is_canceled() {
+                    slot.done = Some((Outcome::Canceled, Ok(exec.finish())));
                     reserved_total -= slot.reserved;
-                    if self.trace.is_enabled() {
-                        self.trace.add("serve.canceled", 1);
-                    }
+                    self.ledger.scheduled("serve.canceled");
                     continue;
                 }
                 // ---- Serve the next stage from the cross-query cache if
@@ -808,105 +759,59 @@ impl SessionServer {
                 // *earlier* query this round is visible to later ones
                 // immediately. The install makes `step` skip the stage —
                 // no build work, no broadcast, no simulated time.
-                if cache_enabled {
-                    if let Some(PlacedStage::Build { name, .. }) =
-                        slot.plan.placed.stages.get(exec.stage_index())
-                    {
-                        if let Some(fpr) = slot.plan.lowered.build_fingerprints.get(name) {
-                            let hit = self.cache.lookup(
-                                fpr,
-                                current_version,
-                                slot.plan.version,
-                                self.health.epoch(),
-                            );
-                            if self.trace.is_enabled() {
-                                let now = self.trace.now_ns();
-                                let (what, key) = if hit.is_some() {
-                                    ("hit", "cache.hits")
-                                } else {
-                                    ("miss", "cache.misses")
-                                };
-                                self.trace.add(key, 1);
-                                self.trace.record(
-                                    Span::new(
-                                        SpanKind::Cache,
-                                        format!("cache {what} {name}"),
-                                        slot.name,
-                                    )
-                                    .at_wall(now, now),
-                                );
-                            }
-                            if let Some((table, resident)) = hit {
-                                exec.install_cached_build(name, table, resident);
-                            }
-                        }
+                if let Some((name, fpr)) =
+                    slot.plan.cacheable_build(exec.stage_index()).filter(|_| self.cache_enabled)
+                {
+                    let (version, epoch) = (slot.plan.version, self.health.epoch());
+                    let hit = self.cache.lookup(fpr, current_version, version, epoch);
+                    self.ledger.cache_lookup(&slot.sub.name, name, hit.is_some());
+                    if let Some((table, resident)) = hit {
+                        exec.install_cached_build(name, table, resident);
                     }
                 }
-                let stepped = exec.step();
-                let finished = exec.is_done();
-                if let Err(e) = stepped {
-                    slot.report = Some(Err(HapeError::Engine(e)));
-                    slot.outcome = Some(Outcome::Failed);
-                } else {
-                    // Harvest a freshly built (not cache-served) hash
-                    // table into the cache right away, so queries later in
-                    // this same round already hit it at admission.
-                    if cache_enabled && slot.plan.version == current_version {
-                        let done = exec.stage_index() - 1;
-                        if let Some(PlacedStage::Build { name, .. }) =
-                            slot.plan.placed.stages.get(done)
-                        {
-                            if let (Some(fpr), Some(table)) = (
-                                slot.plan.lowered.build_fingerprints.get(name),
-                                exec.built_table(name),
-                            ) {
-                                if !self.cache.entries.contains_key(fpr) {
-                                    self.cache.insert(
-                                        fpr.clone(),
-                                        slot.plan.version,
-                                        self.health.epoch(),
-                                        plan_broadcasts(&slot.plan.placed, name),
-                                        table,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    if finished {
-                        let report = slot.exec.take().expect("exec present").finish();
-                        slot.outcome = Some(if report.retries > 0 || report.replans > 0 {
-                            Outcome::Degraded {
-                                retries: report.retries,
-                                replans: report.replans,
-                            }
-                        } else {
-                            Outcome::Completed
-                        });
-                        slot.report = Some(Ok(report));
-                    } else if let Some(budget) = slot.budget {
-                        // ---- Per-query sim-time deadline, checked at the
-                        // stage barrier: over budget finishes with the
-                        // partial report — a scheduling outcome, not an
-                        // error.
-                        let over =
-                            slot.exec.as_ref().is_some_and(|exec| exec.sim_time() > budget);
-                        if over {
-                            let exec = slot.exec.take().expect("exec present");
-                            let elapsed = exec.sim_time();
-                            slot.report = Some(Ok(exec.finish()));
-                            slot.outcome = Some(Outcome::TimedOut { budget, elapsed });
-                            if self.trace.is_enabled() {
-                                self.trace.add("serve.timed_out", 1);
-                            }
-                        }
-                    }
-                }
-                if slot.report.is_some() {
-                    // Done (or failed): release the reservation and drop
-                    // the execution state.
-                    slot.exec = None;
+                if let Err(e) = exec.step() {
+                    slot.done = Some((Outcome::Failed, Err(HapeError::Engine(e))));
                     reserved_total -= slot.reserved;
+                    continue;
                 }
+                // Harvest a freshly built (not cache-served) hash table
+                // into the cache right away, so queries later in this
+                // same round already hit it at admission.
+                if self.cache_enabled && slot.plan.version == current_version {
+                    let built = slot.plan.cacheable_build(exec.stage_index() - 1);
+                    if let Some((name, fpr)) =
+                        built.filter(|(_, fpr)| !self.cache.entries.contains_key(*fpr))
+                    {
+                        if let Some(table) = exec.built_table(name) {
+                            let resident = plan_broadcasts(&slot.plan.placed, name);
+                            let (version, epoch) = (slot.plan.version, self.health.epoch());
+                            self.cache.insert(fpr.clone(), version, epoch, resident, table);
+                        }
+                    }
+                }
+                // ---- Per-query sim-time deadline, checked at the stage
+                // barrier: over budget finishes with the partial report —
+                // a scheduling outcome, not an error.
+                let elapsed = exec.sim_time();
+                let over = slot.sub.budget.filter(|&b| !exec.is_done() && elapsed > b);
+                if !exec.is_done() && over.is_none() {
+                    slot.exec = Some(exec);
+                    continue;
+                }
+                // Done: release the reservation and drop the execution.
+                let report = exec.finish();
+                let outcome = match over {
+                    Some(budget) => {
+                        self.ledger.scheduled("serve.timed_out");
+                        Outcome::TimedOut { budget, elapsed }
+                    }
+                    None if report.retries > 0 || report.replans > 0 => {
+                        Outcome::Degraded { retries: report.retries, replans: report.replans }
+                    }
+                    None => Outcome::Completed,
+                };
+                slot.done = Some((outcome, Ok(report)));
+                reserved_total -= slot.reserved;
             }
             if !progressed {
                 break; // nothing running and nothing admitted: batch done
@@ -914,30 +819,19 @@ impl SessionServer {
         }
 
         for slot in slots {
+            let (outcome, report) = slot.done.expect("scheduler resolves every slot");
             outcomes.push(QueryOutcome {
-                handle: slot.handle,
-                query: slot.name.to_string(),
+                handle: slot.sub.handle,
+                query: slot.sub.name.clone(),
                 admission_wait: slot.admission_wait,
                 gpu_reserved: slot.reserved,
-                outcome: slot.outcome.expect("scheduler resolves every slot"),
-                report: slot.report.expect("scheduler drains every slot"),
+                outcome,
+                report,
             });
         }
         outcomes.sort_by_key(|o| o.handle.0);
         let builds_evicted = self.cache.stats.evictions - evictions_before;
-        let metrics = ServeMetrics {
-            queries: outcomes.len(),
-            failures: outcomes.iter().filter(|o| o.report.is_err()).count(),
-            admission_waits: outcomes.iter().map(|o| o.admission_wait).sum(),
-            builds_cached: outcomes
-                .iter()
-                .filter_map(|o| o.report.as_ref().ok())
-                .map(|r| r.builds_cached)
-                .sum(),
-            builds_evicted,
-            cache: self.cache.stats(),
-        };
-        ServeReport { outcomes, gpu_budget, builds_evicted, metrics }
+        ServeReport { outcomes, gpu_budget, builds_evicted }
     }
 }
 

@@ -21,8 +21,7 @@ use hape_storage::Table;
 use crate::catalog::{Catalog, TableRegistration};
 use crate::engine::{Engine, ExecConfig, Placement, QueryReport};
 use crate::error::HapeError;
-use crate::optimize::optimize;
-use crate::place::{place, PlacedPlan};
+use crate::place::PlacedPlan;
 use crate::query::{LoweredQuery, Query};
 use crate::trace::TraceRecorder;
 use crate::verify;
@@ -124,22 +123,14 @@ impl Session {
         self.place_lowered(&lowered, config)
     }
 
-    /// Place an already-lowered query: [`Placement::Auto`] goes through
-    /// the cost-based optimizer (which reads the lowered catalog's scan
-    /// statistics); the manual placements go through the trait-driven
-    /// placement pass directly.
+    /// Place an already-lowered query ([`Engine::place`] against the
+    /// lowered catalog, whose scan statistics the optimizer reads).
     pub(crate) fn place_lowered(
         &self,
         lowered: &LoweredQuery,
         config: &ExecConfig,
     ) -> Result<PlacedPlan, HapeError> {
-        let placed = match config.placement {
-            Placement::Auto => {
-                optimize(&lowered.plan, &lowered.catalog, config, &self.engine.server)?
-            }
-            _ => place(&lowered.plan, config, &self.engine.server)?,
-        };
-        Ok(placed)
+        Ok(self.engine.place(&lowered.catalog, &lowered.plan, config)?)
     }
 
     /// Render the placed plan for a query under the session's default
@@ -209,15 +200,8 @@ impl Session {
     ) -> Result<QueryReport, HapeError> {
         let lowered = self.lower(query)?;
         let placed = self.place_lowered(&lowered, config)?;
-        let mut exec = self
-            .engine
-            .begin(&lowered.catalog, &placed)?
-            .with_trace(&config.trace)
-            .with_faults(&config.faults);
-        while !exec.is_done() {
-            exec.step()?;
-        }
-        Ok(exec.finish())
+        let exec = self.engine.begin(&lowered.catalog, &placed)?;
+        Ok(exec.with_trace(&config.trace).with_faults(&config.faults).run()?)
     }
 
     /// Execute a query with tracing enabled and render the plain-text

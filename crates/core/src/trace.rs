@@ -22,12 +22,11 @@
 //!   the observed simulated elapsed time and row counts, making estimate
 //!   error queryable per stage (the feedback hook of ROADMAP item 4).
 //!
-//! Recording is strictly an *observer*: the recorder is never consulted
-//! for a decision, wall timestamps never feed back into simulated state,
-//! and per-packet spans are recorded on the sequential control plane in
-//! packet order — so results and simulated makespans stay bit-identical
-//! to untraced runs at any data-plane thread count
-//! (`tests/runtime_determinism.rs` asserts this).
+//! Nothing here is written by hand twice: the control plane reports each
+//! decision once to a [`Ledger`], and the [`QueryReport`] fields, the
+//! counters and the spans are all derived from it (why that keeps traced
+//! runs bit-identical to untraced ones is argued once, in
+//! [`mod@crate::engine`]).
 //!
 //! Two exporters turn a [`Trace`] snapshot into artifacts:
 //! [`Trace::to_chrome_json`] (the Chrome tracing event format, sim time
@@ -73,6 +72,9 @@ use std::time::Instant;
 use hape_sim::SimTime;
 
 use crate::cost::StageCost;
+use crate::engine::QueryReport;
+use crate::exchange::WorkerId;
+use crate::provider::OpTrace;
 
 /// What a [`Span`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,16 +310,29 @@ impl TraceRecorder {
 
     /// Record a span (no-op when disabled).
     pub fn record(&self, span: Span) {
-        if let Some(s) = &self.shared {
-            s.state.lock().expect("trace lock").spans.push(span);
-        }
+        self.publish(Some(span), None);
     }
 
     /// Add `delta` to the named counter (no-op when disabled).
     pub fn add(&self, counter: &str, delta: u64) {
+        if self.is_enabled() {
+            self.publish(None, Some((counter.to_string(), delta)));
+        }
+    }
+
+    /// Append `spans` and add `counters` under one lock — a [`Ledger`]
+    /// flush (no-op when disabled).
+    fn publish(
+        &self,
+        spans: impl IntoIterator<Item = Span>,
+        counters: impl IntoIterator<Item = (String, u64)>,
+    ) {
         if let Some(s) = &self.shared {
             let mut t = s.state.lock().expect("trace lock");
-            *t.counters.entry(counter.to_string()).or_insert(0) += delta;
+            t.spans.extend(spans);
+            for (name, delta) in counters {
+                *t.counters.entry(name).or_insert(0) += delta;
+            }
         }
     }
 
@@ -330,64 +345,266 @@ impl TraceRecorder {
     }
 }
 
-/// The recording context one stage execution threads into the packet
-/// loop: the recorder plus the identity (query name, stage index) every
-/// packet span it records should carry. The context — not the recorder —
-/// carries per-query identity, because the serving layer interleaves many
-/// queries over one recorder.
-#[derive(Debug, Clone)]
-pub struct TraceCtx {
+/// A counter name, kept unformatted until the stage's one flush.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Fixed(&'static str),
+    /// `packets.worker.<lane>`.
+    Worker(WorkerId),
+}
+
+/// The single owner of every control-plane fact: the sequential control
+/// plane calls it once per decision — tables installed, packet committed,
+/// fault fired, retry priced, build served from cache, stage done — and
+/// the [`QueryReport`], the trace counters and the spans are all derived
+/// here, so they cannot disagree — the report a query returns *is* the
+/// ledger's tally (a `QueryReport` whose `rows` and `time` the engine
+/// fills in at the end). One ledger per query (the serving layer keeps
+/// one more for its own admission and cache events), because many
+/// queries interleave over one [`TraceRecorder`].
+///
+/// **Stage-scoped** facts (packets, bytes, busy time, packet and phase
+/// spans, their counters) accumulate in the open stage and are published
+/// by [`Ledger::stage_done`] — the report's rule that an aborted attempt
+/// leaves nothing behind, and one recorder lock per stage instead of one
+/// per packet. **Query-scoped** facts (fired faults, priced retries,
+/// re-placements, cache-served builds) are published as they happen and
+/// survive an aborted attempt. With the recorder off only the tally is
+/// kept (the `Default` ledger); span and name closures are never called.
+#[derive(Debug, Default)]
+pub struct Ledger {
     rec: TraceRecorder,
     query: String,
+    born_ns: u64,
     stage: Option<usize>,
+    /// Build stages are plumbing: their packets stay out of the report.
+    is_build: bool,
+    open: QueryReport,
+    done: QueryReport,
+    spans: Vec<Span>,
+    counters: BTreeMap<Key, u64>,
 }
 
-impl TraceCtx {
-    /// A disabled context (for untraced paths).
-    pub fn disabled() -> Self {
-        TraceCtx { rec: TraceRecorder::off(), query: String::new(), stage: None }
+impl Ledger {
+    /// A ledger for `query`, publishing into `rec`.
+    pub fn new(rec: TraceRecorder, query: &str) -> Self {
+        let born_ns = rec.now_ns();
+        Ledger { rec, query: query.to_string(), born_ns, ..Ledger::default() }
     }
 
-    /// A context recording into `rec` on behalf of `query`'s stage
-    /// `stage`.
-    pub fn new(rec: &TraceRecorder, query: &str, stage: usize) -> Self {
-        if !rec.is_enabled() {
-            return TraceCtx::disabled();
+    /// The recorder this ledger publishes into — what the data plane
+    /// stamps its wall intervals against.
+    pub fn recorder(&self) -> &TraceRecorder {
+        &self.rec
+    }
+
+    /// Totals over the stages that returned `Ok`, plus the query-scoped
+    /// facts so far (`rows` and `time` are the engine's to fill in).
+    pub fn tally(&self) -> &QueryReport {
+        &self.done
+    }
+
+    /// Fill in what the ledger knows: the query (unless the span names
+    /// one — the serving ledger's do) and the open stage.
+    fn stamp(&self, mut span: Span) -> Span {
+        if span.query.is_empty() {
+            span.query.clone_from(&self.query);
         }
-        TraceCtx { rec: rec.clone(), query: query.to_string(), stage: Some(stage) }
+        span.stage = span.stage.or(self.stage);
+        span
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.rec.is_enabled()
+    fn count(&mut self, key: Key, delta: u64) {
+        *self.counters.entry(key).or_insert(0) += delta;
     }
 
-    /// Nanoseconds since the recorder's origin (0 when disabled).
-    pub fn now_ns(&self) -> u64 {
-        self.rec.now_ns()
+    fn routed(&mut self, gpu: bool, packets: usize) {
+        match (self.is_build, gpu) {
+            (true, _) => {}
+            (false, true) => self.open.packets_gpu += packets,
+            (false, false) => self.open.packets_cpu += packets,
+        }
     }
 
-    /// Add `delta` to the named counter.
-    pub fn add(&self, counter: &str, delta: u64) {
-        self.rec.add(counter, delta);
+    fn moved(&mut self, bytes: u64, counter: &'static str) {
+        self.open.h2d_bytes += bytes;
+        if bytes > 0 && self.rec.is_enabled() {
+            self.count(Key::Fixed(counter), bytes);
+        }
     }
 
-    /// Record `span` stamped with this context's query and stage.
-    pub fn record(&self, span: Span) {
-        if !self.is_enabled() {
+    /// Open stage `stage`: whatever an aborted attempt left is dropped.
+    pub fn open_stage(&mut self, stage: usize, is_build: bool) {
+        self.stage = Some(stage);
+        self.is_build = is_build;
+        self.open = QueryReport::default();
+        self.spans.clear();
+        self.counters.clear();
+    }
+
+    /// A worker installed its broadcast tables, moving `h2d` bytes.
+    pub fn tables_installed(&mut self, h2d: u64) {
+        self.moved(h2d, "h2d.broadcast_bytes");
+    }
+
+    /// The router's pick committed one packet on `worker`, moving `h2d`
+    /// bytes to it; `ops` are the packet's per-operator statistics and
+    /// `span` builds its packet span (the ledger adds the lane).
+    pub fn packet_committed(
+        &mut self,
+        worker: WorkerId,
+        h2d: u64,
+        ops: &[OpTrace],
+        span: impl FnOnce() -> Span,
+    ) {
+        self.routed(worker.is_gpu(), 1);
+        self.moved(h2d, "h2d.packet_bytes");
+        if !self.rec.is_enabled() {
             return;
         }
-        let mut span = span;
-        span.query.clone_from(&self.query);
-        if span.stage.is_none() {
-            span.stage = self.stage;
+        let span = self.stamp(span().lane(worker.to_string()));
+        self.spans.push(span);
+        self.count(Key::Worker(worker), 1);
+        let class = if worker.is_gpu() { "packets.class.gpu" } else { "packets.class.cpu" };
+        self.count(Key::Fixed(class), 1);
+        for op in ops {
+            let [rows_in, rows_out] = op.row_counters();
+            self.count(Key::Fixed(rows_in), op.rows_in());
+            self.count(Key::Fixed(rows_out), op.rows_out());
         }
-        self.rec.record(span);
+    }
+
+    /// A co-processed join ran outside the packet loop: each `(gpu,
+    /// co-partitions)` lane counts as that many GPU packets, and `h2d`
+    /// bytes crossed PCIe in total.
+    pub fn lanes_joined(&mut self, lanes: impl Iterator<Item = (usize, usize)>, h2d: u64) {
+        for (gpu, assignments) in lanes {
+            self.routed(true, assignments);
+            if self.rec.is_enabled() {
+                self.count(Key::Worker(WorkerId::Gpu(gpu)), assignments as u64);
+            }
+        }
+        self.moved(h2d, "h2d.packet_bytes");
+    }
+
+    /// Workers were busy for this much simulated time in the open stage.
+    pub fn busy(&mut self, cpu: SimTime, gpu: SimTime) {
+        self.open.cpu_busy += cpu;
+        self.open.gpu_busy += gpu;
+    }
+
+    /// A sub-stage phase (co-processing prefix / lanes / fold) ended.
+    pub fn phase(&mut self, span: impl FnOnce() -> Span) {
+        if self.rec.is_enabled() {
+            let span = self.stamp(span());
+            self.spans.push(span);
+        }
+    }
+
+    /// The open stage returned `Ok`: fold its tally into the query's and
+    /// publish its spans and counters, closed by the stage's own `span`.
+    pub fn stage_done(&mut self, span: impl FnOnce() -> Span) {
+        let stage = std::mem::take(&mut self.open);
+        self.done.cpu_busy += stage.cpu_busy;
+        self.done.gpu_busy += stage.gpu_busy;
+        self.done.h2d_bytes += stage.h2d_bytes;
+        self.done.packets_cpu += stage.packets_cpu;
+        self.done.packets_gpu += stage.packets_gpu;
+        if self.rec.is_enabled() {
+            self.phase(span);
+            let counters = std::mem::take(&mut self.counters);
+            self.rec.publish(
+                self.spans.drain(..),
+                counters.into_iter().map(|(k, v)| match k {
+                    Key::Fixed(name) => (name.to_string(), v),
+                    Key::Worker(w) => (format!("packets.worker.{w}"), v),
+                }),
+            );
+        }
+    }
+
+    /// A query-scoped (or serving) event: one span — built from the
+    /// current wall time — and its counters, published at once.
+    fn event(&self, counters: &[(&'static str, u64)], span: impl FnOnce(u64) -> Span) {
+        if self.rec.is_enabled() {
+            self.rec.publish(
+                Some(self.stamp(span(self.rec.now_ns()))),
+                counters.iter().map(|&(name, delta)| (name.to_string(), delta)),
+            );
+        }
+    }
+
+    /// The open (build) stage found its table already installed: nothing
+    /// to build, no simulated time passes at `at`.
+    pub fn build_served(&mut self, name: &str, at: SimTime, wall_start_ns: u64) {
+        self.done.builds_cached += 1;
+        self.event(&[("cache.builds_served", 1)], |now| {
+            Span::new(SpanKind::Cache, format!("cached build {name}"), "")
+                .at_sim(at, at)
+                .at_wall(wall_start_ns, now)
+        });
+    }
+
+    /// An injected fault fired (`what` names it for the span).
+    pub fn fault_fired(&self, what: impl FnOnce() -> String) {
+        self.event(&[("fault.injected", 1)], |_| Span::new(SpanKind::Fault, what(), ""));
+    }
+
+    /// A transient transfer fault fired and `failures` retries were
+    /// priced onto the routed worker.
+    pub fn retry_priced(&mut self, failures: u32, what: impl FnOnce() -> String) {
+        self.done.retries += failures as usize;
+        self.event(&[("fault.injected", 1), ("fault.retries", u64::from(failures))], |_| {
+            Span::new(SpanKind::Fault, what(), "")
+        });
+    }
+
+    /// The remaining stages were re-placed on the surviving fleet.
+    pub fn replanned(&mut self, what: impl FnOnce() -> String) {
+        self.done.replans += 1;
+        self.event(&[("fault.replans", 1)], |_| Span::new(SpanKind::Fault, what(), ""));
+    }
+
+    /// The query finished at `sim_end` with `rows_out` result rows.
+    pub fn query_done(&self, sim_end: SimTime, rows_out: u64) {
+        if self.rec.is_enabled() {
+            self.rec.record(
+                Span::new(SpanKind::Query, self.query.clone(), self.query.clone())
+                    .at_sim(SimTime::ZERO, sim_end)
+                    .at_wall(self.born_ns, self.rec.now_ns())
+                    .rows(0, rows_out),
+            );
+        }
+    }
+
+    /// Serving layer: `query` was admitted after `waited` rounds, with
+    /// `footprint` GPU bytes reserved.
+    pub fn admitted(&self, query: &str, waited: usize, footprint: u64) {
+        self.event(&[("admission.grants", 1)], |now| {
+            Span::new(SpanKind::Admission, format!("admit {query}"), query)
+                .at_wall(now, now)
+                .rows(waited as u64, footprint)
+        });
+    }
+
+    /// Serving layer: `query` looked `build` up in the cross-query cache.
+    pub fn cache_lookup(&self, query: &str, build: &str, hit: bool) {
+        let (what, counter) =
+            if hit { ("hit", "cache.hits") } else { ("miss", "cache.misses") };
+        self.event(&[(counter, 1)], |now| {
+            Span::new(SpanKind::Cache, format!("cache {what} {build}"), query).at_wall(now, now)
+        });
+    }
+
+    /// Serving layer: a span-less event (`admission.waits`, `serve.canceled`, …).
+    pub fn scheduled(&self, counter: &'static str) {
+        self.rec.add(counter, 1);
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal — the one
+/// escaper every hand-rolled JSON writer in the workspace calls.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -662,14 +879,32 @@ mod tests {
     #[test]
     fn ctx_stamps_query_and_stage() {
         let rec = TraceRecorder::new();
-        let ctx = TraceCtx::new(&rec, "Q5", 2);
-        ctx.record(Span::new(SpanKind::Packet, "packet 0", ""));
+        let mut ledger = Ledger::new(rec.clone(), "Q5");
+        let packet = || Span::new(SpanKind::Packet, "packet 0", "");
+        // An aborted attempt publishes nothing but its fault span…
+        ledger.open_stage(2, false);
+        ledger.packet_committed(WorkerId::Gpu(1), 64, &[], packet);
+        ledger.fault_fired(|| "gpu1 failed at packet 1".to_string());
+        // …and the retried stage publishes its facts when it is done.
+        ledger.open_stage(2, false);
+        ledger.packet_committed(WorkerId::Gpu(0), 32, &[], packet);
+        assert_eq!(rec.snapshot().spans.len(), 1, "stage-scoped facts wait for stage_done");
+        ledger.stage_done(|| Span::new(SpanKind::Stage, "stream", ""));
         let t = rec.snapshot();
-        assert_eq!(t.spans[0].query, "Q5");
-        assert_eq!(t.spans[0].stage, Some(2));
-        // A disabled recorder yields a disabled ctx.
-        assert!(!TraceCtx::new(&TraceRecorder::off(), "Q5", 2).is_enabled());
-        assert!(!TraceCtx::disabled().is_enabled());
+        let kinds: Vec<SpanKind> = t.spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Fault, SpanKind::Packet, SpanKind::Stage]);
+        assert!(t.spans.iter().all(|s| s.query == "Q5" && s.stage == Some(2)));
+        assert_eq!(t.spans[1].lane.as_deref(), Some("gpu0"));
+        // Report and counters are the same numbers.
+        assert_eq!((ledger.tally().packets_gpu, ledger.tally().h2d_bytes), (1, 32));
+        assert_eq!(t.counters["packets.worker.gpu0"], 1);
+        assert_eq!(t.counters["h2d.packet_bytes"], 32);
+        assert!(!t.counters.contains_key("packets.worker.gpu1"));
+        // With the recorder off the tally is still kept.
+        let mut quiet = Ledger::default();
+        quiet.packet_committed(WorkerId::Gpu(0), 8, &[], || unreachable!("recorder is off"));
+        quiet.stage_done(|| unreachable!("recorder is off"));
+        assert_eq!(quiet.tally().h2d_bytes, 8);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates HAPE on a 2-socket Xeon + 2× GTX 1080 server. That
 //! hardware is not available here, so this crate provides the substitution
-//! substrate described in `DESIGN.md` §2: calibrated performance models of
-//! the CPUs, GPUs and PCIe interconnects that the rest of the workspace
-//! executes against.
+//! substrate: calibrated performance models of the CPUs, GPUs and PCIe
+//! interconnects that the rest of the workspace executes against.
 //!
 //! The models are *mechanistic*, not curve-fits: algorithms run for real over
 //! real data, and time is charged from the actual memory-access behaviour

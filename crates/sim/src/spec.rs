@@ -232,7 +232,8 @@ impl GpuSpec {
     }
 
     /// A GTX 1080 with capacity scaled by `factor` (used to run the paper's
-    /// SF-100 capacity arguments at reduced data scale; see DESIGN.md §2).
+    /// SF-100 capacity arguments at reduced data scale; the rule is on
+    /// [`crate::topology::Server::tpch_scaled`]).
     pub fn gtx_1080_scaled(factor: f64) -> Self {
         let mut s = Self::gtx_1080();
         s.dram_capacity = ((s.dram_capacity as f64) * factor) as usize;

@@ -89,8 +89,8 @@ impl Server {
     }
 
     /// The paper testbed with GPU memory capacity scaled by `factor` —
-    /// used to run SF-100 capacity arguments at reduced data scale
-    /// (DESIGN.md §2).
+    /// used to run SF-100 capacity arguments at reduced data scale (the
+    /// scaling rule is spelled out on [`Server::tpch_scaled`]).
     pub fn paper_testbed_gpu_mem_scaled(factor: f64) -> Self {
         let mut s = Self::paper_testbed();
         for g in &mut s.gpus {
@@ -100,7 +100,7 @@ impl Server {
     }
 
     /// The paper testbed scaled for running TPC-H SF-100 experiments at a
-    /// reduced scale factor `sf` (see DESIGN.md §2): data shrinks by
+    /// reduced scale factor `sf`: data shrinks by
     /// `sf/100`, so every *capacity* the evaluation's effects depend on
     /// shrinks with it — GPU device memory (Q9's failure, Figure 6's
     /// cut-off) and the CPU's L2/L3 (at SF 100 the join hash tables dwarf

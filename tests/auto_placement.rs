@@ -22,7 +22,7 @@ use hape::core::engine::EngineError;
 use hape::core::provider::TableStore;
 use hape::core::{ExecConfig, HapeError, JoinAlgo, PlacedStage, Placement, Query, Session};
 use hape::join::{coprocess_join, CoprocessConfig, JoinInput, OutputMode};
-use hape::ops::{col, AggFunc};
+use hape::ops::{col, lit, AggFunc};
 use hape::sim::topology::Server;
 use hape::sim::SimTime;
 use hape::storage::datagen::gen_key_fk_table;
@@ -171,6 +171,38 @@ fn auto_completes_q9_through_a_coprocess_stage() {
     );
     assert!(auto.packets_gpu > 0, "co-partitions must reach the GPUs");
     assert!(auto.h2d_bytes > 0, "co-partitions must cross PCIe");
+}
+
+/// Q9* ends in its co-processed probe; a filter on the build side's
+/// payload keeps an operator *after* it, so the joined rows re-enter the
+/// packet loop on the CPU workers — the co-process stage's other branch.
+#[test]
+fn coprocess_stage_runs_operators_after_its_final_probe() {
+    let session = tpch_session();
+    let algo = JoinAlgo::NonPartitioned;
+    let query = Query::new("late")
+        .from_table("lineitem")
+        .join(Query::scan("partsupp"), "l_pskey", "ps_pskey", algo)
+        .join(Query::scan("orders"), "l_orderkey", "o_orderkey", algo)
+        .filter(col("o_year").gt(lit(1994)))
+        .group_by(&["o_year"])
+        .agg(vec![(
+            AggFunc::Sum,
+            col("l_extendedprice").sub(col("ps_supplycost").mul(col("l_quantity"))),
+        )]);
+    let auto = |threads| ExecConfig::new(Placement::Auto).with_threads(threads);
+    let placed = session.place_with(&query, &auto(1)).unwrap();
+    let Some(PlacedStage::CoProcess { pipeline, .. }) = placed.stages.last() else {
+        panic!("the stream must place as a co-process stage:\n{}", placed.render());
+    };
+    let (probe, _) = pipeline.last_probe().expect("a co-process stage probes");
+    assert_eq!(pipeline.ops.len(), probe + 2, "one operator follows the final probe");
+    let one = session.execute_with(&query, &auto(1)).unwrap();
+    let two = session.execute_with(&query, &auto(2)).unwrap();
+    assert_eq!((one.time, &one.rows), (two.time, &two.rows), "thread count is wall-clock only");
+    assert!(one.packets_cpu > 0 && one.packets_gpu > 0, "prefix, lanes and suffix all ran");
+    let cpu = session.execute_with(&query, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+    assert!(!cpu.rows.is_empty() && rows_approx_eq(&one.rows, &cpu.rows));
 }
 
 /// The deleted `run_q9_hybrid` path, reconstructed from the same public

@@ -206,3 +206,26 @@ fn auto_prices_stateful_pipelines_off_the_gpu_and_the_lever_flips_it() {
     }
     assert!(flipped, "scaled-up GPU memory must flip at least one placement decision");
 }
+
+#[test]
+fn auto_matches_the_best_manual_placement_at_smoke_scale() {
+    // The optimizer prices the GPU's sequential-state penalty instead of
+    // pinning stateful pipelines by rule, so Auto ties the best manual
+    // placement (same device subset) up to float noise. At 20 000 users
+    // the B4 mis-route (ROADMAP item 6) breaks this; the benchmark's
+    // `optimize.auto_vs_best_manual` gates that scale.
+    let session = events_session(2_000);
+    for q in behavioral_queries() {
+        let sim = |p| run(&session, &q, p, 2).time.as_secs();
+        let best_manual = [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid]
+            .into_iter()
+            .map(sim)
+            .fold(f64::INFINITY, f64::min);
+        let auto = sim(Placement::Auto);
+        assert!(
+            auto <= best_manual * (1.0 + 1e-9),
+            "{}: auto ({auto}s) must match the best manual placement ({best_manual}s)",
+            q.name
+        );
+    }
+}

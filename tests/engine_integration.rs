@@ -151,7 +151,8 @@ fn scan_bound_queries_prefer_cpu_join_heavy_prefer_gpu() {
         );
     }
     // Q5 (join-heavy): in the paper GPU-only wins 1.4×. At our reduced
-    // scale the join/scan cost ratio shrinks (EXPERIMENTS.md, E4), so we
+    // scale the join/scan cost ratio shrinks (fixed per-packet costs weigh
+    // more against smaller joins), so we
     // assert the weaker scale-robust property: GPU-only is competitive on
     // Q5 (within 1.5×) while it loses by >2.5× on the scan-bound queries.
     let q5 = lower(&q5_query(JoinAlgo::Partitioned), &catalog);

@@ -1,43 +1,17 @@
-//! Property-style tests for the storage substrate: format round-trips,
-//! slicing and packet algebra.
+//! Property-style tests for the storage substrate: slicing and packet
+//! algebra.
 //!
 //! Originally `proptest` generators; the registry is unreachable in this
 //! environment, so the same properties run over deterministic seeded case
 //! sweeps instead.
 
-use hape::storage::{read_table, write_table, Batch, Column, DataType, Schema, Table};
+use hape::storage::{Batch, Column};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn ints(len: usize, seed: u64) -> Vec<i32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(i32::MIN..i32::MAX)).collect()
-}
-
-#[test]
-fn binary_format_round_trips() {
-    for case in 0..32u64 {
-        let n = (case * 13 % 200) as usize;
-        let vals = ints(n, case + 1);
-        let floats: Vec<f64> =
-            (0..n).map(|i| (i as f64) * 0.5 + f64::from((case as u32) % 97)).collect();
-        let longs: Vec<i64> = vals.iter().map(|&v| i64::from(v) * 3).collect();
-        let t = Table::new(
-            "prop",
-            Schema::new([("a", DataType::I32), ("b", DataType::F64), ("c", DataType::I64)]),
-            Batch::new(vec![
-                Column::from_i32(vals.clone()),
-                Column::from_f64(floats.clone()),
-                Column::from_i64(longs.clone()),
-            ]),
-        );
-        let mut bytes = Vec::new();
-        write_table(&t, &mut bytes).unwrap();
-        let rt = read_table(&mut bytes.as_slice()).unwrap();
-        assert_eq!(rt.column("a").as_i32(), &vals[..], "case {case}");
-        assert_eq!(rt.column("b").as_f64(), &floats[..], "case {case}");
-        assert_eq!(rt.column("c").as_i64(), &longs[..], "case {case}");
-    }
 }
 
 #[test]

@@ -7,10 +7,13 @@
 //! runs and thread counts — the profile golden test runs the same query
 //! at threads 1 and 8 and compares the rendered tables byte for byte.
 
+use hape::core::fault::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, Trigger};
 use hape::core::serve::SessionServer;
 use hape::core::trace::{SpanKind, Trace, TraceRecorder};
-use hape::core::{ExecConfig, JoinAlgo, Placement, Session};
+use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
+use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
+use hape::storage::datagen::gen_key_fk_table;
 use hape::tpch::queries::q5_query;
 
 const SF: f64 = 0.01;
@@ -29,7 +32,7 @@ fn tpch_session() -> Session {
 }
 
 /// One traced Q5 run under the optimizer at the given thread count.
-fn traced_q5(threads: usize) -> (Trace, hape::core::QueryReport) {
+fn traced_q5(threads: usize) -> (Trace, QueryReport) {
     let session = tpch_session();
     let recorder = TraceRecorder::new();
     let cfg =
@@ -37,6 +40,30 @@ fn traced_q5(threads: usize) -> (Trace, hape::core::QueryReport) {
     let report = session
         .execute_with(&q5_query(JoinAlgo::Partitioned), &cfg)
         .expect("Q5 Auto completes");
+    (recorder.snapshot(), report)
+}
+
+/// One traced run of `tests/chaos.rs`'s join + aggregate under `Hybrid`
+/// on the paper testbed, with one injected fault.
+fn traced_faulted_join(
+    gpu: usize,
+    kind: FaultKind,
+    at_gpu_packet: usize,
+) -> (Trace, QueryReport) {
+    let mut session = Session::new(Server::paper_testbed());
+    session.register_as("fact", gen_key_fk_table(1 << 16, 1 << 18, 1));
+    session.register_as("dim", gen_key_fk_table(1 << 13, 1 << 13, 2));
+    let query = session
+        .query("join_agg")
+        .from_table("fact")
+        .join(Query::scan("dim"), "k", "k", JoinAlgo::NonPartitioned)
+        .agg(vec![(AggFunc::Count, col("k")), (AggFunc::Sum, col("v"))]);
+    let fault = FaultSpec { gpu, kind, trigger: Trigger::AtGpuPacket(at_gpu_packet) };
+    let recorder = TraceRecorder::new();
+    let cfg = ExecConfig::new(Placement::Hybrid)
+        .with_faults(FaultPlan::new(vec![fault], RetryPolicy::default()))
+        .with_trace(recorder.clone());
+    let report = session.execute_with(&query, &cfg).expect("the fault is recoverable");
     (recorder.snapshot(), report)
 }
 
@@ -75,34 +102,47 @@ fn spans_nest_packet_within_stage_within_query() {
 
 #[test]
 fn counters_agree_with_the_query_report() {
-    let (trace, report) = traced_q5(2);
-    let counter = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
-    // Per-class, per-worker and per-span packet accounting all agree.
-    let class_total = counter("packets.class.cpu") + counter("packets.class.gpu");
-    let per_worker: u64 = trace
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("packets.worker."))
-        .map(|(_, v)| v)
-        .sum();
-    let packet_spans = trace.spans.iter().filter(|s| s.kind == SpanKind::Packet).count() as u64;
-    assert_eq!(class_total, packet_spans, "one packet span per routed packet");
-    assert_eq!(per_worker, class_total, "per-worker counters decompose the class totals");
-    // The report counts stream/co-process packets only; build stages route
-    // packets through the same loop, so the trace's total dominates it.
-    assert!(
-        class_total >= (report.packets_cpu + report.packets_gpu) as u64,
-        "trace saw {class_total} packets, report {}+{}",
-        report.packets_cpu,
-        report.packets_gpu
-    );
-    // The probe saw rows; the h2d counters saw the broadcast traffic.
-    assert!(counter("rows.probe.in") > 0, "probe row counters recorded");
-    assert_eq!(
-        counter("h2d.broadcast_bytes") + counter("h2d.packet_bytes"),
-        report.h2d_bytes,
-        "h2d byte counters must decompose the report's h2d total"
-    );
+    let lost = traced_faulted_join(1, FaultKind::GpuFailed, 2);
+    let retried = traced_faulted_join(0, FaultKind::TransferError { failures: 2 }, 1);
+    for (ctx, (trace, report)) in
+        [("Q5", &traced_q5(2)), ("gpu1 lost", &lost), ("gpu0 retried", &retried)]
+    {
+        let counter = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+        // Per-class, per-worker and per-span packet accounting all agree.
+        let class_total = counter("packets.class.cpu") + counter("packets.class.gpu");
+        let per_worker: u64 = trace
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("packets.worker."))
+            .map(|(_, v)| v)
+            .sum();
+        let packet_spans =
+            trace.spans.iter().filter(|s| s.kind == SpanKind::Packet).count() as u64;
+        assert_eq!(class_total, packet_spans, "{ctx}: one packet span per routed packet");
+        assert_eq!(per_worker, class_total, "{ctx}: per-worker counters decompose the classes");
+        // The report counts stream/co-process packets only; build stages
+        // route packets through the same loop, so the trace's total
+        // dominates it.
+        assert!(
+            class_total >= (report.packets_cpu + report.packets_gpu) as u64,
+            "{ctx}: trace saw {class_total} packets, report {}+{}",
+            report.packets_cpu,
+            report.packets_gpu
+        );
+        // The probe saw rows; the h2d counters saw the broadcast traffic.
+        assert!(counter("rows.probe.in") > 0, "{ctx}: probe row counters recorded");
+        assert_eq!(
+            counter("h2d.broadcast_bytes") + counter("h2d.packet_bytes"),
+            report.h2d_bytes,
+            "{ctx}: h2d byte counters must decompose the report's h2d total"
+        );
+        // Recovery is counted once: the aborted attempt is visible as its
+        // fault span, not as packets the report never saw.
+        assert_eq!(counter("fault.retries"), report.retries as u64, "{ctx}: retries");
+        assert_eq!(counter("fault.replans"), report.replans as u64, "{ctx}: replans");
+    }
+    assert_eq!(lost.1.replans, 1, "losing gpu1 mid-stream re-places the stage once");
+    assert_eq!(retried.1.retries, 2, "both failed transfer attempts are priced");
 }
 
 #[test]
@@ -191,11 +231,9 @@ fn serving_layer_records_admission_and_cache_events() {
     assert!(trace.counters.get("cache.misses").copied().unwrap_or(0) >= 1);
     assert_eq!(trace.counters.get("admission.grants").copied(), Some(2));
 
-    // The batch's metrics snapshot and Display summary agree with it.
-    assert_eq!(batch.metrics.queries, 2);
-    assert_eq!(batch.metrics.failures, 0);
-    assert_eq!(batch.metrics.builds_cached, batch.total_builds_cached());
-    assert!(batch.metrics.builds_cached >= 1, "repeat served from cache");
+    // The batch's totals and Display summary agree with it.
+    assert_eq!(batch.outcomes.len(), 2);
+    assert!(batch.total_builds_cached() >= 1, "repeat served from cache");
     let text = batch.to_string();
     assert!(text.starts_with("served 2 queries"), "{text}");
     assert_eq!(text.matches("Q5").count(), 2, "one line per query:\n{text}");
