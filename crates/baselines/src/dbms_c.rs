@@ -1,19 +1,17 @@
 //! DBMS C: the MonetDB/X100-style vector-at-a-time CPU columnar engine.
 
+use std::collections::HashSet;
+
 use hape_core::engine::EngineError;
-use hape_core::error::PlanError;
-use hape_core::plan::{JoinTable, PipeOp, Pipeline, QueryPlan, Stage};
-use hape_core::provider::{probe_join, TableStore};
+use hape_core::plan::{Pipeline, QueryPlan};
+use hape_core::provider::{OpTrace, PacketWork, TableStore};
 use hape_core::Catalog;
 use hape_join::{cpu_npj, cpu_radix, JoinInput, JoinOutcome, OutputMode};
-use hape_ops::agg::AggState;
-use hape_ops::cpu as cpu_ops;
-use hape_sim::spec::CpuSpec;
+use hape_ops::{cpu as cpu_ops, GroupKey};
 use hape_sim::topology::Server;
 use hape_sim::{CpuCostModel, SimTime};
-use hape_storage::Batch;
 
-use crate::{BaselineError, BaselineReport};
+use crate::{run_stage, BaselineError, BaselineReport};
 
 /// X100-style vector length.
 const VECTOR_ROWS: usize = 1024;
@@ -38,13 +36,11 @@ impl DbmsC {
         DbmsC { server }
     }
 
-    fn model(&self) -> CpuCostModel {
-        let spec: &CpuSpec = &self.server.cpus[0];
-        CpuCostModel::new(spec.clone(), spec.cores)
-    }
-
-    fn workers(&self) -> f64 {
-        self.server.total_cpu_cores() as f64 * PAR_EFF
+    /// The per-core cost model of the first socket; `None` on a CPU-less
+    /// server.
+    fn model(&self) -> Option<CpuCostModel> {
+        let spec = self.server.cpus.first()?;
+        Some(CpuCostModel::new(spec.clone(), spec.cores))
     }
 
     /// The vector materialisation + interpretation surcharge for one
@@ -53,162 +49,87 @@ impl DbmsC {
         SimTime::from_secs(2.0 * bytes as f64 / VECTOR_CACHE_BW) + SimTime::from_ns(INTERP_NS)
     }
 
-    /// Run a query plan vector-at-a-time. Results match the engine's; the
-    /// cost model charges one full materialisation (+ re-read) per operator
-    /// per vector, which is the execution-model difference the paper
-    /// highlights on Q1.
+    /// Run a query plan vector-at-a-time. Results are the engine's (the
+    /// shared stage driver runs its kernel pass over 1 024-row vectors);
+    /// the cost model charges one full materialisation (+ re-read) per
+    /// operator per vector, which is the execution-model difference the
+    /// paper highlights on Q1.
     pub fn run_plan(
         &self,
         catalog: &Catalog,
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
         plan.validate().map_err(EngineError::InvalidPlan)?;
-        let model = self.model();
+        let no_cpu = || EngineError::DeviceNotPresent { device: "cpu0".into() };
+        let model = self.model().ok_or_else(no_cpu)?;
         let mut tables = TableStore::new();
-        let mut total = SimTime::ZERO;
-        let mut rows = Vec::new();
+        let mut report = BaselineReport::default();
         for stage in &plan.stages {
-            match stage {
-                Stage::Build { name, key_col, pipeline } => {
-                    let (batch, t) =
-                        self.run_pipeline(catalog, pipeline, &tables, &model, None)?;
-                    total += t;
-                    tables.insert(
-                        name.clone(),
-                        std::sync::Arc::new(JoinTable::build(batch, *key_col)),
-                    );
-                }
-                Stage::Stream { pipeline } => {
-                    let spec = pipeline.agg.clone().ok_or_else(|| {
-                        EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-                            name: plan.name.clone(),
-                        })
-                    })?;
-                    let mut agg = AggState::new(spec);
-                    let (_, t) =
-                        self.run_pipeline(catalog, pipeline, &tables, &model, Some(&mut agg))?;
-                    total += t;
-                    rows = agg.finish();
-                }
-            }
+            let mut t = SimTime::ZERO;
+            let mut groups = HashSet::new();
+            let rows =
+                run_stage(catalog, stage, VECTOR_ROWS, &mut tables, |p, work, tables| {
+                    self.price(&model, p, work, tables, &mut groups, &mut t)
+                })?;
+            report.rows.extend(rows); // only the stream stage returns any
+            report.time += t / (self.server.total_cpu_cores() as f64 * PAR_EFF);
         }
-        Ok(BaselineReport { rows, time: total })
+        Ok(report)
     }
 
-    fn run_pipeline(
+    /// Add one vector's charges to the stage clock `t`, replayed from the
+    /// kernel pass's recorded statistics in the order a vector-at-a-time
+    /// interpreter incurs them. `groups` mirrors the stream's group table
+    /// (the distinct keys of the vectors priced so far), exactly as the
+    /// engine's CPU worker derives its cumulative group count at commit.
+    fn price(
         &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        tables: &TableStore,
         model: &CpuCostModel,
-        mut agg: Option<&mut AggState>,
-    ) -> Result<(Batch, SimTime), EngineError> {
-        let table = catalog.lookup(&pipeline.source)?;
-        let mut outputs: Vec<Batch> = Vec::new();
-        let mut t = SimTime::ZERO;
-        // Stateful aggregates consume whole per-user runs; align the
-        // vector boundaries the same way the engine aligns its packets.
-        let vectors = match pipeline.stateful_agg() {
-            Some(sagg) => hape_ops::stateful::split_user_aligned(
-                &table.data,
-                sagg.user_col(),
-                VECTOR_ROWS,
-            ),
-            None => table.data.split(VECTOR_ROWS),
-        };
-        for vector in vectors {
-            t += cpu_ops::scan_cost(vector.bytes(), model);
-            let mut cur = vector;
-            for op in &pipeline.ops {
-                if cur.rows() == 0 {
-                    break;
-                }
-                // Vector-at-a-time: the operator's input vector was
-                // materialised by its producer and is re-read here.
-                t += self.vector_overhead(cur.bytes());
-                match op {
-                    PipeOp::Filter(pred) => {
-                        let (out, dt) = cpu_ops::filter(&cur, pred, model);
-                        cur = out;
-                        t += dt;
-                    }
-                    PipeOp::Project(exprs) => {
-                        let (out, dt) = cpu_ops::project(&cur, exprs, model);
-                        cur = out;
-                        t += dt;
-                    }
-                    PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
-                        let jt = tables.get(ht).expect("table built");
-                        let n = cur.rows() as u64;
-                        let (out, chain) = probe_join(&cur, jt, *key_col, build_payload_cols);
-                        t += model.ht_probe(n, chain, jt.bytes());
-                        t += model.seq_write(out.bytes());
-                        cur = out;
-                    }
-                    PipeOp::Stateful(sagg) => {
-                        // Vectors were user-aligned above, so the per-user
-                        // runs are intact inside each vector.
-                        let n = cur.rows() as u64;
-                        let (out, users) = hape_ops::stateful::run_stateful(sagg, &cur);
-                        t += hape_ops::stateful::cpu_cost(
-                            n,
-                            users as u64,
-                            users as u64 * sagg.state_bytes_per_user(),
-                            sagg.ops_per_row(),
-                            model,
-                        );
-                        t += model.seq_write(out.bytes());
-                        cur = out;
-                    }
-                }
-            }
-            if let Some(state) = agg.as_deref_mut() {
-                if cur.rows() > 0 {
-                    t += self.vector_overhead(cur.bytes());
-                    // Vectorised aggregation runs one primitive per
-                    // aggregate, each reading its argument vector and
-                    // materialising a result vector — the "multiple in-L1
-                    // passes" the paper blames for DBMS C's Q1 gap (§6.4).
-                    // Each expression node is its own primitive too
-                    // (x100-style: `1-disc`, `price*tmp`, … are separate
-                    // map primitives over temporary vectors).
-                    let spec = state.spec();
-                    let expr_passes: f64 = spec.aggs.iter().map(|(_, e)| e.ops_per_row()).sum();
-                    let passes = spec.aggs.len() + expr_passes.ceil() as usize;
-                    let prim_bytes = (cur.rows() * 16) as u64;
-                    for _ in 0..passes {
-                        t += self.vector_overhead(prim_bytes);
-                    }
-                    t += cpu_ops::agg_update(state, &cur, model);
-                }
-            } else if cur.rows() > 0 {
-                outputs.push(cur);
+        pipeline: &Pipeline,
+        work: &PacketWork,
+        tables: &TableStore,
+        groups: &mut HashSet<GroupKey>,
+        t: &mut SimTime,
+    ) -> Result<(), BaselineError> {
+        *t += cpu_ops::scan_cost(work.bytes, model);
+        for op in &work.ops {
+            // Vector-at-a-time: the operator's input vector was
+            // materialised by its producer and is re-read here.
+            *t += self.vector_overhead(op.bytes_in());
+            *t += op.cpu_cost(model, tables)?;
+            // Probes and stateful aggregates (whose per-user runs are intact
+            // inside the user-aligned vectors) write a new vector out.
+            if matches!(op, OpTrace::Probe { .. } | OpTrace::Stateful { .. }) {
+                *t += model.seq_write(op.bytes_out());
             }
         }
-        let batch = match outputs.len() {
-            0 => Batch::empty(),
-            1 => outputs.pop().expect("len checked"),
-            _ => {
-                let cols = (0..outputs[0].columns.len())
-                    .map(|c| {
-                        let parts: Vec<_> =
-                            outputs.iter().map(|b| b.columns[c].clone()).collect();
-                        hape_storage::Column::concat(&parts)
-                    })
-                    .collect();
-                Batch::new(cols)
+        if let (Some(spec), Some(info)) = (&pipeline.agg, &work.agg) {
+            *t += self.vector_overhead(work.out.bytes());
+            // Vectorised aggregation runs one primitive per aggregate, each
+            // reading its argument vector and materialising a result
+            // vector — the "multiple in-L1 passes" the paper blames for
+            // DBMS C's Q1 gap (§6.4). Each expression node is its own
+            // primitive too (x100-style: `1-disc`, `price*tmp`, … are
+            // separate map primitives over temporary vectors).
+            let expr_passes: f64 = spec.aggs.iter().map(|(_, e)| e.ops_per_row()).sum();
+            let passes = spec.aggs.len() + expr_passes.ceil() as usize;
+            for _ in 0..passes {
+                *t += self.vector_overhead(info.rows * 16);
             }
-        };
-        Ok((batch, t / self.workers()))
+            groups.extend(&info.groups);
+            *t += cpu_ops::agg_cost(spec, info.rows, groups.len(), model);
+        }
+        Ok(())
     }
 
     /// DBMS C's equi-join for the Figure 6 microbenchmark: a
     /// non-partitioned hash join with vector-at-a-time overheads.
+    /// Precondition (figure harness only): the server has a CPU socket.
     pub fn join_microbench(&self, r: JoinInput<'_>, s: JoinInput<'_>) -> JoinOutcome {
         let mut out = cpu_npj(
             r,
             s,
-            &self.model(),
+            &self.model().expect("DBMS C's join micro-benchmark needs a CPU socket"),
             self.server.total_cpu_cores(),
             OutputMode::AggregateOnly,
         );
@@ -219,12 +140,13 @@ impl DbmsC {
     /// DBMS C's join for the out-of-GPU sizes of Figure 7: internally a
     /// multi-pass partitioned join, but paying full vector materialisation
     /// between the passes — which is why its throughput stays "significantly
-    /// lower than the PCIe throughput" (§6.3).
+    /// lower than the PCIe throughput" (§6.3). Same precondition as
+    /// [`DbmsC::join_microbench`].
     pub fn join_large(&self, r: JoinInput<'_>, s: JoinInput<'_>) -> JoinOutcome {
         let mut out = cpu_radix(
             r,
             s,
-            &self.model(),
+            &self.model().expect("DBMS C's join micro-benchmark needs a CPU socket"),
             self.server.total_cpu_cores(),
             OutputMode::AggregateOnly,
         );
@@ -257,6 +179,15 @@ mod tests {
         let dbms = DbmsC::new(Server::paper_testbed());
         let rep = dbms.run_plan(&q5.catalog, &q5.plan).unwrap();
         assert!(rows_approx_eq(&rep.rows, &q5_reference(&data)));
+    }
+
+    #[test]
+    fn cpu_less_server_is_a_typed_refusal() {
+        let data = hape_tpch::generate(0.002, 31);
+        let q1 = q1_query().lower(&base_catalog(&data)).unwrap();
+        let server = Server { cpus: Vec::new(), ..Server::paper_testbed() };
+        let err = DbmsC::new(server).run_plan(&q1.catalog, &q1.plan).unwrap_err();
+        assert!(matches!(err, BaselineError::Engine(EngineError::DeviceNotPresent { .. })));
     }
 
     #[test]

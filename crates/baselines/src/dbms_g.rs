@@ -1,17 +1,16 @@
 //! DBMS G: the GPU operator-at-a-time engine.
 
 use hape_core::engine::EngineError;
-use hape_core::plan::{JoinTable, PipeOp, QueryPlan, Stage};
-use hape_core::provider::{probe_join, TableStore};
+use hape_core::plan::QueryPlan;
+use hape_core::provider::{OpTrace, PacketWork, TableStore};
 use hape_core::Catalog;
 use hape_join::{gpu_npj, JoinInput, JoinOutcome, OutputMode};
-use hape_ops::agg::AggState;
+use hape_ops::stateful::GPU_SEQ_CHAIN_FACTOR;
 use hape_sim::gpu::OutOfGpuMemory;
 use hape_sim::topology::Server;
-use hape_sim::{Fidelity, GpuSim, SimTime};
-use hape_storage::Batch;
+use hape_sim::{Fidelity, GpuSim, GpuSpec, SimTime};
 
-use crate::{BaselineError, BaselineReport};
+use crate::{run_stage, BaselineError, BaselineReport};
 
 /// Why DBMS G refused a query.
 #[derive(Debug, Clone)]
@@ -40,153 +39,113 @@ pub struct DbmsG {
 }
 
 impl DbmsG {
-    /// DBMS G on a server.
+    /// DBMS G on a server. A GPU-less server is accepted here and refused,
+    /// typed, by [`DbmsG::run_plan`].
     pub fn new(server: Server) -> Self {
-        assert!(!server.gpus.is_empty(), "DBMS G needs GPUs");
         DbmsG { server }
-    }
-
-    fn aggregate_capacity(&self) -> u64 {
-        self.server.gpus.iter().map(|g| g.dram_capacity as u64).sum()
     }
 
     /// Run a plan operator-at-a-time, entirely in GPU memory.
     ///
     /// Every operator is a separate kernel launch over the *whole* column
-    /// set, reading its materialised input and materialising its output in
-    /// device memory — so the query's working set is inputs + every
-    /// intermediate + the hash tables, all at once. Queries that do not fit
-    /// return [`GpuUnsupported`] (in the paper DBMS G could run only Q6 of
-    /// the four, §6.4).
+    /// set — the shared stage driver runs the engine's kernel pass over one
+    /// whole-table packet per stage — reading its materialised input and
+    /// materialising its output in device memory, so the query's working
+    /// set is inputs + every intermediate + the hash tables, all at once.
+    /// Queries that do not fit return [`GpuUnsupported`] (in the paper
+    /// DBMS G could run only Q6 of the four, §6.4).
     pub fn run_plan(
         &self,
         catalog: &Catalog,
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
         plan.validate().map_err(EngineError::InvalidPlan)?;
-        let n_gpus = self.server.gpus.len() as f64;
-        let gpu = &self.server.gpus[0];
-        let pcie_bw: f64 = self.server.pcie.iter().map(|l| l.bw).sum();
+        let no_gpu = || EngineError::DeviceNotPresent { device: "gpu0".into() };
+        let gpu = self.server.gpus.first().ok_or_else(no_gpu)?;
         let mut tables = TableStore::new();
-        let mut total = SimTime::ZERO;
-        let mut rows = Vec::new();
-        let mut resident: u64 = 0; // bytes pinned in device memory
-
+        let mut report = BaselineReport::default();
+        let mut resident: u64 = 0; // input + intermediate bytes pinned in device memory
         for stage in &plan.stages {
-            let pipeline = match stage {
-                Stage::Build { pipeline, .. } | Stage::Stream { pipeline } => pipeline,
-            };
-            let table = catalog.lookup(&pipeline.source)?;
-            // Transfer the inputs (split across the PCIe links).
-            let in_bytes = table.bytes();
-            resident += in_bytes;
-            total += SimTime::from_secs(in_bytes as f64 / pcie_bw + 20e-6);
-
-            // Operator-at-a-time execution over the whole input.
-            let mut cur = table.data.clone();
-            let mut t_stage = SimTime::ZERO;
-            for op in &pipeline.ops {
-                if cur.rows() == 0 {
-                    break;
-                }
-                let in_b = cur.bytes();
-                match op {
-                    PipeOp::Filter(pred) => {
-                        let keep = hape_ops::eval_bool(pred, &cur);
-                        let sel: Vec<u32> = keep
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &k)| k)
-                            .map(|(i, _)| i as u32)
-                            .collect();
-                        cur = Batch {
-                            columns: cur.columns.iter().map(|c| c.take(&sel)).collect(),
-                            partition: cur.partition,
-                        };
-                    }
-                    PipeOp::Project(exprs) => {
-                        let cols = exprs
-                            .iter()
-                            .map(|e| {
-                                hape_storage::Column::from_f64(
-                                    hape_ops::eval(e, &cur).as_f64().to_vec(),
-                                )
-                            })
-                            .collect();
-                        cur = Batch { columns: cols, partition: cur.partition };
-                    }
-                    PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
-                        let jt = tables.get(ht).expect("table built");
-                        let probes = cur.rows() as f64;
-                        let (out, chain) = probe_join(&cur, jt, *key_col, build_payload_cols);
-                        // Random device-memory probes over-fetch a line each.
-                        t_stage += SimTime::from_secs(
-                            probes * (1.0 + chain) * gpu.l1.line as f64
-                                / (gpu.dram_bw * n_gpus),
-                        );
-                        cur = out;
-                    }
-                    PipeOp::Stateful(sagg) => {
-                        // Operator-at-a-time over the whole input, so the
-                        // per-user runs stay intact — but every row is one
-                        // step of a serial state chain the GPU cannot
-                        // latency-hide (the engine's sequential-state term,
-                        // at full strength).
-                        let rows = cur.rows() as f64;
-                        let (out, users) = hape_ops::stateful::run_stateful(sagg, &cur);
-                        let state_ws = (users as u64 * sagg.state_bytes_per_user()).max(64);
-                        t_stage += SimTime::from_secs(
-                            rows * gpu.random_access_ns(state_ws)
-                                * hape_ops::stateful::GPU_SEQ_CHAIN_FACTOR
-                                / 1e9
-                                / n_gpus,
-                        );
-                        cur = out;
-                    }
-                }
-                let out_b = cur.bytes();
-                resident += out_b;
-                // One kernel per operator: stream in + materialise out.
-                t_stage += SimTime::from_secs(
-                    (in_b + out_b) as f64 * MATERIALISE_FACTOR / (gpu.dram_bw * n_gpus),
-                ) + SimTime::from_ns(gpu.launch_overhead_ns);
-            }
-            if resident > self.aggregate_capacity() {
-                return Err(GpuUnsupported {
-                    reason: format!(
-                        "working set {resident} bytes exceeds aggregate GPU memory {}",
-                        self.aggregate_capacity()
-                    ),
-                }
-                .into());
-            }
-            total += t_stage;
-            match stage {
-                Stage::Build { name, key_col, .. } => {
-                    let jt = JoinTable::build(cur, *key_col);
-                    resident += jt.bytes();
-                    tables.insert(name.clone(), std::sync::Arc::new(jt));
-                }
-                Stage::Stream { pipeline } => {
-                    // Guaranteed by the validate() at entry.
-                    let spec = pipeline.agg.clone().expect("validated stream aggregates");
-                    let mut agg = AggState::new(spec);
-                    if cur.rows() > 0 {
-                        // Final aggregation kernel.
-                        total +=
-                            SimTime::from_secs(cur.bytes() as f64 / (gpu.dram_bw * n_gpus))
-                                + SimTime::from_ns(gpu.launch_overhead_ns);
-                        agg.update(&cur);
-                    }
-                    rows = agg.finish();
-                }
-            }
+            let rows =
+                run_stage(catalog, stage, usize::MAX, &mut tables, |_, work, tables| {
+                    self.price(gpu, work, tables, &mut resident, &mut report.time)
+                })?;
+            report.rows.extend(rows); // only the stream stage returns any
         }
-        Ok(BaselineReport { rows, time: total })
+        Ok(report)
+    }
+
+    /// Add one stage's charges (its single whole-table packet) to the query
+    /// clock `total`, replayed from the kernel pass's recorded statistics:
+    /// the input transfer, one kernel per operator, the capacity check over
+    /// everything `resident` plus the hash tables built so far, and the
+    /// final aggregation kernel.
+    fn price(
+        &self,
+        gpu: &GpuSpec,
+        work: &PacketWork,
+        tables: &TableStore,
+        resident: &mut u64,
+        total: &mut SimTime,
+    ) -> Result<(), BaselineError> {
+        let n_gpus = self.server.gpus.len() as f64;
+        let pcie_bw: f64 = self.server.pcie.iter().map(|l| l.bw).sum();
+        // Transfer the inputs (split across the PCIe links).
+        *resident += work.bytes;
+        *total += SimTime::from_secs(work.bytes as f64 / pcie_bw + 20e-6);
+
+        // Operator-at-a-time execution over the whole input.
+        let mut t_stage = SimTime::ZERO;
+        for op in &work.ops {
+            let rows = op.rows_in() as f64;
+            match op {
+                OpTrace::Filter { .. } | OpTrace::Project { .. } => {}
+                // Random device-memory probes over-fetch a line each.
+                OpTrace::Probe { avg_chain, .. } => {
+                    t_stage += SimTime::from_secs(
+                        rows * (1.0 + avg_chain) * gpu.l1.line as f64 / (gpu.dram_bw * n_gpus),
+                    );
+                }
+                // The per-user runs stay intact in the whole-table packet —
+                // but every row is one step of a serial state chain the GPU
+                // cannot latency-hide (the engine's sequential-state term,
+                // at full strength).
+                OpTrace::Stateful { state_bytes, .. } => {
+                    t_stage += SimTime::from_secs(
+                        rows * gpu.random_access_ns((*state_bytes).max(64))
+                            * GPU_SEQ_CHAIN_FACTOR
+                            / 1e9
+                            / n_gpus,
+                    );
+                }
+            }
+            *resident += op.bytes_out();
+            // One kernel per operator: stream in + materialise out.
+            t_stage += SimTime::from_secs(
+                (op.bytes_in() + op.bytes_out()) as f64 * MATERIALISE_FACTOR
+                    / (gpu.dram_bw * n_gpus),
+            ) + SimTime::from_ns(gpu.launch_overhead_ns);
+        }
+        let pinned = *resident + tables.values().map(|jt| jt.bytes()).sum::<u64>();
+        let capacity: u64 = self.server.gpus.iter().map(|g| g.dram_capacity as u64).sum();
+        if pinned > capacity {
+            let reason =
+                format!("working set {pinned} bytes exceeds aggregate GPU memory {capacity}");
+            return Err(GpuUnsupported { reason }.into());
+        }
+        *total += t_stage;
+        if work.folds && work.out.rows() > 0 {
+            // Final aggregation kernel.
+            *total += SimTime::from_secs(work.out.bytes() as f64 / (gpu.dram_bw * n_gpus))
+                + SimTime::from_ns(gpu.launch_overhead_ns);
+        }
+        Ok(())
     }
 
     /// DBMS G's equi-join for Figure 6 (data pre-loaded in GPU memory):
     /// a non-partitioned join plus operator-at-a-time materialisation.
+    /// Precondition (figure harness only, like [`DbmsG::join_uva_time`]):
+    /// the server has a GPU.
     pub fn join_microbench(
         &self,
         r: JoinInput<'_>,
@@ -259,6 +218,14 @@ mod tests {
         assert!(dbms.run_plan(&q9.catalog, &q9.plan).is_err(), "Q9 should not fit");
         let q6 = lower(q6_query());
         assert!(dbms.run_plan(&q6.catalog, &q6.plan).is_ok(), "Q6 must fit");
+    }
+
+    #[test]
+    fn gpu_less_server_is_a_typed_refusal() {
+        let data = hape_tpch::generate(0.002, 41);
+        let q6 = q6_query().lower(&base_catalog(&data)).unwrap();
+        let err = DbmsG::new(Server::cpu_only()).run_plan(&q6.catalog, &q6.plan).unwrap_err();
+        assert!(matches!(err, BaselineError::Engine(EngineError::DeviceNotPresent { .. })));
     }
 
     #[test]

@@ -41,9 +41,10 @@
 //! deterministic plain-text predicted-vs-observed profile table instead
 //! (the two flags compose: one traced run feeds both exporters).
 //!
-//! Unknown `--flags` and unknown figure ids are rejected with an error
-//! and the usage synopsis (exit code 2) — a typo like `--trase x.json` or
-//! `fig10` aborts instead of silently running something else, or nothing.
+//! Unknown `--flags`, unknown figure ids and flag values that do not parse
+//! (`--sf abc`, `--placements foo`) are rejected with an error and the
+//! usage synopsis (exit code 2) — a typo like `--trase x.json` or `fig10`
+//! aborts instead of silently running something else, or nothing.
 
 use hape_bench::chaos::{chaos_tpch, print_chaos};
 use hape_bench::figures::{fig5, fig6, fig7, fig8_opts, fig9, print_figure};
@@ -82,6 +83,13 @@ enum CliError {
     MissingValue(String),
     /// A positional argument that names no figure.
     UnknownFigure(String),
+    /// A flag's value that does not parse as what the flag takes.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// What followed it.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for CliError {
@@ -90,6 +98,7 @@ impl std::fmt::Display for CliError {
             CliError::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
             CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
             CliError::UnknownFigure(id) => write!(f, "unknown figure: {id}"),
+            CliError::BadValue { flag, value } => write!(f, "bad value for {flag}: {value}"),
         }
     }
 }
@@ -133,46 +142,57 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
 }
 
+/// The value following `flag` run through `parse`; one that does not
+/// parse is a typed refusal, never a silent default.
+fn parsed<T, E>(
+    args: &[String],
+    flag: &'static str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Option<T>, CliError> {
+    flag_value(args, flag)
+        .map(|v| parse(v).map_err(|_| CliError::BadValue { flag, value: v.clone() }))
+        .transpose()
+}
+
+/// `--threads`: the data-plane pool size (of a list, the first value).
+fn first_count(list: &str) -> Result<usize, std::num::ParseIntError> {
+    list.split(',').next().unwrap_or_default().parse::<usize>().map(|n| n.max(1))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let figure = validate_args(&args).unwrap_or_else(|e| {
+    if let Err(e) = run(&args) {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
-    });
+    }
+}
+
+/// Check the whole command line — arguments, then every typed flag value,
+/// before any work starts — and run what it asks for.
+fn run(args: &[String]) -> Result<(), CliError> {
+    let figure = validate_args(args)?;
     let full = args.iter().any(|a| a == "--full");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let sf = flag_value(&args, "--sf").and_then(|v| v.parse::<f64>().ok()).unwrap_or(if full {
+    let sf = parsed(args, "--sf", str::parse)?.unwrap_or(if full {
         1.0
     } else if smoke {
         0.01
     } else {
         0.05
     });
-    let placements: Vec<Placement> = flag_value(&args, "--placements")
-        .map(|list| {
-            list.split(',')
-                .map(|p| p.parse::<Placement>().unwrap_or_else(|e| panic!("{e}")))
-                .collect()
-        })
+    let placements = parsed(args, "--placements", |v| v.split(',').map(str::parse).collect())?
         .unwrap_or_else(|| {
             vec![Placement::CpuOnly, Placement::Hybrid, Placement::GpuOnly, Placement::Auto]
         });
-    let packet_rows = flag_value(&args, "--packet-rows").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| panic!("--packet-rows expects a row count"))
-    });
-    // `--threads`: the data-plane pool size (of a list, the first value);
-    // absent means "engine default".
-    let threads: Option<usize> = flag_value(&args, "--threads").map(|list| {
-        let first = list.split(',').next().unwrap_or_default();
-        first.parse::<usize>().unwrap_or_else(|_| panic!("--threads expects a count")).max(1)
-    });
-    let users = flag_value(&args, "--users")
-        .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-        .unwrap_or(if smoke { 2_000 } else { 20_000 });
+    let packet_rows: Option<usize> = parsed(args, "--packet-rows", str::parse)?;
+    let threads = parsed(args, "--threads", first_count)?;
+    let users =
+        parsed(args, "--users", str::parse)?.unwrap_or(if smoke { 2_000 } else { 20_000 });
+    let seed: u64 = parsed(args, "--seed", str::parse)?.unwrap_or(42);
 
     // `--trace` / `--profile`: one traced TPC-H run under Auto feeds both
     // exporters — the Chrome JSON artifact and/or the profile table.
-    let trace_path = flag_value(&args, "--trace");
+    let trace_path = flag_value(args, "--trace");
     let profile = args.iter().any(|a| a == "--profile");
     if trace_path.is_some() || profile {
         let trace = trace_tpch(sf, threads, packet_rows);
@@ -187,38 +207,35 @@ fn main() {
         if profile {
             print!("{}", trace.render_profile());
         }
-        return;
+        return Ok(());
     }
 
     if args.iter().any(|a| a == "--verify") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("VERIFY_tpch.json");
+        let out = flag_value(args, "--out").map(String::as_str).unwrap_or("VERIFY_tpch.json");
         let sweep = verify_tpch(sf, users);
         print_verify(&sweep);
-        hape_bench::verify::write_json(&sweep, out)
+        std::fs::write(out, hape_bench::verify::to_json(&sweep) + "\n")
             .unwrap_or_else(|e| panic!("writing {out}: {e}"));
         println!("wrote {out}");
         if !sweep.clean() {
             eprintln!("static and runtime verdicts disagree — see {out}");
             std::process::exit(1);
         }
-        return;
+        return Ok(());
     }
 
     if args.iter().any(|a| a == "--chaos") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("CHAOS_tpch.json");
-        let seed = flag_value(&args, "--seed")
-            .map(|v| v.parse::<u64>().unwrap_or_else(|_| panic!("--seed expects a u64")))
-            .unwrap_or(42);
+        let out = flag_value(args, "--out").map(String::as_str).unwrap_or("CHAOS_tpch.json");
         let sweep = chaos_tpch(sf, users, seed);
         print_chaos(&sweep);
-        hape_bench::chaos::write_json(&sweep, out)
+        std::fs::write(out, hape_bench::chaos::to_json(&sweep) + "\n")
             .unwrap_or_else(|e| panic!("writing {out}: {e}"));
         println!("wrote {out}");
         if !sweep.rows_identical() {
             eprintln!("a fault schedule changed an answer — see {out}");
             std::process::exit(1);
         }
-        return;
+        return Ok(());
     }
 
     let run = |id: &str| figure.is_none_or(|f| f == "all" || f == id);
@@ -261,6 +278,7 @@ fn main() {
     if run("fig9") {
         print_figure(&fig9(sf));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -289,5 +307,24 @@ mod tests {
             validate_args(&args("fig8 --sf")),
             Err(CliError::MissingValue(f)) if f == "--sf"
         ));
+    }
+
+    #[test]
+    fn flag_values_that_do_not_parse_are_rejected() {
+        // Every typed value is checked before any work starts, so a bad one
+        // returns at once.
+        let lines =
+            "--sf abc|--placements cpu,foo|--packet-rows x|--threads x,2|--users -3|--seed 1.5";
+        for line in lines.split('|') {
+            let (flag, value) = line.split_once(' ').expect("flag and value");
+            let err = run(&args(&format!("--smoke {line}"))).expect_err(line);
+            assert!(
+                matches!(&err, CliError::BadValue { flag: f, value: v } if *f == flag && v == value),
+                "{line}: {err}"
+            );
+        }
+        let threads = parsed(&args("--threads 4,8"), "--threads", first_count);
+        assert!(matches!(threads, Ok(Some(4))));
+        assert!(matches!(parsed(&args("--smoke"), "--sf", str::parse::<f64>), Ok(None)));
     }
 }

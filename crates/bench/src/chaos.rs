@@ -25,15 +25,14 @@
 //!   Each cell records the worst relative error observed (`max_rel_err`)
 //!   so the artifact quantifies the round-off instead of hiding it.
 //!
-//! [`write_json`] serialises to `CHAOS_tpch.json` (hand-rolled — no serde
-//! in the offline workspace), regenerated by CI smoke and uploaded next to
-//! the `VERIFY_*` artifact.
+//! [`to_json`] serialises to `CHAOS_tpch.json` (through the sweeps' shared
+//! envelope, [`crate::sweep_json`]), regenerated by CI smoke and uploaded
+//! next to the `VERIFY_*` artifact.
 
 use hape_core::trace::{json_escape, TraceRecorder};
-use hape_core::{Engine, ExecConfig, FaultPlan, JoinAlgo, Placement};
-use hape_sim::topology::Server;
-use hape_tpch::events::{behavioral_queries, generate_events};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_core::{ExecConfig, FaultPlan, Placement};
+
+use crate::{suite, sweep_json, SuiteQuery, PLACEMENTS};
 
 /// One `(query, placement)` chaos cell: a clean run vs a faulted run.
 #[derive(Debug, Clone)]
@@ -115,14 +114,8 @@ fn rows_match<K: PartialEq>(a: &[(K, Vec<f64>)], b: &[(K, Vec<f64>)]) -> (bool, 
     (max_rel <= REL_TOL, max_rel)
 }
 
-fn chaos_one(
-    engine: &Engine,
-    catalog: &hape_core::Catalog,
-    plan: &hape_core::QueryPlan,
-    name: &str,
-    placement: Placement,
-    seed: u64,
-) -> ChaosPoint {
+fn chaos_one((engine, lowered): &SuiteQuery, placement: Placement, seed: u64) -> ChaosPoint {
+    let (catalog, plan) = (&lowered.catalog, &lowered.plan);
     let clean = engine.run(catalog, plan, &ExecConfig::new(placement));
     let recorder = TraceRecorder::new();
     let faulted_cfg = ExecConfig::new(placement)
@@ -143,7 +136,7 @@ fn chaos_one(
         _ => (false, f64::INFINITY, 1.0),
     };
     ChaosPoint {
-        query: name.to_string(),
+        query: plan.name.clone(),
         placement,
         clean_ok: clean.is_ok(),
         faulted_ok: faulted.is_ok(),
@@ -161,51 +154,10 @@ fn chaos_one(
 /// fired faults, priced recovery work, the degradation ratio and the
 /// rows-identical bit.
 pub fn chaos_tpch(sf: f64, n_users: usize, seed: u64) -> ChaosSweep {
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    let mut points = Vec::new();
-
-    // TPC-H over the scaled testbed (the repo benchmark's setup).
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let engine = Engine::new(Server::tpch_scaled(sf));
-    let queries = vec![
-        ("Q1", q1_query()),
-        ("Q5", q5_query(JoinAlgo::Partitioned)),
-        ("Q6", q6_query()),
-        ("Q9*", q9_query(JoinAlgo::Partitioned)),
-    ];
-    for (name, q) in &queries {
-        let lowered = q.lower(&catalog).expect("TPC-H query lowers");
-        for placement in placements {
-            points.push(chaos_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                name,
-                placement,
-                seed,
-            ));
-        }
-    }
-
-    // The behavioral suite over the paper testbed.
-    let mut catalog = hape_core::Catalog::new();
-    catalog.register(generate_events(n_users, 7171));
-    let engine = Engine::new(Server::paper_testbed());
-    for q in behavioral_queries() {
-        let lowered = q.lower(&catalog).expect("behavioral query lowers");
-        for placement in placements {
-            points.push(chaos_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                &q.name,
-                placement,
-                seed,
-            ));
-        }
-    }
+    let points = suite(sf, n_users)
+        .iter()
+        .flat_map(|q| PLACEMENTS.map(|placement| chaos_one(q, placement, seed)))
+        .collect();
     ChaosSweep { sf, n_users, seed, points }
 }
 
@@ -252,26 +204,25 @@ pub fn print_chaos(sweep: &ChaosSweep) {
     );
 }
 
-/// Serialise the sweep to JSON (hand-rolled; the offline workspace has no
-/// serde). Stable shape: `{sf, n_users, seed, combos, faults_fired,
-/// rows_identical, points: [{query, placement, clean_ok, faulted_ok,
-/// injected, retries, replans, degraded_ratio, max_rel_err,
+/// Serialise the sweep to JSON. Stable shape: `{sf, n_users, seed, combos,
+/// faults_fired, rows_identical, points: [{query, placement, clean_ok,
+/// faulted_ok, injected, retries, replans, degraded_ratio, max_rel_err,
 /// rows_identical}]}`.
 pub fn to_json(sweep: &ChaosSweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"sf\": {},\n", sweep.sf));
-    out.push_str(&format!("  \"n_users\": {},\n", sweep.n_users));
-    out.push_str(&format!("  \"seed\": {},\n", sweep.seed));
-    out.push_str(&format!("  \"combos\": {},\n", sweep.points.len()));
-    out.push_str(&format!("  \"faults_fired\": {},\n", sweep.total_injected()));
-    out.push_str(&format!("  \"rows_identical\": {},\n", sweep.rows_identical()));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in sweep.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"placement\": \"{}\", \"clean_ok\": {}, \
+    let header = [
+        ("sf", sweep.sf.to_string()),
+        ("n_users", sweep.n_users.to_string()),
+        ("seed", sweep.seed.to_string()),
+        ("combos", sweep.points.len().to_string()),
+        ("faults_fired", sweep.total_injected().to_string()),
+        ("rows_identical", sweep.rows_identical().to_string()),
+    ];
+    let point = |p: &ChaosPoint| {
+        format!(
+            "{{\"query\": \"{}\", \"placement\": \"{}\", \"clean_ok\": {}, \
              \"faulted_ok\": {}, \"injected\": {}, \"retries\": {}, \"replans\": {}, \
              \"degraded_ratio\": {:.6}, \"max_rel_err\": {:e}, \
-             \"rows_identical\": {}}}{}\n",
+             \"rows_identical\": {}}}",
             json_escape(&p.query),
             p.placement,
             p.clean_ok,
@@ -282,17 +233,9 @@ pub fn to_json(sweep: &ChaosSweep) -> String {
             p.degraded_ratio,
             p.max_rel_err,
             p.rows_identical,
-            if i + 1 < sweep.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push('}');
-    out
-}
-
-/// Write the sweep to `path` (conventionally `CHAOS_tpch.json`).
-pub fn write_json(sweep: &ChaosSweep, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, to_json(sweep) + "\n")
+        )
+    };
+    sweep_json(&header, &sweep.points.iter().map(point).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@ use hape_join::{
 use hape_sim::topology::Server;
 use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec};
 use hape_storage::datagen::{gen_balanced_partition_keys, gen_unique_keys};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_tpch::queries::{base_catalog, q5_query};
+
+use crate::tpch_suite;
 
 /// One line/bar series of a figure.
 #[derive(Debug, Clone)]
@@ -249,24 +251,15 @@ pub fn fig8_opts(
     packet_rows: Option<usize>,
     threads: Option<usize>,
 ) -> Figure {
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
     let server = Server::tpch_scaled(sf);
-    let engine = Engine::new(server.clone());
     let dbms_c = DbmsC::new(server.clone());
     let dbms_g = DbmsG::new(server);
-    let queries: Vec<(&str, hape_core::LoweredQuery)> = vec![
-        ("Q1", q1_query().lower(&catalog).expect("Q1 lowers")),
-        ("Q5", q5_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q5 lowers")),
-        ("Q6", q6_query().lower(&catalog).expect("Q6 lowers")),
-        ("Q9*", q9_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q9 lowers")),
-    ];
     let mut series: Vec<Series> = std::iter::once("DBMS C")
         .chain(placements.iter().map(|&p| proteus_label(p)))
         .chain(std::iter::once("DBMS G"))
         .map(|l| Series { label: l.to_string(), points: Vec::new() })
         .collect();
-    for (qi, (_name, q)) in queries.iter().enumerate() {
+    for (qi, (engine, q)) in tpch_suite(sf).iter().enumerate() {
         let x = qi as f64 + 1.0;
         series[0].points.push((
             x,

@@ -13,17 +13,16 @@
 //!   manual `gpu` placement) must be flagged by the verifier too — the
 //!   static analysis predicts the runtime refusal.
 //!
-//! [`write_json`] serialises to `VERIFY_tpch.json` (hand-rolled — no
-//! serde in the offline workspace), regenerated by CI smoke and uploaded
-//! next to the `CHAOS_*`/`TRACE_*` artifacts; the top-level `"clean"`
-//! flag is the machine-checkable acceptance bit.
+//! [`to_json`] serialises to `VERIFY_tpch.json` (through the sweeps'
+//! shared envelope, [`crate::sweep_json`]), regenerated by CI smoke and
+//! uploaded next to the `CHAOS_*`/`TRACE_*` artifacts; the top-level
+//! `"clean"` flag is the machine-checkable acceptance bit.
 
 use hape_core::trace::json_escape;
 use hape_core::verify::check_placed;
-use hape_core::{optimize, place, Engine, ExecConfig, JoinAlgo, Placement};
-use hape_sim::topology::Server;
-use hape_tpch::events::{behavioral_queries, generate_events};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_core::{ExecConfig, Placement};
+
+use crate::{suite, sweep_json, SuiteQuery, PLACEMENTS};
 
 /// One `(query, placement)` verification cell.
 #[derive(Debug, Clone)]
@@ -64,23 +63,13 @@ impl VerifySweep {
     }
 }
 
-fn verify_one(
-    engine: &Engine,
-    catalog: &hape_core::Catalog,
-    plan: &hape_core::QueryPlan,
-    name: &str,
-    placement: Placement,
-) -> VerifyPoint {
-    let cfg = ExecConfig::new(placement);
-    let placed = match placement {
-        Placement::Auto => optimize(plan, catalog, &cfg, &engine.server),
-        _ => place(plan, &cfg, &engine.server),
-    };
-    let Ok(placed) = placed else {
+fn verify_one((engine, lowered): &SuiteQuery, placement: Placement) -> VerifyPoint {
+    let (catalog, plan) = (&lowered.catalog, &lowered.plan);
+    let Ok(placed) = engine.place(catalog, plan, &ExecConfig::new(placement)) else {
         // The combination does not even place (the optimizer refused);
         // the engine would refuse identically, so the verdicts agree.
         return VerifyPoint {
-            query: name.to_string(),
+            query: plan.name.clone(),
             placement,
             placed: false,
             stages: 0,
@@ -95,7 +84,7 @@ fn verify_one(
         .collect();
     let engine_accepts = engine.run_placed(catalog, &placed).is_ok();
     VerifyPoint {
-        query: name.to_string(),
+        query: plan.name.clone(),
         placement,
         placed: true,
         stages: placed.stages.len(),
@@ -109,43 +98,10 @@ fn verify_one(
 /// statically verify every placed plan, execute it, and record whether
 /// the static and runtime verdicts agree.
 pub fn verify_tpch(sf: f64, n_users: usize) -> VerifySweep {
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    let mut points = Vec::new();
-
-    // TPC-H over the scaled testbed (the repo benchmark's setup).
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let engine = Engine::new(Server::tpch_scaled(sf));
-    let queries = vec![
-        ("Q1", q1_query()),
-        ("Q5", q5_query(JoinAlgo::Partitioned)),
-        ("Q6", q6_query()),
-        ("Q9*", q9_query(JoinAlgo::Partitioned)),
-    ];
-    for (name, q) in &queries {
-        let lowered = q.lower(&catalog).expect("TPC-H query lowers");
-        for placement in placements {
-            points.push(verify_one(&engine, &lowered.catalog, &lowered.plan, name, placement));
-        }
-    }
-
-    // The behavioral suite over the paper testbed.
-    let mut catalog = hape_core::Catalog::new();
-    catalog.register(generate_events(n_users, 7171));
-    let engine = Engine::new(Server::paper_testbed());
-    for q in behavioral_queries() {
-        let lowered = q.lower(&catalog).expect("behavioral query lowers");
-        for placement in placements {
-            points.push(verify_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                &q.name,
-                placement,
-            ));
-        }
-    }
+    let points = suite(sf, n_users)
+        .iter()
+        .flat_map(|q| PLACEMENTS.map(|placement| verify_one(q, placement)))
+        .collect();
     VerifySweep { sf, n_users, points }
 }
 
@@ -178,44 +134,36 @@ pub fn print_verify(sweep: &VerifySweep) {
     println!("clean: {}", sweep.clean());
 }
 
-/// Serialise the sweep to JSON (hand-rolled; the offline workspace has no
-/// serde). Stable shape: `{sf, n_users, combos, clean, points: [{query,
-/// placement, placed, stages, engine_accepts, agree, diagnostics: [..]}]}`.
+/// Serialise the sweep to JSON. Stable shape: `{sf, n_users, combos,
+/// clean, points: [{query, placement, placed, stages, engine_accepts,
+/// agree, diagnostics: [..]}]}`.
 pub fn to_json(sweep: &VerifySweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"sf\": {},\n", sweep.sf));
-    out.push_str(&format!("  \"n_users\": {},\n", sweep.n_users));
-    out.push_str(&format!("  \"combos\": {},\n", sweep.points.len()));
-    out.push_str(&format!("  \"clean\": {},\n", sweep.clean()));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in sweep.points.iter().enumerate() {
+    let header = [
+        ("sf", sweep.sf.to_string()),
+        ("n_users", sweep.n_users.to_string()),
+        ("combos", sweep.points.len().to_string()),
+        ("clean", sweep.clean().to_string()),
+    ];
+    let point = |p: &VerifyPoint| {
         let diags = p
             .diagnostics
             .iter()
             .map(|d| format!("\"{}\"", json_escape(d)))
             .collect::<Vec<_>>()
             .join(", ");
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"placement\": \"{}\", \"placed\": {}, \
+        format!(
+            "{{\"query\": \"{}\", \"placement\": \"{}\", \"placed\": {}, \
              \"stages\": {}, \"engine_accepts\": {}, \"agree\": {}, \
-             \"diagnostics\": [{diags}]}}{}\n",
+             \"diagnostics\": [{diags}]}}",
             json_escape(&p.query),
             p.placement,
             p.placed,
             p.stages,
             p.engine_accepts,
             p.agree,
-            if i + 1 < sweep.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push('}');
-    out
-}
-
-/// Write the sweep to `path` (conventionally `VERIFY_tpch.json`).
-pub fn write_json(sweep: &VerifySweep, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, to_json(sweep) + "\n")
+        )
+    };
+    sweep_json(&header, &sweep.points.iter().map(point).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

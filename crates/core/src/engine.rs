@@ -434,7 +434,7 @@ impl Engine {
         let mut workers = env.workers_for(&segments, None)?;
         let out = env.run_workers(pipeline, &mut workers, RoutingPolicy::LoadAware, start)?;
         let busy = workers.iter().map(|w| w.busy()).sum();
-        Ok((concat_outputs(out.outputs), out.end, busy))
+        Ok((Batch::concat(out.outputs), out.end, busy))
     }
 
     /// Build a named hash table by materialising `pipeline` on the CPU.
@@ -613,7 +613,7 @@ impl StageEnv<'_> {
         let wall_prefix_start = self.ledger.recorder().now_ns();
         let mut workers = self.workers_for(segments, None)?;
         let pre = self.run_workers(&prefix, &mut workers, policy, start)?;
-        let inter = concat_outputs(pre.outputs);
+        let inter = Batch::concat(pre.outputs);
         let wall_prefix_end = self.ledger.recorder().now_ns();
 
         // ---- 2. Co-partition + single-pass GPU joins on the stage's
@@ -1162,7 +1162,7 @@ impl<'a> QueryExec<'a> {
                 let mut workers = env.workers_for(segments, None)?;
                 let out = env.run_workers(pipeline, &mut workers, policy, start)?;
                 self.clock = out.end;
-                let table = Arc::new(JoinTable::build(concat_outputs(out.outputs), *key_col));
+                let table = Arc::new(JoinTable::build(Batch::concat(out.outputs), *key_col));
                 let rows = table.rows();
                 self.tables.insert(name.clone(), table);
                 rows
@@ -1282,24 +1282,6 @@ impl<'a> QueryExec<'a> {
     pub fn finish(self) -> QueryReport {
         self.ledger.query_done(self.clock, self.rows.len() as u64);
         QueryReport { rows: self.rows, time: self.clock, ..self.ledger.tally().clone() }
-    }
-}
-
-/// Concatenate packet outputs into one batch (column-wise).
-fn concat_outputs(outputs: Vec<Batch>) -> Batch {
-    match outputs.len() {
-        0 => Batch::empty(),
-        1 => outputs.into_iter().next().expect("len checked"),
-        _ => {
-            let n_cols = outputs[0].columns.len();
-            let cols = (0..n_cols)
-                .map(|c| {
-                    let parts: Vec<_> = outputs.iter().map(|b| b.columns[c].clone()).collect();
-                    hape_storage::Column::concat(&parts)
-                })
-                .collect();
-            Batch::new(cols)
-        }
     }
 }
 

@@ -86,8 +86,11 @@ impl Scratch {
 
 /// Per-operator record of the canonical functional pass ([`run_ops`]):
 /// the statistics each device class's cost model needs to price the
-/// operator *without re-running it*. Column references are Arc-backed
-/// views — recording a trace copies no data.
+/// operator *without re-running it* — the engine's two device providers,
+/// and the `hape-baselines` stand-ins, whose materialising execution
+/// models price the payload bytes entering and leaving every operator.
+/// Column references are Arc-backed views — recording a trace copies no
+/// data.
 #[derive(Debug, Clone)]
 pub enum OpTrace {
     /// A fused filter.
@@ -103,6 +106,10 @@ pub enum OpTrace {
         /// Survivor count per GPU thread block (see
         /// [`hape_ops::gpu::block_survivors`]).
         survivors: Vec<u32>,
+        /// Batch payload bytes entering the filter.
+        bytes_in: u64,
+        /// Payload bytes of the surviving rows.
+        bytes_out: u64,
     },
     /// A fused projection.
     Project {
@@ -112,6 +119,8 @@ pub enum OpTrace {
         ops: f64,
         /// Batch payload bytes at this operator.
         bytes_in: u64,
+        /// Payload bytes of the projected columns.
+        bytes_out: u64,
     },
     /// A fused hash-join probe.
     Probe {
@@ -129,6 +138,10 @@ pub enum OpTrace {
         rows_out: usize,
         /// Build payload columns gathered per match.
         payload_cols: usize,
+        /// Batch payload bytes entering the probe.
+        bytes_in: u64,
+        /// Payload bytes of the joined batch.
+        bytes_out: u64,
     },
     /// A fused stateful per-user aggregate ([`hape_ops::stateful`]).
     Stateful {
@@ -143,6 +156,10 @@ pub enum OpTrace {
         state_bytes: u64,
         /// State-machine operations per input row.
         ops_per_row: f64,
+        /// Batch payload bytes entering the state machines.
+        bytes_in: u64,
+        /// Payload bytes of the per-user output rows.
+        bytes_out: u64,
     },
 }
 
@@ -168,6 +185,26 @@ impl OpTrace {
         }
     }
 
+    /// Payload bytes entering the operator.
+    pub fn bytes_in(&self) -> u64 {
+        match self {
+            OpTrace::Filter { bytes_in, .. }
+            | OpTrace::Project { bytes_in, .. }
+            | OpTrace::Probe { bytes_in, .. }
+            | OpTrace::Stateful { bytes_in, .. } => *bytes_in,
+        }
+    }
+
+    /// Payload bytes leaving the operator.
+    pub fn bytes_out(&self) -> u64 {
+        match self {
+            OpTrace::Filter { bytes_out, .. }
+            | OpTrace::Project { bytes_out, .. }
+            | OpTrace::Probe { bytes_out, .. }
+            | OpTrace::Stateful { bytes_out, .. } => *bytes_out,
+        }
+    }
+
     /// Rows leaving the operator: filter survivors, probe matches,
     /// stateful per-user outputs; projections preserve cardinality.
     pub fn rows_out(&self) -> u64 {
@@ -177,6 +214,29 @@ impl OpTrace {
             OpTrace::Probe { rows_out, .. } => *rows_out as u64,
             OpTrace::Stateful { users, .. } => *users as u64,
         }
+    }
+
+    /// The operator's cost as one *fused* CPU operator under `model` — the
+    /// term [`CpuWorker`] charges per operator, and the one the DBMS C
+    /// stand-in surrounds with its vector materialisation charges.
+    pub fn cpu_cost(
+        &self,
+        model: &CpuCostModel,
+        tables: &TableStore,
+    ) -> Result<SimTime, EngineError> {
+        let rows = self.rows_in();
+        Ok(match self {
+            OpTrace::Filter { pred_ops, .. } => cpu_ops::filter_cost(rows, *pred_ops, model),
+            OpTrace::Project { ops, .. } => cpu_ops::project_cost(rows, *ops, model),
+            // Fused probe: random table accesses only — the gathered
+            // payloads ride in registers to the next operator.
+            OpTrace::Probe { ht, avg_chain, .. } => {
+                model.ht_probe(rows, *avg_chain, lookup_ht(tables, ht)?.bytes())
+            }
+            OpTrace::Stateful { users, state_bytes, ops_per_row, .. } => {
+                stateful::cpu_cost(rows, *users as u64, *state_bytes, *ops_per_row, model)
+            }
+        })
     }
 }
 
@@ -246,7 +306,11 @@ pub enum CostClass {
 /// Functional results are device-independent — this is the same
 /// heterogeneity-oblivious operator semantics both providers always
 /// shared — so the engine runs kernels once per packet on the data plane
-/// regardless of how many device classes participate in the stage.
+/// regardless of how many device classes participate in the stage. It is
+/// the only code in the workspace that executes a [`PipeOp`]: the
+/// `hape-baselines` stand-ins (DBMS C, DBMS G) call it too, on their own
+/// packet sizes, and price the recorded [`OpTrace`]s with their own
+/// execution models (CI greps that no second interpreter reappears there).
 pub fn run_ops(
     packet: Batch,
     pipeline: &Pipeline,
@@ -260,9 +324,9 @@ pub fn run_ops(
         if cur.rows() == 0 {
             break;
         }
+        let (rows_in, bytes_in) = (cur.rows(), cur.bytes());
         match op {
             PipeOp::Filter(pred) => {
-                let rows_in = cur.rows();
                 let pred_row_bytes = pred
                     .columns_used()
                     .iter()
@@ -287,20 +351,20 @@ pub fn run_ops(
                     pred_row_bytes,
                     out_row_bytes,
                     survivors,
+                    bytes_in,
+                    bytes_out: out.bytes(),
                 });
                 cur = out;
             }
             PipeOp::Project(exprs) => {
-                let rows_in = cur.rows();
-                let bytes_in = cur.bytes();
                 let ops: f64 = exprs.iter().map(|e| e.ops_per_row()).sum();
                 let cols = exprs.iter().map(|e| cpu_ops::project_column(e, &cur)).collect();
-                ops_trace.push(OpTrace::Project { rows_in, ops, bytes_in });
                 cur = Batch { columns: cols, partition: cur.partition };
+                let bytes_out = cur.bytes();
+                ops_trace.push(OpTrace::Project { rows_in, ops, bytes_in, bytes_out });
             }
             PipeOp::JoinProbe { ht, key_col, build_payload_cols, algo } => {
                 let jt = lookup_ht(tables, ht)?;
-                let rows_in = cur.rows();
                 let keys = cur.col(*key_col).clone();
                 let (out, avg_chain) =
                     probe_join_with(&cur, jt, *key_col, build_payload_cols, scratch);
@@ -312,11 +376,12 @@ pub fn run_ops(
                     keys,
                     rows_out: out.rows(),
                     payload_cols: build_payload_cols.len(),
+                    bytes_in,
+                    bytes_out: out.bytes(),
                 });
                 cur = out;
             }
             PipeOp::Stateful(agg) => {
-                let rows_in = cur.rows();
                 let mut row_bytes = cur.col(agg.user_col()).data_type().width() as u64
                     + cur.col(agg.ts_col()).data_type().width() as u64;
                 if let Some(ev) = agg.event_col() {
@@ -329,6 +394,8 @@ pub fn run_ops(
                     row_bytes,
                     state_bytes: users as u64 * agg.state_bytes_per_user(),
                     ops_per_row: agg.ops_per_row(),
+                    bytes_in,
+                    bytes_out: out.bytes(),
                 });
                 cur = out;
             }
@@ -463,22 +530,10 @@ pub trait DeviceProvider: Send + Sync {
 
 /// Probe `packet` against `jt`, producing the joined batch (probe columns
 /// followed by the selected build payload columns) and the measured average
-/// chain length. Shared by both providers — the *functional* operator is
-/// heterogeneity-oblivious; only the costing differs. (Also used by the
-/// `hape-baselines` stand-ins, which share operator semantics but charge
-/// their own execution models.)
-pub fn probe_join(
-    packet: &Batch,
-    jt: &JoinTable,
-    key_col: usize,
-    build_payload_cols: &[usize],
-) -> (Batch, f64) {
-    probe_join_with(packet, jt, key_col, build_payload_cols, &mut Scratch::new())
-}
-
-/// [`probe_join`] writing its match-index selection vectors into reusable
-/// per-worker `scratch` buffers instead of allocating fresh `Vec`s every
-/// packet — the hot probe path the data plane runs.
+/// chain length — the *functional* operator is heterogeneity-oblivious;
+/// only the costing differs. The match-index selection vectors live in
+/// reusable per-worker `scratch` buffers instead of fresh `Vec`s every
+/// packet — this is the hot probe path the data plane runs.
 pub fn probe_join_with(
     packet: &Batch,
     jt: &JoinTable,
@@ -505,7 +560,7 @@ pub fn probe_join_with(
 /// Assemble the joined batch from co-processing match pairs: the probe
 /// side's columns gathered by `probe_sel`, followed by the selected build
 /// payload columns gathered by `build_sel` — exactly the shape
-/// [`probe_join`] produces, so the pipeline operators downstream of a
+/// [`probe_join_with`] produces, so the pipeline operators downstream of a
 /// co-processed probe ([`crate::plan::ProbeExec::CoProcess`]) see the same
 /// physical layout either way.
 pub fn gather_matches(
@@ -607,29 +662,7 @@ impl DeviceProvider for CpuWorker {
     ) -> Result<SimTime, EngineError> {
         let mut time = cpu_ops::scan_cost(work.bytes, &self.model);
         for op in &work.ops {
-            match op {
-                OpTrace::Filter { rows_in, pred_ops, .. } => {
-                    time += cpu_ops::filter_cost(*rows_in as u64, *pred_ops, &self.model);
-                }
-                OpTrace::Project { rows_in, ops, .. } => {
-                    time += cpu_ops::project_cost(*rows_in as u64, *ops, &self.model);
-                }
-                OpTrace::Probe { ht, rows_in, avg_chain, .. } => {
-                    let jt = lookup_ht(tables, ht)?;
-                    // Fused probe: random table accesses only — the gathered
-                    // payloads ride in registers to the next operator.
-                    time += self.model.ht_probe(*rows_in as u64, *avg_chain, jt.bytes());
-                }
-                OpTrace::Stateful { rows_in, users, state_bytes, ops_per_row, .. } => {
-                    time += stateful::cpu_cost(
-                        *rows_in as u64,
-                        *users as u64,
-                        *state_bytes,
-                        *ops_per_row,
-                        &self.model,
-                    );
-                }
-            }
+            time += op.cpu_cost(&self.model, tables)?;
         }
         Ok(time)
     }
@@ -928,6 +961,7 @@ impl DeviceProvider for GpuWorker {
                     pred_row_bytes,
                     out_row_bytes,
                     survivors,
+                    ..
                 } => {
                     time += gpu_ops::filter_cost(
                         &self.sim,
@@ -1119,6 +1153,12 @@ mod tests {
             run(&mut cpu_worker(None), packet(100), &p, &TableStore::new()).unwrap();
         assert!(!work.folds && work.agg.is_none());
         assert_eq!(work.out.rows(), 10);
+        // A computed projection materialises its values, and the trace
+        // records the payload on either side of the operator.
+        let p = Pipeline::scan("t").project(vec![Expr::mul(Expr::col(1), Expr::LitF64(2.0))]);
+        let work = run_ops(packet(10), &p, &TableStore::new(), &mut Scratch::new()).unwrap();
+        assert_eq!(work.out.col(0).as_f64()[3], 6.0);
+        assert_eq!((work.ops[0].bytes_in(), work.ops[0].bytes_out()), (10 * 12, 10 * 8));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The parallel data-plane runtime: a hand-rolled scoped worker pool.
+//! The parallel data-plane runtime: thread-count resolution, plus the
+//! fan-out it feeds.
 //!
 //! The engine splits execution into a **deterministic control plane** and a
 //! **parallel data plane** (see [`crate::engine`]):
@@ -9,24 +10,18 @@
 //!   at any thread count;
 //! - the *data plane* — the real columnar kernel work inside
 //!   [`crate::provider::run_ops`] and the per-worker aggregation folds —
-//!   is dispatched to the scoped thread pool in this module.
+//!   is dispatched through [`scatter`] and [`drain`].
 //!
-//! The pool is deliberately simple (no external crates are available):
-//! [`std::thread::scope`] threads pull job indices off a shared atomic
-//! cursor and deliver results over an [`std::sync::mpsc`] channel; the
-//! coordinator reassembles them in index order. Nothing about *which*
-//! thread computes a job can influence a result — jobs are pure functions
-//! of their index — which is what makes the thread count a pure wall-clock
-//! knob.
-//!
-//! Thread count resolution (see [`resolve_threads`]):
+//! Both live in the dependency-free `hape_pool` crate — the workspace's
+//! only spawn site, shared with `hape_join`'s partition passes — and are
+//! re-exported here for the engine. What stays in this module is how the
+//! thread count is chosen (see [`resolve_threads`]):
 //! [`crate::engine::ExecConfig::threads`] if set, else the `HAPE_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`].
 //! `threads = 1` runs every job inline on the coordinator — the sequential
 //! fallback CI exercises explicitly.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+pub use hape_pool::{drain, scatter};
 
 use crate::error::EngineError;
 
@@ -72,147 +67,9 @@ pub fn resolve_threads(configured: Option<usize>) -> Result<usize, EngineError> 
     Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Run `n` independent jobs across up to `threads` pool threads and return
-/// the results in job-index order.
-///
-/// Each pool thread builds one private scratch state via `init` (reusable
-/// buffers survive across the jobs a thread executes) and repeatedly claims
-/// the next unclaimed job index. `init` receives the pool-thread index
-/// (0-based; 0 on the inline path) — observability only: the tracing plane
-/// labels wall-clock packet spans with the pool thread that computed them.
-/// Results travel back over an mpsc channel and are slotted by index, so
-/// the output — and therefore everything the control plane derives from it
-/// — is independent of scheduling order and of `threads` itself.
-///
-/// With `threads <= 1` (or a single job) everything runs inline on the
-/// caller's thread through the same code path.
-pub fn scatter<S, R, I, F>(threads: usize, n: usize, init: I, job: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    if workers <= 1 {
-        let mut scratch = init(0);
-        return (0..n).map(|i| job(i, &mut scratch)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let tx = tx.clone();
-            let (cursor, init, job) = (&cursor, &init, &job);
-            scope.spawn(move || {
-                let mut scratch = init(t);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = job(i, &mut scratch);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-    });
-    out.into_iter().map(|r| r.expect("pool delivered every job")).collect()
-}
-
-/// Consume `items` across up to `threads` pool threads, one job per item.
-///
-/// This is the fold-side fan-out: each item owns disjoint mutable state
-/// (a worker and the packets routed to it), so the jobs run concurrently
-/// without synchronising — one pool thread per device provider, bounded by
-/// the pool size. Item order within a job is whatever the item carries;
-/// which thread runs which item cannot affect results.
-pub fn drain<T, F>(threads: usize, items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = threads.min(n);
-    if workers <= 1 {
-        for t in items {
-            f(t);
-        }
-        return;
-    }
-    let queue = Mutex::new(items.into_iter());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (queue, f) = (&queue, &f);
-            scope.spawn(move || loop {
-                let next = queue.lock().expect("pool queue poisoned").next();
-                match next {
-                    Some(t) => f(t),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scatter_returns_results_in_index_order_at_any_thread_count() {
-        for threads in [1, 2, 8, 64] {
-            let out = scatter(
-                threads,
-                100,
-                |t| {
-                    assert!(t < threads, "pool-thread index in range");
-                    0u64
-                },
-                |i, scratch| {
-                    *scratch += 1; // per-thread scratch is private
-                    i * i
-                },
-            );
-            assert_eq!(out.len(), 100);
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, i * i, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_handles_empty_and_single_jobs() {
-        assert!(scatter(8, 0, |_| (), |i, _| i).is_empty());
-        assert_eq!(scatter(8, 1, |_| (), |i, _| i + 42), vec![42]);
-    }
-
-    #[test]
-    fn drain_visits_every_item_exactly_once() {
-        for threads in [1, 3, 16] {
-            let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-            let items: Vec<usize> = (0..50).collect();
-            drain(threads, items, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "item {i} threads={threads}");
-            }
-        }
-    }
 
     #[test]
     fn resolve_threads_prefers_explicit_config() {

@@ -484,7 +484,7 @@ mod tests {
         let server = small_gpu_server(1.0 / 65536.0);
         let cfg = CoprocessConfig { mode: OutputMode::MatchIndices, ..Default::default() };
         let base = coprocess_join(&server, r, s, &cfg).unwrap();
-        for threads in [2, 8, 24] {
+        for threads in [2, 8, 24, 140, 192] {
             let rep =
                 coprocess_join(&server, r, s, &CoprocessConfig { threads, ..cfg }).unwrap();
             assert_eq!(rep.outcome.stats, base.outcome.stats, "threads={threads}");

@@ -7,6 +7,8 @@
 //! the number of passes. This module is the skeleton: the device algorithms
 //! charge their own pass costs.
 
+use hape_pool::{drain, scatter};
+
 use crate::common::JoinInput;
 
 /// The result of radix-partitioning one input: tuples regrouped by the radix
@@ -93,16 +95,17 @@ const PAR_MIN_ROWS: usize = 1 << 12;
 
 /// Deterministic parallel variant of [`radix_partition_pass`].
 ///
-/// The input is cut into `threads` contiguous chunks; each chunk builds its
-/// own histogram and scatters its slice privately, then a global exclusive
-/// prefix over the per-chunk histograms fixes every chunk's destination
-/// range and the chunk outputs are merged per partition in chunk order
-/// (concurrently across partitions, over disjoint `split_at_mut` ranges).
-/// Because the sequential scatter preserves input order within a partition
-/// and so does chunk-order merging of stable per-chunk scatters, the
-/// result is **byte-identical** to [`radix_partition_pass`] at any thread
-/// count — the thread count is a pure wall-clock knob, exactly like the
-/// engine's data-plane pool.
+/// The input is cut into at most `threads` contiguous chunks; each chunk
+/// builds its own histogram and scatters its slice privately, then a global
+/// exclusive prefix over the per-chunk histograms fixes every chunk's
+/// destination range and the chunk outputs are merged per partition in
+/// chunk order (concurrently across partitions, over disjoint
+/// `split_at_mut` ranges) — both fan-outs through the workspace's one pool
+/// ([`hape_pool`]). Because the sequential scatter preserves input order
+/// within a partition and so does chunk-order merging of stable per-chunk
+/// scatters, the result is **byte-identical** to [`radix_partition_pass`]
+/// at any thread count — the thread count is a pure wall-clock knob,
+/// exactly like the engine's data-plane pool.
 pub fn radix_partition_pass_par(
     keys: &[i32],
     vals: &[u32],
@@ -112,25 +115,21 @@ pub fn radix_partition_pass_par(
 ) -> RadixPartitions {
     assert_eq!(keys.len(), vals.len());
     let n = keys.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 || n < PAR_MIN_ROWS {
+    if threads <= 1 || n < PAR_MIN_ROWS {
         return radix_partition_pass(keys, vals, shift, bits);
     }
     let fanout = 1usize << bits;
-    let chunk = n.div_ceil(workers);
-    // Per-chunk histogram + private scatter, in parallel.
-    let mut locals: Vec<Option<RadixPartitions>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (c, slot) in locals.iter_mut().enumerate() {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let (keys, vals) = (&keys[lo..hi], &vals[lo..hi]);
-            scope.spawn(move || {
-                *slot = Some(radix_partition_pass(keys, vals, shift, bits));
-            });
-        }
-    });
-    let locals: Vec<RadixPartitions> =
-        locals.into_iter().map(|l| l.expect("every chunk partitioned")).collect();
+    // Per-chunk histogram + private scatter, in parallel. `chunks` derives
+    // the chunk *count* from the chunk length — 5 000 rows over 128 threads
+    // are 125 chunks of 40 — so no chunk can start past the input.
+    let len = n.div_ceil(threads);
+    let chunks: Vec<(&[i32], &[u32])> = keys.chunks(len).zip(vals.chunks(len)).collect();
+    let locals = scatter(
+        threads,
+        chunks.len(),
+        |_| (),
+        |c, ()| radix_partition_pass(chunks[c].0, chunks[c].1, shift, bits),
+    );
     // Global exclusive prefix over the chunk histograms.
     let mut offsets = Vec::with_capacity(fanout + 1);
     offsets.push(0usize);
@@ -142,36 +141,25 @@ pub fn radix_partition_pass_par(
     // disjoint mutable slice, filled in chunk order.
     let mut out_keys = vec![0i32; n];
     let mut out_vals = vec![0u32; n];
-    {
-        let mut jobs: Vec<(usize, &mut [i32], &mut [u32])> = Vec::with_capacity(fanout);
-        let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
-        for p in 0..fanout {
-            let len = offsets[p + 1] - offsets[p];
-            let (khead, ktail) = krest.split_at_mut(len);
-            let (vhead, vtail) = vrest.split_at_mut(len);
-            krest = ktail;
-            vrest = vtail;
-            jobs.push((p, khead, vhead));
-        }
-        let queue = std::sync::Mutex::new(jobs.into_iter());
-        let locals = &locals;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                scope.spawn(move || loop {
-                    let job = queue.lock().expect("merge queue poisoned").next();
-                    let Some((p, kdst, vdst)) = job else { break };
-                    let mut at = 0usize;
-                    for l in locals {
-                        let s = l.part(p);
-                        kdst[at..at + s.keys.len()].copy_from_slice(s.keys);
-                        vdst[at..at + s.vals.len()].copy_from_slice(s.vals);
-                        at += s.keys.len();
-                    }
-                });
-            }
-        });
+    let mut jobs: Vec<(usize, &mut [i32], &mut [u32])> = Vec::with_capacity(fanout);
+    let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
+    for p in 0..fanout {
+        let len = offsets[p + 1] - offsets[p];
+        let (khead, ktail) = krest.split_at_mut(len);
+        let (vhead, vtail) = vrest.split_at_mut(len);
+        krest = ktail;
+        vrest = vtail;
+        jobs.push((p, khead, vhead));
     }
+    drain(threads, jobs, |(p, kdst, vdst)| {
+        let mut at = 0usize;
+        for l in &locals {
+            let s = l.part(p);
+            kdst[at..at + s.keys.len()].copy_from_slice(s.keys);
+            vdst[at..at + s.vals.len()].copy_from_slice(s.vals);
+            at += s.keys.len();
+        }
+    });
     RadixPartitions { keys: out_keys, vals: out_vals, offsets, bits }
 }
 
@@ -205,7 +193,6 @@ pub fn radix_partition_with_threads(
 ) -> (RadixPartitions, Vec<u32>) {
     assert!(total_bits > 0 && total_bits <= 24, "unreasonable radix width {total_bits}");
     assert!(bits_per_pass > 0);
-    let workers = threads.max(1);
     let mut passes = Vec::new();
     let mut remaining = total_bits;
     while remaining > 0 {
@@ -226,35 +213,23 @@ pub fn radix_partition_with_threads(
         // Re-partition every existing partition on the next `b` bits.
         let fanout_before = current.fanout();
         if fanout_before == 1 {
-            let sub = radix_partition_pass_par(&current.keys, &current.vals, shift, b, workers);
+            let sub = radix_partition_pass_par(&current.keys, &current.vals, shift, b, threads);
             current = RadixPartitions { bits: current.bits + b, ..sub };
             continue;
         }
-        let mut subs: Vec<Option<RadixPartitions>> = (0..fanout_before).map(|_| None).collect();
-        if workers <= 1 || current.keys.len() < PAR_MIN_ROWS {
-            for (p, slot) in subs.iter_mut().enumerate() {
+        let subs = scatter(
+            if current.keys.len() < PAR_MIN_ROWS { 1 } else { threads },
+            fanout_before,
+            |_| (),
+            |p, ()| {
                 let part = current.part(p);
-                *slot = Some(radix_partition_pass(part.keys, part.vals, shift, b));
-            }
-        } else {
-            let per = fanout_before.div_ceil(workers);
-            let current = &current;
-            std::thread::scope(|scope| {
-                for (c, slots) in subs.chunks_mut(per).enumerate() {
-                    scope.spawn(move || {
-                        for (i, slot) in slots.iter_mut().enumerate() {
-                            let part = current.part(c * per + i);
-                            *slot = Some(radix_partition_pass(part.keys, part.vals, shift, b));
-                        }
-                    });
-                }
-            });
-        }
+                radix_partition_pass(part.keys, part.vals, shift, b)
+            },
+        );
         let mut out_keys = Vec::with_capacity(current.keys.len());
         let mut out_vals = Vec::with_capacity(current.vals.len());
         let mut offsets = vec![0usize];
         for sub in subs {
-            let sub = sub.expect("every partition re-partitioned");
             for sp in 0..sub.fanout() {
                 let s = sub.part(sp);
                 out_keys.extend_from_slice(s.keys);
@@ -347,16 +322,20 @@ mod tests {
     #[test]
     fn parallel_pass_is_byte_identical_to_sequential() {
         // Large enough to clear PAR_MIN_ROWS; skewed keys so chunks have
-        // unequal histograms.
-        let (keys, vals) =
-            input_from((0..(1 << 14)).map(|i| (i * 2654435761u64 % 977) as i32).collect());
-        let seq = radix_partition_pass(&keys, &vals, 2, 5);
-        for threads in [2, 3, 8, 64] {
-            let par = radix_partition_pass_par(&keys, &vals, 2, 5, threads);
-            assert_eq!(par.keys, seq.keys, "threads={threads}");
-            assert_eq!(par.vals, seq.vals, "threads={threads}");
-            assert_eq!(par.offsets, seq.offsets, "threads={threads}");
-            assert_eq!(par.bits, seq.bits, "threads={threads}");
+        // unequal histograms. The second input leaves, at each of its
+        // larger thread counts, a shortfall of more than one chunk (125 /
+        // 186 / 250 chunks of 40 / 27 / 20 rows, not 128 / 192 / 256).
+        for (n, thread_counts) in [(1u64 << 14, [2, 3, 8, 64]), (5_000, [2, 128, 192, 256])] {
+            let (keys, vals) =
+                input_from((0..n).map(|i| (i * 2654435761u64 % 977) as i32).collect());
+            let seq = radix_partition_pass(&keys, &vals, 2, 5);
+            for threads in thread_counts {
+                let par = radix_partition_pass_par(&keys, &vals, 2, 5, threads);
+                assert_eq!(par.keys, seq.keys, "n={n} threads={threads}");
+                assert_eq!(par.vals, seq.vals, "n={n} threads={threads}");
+                assert_eq!(par.offsets, seq.offsets, "n={n} threads={threads}");
+                assert_eq!(par.bits, seq.bits, "n={n} threads={threads}");
+            }
         }
     }
 
@@ -365,7 +344,7 @@ mod tests {
         let (keys, vals) = input_from((0..(1 << 14)).map(|i| i * 40503 % 4096).collect());
         let input = JoinInput::new(&keys, &vals);
         let (seq, seq_passes) = radix_partition_with_threads(input, 9, 4, 1);
-        for threads in [2, 8, 24] {
+        for threads in [2, 8, 24, 140, 192] {
             let (par, passes) = radix_partition_with_threads(input, 9, 4, threads);
             assert_eq!(passes, seq_passes);
             assert_eq!(par.keys, seq.keys, "threads={threads}");

@@ -161,6 +161,23 @@ impl Batch {
         out
     }
 
+    /// Concatenate same-shaped batches column-wise into one owned batch —
+    /// how packet outputs become a build side. No batch yields
+    /// [`Batch::empty`]; a single batch is returned as it is (still a view).
+    pub fn concat(mut parts: Vec<Batch>) -> Batch {
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_else(Batch::empty);
+        }
+        let cols = (0..parts[0].columns.len())
+            .map(|c| {
+                let col_parts: Vec<Column> =
+                    parts.iter().map(|b| b.columns[c].clone()).collect();
+                Column::concat(&col_parts)
+            })
+            .collect();
+        Batch::new(cols)
+    }
+
     /// Column by index.
     pub fn col(&self, i: usize) -> &Column {
         &self.columns[i]
@@ -291,6 +308,16 @@ mod tests {
         assert_eq!(packets[2].rows(), 2);
         // Views, not copies: values line up.
         assert_eq!(packets[1].col(0).as_i32(), &[4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn concat_rejoins_split_packets() {
+        let b = two_col_batch(10);
+        let joined = Batch::concat(b.split(4));
+        assert_eq!(joined.col(0).as_i32(), b.col(0).as_i32());
+        assert_eq!(joined.col(1).as_i64(), b.col(1).as_i64());
+        assert_eq!(Batch::concat(Vec::new()).rows(), 0);
+        assert_eq!(Batch::concat(vec![b.slice(2, 3)]).col(0).as_i32(), &[2, 3, 4]);
     }
 
     #[test]

@@ -19,11 +19,26 @@
 //! `PlacedStage::CoProcess` the engine drives through its device
 //! providers.
 
-use hape_core::{Catalog, JoinAlgo, Query};
+use hape_core::{Catalog, JoinAlgo, Query, Session};
 use hape_ops::{col, lit, AggFunc};
+use hape_sim::topology::Server;
+use hape_storage::Table;
 
 use crate::dates::date;
 use crate::gen::TpchData;
+
+/// The seven base tables, in registration order.
+fn base_tables(data: &TpchData) -> [&Table; 7] {
+    [
+        &data.lineitem,
+        &data.orders,
+        &data.customer,
+        &data.supplier,
+        &data.partsupp,
+        &data.nation,
+        &data.region,
+    ]
+}
 
 /// Register the base tables in a catalog.
 ///
@@ -31,14 +46,20 @@ use crate::gen::TpchData;
 /// projections down onto these tables as zero-copy views.
 pub fn base_catalog(data: &TpchData) -> Catalog {
     let mut c = Catalog::new();
-    c.register(data.lineitem.clone());
-    c.register(data.orders.clone());
-    c.register(data.customer.clone());
-    c.register(data.supplier.clone());
-    c.register(data.partsupp.clone());
-    c.register(data.nation.clone());
-    c.register(data.region.clone());
+    for t in base_tables(data) {
+        c.register(t.clone());
+    }
     c
+}
+
+/// A [`Session`] over `server` with the base tables registered — the
+/// fixture the integration tests, the examples and the bench sweeps share.
+pub fn tpch_session(data: &TpchData, server: Server) -> Session {
+    let mut session = Session::new(server);
+    for t in base_tables(data) {
+        session.register(t.clone());
+    }
+    session
 }
 
 /// TPC-H Q1: pricing summary report.

@@ -50,9 +50,9 @@
 
 use hape::core::serve::SessionServer;
 use hape::core::trace::TraceRecorder;
-use hape::core::{ExecConfig, JoinAlgo, PlacedStage, Placement, Session};
+use hape::core::{ExecConfig, JoinAlgo, PlacedStage, Placement};
 use hape::sim::topology::Server;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query, tpch_session};
 
 /// Flags that take a value.
 const VALUE_FLAGS: [&str; 5] =
@@ -153,14 +153,7 @@ fn main() {
     println!("generating TPC-H at SF {sf} …");
     let data = hape::tpch::generate(sf, 42);
     // GPU memory scales with SF so the paper's SF-100 capacity effects hold.
-    let mut session = Session::new(Server::tpch_scaled(sf));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
+    let session = tpch_session(&data, Server::tpch_scaled(sf));
 
     let mk_cfg = |placement: Placement| {
         let mut cfg = ExecConfig::new(placement);

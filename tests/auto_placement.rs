@@ -26,22 +26,13 @@ use hape::ops::{col, lit, AggFunc};
 use hape::sim::topology::Server;
 use hape::sim::SimTime;
 use hape::storage::datagen::gen_key_fk_table;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::rows_approx_eq;
 
 const SF: f64 = 0.01;
 
 fn tpch_session() -> Session {
-    let data = hape::tpch::generate(SF, 31337);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
-    session
+    queries::tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF))
 }
 
 fn tpch_queries() -> Vec<Query> {

@@ -12,7 +12,7 @@
 use hape::core::engine::EngineError;
 use hape::core::{ExecConfig, HapeError, JoinAlgo, Placement, Query, RoutingPolicy, Session};
 use hape::sim::topology::Server;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::rows_approx_eq;
 
 const SF: f64 = 0.01;
@@ -22,16 +22,7 @@ const POLICIES: [RoutingPolicy; 3] =
     [RoutingPolicy::LoadAware, RoutingPolicy::RoundRobin, RoutingPolicy::HashPartition];
 
 fn tpch_session() -> Session {
-    let data = hape::tpch::generate(SF, 31337);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
-    session
+    queries::tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF))
 }
 
 #[test]

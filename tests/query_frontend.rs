@@ -6,7 +6,7 @@ use hape::core::error::{HapeError, PlanError};
 use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};
 use hape::ops::{col, lit, AggFunc};
 use hape::sim::topology::Server;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::{
     q1_reference, q5_reference, q6_reference, q9_reference, rows_approx_eq,
 };
@@ -15,14 +15,7 @@ const SF: f64 = 0.01;
 
 fn tpch_session() -> (hape::tpch::TpchData, Session) {
     let data = hape::tpch::generate(SF, 4242);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region.clone());
+    let session = queries::tpch_session(&data, Server::tpch_scaled(SF));
     (data, session)
 }
 

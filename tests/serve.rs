@@ -18,36 +18,20 @@
 //!    row-identical results across the TPC-H × placement matrix; replacing
 //!    a table via the typed `register_table` path invalidates.
 
+mod common;
+
+use common::assert_reports_identical;
 use hape::core::serve::SessionServer;
 use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
 use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
 use hape::storage::datagen::gen_key_fk_table;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 
 const SF: f64 = 0.01;
 
 fn tpch_session() -> Session {
-    let data = hape::tpch::generate(SF, 7170);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
-    session
-}
-
-fn assert_reports_identical(got: &QueryReport, want: &QueryReport, ctx: &str) {
-    assert_eq!(got.rows, want.rows, "{ctx}: rows");
-    assert_eq!(got.time, want.time, "{ctx}: makespan");
-    assert_eq!(got.cpu_busy, want.cpu_busy, "{ctx}: cpu busy");
-    assert_eq!(got.gpu_busy, want.gpu_busy, "{ctx}: gpu busy");
-    assert_eq!(got.h2d_bytes, want.h2d_bytes, "{ctx}: h2d bytes");
-    assert_eq!(got.packets_cpu, want.packets_cpu, "{ctx}: cpu packets");
-    assert_eq!(got.packets_gpu, want.packets_gpu, "{ctx}: gpu packets");
+    queries::tpch_session(&hape::tpch::generate(SF, 7170), Server::tpch_scaled(SF))
 }
 
 #[test]

@@ -14,21 +14,12 @@ use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
 use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
 use hape::storage::datagen::gen_key_fk_table;
-use hape::tpch::queries::q5_query;
+use hape::tpch::queries::{self, q5_query};
 
 const SF: f64 = 0.01;
 
 fn tpch_session() -> Session {
-    let data = hape::tpch::generate(SF, 7170);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
-    session
+    queries::tpch_session(&hape::tpch::generate(SF, 7170), Server::tpch_scaled(SF))
 }
 
 /// One traced Q5 run under the optimizer at the given thread count.

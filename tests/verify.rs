@@ -25,21 +25,12 @@ use hape::core::{
 use hape::ops::{Expr, StatefulAgg};
 use hape::sim::topology::{DeviceId, MemNode, Server};
 use hape::tpch::events::{behavioral_queries, generate_events};
-use hape::tpch::queries::{q1_query, q5_query, q6_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query};
 
 const SF: f64 = 0.01;
 
 fn tpch_session() -> Session {
-    let data = hape::tpch::generate(SF, 31337);
-    let mut session = Session::new(Server::tpch_scaled(SF));
-    session.register(data.lineitem.clone());
-    session.register(data.orders.clone());
-    session.register(data.customer.clone());
-    session.register(data.supplier.clone());
-    session.register(data.partsupp.clone());
-    session.register(data.nation.clone());
-    session.register(data.region);
-    session
+    queries::tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF))
 }
 
 /// Q5 lowered + placed under `placement`, asserted clean before any
