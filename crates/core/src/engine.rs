@@ -785,9 +785,12 @@ impl StageEnv<'_> {
             ExecConfig::auto_packet_rows(table.rows(), shares, self.packet_rows);
         // Stateful aggregates consume whole per-user runs, so their packet
         // boundaries snap to user boundaries (plan validation guarantees
-        // only filters precede the op, making its user column a valid
-        // source-table index). The split is computed once, before any
-        // worker sees a packet, so it is identical at every thread count.
+        // only filters precede the op, so its columns are source-table
+        // indices — checked here, once per stage, because the split and
+        // the kernels index them unchecked). The split is computed once,
+        // before any worker sees a packet, so it is identical at every
+        // thread count.
+        pipeline.check_stateful_inputs(&table.schema).map_err(EngineError::InvalidPlan)?;
         let packets = match pipeline.stateful_agg() {
             Some(agg) => hape_ops::stateful::split_user_aligned(
                 &table.data,
@@ -1421,6 +1424,79 @@ mod tests {
         assert!(
             matches!(err, EngineError::HashTableNotBuilt { ref table } if table == "dim_ht"),
             "{err}"
+        );
+    }
+
+    /// A stateful plan assembled by hand over `ev(user i32, ts i64, score
+    /// f64)` — no lowering has type-checked its column indices.
+    fn hand_built_sessionize(user_col: usize) -> (Catalog, QueryPlan) {
+        use hape_storage::{Batch, Column, DataType, Schema, Table};
+        let mut catalog = Catalog::new();
+        catalog.register(Table::new(
+            "ev",
+            Schema::new([
+                ("user", DataType::I32),
+                ("ts", DataType::I64),
+                ("score", DataType::F64),
+            ]),
+            Batch::new(vec![
+                Column::from_i32(vec![1, 1, 2]),
+                Column::from_i64(vec![0, 5_000, 10]),
+                Column::from_f64(vec![0.5, 1.5, 2.5]),
+            ]),
+        ));
+        let sessions = hape_ops::StatefulAgg::Sessionize { user_col, ts_col: 1, gap: 1_800 };
+        let pipeline = Pipeline::scan("ev")
+            .stateful(sessions)
+            .aggregate(AggSpec::ungrouped(vec![(AggFunc::Sum, Expr::col(1))]));
+        (catalog, QueryPlan::try_new("sessions", vec![Stage::Stream { pipeline }]).unwrap())
+    }
+
+    /// `Engine::run` refuses the hand-built plan with `expected` under
+    /// every placement (so also through the optimizer), without panicking.
+    fn assert_stateful_refused(user_col: usize, expected: &PlanError) {
+        let (catalog, plan) = hand_built_sessionize(user_col);
+        let engine = Engine::new(Server::paper_testbed());
+        for p in [Placement::CpuOnly, Placement::Hybrid, Placement::Auto] {
+            match engine.run(&catalog, &plan, &ExecConfig::new(p)) {
+                Err(EngineError::InvalidPlan(e)) => assert_eq!(&e, expected, "{p:?}"),
+                other => panic!("{p:?}: expected InvalidPlan, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_stateful_plan_runs_when_its_columns_fit() {
+        let (catalog, plan) = hand_built_sessionize(0);
+        let engine = Engine::new(Server::paper_testbed());
+        let rep = engine.run(&catalog, &plan, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+        assert_eq!(rep.rows[0].1, vec![3.0], "user 1 has two sessions, user 2 one");
+    }
+
+    #[test]
+    fn stateful_over_a_float_column_is_refused_not_a_panic() {
+        // Release builds run no verifier before `run_workers`; the kernels
+        // used to panic `stateful aggregate over a float column`.
+        let found = Some(hape_storage::DataType::F64);
+        assert_stateful_refused(
+            2,
+            &PlanError::StatefulColumn { table: "ev".into(), role: "user", column: 2, found },
+        );
+    }
+
+    #[test]
+    fn stateful_column_outside_the_source_is_refused_not_a_panic() {
+        // Used to panic `index out of bounds` in the user-aligned split.
+        let refusal = PlanError::StatefulColumn {
+            table: "ev".into(),
+            role: "user",
+            column: 7,
+            found: None,
+        };
+        assert_stateful_refused(7, &refusal);
+        assert_eq!(
+            EngineError::InvalidPlan(refusal).to_string(),
+            "invalid plan: stateful user column 7 is outside the schema of \"ev\""
         );
     }
 

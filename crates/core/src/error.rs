@@ -9,6 +9,8 @@
 //! [`crate::session::Session`] front door returns it), so `?` works across
 //! the whole build→lower→place→execute path without `unwrap`s or panics.
 
+use hape_storage::DataType;
+
 /// Why a logical query could not be built or lowered, or why a physical
 /// plan failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +91,22 @@ pub enum PlanError {
         /// The plan or query name.
         name: String,
     },
+    /// A stateful aggregate's user / ts / event column is missing from the
+    /// table it scans, or has a type its role does not accept (the
+    /// vocabulary of [`crate::verify::DiagnosticKind::StatefulColumnType`]
+    /// and `StatefulAlignmentInvalid`): the kernels and the user-aligned
+    /// packet split index these columns unchecked.
+    StatefulColumn {
+        /// The scanned table.
+        table: String,
+        /// Which role the column plays (`user`, `ts`, `event`).
+        role: &'static str,
+        /// The column index the aggregate carries.
+        column: usize,
+        /// The type found there; `None` when the index lies outside the
+        /// table's schema.
+        found: Option<DataType>,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -136,6 +154,12 @@ impl std::fmt::Display for PlanError {
                     "stateful aggregate in {name:?} must come before any projection, \
                      join or other stateful aggregate (only filters may precede it)"
                 )
+            }
+            PlanError::StatefulColumn { table, role, column, found: Some(found) } => {
+                write!(f, "stateful {role} column {column} of {table:?} has type {found:?}")
+            }
+            PlanError::StatefulColumn { table, role, column, found: None } => {
+                write!(f, "stateful {role} column {column} is outside the schema of {table:?}")
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use hape_join::common::{ChainedTable, NIL};
 use hape_ops::{AggSpec, Expr, StatefulAgg};
-use hape_storage::Batch;
+use hape_storage::{Batch, DataType, Schema};
 
 use crate::error::PlanError;
 
@@ -163,15 +163,58 @@ impl Pipeline {
     }
 
     /// The pipeline's stateful aggregate, if any. Because
-    /// [`QueryPlan::validate`] guarantees only filters precede it, the
-    /// returned aggregate's user column is also a valid column index into
-    /// the *source* table — the engine aligns packet boundaries on it.
+    /// [`QueryPlan::validate`] guarantees only filters precede it, its
+    /// column indices are in *source*-table coordinates — the engine
+    /// aligns packet boundaries on its user column there, once
+    /// `check_stateful_inputs` has passed.
     pub fn stateful_agg(&self) -> Option<&StatefulAgg> {
         self.ops.iter().find_map(|op| match op {
             PipeOp::Stateful(agg) => Some(agg),
             _ => None,
         })
     }
+
+    /// Check the stateful aggregate's input columns (if the pipeline has
+    /// one) against the schema of the table it scans. Lowering type-checks
+    /// named columns, but a hand-built plan carries raw indices, and in
+    /// release builds nothing else looks at them before the packet split
+    /// and the kernels index the columns unchecked.
+    pub(crate) fn check_stateful_inputs(&self, source: &Schema) -> Result<(), PlanError> {
+        for (role, column, accepted) in
+            self.stateful_agg().into_iter().flat_map(stateful_inputs)
+        {
+            let found = source.fields.get(column).map(|f| f.dtype);
+            if !found.is_some_and(|dtype| accepted.contains(&dtype)) {
+                return Err(PlanError::StatefulColumn {
+                    table: self.source.clone(),
+                    role,
+                    column,
+                    found,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A stateful aggregate's input columns as `(role, column index, logical
+/// types the role accepts)` — the one statement of the operator's input
+/// contract: [`crate::verify`] checks it statically, the engine
+/// ([`Pipeline::check_stateful_inputs`]) before it cuts a source into
+/// packets.
+pub(crate) fn stateful_inputs(
+    agg: &StatefulAgg,
+) -> impl Iterator<Item = (&'static str, usize, &'static [DataType])> {
+    const USER: &[DataType] = &[DataType::I32, DataType::I64];
+    const TS: &[DataType] = &[DataType::I32, DataType::I64, DataType::Date];
+    const EVENT: &[DataType] = &[DataType::Str];
+    [
+        ("user", Some(agg.user_col()), USER),
+        ("ts", Some(agg.ts_col()), TS),
+        ("event", agg.event_col(), EVENT),
+    ]
+    .into_iter()
+    .filter_map(|(role, column, accepted)| Some((role, column?, accepted)))
 }
 
 /// One stage of a query plan.

@@ -44,12 +44,14 @@
 //! an absent device is [`crate::error::EngineError::DeviceNotPresent`],
 //! an unbuilt probe is
 //! [`crate::error::EngineError::HashTableNotBuilt`], an over-capacity
-//! broadcast is [`crate::error::EngineError::GpuMemoryExceeded`] — and
-//! those conditions depend on catalog/server *state*, not on the
-//! correctness of the pass pipeline. The always-on `debug_assertions`
-//! hook (`debug_check_placed`) therefore panics only on **structural**
-//! diagnostics ([`DiagnosticKind::is_structural`]): the invariants whose
-//! violation the runtime would otherwise silently mis-execute. Explicit
+//! broadcast is [`crate::error::EngineError::GpuMemoryExceeded`], a
+//! stateful aggregate whose columns do not fit its source table is
+//! [`crate::error::PlanError::StatefulColumn`] — and those conditions
+//! depend on catalog/server *state*, not on the correctness of the pass
+//! pipeline. The always-on `debug_assertions` hook (`debug_check_placed`)
+//! therefore panics only on **structural** diagnostics
+//! ([`DiagnosticKind::is_structural`]): the invariants whose violation
+//! the runtime would otherwise silently mis-execute. Explicit
 //! verification ([`verify_placed`], [`crate::session::Session::verify`],
 //! `figures --verify`) always reports the full set.
 //!
@@ -280,8 +282,9 @@ impl DiagnosticKind {
     /// mis-execute — the ones the `debug_assertions` hook aborts on.
     /// False for conditions the engine already rejects with typed runtime
     /// errors (absent devices, unbuilt probes, capacity, co-process
-    /// lane shape), which depend on catalog/server state rather than on
-    /// the pass pipeline's correctness.
+    /// lane shape, a stateful aggregate's columns against its source
+    /// table), which depend on catalog/server state rather than on the
+    /// pass pipeline's correctness.
     pub fn is_structural(&self) -> bool {
         !matches!(
             self,
@@ -291,6 +294,8 @@ impl DiagnosticKind {
                 | DiagnosticKind::BroadcastOverCapacity { .. }
                 | DiagnosticKind::CoProcessNoGpuLane
                 | DiagnosticKind::CoProcessInfeasibleFanout { .. }
+                | DiagnosticKind::StatefulColumnType { .. }
+                | DiagnosticKind::StatefulAlignmentInvalid { .. }
         )
     }
 }
@@ -853,19 +858,12 @@ impl<'a> Checker<'a> {
         agg: &hape_ops::StatefulAgg,
         cols: &[DataType],
     ) {
-        let mut check = |col: usize, role: &'static str, ok: &[DataType]| {
-            if let Some(&found) = cols.get(col) {
-                if !ok.contains(&found) {
-                    self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                        DiagnosticKind::StatefulColumnType { column: col, role, found }
-                    });
-                }
+        for (role, column, accepted) in crate::plan::stateful_inputs(agg) {
+            if let Some(&found) = cols.get(column).filter(|found| !accepted.contains(found)) {
+                self.push(si, None, Some(oi), Pass::SchemaDataflow, {
+                    DiagnosticKind::StatefulColumnType { column, role, found }
+                });
             }
-        };
-        check(agg.user_col(), "user", &[DataType::I32, DataType::I64]);
-        check(agg.ts_col(), "ts", &[DataType::I32, DataType::I64, DataType::Date]);
-        if let Some(e) = agg.event_col() {
-            check(e, "event", &[DataType::Str]);
         }
     }
 

@@ -173,6 +173,28 @@ fn behavioral_rows_identical_across_placements_and_threads() {
 }
 
 #[test]
+fn behavioral_answers_match_the_pinned_golden_rows() {
+    // The answers the row-at-a-time kernels (before the typed, in-place
+    // rewrite) gave at 3 000 users, seed 7171 — so a kernel change is
+    // checked end to end against its predecessor, not only against the
+    // oracle that lives beside it.
+    let session = events_session(3_000);
+    let rows = |i: usize| run(&session, &behavioral_queries()[i], Placement::CpuOnly, 2).rows;
+    let ungrouped = |i: usize| rows(i)[0].1.clone();
+    assert_eq!(ungrouped(0), [30203.0, 93784.0, 3001.0], "B1 sessions, events, users");
+    let mut users_by_depth: Vec<(i64, f64)> =
+        rows(1).iter().map(|(key, values)| (key[0], values[0])).collect();
+    users_by_depth.sort_unstable_by_key(|&(depth, _)| depth);
+    assert_eq!(
+        users_by_depth,
+        [(0, 83.0), (1, 1050.0), (2, 1344.0), (3, 524.0)],
+        "B2 users per funnel depth"
+    );
+    assert_eq!(ungrouped(2), [1520.0, 1092.0, 596.0], "B3 cohort, week 1, week 2");
+    assert_eq!(ungrouped(3), [1584.0, 2968.0], "B4 matched, users");
+}
+
+#[test]
 fn auto_prices_stateful_pipelines_off_the_gpu_and_the_lever_flips_it() {
     // On the paper testbed the sequential-state penalty prices every
     // behavioral query onto the CPUs under Auto: the optimizer selects a
