@@ -552,14 +552,20 @@ impl StageEnv<'_> {
     ///
     /// 1. the CPU segments' device providers run the pipeline *prefix*
     ///    (every operator before the final probe) through the ordinary
-    ///    packet loop, materialising the intermediate;
-    /// 2. the intermediate is co-partitioned against the final probe's
-    ///    hash table and joined via `hape_join::coprocess_join_on` over
-    ///    the stage's GPU lanes — each lane priced and capacity-checked
-    ///    against its own spec, link and budget;
-    /// 3. the match pairs are gathered into the same physical layout an
-    ///    in-pipeline probe would produce, and the remaining operators
-    ///    plus the terminal aggregation fold on the CPU workers.
+    ///    packet loop; the packet outputs become the intermediate — columns
+    ///    that passed the prefix untouched (a scan through foreign-key
+    ///    probes) stay views of the base table, only columns an operator
+    ///    produced are materialised;
+    /// 2. the intermediate's key column is co-partitioned against the final
+    ///    probe's hash table and joined via `hape_join::coprocess_join_on`
+    ///    over the stage's GPU lanes — each lane priced and
+    ///    capacity-checked against its own spec, link and budget; what
+    ///    comes back is (build row, probe row) match pairs, no columns;
+    /// 3. when the probe feeds the aggregation directly (the §5 shape), the
+    ///    fold gathers per chunk of pairs only the columns the `AggSpec`
+    ///    reads — the joined batch is never materialised; when operators
+    ///    remain, the pairs are gathered into the physical layout an
+    ///    in-pipeline probe would produce and re-enter the packet loop.
     ///
     /// Returns the aggregated rows and the stage's end time. All failures
     /// are typed [`EngineError`]s — the skew/capacity cases surface as
@@ -620,7 +626,7 @@ impl StageEnv<'_> {
         // lanes. Sides follow the §5 convention: the (smaller) build side
         // is R, the streamed intermediate is S; values are row indices so
         // the match pairs address both batches.
-        let mut joined = Batch::empty();
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
         let mut join_time = SimTime::ZERO;
         let mut first_join_done = SimTime::ZERO;
         let mut cpu_partition_time = SimTime::ZERO;
@@ -645,9 +651,6 @@ impl StageEnv<'_> {
                 JoinInput::new(probe_keys, &probe_vals),
                 &cfg,
             )?;
-            if let Some((build_rows, probe_rows)) = rep.outcome.pairs.as_ref() {
-                joined = gather_matches(&inter, jt, probe_rows, build_rows, build_payload_cols);
-            }
             join_time = rep.outcome.time;
             first_join_done = rep.first_join_done;
             cpu_partition_time = rep.cpu_partition_time;
@@ -655,7 +658,9 @@ impl StageEnv<'_> {
             let lanes = gpu_ids.iter().copied().zip(rep.per_gpu_assignments.iter().copied());
             self.ledger.lanes_joined(lanes, rep.h2d_bytes);
             self.ledger.busy(cpu_partition_time, rep.gpu_busy);
+            (build_rows, probe_rows) = rep.outcome.pairs.unwrap_or_default();
         }
+        let n_joined = probe_rows.len();
         let join_end = pre.end + join_time;
         let wall_join_end = self.ledger.recorder().now_ns();
 
@@ -691,29 +696,51 @@ impl StageEnv<'_> {
             // charged exactly what the single-pass fold charges — the
             // same expression work plus random accesses into the final
             // group table.
+            //
+            // The fold gathers what it reads: each chunk takes its slice of
+            // the match pairs and gathers only the columns the spec reads
+            // (group-by ∪ aggregate arguments; column 0 when it reads none,
+            // for the row count). The chunk keeps the joined layout, so the
+            // spec's indices hold as they are: every position nothing reads
+            // is a clone of the first gathered column — a view of the right
+            // length, never the right data, never looked at.
             let mut state = AggState::new(agg_spec.clone());
-            let fold_busy = if joined.rows() > 0 {
-                let chunk_rows = ExecConfig::auto_packet_rows(joined.rows(), dop, None);
-                let chunks = joined.split(chunk_rows);
+            let fold_busy = if n_joined > 0 {
+                let n_probe = inter.columns.len();
+                let mut reads = agg_spec.group_by.clone();
+                reads.extend(agg_spec.aggs.iter().flat_map(|(_, e)| e.columns_used()));
+                let lead = reads.first().copied().unwrap_or(0);
+                let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
                 let partials = runtime::scatter(
                     threads,
-                    chunks.len(),
+                    n_joined.div_ceil(chunk_rows),
                     |_| (),
                     |i, _scratch| {
+                        let (lo, hi) = (i * chunk_rows, n_joined.min((i + 1) * chunk_rows));
+                        let (build, probe) = (&build_rows[lo..hi], &probe_rows[lo..hi]);
+                        let take = |c: usize| match c.checked_sub(n_probe) {
+                            None => inter.col(c).take(probe),
+                            Some(b) => jt.batch.col(build_payload_cols[b]).take(build),
+                        };
+                        let first = take(lead);
+                        let columns = (0..n_probe + build_payload_cols.len())
+                            .map(|c| {
+                                if c != lead && reads.contains(&c) {
+                                    take(c)
+                                } else {
+                                    first.clone()
+                                }
+                            })
+                            .collect();
                         let mut partial = AggState::new(agg_spec.clone());
-                        partial.update(&chunks[i]);
+                        partial.update(&Batch::new(columns));
                         partial
                     },
                 );
                 for p in &partials {
                     state.merge(p);
                 }
-                hape_ops::cpu::agg_cost(
-                    agg_spec,
-                    joined.rows() as u64,
-                    state.n_groups(),
-                    &model,
-                )
+                hape_ops::cpu::agg_cost(agg_spec, n_joined as u64, state.n_groups(), &model)
             } else {
                 SimTime::ZERO
             };
@@ -731,9 +758,10 @@ impl StageEnv<'_> {
             };
             let mut workers = self.workers_for(segments, Some(agg_spec))?;
             let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-            let packets = if joined.rows() > 0 {
-                let rows =
-                    ExecConfig::auto_packet_rows(joined.rows(), shares, self.packet_rows);
+            let packets = if n_joined > 0 {
+                let joined =
+                    gather_matches(&inter, jt, &probe_rows, &build_rows, build_payload_cols);
+                let rows = ExecConfig::auto_packet_rows(n_joined, shares, self.packet_rows);
                 joined.split(rows)
             } else {
                 Vec::new()
@@ -747,7 +775,7 @@ impl StageEnv<'_> {
         // and the overlapping CPU fold.
         let wall_fold_end = self.ledger.recorder().now_ns();
         let (n_inter, n_joined, n_rows) =
-            (inter.rows() as u64, joined.rows() as u64, rows.len() as u64);
+            (inter.rows() as u64, n_joined as u64, rows.len() as u64);
         self.ledger.phase(|| {
             Span::new(SpanKind::Phase, "coprocess prefix", "")
                 .at_sim(start, pre.end)

@@ -557,12 +557,12 @@ pub fn probe_join_with(
     (out, avg_chain)
 }
 
-/// Assemble the joined batch from co-processing match pairs: the probe
-/// side's columns gathered by `probe_sel`, followed by the selected build
-/// payload columns gathered by `build_sel` — exactly the shape
-/// [`probe_join_with`] produces, so the pipeline operators downstream of a
-/// co-processed probe ([`crate::plan::ProbeExec::CoProcess`]) see the same
-/// physical layout either way.
+/// Assemble the joined batch from match pairs: the probe side's columns
+/// gathered by `probe_sel` (handed through as views, uncopied, when the
+/// selection is the identity), followed by the selected build payload
+/// columns gathered by `build_sel` — the one shape both
+/// [`probe_join_with`] and the operators downstream of a co-processed
+/// probe ([`crate::plan::ProbeExec::CoProcess`]) see.
 pub fn gather_matches(
     probe: &Batch,
     jt: &JoinTable,
@@ -570,7 +570,16 @@ pub fn gather_matches(
     build_sel: &[u32],
     build_payload_cols: &[usize],
 ) -> Batch {
-    let mut cols: Vec<Column> = probe.columns.iter().map(|c| c.take(probe_sel)).collect();
+    // A foreign-key probe matches every probe row exactly once, in order:
+    // the selection is the identity and the probe side passes through as
+    // the views it already is (same rows, same `byte_len`, nothing copied).
+    let identity = probe_sel.len() == probe.rows()
+        && probe_sel.iter().enumerate().all(|(i, &s)| s as usize == i);
+    let mut cols: Vec<Column> = if identity {
+        probe.columns.clone()
+    } else {
+        probe.columns.iter().map(|c| c.take(probe_sel)).collect()
+    };
     for &b in build_payload_cols {
         cols.push(jt.batch.col(b).take(build_sel));
     }
@@ -1144,6 +1153,64 @@ mod tests {
         assert_eq!(a[0].1[1], (0..50).map(|i| (i * 2 * 10) as f64).sum::<f64>());
         assert!(t1.as_ns() > 0.0);
         assert!(t2.as_ns() > 0.0);
+    }
+
+    /// A packet whose every key hits `dim_table` exactly once.
+    fn fk_packet(n: usize) -> Batch {
+        Batch::new(vec![
+            Column::from_i32((0..n as i32).map(|i| (i * 7 % 50) * 2).collect()),
+            Column::from_f64((0..n).map(|i| i as f64).collect()),
+        ])
+    }
+
+    #[test]
+    fn identity_selection_passes_the_probe_side_through_uncopied() {
+        let (pkt, jt) = (fk_packet(64).slice(8, 40), dim_table());
+        let aliases = |out: &Batch| {
+            out.col(0).as_i32().as_ptr() == pkt.col(0).as_i32().as_ptr()
+                && out.col(1).as_f64().as_ptr() == pkt.col(1).as_f64().as_ptr()
+        };
+        let build_sel: Vec<u32> = (0..40).collect();
+        let identity: Vec<u32> = (0..40).collect();
+        let out = gather_matches(&pkt, &jt, &identity, &build_sel, &[1]);
+        assert!(aliases(&out), "a foreign-key probe copies no probe-side column");
+        assert_eq!(out.col(0).as_i32(), pkt.col(0).as_i32());
+        assert_eq!(out.col(2).as_f64()[3], 60.0, "the build payload is still gathered");
+        assert_eq!(out.bytes(), 40 * (4 + 8 + 8), "a view's bytes are its length");
+        // A duplicate match, a missing row and a permutation are gathers.
+        let mut duplicate = identity.clone();
+        duplicate.insert(5, 4);
+        let mut missing = identity.clone();
+        missing.remove(39);
+        let mut permuted = identity;
+        permuted.swap(0, 1);
+        for sel in [duplicate, missing, permuted] {
+            let out = gather_matches(&pkt, &jt, &sel, &build_sel[..sel.len().min(40)], &[]);
+            assert!(!aliases(&out), "{sel:?}");
+            let want: Vec<i32> = sel.iter().map(|&i| pkt.col(0).as_i32()[i as usize]).collect();
+            assert_eq!(out.col(0).as_i32(), want);
+        }
+    }
+
+    #[test]
+    fn foreign_key_probe_reports_the_trace_it_always_did() {
+        // Pinned from the commit before the pass-through existed: the
+        // simulated device materialises the probe's output either way, so
+        // no statistic a cost model reads may notice that the host did not.
+        let mut tables = TableStore::new();
+        tables.insert("d".into(), dim_table());
+        let p = Pipeline::scan("t").join("d", 0, vec![1], JoinAlgo::NonPartitioned);
+        let work = run_ops(fk_packet(64), &p, &tables, &mut Scratch::new()).unwrap();
+        let OpTrace::Probe { rows_in, rows_out, avg_chain, bytes_in, bytes_out, keys, .. } =
+            &work.ops[0]
+        else {
+            panic!("{:?}", work.ops);
+        };
+        assert_eq!((*rows_in, *rows_out), (64, 64));
+        assert_eq!(avg_chain.to_bits(), 0x3ff3_c000_0000_0000, "{avg_chain}");
+        assert_eq!((*bytes_in, *bytes_out), (64 * 12, 64 * 20));
+        assert_eq!((work.bytes, keys.len(), work.out.rows()), (64 * 12, 64, 64));
+        assert_eq!(work.out.col(2).as_f64()[1], 140.0);
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! simulator ([`coprocess_join_on`]), so a server mixing GPU models (or
 //! links of different widths) schedules each co-partition onto the device
 //! where it finishes earliest — and never onto one it does not fit.
+//!
+//! Like the engine's packet loop, the join runs on **two planes**. What a
+//! GPU makes of a co-partition — its match pairs and its simulated join
+//! time — depends on the pair and on the GPU's *spec* alone, never on
+//! which lane runs it or when. So a parallel *data plane* joins every
+//! co-partition on the pool ([`hape_pool::scatter`]), once per distinct
+//! spec group with a lane it fits, and a sequential *control plane* then
+//! replays lane picks and link / GPU reservations in partition order from
+//! the outcome of the group each pick lands on: the thread count cannot
+//! reach a simulated time, a statistic or the order of the pairs.
 
 use hape_sim::des::Resource;
 use hape_sim::spec::CpuSpec;
@@ -45,9 +55,10 @@ pub struct CoprocessConfig {
     pub mode: OutputMode,
     /// GPU memory-model fidelity.
     pub fidelity: Fidelity,
-    /// Real threads executing the co-partitioning passes (the simulated
-    /// cost is governed by `cpu_workers`; this knob only changes the wall
-    /// clock — results are byte-identical at any value).
+    /// Real threads executing the co-partitioning passes and the
+    /// per-co-partition joins (the simulated cost is governed by
+    /// `cpu_workers`; this knob only changes the wall clock — results are
+    /// byte-identical at any value).
     pub threads: usize,
 }
 
@@ -307,7 +318,29 @@ pub fn coprocess_join_on(
     }
     let t_cpu = t_cpu / (cfg.cpu_workers.max(1) as f64 * 0.92);
 
-    // ---- Schedule co-partitions over GPUs (load-aware routing).
+    // ---- Data plane: a join's outcome is a pure function of (spec group,
+    // co-partition), so every pair is joined on the pool before any lane is
+    // picked — once per distinct spec group that has a lane the pair fits
+    // (pairs no lane fits are the control plane's typed error below).
+    let joins = hape_pool::scatter(
+        cfg.threads,
+        fanout,
+        |_| (),
+        |p, _| {
+            let (rpart, spart) = (rp.part(p), sp.part(p));
+            let pair_bytes = rpart.bytes() + spart.bytes();
+            let join = |(g, sim)| {
+                let fits = |l: &GpuLane| l.sim_group == g && 2 * pair_bytes <= l.budget;
+                (pair_bytes > 0 && lanes.iter().any(fits)).then(|| {
+                    gpu_radix_with_shift(sim, rpart, spart, cpu_bits, cfg.variant, cfg.mode)
+                })
+            };
+            sims.iter().enumerate().map(join).collect::<Vec<_>>()
+        },
+    );
+
+    // ---- Control plane: schedule co-partitions over GPUs (load-aware
+    // routing), sequentially, in partition order.
     let mut assignments = vec![0usize; lanes.len()];
     let mut stats = JoinStats::default();
     let mut pairs = match cfg.mode {
@@ -320,20 +353,18 @@ pub fn coprocess_join_on(
     // Per-spec-group join-time estimate for the load-aware pick, seeded
     // from the spec (single-pass radix join ≈ a few device-memory trips
     // plus the launch overhead) and replaced by each observed join time —
-    // so the real join executes exactly once per co-partition, on the
-    // chosen lane's own simulator. Co-partitions are near-equal sized, so
-    // the previous partition's time is an accurate predictor; with
-    // homogeneous GPUs (one group) the estimate is identical for every
-    // lane and the pick reduces to the link/queue comparison.
+    // the time the chosen lane's own simulator gave the co-partition on
+    // the data plane. Co-partitions are near-equal sized, so the previous
+    // partition's time is an accurate predictor; with homogeneous GPUs (one
+    // group) the estimate is identical for every lane and the pick reduces
+    // to the link/queue comparison.
     let mut group_est: Vec<Option<SimTime>> = vec![None; sims.len()];
 
-    for p in 0..fanout {
-        let rpart = rp.part(p);
-        let spart = sp.part(p);
-        if rpart.is_empty() && spart.is_empty() {
+    for (p, mut joined) in joins.into_iter().enumerate() {
+        let pair_bytes = rp.part(p).bytes() + sp.part(p).bytes();
+        if pair_bytes == 0 {
             continue;
         }
-        let pair_bytes = rpart.bytes() + spart.bytes();
         if 2 * pair_bytes > max_budget {
             return Err(CoprocessError::OversizedCoPartition {
                 partition: p,
@@ -375,14 +406,17 @@ pub fn coprocess_join_on(
                 budget: max_budget,
             });
         };
-        // The in-GPU join, once, on the chosen lane's own simulator.
+        // The in-GPU join on the chosen lane's own simulator: priced for
+        // every group with a lane the pair fits, and `best` is such a lane.
+        // A join that failed surfaces only here, if its group is chosen.
         let group = lanes[best].sim_group;
         let join =
-            gpu_radix_with_shift(&sims[group], rpart, spart, cpu_bits, cfg.variant, cfg.mode)
-                .map_err(|e| CoprocessError::OversizedCoPartition {
-                partition: p,
-                bytes: e.requested,
-                budget: e.available,
+            joined[group].take().expect("the chosen lane's group was joined").map_err(|e| {
+                CoprocessError::OversizedCoPartition {
+                    partition: p,
+                    bytes: e.requested,
+                    budget: e.available,
+                }
             })?;
         group_est[group] = Some(join.time);
         stats.merge(&join.stats);
@@ -423,6 +457,333 @@ mod tests {
 
     fn small_gpu_server(capacity_factor: f64) -> Server {
         Server::paper_testbed_gpu_mem_scaled(capacity_factor)
+    }
+
+    /// The parent's `coprocess_join_on`, kept verbatim as the oracle of the
+    /// two-plane join: one sequential loop that picks a lane and *then* runs
+    /// the one in-GPU join on that lane's simulator, co-partition after
+    /// co-partition. The differential below holds the two-plane join to it
+    /// field by field (`cargo test --release -p hape-join -- --ignored
+    /// coprocess` runs 10^3 cases in CI).
+    fn coprocess_join_on_sequential(
+        server: &Server,
+        gpu_ids: &[usize],
+        r: JoinInput<'_>,
+        s: JoinInput<'_>,
+        cfg: &CoprocessConfig,
+    ) -> Result<CoprocessReport, CoprocessError> {
+        if gpu_ids.is_empty() || server.gpus.is_empty() {
+            return Err(CoprocessError::NoGpus);
+        }
+        if server.cpus.is_empty() {
+            return Err(CoprocessError::NoCpus);
+        }
+        // ---- Validate the subset up front: every GPU must exist *and* have a
+        // PCIe link (a topology listing fewer links than GPUs is a typed
+        // error, not an out-of-bounds panic).
+        let mut sims: Vec<GpuSim> = Vec::new();
+        let mut lanes: Vec<GpuLane> = Vec::with_capacity(gpu_ids.len());
+        for &g in gpu_ids {
+            let spec = server.gpus.get(g).ok_or(CoprocessError::UnknownGpu { gpu: g })?;
+            let link = server.pcie.get(g).ok_or(CoprocessError::MissingLink { gpu: g })?;
+            let sim_group = match sims.iter().position(|s| s.spec() == spec) {
+                Some(i) => i,
+                None => {
+                    sims.push(GpuSim::new(spec.clone(), cfg.fidelity));
+                    sims.len() - 1
+                }
+            };
+            let mut link = link.clone();
+            link.reset();
+            lanes.push(GpuLane {
+                budget: gpu_budget(spec.dram_capacity),
+                link,
+                gpu: Resource::new(format!("gpu{g}")),
+                sim_group,
+            });
+        }
+        let min_budget = lanes.iter().map(|l| l.budget).min().unwrap_or(0);
+        let max_budget = lanes.iter().map(|l| l.budget).max().unwrap_or(0);
+        let cpu_spec = &server.cpus[0];
+
+        // ---- Plan and execute the CPU-side co-partitioning. Prefer the
+        // fanout at which a co-partition fits *every* selected GPU (best load
+        // balance); if only a larger budget is reachable within the fanout
+        // bound, plan for it and let the per-partition routing skip the
+        // smaller devices.
+        let cpu_bits = plan_cpu_bits(r.bytes(), s.bytes(), min_budget, cpu_spec)
+            .or_else(|_| plan_cpu_bits(r.bytes(), s.bytes(), max_budget, cpu_spec))?;
+        let max_pass_bits = cpu_spec.max_partition_fanout().trailing_zeros().max(1);
+        let plan = {
+            let mut pass_bits = Vec::new();
+            let mut rem = cpu_bits;
+            while rem > 0 {
+                let b = rem.min(max_pass_bits);
+                pass_bits.push(b);
+                rem -= b;
+            }
+            RadixPlan { pass_bits, total_bits: cpu_bits }
+        };
+        let (rp, _) = radix_partition_with_threads(r, cpu_bits, max_pass_bits, cfg.threads);
+        let (sp, _) = radix_partition_with_threads(s, cpu_bits, max_pass_bits, cfg.threads);
+        let fanout = rp.fanout();
+
+        // CPU partitioning cost: the low fanout keeps every pass near DRAM
+        // bandwidth. Both sockets' workers share the work.
+        let per_socket = (cfg.cpu_workers / server.cpus.len()).max(1);
+        let model = CpuCostModel::new(cpu_spec.clone(), per_socket.min(cpu_spec.cores));
+        let mut t_cpu = SimTime::ZERO;
+        for &bits in &plan.pass_bits {
+            t_cpu += model.partition_pass(r.len() as u64, 8, 1 << bits);
+            t_cpu += model.partition_pass(s.len() as u64, 8, 1 << bits);
+        }
+        let t_cpu = t_cpu / (cfg.cpu_workers.max(1) as f64 * 0.92);
+
+        // ---- Schedule co-partitions over GPUs (load-aware routing).
+        let mut assignments = vec![0usize; lanes.len()];
+        let mut stats = JoinStats::default();
+        let mut pairs = match cfg.mode {
+            OutputMode::MatchIndices => Some((Vec::new(), Vec::new())),
+            OutputMode::AggregateOnly => None,
+        };
+        let mut makespan = SimTime::ZERO;
+        let mut first_join_done: Option<SimTime> = None;
+        let mut h2d_bytes = 0u64;
+        // Per-spec-group join-time estimate for the load-aware pick, seeded
+        // from the spec (single-pass radix join ≈ a few device-memory trips
+        // plus the launch overhead) and replaced by each observed join time —
+        // so the real join executes exactly once per co-partition, on the
+        // chosen lane's own simulator. Co-partitions are near-equal sized, so
+        // the previous partition's time is an accurate predictor; with
+        // homogeneous GPUs (one group) the estimate is identical for every
+        // lane and the pick reduces to the link/queue comparison.
+        let mut group_est: Vec<Option<SimTime>> = vec![None; sims.len()];
+
+        for p in 0..fanout {
+            let rpart = rp.part(p);
+            let spart = sp.part(p);
+            if rpart.is_empty() && spart.is_empty() {
+                continue;
+            }
+            let pair_bytes = rpart.bytes() + spart.bytes();
+            if 2 * pair_bytes > max_budget {
+                return Err(CoprocessError::OversizedCoPartition {
+                    partition: p,
+                    bytes: 2 * pair_bytes,
+                    budget: max_budget,
+                });
+            }
+            // The co-partition becomes available as the CPU pass streams through
+            // the data (pipelined production).
+            let ready = t_cpu * ((p + 1) as f64 / fanout as f64);
+
+            // Load-aware GPU choice among the devices the co-partition fits:
+            // earliest estimated completion wins, each lane priced with its
+            // own link and its own spec group's join-time estimate.
+            let mut best: Option<usize> = None;
+            let mut best_end: Option<SimTime> = None;
+            for (i, lane) in lanes.iter().enumerate() {
+                if 2 * pair_bytes > lane.budget {
+                    continue;
+                }
+                let join_time = group_est[lane.sim_group].unwrap_or_else(|| {
+                    let spec = sims[lane.sim_group].spec();
+                    SimTime::from_ns(
+                        4.0 * pair_bytes as f64 / spec.dram_bw * 1e9 + spec.launch_overhead_ns,
+                    )
+                });
+                let t_start = lane.link.free_at().max(ready);
+                let t_arrive = t_start + lane.link.duration(pair_bytes);
+                let end = lane.gpu.free_at().max(t_arrive) + join_time;
+                if best_end.is_none_or(|b| end < b) {
+                    best_end = Some(end);
+                    best = Some(i);
+                }
+            }
+            let Some(best) = best else {
+                return Err(CoprocessError::OversizedCoPartition {
+                    partition: p,
+                    bytes: 2 * pair_bytes,
+                    budget: max_budget,
+                });
+            };
+            // The in-GPU join, once, on the chosen lane's own simulator.
+            let group = lanes[best].sim_group;
+            let join = gpu_radix_with_shift(
+                &sims[group],
+                rpart,
+                spart,
+                cpu_bits,
+                cfg.variant,
+                cfg.mode,
+            )
+            .map_err(|e| CoprocessError::OversizedCoPartition {
+                partition: p,
+                bytes: e.requested,
+                budget: e.available,
+            })?;
+            group_est[group] = Some(join.time);
+            stats.merge(&join.stats);
+            if let (Some((pr, ps)), Some((jr, js))) = (pairs.as_mut(), join.pairs.as_ref()) {
+                pr.extend_from_slice(jr);
+                ps.extend_from_slice(js);
+            }
+            let lane = &mut lanes[best];
+            let (_, arrived) = lane.link.transfer(ready, pair_bytes);
+            let (_, done) = lane.gpu.acquire(arrived, join.time);
+            assignments[best] += 1;
+            h2d_bytes += pair_bytes;
+            makespan = makespan.max(done);
+            first_join_done = Some(first_join_done.map_or(done, |f| f.min(done)));
+        }
+        let transfer_busy = lanes.iter().map(|l| l.link.busy_time()).sum::<SimTime>();
+        let gpu_busy = lanes.iter().map(|l| l.gpu.busy_time()).sum::<SimTime>();
+
+        Ok(CoprocessReport {
+            outcome: JoinOutcome { stats, pairs, time: makespan },
+            cpu_partition_time: t_cpu,
+            transfer_busy,
+            gpu_busy,
+            h2d_bytes,
+            first_join_done: first_join_done.unwrap_or(SimTime::ZERO),
+            co_partitions: fanout,
+            cpu_bits,
+            per_gpu_assignments: assignments,
+        })
+    }
+
+    /// Holds the two-plane join at four thread counts to the oracle's one
+    /// run, field by field, errors included (`CoprocessError` has no
+    /// `PartialEq`; its `Debug` form carries the variant and every field).
+    /// Returns whether the oracle's run succeeded.
+    fn assert_equals_sequential(
+        server: &Server,
+        gpu_ids: &[usize],
+        r: JoinInput<'_>,
+        s: JoinInput<'_>,
+        cfg: &CoprocessConfig,
+        what: &str,
+    ) -> bool {
+        let oracle = coprocess_join_on_sequential(server, gpu_ids, r, s, cfg);
+        for threads in [1, 2, 8, 140] {
+            let what = format!("{what} threads={threads}");
+            let cfg = CoprocessConfig { threads, ..*cfg };
+            match (coprocess_join_on(server, gpu_ids, r, s, &cfg), &oracle) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.outcome.stats, b.outcome.stats, "{what}");
+                    assert_eq!(a.outcome.pairs, b.outcome.pairs, "{what}");
+                    assert_eq!(a.outcome.time, b.outcome.time, "{what}");
+                    assert_eq!(a.first_join_done, b.first_join_done, "{what}");
+                    assert_eq!(a.h2d_bytes, b.h2d_bytes, "{what}");
+                    assert_eq!(a.per_gpu_assignments, b.per_gpu_assignments, "{what}");
+                    assert_eq!(a.transfer_busy, b.transfer_busy, "{what}");
+                    assert_eq!(a.gpu_busy, b.gpu_busy, "{what}");
+                    assert_eq!(a.cpu_partition_time, b.cpu_partition_time, "{what}");
+                    assert_eq!(
+                        (a.co_partitions, a.cpu_bits),
+                        (b.co_partitions, b.cpu_bits),
+                        "{what}"
+                    );
+                }
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}"),
+                (a, b) => panic!("{what}: {:?}, the oracle {:?}", a.err(), b.as_ref().err()),
+            }
+        }
+        oracle.is_ok()
+    }
+
+    /// SplitMix64: the differential's only source of randomness.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded cases over input size (2^8–2^16), key distribution of the
+    /// streamed side (unique, or Zipf over the build side's universe — skew
+    /// that may overflow a co-partition, so typed errors are compared too),
+    /// both output modes, GPU memory (128 KiB–4 MiB), and three servers: one
+    /// GPU, two identical GPUs, and a heterogeneous pair (half the memory,
+    /// twice the launch overhead, a quarter of the link — two spec groups are
+    /// priced).
+    fn differential(cases: u64) {
+        let (mut oks, mut errs) = (0, 0);
+        for case in 0..cases {
+            let mut rng = case.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x5EED;
+            let n = 1usize << (8 + next(&mut rng) % 9);
+            let rk = gen_unique_keys(n, next(&mut rng));
+            let sk = match next(&mut rng) % 3 {
+                0 => gen_unique_keys(n, next(&mut rng)),
+                1 => gen_zipf_i32(n, n, 0.5, next(&mut rng)),
+                _ => gen_zipf_i32(n, n, 0.9, next(&mut rng)),
+            };
+            let rv: Vec<u32> = (0..n as u32).collect();
+            let sv: Vec<u32> = (0..n as u32).map(|i| i ^ 5).collect();
+            let mut server = small_gpu_server(1.0 / (1u64 << (11 + next(&mut rng) % 6)) as f64);
+            let gpu_ids: &[usize] = match next(&mut rng) % 3 {
+                0 => &[0],
+                1 => &[0, 1],
+                _ => {
+                    server.gpus[1].dram_capacity /= 2;
+                    server.pcie[1].bw /= 4.0;
+                    // …and twice the launch overhead, so the two groups'
+                    // join *times* differ on the smallest input and a
+                    // mixed-up group cannot go unnoticed.
+                    server.gpus[1].launch_overhead_ns *= 2.0;
+                    &[0, 1]
+                }
+            };
+            let mode = match next(&mut rng) % 2 {
+                0 => OutputMode::MatchIndices,
+                _ => OutputMode::AggregateOnly,
+            };
+            let cfg = CoprocessConfig { mode, ..Default::default() };
+            let (r, s) = (JoinInput::new(&rk, &rv), JoinInput::new(&sk, &sv));
+            let what = format!("case {case}");
+            match assert_equals_sequential(&server, gpu_ids, r, s, &cfg, &what) {
+                true => oks += 1,
+                false => errs += 1,
+            }
+        }
+        // The generator must exercise both outcomes, not only one of them.
+        assert!(oks > cases / 2 && (errs > 0 || cases < 40), "{oks} ok, {errs} errors");
+    }
+
+    #[test]
+    fn two_plane_join_equals_the_sequential_oracle_on_seeded_inputs() {
+        differential(40);
+    }
+
+    /// The CI-only depth (`cargo test --release -p hape-join -- --ignored
+    /// coprocess`): seconds in release.
+    #[test]
+    #[ignore = "10^3 cases: run in release (CI does)"]
+    fn two_plane_join_equals_the_sequential_oracle_on_a_thousand_seeded_inputs() {
+        differential(1_000);
+    }
+
+    #[test]
+    fn two_plane_join_raises_the_oracles_errors() {
+        // `skewed_key_detected`'s input: one key, a co-partition no fanout
+        // can split — the max-budget check, on one GPU and on a server whose
+        // second GPU is too small for anything.
+        let n = 1 << 14;
+        let keys = vec![42i32; n];
+        let vals = vec![0u32; n];
+        let r = JoinInput::new(&keys, &vals);
+        let cfg = CoprocessConfig::default();
+        let server = small_gpu_server(1.0 / 1_000_000.0);
+        assert_equals_sequential(&server, &[0], r, r, &cfg, "skewed");
+        let mut tiny = small_gpu_server(1.0 / 65536.0);
+        tiny.gpus[1].dram_capacity = 16;
+        assert_equals_sequential(&tiny, &[0, 1], r, r, &cfg, "skewed, tiny second gpu");
+        // The same server on an input that fits GPU 0 only: the tiny GPU's
+        // spec group is never joined, and never chosen.
+        let rk = gen_unique_keys(n, 83);
+        let r = JoinInput::new(&rk, &vals);
+        assert_equals_sequential(&tiny, &[0, 1], r, r, &cfg, "tiny second gpu");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The only place in the workspace that spawns threads. The engine's
 //! parallel data plane (`hape_core::runtime` re-exports both functions)
-//! and the join's partition passes (`hape_join::partition`) dispatch
-//! through [`scatter`] and [`drain`]; a second spawn site fails CI.
+//! and the join's partition passes and per-co-partition joins
+//! (`hape_join::{partition, coprocess}`) dispatch through [`scatter`] and
+//! [`drain`]; a second spawn site fails CI.
 //!
 //! The pool is deliberately simple (no external crates are available):
 //! [`std::thread::scope`] threads pull job indices off a shared atomic
@@ -53,27 +54,30 @@ where
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     std::thread::scope(|scope| {
-        for t in 0..workers {
-            let tx = tx.clone();
-            let (cursor, init, job) = (&cursor, &init, &job);
-            scope.spawn(move || {
-                let mut scratch = init(t);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|t| {
+                let tx = tx.clone();
+                let (cursor, init, job) = (&cursor, &init, &job);
+                scope.spawn(move || {
+                    let mut scratch = init(t);
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let r = job(i, &mut scratch);
+                        if tx.send((i, r)).is_err() {
+                            break;
+                        }
                     }
-                    let r = job(i, &mut scratch);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(tx);
         for (i, r) in rx {
             out[i] = Some(r);
         }
+        join_all(handles);
     });
     out.into_iter().map(|r| r.expect("pool delivered every job")).collect()
 }
@@ -103,17 +107,35 @@ where
     }
     let queue = Mutex::new(items.into_iter());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (queue, f) = (&queue, &f);
-            scope.spawn(move || loop {
-                let next = queue.lock().expect("pool queue poisoned").next();
-                match next {
-                    Some(t) => f(t),
-                    None => break,
-                }
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (queue, f) = (&queue, &f);
+                scope.spawn(move || loop {
+                    let next = queue.lock().expect("pool queue poisoned").next();
+                    match next {
+                        Some(t) => f(t),
+                        None => break,
+                    }
+                })
+            })
+            .collect();
+        join_all(handles);
     });
+}
+
+/// Join every pool thread, re-raising the first worker panic as it was
+/// thrown. The handles are joined, never dropped: dropping a
+/// `ScopedJoinHandle` is a `pthread_detach`, and glibc's detach reads the
+/// thread descriptor after publishing the detach — a use-after-unmap when
+/// that thread is exiting at the same moment and its stack does not fit the
+/// stack cache (seen once as a segfault at 256 pool threads). A joined
+/// thread is never detached, so the window does not exist.
+fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for h in handles {
+        if let Err(panic) = h.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 #[cfg(test)]

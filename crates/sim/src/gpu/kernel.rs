@@ -366,7 +366,10 @@ impl GpuSim {
             Fidelity::Exact => (0..sms).map(|_| SetAssocCache::new(self.spec.l1)).collect(),
             Fidelity::Analytic => Vec::new(),
         };
-        let mut l2 = SetAssocCache::new(self.spec.l2);
+        // Only the exact replay reads the L2 tag array (two 128 KB vectors
+        // per launch on the paper testbed); the analytic model never does.
+        let mut l2 =
+            (self.fidelity == Fidelity::Exact).then(|| SetAssocCache::new(self.spec.l2));
 
         let mut sm_ns = vec![0.0f64; sms];
         let mut stats = KernelStats::default();
@@ -377,14 +380,14 @@ impl GpuSim {
         let flush_wave = |sm: usize,
                           wave: &mut Vec<BlockRecord>,
                           l1s: &mut Vec<SetAssocCache>,
-                          l2: &mut SetAssocCache,
+                          l2: &mut Option<SetAssocCache>,
                           sm_ns: &mut Vec<f64>,
                           stats: &mut KernelStats,
                           total_dram: &mut f64| {
             if wave.is_empty() {
                 return;
             }
-            if self.fidelity == Fidelity::Exact {
+            if let Some(l2) = l2 {
                 Self::replay_wave(&self.spec, &mut l1s[sm], l2, wave, stats);
             }
             for rec in wave.drain(..) {

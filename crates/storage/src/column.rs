@@ -186,9 +186,19 @@ impl Column {
         }
     }
 
-    /// Concatenate a sequence of same-typed columns into one owned column.
+    /// Concatenate a sequence of same-typed columns into one column: the
+    /// covering view when the parts are adjacent views of one allocation
+    /// (packets of a table that passed through untouched — nothing is
+    /// copied), a new owned column otherwise.
     pub fn concat(parts: &[Column]) -> Column {
         assert!(!parts.is_empty(), "concat of zero columns");
+        let adjacent = |w: &[Column]| {
+            Arc::ptr_eq(&w[0].data, &w[1].data) && w[0].off + w[0].len == w[1].off
+        };
+        if parts.windows(2).all(adjacent) {
+            let len = parts.iter().map(Column::len).sum();
+            return Column { data: Arc::clone(&parts[0].data), off: parts[0].off, len };
+        }
         let dt = parts[0].data_type();
         match dt {
             DataType::I32 | DataType::Date => {
@@ -284,6 +294,70 @@ mod tests {
         let parts = vec![c.slice(0, 4), c.slice(4, 6)];
         let cc = Column::concat(&parts);
         assert_eq!(cc.as_i32(), c.as_i32());
+    }
+
+    /// Ten rows of each physical type (the strings dictionary-encoded).
+    fn one_of_each_type() -> Vec<Column> {
+        vec![
+            Column::from_i32((0..10).collect()),
+            Column::from_i64((0..10).map(|v| v * 7).collect()),
+            Column::from_f64((0..10).map(|v| f64::from(v) * 0.5).collect()),
+            Column::from_strs(["a", "b", "c", "a", "b", "c", "d", "e", "f", "g"]),
+        ]
+    }
+
+    /// Where a view's first value lives, and its values, whatever its type.
+    fn addr_and_values(c: &Column) -> (usize, Vec<String>) {
+        fn of<T: ToString>(v: &[T]) -> (usize, Vec<String>) {
+            (v.as_ptr() as usize, v.iter().map(T::to_string).collect())
+        }
+        match c.data_type() {
+            DataType::I32 | DataType::Date => of(c.as_i32()),
+            DataType::I64 => of(c.as_i64()),
+            DataType::F64 => of(c.as_f64()),
+            DataType::Str => of(c.as_codes()),
+        }
+    }
+
+    #[test]
+    fn concat_of_adjacent_views_is_the_covering_view() {
+        for c in one_of_each_type() {
+            let parts = [c.slice(2, 3), c.slice(5, 4), c.slice(9, 1)];
+            let cc = Column::concat(&parts);
+            assert_eq!(addr_and_values(&cc), addr_and_values(&c.slice(2, 8)), "no copy");
+            assert!(Arc::ptr_eq(&cc.data, &c.data), "a view of the same allocation");
+            // A single part is its own covering view.
+            let one = Column::concat(&parts[1..2]);
+            assert_eq!(addr_and_values(&one), addr_and_values(&parts[1]));
+        }
+    }
+
+    #[test]
+    fn concat_of_anything_but_adjacent_views_copies_and_round_trips() {
+        for c in one_of_each_type() {
+            // The same rows in a second allocation (sharing the dictionary).
+            let other = c.take(&(0..10).collect::<Vec<u32>>());
+            let cases = [
+                ("a gap", vec![c.slice(0, 3), c.slice(5, 2)]),
+                ("out of order", vec![c.slice(5, 2), c.slice(0, 5)]),
+                ("overlapping", vec![c.slice(0, 5), c.slice(3, 4)]),
+                ("two allocations", vec![c.slice(0, 5), other.slice(5, 5)]),
+                (
+                    "an empty part in the middle",
+                    vec![c.slice(0, 4), other.slice(0, 0), c.slice(4, 6)],
+                ),
+            ];
+            for (what, parts) in cases {
+                let cc = Column::concat(&parts);
+                let want: Vec<String> =
+                    parts.iter().flat_map(|p| addr_and_values(p).1).collect();
+                let (addr, got) = addr_and_values(&cc);
+                assert_eq!(got, want, "{what}: {:?}", c.data_type());
+                assert!(!Arc::ptr_eq(&cc.data, &c.data), "{what}: a new allocation");
+                assert_ne!(addr, addr_and_values(&parts[0]).0, "{what}");
+                assert_eq!(cc.dict().map(Arc::as_ptr), c.dict().map(Arc::as_ptr), "{what}");
+            }
+        }
     }
 
     #[test]

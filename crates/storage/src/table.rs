@@ -161,9 +161,11 @@ impl Batch {
         out
     }
 
-    /// Concatenate same-shaped batches column-wise into one owned batch —
-    /// how packet outputs become a build side. No batch yields
-    /// [`Batch::empty`]; a single batch is returned as it is (still a view).
+    /// Concatenate same-shaped batches column-wise into one batch — how
+    /// packet outputs become a build side. No batch yields
+    /// [`Batch::empty`]; a single batch is returned as it is (still a view),
+    /// and so is every column whose parts are adjacent views of one
+    /// allocation ([`Column::concat`]); the rest are copied.
     pub fn concat(mut parts: Vec<Batch>) -> Batch {
         if parts.len() <= 1 {
             return parts.pop().unwrap_or_else(Batch::empty);

@@ -367,3 +367,32 @@ fn q5_auto_explain_renders_subsets_and_cost_estimates() {
     let manual = session.explain_with(&q5, &ExecConfig::new(Placement::Hybrid)).unwrap();
     assert!(!manual.contains("est:"), "{manual}");
 }
+
+/// Q9\* under `Auto` against values pinned **from the commit before the
+/// co-processing stage stopped materialising its joined batch**: the fold
+/// now gathers, chunk by chunk, only the columns it reads, and its claim
+/// that chunk boundaries, in-chunk row order and merge order are the old
+/// ones — so every `f64` sum keeps its bits — is checked against that
+/// parent here, not only against itself. The 175 rows are pinned as an
+/// FNV-1a digest over every key component and every value's bit pattern,
+/// plus the first and last row in the clear.
+#[test]
+fn q9_auto_rows_and_makespan_are_the_parents_bit_for_bit() {
+    let session = tpch_session();
+    let q9 = q9_query(JoinAlgo::NonPartitioned);
+    for threads in [1, 2, 8] {
+        let cfg = ExecConfig::new(Placement::Auto).with_threads(threads);
+        let rep = session.execute_with(&q9, &cfg).unwrap();
+        assert_eq!(rep.time.as_secs().to_bits(), 0x3f2e_e9e2_d2dc_d061, "threads={threads}");
+        assert_eq!(rep.rows.len(), 175, "threads={threads}");
+        let words = rep.rows.iter().flat_map(|(key, vals)| {
+            key.iter().map(|&k| k as u64).chain(vals.iter().map(|v| v.to_bits()))
+        });
+        let digest = words
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3));
+        assert_eq!(digest, 0xd815_8a72_c743_a7f3, "threads={threads}");
+        let bits = |i: usize| (rep.rows[i].0, rep.rows[i].1[0].to_bits());
+        assert_eq!(bits(0), ([0, 1992, 0, 0], 0x413f_e8b5_0cd9_9e69), "threads={threads}");
+        assert_eq!(bits(174), ([24, 1998, 0, 0], 0x4125_edbb_ec8c_3387), "threads={threads}");
+    }
+}
