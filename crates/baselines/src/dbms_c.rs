@@ -59,7 +59,7 @@ impl DbmsC {
         catalog: &Catalog,
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
-        plan.validate().map_err(EngineError::InvalidPlan)?;
+        plan.bind(catalog)?;
         let no_cpu = || EngineError::DeviceNotPresent { device: "cpu0".into() };
         let model = self.model().ok_or_else(no_cpu)?;
         let mut tables = TableStore::new();

@@ -59,7 +59,7 @@ impl DbmsG {
         catalog: &Catalog,
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
-        plan.validate().map_err(EngineError::InvalidPlan)?;
+        plan.bind(catalog)?;
         let no_gpu = || EngineError::DeviceNotPresent { device: "gpu0".into() };
         let gpu = self.server.gpus.first().ok_or_else(no_gpu)?;
         let mut tables = TableStore::new();

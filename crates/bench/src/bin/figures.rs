@@ -44,7 +44,9 @@
 //! Unknown `--flags`, unknown figure ids and flag values that do not parse
 //! (`--sf abc`, `--placements foo`) are rejected with an error and the
 //! usage synopsis (exit code 2) — a typo like `--trase x.json` or `fig10`
-//! aborts instead of silently running something else, or nothing.
+//! aborts instead of silently running something else, or nothing. An
+//! artifact that cannot be written (`--trace`, `--out`) is an error on
+//! stderr and exit code 1.
 
 use hape_bench::chaos::{chaos_tpch, print_chaos};
 use hape_bench::figures::{fig5, fig6, fig7, fig8_opts, fig9, print_figure};
@@ -90,6 +92,24 @@ enum CliError {
         /// What followed it.
         value: String,
     },
+    /// An artifact (`--trace`, `--out`) could not be written. The one
+    /// variant that is not a usage error: exit code 1, no synopsis.
+    Write {
+        /// The path given.
+        path: String,
+        /// Why the write failed.
+        error: std::io::Error,
+    },
+}
+
+impl CliError {
+    /// 2 for a rejected command line, 1 for a failed run.
+    fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Write { .. } => 1,
+            _ => 2,
+        }
+    }
 }
 
 impl std::fmt::Display for CliError {
@@ -99,6 +119,7 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
             CliError::UnknownFigure(id) => write!(f, "unknown figure: {id}"),
             CliError::BadValue { flag, value } => write!(f, "bad value for {flag}: {value}"),
+            CliError::Write { path, error } => write!(f, "writing {path}: {error}"),
         }
     }
 }
@@ -162,9 +183,17 @@ fn first_count(list: &str) -> Result<usize, std::num::ParseIntError> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&args) {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
+        eprintln!("{e}");
+        if e.exit_code() == 2 {
+            eprintln!("{USAGE}");
+        }
+        std::process::exit(e.exit_code());
     }
+}
+
+/// A failed write of the artifact at `path`, as the error `run` returns.
+fn unwritable(path: &str) -> impl FnOnce(std::io::Error) -> CliError + '_ {
+    move |error| CliError::Write { path: path.to_string(), error }
 }
 
 /// Check the whole command line — arguments, then every typed flag value,
@@ -197,7 +226,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if trace_path.is_some() || profile {
         let trace = trace_tpch(sf, threads, packet_rows);
         if let Some(path) = trace_path {
-            write_chrome_trace(&trace, path).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            write_chrome_trace(&trace, path).map_err(unwritable(path))?;
             println!(
                 "wrote {path} ({} spans, {} counters)",
                 trace.spans.len(),
@@ -215,7 +244,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         let sweep = verify_tpch(sf, users);
         print_verify(&sweep);
         std::fs::write(out, hape_bench::verify::to_json(&sweep) + "\n")
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+            .map_err(unwritable(out))?;
         println!("wrote {out}");
         if !sweep.clean() {
             eprintln!("static and runtime verdicts disagree — see {out}");
@@ -229,7 +258,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         let sweep = chaos_tpch(sf, users, seed);
         print_chaos(&sweep);
         std::fs::write(out, hape_bench::chaos::to_json(&sweep) + "\n")
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+            .map_err(unwritable(out))?;
         println!("wrote {out}");
         if !sweep.rows_identical() {
             eprintln!("a fault schedule changed an answer — see {out}");
@@ -326,5 +355,19 @@ mod tests {
         let threads = parsed(&args("--threads 4,8"), "--threads", first_count);
         assert!(matches!(threads, Ok(Some(4))));
         assert!(matches!(parsed(&args("--smoke"), "--sf", str::parse::<f64>), Ok(None)));
+    }
+
+    #[test]
+    fn an_unwritable_artifact_is_an_error_with_exit_code_1_not_a_panic() {
+        let err =
+            run(&args("--smoke --trace /nonexistent-dir/trace.json")).expect_err("no dir");
+        assert!(
+            matches!(&err, CliError::Write { path, .. } if path == "/nonexistent-dir/trace.json"),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().starts_with("writing /nonexistent-dir/trace.json: "), "{err}");
+        // Usage errors keep their own code.
+        assert_eq!(CliError::UnknownFlag("--x".into()).exit_code(), 2);
     }
 }

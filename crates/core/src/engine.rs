@@ -21,9 +21,9 @@
 //! tallied here. *Realised, not validated*: GPU workers charge the
 //! mem-move across their PCIe link, broadcast the probed hash tables into
 //! device memory first (the Q9 capacity constraint, §6.4) and swap in the
-//! GPU back-end (the device crossing); structure is checked by
-//! [`QueryPlan::try_new`] and [`crate::verify`], and what remains here
-//! are the typed runtime refusals (absent device, unbuilt table,
+//! GPU back-end (the device crossing); the plan is validated once at
+//! `begin` ([`QueryPlan::bind`]'s walk, in every build profile); what
+//! remains here are the state-dependent refusals (absent device,
 //! capacity).
 //!
 //! Every worker folds into a private aggregation state; states merge at
@@ -360,19 +360,18 @@ impl Engine {
     /// simulated fleet) serves any number of interleaved `QueryExec`s
     /// re-entrantly.
     ///
-    /// Fallible since the fault-plane work: a set-but-invalid
-    /// `HAPE_THREADS` surfaces as [`EngineError::InvalidConfig`] here
-    /// instead of silently falling back.
+    /// Fallible: a plan that does not bind to `catalog` is refused here,
+    /// before its first stage, with the typed error its first finding maps
+    /// to ([`QueryPlan::bind`]); a set-but-invalid `HAPE_THREADS` surfaces
+    /// as [`EngineError::InvalidConfig`] instead of silently falling back.
     pub fn begin<'a>(
         &'a self,
         catalog: &'a Catalog,
         placed: &'a PlacedPlan,
     ) -> Result<QueryExec<'a>, EngineError> {
-        // Debug builds run the static verifier on every plan the engine
-        // begins and abort on *structural* diagnostics — IR the pass
-        // pipeline must never emit. Conditions the interpreter rejects
-        // with typed runtime errors (absent devices, unbuilt probes,
-        // capacity) are left to it. See `crate::verify`.
+        // Bind once, in every profile: the pipelines are the caller's
+        // input. What the placement passes added is ours, and asserted.
+        crate::plan::bind_to(&placed.name, placed.views(), catalog)?;
         #[cfg(debug_assertions)]
         crate::verify::debug_check_placed(placed, catalog, &self.server);
         Ok(QueryExec {
@@ -411,6 +410,7 @@ impl Engine {
                 stage: pipeline.source.clone(),
             }));
         }
+        crate::plan::bind_pipeline(pipeline, catalog, tables)?;
         // Ad-hoc CPU-side segments: this hook predates placement and
         // takes a bare pipeline.
         let segments: Vec<Segment> = participants(Placement::CpuOnly, &self.server)
@@ -812,13 +812,11 @@ impl StageEnv<'_> {
         let rows_per_packet =
             ExecConfig::auto_packet_rows(table.rows(), shares, self.packet_rows);
         // Stateful aggregates consume whole per-user runs, so their packet
-        // boundaries snap to user boundaries (plan validation guarantees
-        // only filters precede the op, so its columns are source-table
-        // indices — checked here, once per stage, because the split and
-        // the kernels index them unchecked). The split is computed once,
-        // before any worker sees a packet, so it is identical at every
-        // thread count.
-        pipeline.check_stateful_inputs(&table.schema).map_err(EngineError::InvalidPlan)?;
+        // boundaries snap to user boundaries (binding guarantees only
+        // filters precede the op, so its columns are source-table indices,
+        // in range and of a type the kernels read). The split is computed
+        // once, before any worker sees a packet, so it is identical at
+        // every thread count.
         let packets = match pipeline.stateful_agg() {
             Some(agg) => hape_ops::stateful::split_user_aligned(
                 &table.data,

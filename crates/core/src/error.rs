@@ -107,6 +107,11 @@ pub enum PlanError {
         /// table's schema.
         found: Option<DataType>,
     },
+    /// The plan does not bind to the catalog it was about to run against —
+    /// the invariants of [`crate::plan::QueryPlan::bind`] that no older
+    /// variant names (a column out of range, a wrong kind or key type, an
+    /// empty projection). Lowering refuses the same mistakes by name.
+    Unbound(Box<crate::verify::Diagnostic>),
 }
 
 impl std::fmt::Display for PlanError {
@@ -161,6 +166,7 @@ impl std::fmt::Display for PlanError {
             PlanError::StatefulColumn { table, role, column, found: None } => {
                 write!(f, "stateful {role} column {column} is outside the schema of {table:?}")
             }
+            PlanError::Unbound(diagnostic) => write!(f, "plan does not bind: {diagnostic}"),
         }
     }
 }

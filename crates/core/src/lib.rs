@@ -148,9 +148,12 @@
 //! The [`mod@verify`] module is the IR's validator: four passes (schema
 //! dataflow, trait coherence, device/capacity audit, determinism
 //! contracts) over the placed plan, each violation a typed
-//! [`verify::Diagnostic`] with a (stage, segment, op) location. Debug
-//! builds verify every plan the engine begins automatically; the
-//! explicit API reports the full diagnostic list.
+//! [`verify::Diagnostic`] with a (stage, segment, op) location. The first
+//! pass — the binding walk, [`plan::QueryPlan::bind`], over the pipelines a
+//! caller supplies — runs on every plan every executor begins, in every
+//! build profile, and refuses with a typed error before a packet moves;
+//! debug builds additionally assert the other three on what the placement
+//! passes emit. The explicit API reports the full diagnostic list.
 //!
 //! ```
 //! use hape_core::verify::{self, DiagnosticKind, Pass};

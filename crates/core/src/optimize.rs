@@ -108,7 +108,6 @@ pub fn optimize_on(
     server: &Server,
     pool: &[DeviceId],
 ) -> Result<PlacedPlan, EngineError> {
-    plan.validate().map_err(EngineError::InvalidPlan)?;
     if pool.is_empty() {
         return Err(EngineError::NoWorkers { placement: "Auto (empty server)".to_string() });
     }
@@ -211,9 +210,10 @@ pub fn optimize_on(
         }
     }
     placed.costs = Some(PlanCost { stages: costs });
-    // Debug builds statically verify the chosen candidate before handing
-    // it to the engine: a structural diagnostic here is an optimizer or
-    // placement bug, not a user error.
+    // Debug builds assert what this pass and `place_on` added (passes
+    // 2–4) before handing the plan on: a structural diagnostic here is an
+    // optimizer or placement bug. The caller's pipelines are judged by
+    // binding, at `Engine::begin`.
     #[cfg(debug_assertions)]
     crate::verify::debug_check_placed(&placed, catalog, server);
     Ok(placed)

@@ -270,8 +270,10 @@ fn place_pipeline(
     (router, segments)
 }
 
-/// Run the placement pass: validate `plan`, pick the participating devices
-/// for `cfg`, and annotate every stage with segments and exchanges.
+/// Run the placement pass: pick the participating devices for `cfg` and
+/// annotate every stage with segments and exchanges ([`place_on`], which
+/// also validates `plan`'s structure — this pass and the optimizer both
+/// end there).
 ///
 /// Under a manual placement, build stages always run CPU-side (dimension
 /// pipelines are scan-light and their tables must end up host-resident
@@ -293,7 +295,6 @@ pub fn place(
     if cfg.placement == Placement::Auto {
         return Err(EngineError::AutoWithoutOptimizer);
     }
-    plan.validate().map_err(EngineError::InvalidPlan)?;
     let stream_devices = participants(cfg.placement, server);
     if stream_devices.is_empty() {
         return Err(EngineError::NoWorkers { placement: format!("{:?}", cfg.placement) });
@@ -392,6 +393,19 @@ pub fn place_on(
 }
 
 impl PlacedPlan {
+    /// The stages as the binding walk ([`crate::plan::QueryPlan::bind`])
+    /// sees them.
+    pub(crate) fn views(&self) -> impl Iterator<Item = crate::plan::StageView<'_>> {
+        self.stages.iter().map(|stage| match stage {
+            PlacedStage::Build { name, key_col, pipeline, .. } => {
+                (Some((name.as_str(), *key_col)), pipeline)
+            }
+            PlacedStage::Stream { pipeline, .. } | PlacedStage::CoProcess { pipeline, .. } => {
+                (None, pipeline)
+            }
+        })
+    }
+
     /// Reconstruct the logical [`QueryPlan`] this placed plan realises —
     /// the input the `optimize`/`place_on` passes need to re-place the
     /// query on a *degraded* topology after permanent device loss.

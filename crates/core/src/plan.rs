@@ -7,11 +7,17 @@
 //! *fused* — a packet makes one trip through the device provider's compiled
 //! code with no intermediate materialisation points.
 
-use hape_join::common::{ChainedTable, NIL};
-use hape_ops::{AggSpec, Expr, StatefulAgg};
-use hape_storage::{Batch, DataType, Schema};
+use std::collections::HashMap;
 
-use crate::error::PlanError;
+use hape_join::common::{ChainedTable, NIL};
+use hape_ops::expr::{ExprKind, KindMismatch};
+use hape_ops::{AggFunc, AggSpec, Expr, StatefulAgg};
+use hape_storage::{Batch, DataType};
+
+use crate::catalog::Catalog;
+use crate::error::{EngineError, PlanError};
+use crate::provider::TableStore;
+use crate::verify::{Diagnostic, DiagnosticKind, Pass};
 
 /// Join algorithm choice for a GPU-side probe (the Figure 9 toggle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,59 +168,48 @@ impl Pipeline {
         })
     }
 
-    /// The pipeline's stateful aggregate, if any. Because
-    /// [`QueryPlan::validate`] guarantees only filters precede it, its
-    /// column indices are in *source*-table coordinates — the engine
-    /// aligns packet boundaries on its user column there, once
-    /// `check_stateful_inputs` has passed.
+    /// The pipeline's stateful aggregate, if any. Because binding
+    /// ([`QueryPlan::bind`]) guarantees only filters precede it, its column
+    /// indices are in *source*-table coordinates — the engine aligns packet
+    /// boundaries on its user column there.
     pub fn stateful_agg(&self) -> Option<&StatefulAgg> {
         self.ops.iter().find_map(|op| match op {
             PipeOp::Stateful(agg) => Some(agg),
             _ => None,
         })
     }
-
-    /// Check the stateful aggregate's input columns (if the pipeline has
-    /// one) against the schema of the table it scans. Lowering type-checks
-    /// named columns, but a hand-built plan carries raw indices, and in
-    /// release builds nothing else looks at them before the packet split
-    /// and the kernels index the columns unchecked.
-    pub(crate) fn check_stateful_inputs(&self, source: &Schema) -> Result<(), PlanError> {
-        for (role, column, accepted) in
-            self.stateful_agg().into_iter().flat_map(stateful_inputs)
-        {
-            let found = source.fields.get(column).map(|f| f.dtype);
-            if !found.is_some_and(|dtype| accepted.contains(&dtype)) {
-                return Err(PlanError::StatefulColumn {
-                    table: self.source.clone(),
-                    role,
-                    column,
-                    found,
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A stateful aggregate's input columns as `(role, column index, logical
-/// types the role accepts)` — the one statement of the operator's input
-/// contract: [`crate::verify`] checks it statically, the engine
-/// ([`Pipeline::check_stateful_inputs`]) before it cuts a source into
-/// packets.
+/// types the role accepts, what lowering calls those)`. With
+/// [`is_join_key`] and [`is_group_key`], the one statement of the
+/// operators' input contracts: [`bind`] judges hand-built indices against
+/// them, lowering ([`crate::query`]) named columns.
 pub(crate) fn stateful_inputs(
     agg: &StatefulAgg,
-) -> impl Iterator<Item = (&'static str, usize, &'static [DataType])> {
+) -> impl Iterator<Item = (&'static str, usize, &'static [DataType], &'static str)> {
     const USER: &[DataType] = &[DataType::I32, DataType::I64];
     const TS: &[DataType] = &[DataType::I32, DataType::I64, DataType::Date];
     const EVENT: &[DataType] = &[DataType::Str];
     [
-        ("user", Some(agg.user_col()), USER),
-        ("ts", Some(agg.ts_col()), TS),
-        ("event", agg.event_col(), EVENT),
+        ("user", Some(agg.user_col()), USER, "integer user column"),
+        ("ts", Some(agg.ts_col()), TS, "integer or date timestamp column"),
+        ("event", agg.event_col(), EVENT, "string event column"),
     ]
     .into_iter()
-    .filter_map(|(role, column, accepted)| Some((role, column?, accepted)))
+    .filter_map(|(role, column, accepted, named)| Some((role, column?, accepted, named)))
+}
+
+/// Join keys — a probe's key column and a build's — are read as `i32`s by
+/// [`JoinTable::build`] and the probe kernels.
+pub(crate) fn is_join_key(dtype: DataType) -> bool {
+    matches!(dtype, DataType::I32 | DataType::Date)
+}
+
+/// Group keys widen to the `i64` components of a `hape_ops::GroupKey`,
+/// which a float does not.
+pub(crate) fn is_group_key(dtype: DataType) -> bool {
+    dtype != DataType::F64
 }
 
 /// One stage of a query plan.
@@ -255,68 +250,357 @@ impl QueryPlan {
         Ok(plan)
     }
 
-    /// Check the stage structure of an already-assembled plan.
+    /// Check the stage structure of an already-assembled plan: the binding
+    /// walk ([`QueryPlan::bind`]) without a catalog — invariants 1–5 —
+    /// refusing with its first finding.
     pub fn validate(&self) -> Result<(), PlanError> {
-        let mut built: Vec<&str> = Vec::new();
-        let mut streams = 0;
-        for s in &self.stages {
-            match s {
-                Stage::Build { name, pipeline, .. } => {
-                    if pipeline.agg.is_some() {
-                        return Err(PlanError::BuildWithAggregate { stage: name.clone() });
-                    }
-                    self.check_stateful_position(pipeline)?;
-                    for t in pipeline.tables_probed() {
-                        if !built.contains(&t) {
-                            return Err(PlanError::ProbeBeforeBuild { table: t.to_string() });
-                        }
-                    }
-                    built.push(name);
+        let views: Vec<StageView<'_>> = self.views().collect();
+        refuse(&self.name, &views, bind(views.iter().copied(), None))
+    }
+
+    /// Bind the plan to the catalog it will run against, refusing with the
+    /// first finding. Every executor ([`crate::engine::Engine::begin`], the
+    /// baselines) binds before its first packet, in every build profile.
+    ///
+    /// The binding walk is **the** list of plan invariants. It walks every
+    /// stage's operators once, flowing the column types from the scanned
+    /// schema through each operator boundary, and reports every violation
+    /// as a located [`Diagnostic`] ([`crate::verify::check_plan`] returns
+    /// them all). A caller is refused with [`EngineError::InvalidPlan`] of
+    /// the [`PlanError`] named, unless an [`EngineError`] is; `try_new`
+    /// stands for every catalog-less caller, `begin` for every executor.
+    ///
+    /// | # | invariant | [`DiagnosticKind`] | refusal |
+    /// |---|---|---|---|
+    /// | 1 | a build stage does not aggregate | `BuildAggregates` | `BuildWithAggregate` |
+    /// | 2 | a streaming stage does | `StreamMissingAgg` | `StreamWithoutAggregate` |
+    /// | 3 | there is exactly one streaming stage | `NotExactlyOneStream` | `NotExactlyOneStream` |
+    /// | 4 | a probed hash table is built by an earlier stage | `ProbeUnbuilt` | `try_new`: `ProbeBeforeBuild`; `begin`: [`EngineError::HashTableNotBuilt`] |
+    /// | 5 | only filters precede a stateful aggregate | `StatefulAfterReshape` | `StatefulAfterReshape` |
+    /// | 6 | the scanned table exists | `UnknownSource` | [`EngineError::MissingTable`] |
+    /// | 7 | every column an expression, key, group-by or probe payload names is in range | `ColumnOutOfRange`, `PayloadOutOfRange` | `Unbound` |
+    /// | 8 | filters are boolean; projections, the arguments of every aggregate but `Count`, and each operand ([`Expr::kind`]) of the kind its operator takes | `ExprKindMismatch` | `Unbound` |
+    /// | 9 | a projection has a column | `EmptyProject` | `Unbound` |
+    /// | 10 | probe and build keys are `i32` / date typed | `ProbeKeyType`, `KeyType` | `Unbound` |
+    /// | 11 | group keys are not `f64` typed | `KeyType` | `Unbound` |
+    /// | 12 | a stateful aggregate's user / ts / event columns are in range and of a type their role accepts | `StatefulAlignmentInvalid`, `StatefulColumnType` | `StatefulColumn` |
+    ///
+    /// 1–5 are structure, judged with or without a catalog. 6–12 need a
+    /// schema to flow: without a catalog there is none, and a pipeline whose
+    /// source is unknown stops flowing at that finding. A bad reference is
+    /// reported once and the walk continues with the operator's declared
+    /// output shape, so one corruption yields one diagnostic, not a cascade.
+    pub fn bind(&self, catalog: &Catalog) -> Result<(), EngineError> {
+        bind_to(&self.name, self.views(), catalog)
+    }
+
+    pub(crate) fn views(&self) -> impl Iterator<Item = StageView<'_>> {
+        self.stages.iter().map(|stage| match stage {
+            Stage::Build { name, key_col, pipeline } => {
+                (Some((name.as_str(), *key_col)), pipeline)
+            }
+            Stage::Stream { pipeline } => (None, pipeline),
+        })
+    }
+}
+
+/// One stage as [`bind`] sees it — the build it materialises, as `(hash
+/// table name, key column of the pipeline's output)`, or `None` for a
+/// streaming stage, and its pipeline. What [`QueryPlan`] and
+/// [`crate::place::PlacedPlan`] have in common.
+pub(crate) type StageView<'a> = (Option<(&'a str, usize)>, &'a Pipeline);
+
+/// The binding walk (its invariants are listed on [`QueryPlan::bind`]):
+/// every finding in stage order; judged without a catalog when `None`.
+pub(crate) fn bind<'a>(
+    stages: impl IntoIterator<Item = StageView<'a>>,
+    catalog: Option<&Catalog>,
+) -> Vec<Diagnostic> {
+    let mut cx = Binder { catalog, built: HashMap::new(), diagnostics: Vec::new() };
+    let mut streams = 0usize;
+    for (si, (build, pipeline)) in stages.into_iter().enumerate() {
+        let at = (Some(si), None);
+        match (build, &pipeline.agg) {
+            (Some((name, _)), Some(_)) => {
+                cx.flag(at, DiagnosticKind::BuildAggregates { name: name.into() });
+            }
+            (None, None) => cx.flag(at, DiagnosticKind::StreamMissingAgg),
+            _ => {}
+        }
+        let out = cx.pipeline(si, pipeline);
+        match build {
+            Some((name, key_col)) => {
+                if let Some(out) = &out {
+                    let (column, context) = (key_col, "build key");
+                    cx.key(at, out, (column, context), is_join_key, |found| {
+                        DiagnosticKind::KeyType { context, column, found }
+                    });
                 }
-                Stage::Stream { pipeline } => {
-                    if pipeline.agg.is_none() {
-                        return Err(PlanError::StreamWithoutAggregate {
-                            name: self.name.clone(),
-                        });
-                    }
-                    self.check_stateful_position(pipeline)?;
-                    for t in pipeline.tables_probed() {
-                        if !built.contains(&t) {
-                            return Err(PlanError::ProbeBeforeBuild { table: t.to_string() });
-                        }
-                    }
-                    streams += 1;
+                cx.built.insert(name, out);
+            }
+            None => {
+                streams += 1;
+                let (Some(out), Some(spec)) = (&out, &pipeline.agg) else { continue };
+                for &column in &spec.group_by {
+                    cx.key(at, out, (column, "group-by"), is_group_key, |found| {
+                        DiagnosticKind::KeyType { context: "group-by", column, found }
+                    });
+                }
+                for (func, arg) in &spec.aggs {
+                    // `Count` never evaluates its argument.
+                    let kind = (*func != AggFunc::Count).then_some(ExprKind::Num);
+                    cx.expr(at, arg, out, "agg", kind);
                 }
             }
         }
-        if streams != 1 {
-            return Err(PlanError::NotExactlyOneStream { plan: self.name.clone(), streams });
-        }
-        Ok(())
+    }
+    if streams != 1 {
+        cx.flag((None, None), DiagnosticKind::NotExactlyOneStream { streams });
+    }
+    cx.diagnostics
+}
+
+/// Where a finding is: `(stage, op)`, either absent when it is not local
+/// to one.
+type At = (Option<usize>, Option<usize>);
+
+/// [`bind`]'s state: the catalog (if any), the findings so far, and what
+/// the walk has learnt about each build.
+struct Binder<'a> {
+    catalog: Option<&'a Catalog>,
+    /// Output column types of each build stage so far, by hash-table name;
+    /// `None` while there is no schema to flow.
+    built: HashMap<&'a str, Option<Vec<DataType>>>,
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl<'a> Binder<'a> {
+    fn flag(&mut self, (stage, op): At, kind: DiagnosticKind) {
+        // A `Diagnostic`'s pass says which contract broke, not which code
+        // found it: a stateful column outside the source is the
+        // user-aligned packet split's (pass 4's) to lose.
+        let pass = match kind {
+            DiagnosticKind::StatefulAlignmentInvalid { .. } => Pass::Determinism,
+            _ => Pass::SchemaDataflow,
+        };
+        self.diagnostics.push(Diagnostic { stage, segment: None, op, pass, kind });
     }
 
-    /// A stateful aggregate consumes the source's `(user, ts)` order and
-    /// its user column doubles as the engine's packet-alignment column in
-    /// source coordinates — so only filters (which drop rows but never
-    /// reshape or reorder them) may precede it.
-    fn check_stateful_position(&self, pipeline: &Pipeline) -> Result<(), PlanError> {
+    /// Walk one pipeline's operators and return its output column types —
+    /// `None` when there is no schema to flow.
+    fn pipeline(&mut self, si: usize, pipeline: &'a Pipeline) -> Option<Vec<DataType>> {
+        let table = self.catalog.map(|catalog| catalog.get(&pipeline.source));
+        if let Some(None) = table {
+            let table = pipeline.source.clone();
+            self.flag((Some(si), None), DiagnosticKind::UnknownSource { table });
+        }
+        let mut cols: Option<Vec<DataType>> =
+            table.flatten().map(|t| t.schema.fields.iter().map(|f| f.dtype).collect());
         let mut reshaped = false;
-        for op in &pipeline.ops {
+        for (oi, op) in pipeline.ops.iter().enumerate() {
+            let at = (Some(si), Some(oi));
             match op {
-                PipeOp::Filter(_) => {}
-                PipeOp::Stateful(_) => {
-                    if reshaped {
-                        return Err(PlanError::StatefulAfterReshape {
-                            name: self.name.clone(),
-                        });
+                PipeOp::Filter(pred) => {
+                    if let Some(cols) = &cols {
+                        self.expr(at, pred, cols, "filter", Some(ExprKind::Bool));
+                    }
+                }
+                PipeOp::Project(exprs) => {
+                    if let Some(cols) = &mut cols {
+                        for e in exprs {
+                            self.expr(at, e, cols, "project", Some(ExprKind::Num));
+                        }
+                        if exprs.is_empty() {
+                            // Nothing downstream could be in range of no
+                            // columns: keep flowing the input's.
+                            self.flag(at, DiagnosticKind::EmptyProject);
+                        } else {
+                            *cols = vec![DataType::F64; exprs.len()];
+                        }
                     }
                     reshaped = true;
                 }
-                PipeOp::Project(_) | PipeOp::JoinProbe { .. } => reshaped = true,
+                PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
+                    if let Some(cols) = &cols {
+                        self.key(at, cols, (*key_col, "probe key"), is_join_key, |found| {
+                            DiagnosticKind::ProbeKeyType {
+                                ht: ht.clone(),
+                                key_col: *key_col,
+                                found,
+                            }
+                        });
+                    }
+                    let build = self.built.get(ht.as_str()).cloned();
+                    if build.is_none() {
+                        self.flag(at, DiagnosticKind::ProbeUnbuilt { ht: ht.clone() });
+                    }
+                    if let Some(cols) = &mut cols {
+                        // The payloads of a build the walk knows nothing of
+                        // flow as wide floats.
+                        let build = build.flatten();
+                        for &column in build_payload_cols {
+                            let found = build.as_ref().map(|b| b.get(column).ok_or(b.len()));
+                            if let Some(Err(build_width)) = found {
+                                let ht = ht.clone();
+                                let kind = DiagnosticKind::PayloadOutOfRange {
+                                    ht,
+                                    column,
+                                    build_width,
+                                };
+                                self.flag(at, kind);
+                            }
+                            cols.push(
+                                found.and_then(Result::ok).copied().unwrap_or(DataType::F64),
+                            );
+                        }
+                    }
+                    reshaped = true;
+                }
+                PipeOp::Stateful(agg) => {
+                    // A stateful aggregate consumes the source's `(user,
+                    // ts)` order and its user column doubles as the
+                    // engine's packet-alignment column in source
+                    // coordinates — so only filters (which drop rows but
+                    // never reshape or reorder them) may precede it.
+                    if reshaped {
+                        self.flag(at, DiagnosticKind::StatefulAfterReshape);
+                    }
+                    if let Some(cols) = &mut cols {
+                        let source_width = cols.len();
+                        for (role, column, accepted, _) in stateful_inputs(agg) {
+                            let kind = match cols.get(column) {
+                                None => DiagnosticKind::StatefulAlignmentInvalid {
+                                    role,
+                                    user_col: column,
+                                    source_width,
+                                },
+                                Some(found) if accepted.contains(found) => continue,
+                                Some(&found) => {
+                                    DiagnosticKind::StatefulColumnType { column, role, found }
+                                }
+                            };
+                            self.flag(at, kind);
+                        }
+                        *cols = vec![DataType::I64; agg.out_width()];
+                    }
+                    reshaped = true;
+                }
             }
         }
-        Ok(())
+        cols
     }
+
+    /// A key column — a probe's, a build's or a group-by's — in range of
+    /// `cols` and of a type its contract `accepts`; `mistyped` names the
+    /// finding for one that is not.
+    fn key(
+        &mut self,
+        at: At,
+        cols: &[DataType],
+        (column, context): (usize, &'static str),
+        accepts: fn(DataType) -> bool,
+        mistyped: impl FnOnce(DataType) -> DiagnosticKind,
+    ) {
+        let width = cols.len();
+        match cols.get(column) {
+            None => self.flag(at, DiagnosticKind::ColumnOutOfRange { column, width, context }),
+            Some(&found) if !accepts(found) => self.flag(at, mistyped(found)),
+            Some(_) => {}
+        }
+    }
+
+    /// One expression against the columns it reads: every reference in
+    /// range, and — unless one was not — evaluating to `expected`.
+    fn expr(
+        &mut self,
+        at: At,
+        expr: &Expr,
+        cols: &[DataType],
+        context: &'static str,
+        expected: Option<ExprKind>,
+    ) {
+        let width = cols.len();
+        let mut in_range = true;
+        for column in expr.columns_used().into_iter().filter(|&c| c >= width) {
+            in_range = false;
+            self.flag(at, DiagnosticKind::ColumnOutOfRange { column, width, context });
+        }
+        let (Some(expected), true) = (expected, in_range) else { return };
+        let (expected, found) = match expr.kind() {
+            Ok(found) if found == expected => return,
+            Ok(found) => (expected, found),
+            Err(KindMismatch { expected, found }) => (expected, found),
+        };
+        self.flag(at, DiagnosticKind::ExprKindMismatch { context, expected, found });
+    }
+}
+
+/// The one `Diagnostic` → error mapping: refuse with the first finding,
+/// as the [`PlanError`] that has named its invariant since before the walk
+/// owned it (listed per invariant on [`bind`]).
+fn refuse(
+    plan: &str,
+    views: &[StageView<'_>],
+    diagnostics: Vec<Diagnostic>,
+) -> Result<(), PlanError> {
+    let Some(d) = diagnostics.into_iter().next() else { return Ok(()) };
+    let name = plan.to_string();
+    let table = d.stage.and_then(|si| views.get(si)).map(|(_, p)| p.source.clone());
+    let table = table.unwrap_or_default();
+    Err(match d.kind.clone() {
+        DiagnosticKind::BuildAggregates { name } => {
+            PlanError::BuildWithAggregate { stage: name }
+        }
+        DiagnosticKind::StreamMissingAgg => PlanError::StreamWithoutAggregate { name },
+        DiagnosticKind::NotExactlyOneStream { streams } => {
+            PlanError::NotExactlyOneStream { plan: name, streams }
+        }
+        DiagnosticKind::ProbeUnbuilt { ht } => PlanError::ProbeBeforeBuild { table: ht },
+        DiagnosticKind::StatefulAfterReshape => PlanError::StatefulAfterReshape { name },
+        DiagnosticKind::UnknownSource { table } => PlanError::UnknownTable { table },
+        DiagnosticKind::StatefulColumnType { column, role, found } => {
+            PlanError::StatefulColumn { table, role, column, found: Some(found) }
+        }
+        DiagnosticKind::StatefulAlignmentInvalid { role, user_col, .. } => {
+            PlanError::StatefulColumn { table, role, column: user_col, found: None }
+        }
+        _ => PlanError::Unbound(Box::new(d)),
+    })
+}
+
+/// A binding refusal in the types the interpreter raised while these
+/// conditions were still found mid-run.
+fn runtime_error(e: PlanError) -> EngineError {
+    match e {
+        PlanError::UnknownTable { table } => EngineError::MissingTable(table),
+        PlanError::ProbeBeforeBuild { table } => EngineError::HashTableNotBuilt { table },
+        e => EngineError::InvalidPlan(e),
+    }
+}
+
+/// Bind stage views to the catalog they will run against: [`bind`] with
+/// the schemas to flow, refusing with its first finding.
+pub(crate) fn bind_to<'a>(
+    plan: &str,
+    views: impl Iterator<Item = StageView<'a>>,
+    catalog: &Catalog,
+) -> Result<(), EngineError> {
+    let views: Vec<StageView<'_>> = views.collect();
+    refuse(plan, &views, bind(views.iter().copied(), Some(catalog))).map_err(runtime_error)
+}
+
+/// [`bind_to`] for one bare pipeline probing the tables already in
+/// `tables` — what [`crate::engine::Engine::materialize_cpu`] is handed.
+pub(crate) fn bind_pipeline(
+    pipeline: &Pipeline,
+    catalog: &Catalog,
+    tables: &TableStore,
+) -> Result<(), EngineError> {
+    let schema = |jt: &JoinTable| jt.batch.columns.iter().map(|c| c.data_type()).collect();
+    let built = tables.iter().map(|(name, jt)| (name.as_str(), Some(schema(jt)))).collect();
+    let mut cx = Binder { catalog: Some(catalog), built, diagnostics: Vec::new() };
+    cx.pipeline(0, pipeline);
+    refuse(&pipeline.source, &[(None, pipeline)], cx.diagnostics).map_err(runtime_error)
 }
 
 /// A materialised build-side hash table (runtime object).

@@ -940,44 +940,19 @@ impl<'a> Lowering<'a> {
                             }
                         })
                     };
-                    let user_col = find(&s.user)?;
-                    if !matches!(cols[user_col].dtype, DataType::I32 | DataType::I64) {
-                        return Err(PlanError::TypeMismatch {
-                            context,
-                            expected: "integer user column",
-                            found: format!("{:?}", cols[user_col].dtype),
-                        });
-                    }
-                    let ts_col = find(&s.ts)?;
-                    if !matches!(
-                        cols[ts_col].dtype,
-                        DataType::I32 | DataType::I64 | DataType::Date
-                    ) {
-                        return Err(PlanError::TypeMismatch {
-                            context,
-                            expected: "integer or date timestamp column",
-                            found: format!("{:?}", cols[ts_col].dtype),
-                        });
-                    }
+                    let (user_col, ts_col) = (find(&s.user)?, find(&s.ts)?);
                     // Resolve an event-name literal through the event
                     // column's base-table dictionary. Absent names map to
                     // the -1 sentinel no dictionary code equals, so they
                     // match no rows — same semantics as string filters.
-                    let event_col = |name: &str| -> Result<usize, PlanError> {
-                        let i = find(name)?;
-                        if cols[i].dtype != DataType::Str {
-                            return Err(PlanError::TypeMismatch {
-                                context: context.clone(),
-                                expected: "string event column",
-                                found: format!("{:?}", cols[i].dtype),
-                            });
-                        }
-                        Ok(i)
-                    };
+                    // Only a string column is looked up: a select alias or
+                    // an earlier aggregate's output names no base column
+                    // (and is refused by the contract check below).
                     let base = self.base;
                     let code = |i: usize, value: &str| -> i32 {
                         let info: &ColInfo = &cols[i];
                         base.get(&info.origin)
+                            .filter(|_| info.dtype == DataType::Str)
                             .and_then(|t| t.column(&info.name).dict())
                             .and_then(|d| d.code_of(value))
                             .map_or(-1, |c| c as i32)
@@ -987,7 +962,7 @@ impl<'a> Lowering<'a> {
                             StatefulAgg::Sessionize { user_col, ts_col, gap: *gap }
                         }
                         StatefulKind::WindowFunnel { event, steps, window } => {
-                            let ev = event_col(event)?;
+                            let ev = find(event)?;
                             StatefulAgg::WindowFunnel {
                                 user_col,
                                 ts_col,
@@ -997,7 +972,7 @@ impl<'a> Lowering<'a> {
                             }
                         }
                         StatefulKind::Retention { event, cohort, returns, period } => {
-                            let ev = event_col(event)?;
+                            let ev = find(event)?;
                             StatefulAgg::Retention {
                                 user_col,
                                 ts_col,
@@ -1008,7 +983,7 @@ impl<'a> Lowering<'a> {
                             }
                         }
                         StatefulKind::SequenceMatch { event, pattern } => {
-                            let ev = event_col(event)?;
+                            let ev = find(event)?;
                             StatefulAgg::SequenceMatch {
                                 user_col,
                                 ts_col,
@@ -1017,6 +992,14 @@ impl<'a> Lowering<'a> {
                             }
                         }
                     };
+                    // The operator's input contract, stated once in
+                    // `plan::stateful_inputs`.
+                    for (_, column, accepted, expected) in crate::plan::stateful_inputs(&agg) {
+                        if !accepted.contains(&cols[column].dtype) {
+                            let found = format!("{:?}", cols[column].dtype);
+                            return Err(PlanError::TypeMismatch { context, expected, found });
+                        }
+                    }
                     pipeline = pipeline.stateful(agg);
                     // Output layout: one all-i64 row per user, user first.
                     // Origin is only consulted for dictionary lookups,
@@ -1055,7 +1038,7 @@ impl<'a> Lowering<'a> {
                 let i = cols.iter().position(|c| c.name == *g).ok_or_else(|| {
                     PlanError::UnknownColumn { column: g.clone(), context: context.clone() }
                 })?;
-                if cols[i].dtype == DataType::F64 {
+                if !crate::plan::is_group_key(cols[i].dtype) {
                     return Err(PlanError::TypeMismatch {
                         context,
                         expected: "integer, date or string group key",
@@ -1093,14 +1076,14 @@ impl<'a> Lowering<'a> {
 }
 
 fn check_key_type(col: &ColInfo, side: &str) -> Result<(), PlanError> {
-    match col.dtype {
-        DataType::I32 | DataType::Date => Ok(()),
-        other => Err(PlanError::TypeMismatch {
-            context: format!("join key {} of {side}", col.name),
-            expected: "i32-typed key column",
-            found: format!("{other:?}"),
-        }),
+    if crate::plan::is_join_key(col.dtype) {
+        return Ok(());
     }
+    Err(PlanError::TypeMismatch {
+        context: format!("join key {} of {side}", col.name),
+        expected: "i32-typed key column",
+        found: format!("{:?}", col.dtype),
+    })
 }
 
 fn map_resolve(e: ResolveError, context: &str) -> PlanError {
@@ -1458,5 +1441,74 @@ mod tests {
         assert_eq!(lowered.index_of("k").unwrap(), 0);
         assert_eq!(lowered.index_of("v").unwrap(), 1);
         assert!(lowered.index_of("nope").is_err());
+    }
+
+    /// `ev(user i32, ts i64, event str)`, sorted by `(user, ts)`.
+    fn events() -> Catalog {
+        use hape_storage::{Batch, Column, Schema, Table};
+        let mut c = Catalog::new();
+        c.register(Table::new(
+            "ev",
+            Schema::new([
+                ("user", DataType::I32),
+                ("ts", DataType::I64),
+                ("event", DataType::Str),
+            ]),
+            Batch::new(vec![
+                Column::from_i32(vec![1, 1, 2]),
+                Column::from_i64(vec![0, 5, 7]),
+                Column::from_strs(["view", "buy", "view"]),
+            ]),
+        ));
+        c
+    }
+
+    fn stateful_mismatch(q: &Query) -> (&'static str, String) {
+        match q.lower(&events()).unwrap_err() {
+            PlanError::TypeMismatch { expected, found, .. } => (expected, found),
+            e => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn stateful_roles_are_type_checked_by_name() {
+        let funnel = |user: &str, ts: &str, event: &str| {
+            Query::new("q")
+                .from_table("ev")
+                .window_funnel(user, ts, event, &["view", "buy"], 10)
+                .agg(vec![(AggFunc::Sum, col("funnel_depth"))])
+        };
+        assert!(funnel("user", "ts", "event").lower(&events()).is_ok());
+        assert_eq!(
+            stateful_mismatch(&funnel("event", "ts", "event")),
+            ("integer user column", "Str".to_string())
+        );
+        assert_eq!(
+            stateful_mismatch(&funnel("user", "event", "event")),
+            ("integer or date timestamp column", "Str".to_string())
+        );
+        assert_eq!(
+            stateful_mismatch(&funnel("user", "ts", "ts")),
+            ("string event column", "I64".to_string())
+        );
+    }
+
+    #[test]
+    fn stateful_event_column_without_a_base_column_is_a_type_error_not_a_panic() {
+        // A select alias: f64-typed, and no column of `ev` has its name —
+        // resolving the step names must not go looking for one.
+        let q = Query::new("q")
+            .from_table("ev")
+            .select(vec![("u", col("user")), ("t", col("ts")), ("e", col("ts").add(lit(0)))])
+            .window_funnel("u", "t", "e", &["view"], 10)
+            .agg(vec![(AggFunc::Sum, col("funnel_depth"))]);
+        assert_eq!(stateful_mismatch(&q).1, "F64");
+        // An earlier stateful aggregate's i64 output, likewise.
+        let q = Query::new("q")
+            .from_table("ev")
+            .sessionize("user", "ts", 3)
+            .window_funnel("user", "events", "sessions", &["view"], 10)
+            .agg(vec![(AggFunc::Sum, col("funnel_depth"))]);
+        assert_eq!(stateful_mismatch(&q), ("string event column", "I64".to_string()));
     }
 }

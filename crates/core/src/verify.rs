@@ -12,13 +12,22 @@
 //! execution, and reports violations as typed [`Diagnostic`]s carrying
 //! (stage, segment, op) locations.
 //!
+//! Pass 1 — everything that judges the *caller's* pipelines — does not
+//! live here: it is the binding walk in [`crate::plan`]
+//! ([`crate::plan::QueryPlan::bind`] documents it invariant by invariant,
+//! with the error each refusal surfaces as), which `QueryPlan::validate`,
+//! every executor and this module all call. Passes 2–4, over what *our*
+//! placement passes add, are below.
+//!
 //! ## Invariants ↔ passes ↔ diagnostics ↔ paper sections
 //!
 //! | invariant | pass | diagnostic | paper § |
 //! |---|---|---|---|
 //! | every column reference resolves in the dataflow schema | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ColumnOutOfRange`] | §3 (operator fusion) |
 //! | scan sources exist in the catalog | [`Pass::SchemaDataflow`] | [`DiagnosticKind::UnknownSource`] | §3 |
-//! | probe keys are `i32`/date typed | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ProbeKeyType`] | §4.1 (hash joins) |
+//! | probe and build keys are `i32`/date typed, group keys not `f64` | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ProbeKeyType`] / [`DiagnosticKind::KeyType`] | §4.1 (hash joins), §3 |
+//! | filters are boolean; projections, aggregate arguments and operands of the kind their operator takes | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ExprKindMismatch`] | §3 (operator fusion) |
+//! | projections have a column | [`Pass::SchemaDataflow`] | [`DiagnosticKind::EmptyProject`] | §3 |
 //! | probe payloads index the build's output | [`Pass::SchemaDataflow`] | [`DiagnosticKind::PayloadOutOfRange`] | §4.1 |
 //! | probes reference earlier builds | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ProbeUnbuilt`] | §3 (stage order) |
 //! | builds never aggregate; the one stream does | [`Pass::SchemaDataflow`] | [`DiagnosticKind::BuildAggregates`] / [`DiagnosticKind::StreamMissingAgg`] / [`DiagnosticKind::NotExactlyOneStream`] | §3 |
@@ -33,34 +42,31 @@
 //! | co-process stages end in a probe of their table | [`Pass::DeviceAudit`] | [`DiagnosticKind::CoProcessFinalProbeMismatch`] | §5 |
 //! | co-process stages have ≥ 1 GPU lane, CPU-only segments | [`Pass::DeviceAudit`] | [`DiagnosticKind::CoProcessNoGpuLane`] / [`DiagnosticKind::CoProcessGpuSegment`] | §5 |
 //! | a co-partitioning fanout exists within CPU bounds | [`Pass::DeviceAudit`] | [`DiagnosticKind::CoProcessInfeasibleFanout`] | §5 |
-//! | stateful user column is valid in source coordinates | [`Pass::Determinism`] | [`DiagnosticKind::StatefulAlignmentInvalid`] | PR 7 (user-aligned packets) |
+//! | stateful user/ts/event columns are valid in source coordinates | [`Pass::Determinism`] | [`DiagnosticKind::StatefulAlignmentInvalid`] | PR 7 (user-aligned packets) |
 //! | the stage barrier covers every routed worker | [`Pass::Determinism`] | [`DiagnosticKind::BarrierCoverage`] | PR 5 (control plane) |
 //! | packetization makes progress | [`Pass::Determinism`] | [`DiagnosticKind::InvalidPacketRows`] | PR 5 |
 //!
 //! ## Structural vs. runtime-checked diagnostics
 //!
-//! Not every diagnostic should abort execution in debug builds. The
-//! engine already rejects some conditions with *typed runtime errors* —
-//! an absent device is [`crate::error::EngineError::DeviceNotPresent`],
-//! an unbuilt probe is
-//! [`crate::error::EngineError::HashTableNotBuilt`], an over-capacity
-//! broadcast is [`crate::error::EngineError::GpuMemoryExceeded`], a
-//! stateful aggregate whose columns do not fit its source table is
-//! [`crate::error::PlanError::StatefulColumn`] — and those conditions
-//! depend on catalog/server *state*, not on the correctness of the pass
-//! pipeline. The always-on `debug_assertions` hook (`debug_check_placed`)
-//! therefore panics only on **structural** diagnostics
-//! ([`DiagnosticKind::is_structural`]): the invariants whose violation
-//! the runtime would otherwise silently mis-execute. Explicit
-//! verification ([`verify_placed`], [`crate::session::Session::verify`],
-//! `figures --verify`) always reports the full set.
+//! Pass 1 is **enforced at binding, in every build profile**: no executor
+//! ([`crate::engine::Engine::begin`], the baselines) moves a packet of a
+//! plan with a pass-1 diagnostic; the first one surfaces as a typed error.
+//! The `debug_assertions` hook (`debug_check_placed`) covers passes 2–4 —
+//! it asserts our own passes, after binding, so it cannot fire on a
+//! caller's input — and panics only on **structural** diagnostics
+//! ([`DiagnosticKind::is_structural`]): the ones that say the IR is
+//! malformed. The rest depend on catalog/server *state* (an absent device,
+//! an over-capacity broadcast, a table or column that is not there) and
+//! stay with the interpreter's typed refusals. `is_structural` is also what
+//! mid-query recovery and serving admission gate on. Explicit verification
+//! ([`verify_placed`], [`crate::session::Session::verify`], `figures
+//! --verify`) always reports the full set.
 //!
 //! Verification is a **pure reader** of the IR: it never mutates the
 //! plan, the catalog or the server, so running it cannot perturb the
 //! engine's bit-identical determinism guarantees.
 
-use std::collections::HashMap;
-
+use hape_ops::expr::ExprKind;
 use hape_sim::topology::{DeviceId, Server};
 use hape_storage::DataType;
 
@@ -68,7 +74,7 @@ use crate::catalog::Catalog;
 use crate::cost::{CostModel, HtEstimates};
 use crate::exchange::Exchange;
 use crate::place::{segment_traits, PlacedPlan, PlacedStage, Segment};
-use crate::plan::{PipeOp, Pipeline, QueryPlan, Stage};
+use crate::plan::{bind, Pipeline, QueryPlan};
 use crate::provider::GPU_HT_WORKING_FACTOR;
 use crate::traits::HetTraits;
 
@@ -106,7 +112,7 @@ impl std::fmt::Display for Pass {
 /// What exactly is wrong — one variant per invariant class the verifier
 /// checks (the mutation self-test corpus in `tests/verify.rs` corrupts a
 /// valid plan one class at a time and asserts the specific variant).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiagnosticKind {
     /// A pipeline scans a table the catalog does not have.
     UnknownSource {
@@ -143,6 +149,29 @@ pub enum DiagnosticKind {
         /// The build pipeline's output width.
         build_width: usize,
     },
+    /// A build key is not `i32`/date typed, or a group-by column is `f64`
+    /// typed, in its pipeline's output.
+    KeyType {
+        /// Which key (`build key`, `group-by`).
+        context: &'static str,
+        /// The key column.
+        column: usize,
+        /// The type the dataflow found there.
+        found: DataType,
+    },
+    /// An expression, or an operand inside it, evaluates to the wrong kind:
+    /// filters and `and`/`or` operands are boolean; projections, aggregate
+    /// arguments and the operands of arithmetic and comparisons numeric.
+    ExprKindMismatch {
+        /// Where the expression appears (`filter`, `project`, `agg`).
+        context: &'static str,
+        /// The kind the position takes.
+        expected: ExprKind,
+        /// The kind found there.
+        found: ExprKind,
+    },
+    /// A projection with no output columns (it would drop every row).
+    EmptyProject,
     /// A pipeline probes a hash table no earlier stage builds.
     ProbeUnbuilt {
         /// The unbuilt table.
@@ -254,12 +283,14 @@ pub enum DiagnosticKind {
         /// The co-processed table.
         ht: String,
     },
-    /// A stateful aggregate's user column is not a valid column of the
-    /// *source* table — the engine aligns packet boundaries on it in
-    /// source coordinates, so an invalid index breaks the user-aligned
-    /// packetization contract.
+    /// A stateful aggregate's user (or ts / event) column is not a valid
+    /// column of the *source* table — the engine aligns packet boundaries
+    /// on the user column in source coordinates, so an invalid index breaks
+    /// the user-aligned packetization contract.
     StatefulAlignmentInvalid {
-        /// The user column the aggregate carries.
+        /// Which role the column plays (`user`, `ts`, `event`).
+        role: &'static str,
+        /// The column the aggregate carries for that role.
         user_col: usize,
         /// The source table's width.
         source_width: usize,
@@ -278,13 +309,13 @@ pub enum DiagnosticKind {
 }
 
 impl DiagnosticKind {
-    /// True for invariants whose violation the runtime would silently
-    /// mis-execute — the ones the `debug_assertions` hook aborts on.
-    /// False for conditions the engine already rejects with typed runtime
-    /// errors (absent devices, unbuilt probes, capacity, co-process
-    /// lane shape, a stateful aggregate's columns against its source
-    /// table), which depend on catalog/server state rather than on the
-    /// pass pipeline's correctness.
+    /// True for invariants that say the IR itself is malformed — what
+    /// recovery and serving admission refuse on, and the `debug_assertions`
+    /// hook aborts on for passes 2–4. False for conditions that depend on
+    /// catalog/server state rather than on the IR's shape (absent devices,
+    /// unbuilt probes, capacity, co-process lane shape, a stateful
+    /// aggregate's columns against its source table), which the engine
+    /// refuses with typed errors of their own.
     pub fn is_structural(&self) -> bool {
         !matches!(
             self,
@@ -319,6 +350,13 @@ impl std::fmt::Display for DiagnosticKind {
                      has {build_width} columns"
                 )
             }
+            DiagnosticKind::KeyType { context, column, found } => {
+                write!(f, "{context} column {column} has type {found:?}")
+            }
+            DiagnosticKind::ExprKindMismatch { context, expected, found } => {
+                write!(f, "{context} expression takes {expected:?} where it has {found:?}")
+            }
+            DiagnosticKind::EmptyProject => write!(f, "projection has no output columns"),
             DiagnosticKind::ProbeUnbuilt { ht } => {
                 write!(f, "hash table {ht:?} probed but never built by an earlier stage")
             }
@@ -383,10 +421,10 @@ impl std::fmt::Display for DiagnosticKind {
             DiagnosticKind::CoProcessInfeasibleFanout { ht } => {
                 write!(f, "no legal co-partitioning fanout for {ht:?} within CPU bounds")
             }
-            DiagnosticKind::StatefulAlignmentInvalid { user_col, source_width } => {
+            DiagnosticKind::StatefulAlignmentInvalid { role, user_col, source_width } => {
                 write!(
                     f,
-                    "stateful user column {user_col} is outside the source schema \
+                    "stateful {role} column {user_col} is outside the source schema \
                      (width {source_width}); packet alignment would be undefined"
                 )
             }
@@ -404,7 +442,7 @@ impl std::fmt::Display for DiagnosticKind {
 }
 
 /// One verifier finding, located in the plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stage index, when the finding is stage-local.
     pub stage: Option<usize>,
@@ -482,12 +520,7 @@ impl std::error::Error for VerifyError {}
 /// Verify a logical-level physical plan (pass 1 only — the placed-IR
 /// passes need segments to look at). Ok when no diagnostics.
 pub fn verify_plan(plan: &QueryPlan, catalog: &Catalog) -> Result<(), VerifyError> {
-    let diagnostics = check_plan(plan, catalog);
-    if diagnostics.is_empty() {
-        Ok(())
-    } else {
-        Err(VerifyError { plan: plan.name.clone(), diagnostics })
-    }
+    verdict(&plan.name, check_plan(plan, catalog))
 }
 
 /// Verify a placed plan: all four passes. Ok when no diagnostics.
@@ -496,25 +529,29 @@ pub fn verify_placed(
     catalog: &Catalog,
     server: &Server,
 ) -> Result<(), VerifyError> {
-    let diagnostics = check_placed(placed, catalog, server);
+    verdict(&placed.name, check_placed(placed, catalog, server))
+}
+
+fn verdict(plan: &str, diagnostics: Vec<Diagnostic>) -> Result<(), VerifyError> {
     if diagnostics.is_empty() {
         Ok(())
     } else {
-        Err(VerifyError { plan: placed.name.clone(), diagnostics })
+        Err(VerifyError { plan: plan.to_string(), diagnostics })
     }
 }
 
-/// The `debug_assertions` hook: abort on structural diagnostics (the
-/// invariants whose violation the runtime would silently mis-execute),
-/// leave runtime-checked conditions to the engine's typed errors. Called
-/// by [`crate::engine::Engine::begin`] and the optimizer on every chosen
-/// candidate in debug builds; compiled out entirely in release builds.
+/// The `debug_assertions` hook on *our* passes: abort when passes 2–4
+/// find a structural diagnostic in a plan the placement passes or the
+/// optimizer just emitted. Pass 1 judges the caller's input and is enforced
+/// by binding, in every profile, as typed errors — so this cannot fire on
+/// user input. Called by [`crate::engine::Engine::begin`] (after binding)
+/// and the optimizer on its chosen candidate; compiled out of release
+/// builds.
 #[cfg(debug_assertions)]
 pub(crate) fn debug_check_placed(placed: &PlacedPlan, catalog: &Catalog, server: &Server) {
-    if let Err(e) = verify_placed(placed, catalog, server) {
-        if let Some(structural) = e.structural() {
-            panic!("placed plan failed static verification (pass-pipeline bug):\n{structural}");
-        }
+    let ours = check_placement(placed, catalog, server, Vec::new());
+    if let Some(structural) = verdict(&placed.name, ours).err().and_then(|e| e.structural()) {
+        panic!("placed plan failed static verification (pass-pipeline bug):\n{structural}");
     }
 }
 
@@ -537,23 +574,10 @@ pub fn explain_footer(placed: &PlacedPlan, catalog: &Catalog, server: &Server) -
     out
 }
 
-/// Run pass 1 over a logical-level plan, returning every diagnostic.
+/// Run pass 1 — the binding walk, [`crate::plan::QueryPlan::bind`]'s —
+/// over a logical-level plan, returning every diagnostic.
 pub fn check_plan(plan: &QueryPlan, catalog: &Catalog) -> Vec<Diagnostic> {
-    let mut cx = Checker::new(catalog);
-    let mut streams = 0usize;
-    for (si, stage) in plan.stages.iter().enumerate() {
-        match stage {
-            Stage::Build { name, key_col, pipeline } => {
-                cx.check_build(si, name, *key_col, pipeline);
-            }
-            Stage::Stream { pipeline } => {
-                streams += 1;
-                cx.check_stream(si, pipeline);
-            }
-        }
-    }
-    cx.check_stream_count(streams);
-    cx.diagnostics
+    bind(plan.views(), Some(catalog))
 }
 
 /// Run all four passes over a placed plan, returning every diagnostic.
@@ -565,24 +589,18 @@ pub fn check_placed(
     catalog: &Catalog,
     server: &Server,
 ) -> Vec<Diagnostic> {
-    let mut cx = Checker::new(catalog);
+    check_placement(placed, catalog, server, bind(placed.views(), Some(catalog)))
+}
 
-    // -------- pass 1: schema dataflow over every placed pipeline --------
-    let mut streams = 0usize;
-    for (si, stage) in placed.stages.iter().enumerate() {
-        match stage {
-            PlacedStage::Build { name, key_col, pipeline, .. } => {
-                cx.check_build(si, name, *key_col, pipeline);
-            }
-            PlacedStage::Stream { pipeline, .. } | PlacedStage::CoProcess { pipeline, .. } => {
-                streams += 1;
-                cx.check_stream(si, pipeline);
-            }
-        }
-    }
-    cx.check_stream_count(streams);
-
-    // -------- passes 2–4 over the placed segments --------
+/// Passes 2–4 over the placed segments, appended to `diagnostics` (pass
+/// 1's, or none for the debug hook).
+fn check_placement(
+    placed: &PlacedPlan,
+    catalog: &Catalog,
+    server: &Server,
+    diagnostics: Vec<Diagnostic>,
+) -> Vec<Diagnostic> {
+    let mut cx = Checker { diagnostics };
     let devices = server.devices();
     let model = CostModel::new(server, catalog);
     let mut hts = HtEstimates::new();
@@ -597,7 +615,7 @@ pub fn check_placed(
             if devices.contains(&seg.target) {
                 present.push(seg);
             } else {
-                cx.push(si, Some(seg.target), None, Pass::DeviceAudit, {
+                cx.push(Some(si), Some(seg.target), Pass::DeviceAudit, {
                     DiagnosticKind::DeviceNotPresent { device: seg.target }
                 });
             }
@@ -630,241 +648,29 @@ pub fn check_placed(
         }
 
         // Pass 4: determinism contracts.
-        cx.check_determinism(si, stage, pipeline);
+        cx.check_determinism(si, stage);
     }
     if placed.packet_rows == Some(0) {
-        cx.push(usize::MAX, None, None, Pass::Determinism, DiagnosticKind::InvalidPacketRows);
+        cx.push(None, None, Pass::Determinism, DiagnosticKind::InvalidPacketRows);
     }
     cx.diagnostics
 }
 
-/// Internal state shared by the passes: the catalog, the accumulated
-/// diagnostics, and the build-output schemas discovered so far.
-struct Checker<'a> {
-    catalog: &'a Catalog,
+/// The diagnostics passes 2–4 accumulate (none of theirs is
+/// operator-local).
+struct Checker {
     diagnostics: Vec<Diagnostic>,
-    /// Output column types of each build stage, by hash-table name.
-    build_outputs: HashMap<String, Vec<DataType>>,
 }
 
-impl<'a> Checker<'a> {
-    fn new(catalog: &'a Catalog) -> Self {
-        Checker { catalog, diagnostics: Vec::new(), build_outputs: HashMap::new() }
-    }
-
+impl Checker {
     fn push(
         &mut self,
-        stage: usize,
+        stage: Option<usize>,
         segment: Option<DeviceId>,
-        op: Option<usize>,
         pass: Pass,
         kind: DiagnosticKind,
     ) {
-        let stage = if stage == usize::MAX { None } else { Some(stage) };
-        self.diagnostics.push(Diagnostic { stage, segment, op, pass, kind });
-    }
-
-    // ---------------- pass 1: schema dataflow ----------------
-
-    fn check_build(&mut self, si: usize, name: &str, key_col: usize, pipeline: &Pipeline) {
-        if pipeline.agg.is_some() {
-            self.push(si, None, None, Pass::SchemaDataflow, {
-                DiagnosticKind::BuildAggregates { name: name.to_string() }
-            });
-        }
-        let Some(out) = self.dataflow(si, pipeline) else { return };
-        if key_col >= out.len() {
-            self.push(si, None, None, Pass::SchemaDataflow, {
-                DiagnosticKind::ColumnOutOfRange {
-                    column: key_col,
-                    width: out.len(),
-                    context: "build key",
-                }
-            });
-        }
-        self.build_outputs.insert(name.to_string(), out);
-    }
-
-    fn check_stream(&mut self, si: usize, pipeline: &Pipeline) {
-        let out = self.dataflow(si, pipeline);
-        match &pipeline.agg {
-            None => {
-                self.push(
-                    si,
-                    None,
-                    None,
-                    Pass::SchemaDataflow,
-                    DiagnosticKind::StreamMissingAgg,
-                );
-            }
-            Some(_) if out.is_none() => {}
-            Some(spec) => {
-                let out = out.as_deref().unwrap_or(&[]);
-                for &g in &spec.group_by {
-                    if g >= out.len() {
-                        self.push(si, None, None, Pass::SchemaDataflow, {
-                            DiagnosticKind::ColumnOutOfRange {
-                                column: g,
-                                width: out.len(),
-                                context: "group-by",
-                            }
-                        });
-                    }
-                }
-                for (_, expr) in &spec.aggs {
-                    for c in expr.columns_used() {
-                        if c >= out.len() {
-                            self.push(si, None, None, Pass::SchemaDataflow, {
-                                DiagnosticKind::ColumnOutOfRange {
-                                    column: c,
-                                    width: out.len(),
-                                    context: "agg",
-                                }
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_stream_count(&mut self, streams: usize) {
-        if streams != 1 {
-            self.push(usize::MAX, None, None, Pass::SchemaDataflow, {
-                DiagnosticKind::NotExactlyOneStream { streams }
-            });
-        }
-    }
-
-    /// Walk one pipeline's operators, propagating the column types, and
-    /// return the output schema. Out-of-range references are flagged but
-    /// the walk continues with each operator's declared output shape, so
-    /// one corruption yields one diagnostic, not a cascade. An unknown
-    /// source is `None`: with no schema to flow there is nothing sound to
-    /// check downstream, so the walk stops at its one diagnostic (the
-    /// engine's typed `MissingTable` owns the condition at runtime).
-    fn dataflow(&mut self, si: usize, pipeline: &Pipeline) -> Option<Vec<DataType>> {
-        let mut cols: Vec<DataType> = match self.catalog.get(&pipeline.source) {
-            Some(t) => t.schema.fields.iter().map(|f| f.dtype).collect(),
-            None => {
-                self.push(si, None, None, Pass::SchemaDataflow, {
-                    DiagnosticKind::UnknownSource { table: pipeline.source.clone() }
-                });
-                return None;
-            }
-        };
-        let mut reshaped = false;
-        for (oi, op) in pipeline.ops.iter().enumerate() {
-            match op {
-                PipeOp::Filter(expr) => {
-                    self.check_expr_cols(si, oi, expr, cols.len(), "filter");
-                }
-                PipeOp::Project(exprs) => {
-                    for e in exprs {
-                        self.check_expr_cols(si, oi, e, cols.len(), "project");
-                    }
-                    cols = vec![DataType::F64; exprs.len()];
-                    reshaped = true;
-                }
-                PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
-                    if *key_col >= cols.len() {
-                        self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                            DiagnosticKind::ColumnOutOfRange {
-                                column: *key_col,
-                                width: cols.len(),
-                                context: "probe key",
-                            }
-                        });
-                    } else {
-                        let found = cols[*key_col];
-                        if !matches!(found, DataType::I32 | DataType::Date) {
-                            self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                                DiagnosticKind::ProbeKeyType {
-                                    ht: ht.clone(),
-                                    key_col: *key_col,
-                                    found,
-                                }
-                            });
-                        }
-                    }
-                    match self.build_outputs.get(ht).cloned() {
-                        None => {
-                            self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                                DiagnosticKind::ProbeUnbuilt { ht: ht.clone() }
-                            });
-                            // Unknown build output: assume the payloads are
-                            // wide floats so the walk can continue.
-                            cols.extend(build_payload_cols.iter().map(|_| DataType::F64));
-                        }
-                        Some(build) => {
-                            for &p in build_payload_cols {
-                                match build.get(p) {
-                                    Some(t) => cols.push(*t),
-                                    None => {
-                                        self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                                            DiagnosticKind::PayloadOutOfRange {
-                                                ht: ht.clone(),
-                                                column: p,
-                                                build_width: build.len(),
-                                            }
-                                        });
-                                        cols.push(DataType::F64);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    reshaped = true;
-                }
-                PipeOp::Stateful(agg) => {
-                    if reshaped {
-                        self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                            DiagnosticKind::StatefulAfterReshape
-                        });
-                    }
-                    self.check_stateful_types(si, oi, agg, &cols);
-                    cols = vec![DataType::I64; agg.out_width()];
-                    reshaped = true;
-                }
-            }
-        }
-        Some(cols)
-    }
-
-    fn check_expr_cols(
-        &mut self,
-        si: usize,
-        oi: usize,
-        expr: &hape_ops::Expr,
-        width: usize,
-        context: &'static str,
-    ) {
-        for c in expr.columns_used() {
-            if c >= width {
-                self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                    DiagnosticKind::ColumnOutOfRange { column: c, width, context }
-                });
-            }
-        }
-    }
-
-    /// Type-check a stateful aggregate's columns against the dataflow
-    /// schema (range of the *user* column is the determinism pass's
-    /// alignment contract; here only in-range columns are type-checked).
-    fn check_stateful_types(
-        &mut self,
-        si: usize,
-        oi: usize,
-        agg: &hape_ops::StatefulAgg,
-        cols: &[DataType],
-    ) {
-        for (role, column, accepted) in crate::plan::stateful_inputs(agg) {
-            if let Some(&found) = cols.get(column).filter(|found| !accepted.contains(found)) {
-                self.push(si, None, Some(oi), Pass::SchemaDataflow, {
-                    DiagnosticKind::StatefulColumnType { column, role, found }
-                });
-            }
-        }
+        self.diagnostics.push(Diagnostic { stage, segment, op: None, pass, kind });
     }
 
     // ---------------- pass 2: trait coherence ----------------
@@ -889,7 +695,7 @@ impl<'a> Checker<'a> {
         for seg in present {
             let expected = segment_traits(seg.target, server);
             if seg.traits != expected {
-                self.push(si, Some(seg.target), None, Pass::TraitCoherence, {
+                self.push(Some(si), Some(seg.target), Pass::TraitCoherence, {
                     DiagnosticKind::TraitsMismatch { expected, found: seg.traits }
                 });
             }
@@ -934,7 +740,7 @@ impl<'a> Checker<'a> {
                                 DiagnosticKind::MissingExchange { expected: other.to_string() }
                             }
                         };
-                        self.push(si, Some(seg.target), None, Pass::TraitCoherence, kind);
+                        self.push(Some(si), Some(seg.target), Pass::TraitCoherence, kind);
                     }
                 }
             }
@@ -945,7 +751,7 @@ impl<'a> Checker<'a> {
                     }
                     other => DiagnosticKind::DeadExchange { exchange: other.to_string() },
                 };
-                self.push(si, Some(seg.target), None, Pass::TraitCoherence, kind);
+                self.push(Some(si), Some(seg.target), Pass::TraitCoherence, kind);
             }
         }
         // The stage-level router: present iff the summed dop differs from
@@ -956,20 +762,20 @@ impl<'a> Checker<'a> {
         match stage.router() {
             None => {
                 if total_dop != source.dop {
-                    self.push(si, None, None, Pass::TraitCoherence, {
+                    self.push(Some(si), None, Pass::TraitCoherence, {
                         DiagnosticKind::MissingRouter { total_dop }
                     });
                 }
             }
             Some(Exchange::Router { from_dop, to_dop, .. }) => {
                 if total_dop == source.dop {
-                    self.push(si, None, None, Pass::TraitCoherence, {
+                    self.push(Some(si), None, Pass::TraitCoherence, {
                         DiagnosticKind::DeadExchange {
                             exchange: format!("Router(_, {from_dop} -> {to_dop})"),
                         }
                     });
                 } else if *from_dop != source.dop {
-                    self.push(si, None, None, Pass::TraitCoherence, {
+                    self.push(Some(si), None, Pass::TraitCoherence, {
                         DiagnosticKind::RouterDopMismatch {
                             from_dop: *from_dop,
                             to_dop: *to_dop,
@@ -979,7 +785,7 @@ impl<'a> Checker<'a> {
                 }
             }
             Some(other) => {
-                self.push(si, None, None, Pass::TraitCoherence, {
+                self.push(Some(si), None, Pass::TraitCoherence, {
                     DiagnosticKind::DeadExchange { exchange: other.to_string() }
                 });
             }
@@ -1021,7 +827,7 @@ impl<'a> Checker<'a> {
             let required = (bytes as f64 * GPU_HT_WORKING_FACTOR) as u64;
             let capacity = spec.dram_capacity as u64;
             if required > capacity {
-                self.push(si, Some(seg.target), None, Pass::DeviceAudit, {
+                self.push(Some(si), Some(seg.target), Pass::DeviceAudit, {
                     DiagnosticKind::BroadcastOverCapacity {
                         device: seg.target,
                         required,
@@ -1048,26 +854,26 @@ impl<'a> Checker<'a> {
         model: &CostModel,
     ) {
         if pipeline.last_probe().is_none_or(|(_, t)| t != ht) {
-            self.push(si, None, None, Pass::DeviceAudit, {
+            self.push(Some(si), None, Pass::DeviceAudit, {
                 DiagnosticKind::CoProcessFinalProbeMismatch { ht: ht.to_string() }
             });
         }
         for seg in segments {
             if seg.target.is_gpu() {
-                self.push(si, Some(seg.target), None, Pass::DeviceAudit, {
+                self.push(Some(si), Some(seg.target), Pass::DeviceAudit, {
                     DiagnosticKind::CoProcessGpuSegment { device: seg.target }
                 });
             }
         }
         if gpus.is_empty() {
-            self.push(si, None, None, Pass::DeviceAudit, DiagnosticKind::CoProcessNoGpuLane);
+            self.push(Some(si), None, Pass::DeviceAudit, DiagnosticKind::CoProcessNoGpuLane);
             return;
         }
         let mut lanes_ok = true;
         for &g in gpus {
             if !devices.contains(&g) {
                 lanes_ok = false;
-                self.push(si, Some(g), None, Pass::DeviceAudit, {
+                self.push(Some(si), Some(g), Pass::DeviceAudit, {
                     DiagnosticKind::DeviceNotPresent { device: g }
                 });
             }
@@ -1081,7 +887,7 @@ impl<'a> Checker<'a> {
                 match model.coprocess_cost(est, &cpus, gpus) {
                     Ok(Some(_)) => {}
                     Ok(None) | Err(_) => {
-                        self.push(si, None, None, Pass::DeviceAudit, {
+                        self.push(Some(si), None, Pass::DeviceAudit, {
                             DiagnosticKind::CoProcessInfeasibleFanout { ht: ht.to_string() }
                         });
                     }
@@ -1092,28 +898,15 @@ impl<'a> Checker<'a> {
 
     // ---------------- pass 4: determinism contracts ----------------
 
-    /// Stateful stages must carry a user column that is valid in *source*
-    /// coordinates (the engine aligns packet boundaries on it there), and
-    /// the stage router must route to exactly the workers the barrier
-    /// waits on.
-    fn check_determinism(&mut self, si: usize, stage: &PlacedStage, pipeline: &Pipeline) {
-        if let Some(agg) = pipeline.stateful_agg() {
-            if let Some(table) = self.catalog.get(&pipeline.source) {
-                let source_width = table.schema.fields.len();
-                if agg.user_col() >= source_width {
-                    self.push(si, None, None, Pass::Determinism, {
-                        DiagnosticKind::StatefulAlignmentInvalid {
-                            user_col: agg.user_col(),
-                            source_width,
-                        }
-                    });
-                }
-            }
-        }
+    /// The stage router must route to exactly the workers the barrier
+    /// waits on. (The other determinism contract — a stateful aggregate's
+    /// columns valid in *source* coordinates, where the engine aligns packet
+    /// boundaries — is judged where the schema flows, by the binding walk.)
+    fn check_determinism(&mut self, si: usize, stage: &PlacedStage) {
         let total_dop: usize = stage.segments().iter().map(|s| s.traits.dop).sum();
         if let Some(Exchange::Router { to_dop, .. }) = stage.router() {
             if *to_dop != total_dop {
-                self.push(si, None, None, Pass::Determinism, {
+                self.push(Some(si), None, Pass::Determinism, {
                     DiagnosticKind::BarrierCoverage { to_dop: *to_dop, total_dop }
                 });
             }
@@ -1126,7 +919,7 @@ mod tests {
     use super::*;
     use crate::engine::{ExecConfig, Placement};
     use crate::place::place;
-    use crate::plan::JoinAlgo;
+    use crate::plan::{JoinAlgo, Stage};
     use hape_ops::{AggFunc, AggSpec, Expr};
     use hape_storage::datagen::gen_key_fk_table;
 

@@ -150,6 +150,8 @@ fn key_column(col: &Column) -> Cow<'_, [i64]> {
         }
         DataType::I64 => Cow::Borrowed(col.as_i64()),
         DataType::Str => Cow::Owned(col.as_codes().iter().map(|&v| v as i64).collect()),
+        // Invariant: a plan's group keys are not `f64` — hape_core's binding
+        // walk (`plan::is_group_key`) refuses it before any batch is folded.
         DataType::F64 => panic!("cannot group by a float column"),
     }
 }

@@ -129,6 +129,32 @@ impl Expr {
         cols
     }
 
+    /// The [`ExprValue`] arm [`eval`] produces — or the operand `eval` would
+    /// panic on instead. Every logical type reads as a number (strings as
+    /// their dictionary codes), so no column's type decides the kind.
+    pub fn kind(&self) -> Result<ExprKind, KindMismatch> {
+        use ExprKind::{Bool, Num};
+        let (a, b, expected, kind) = match self {
+            Expr::Col(_) | Expr::LitI32(_) | Expr::LitI64(_) | Expr::LitF64(_) => {
+                return Ok(Num)
+            }
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => (a, b, Num, Num),
+            Expr::Eq(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Ge(a, b) => (a, b, Num, Bool),
+            Expr::And(a, b) | Expr::Or(a, b) => (a, b, Bool, Bool),
+        };
+        for side in [a, b] {
+            let found = side.kind()?;
+            if found != expected {
+                return Err(KindMismatch { expected, found });
+            }
+        }
+        Ok(kind)
+    }
+
     fn collect_columns(&self, out: &mut Vec<usize>) {
         match self {
             Expr::Col(i) => out.push(*i),
@@ -148,6 +174,25 @@ impl Expr {
             }
         }
     }
+}
+
+/// Which [`ExprValue`] arm an expression evaluates to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExprKind {
+    /// [`ExprValue::F64`]: columns, literals, arithmetic.
+    Num,
+    /// [`ExprValue::Bool`]: comparisons and logic.
+    Bool,
+}
+
+/// An operand of the wrong kind ([`Expr::kind`]): arithmetic and
+/// comparisons take numbers, `and`/`or` take booleans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindMismatch {
+    /// What the operator takes.
+    pub expected: ExprKind,
+    /// What the operand evaluates to.
+    pub found: ExprKind,
 }
 
 /// A scalar expression over *named* columns — what the logical query
@@ -418,6 +463,7 @@ impl<'a> ExprValue<'a> {
     pub fn as_f64(&self) -> &[f64] {
         match self {
             ExprValue::F64(v) => v,
+            // Invariant: hape_core's binding walk (`plan::bind`) refuses a plan that reads one.
             ExprValue::Bool(_) => panic!("expected numeric expression, got boolean"),
         }
     }
@@ -426,6 +472,7 @@ impl<'a> ExprValue<'a> {
     pub fn as_bool(&self) -> &[bool] {
         match self {
             ExprValue::Bool(v) => v,
+            // Invariant: a plan's `and`/`or` operands are boolean (`Expr::kind`, binding walk).
             ExprValue::F64(_) => panic!("expected boolean expression, got numeric"),
         }
     }
@@ -434,6 +481,7 @@ impl<'a> ExprValue<'a> {
     pub fn into_f64(self) -> Cow<'a, [f64]> {
         match self {
             ExprValue::F64(v) => v,
+            // Invariant: a plan's numeric positions hold numbers (`Expr::kind`, binding walk).
             ExprValue::Bool(_) => panic!("expected numeric expression, got boolean"),
         }
     }
@@ -583,6 +631,7 @@ fn binary_bool<'a>(
 pub fn eval_bool(expr: &Expr, batch: &Batch) -> Vec<bool> {
     match eval(expr, batch) {
         ExprValue::Bool(v) => v,
+        // Invariant: a plan's filters are boolean — the binding walk refuses the rest.
         ExprValue::F64(_) => panic!("predicate does not evaluate to boolean"),
     }
 }
@@ -738,6 +787,61 @@ mod tests {
     fn type_confusion_panics() {
         let e = Expr::add(Expr::col(0), Expr::col(1));
         eval_bool(&e, &batch());
+    }
+
+    #[test]
+    fn kind_is_the_arm_eval_produces_and_refuses_what_eval_panics_on() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let b = batch();
+        let (x, one, twenty) = (Expr::col(1), Expr::LitF64(1.0), Expr::LitF64(20.0));
+        let disc_price = Expr::mul(Expr::col(0), Expr::sub(one.clone(), Expr::col(1)));
+        // Every shape the tests above evaluate.
+        let shapes = [
+            Expr::mul(Expr::col(1), Expr::sub(one.clone(), Expr::col(0))),
+            Expr::and(
+                Expr::ge(Expr::col(0), Expr::LitI32(2)),
+                Expr::lt(Expr::col(1), Expr::LitF64(40.0)),
+            ),
+            x.clone(),
+            Expr::add(x.clone(), Expr::LitF64(0.0)),
+            Expr::sub(Expr::LitI32(3), Expr::LitI64(5)),
+            Expr::LitI64(7),
+            Expr::lt(twenty.clone(), x.clone()),
+            Expr::ge(x.clone(), twenty),
+            Expr::lt(Expr::LitI32(1), Expr::LitI32(2)),
+            Expr::mul(disc_price.clone(), Expr::add(one, Expr::col(1))),
+            Expr::add(Expr::mul(Expr::col(0), Expr::LitF64(-0.0)), Expr::LitF64(-0.0)),
+            Expr::add(Expr::col(1), Expr::mul(Expr::col(0), Expr::col(1))),
+            Expr::or(Expr::eq(Expr::col(0), Expr::LitI32(1)), Expr::le(x.clone(), disc_price)),
+        ];
+        for e in &shapes {
+            let arm = match eval(e, &b) {
+                ExprValue::F64(_) => ExprKind::Num,
+                ExprValue::Bool(_) => ExprKind::Bool,
+            };
+            assert_eq!(e.kind(), Ok(arm), "{e:?}");
+        }
+
+        // The four kind `panic!`s, each with a shape that reaches it — and
+        // `kind` naming the mismatch instead.
+        let (num, boolean) = (Expr::add(Expr::col(0), Expr::col(1)), Expr::lt(x.clone(), x));
+        let panics = |f: &dyn Fn()| catch_unwind(AssertUnwindSafe(f)).is_err();
+        // `eval_bool` over a numeric predicate; `as_f64` over a boolean.
+        assert!(panics(&|| drop(eval_bool(&num, &b))));
+        assert_eq!(num.kind(), Ok(ExprKind::Num));
+        assert!(panics(&|| drop(eval(&boolean, &b).as_f64().to_vec())));
+        assert_eq!(boolean.kind(), Ok(ExprKind::Bool));
+        // `as_bool` over a numeric operand of `and` / `or`.
+        let mixed = Expr::and(Expr::col(0), boolean.clone());
+        assert!(panics(&|| drop(eval(&mixed, &b))));
+        let (expected, found) = (ExprKind::Bool, ExprKind::Num);
+        assert_eq!(mixed.kind(), Err(KindMismatch { expected, found }));
+        // `into_f64` over a boolean operand of arithmetic or a comparison.
+        let (expected, found) = (ExprKind::Num, ExprKind::Bool);
+        for mixed in [Expr::mul(boolean.clone(), num.clone()), Expr::eq(num, boolean)] {
+            assert!(panics(&|| drop(eval(&mixed, &b))));
+            assert_eq!(mixed.kind(), Err(KindMismatch { expected, found }));
+        }
     }
 
     /// Toy scope: `a` at 0 (numeric), `region` at 1 (strings ASIA=7).

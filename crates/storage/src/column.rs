@@ -124,6 +124,8 @@ impl Column {
     pub fn as_i32(&self) -> &[i32] {
         match &*self.data {
             ColumnData::I32(v) => &v[self.off..self.off + self.len],
+            // Invariant: a plan's probe and build keys are `i32`/date —
+            // hape_core's binding walk (`plan::is_join_key`).
             other => panic!("expected I32 column, got {:?}", other.data_type()),
         }
     }

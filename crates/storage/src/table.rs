@@ -182,6 +182,8 @@ impl Batch {
 
     /// Column by index.
     pub fn col(&self, i: usize) -> &Column {
+        // Invariant: every column index a plan carries is in range of the
+        // schema flowing past it — hape_core's binding walk (`plan::bind`).
         &self.columns[i]
     }
 }

@@ -670,3 +670,86 @@ fn every_query_placement_and_thread_combo_verifies_clean() {
         }
     }
 }
+
+// ========== pass 1, continued: the invariants binding added ==========
+//
+// Each corruption below yields exactly one diagnostic of exactly its kind:
+// the walk reports a bad reference once and keeps flowing.
+
+#[test]
+fn mutation_numeric_filter_is_one_kind_mismatch() {
+    use hape::ops::expr::ExprKind;
+    let session = tpch_session();
+    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
+    stream_parts(&mut placed).0.ops.insert(0, PipeOp::Filter(Expr::col(0)));
+    let mismatch = DiagnosticKind::ExprKindMismatch {
+        context: "filter",
+        expected: ExprKind::Bool,
+        found: ExprKind::Num,
+    };
+    assert_eq!(kinds(&session, &lowered, &placed), [(Pass::SchemaDataflow, mismatch)]);
+}
+
+#[test]
+fn mutation_empty_projection() {
+    let session = tpch_session();
+    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
+    stream_parts(&mut placed).0.ops.insert(0, PipeOp::Project(Vec::new()));
+    assert_eq!(
+        kinds(&session, &lowered, &placed),
+        [(Pass::SchemaDataflow, DiagnosticKind::EmptyProject)]
+    );
+}
+
+#[test]
+fn mutation_group_by_over_a_float_column() {
+    use hape::storage::DataType;
+    let session = tpch_session();
+    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
+    // Source columns keep their index through Q5's probes (which append).
+    let fields = &lowered.catalog.get("Q5.lineitem").unwrap().schema.fields;
+    let column = fields.iter().position(|f| f.dtype == DataType::F64).unwrap();
+    stream_parts(&mut placed).0.agg.as_mut().unwrap().group_by.push(column);
+    let expected =
+        DiagnosticKind::KeyType { context: "group-by", column, found: DataType::F64 };
+    assert_eq!(kinds(&session, &lowered, &placed), [(Pass::SchemaDataflow, expected)]);
+}
+
+#[test]
+fn mutation_build_key_over_a_string_column() {
+    use hape::storage::DataType;
+    let session = tpch_session();
+    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
+    let PlacedStage::Build { key_col, pipeline, .. } = &mut placed.stages[0] else {
+        panic!("stage 0 is a build")
+    };
+    // Stage 0 builds the ASIA region filter: its scan carries `r_name`.
+    let fields = &lowered.catalog.get(&pipeline.source).unwrap().schema.fields;
+    *key_col = fields.iter().position(|f| f.dtype == DataType::Str).unwrap();
+    let (context, column) = ("build key", *key_col);
+    let expected = DiagnosticKind::KeyType { context, column, found: DataType::Str };
+    assert_eq!(kinds(&session, &lowered, &placed), [(Pass::SchemaDataflow, expected)]);
+}
+
+#[test]
+fn mutation_stateful_ts_column_outside_source() {
+    let session = behavioral_session();
+    let (lowered, mut placed) = behavioral_placed(&session, 0);
+    {
+        let StatefulAgg::Sessionize { ts_col, .. } = stateful_op(&mut placed) else {
+            panic!("B1 sessionizes")
+        };
+        *ts_col = 99;
+    }
+    let ks = kinds(&session, &lowered, &placed);
+    assert!(
+        matches!(
+            ks.as_slice(),
+            [(
+                Pass::Determinism,
+                DiagnosticKind::StatefulAlignmentInvalid { role: "ts", user_col: 99, .. }
+            )]
+        ),
+        "{ks:?}"
+    );
+}
