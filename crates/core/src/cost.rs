@@ -46,6 +46,7 @@ use hape_sim::topology::{DeviceId, Server};
 use hape_sim::CpuCostModel;
 
 use crate::catalog::Catalog;
+use crate::engine::ExecConfig;
 use crate::error::EngineError;
 use crate::plan::{PipeOp, Pipeline};
 use crate::provider::{GPU_HT_WORKING_FACTOR, GPU_PACKET_SHARE};
@@ -140,9 +141,10 @@ impl PipelineEstimate {
 }
 
 /// The co-processing components of a [`StageCost`], present when the
-/// stage is priced under [`ProbeExec::CoProcess`](crate::plan::ProbeExec::CoProcess) (§5): the CPU-side
-/// co-partitioning and the per-GPU single-pass transfer/join — the same
-/// decomposition `hape_join::coprocess_join` executes.
+/// stage is priced as a
+/// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess) (§5):
+/// the CPU-side co-partitioning and the per-GPU single-pass transfer/join
+/// — the same decomposition `hape_join::coprocess_join` executes.
 #[derive(Debug, Clone)]
 pub struct CoprocessCost {
     /// The oversized hash table executed as the co-processing join.
@@ -169,9 +171,10 @@ pub struct StageCost {
     /// The candidate devices.
     pub devices: Vec<DeviceId>,
     /// Estimated streaming makespan: input bytes over the subset's summed
-    /// effective rates (the load-aware router balances by rate). Under
-    /// [`ProbeExec::CoProcess`](crate::plan::ProbeExec::CoProcess) this is the CPU-side prefix (everything up
-    /// to the co-processed probe) plus the final aggregation.
+    /// effective rates (the load-aware router balances by rate). For a
+    /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess)
+    /// this is the CPU-side prefix (everything up to the co-processed
+    /// probe) plus the final aggregation.
     pub stream_seconds: f64,
     /// Upfront hash-table broadcast time (max over the subset's GPUs;
     /// dedicated links broadcast in parallel).
@@ -187,8 +190,9 @@ pub struct StageCost {
     /// Smallest device-memory capacity among the subset's GPUs (`None`
     /// when the subset has no GPU).
     pub gpu_capacity: Option<u64>,
-    /// The co-processing decomposition when the stage is priced under
-    /// [`ProbeExec::CoProcess`](crate::plan::ProbeExec::CoProcess); `None` for broadcast stages.
+    /// The co-processing decomposition when the stage is priced as a
+    /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess);
+    /// `None` for broadcast stages.
     pub coprocess: Option<CoprocessCost>,
 }
 
@@ -203,9 +207,10 @@ impl StageCost {
     }
 
     /// Whether every GPU in the subset can hold its working set — the
-    /// broadcast tables with working space for [`ProbeExec::Broadcast`](crate::plan::ProbeExec::Broadcast)
-    /// stages (the §6.4 capacity constraint), one co-partition pair for
-    /// [`ProbeExec::CoProcess`](crate::plan::ProbeExec::CoProcess) stages — checked on estimates.
+    /// broadcast tables with working space for broadcasting stages (the
+    /// §6.4 capacity constraint), one co-partition pair for
+    /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess)
+    /// stages — checked on estimates.
     pub fn fits_gpu_memory(&self) -> bool {
         self.gpu_capacity.is_none_or(|cap| self.gpu_required <= cap)
     }
@@ -318,8 +323,10 @@ impl<'a> CostModel<'a> {
         devices: &[DeviceId],
         returns_output: bool,
     ) -> Result<StageCost, EngineError> {
-        // Packet sizing mirrors the engine's auto rule: ~4 packets per
-        // worker share, clamped to [2K, 1M] rows.
+        // The engine's packet-sizing rule on the scan's row count, which
+        // `in_rows` holds exactly (< 2^53). For such `r`, f64 `r / d`
+        // truncates to the integer `r / d`, so pricing in f64 would size
+        // the same packets.
         let shares: usize = devices
             .iter()
             .map(|d| match d {
@@ -327,8 +334,7 @@ impl<'a> CostModel<'a> {
                 DeviceId::Gpu(_) => Ok(GPU_PACKET_SHARE),
             })
             .sum::<Result<usize, _>>()?;
-        let packet_rows =
-            ((est.in_rows / (4.0 * shares.max(1) as f64)) as usize).clamp(2 << 10, 1 << 20);
+        let packet_rows = ExecConfig::auto_packet_rows(est.in_rows as usize, shares, None);
         let packet_bytes = packet_rows as f64 * (est.in_bytes / est.in_rows);
 
         // A pipeline may probe the same table at several sites (memoised
@@ -409,10 +415,11 @@ impl<'a> CostModel<'a> {
         })
     }
 
-    /// Price a stream stage under [`ProbeExec::CoProcess`](crate::plan::ProbeExec::CoProcess) (§5): the CPUs
-    /// in `cpus` run the pipeline prefix (every operator before the final
-    /// probe) and co-partition the stream against the final probe's
-    /// oversized table; the GPUs in `gpus` each receive co-partition
+    /// Price a stream stage as a
+    /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess)
+    /// (§5): the CPUs in `cpus` run the pipeline prefix (every operator
+    /// before the final probe) and co-partition the stream against the
+    /// final probe's oversized table; the GPUs in `gpus` each receive co-partition
     /// pairs over their own links for single-pass radix joins. The
     /// decomposition mirrors `hape_join::coprocess_join` term by term —
     /// fanout planning included, via the shared

@@ -7,13 +7,16 @@
 //! | the only writer of the per-query [`Ledger`] | a stats keeper |
 //! | where device-aware work is realised | a validator |
 //!
-//! *Interpreter, not planner*: each placed stage instantiates one
-//! [`DeviceProvider`] worker per operator instance of its segments (a
-//! [`CpuWorker`] per core, a [`GpuWorker`] per GPU) and routes the source
-//! packets over them. Nothing branches on [`Placement`]: device subsets,
-//! exchanges and the co-processing decision are read back from the IR
-//! ([`mod@crate::place`], [`mod@crate::optimize`]), and mid-query
-//! re-placement calls those same passes. *Only writer, not stats keeper*:
+//! *Interpreter, not planner*: a placed plan is the only thing it runs —
+//! [`Engine::begin`] → [`QueryExec::step`] per stage is the one way in.
+//! Each placed stage instantiates one [`DeviceProvider`] worker per
+//! operator instance of its segments (a [`CpuWorker`] per core, a
+//! [`GpuWorker`] per GPU) and routes the source packets over them with the
+//! one load-aware pick ([`crate::exchange::route`]). Nothing branches on
+//! [`Placement`]: device subsets, exchanges and the co-processing decision
+//! are read back from the IR ([`mod@crate::place`],
+//! [`mod@crate::optimize`]), and mid-query re-placement calls those same
+//! passes. *Only writer, not stats keeper*:
 //! every control-plane decision — tables installed, packet committed,
 //! fault fired, retry priced, build served from cache, stage done — is
 //! reported to the ledger exactly once; [`QueryReport`] fields, trace
@@ -65,7 +68,7 @@ use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
-use crate::exchange::{CandidateLoad, Exchange, Router, RoutingPolicy};
+use crate::exchange::{route, CandidateLoad, Exchange};
 use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage, Segment};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
@@ -150,8 +153,6 @@ impl std::str::FromStr for Placement {
 pub struct ExecConfig {
     /// Device placement.
     pub placement: Placement,
-    /// Router policy for the stream stage.
-    pub policy: RoutingPolicy,
     /// Rows per packet (`None` = auto: see
     /// [`ExecConfig::auto_packet_rows`]).
     pub packet_rows: Option<usize>,
@@ -177,7 +178,6 @@ impl ExecConfig {
     pub fn new(placement: Placement) -> Self {
         ExecConfig {
             placement,
-            policy: RoutingPolicy::LoadAware,
             packet_rows: None,
             threads: None,
             trace: TraceRecorder::off(),
@@ -217,7 +217,7 @@ impl ExecConfig {
     /// The engine's packet-sizing rule for a stream of `rows` rows over
     /// `shares` worker packet shares: the `explicit` override when set,
     /// else about four packets per share, clamped to [2K, 1M] rows. The
-    /// cost model's packet-size estimate ([`crate::cost`]) mirrors this
+    /// cost model's packet-size estimate ([`crate::cost`]) calls this
     /// rule, and the `figures` binary / `tpch_hybrid` example expose the
     /// override as `--packet-rows` for sweeps.
     pub fn auto_packet_rows(rows: usize, shares: usize, explicit: Option<usize>) -> usize {
@@ -388,67 +388,6 @@ impl Engine {
             faults: FaultSession::disabled(),
         })
     }
-
-    /// Materialise a (non-aggregating) pipeline on the CPU workers against
-    /// an explicit table store. Returns the output batch, the completion
-    /// time (relative to `start`) and the CPU busy time.
-    ///
-    /// Historically this was the hook the hand-written Q9 hybrid runner
-    /// built on; the optimizer-planned co-processing stage now
-    /// materialises its prefix internally
-    /// ([`crate::place::PlacedStage::CoProcess`]), and this hook remains
-    /// for benchmarks and custom drivers that stage pipelines explicitly.
-    pub fn materialize_cpu(
-        &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        tables: &TableStore,
-        start: SimTime,
-    ) -> Result<(Batch, SimTime, SimTime), EngineError> {
-        if pipeline.agg.is_some() {
-            return Err(EngineError::InvalidPlan(PlanError::BuildWithAggregate {
-                stage: pipeline.source.clone(),
-            }));
-        }
-        crate::plan::bind_pipeline(pipeline, catalog, tables)?;
-        // Ad-hoc CPU-side segments: this hook predates placement and
-        // takes a bare pipeline.
-        let segments: Vec<Segment> = participants(Placement::CpuOnly, &self.server)
-            .into_iter()
-            .map(|d| Segment {
-                target: d,
-                traits: crate::place::segment_traits(d, &self.server),
-                exchanges: Vec::new(),
-            })
-            .collect();
-        let mut env = StageEnv {
-            engine: self,
-            catalog,
-            tables,
-            resident: &HashSet::new(),
-            threads: runtime::resolve_threads(None)?,
-            packet_rows: None,
-            faults: &FaultSession::disabled(),
-            ledger: &mut Ledger::default(),
-        };
-        let mut workers = env.workers_for(&segments, None)?;
-        let out = env.run_workers(pipeline, &mut workers, RoutingPolicy::LoadAware, start)?;
-        let busy = workers.iter().map(|w| w.busy()).sum();
-        Ok((Batch::concat(out.outputs), out.end, busy))
-    }
-
-    /// Build a named hash table by materialising `pipeline` on the CPU.
-    pub fn build_join_table(
-        &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        key_col: usize,
-        tables: &TableStore,
-        start: SimTime,
-    ) -> Result<(Arc<JoinTable>, SimTime, SimTime), EngineError> {
-        let (batch, end, busy) = self.materialize_cpu(catalog, pipeline, tables, start)?;
-        Ok((Arc::new(JoinTable::build(batch, key_col)), end, busy))
-    }
 }
 
 /// The terminal aggregation an aggregating stage must carry.
@@ -575,7 +514,6 @@ impl StageEnv<'_> {
         pipeline: &Pipeline,
         ht: &str,
         segments: &[Segment],
-        policy: RoutingPolicy,
         gpus: &[DeviceId],
         start: SimTime,
     ) -> Result<(AggRows, SimTime), EngineError> {
@@ -618,7 +556,7 @@ impl StageEnv<'_> {
         };
         let wall_prefix_start = self.ledger.recorder().now_ns();
         let mut workers = self.workers_for(segments, None)?;
-        let pre = self.run_workers(&prefix, &mut workers, policy, start)?;
+        let pre = self.run_workers(&prefix, &mut workers, start)?;
         let inter = Batch::concat(pre.outputs);
         let wall_prefix_end = self.ledger.recorder().now_ns();
 
@@ -766,7 +704,7 @@ impl StageEnv<'_> {
             } else {
                 Vec::new()
             };
-            let post = self.packet_loop(&packets, &suffix, &mut workers, policy, fold_start)?;
+            let post = self.packet_loop(&packets, &suffix, &mut workers, fold_start)?;
             rows = merge_partials(agg_spec, &workers);
             end = post.end.max(join_end);
         }
@@ -804,7 +742,6 @@ impl StageEnv<'_> {
         &mut self,
         pipeline: &Pipeline,
         workers: &mut [Box<dyn DeviceProvider>],
-        policy: RoutingPolicy,
         start: SimTime,
     ) -> Result<Streamed, EngineError> {
         let table = self.catalog.lookup(&pipeline.source)?;
@@ -825,7 +762,7 @@ impl StageEnv<'_> {
             ),
             None => table.data.split(rows_per_packet),
         };
-        self.packet_loop(&packets, pipeline, workers, policy, start)
+        self.packet_loop(&packets, pipeline, workers, start)
     }
 
     /// The packet loop proper (the module header's three beats), over
@@ -837,7 +774,6 @@ impl StageEnv<'_> {
         packets: &[Batch],
         pipeline: &Pipeline,
         workers: &mut [Box<dyn DeviceProvider>],
-        policy: RoutingPolicy,
         start: SimTime,
     ) -> Result<Streamed, EngineError> {
         if workers.is_empty() {
@@ -910,7 +846,6 @@ impl StageEnv<'_> {
 
         // ---- Phase 2, control plane: sequential routing + sim-time
         // accounting, replaying worker `ready_at` state in packet order.
-        let mut router = Router::new(policy);
         let mut end = start;
         let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
         let mut candidates: Vec<CandidateLoad> = Vec::with_capacity(workers.len());
@@ -921,7 +856,7 @@ impl StageEnv<'_> {
                 ready_at: w.ready_at(start, bytes),
                 est_ns_per_byte: w.est_ns_per_byte(),
             }));
-            let pick = router.pick(&packets[i], &candidates);
+            let pick = route(&packets[i], &candidates);
             let sim_ready = candidates[pick].ready_at;
             let worker = &mut workers[pick];
             // ---- Fault plane: triggers keyed on the routed GPU's
@@ -1167,7 +1102,7 @@ impl<'a> QueryExec<'a> {
         let Some(stage) = self.placed.stages.get(idx).cloned() else {
             return Ok(());
         };
-        let (pipeline, policy) = (stage.pipeline(), stage.policy());
+        let pipeline = stage.pipeline();
         let (start, wall_start) = (self.clock, self.ledger.recorder().now_ns());
         let mut env = StageEnv {
             engine: self.engine,
@@ -1189,7 +1124,7 @@ impl<'a> QueryExec<'a> {
                 // Build stages always auto-size: plumbing, not the workload.
                 env.packet_rows = None;
                 let mut workers = env.workers_for(segments, None)?;
-                let out = env.run_workers(pipeline, &mut workers, policy, start)?;
+                let out = env.run_workers(pipeline, &mut workers, start)?;
                 self.clock = out.end;
                 let table = Arc::new(JoinTable::build(Batch::concat(out.outputs), *key_col));
                 let rows = table.rows();
@@ -1199,13 +1134,13 @@ impl<'a> QueryExec<'a> {
             PlacedStage::Stream { segments, .. } => {
                 let agg_spec = stream_agg(pipeline)?;
                 let mut workers = env.workers_for(segments, Some(agg_spec))?;
-                self.clock = env.run_workers(pipeline, &mut workers, policy, start)?.end;
+                self.clock = env.run_workers(pipeline, &mut workers, start)?.end;
                 self.rows = merge_partials(agg_spec, &workers);
                 self.rows.len()
             }
             PlacedStage::CoProcess { ht, segments, gpus, .. } => {
                 (self.rows, self.clock) =
-                    env.run_coprocess_stage(pipeline, ht, segments, policy, gpus, start)?;
+                    env.run_coprocess_stage(pipeline, ht, segments, gpus, start)?;
                 self.rows.len()
             }
         };
@@ -1250,8 +1185,6 @@ impl<'a> QueryExec<'a> {
         };
         let logical = self.placed.logical();
         let mut cfg = ExecConfig::new(Placement::Auto);
-        cfg.policy =
-            self.placed.stages.get(idx).map_or(RoutingPolicy::LoadAware, |s| s.policy());
         cfg.packet_rows = self.placed.packet_rows;
         cfg.threads = self.placed.threads;
         let replaced = if self.placed.costs.is_some() {

@@ -10,10 +10,11 @@
 //!    fused per-packet code for their target (the code-generation interface
 //!    of §4.2), unified behind the [`provider::DeviceProvider`] trait, and
 //! 2. **efficient multi-device execution** — the HetExchange-style
-//!    meta-operators in [`exchange`]: the *router* (parallelism trait), the
-//!    *device crossing* (target-device trait), the *mem-move* (locality
-//!    trait) and *pack/unpack* (packing trait). The [`mod@place`] pass makes
-//!    them explicit: it turns a [`plan::QueryPlan`] into a
+//!    meta-operators in [`exchange`]: the load-aware *router* (parallelism
+//!    trait), the *device crossing* (target-device trait) and the
+//!    *mem-move* (locality trait); the packing trait is fixed at untagged
+//!    packets, so *pack/unpack* is the executor's packet granularity, not
+//!    an operator. The [`mod@place`] pass makes them explicit: it turns a [`plan::QueryPlan`] into a
 //!    [`place::PlacedPlan`] whose segments carry [`traits::HetTraits`] and
 //!    whose edges carry the inserted [`exchange::Exchange`] operators.
 //!
@@ -41,11 +42,11 @@
 //! candidate device subsets per stage, prunes the ones whose estimated
 //! GPU hash-table footprint exceeds device capacity (the paper's §6.4
 //! constraint), and places each stage on its minimum-makespan subset.
-//! When a stream's tables overflow *every* GPU, the optimizer can flip
-//! the stage's probe execution mode ([`plan::ProbeExec`]) to the §5
-//! intra-operator co-processing join — CPU co-partitioning feeding
-//! single-pass per-GPU radix joins ([`place::PlacedStage::CoProcess`]) —
-//! instead of retreating to CPU-only execution.
+//! When a stream's tables overflow *every* GPU, the optimizer can place
+//! the stage as the §5 intra-operator co-processing join — CPU
+//! co-partitioning feeding single-pass per-GPU radix joins
+//! ([`place::PlacedStage::CoProcess`]) — instead of retreating to CPU-only
+//! execution.
 //!
 //! ## Quickstart: lower → optimize → place → run
 //!
@@ -222,13 +223,13 @@ pub use catalog::{Catalog, TableRegistration};
 pub use cost::{CoprocessCost, CostModel, PlanCost, StageCost};
 pub use engine::{Engine, ExecConfig, ParsePlacementError, Placement, QueryExec, QueryReport};
 pub use error::{EngineError, HapeError, PlanError};
-pub use exchange::{Exchange, RoutingPolicy, WorkerId};
+pub use exchange::{Exchange, WorkerId};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, HealthRegistry, RetryPolicy, Trigger};
 pub use optimize::{optimize, optimize_on};
 pub use place::{place, place_on, PlacedPlan, PlacedStage, Segment};
-pub use plan::{JoinAlgo, PipeOp, Pipeline, ProbeExec, QueryPlan, Stage};
+pub use plan::{JoinAlgo, PipeOp, Pipeline, QueryPlan, Stage};
 pub use provider::DeviceProvider;
-pub use query::{LoweredMaterialize, LoweredQuery, Query};
+pub use query::{LoweredQuery, Query};
 pub use runtime::resolve_threads;
 pub use serve::{
     BuildCache, CacheStats, CancelToken, Outcome, QueryHandle, QueryOutcome, ServeReport,
@@ -236,7 +237,7 @@ pub use serve::{
 };
 pub use session::Session;
 pub use trace::{Ledger, Span, SpanKind, Trace, TraceRecorder};
-pub use traits::{DeviceType, HetTraits, Packing};
+pub use traits::{DeviceType, HetTraits};
 pub use verify::{verify_placed, verify_plan, Diagnostic, DiagnosticKind, Pass, VerifyError};
 
 /// Commonly used items.
@@ -245,7 +246,7 @@ pub mod prelude {
     pub use crate::cost::{CostModel, PlanCost, StageCost};
     pub use crate::engine::{Engine, ExecConfig, Placement, QueryReport};
     pub use crate::error::{EngineError, HapeError, PlanError};
-    pub use crate::exchange::{Exchange, RoutingPolicy};
+    pub use crate::exchange::Exchange;
     pub use crate::fault::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, Trigger};
     pub use crate::optimize::optimize;
     pub use crate::place::{place, PlacedPlan, PlacedStage, Segment};

@@ -19,9 +19,9 @@ use hape_sim::topology::{DeviceId, Server};
 use crate::cost::PlanCost;
 use crate::engine::{ExecConfig, Placement};
 use crate::error::EngineError;
-use crate::exchange::{Exchange, RoutingPolicy};
-use crate::plan::{PipeOp, Pipeline, ProbeExec, QueryPlan, Stage};
-use crate::traits::{DeviceType, HetTraits, Packing};
+use crate::exchange::Exchange;
+use crate::plan::{PipeOp, Pipeline, QueryPlan, Stage};
+use crate::traits::{DeviceType, HetTraits};
 
 /// One pipeline segment placed on a concrete device.
 ///
@@ -81,12 +81,14 @@ pub enum PlacedStage {
         /// The placed segments, in router candidate order.
         segments: Vec<Segment>,
     },
-    /// Run the pipeline as an intra-operator co-processing stage (§5,
-    /// [`ProbeExec::CoProcess`]): the CPU segments execute the pipeline
-    /// prefix and co-partition the stream against the final probe's
-    /// oversized hash table; every co-partition pair makes a single PCIe
-    /// pass and joins on one of `gpus` — each priced and capacity-checked
-    /// against its own spec. The chosen aggregation then folds CPU-side.
+    /// Run the pipeline as an intra-operator co-processing stage (§5): the
+    /// CPU segments execute the pipeline prefix and co-partition the stream
+    /// against the final probe's oversized hash table; every co-partition
+    /// pair makes a single PCIe pass and joins on one of `gpus` — each
+    /// priced and capacity-checked against its own spec. The chosen
+    /// aggregation then folds CPU-side. The optimizer chooses this over a
+    /// [`PlacedStage::Stream`], which broadcasts every probed table, when a
+    /// probed table exceeds every GPU's memory (§6.4).
     CoProcess {
         /// The aggregating pipeline (its final probe is co-processed).
         pipeline: Pipeline,
@@ -131,23 +133,6 @@ impl PlacedStage {
             | PlacedStage::CoProcess { router, .. } => router.as_ref(),
         }
     }
-
-    /// The probe execution mode this stage was placed under.
-    pub fn exec(&self) -> ProbeExec {
-        match self {
-            PlacedStage::CoProcess { ht, .. } => ProbeExec::CoProcess { ht: ht.clone() },
-            _ => ProbeExec::Broadcast,
-        }
-    }
-
-    /// The routing policy the executor should instantiate (the router's,
-    /// or load-aware when the stage needed no router).
-    pub fn policy(&self) -> RoutingPolicy {
-        match self.router() {
-            Some(Exchange::Router { policy, .. }) => *policy,
-            _ => RoutingPolicy::LoadAware,
-        }
-    }
 }
 
 /// A fully placed physical plan: the executable IR the engine interprets.
@@ -188,27 +173,50 @@ pub fn participants(placement: Placement, server: &Server) -> Vec<DeviceId> {
         .collect()
 }
 
-/// The traits a pipeline segment executes under on `device`.
+/// The traits a pipeline segment executes under on `device`, which must be
+/// on `server` ([`place_on`] refuses any other device first; `verify`
+/// audits absent ones before it calls this).
 ///
 /// CPU segments keep host (`dram0`) locality: workers stream socket-0
 /// resident packets in place (NUMA placement is not modelled, so the
 /// cross-socket link never appears on the packet path). GPU segments are
 /// device-memory local — their packets must be mem-moved across PCIe.
-pub fn segment_traits(device: DeviceId, server: &Server) -> HetTraits {
+pub(crate) fn segment_traits(device: DeviceId, server: &Server) -> HetTraits {
     match device {
         DeviceId::Cpu(socket) => HetTraits {
             device: DeviceType::Cpu,
             dop: server.cpus[socket].cores,
             locality: HetTraits::cpu_seq().locality,
-            packing: Packing::Packets,
         },
-        DeviceId::Gpu(_) => HetTraits {
-            device: DeviceType::Gpu,
-            dop: 1,
-            locality: device.local_mem(),
-            packing: Packing::Packets,
-        },
+        DeviceId::Gpu(_) => {
+            HetTraits { device: DeviceType::Gpu, dop: 1, locality: device.local_mem() }
+        }
     }
+}
+
+/// The exchanges on the input edge of a segment executing under `traits`,
+/// in conversion order: the streaming mem-move, the device crossing, then
+/// one broadcast mem-move per table in `probed` (built hash tables live in
+/// host memory). What [`place_on`] inserts and what `verify`'s
+/// trait-coherence pass expects.
+pub(crate) fn input_exchanges(traits: &HetTraits, probed: &[&str]) -> Vec<Exchange> {
+    let source = HetTraits::cpu_seq();
+    let mem_move = |table: Option<&str>| Exchange::MemMove {
+        from: source.locality,
+        to: traits.locality,
+        table: table.map(str::to_string),
+    };
+    let mut exchanges = Vec::new();
+    if source.needs_mem_move(traits) {
+        exchanges.push(mem_move(None));
+    }
+    if source.needs_device_crossing(traits) {
+        exchanges.push(Exchange::DeviceCrossing { from: source.device, to: traits.device });
+    }
+    if source.needs_mem_move(traits) {
+        exchanges.extend(probed.iter().map(|&ht| mem_move(Some(ht))));
+    }
+    exchanges
 }
 
 /// Place one pipeline over `devices`: a segment per device, with the
@@ -217,56 +225,23 @@ pub fn segment_traits(device: DeviceId, server: &Server) -> HetTraits {
 fn place_pipeline(
     pipeline: &Pipeline,
     devices: &[DeviceId],
-    policy: RoutingPolicy,
     server: &Server,
 ) -> (Option<Exchange>, Vec<Segment>) {
     let source = HetTraits::cpu_seq();
-    // Distinct tables only: memoised build sides let a pipeline probe the
-    // same hash table at several sites, but it is broadcast into device
-    // memory (and capacity-counted) once.
-    let mut probed: Vec<String> = Vec::new();
-    for t in pipeline.tables_probed() {
-        if probed.iter().all(|p| p != t) {
-            probed.push(t.to_string());
-        }
-    }
+    let probed = pipeline.tables_probed();
     let segments: Vec<Segment> = devices
         .iter()
         .map(|&device| {
             let traits = segment_traits(device, server);
-            let mut exchanges = Vec::new();
-            if source.needs_mem_move(&traits) {
-                exchanges.push(Exchange::MemMove {
-                    from: source.locality,
-                    to: traits.locality,
-                    table: None,
-                });
-            }
-            if source.needs_device_crossing(&traits) {
-                exchanges
-                    .push(Exchange::DeviceCrossing { from: source.device, to: traits.device });
-            }
-            // Built hash tables live in host memory; a segment whose
-            // locality differs needs each probed table broadcast to it.
-            if source.needs_mem_move(&traits) {
-                for ht in &probed {
-                    exchanges.push(Exchange::MemMove {
-                        from: source.locality,
-                        to: traits.locality,
-                        table: Some(ht.clone()),
-                    });
-                }
-            }
+            let exchanges = input_exchanges(&traits, &probed);
             Segment { target: device, traits, exchanges }
         })
         .collect();
     let total_dop: usize = segments.iter().map(|s| s.traits.dop).sum();
     let target = HetTraits { dop: total_dop, ..source };
-    let router = source.needs_router(&target).then_some(Exchange::Router {
-        policy,
-        from_dop: source.dop,
-        to_dop: total_dop,
-    });
+    let router = source
+        .needs_router(&target)
+        .then_some(Exchange::Router { from_dop: source.dop, to_dop: total_dop });
     (router, segments)
 }
 
@@ -338,8 +313,9 @@ pub fn into_coprocess_stage(
 /// Place each stage of `plan` on an explicit device subset — the entry
 /// point the cost-based optimizer drives, one subset per stage in stage
 /// order. A stage handed an empty subset is the typed
-/// [`EngineError::NoWorkers`]; a subset list whose length does not match
-/// the plan's stage count is the typed
+/// [`EngineError::NoWorkers`]; a subset naming a device `server` lacks is
+/// the typed [`EngineError::DeviceNotPresent`]; a subset list whose length
+/// does not match the plan's stage count is the typed
 /// [`EngineError::SubsetCountMismatch`].
 pub fn place_on(
     plan: &QueryPlan,
@@ -354,6 +330,7 @@ pub fn place_on(
             subsets: subsets.len(),
         });
     }
+    let present = server.devices();
     let mut stages = Vec::with_capacity(plan.stages.len());
     for (stage, devices) in plan.stages.iter().zip(subsets) {
         if devices.is_empty() {
@@ -361,10 +338,12 @@ pub fn place_on(
                 placement: "empty device subset".to_string(),
             });
         }
+        if let Some(absent) = devices.iter().find(|d| !present.contains(d)) {
+            return Err(EngineError::DeviceNotPresent { device: absent.to_string() });
+        }
         match stage {
             Stage::Build { name, key_col, pipeline } => {
-                let (router, segments) =
-                    place_pipeline(pipeline, devices, RoutingPolicy::LoadAware, server);
+                let (router, segments) = place_pipeline(pipeline, devices, server);
                 stages.push(PlacedStage::Build {
                     name: name.clone(),
                     key_col: *key_col,
@@ -374,7 +353,7 @@ pub fn place_on(
                 });
             }
             Stage::Stream { pipeline } => {
-                let (router, segments) = place_pipeline(pipeline, devices, cfg.policy, server);
+                let (router, segments) = place_pipeline(pipeline, devices, server);
                 stages.push(PlacedStage::Stream {
                     pipeline: pipeline.clone(),
                     router,
@@ -474,8 +453,8 @@ impl PlacedPlan {
                 PlacedStage::Stream { .. } => {
                     let _ = writeln!(out, "stage {i}: stream");
                 }
-                PlacedStage::CoProcess { .. } => {
-                    let _ = writeln!(out, "stage {i}: stream ({})", stage.exec());
+                PlacedStage::CoProcess { ht, .. } => {
+                    let _ = writeln!(out, "stage {i}: stream (co-process {ht:?})");
                 }
             }
             let _ = writeln!(out, "  pipeline: {}", render_pipeline(pipeline));
@@ -486,8 +465,8 @@ impl PlacedPlan {
                 let t = &seg.traits;
                 let _ = writeln!(
                     out,
-                    "  segment {}: {:?} dop={} mem={} packing={:?}",
-                    seg.target, t.device, t.dop, t.locality, t.packing
+                    "  segment {}: {:?} dop={} mem={}",
+                    seg.target, t.device, t.dop, t.locality
                 );
                 for x in &seg.exchanges {
                     let _ = writeln!(out, "    {x}");
@@ -684,21 +663,7 @@ mod tests {
             place(&plan, &ExecConfig::new(Placement::GpuOnly), &Server::single_gpu()).unwrap();
         let stream = placed.stages.last().unwrap();
         assert!(stream.router().is_none());
-        assert_eq!(stream.policy(), RoutingPolicy::LoadAware);
         assert_eq!(stream.segments().len(), 1);
-    }
-
-    #[test]
-    fn policy_rides_the_stream_router_builds_stay_load_aware() {
-        let plan = join_plan();
-        let server = Server::paper_testbed();
-        let cfg = ExecConfig {
-            policy: RoutingPolicy::RoundRobin,
-            ..ExecConfig::new(Placement::Hybrid)
-        };
-        let placed = place(&plan, &cfg, &server).unwrap();
-        assert_eq!(placed.stages[0].policy(), RoutingPolicy::LoadAware);
-        assert_eq!(placed.stages[1].policy(), RoutingPolicy::RoundRobin);
     }
 
     #[test]
@@ -735,7 +700,6 @@ mod tests {
         let plan = join_plan();
         let server = Server::paper_testbed();
         let placed = place(&plan, &ExecConfig::new(Placement::CpuOnly), &server).unwrap();
-        assert_eq!(placed.stages[0].exec(), ProbeExec::Broadcast);
         // A build stage cannot co-process.
         let err = into_coprocess_stage(
             placed.stages[0].clone(),
@@ -759,12 +723,11 @@ mod tests {
             vec![DeviceId::Gpu(0), DeviceId::Gpu(1)],
         )
         .unwrap();
-        assert_eq!(cp.exec(), ProbeExec::CoProcess { ht: "dim_ht".into() });
         assert!(cp.segments().iter().all(|s| !s.target.is_gpu()));
-        let PlacedStage::CoProcess { gpus, .. } = &cp else {
+        let PlacedStage::CoProcess { ht, gpus, .. } = &cp else {
             panic!("rewrite must produce a co-process stage")
         };
-        assert_eq!(gpus.len(), 2);
+        assert_eq!((ht.as_str(), gpus.len()), ("dim_ht", 2));
     }
 
     #[test]
@@ -785,6 +748,18 @@ mod tests {
     }
 
     #[test]
+    fn place_on_refuses_devices_the_server_lacks() {
+        let plan = join_plan();
+        let server = Server::paper_testbed();
+        for absent in [DeviceId::Cpu(7), DeviceId::Gpu(7)] {
+            let subsets = [vec![DeviceId::Cpu(0)], vec![absent]];
+            let err = place_on(&plan, &ExecConfig::new(Placement::Hybrid), &server, &subsets)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::DeviceNotPresent { .. }), "{absent}: {err}");
+        }
+    }
+
+    #[test]
     fn invalid_plan_rejected_before_placement() {
         let plan = QueryPlan {
             name: "bad".into(),
@@ -802,7 +777,7 @@ mod tests {
             place(&plan, &ExecConfig::new(Placement::Hybrid), &Server::paper_testbed())
                 .unwrap();
         let text = placed.render();
-        assert!(text.contains("Router(LoadAware, 1 -> 26)"), "{text}");
+        assert!(text.contains("Router(1 -> 26)"), "{text}");
         assert!(text.contains("MemMove(dram0 -> gmem0)"), "{text}");
         assert!(text.contains("DeviceCrossing(Cpu -> Gpu)"), "{text}");
         assert!(text.contains("broadcast \"dim_ht\""), "{text}");

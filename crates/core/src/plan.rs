@@ -16,7 +16,6 @@ use hape_storage::{Batch, DataType};
 
 use crate::catalog::Catalog;
 use crate::error::{EngineError, PlanError};
-use crate::provider::TableStore;
 use crate::verify::{Diagnostic, DiagnosticKind, Pass};
 
 /// Join algorithm choice for a GPU-side probe (the Figure 9 toggle).
@@ -27,40 +26,6 @@ pub enum JoinAlgo {
     /// Hardware-conscious: radix co-partitioning, scratchpad-resident
     /// per-partition tables (§4.1).
     Partitioned,
-}
-
-/// How a stage executes its hash-table probes — the execution-mode
-/// vocabulary the cost-based optimizer chooses from and the placement
-/// layer renders. This is what turns the §5 co-processing join from a
-/// hand-written escape hatch into plan vocabulary: when a probed table
-/// exceeds every GPU's memory, the optimizer may flip the stage from
-/// [`ProbeExec::Broadcast`] to [`ProbeExec::CoProcess`] instead of
-/// silently degrading to CPU-only execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProbeExec {
-    /// Broadcast every probed table into each executing device's local
-    /// memory ahead of the stream (the default; requires the tables to
-    /// fit the device, §6.4).
-    Broadcast,
-    /// Intra-operator co-processing of the stage's *final* probe (§5):
-    /// the CPUs run the pipeline prefix, then co-partition the stream
-    /// against the named oversized table with a fanout just large enough
-    /// that each co-partition pair fits GPU memory; every pair makes a
-    /// single pass over PCIe and joins on a GPU with the
-    /// hardware-conscious radix join.
-    CoProcess {
-        /// The oversized probed hash table.
-        ht: String,
-    },
-}
-
-impl std::fmt::Display for ProbeExec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProbeExec::Broadcast => write!(f, "broadcast"),
-            ProbeExec::CoProcess { ht } => write!(f, "co-process {ht:?}"),
-        }
-    }
 }
 
 /// One fused operator inside a pipeline.
@@ -146,21 +111,26 @@ impl Pipeline {
         self
     }
 
-    /// Names of the hash tables this pipeline probes.
+    /// Names of the hash tables this pipeline probes, each once, in
+    /// first-probe order: memoised build sides let a pipeline probe one
+    /// table at several sites, but it is broadcast into device memory (and
+    /// capacity-counted) once.
     pub fn tables_probed(&self) -> Vec<&str> {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                PipeOp::JoinProbe { ht, .. } => Some(ht.as_str()),
-                _ => None,
-            })
-            .collect()
+        let mut tables: Vec<&str> = Vec::new();
+        for op in &self.ops {
+            if let PipeOp::JoinProbe { ht, .. } = op {
+                if !tables.contains(&ht.as_str()) {
+                    tables.push(ht);
+                }
+            }
+        }
+        tables
     }
 
     /// The pipeline's final hash-table probe, as `(op index, table name)` —
-    /// the probe a [`ProbeExec::CoProcess`] stage executes as the §5
-    /// co-processing join (the preceding operators form the CPU-side
-    /// prefix).
+    /// the probe a [`crate::place::PlacedStage::CoProcess`] stage executes
+    /// as the §5 co-processing join (the preceding operators form the
+    /// CPU-side prefix).
     pub fn last_probe(&self) -> Option<(usize, &str)> {
         self.ops.iter().enumerate().rev().find_map(|(i, op)| match op {
             PipeOp::JoinProbe { ht, .. } => Some((i, ht.as_str())),
@@ -589,20 +559,6 @@ pub(crate) fn bind_to<'a>(
     refuse(plan, &views, bind(views.iter().copied(), Some(catalog))).map_err(runtime_error)
 }
 
-/// [`bind_to`] for one bare pipeline probing the tables already in
-/// `tables` — what [`crate::engine::Engine::materialize_cpu`] is handed.
-pub(crate) fn bind_pipeline(
-    pipeline: &Pipeline,
-    catalog: &Catalog,
-    tables: &TableStore,
-) -> Result<(), EngineError> {
-    let schema = |jt: &JoinTable| jt.batch.columns.iter().map(|c| c.data_type()).collect();
-    let built = tables.iter().map(|(name, jt)| (name.as_str(), Some(schema(jt)))).collect();
-    let mut cx = Binder { catalog: Some(catalog), built, diagnostics: Vec::new() };
-    cx.pipeline(0, pipeline);
-    refuse(&pipeline.source, &[(None, pipeline)], cx.diagnostics).map_err(runtime_error)
-}
-
 /// A materialised build-side hash table (runtime object).
 #[derive(Debug)]
 pub struct JoinTable {
@@ -732,15 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn last_probe_finds_the_final_join_and_probe_exec_displays() {
+    fn last_probe_finds_the_final_join() {
         let p = Pipeline::scan("fact")
             .filter(Expr::lt(Expr::col(0), Expr::LitI32(5)))
             .join("a", 0, vec![], JoinAlgo::NonPartitioned)
             .join("b", 0, vec![], JoinAlgo::NonPartitioned);
         assert_eq!(p.last_probe(), Some((2, "b")));
         assert_eq!(Pipeline::scan("t").last_probe(), None);
-        assert_eq!(ProbeExec::Broadcast.to_string(), "broadcast");
-        assert_eq!(ProbeExec::CoProcess { ht: "b".into() }.to_string(), "co-process \"b\"");
     }
 
     #[test]

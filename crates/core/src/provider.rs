@@ -343,7 +343,6 @@ pub fn run_ops(
                 let survivors = gpu_ops::block_survivors(&scratch.sel, rows_in);
                 let out = Batch {
                     columns: cur.columns.iter().map(|c| c.take(&scratch.sel)).collect(),
-                    partition: cur.partition,
                 };
                 ops_trace.push(OpTrace::Filter {
                     rows_in,
@@ -359,7 +358,7 @@ pub fn run_ops(
             PipeOp::Project(exprs) => {
                 let ops: f64 = exprs.iter().map(|e| e.ops_per_row()).sum();
                 let cols = exprs.iter().map(|e| cpu_ops::project_column(e, &cur)).collect();
-                cur = Batch { columns: cols, partition: cur.partition };
+                cur = Batch { columns: cols };
                 let bytes_out = cur.bytes();
                 ops_trace.push(OpTrace::Project { rows_in, ops, bytes_in, bytes_out });
             }
@@ -562,7 +561,7 @@ pub fn probe_join_with(
 /// selection is the identity), followed by the selected build payload
 /// columns gathered by `build_sel` — the one shape both
 /// [`probe_join_with`] and the operators downstream of a co-processed
-/// probe ([`crate::plan::ProbeExec::CoProcess`]) see.
+/// probe ([`crate::place::PlacedStage::CoProcess`]) see.
 pub fn gather_matches(
     probe: &Batch,
     jt: &JoinTable,
@@ -583,7 +582,7 @@ pub fn gather_matches(
     for &b in build_payload_cols {
         cols.push(jt.batch.col(b).take(build_sel));
     }
-    Batch { columns: cols, partition: probe.partition }
+    Batch { columns: cols }
 }
 
 fn lookup_ht<'a>(tables: &'a TableStore, ht: &str) -> Result<&'a Arc<JoinTable>, EngineError> {

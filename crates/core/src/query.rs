@@ -319,39 +319,13 @@ impl Query {
         }
         let mut ctx = Lowering::with_export_unions(
             catalog,
-            Lowering::collect_export_unions(catalog, self, &self.name, &[])?,
+            Lowering::collect_export_unions(catalog, self, &self.name)?,
         );
         let (pipeline, _) = ctx.lower_chain(self, &self.name, &[])?;
         let mut stages = ctx.stages;
         stages.push(Stage::Stream { pipeline });
         let plan = QueryPlan::try_new(self.name.clone(), stages)?;
         Ok(LoweredQuery { plan, catalog: ctx.derived, build_fingerprints: ctx.fingerprints })
-    }
-
-    /// Lower a *non-aggregating* query for explicit materialisation (the
-    /// intra-operator co-processing path): build stages plus the final
-    /// pipeline, with `keep` naming extra columns the output must retain
-    /// beyond what the chain itself uses.
-    pub fn lower_materialize(
-        &self,
-        catalog: &Catalog,
-        keep: &[&str],
-    ) -> Result<LoweredMaterialize, PlanError> {
-        if self.aggregates() {
-            return Err(PlanError::BuildWithAggregate { stage: self.name.clone() });
-        }
-        let keep: Vec<String> = keep.iter().map(|c| c.to_string()).collect();
-        let mut ctx = Lowering::with_export_unions(
-            catalog,
-            Lowering::collect_export_unions(catalog, self, &self.name, &keep)?,
-        );
-        let (pipeline, cols) = ctx.lower_chain(self, &self.name, &keep)?;
-        Ok(LoweredMaterialize {
-            builds: ctx.stages,
-            pipeline,
-            output: cols.into_iter().map(|c| c.name).collect(),
-            catalog: ctx.derived,
-        })
     }
 
     /// Column names this chain could export: its source table's schema
@@ -458,29 +432,6 @@ pub struct LoweredQuery {
     /// build cache keys on it: two queries whose build sides fingerprint
     /// equal build bit-identical hash tables from the same catalog.
     pub build_fingerprints: HashMap<String, String>,
-}
-
-/// A lowered non-aggregating query for explicit materialisation.
-#[derive(Debug, Clone)]
-pub struct LoweredMaterialize {
-    /// Hash-table build stages, in dependency order.
-    pub builds: Vec<Stage>,
-    /// The final (non-aggregating) pipeline.
-    pub pipeline: Pipeline,
-    /// Output column names, in the pipeline's physical column order.
-    pub output: Vec<String>,
-    /// Base catalog plus projected scan views.
-    pub catalog: Catalog,
-}
-
-impl LoweredMaterialize {
-    /// Physical index of an output column.
-    pub fn index_of(&self, name: &str) -> Result<usize, PlanError> {
-        self.output.iter().position(|n| n == name).ok_or_else(|| PlanError::UnknownColumn {
-            column: name.to_string(),
-            context: "materialised output".to_string(),
-        })
-    }
 }
 
 /// One visible column during lowering: its name, type, and the base table
@@ -614,11 +565,10 @@ impl<'a> Lowering<'a> {
         base: &'a Catalog,
         q: &Query,
         root: &str,
-        export: &[String],
     ) -> Result<HashMap<BuildKey, BTreeSet<String>>, PlanError> {
         let mut ctx = Lowering::new(base);
         ctx.collecting = true;
-        ctx.lower_chain(q, root, export)?;
+        ctx.lower_chain(q, root, &[])?;
         Ok(ctx.export_unions)
     }
 
@@ -674,8 +624,8 @@ impl<'a> Lowering<'a> {
     /// Lower one linear chain (the stream chain or a build side).
     ///
     /// `export` names the columns the chain's output must retain for its
-    /// consumer (payloads + join key for build sides; `keep` columns for
-    /// materialisation). Emits any build stages the chain's joins need and
+    /// consumer (payloads + join key for build sides; nothing for the
+    /// stream chain). Emits any build stages the chain's joins need and
     /// returns the chain's pipeline plus its output column layout.
     fn lower_chain(
         &mut self,
@@ -1391,7 +1341,15 @@ mod tests {
         let Stage::Stream { pipeline } = lowered.plan.stages.last().unwrap() else {
             panic!("stream last");
         };
-        assert_eq!(pipeline.tables_probed(), vec!["q.dim", "q.dim"]);
+        let probes: Vec<&str> = pipeline
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                crate::plan::PipeOp::JoinProbe { ht, .. } => Some(ht.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes, vec!["q.dim", "q.dim"]);
     }
 
     #[test]
@@ -1426,21 +1384,6 @@ mod tests {
         let builds =
             lowered.plan.stages.iter().filter(|s| matches!(s, Stage::Build { .. })).count();
         assert_eq!(builds, 2);
-    }
-
-    #[test]
-    fn materialize_exposes_named_output() {
-        let q = Query::new("q").from_table("fact").join(
-            Query::scan("dim"),
-            "k",
-            "k",
-            JoinAlgo::NonPartitioned,
-        );
-        let lowered = q.lower_materialize(&catalog(), &["k", "v"]).unwrap();
-        assert_eq!(lowered.builds.len(), 1);
-        assert_eq!(lowered.index_of("k").unwrap(), 0);
-        assert_eq!(lowered.index_of("v").unwrap(), 1);
-        assert!(lowered.index_of("nope").is_err());
     }
 
     /// `ev(user i32, ts i64, event str)`, sorted by `(user, ts)`.

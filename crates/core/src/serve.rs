@@ -42,7 +42,8 @@
 //!    ([`CacheStats::invalidations`]). The cache can be bounded
 //!    ([`SessionServer::with_build_cache_capacity`]): over capacity it
 //!    evicts least-recently-used first, counted in
-//!    [`CacheStats::evictions`] and [`ServeReport::builds_evicted`].
+//!    [`CacheStats::evictions`] and [`ServeReport::builds_evicted`]; at
+//!    capacity 0 it is off.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -202,7 +203,8 @@ struct CacheEntry {
 
 /// The cross-query build-side cache: structural fingerprint → built hash
 /// table, validated against the session catalog's version counter and
-/// optionally bounded to `capacity` entries with LRU eviction.
+/// optionally bounded to `capacity` entries with LRU eviction — capacity 0
+/// is no cache at all.
 #[derive(Default)]
 pub struct BuildCache {
     entries: HashMap<String, CacheEntry>,
@@ -214,6 +216,11 @@ pub struct BuildCache {
 }
 
 impl BuildCache {
+    /// False at capacity 0: nothing is looked up, inserted or counted.
+    fn enabled(&self) -> bool {
+        self.capacity != Some(0)
+    }
+
     /// Look up a fingerprint. A hit requires the entry to have been built
     /// under the *current* catalog version (stale entries are evicted and
     /// counted as invalidations) and the requesting plan to have been
@@ -270,7 +277,7 @@ impl BuildCache {
             CacheEntry { version, epoch, broadcast, last_used: self.tick, table },
         );
         if let Some(cap) = self.capacity {
-            while self.entries.len() > cap.max(1) {
+            while self.entries.len() > cap {
                 let oldest = self
                     .entries
                     .iter()
@@ -418,7 +425,6 @@ impl std::fmt::Display for ServeReport {
 pub struct SessionServer {
     session: Session,
     cache: BuildCache,
-    cache_enabled: bool,
     pending: Vec<Prepared>,
     next_id: usize,
     /// The server's own ledger (admission and cache events); each served
@@ -433,12 +439,11 @@ pub struct SessionServer {
 }
 
 impl SessionServer {
-    /// A server over a session (build cache enabled, tracing off).
+    /// A server over a session (build cache unbounded, tracing off).
     pub fn new(session: Session) -> Self {
         SessionServer {
             session,
             cache: BuildCache::default(),
-            cache_enabled: true,
             pending: Vec::new(),
             next_id: 0,
             ledger: Ledger::default(),
@@ -470,21 +475,15 @@ impl SessionServer {
         &self.health
     }
 
-    /// Enable or disable the cross-query build cache (enabled by
-    /// default). Disabling makes every batch fully cold — the mode the
-    /// determinism tests use, since a cache hit legitimately *shortens* a
-    /// query's simulated makespan relative to solo execution.
-    pub fn with_build_cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
-        self
-    }
-
-    /// Bound the build cache to at most `capacity` entries (at least 1).
-    /// Over capacity it evicts the least-recently-used entry — recency is
-    /// bumped by hits and inserts — counting [`CacheStats::evictions`].
-    /// The default cache is unbounded.
+    /// Bound the build cache to at most `capacity` entries. Over capacity
+    /// it evicts the least-recently-used entry — recency is bumped by hits
+    /// and inserts — counting [`CacheStats::evictions`]. Capacity 0 turns
+    /// the cache off: no lookup, no insert, nothing counted, every batch
+    /// fully cold — the mode the determinism tests use, since a cache hit
+    /// legitimately *shortens* a query's simulated makespan relative to
+    /// solo execution. The default cache is unbounded.
     pub fn with_build_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache.capacity = Some(capacity.max(1));
+        self.cache.capacity = Some(capacity);
         self
     }
 
@@ -759,8 +758,10 @@ impl SessionServer {
                 // *earlier* query this round is visible to later ones
                 // immediately. The install makes `step` skip the stage —
                 // no build work, no broadcast, no simulated time.
-                if let Some((name, fpr)) =
-                    slot.plan.cacheable_build(exec.stage_index()).filter(|_| self.cache_enabled)
+                if let Some((name, fpr)) = slot
+                    .plan
+                    .cacheable_build(exec.stage_index())
+                    .filter(|_| self.cache.enabled())
                 {
                     let (version, epoch) = (slot.plan.version, self.health.epoch());
                     let hit = self.cache.lookup(fpr, current_version, version, epoch);
@@ -777,7 +778,7 @@ impl SessionServer {
                 // Harvest a freshly built (not cache-served) hash table
                 // into the cache right away, so queries later in this
                 // same round already hit it at admission.
-                if self.cache_enabled && slot.plan.version == current_version {
+                if self.cache.enabled() && slot.plan.version == current_version {
                     let built = slot.plan.cacheable_build(exec.stage_index() - 1);
                     if let Some((name, fpr)) =
                         built.filter(|(_, fpr)| !self.cache.entries.contains_key(*fpr))

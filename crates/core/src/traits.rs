@@ -4,7 +4,9 @@
 //! **device** and the **parallelism** (control flow), and the data
 //! **locality** and **packing** (data flow). HetExchange operators are the
 //! only trait *converters*; every relational operator keeps all four fixed,
-//! which is what lets it stay heterogeneity-oblivious.
+//! which is what lets it stay heterogeneity-oblivious. This engine varies
+//! the first three; packing is fixed at packets with no shared property,
+//! so [`HetTraits`] carries no field for it.
 //!
 //! The placement pass ([`mod@crate::place`]) compares the traits on every
 //! placed edge with the `needs_*` predicates below and inserts the
@@ -15,7 +17,7 @@
 //! | `device` | [`HetTraits::needs_device_crossing`] | device crossing (cpu2gpu / gpu2cpu) | [`crate::exchange::Exchange::DeviceCrossing`] |
 //! | `dop` | [`HetTraits::needs_router`] | router | [`crate::exchange::Exchange::Router`] |
 //! | `locality` | [`HetTraits::needs_mem_move`] | mem-move (+ broadcast variant) | [`crate::exchange::Exchange::MemMove`] |
-//! | `packing` | — (fixed to packets between operators) | pack / unpack | packet granularity of the executor |
+//! | packing (no field) | — (fixed: untagged packets between operators) | pack / unpack | packet granularity of the executor |
 //!
 //! A stream pipeline starts at [`HetTraits::cpu_seq`] (the sequential,
 //! host-resident scan source); each placed segment declares its own
@@ -34,20 +36,6 @@ pub enum DeviceType {
     Gpu,
 }
 
-/// The data-packing trait: whether operators exchange tuples or packets,
-/// and what property all tuples of a packet share (routing can then decide
-/// per packet without touching its contents).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Packing {
-    /// Tuple-at-a-time (inside generated pipelines only).
-    Tuples,
-    /// Packets with no shared property.
-    Packets,
-    /// Packets whose tuples all belong to one partition (hash/radix): the
-    /// router can route on the tag alone.
-    PartitionTagged,
-}
-
 /// The full trait tuple carried by a plan edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HetTraits {
@@ -57,20 +45,13 @@ pub struct HetTraits {
     pub dop: usize,
     /// Where the data lives.
     pub locality: MemNode,
-    /// Packing discipline.
-    pub packing: Packing,
 }
 
 impl HetTraits {
     /// Single-threaded CPU execution over socket-0-resident packets — the
     /// conventional starting point of a plan.
     pub fn cpu_seq() -> Self {
-        HetTraits {
-            device: DeviceType::Cpu,
-            dop: 1,
-            locality: MemNode::CpuDram(0),
-            packing: Packing::Packets,
-        }
+        HetTraits { device: DeviceType::Cpu, dop: 1, locality: MemNode::CpuDram(0) }
     }
 
     /// True when moving to `other` requires a *router* (parallelism change).

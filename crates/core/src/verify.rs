@@ -73,7 +73,7 @@ use hape_storage::DataType;
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, HtEstimates};
 use crate::exchange::Exchange;
-use crate::place::{segment_traits, PlacedPlan, PlacedStage, Segment};
+use crate::place::{input_exchanges, segment_traits, PlacedPlan, PlacedStage, Segment};
 use crate::plan::{bind, Pipeline, QueryPlan};
 use crate::provider::GPU_HT_WORKING_FACTOR;
 use crate::traits::HetTraits;
@@ -686,12 +686,7 @@ impl Checker {
         server: &Server,
     ) {
         let source = HetTraits::cpu_seq();
-        let mut probed: Vec<&str> = Vec::new();
-        for t in pipeline.tables_probed() {
-            if !probed.contains(&t) {
-                probed.push(t);
-            }
-        }
+        let probed = pipeline.tables_probed();
         for seg in present {
             let expected = segment_traits(seg.target, server);
             if seg.traits != expected {
@@ -700,29 +695,7 @@ impl Checker {
                 });
             }
             // The canonical exchange list for this edge.
-            let mut want: Vec<Exchange> = Vec::new();
-            if source.needs_mem_move(&expected) {
-                want.push(Exchange::MemMove {
-                    from: source.locality,
-                    to: expected.locality,
-                    table: None,
-                });
-            }
-            if source.needs_device_crossing(&expected) {
-                want.push(Exchange::DeviceCrossing {
-                    from: source.device,
-                    to: expected.device,
-                });
-            }
-            if source.needs_mem_move(&expected) {
-                for ht in &probed {
-                    want.push(Exchange::MemMove {
-                        from: source.locality,
-                        to: expected.locality,
-                        table: Some((*ht).to_string()),
-                    });
-                }
-            }
+            let want = input_exchanges(&expected, &probed);
             // Set-diff: each expected exchange must appear once; anything
             // beyond that is dead. Broadcasts are reported by table name.
             let mut have: Vec<&Exchange> = seg.exchanges.iter().collect();
@@ -771,7 +744,7 @@ impl Checker {
                 if total_dop == source.dop {
                     self.push(Some(si), None, Pass::TraitCoherence, {
                         DiagnosticKind::DeadExchange {
-                            exchange: format!("Router(_, {from_dop} -> {to_dop})"),
+                            exchange: format!("Router({from_dop} -> {to_dop})"),
                         }
                     });
                 } else if *from_dop != source.dop {

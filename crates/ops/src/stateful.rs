@@ -538,7 +538,7 @@ fn run_kernels(agg: &StatefulAgg, batch: &Batch) -> (Batch, usize) {
         }
     }
     let columns = out.into_iter().map(Column::from_i64).collect();
-    (Batch { columns, partition: batch.partition }, ends.len())
+    (Batch { columns }, ends.len())
 }
 
 /// CPU cost of a stateful pass over `rows` input rows covering `users`
@@ -765,7 +765,7 @@ mod tests {
                 start = end;
             }
             let columns = out.into_iter().map(Column::from_i64).collect();
-            (Batch { columns, partition: batch.partition }, users)
+            (Batch { columns }, users)
         }
     }
 

@@ -95,17 +95,12 @@ impl Schema {
 }
 
 /// A batch of rows — the engine's unit of data flow (the paper's *packet*).
-///
-/// Packets may carry metadata (partition/hash tags) set by producers so that
-/// HetExchange routers can take routing decisions *without touching the
-/// contents* — the data-packing trait of §3.
+/// Packets carry no shared property: routers decide from their size and the
+/// consumers' load alone (see `hape_core::exchange`).
 #[derive(Debug, Clone)]
 pub struct Batch {
     /// The columns; all the same length.
     pub columns: Vec<Column>,
-    /// Partition tag: every row of this packet belongs to this partition
-    /// (set by partitioning producers; consumed by hash-based routing).
-    pub partition: Option<u32>,
 }
 
 impl Batch {
@@ -115,18 +110,12 @@ impl Batch {
             let n = first.len();
             assert!(columns.iter().all(|c| c.len() == n), "ragged batch");
         }
-        Batch { columns, partition: None }
+        Batch { columns }
     }
 
     /// An empty batch with no columns.
     pub fn empty() -> Self {
-        Batch { columns: Vec::new(), partition: None }
-    }
-
-    /// Attach a partition tag (data-packing trait).
-    pub fn with_partition(mut self, p: u32) -> Self {
-        self.partition = Some(p);
-        self
+        Batch { columns: Vec::new() }
     }
 
     /// Number of rows.
@@ -141,10 +130,7 @@ impl Batch {
 
     /// O(1) row-range view.
     pub fn slice(&self, off: usize, len: usize) -> Batch {
-        Batch {
-            columns: self.columns.iter().map(|c| c.slice(off, len)).collect(),
-            partition: self.partition,
-        }
+        Batch { columns: self.columns.iter().map(|c| c.slice(off, len)).collect() }
     }
 
     /// Split into packets of at most `rows_per_packet` rows (views).
@@ -322,12 +308,6 @@ mod tests {
         assert_eq!(joined.col(1).as_i64(), b.col(1).as_i64());
         assert_eq!(Batch::concat(Vec::new()).rows(), 0);
         assert_eq!(Batch::concat(vec![b.slice(2, 3)]).col(0).as_i32(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn partition_tag_propagates_through_slice() {
-        let b = two_col_batch(8).with_partition(3);
-        assert_eq!(b.slice(0, 4).partition, Some(3));
     }
 
     #[test]

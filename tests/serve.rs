@@ -21,7 +21,7 @@
 mod common;
 
 use common::assert_reports_identical;
-use hape::core::serve::SessionServer;
+use hape::core::serve::{CacheStats, SessionServer};
 use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
 use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
@@ -60,7 +60,7 @@ fn concurrent_batch_is_bit_identical_to_solo_across_the_matrix() {
         for reverse in [false, true] {
             // All 16 query × placement combinations in ONE batch over the
             // shared fleet, cache off so even makespans must match solo.
-            let mut server = SessionServer::new(session.clone()).with_build_cache(false);
+            let mut server = SessionServer::new(session.clone()).with_build_cache_capacity(0);
             let mut order: Vec<usize> = (0..solo.len()).collect();
             if reverse {
                 order.reverse();
@@ -357,6 +357,26 @@ fn bounded_build_cache_evicts_lru_first_and_never_serves_stale() {
     assert_eq!(batch.report(hb).as_ref().unwrap().builds_cached, 1, "hits protect recency");
     assert_eq!(batch.report(hc).as_ref().unwrap().builds_cached, 0, "c was the LRU victim");
     assert_eq!(server.cache_stats().evictions, 3);
+}
+
+#[test]
+fn capacity_zero_turns_the_build_cache_off() {
+    let mut session = Session::new(Server::paper_testbed());
+    session.register_as("fact", gen_key_fk_table(1 << 14, 1 << 14, 61));
+    session.register_as("dim", gen_key_fk_table(1 << 10, 1 << 10, 62));
+    let q = Query::new("fact_x_dim")
+        .from_table("fact")
+        .join(Query::scan("dim"), "k", "k", JoinAlgo::NonPartitioned)
+        .agg(vec![(AggFunc::Count, col("k"))]);
+    let cfg = ExecConfig::new(Placement::CpuOnly);
+    let mut server = SessionServer::new(session).with_build_cache_capacity(0);
+    for _ in 0..2 {
+        server.submit_with(&q, &cfg);
+        server.submit_with(&q, &cfg);
+        assert_eq!(server.run_all().total_builds_cached(), 0, "capacity 0 serves no build");
+    }
+    assert_eq!(server.cached_builds(), 0, "capacity 0 holds no entry");
+    assert_eq!(server.cache_stats(), CacheStats::default(), "nothing is counted");
 }
 
 #[test]
