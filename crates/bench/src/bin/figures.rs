@@ -21,7 +21,7 @@
 //! pins the data-plane pool size (its first value is used).
 //!
 //! `--verify` runs the static-verification sweep instead: every benchmark
-//! query × placement through the four-pass IR checker, cross-checked
+//! query × placement through the static IR checker, cross-checked
 //! against the engine's runtime verdict (`--users` sizes the behavioral
 //! event log). Written to `VERIFY_tpch.json` (`--out` overrides); the
 //! process exits non-zero unless every cell agrees.

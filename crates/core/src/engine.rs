@@ -68,9 +68,9 @@ use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
-use crate::exchange::{route, CandidateLoad, Exchange};
+use crate::exchange::{route, CandidateLoad};
 use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
-use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage, Segment};
+use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
 use crate::provider::{
     gather_matches, run_ops, CostClass, CpuWorker, DeviceProvider, GpuWorker, PacketWork,
@@ -154,7 +154,8 @@ pub struct ExecConfig {
     /// Device placement.
     pub placement: Placement,
     /// Rows per packet (`None` = auto: see
-    /// [`ExecConfig::auto_packet_rows`]).
+    /// [`ExecConfig::auto_packet_rows`]). `Some(0)` means one-row packets,
+    /// exactly like `Some(1)`, in every build profile.
     pub packet_rows: Option<usize>,
     /// Data-plane threads (`None` = the `HAPE_THREADS` environment
     /// variable, else the host's available parallelism — see
@@ -185,7 +186,8 @@ impl ExecConfig {
         }
     }
 
-    /// Explicit packet sizing.
+    /// Explicit packet sizing; `0` means one-row packets, like `1`
+    /// ([`ExecConfig::auto_packet_rows`] takes at least one row).
     pub fn with_packet_rows(mut self, rows: usize) -> Self {
         self.packet_rows = Some(rows);
         self
@@ -215,11 +217,12 @@ impl ExecConfig {
     }
 
     /// The engine's packet-sizing rule for a stream of `rows` rows over
-    /// `shares` worker packet shares: the `explicit` override when set,
-    /// else about four packets per share, clamped to [2K, 1M] rows. The
-    /// cost model's packet-size estimate ([`crate::cost`]) calls this
-    /// rule, and the `figures` binary / `tpch_hybrid` example expose the
-    /// override as `--packet-rows` for sweeps.
+    /// `shares` worker packet shares: the `explicit` override when set (at
+    /// least one row, so `Some(0)` is one-row packets), else about four
+    /// packets per share, clamped to [2K, 1M] rows. The cost model's
+    /// packet-size estimate ([`crate::cost`]) calls this rule, and the
+    /// `figures` binary / `tpch_hybrid` example expose the override as
+    /// `--packet-rows` for sweeps.
     pub fn auto_packet_rows(rows: usize, shares: usize, explicit: Option<usize>) -> usize {
         if let Some(r) = explicit {
             return r.max(1);
@@ -370,10 +373,9 @@ impl Engine {
         placed: &'a PlacedPlan,
     ) -> Result<QueryExec<'a>, EngineError> {
         // Bind once, in every profile: the pipelines are the caller's
-        // input. What the placement passes added is ours, and asserted.
+        // input. What placement adds is the device subsets, and everything
+        // the interpreter reads of them is derived from them.
         crate::plan::bind_to(&placed.name, placed.views(), catalog)?;
-        #[cfg(debug_assertions)]
-        crate::verify::debug_check_placed(placed, catalog, &self.server);
         Ok(QueryExec {
             engine: self,
             catalog,
@@ -410,10 +412,11 @@ fn merge_partials(spec: &AggSpec, workers: &[Box<dyn DeviceProvider>]) -> AggRow
 }
 
 impl StageEnv<'_> {
-    /// Instantiate the workers a segment list describes: one
-    /// [`CpuWorker`] per core of a CPU segment, one [`GpuWorker`] per GPU
-    /// segment. A segment targeting a device this server lacks is the
-    /// typed [`EngineError::DeviceNotPresent`].
+    /// Instantiate the workers that run `pipeline` on `devices`: one
+    /// [`CpuWorker`] per core of a CPU socket, one [`GpuWorker`] per GPU,
+    /// which installs every table the pipeline probes (its segment's
+    /// broadcast mem-moves, [`crate::place::Segment::exchanges`]). A device
+    /// this server lacks is the typed [`EngineError::DeviceNotPresent`].
     ///
     /// The fault plane hooks in here: a segment targeting a quarantined
     /// GPU is the typed [`EngineError::DeviceFailed`] (which the stepper
@@ -422,13 +425,14 @@ impl StageEnv<'_> {
     /// derated before the worker prices anything.
     fn workers_for(
         &self,
-        segments: &[Segment],
+        devices: &[DeviceId],
+        pipeline: &Pipeline,
         agg: Option<&AggSpec>,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
         let (server, faults) = (&self.engine.server, self.faults);
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
-        for seg in segments {
-            match seg.target {
+        for &device in devices {
+            match device {
                 DeviceId::Cpu(socket) => {
                     let spec = server.cpus.get(socket).ok_or_else(|| {
                         EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
@@ -460,15 +464,8 @@ impl StageEnv<'_> {
                             link.bw /= f;
                         }
                     }
-                    // The segment's broadcast mem-move exchanges are the
-                    // authoritative list of tables the worker installs.
-                    let broadcast: Vec<String> = seg
-                        .broadcast_moves()
-                        .filter_map(|e| match e {
-                            Exchange::MemMove { table: Some(t), .. } => Some(t.clone()),
-                            _ => None,
-                        })
-                        .collect();
+                    let broadcast =
+                        pipeline.tables_probed().into_iter().map(str::to_string).collect();
                     workers.push(Box::new(
                         GpuWorker::new(
                             idx,
@@ -489,17 +486,18 @@ impl StageEnv<'_> {
     /// Run a placed co-processing stage
     /// ([`crate::place::PlacedStage::CoProcess`], §5):
     ///
-    /// 1. the CPU segments' device providers run the pipeline *prefix*
+    /// 1. the CPU sockets' device providers run the pipeline *prefix*
     ///    (every operator before the final probe) through the ordinary
     ///    packet loop; the packet outputs become the intermediate — columns
     ///    that passed the prefix untouched (a scan through foreign-key
     ///    probes) stay views of the base table, only columns an operator
     ///    produced are materialised;
     /// 2. the intermediate's key column is co-partitioned against the final
-    ///    probe's hash table and joined via `hape_join::coprocess_join_on`
-    ///    over the stage's GPU lanes — each lane priced and
-    ///    capacity-checked against its own spec, link and budget; what
-    ///    comes back is (build row, probe row) match pairs, no columns;
+    ///    probe's hash table (the co-processed table) and joined via
+    ///    `hape_join::coprocess_join_on` over the stage's GPU lanes — each
+    ///    lane priced and capacity-checked against its own spec, link and
+    ///    budget; what comes back is (build row, probe row) match pairs, no
+    ///    columns;
     /// 3. when the probe feeds the aggregation directly (the §5 shape), the
     ///    fold gathers per chunk of pairs only the columns the `AggSpec`
     ///    reads — the joined batch is never materialised; when operators
@@ -507,37 +505,27 @@ impl StageEnv<'_> {
     ///    in-pipeline probe would produce and re-enter the packet loop.
     ///
     /// Returns the aggregated rows and the stage's end time. All failures
-    /// are typed [`EngineError`]s — the skew/capacity cases surface as
+    /// are typed [`EngineError`]s — a pipeline with no probe is
+    /// [`EngineError::InvalidCoProcessStage`], the skew/capacity cases
     /// [`EngineError::OversizedCoPartition`], never a panic.
     fn run_coprocess_stage(
         &mut self,
         pipeline: &Pipeline,
-        ht: &str,
-        segments: &[Segment],
-        gpus: &[DeviceId],
+        cpus: &[usize],
+        gpus: &[usize],
         start: SimTime,
     ) -> Result<(AggRows, SimTime), EngineError> {
         let agg_spec = stream_agg(pipeline)?;
-        let gpu_ids: Vec<usize> = gpus
-            .iter()
-            .filter_map(|d| match d {
-                DeviceId::Gpu(g) => Some(*g),
-                DeviceId::Cpu(_) => None,
-            })
-            .collect();
         // The co-processed join drives its GPU lanes outside the generic
         // packet loop, so quarantined lanes are checked up front.
         if self.faults.is_active() {
-            if let Some(g) = gpu_ids.iter().find(|&&g| self.faults.is_excluded(g)) {
+            if let Some(g) = gpus.iter().find(|&&g| self.faults.is_excluded(g)) {
                 return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
             }
         }
         // ---- Split the pipeline at its final probe.
-        let invalid = || EngineError::InvalidCoProcessStage { table: ht.to_string() };
-        let probe_idx = match pipeline.last_probe() {
-            Some((idx, probe_ht)) if probe_ht == ht => idx,
-            _ => return Err(invalid()),
-        };
+        let invalid = || EngineError::InvalidCoProcessStage { scan: pipeline.source.clone() };
+        let (probe_idx, ht) = pipeline.last_probe().ok_or_else(invalid)?;
         let PipeOp::JoinProbe { key_col, build_payload_cols, .. } = &pipeline.ops[probe_idx]
         else {
             return Err(invalid());
@@ -546,7 +534,7 @@ impl StageEnv<'_> {
         let jt = tables
             .get(ht)
             .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })?;
-        let dop: usize = segments.iter().map(|s| s.traits.dop).sum();
+        let sockets: Vec<DeviceId> = cpus.iter().map(|&s| DeviceId::Cpu(s)).collect();
 
         // ---- 1. CPU prefix through the device providers.
         let prefix = Pipeline {
@@ -555,7 +543,8 @@ impl StageEnv<'_> {
             agg: None,
         };
         let wall_prefix_start = self.ledger.recorder().now_ns();
-        let mut workers = self.workers_for(segments, None)?;
+        let mut workers = self.workers_for(&sockets, &prefix, None)?;
+        let dop = workers.len();
         let pre = self.run_workers(&prefix, &mut workers, start)?;
         let inter = Batch::concat(pre.outputs);
         let wall_prefix_end = self.ledger.recorder().now_ns();
@@ -575,7 +564,7 @@ impl StageEnv<'_> {
             let probe_vals: Vec<u32> = (0..inter.rows() as u32).collect();
             let build_vals: Vec<u32> = (0..jt.rows() as u32).collect();
             let cfg = CoprocessConfig {
-                n_gpus: gpu_ids.len(),
+                n_gpus: gpus.len(),
                 cpu_workers: dop,
                 variant: BuildProbeVariant::Sm,
                 mode: OutputMode::MatchIndices,
@@ -584,7 +573,7 @@ impl StageEnv<'_> {
             };
             let rep = coprocess_join_on(
                 &self.engine.server,
-                &gpu_ids,
+                gpus,
                 JoinInput::new(&jt.keys, &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
                 &cfg,
@@ -593,7 +582,7 @@ impl StageEnv<'_> {
             first_join_done = rep.first_join_done;
             cpu_partition_time = rep.cpu_partition_time;
             // One co-partition assignment per lane is one GPU packet.
-            let lanes = gpu_ids.iter().copied().zip(rep.per_gpu_assignments.iter().copied());
+            let lanes = gpus.iter().copied().zip(rep.per_gpu_assignments.iter().copied());
             self.ledger.lanes_joined(lanes, rep.h2d_bytes);
             self.ledger.busy(cpu_partition_time, rep.gpu_busy);
             (build_rows, probe_rows) = rep.outcome.pairs.unwrap_or_default();
@@ -617,13 +606,7 @@ impl StageEnv<'_> {
             // the fold (fused consumption) — expression evaluation plus
             // group-table random accesses, spread over the CPU workers; no
             // rematerialised scan of the joined rows.
-            let socket = segments
-                .iter()
-                .find_map(|s| match s.target {
-                    DeviceId::Cpu(socket) => Some(socket),
-                    DeviceId::Gpu(_) => None,
-                })
-                .ok_or_else(invalid)?;
+            let socket = *cpus.first().ok_or_else(invalid)?;
             let spec = self.engine.server.cpus.get(socket).ok_or_else(|| {
                 EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
             })?;
@@ -694,7 +677,7 @@ impl StageEnv<'_> {
                 ops: suffix_ops.to_vec(),
                 agg: pipeline.agg.clone(),
             };
-            let mut workers = self.workers_for(segments, Some(agg_spec))?;
+            let mut workers = self.workers_for(&sockets, &suffix, Some(agg_spec))?;
             let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
             let packets = if n_joined > 0 {
                 let joined =
@@ -1115,7 +1098,7 @@ impl<'a> QueryExec<'a> {
             ledger: &mut self.ledger,
         };
         let rows_out = match &stage {
-            PlacedStage::Build { name, key_col, segments, .. } => {
+            PlacedStage::Build { name, key_col, .. } => {
                 if env.tables.contains_key(name) {
                     // Served from the cross-query cache at admission.
                     env.ledger.build_served(name, start, wall_start);
@@ -1123,7 +1106,7 @@ impl<'a> QueryExec<'a> {
                 }
                 // Build stages always auto-size: plumbing, not the workload.
                 env.packet_rows = None;
-                let mut workers = env.workers_for(segments, None)?;
+                let mut workers = env.workers_for(&stage.devices(), pipeline, None)?;
                 let out = env.run_workers(pipeline, &mut workers, start)?;
                 self.clock = out.end;
                 let table = Arc::new(JoinTable::build(Batch::concat(out.outputs), *key_col));
@@ -1131,16 +1114,17 @@ impl<'a> QueryExec<'a> {
                 self.tables.insert(name.clone(), table);
                 rows
             }
-            PlacedStage::Stream { segments, .. } => {
+            PlacedStage::Stream { .. } => {
                 let agg_spec = stream_agg(pipeline)?;
-                let mut workers = env.workers_for(segments, Some(agg_spec))?;
+                let mut workers =
+                    env.workers_for(&stage.devices(), pipeline, Some(agg_spec))?;
                 self.clock = env.run_workers(pipeline, &mut workers, start)?.end;
                 self.rows = merge_partials(agg_spec, &workers);
                 self.rows.len()
             }
-            PlacedStage::CoProcess { ht, segments, gpus, .. } => {
+            PlacedStage::CoProcess { cpus, gpus, .. } => {
                 (self.rows, self.clock) =
-                    env.run_coprocess_stage(pipeline, ht, segments, gpus, start)?;
+                    env.run_coprocess_stage(pipeline, cpus, gpus, start)?;
                 self.rows.len()
             }
         };
@@ -1154,7 +1138,9 @@ impl<'a> QueryExec<'a> {
             let name = match &stage {
                 PlacedStage::Build { name, .. } => format!("build {name}"),
                 PlacedStage::Stream { .. } => format!("stream {}", pipeline.source),
-                PlacedStage::CoProcess { ht, .. } => format!("coprocess {ht}"),
+                PlacedStage::CoProcess { .. } => {
+                    format!("coprocess {}", pipeline.last_probe().map_or("", |(_, ht)| ht))
+                }
             };
             let rows_in = catalog.lookup(&pipeline.source).map_or(0, |t| t.rows() as u64);
             let span = Span::new(SpanKind::Stage, name, "")
@@ -1171,11 +1157,12 @@ impl<'a> QueryExec<'a> {
 
     /// Mid-query re-placement after losing `lost`: re-derive the logical
     /// plan, route it around the quarantined devices through the ordinary
-    /// placement passes, gate the result on the static verifier's
-    /// *structural* diagnostics, price one backoff onto the sim clock and
-    /// swap the degraded plan in. The stage at `idx` then re-runs from
-    /// its barrier; completed builds stay in the table store as host
-    /// copies (device-resident copies on the old fleet are dropped).
+    /// placement passes, price one backoff onto the sim clock and swap the
+    /// degraded plan in. Nothing is re-verified: the pipelines already bound
+    /// at [`Engine::begin`], and the new plan adds only device subsets. The
+    /// stage at `idx` then re-runs from its barrier; completed builds stay
+    /// in the table store as host copies (device-resident copies on the old
+    /// fleet are dropped).
     fn replan_surviving(&mut self, idx: usize, lost: &str) -> Result<(), EngineError> {
         let excluded = self.faults.excluded();
         let server = &self.engine.server;
@@ -1200,11 +1187,11 @@ impl<'a> QueryExec<'a> {
             let cpu_survivors = participants(Placement::CpuOnly, server);
             let subsets: Vec<Vec<DeviceId>> = self
                 .placed
-                .stage_devices()
-                .into_iter()
-                .map(|devs| {
+                .stages
+                .iter()
+                .map(|stage| {
                     let kept: Vec<DeviceId> =
-                        devs.into_iter().filter(|d| survives(d)).collect();
+                        stage.devices().into_iter().filter(|d| survives(d)).collect();
                     if kept.is_empty() {
                         cpu_survivors.clone()
                     } else {
@@ -1214,20 +1201,11 @@ impl<'a> QueryExec<'a> {
                 .collect();
             place_on(&logical, &cfg, server, &subsets)
         };
+        // A degraded plan that genuinely cannot fit fails in the interpreter
+        // with the same typed error a fault-free run would produce.
         let new_placed = replaced.map_err(|e| EngineError::RecoveryFailed {
             reason: format!("lost {lost}; re-placement refused: {e}"),
         })?;
-        // Gate resumption on the static verifier, but only refuse on
-        // *structural* diagnostics — capacity diagnostics stay with the
-        // interpreter so a degraded plan that genuinely cannot fit fails
-        // with the same typed error a fault-free run would produce.
-        if let Err(e) = crate::verify::verify_placed(&new_placed, self.catalog, server) {
-            if e.structural().is_some() {
-                return Err(EngineError::RecoveryFailed {
-                    reason: format!("lost {lost}; degraded plan failed verification: {e}"),
-                });
-            }
-        }
         self.resident.clear();
         // Recovery is priced: one backoff per replan attempt lands on the
         // query's simulated clock (see the cost-formula table).

@@ -241,12 +241,12 @@ pub enum EngineError {
         /// Radix bits the CPU can produce.
         max_bits: u32,
     },
-    /// A placed co-processing stage does not end in a probe of its named
-    /// hash table — only reachable through hand-assembled
-    /// [`crate::place::PlacedPlan`]s.
+    /// A stage cannot run as a co-processing stage: it is not a stream
+    /// that probes, placed on CPUs, with at least one GPU lane — only
+    /// reachable through hand-assembled [`crate::place::PlacedPlan`]s.
     InvalidCoProcessStage {
-        /// The hash table the stage was supposed to co-process.
-        table: String,
+        /// The stage pipeline's scan source.
+        scan: String,
     },
     /// A runtime configuration knob (e.g. the `HAPE_THREADS` environment
     /// variable) holds a value the engine refuses to guess around.
@@ -314,9 +314,11 @@ impl std::fmt::Display for EngineError {
                 "co-partitioning needs 2^{required_bits} fanout but the CPU tops out \
                  at 2^{max_bits}"
             ),
-            EngineError::InvalidCoProcessStage { table } => {
-                write!(f, "co-processing stage must end in a probe of hash table {table:?}")
-            }
+            EngineError::InvalidCoProcessStage { scan } => write!(
+                f,
+                "stage over {scan:?} cannot co-process: it needs a final hash-table probe, \
+                 CPU segments and a GPU lane"
+            ),
             EngineError::InvalidConfig { what } => {
                 write!(f, "invalid runtime configuration: {what}")
             }

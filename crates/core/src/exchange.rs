@@ -18,9 +18,10 @@ use hape_storage::Batch;
 use crate::traits::DeviceType;
 
 /// An explicit trait-conversion operator on a placed-plan edge (§3,
-/// Fig. 3). The placement pass ([`mod@crate::place`]) inserts one wherever two
-/// adjacent pipeline segments disagree on a [`crate::traits::HetTraits`]
-/// component; relational operators never convert traits themselves.
+/// Fig. 3): one exists wherever two adjacent pipeline segments disagree on
+/// a [`crate::traits::HetTraits`] component, derived from the placement
+/// ([`crate::place::Segment::exchanges`], [`crate::place::PlacedStage::router`]);
+/// relational operators never convert traits themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Exchange {
     /// Converts the *parallelism* trait: receives packets from `from_dop`
@@ -51,13 +52,6 @@ pub enum Exchange {
         /// Consumer-side device type.
         to: DeviceType,
     },
-}
-
-impl Exchange {
-    /// True for broadcast hash-table mem-moves.
-    pub fn is_broadcast(&self) -> bool {
-        matches!(self, Exchange::MemMove { table: Some(_), .. })
-    }
 }
 
 impl std::fmt::Display for Exchange {
@@ -176,14 +170,12 @@ mod tests {
             table: None,
         };
         assert_eq!(m.to_string(), "MemMove(dram0 -> gmem1)");
-        assert!(!m.is_broadcast());
         let b = Exchange::MemMove {
             from: MemNode::CpuDram(0),
             to: MemNode::GpuDram(0),
             table: Some("Q5.orders".into()),
         };
         assert_eq!(b.to_string(), "MemMove(dram0 -> gmem0, broadcast \"Q5.orders\")");
-        assert!(b.is_broadcast());
         let d = Exchange::DeviceCrossing { from: DeviceType::Cpu, to: DeviceType::Gpu };
         assert_eq!(d.to_string(), "DeviceCrossing(Cpu -> Gpu)");
     }

@@ -14,9 +14,10 @@
 //!    trait), the *device crossing* (target-device trait) and the
 //!    *mem-move* (locality trait); the packing trait is fixed at untagged
 //!    packets, so *pack/unpack* is the executor's packet granularity, not
-//!    an operator. The [`mod@place`] pass makes them explicit: it turns a [`plan::QueryPlan`] into a
-//!    [`place::PlacedPlan`] whose segments carry [`traits::HetTraits`] and
-//!    whose edges carry the inserted [`exchange::Exchange`] operators.
+//!    an operator. The [`mod@place`] pass makes them explicit: it turns a
+//!    [`plan::QueryPlan`] into a [`place::PlacedPlan`] that stores only each
+//!    stage's device subset; every segment's [`traits::HetTraits`] and the
+//!    [`exchange::Exchange`] operators on its edges are derived from it.
 //!
 //! The [`engine::Engine`] interprets placed plans over the simulated
 //! server as a deterministic discrete-event simulation: packets of real
@@ -65,15 +66,16 @@
 //!     .join(Query::scan("dim"), "k", "k", JoinAlgo::NonPartitioned)
 //!     .agg(vec![(AggFunc::Count, col("k"))]);
 //!
-//! // Lowering resolves names into the physical plan; placement annotates
-//! // it with per-device segments and trait-conversion exchanges; the
-//! // engine interprets the placed plan. `execute` chains all three.
+//! // Lowering resolves names into the physical plan; placement picks
+//! // per-device segments, from which the trait-conversion exchanges are
+//! // derived; the engine interprets the placed plan. `execute` chains all
+//! // three.
 //! let placed = session.place(&query).unwrap();
 //! assert_eq!(placed.stages.len(), 2); // build dim, stream fact
 //!
 //! // `explain` renders the placed plan — under the default hybrid
-//! // placement the GPU segments show the inserted mem-move, device
-//! // crossing, and hash-table broadcast operators.
+//! // placement the GPU segments show their mem-move, device crossing, and
+//! // hash-table broadcast operators.
 //! let text = session.explain(&query).unwrap();
 //! assert!(text.contains("DeviceCrossing(Cpu -> Gpu)"));
 //!
@@ -146,21 +148,21 @@
 //!
 //! ## Quickstart: verifying a plan statically
 //!
-//! The [`mod@verify`] module is the IR's validator: four passes (schema
-//! dataflow, trait coherence, device/capacity audit, determinism
-//! contracts) over the placed plan, each violation a typed
-//! [`verify::Diagnostic`] with a (stage, segment, op) location. The first
-//! pass — the binding walk, [`plan::QueryPlan::bind`], over the pipelines a
-//! caller supplies — runs on every plan every executor begins, in every
-//! build profile, and refuses with a typed error before a packet moves;
-//! debug builds additionally assert the other three on what the placement
-//! passes emit. The explicit API reports the full diagnostic list.
+//! The [`mod@verify`] module is the IR's validator: the binding walk,
+//! [`plan::QueryPlan::bind`] (schema dataflow and determinism contracts over
+//! the pipelines a caller supplies), plus a device/capacity audit of the
+//! subsets placement chose, each violation a typed [`verify::Diagnostic`]
+//! with a (stage, segment, op) location. The binding walk runs on every
+//! plan every executor begins, in every build profile, and refuses with a
+//! typed error before a packet moves; what placement adds is derived from
+//! the device subsets, so only their judgement against the server is left.
+//! The explicit API reports the full diagnostic list.
 //!
 //! ```
 //! use hape_core::verify::{self, DiagnosticKind, Pass};
 //! use hape_core::{JoinAlgo, Query, Session};
 //! use hape_ops::{col, AggFunc};
-//! use hape_sim::topology::Server;
+//! use hape_sim::topology::{DeviceId, Server};
 //! use hape_storage::datagen::gen_key_fk_table;
 //!
 //! let mut session = Session::new(Server::paper_testbed());
@@ -178,24 +180,22 @@
 //! let text = session.explain(&query).unwrap();
 //! assert!(text.contains("verified: 2 stages, 0 diagnostics"));
 //!
-//! // Corrupt the placed IR by hand — drop the GPU segments' exchanges —
-//! // and the trait-coherence pass reports exactly what is missing.
+//! // Move a stream segment by hand onto a GPU the server lacks, and the
+//! // device audit reports exactly that, located.
 //! let lowered = session.lower(&query).unwrap();
 //! let mut placed = session.place(&query).unwrap();
-//! for stage in &mut placed.stages {
-//!     if let hape_core::PlacedStage::Stream { segments, .. } = stage {
-//!         for seg in segments {
-//!             seg.exchanges.clear();
-//!         }
-//!     }
+//! if let hape_core::PlacedStage::Stream { segments, .. } = &mut placed.stages[1] {
+//!     segments[0].target = DeviceId::Gpu(7);
 //! }
 //! let err = verify::verify_placed(&placed, &lowered.catalog, &session.engine().server)
 //!     .unwrap_err();
-//! assert!(err.diagnostics.iter().any(|d| d.pass == Pass::TraitCoherence));
-//! assert!(err
-//!     .diagnostics
-//!     .iter()
-//!     .any(|d| matches!(d.kind, DiagnosticKind::MissingExchange { .. })));
+//! let [d] = err.diagnostics.as_slice() else { panic!("one finding: {err}") };
+//! let absent = DiagnosticKind::DeviceNotPresent { device: DeviceId::Gpu(7) };
+//! assert_eq!((d.pass, &d.kind), (Pass::DeviceAudit, &absent));
+//! assert_eq!(
+//!     d.to_string(),
+//!     "stage 1 segment gpu7: [device-audit] device gpu7 is not on the server"
+//! );
 //! ```
 
 #![warn(missing_docs)]

@@ -2,17 +2,21 @@
 //!
 //! This is the HetExchange separation (§3) made explicit as an IR layer:
 //! relational operators stay heterogeneity-oblivious while a *placement*
-//! decides where each pipeline runs. [`place`] annotates every pipeline
-//! with [`Segment`]s — one per participating device, each carrying the
-//! [`HetTraits`] its operators execute under — and inserts the exchange
-//! operators ([`Exchange::Router`], [`Exchange::MemMove`],
-//! [`Exchange::DeviceCrossing`]) wherever the source traits and a
-//! segment's traits disagree, using the [`HetTraits::needs_router`] /
-//! [`HetTraits::needs_mem_move`] / [`HetTraits::needs_device_crossing`]
-//! predicates. The engine then interprets the placed plan generically over
-//! [`crate::provider::DeviceProvider`]s; no placement-enum branching
-//! survives on the execution path — [`Placement`] is only sugar selecting
-//! which devices participate here.
+//! decides where each pipeline runs. A placed plan stores that decision and
+//! nothing else — per stage, the devices it runs on: one [`Segment`] per
+//! participating device, or a §5 co-processing stage's CPU sockets and GPU
+//! lanes. Everything HetExchange derives from a placement is a function of
+//! those subsets, the server and the pipeline, computed where it is read:
+//! [`Segment::traits`] (the [`HetTraits`] a segment's operators execute
+//! under), [`Segment::exchanges`] (an [`Exchange::MemMove`] /
+//! [`Exchange::DeviceCrossing`] wherever the source traits and the
+//! segment's disagree, by [`HetTraits::needs_mem_move`] /
+//! [`HetTraits::needs_device_crossing`]) and [`PlacedStage::router`] (the
+//! [`Exchange::Router`], by [`HetTraits::needs_router`]). A placed plan
+//! therefore cannot state them inconsistently. The engine interprets the
+//! placed plan generically over [`crate::provider::DeviceProvider`]s; no
+//! placement-enum branching survives on the execution path —
+//! [`Placement`] is only sugar selecting which devices participate here.
 
 use hape_sim::topology::{DeviceId, Server};
 
@@ -23,34 +27,68 @@ use crate::exchange::Exchange;
 use crate::plan::{PipeOp, Pipeline, QueryPlan, Stage};
 use crate::traits::{DeviceType, HetTraits};
 
-/// One pipeline segment placed on a concrete device.
-///
-/// A segment is the unit the router feeds: its `traits.dop` operator
-/// instances all run on `target`, reading packets whose locality the
-/// segment's input exchanges have already converted.
+/// One pipeline segment placed on a concrete device: the unit the router
+/// feeds. Its operator instances all run on `target`; its traits and the
+/// exchanges on its input edge are derived ([`Segment::traits`],
+/// [`Segment::exchanges`]), never stored.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The device the segment's operator instances run on.
     pub target: DeviceId,
-    /// The heterogeneity traits the segment's operators execute under.
-    pub traits: HetTraits,
-    /// Exchange operators inserted on the segment's input edge, in
-    /// conversion order: the streaming mem-move, the device crossing, then
-    /// one broadcast mem-move per hash table the pipeline probes. (The
-    /// router is stage-level: it fans out over *all* segments at once.)
-    ///
-    /// The executor consumes these: the broadcast mem-moves are the
-    /// authoritative list of tables a GPU worker installs (and
-    /// capacity-checks), while the streaming mem-move and device crossing
-    /// are realised by instantiating the worker with its transfer link
-    /// and device-specific provider.
-    pub exchanges: Vec<Exchange>,
 }
 
 impl Segment {
-    /// The broadcast hash-table moves on this segment's input edge.
-    pub fn broadcast_moves(&self) -> impl Iterator<Item = &Exchange> {
-        self.exchanges.iter().filter(|e| e.is_broadcast())
+    /// The traits the segment's operators execute under on `server`.
+    ///
+    /// CPU segments run one instance per core of their socket and keep host
+    /// (`dram0`) locality: workers stream socket-0 resident packets in place
+    /// (NUMA placement is not modelled, so the cross-socket link never
+    /// appears on the packet path). GPU segments run one instance in device
+    /// memory — their packets must be mem-moved across PCIe. A socket the
+    /// server lacks has dop 0.
+    pub fn traits(&self, server: &Server) -> HetTraits {
+        let dop = match self.target {
+            DeviceId::Cpu(socket) => server.cpus.get(socket).map_or(0, |cpu| cpu.cores),
+            DeviceId::Gpu(_) => 1,
+        };
+        HetTraits { dop, ..self.edge_traits() }
+    }
+
+    /// The device and locality traits, which follow from the target alone
+    /// (the dop is converted stage-wide, by the router).
+    fn edge_traits(&self) -> HetTraits {
+        match self.target {
+            DeviceId::Cpu(_) => HetTraits::cpu_seq(),
+            DeviceId::Gpu(_) => {
+                HetTraits { device: DeviceType::Gpu, dop: 1, locality: self.target.local_mem() }
+            }
+        }
+    }
+
+    /// The exchanges on the segment's input edge when it runs `pipeline`, in
+    /// conversion order: the streaming mem-move, the device crossing, then
+    /// one broadcast mem-move per table the pipeline probes (built hash
+    /// tables live in host memory) — the tables a GPU worker installs. A CPU
+    /// segment shares the source's traits and has none. (The router is
+    /// stage-level: [`PlacedStage::router`].)
+    pub fn exchanges(&self, pipeline: &Pipeline) -> Vec<Exchange> {
+        let (source, traits) = (HetTraits::cpu_seq(), self.edge_traits());
+        let mem_move = |table: Option<&str>| Exchange::MemMove {
+            from: source.locality,
+            to: traits.locality,
+            table: table.map(str::to_string),
+        };
+        let mut exchanges = Vec::new();
+        if source.needs_mem_move(&traits) {
+            exchanges.push(mem_move(None));
+        }
+        if source.needs_device_crossing(&traits) {
+            exchanges.push(Exchange::DeviceCrossing { from: source.device, to: traits.device });
+        }
+        if source.needs_mem_move(&traits) {
+            exchanges.extend(pipeline.tables_probed().into_iter().map(|ht| mem_move(Some(ht))));
+        }
+        exchanges
     }
 }
 
@@ -65,9 +103,6 @@ pub enum PlacedStage {
         key_col: usize,
         /// The producing pipeline.
         pipeline: Pipeline,
-        /// The stage-level router (absent when no parallelism conversion
-        /// is needed).
-        router: Option<Exchange>,
         /// The placed segments, in router candidate order.
         segments: Vec<Segment>,
     },
@@ -75,32 +110,25 @@ pub enum PlacedStage {
     Stream {
         /// The aggregating pipeline.
         pipeline: Pipeline,
-        /// The stage-level router (absent when no parallelism conversion
-        /// is needed).
-        router: Option<Exchange>,
         /// The placed segments, in router candidate order.
         segments: Vec<Segment>,
     },
     /// Run the pipeline as an intra-operator co-processing stage (§5): the
-    /// CPU segments execute the pipeline prefix and co-partition the stream
-    /// against the final probe's oversized hash table; every co-partition
-    /// pair makes a single PCIe pass and joins on one of `gpus` — each
-    /// priced and capacity-checked against its own spec. The chosen
-    /// aggregation then folds CPU-side. The optimizer chooses this over a
+    /// CPU sockets execute the pipeline prefix and co-partition the stream
+    /// against its final probe's oversized hash table
+    /// ([`Pipeline::last_probe`]); every co-partition pair makes a single
+    /// PCIe pass and joins on one of `gpus` — each priced and
+    /// capacity-checked against its own spec. The chosen aggregation then
+    /// folds CPU-side. The optimizer chooses this over a
     /// [`PlacedStage::Stream`], which broadcasts every probed table, when a
     /// probed table exceeds every GPU's memory (§6.4).
     CoProcess {
         /// The aggregating pipeline (its final probe is co-processed).
         pipeline: Pipeline,
-        /// The oversized hash table the co-processing join probes.
-        ht: String,
-        /// The stage-level router for the CPU prefix (absent when no
-        /// parallelism conversion is needed).
-        router: Option<Exchange>,
-        /// The CPU segments running the prefix and the co-partitioning.
-        segments: Vec<Segment>,
+        /// The CPU sockets running the prefix and the co-partitioning.
+        cpus: Vec<usize>,
         /// The GPUs receiving co-partition pairs for single-pass joins.
-        gpus: Vec<DeviceId>,
+        gpus: Vec<usize>,
     },
 }
 
@@ -114,24 +142,41 @@ impl PlacedStage {
         }
     }
 
-    /// The stage's placed segments (for co-processing stages: the CPU
-    /// segments running the prefix; the GPU lanes are listed separately).
-    pub fn segments(&self) -> &[Segment] {
+    /// The devices the stage's router fans packets out over, in candidate
+    /// order: the segments' targets (a co-processing stage's CPU sockets).
+    fn routed(&self) -> Vec<DeviceId> {
         match self {
-            PlacedStage::Build { segments, .. }
-            | PlacedStage::Stream { segments, .. }
-            | PlacedStage::CoProcess { segments, .. } => segments,
+            PlacedStage::Build { segments, .. } | PlacedStage::Stream { segments, .. } => {
+                segments.iter().map(|s| s.target).collect()
+            }
+            PlacedStage::CoProcess { cpus, .. } => {
+                cpus.iter().map(|&s| DeviceId::Cpu(s)).collect()
+            }
         }
     }
 
-    /// The stage-level router exchange, if a parallelism conversion was
-    /// needed.
-    pub fn router(&self) -> Option<&Exchange> {
-        match self {
-            PlacedStage::Build { router, .. }
-            | PlacedStage::Stream { router, .. }
-            | PlacedStage::CoProcess { router, .. } => router.as_ref(),
+    /// Every device the stage runs on: the routed devices, then a
+    /// co-processing stage's GPU lanes. What `verify` audits against the
+    /// server, and the seed the fault plane filters against a degraded fleet
+    /// before handing [`place_on`] its per-stage subsets.
+    pub fn devices(&self) -> Vec<DeviceId> {
+        let mut devices = self.routed();
+        if let PlacedStage::CoProcess { gpus, .. } = self {
+            devices.extend(gpus.iter().map(|&g| DeviceId::Gpu(g)));
         }
+        devices
+    }
+
+    /// The stage-level router on `server`: present when the routed devices'
+    /// summed dop differs from the sequential source's, converting 1 → that
+    /// sum.
+    pub fn router(&self, server: &Server) -> Option<Exchange> {
+        let source = HetTraits::cpu_seq();
+        let dop = self.routed().into_iter().map(|target| Segment { target }.traits(server).dop);
+        let target = HetTraits { dop: dop.sum(), ..source };
+        source
+            .needs_router(&target)
+            .then_some(Exchange::Router { from_dop: source.dop, to_dop: target.dop })
     }
 }
 
@@ -141,8 +186,9 @@ pub struct PlacedPlan {
     /// Display name (e.g. `"Q5"`).
     pub name: String,
     /// Rows per packet for the *stream* stage (`None` = auto: ~4 packets
-    /// per worker share). Build stages always auto-size — they are
-    /// plumbing, not the tunable workload.
+    /// per worker share; `Some(0)` is one-row packets, like `Some(1)` —
+    /// [`ExecConfig::auto_packet_rows`]). Build stages always auto-size —
+    /// they are plumbing, not the tunable workload.
     pub packet_rows: Option<usize>,
     /// Data-plane threads for the interpreter's worker pool (`None` =
     /// resolve from the environment; see
@@ -173,82 +219,9 @@ pub fn participants(placement: Placement, server: &Server) -> Vec<DeviceId> {
         .collect()
 }
 
-/// The traits a pipeline segment executes under on `device`, which must be
-/// on `server` ([`place_on`] refuses any other device first; `verify`
-/// audits absent ones before it calls this).
-///
-/// CPU segments keep host (`dram0`) locality: workers stream socket-0
-/// resident packets in place (NUMA placement is not modelled, so the
-/// cross-socket link never appears on the packet path). GPU segments are
-/// device-memory local — their packets must be mem-moved across PCIe.
-pub(crate) fn segment_traits(device: DeviceId, server: &Server) -> HetTraits {
-    match device {
-        DeviceId::Cpu(socket) => HetTraits {
-            device: DeviceType::Cpu,
-            dop: server.cpus[socket].cores,
-            locality: HetTraits::cpu_seq().locality,
-        },
-        DeviceId::Gpu(_) => {
-            HetTraits { device: DeviceType::Gpu, dop: 1, locality: device.local_mem() }
-        }
-    }
-}
-
-/// The exchanges on the input edge of a segment executing under `traits`,
-/// in conversion order: the streaming mem-move, the device crossing, then
-/// one broadcast mem-move per table in `probed` (built hash tables live in
-/// host memory). What [`place_on`] inserts and what `verify`'s
-/// trait-coherence pass expects.
-pub(crate) fn input_exchanges(traits: &HetTraits, probed: &[&str]) -> Vec<Exchange> {
-    let source = HetTraits::cpu_seq();
-    let mem_move = |table: Option<&str>| Exchange::MemMove {
-        from: source.locality,
-        to: traits.locality,
-        table: table.map(str::to_string),
-    };
-    let mut exchanges = Vec::new();
-    if source.needs_mem_move(traits) {
-        exchanges.push(mem_move(None));
-    }
-    if source.needs_device_crossing(traits) {
-        exchanges.push(Exchange::DeviceCrossing { from: source.device, to: traits.device });
-    }
-    if source.needs_mem_move(traits) {
-        exchanges.extend(probed.iter().map(|&ht| mem_move(Some(ht))));
-    }
-    exchanges
-}
-
-/// Place one pipeline over `devices`: a segment per device, with the
-/// trait-mismatch exchanges inserted on each input edge, plus the
-/// stage-level router when the total dop differs from the source's.
-fn place_pipeline(
-    pipeline: &Pipeline,
-    devices: &[DeviceId],
-    server: &Server,
-) -> (Option<Exchange>, Vec<Segment>) {
-    let source = HetTraits::cpu_seq();
-    let probed = pipeline.tables_probed();
-    let segments: Vec<Segment> = devices
-        .iter()
-        .map(|&device| {
-            let traits = segment_traits(device, server);
-            let exchanges = input_exchanges(&traits, &probed);
-            Segment { target: device, traits, exchanges }
-        })
-        .collect();
-    let total_dop: usize = segments.iter().map(|s| s.traits.dop).sum();
-    let target = HetTraits { dop: total_dop, ..source };
-    let router = source
-        .needs_router(&target)
-        .then_some(Exchange::Router { from_dop: source.dop, to_dop: total_dop });
-    (router, segments)
-}
-
 /// Run the placement pass: pick the participating devices for `cfg` and
-/// annotate every stage with segments and exchanges ([`place_on`], which
-/// also validates `plan`'s structure — this pass and the optimizer both
-/// end there).
+/// place every stage on them ([`place_on`], which also validates `plan`'s
+/// structure — this pass and the optimizer both end there).
 ///
 /// Under a manual placement, build stages always run CPU-side (dimension
 /// pipelines are scan-light and their tables must end up host-resident
@@ -287,27 +260,45 @@ pub fn place(
 }
 
 /// Rewrite a placed *stream* stage into a co-processing stage
-/// ([`PlacedStage::CoProcess`]): the existing (CPU) segments keep running
+/// ([`PlacedStage::CoProcess`]): the stream's CPU segments keep running
 /// the pipeline prefix, while `gpus` become the single-pass join lanes for
-/// the final probe of `ht`. This is the entry point the cost-based
-/// optimizer uses after [`place_on`] placed the stage's CPU side.
+/// its final probe. This is the entry point the cost-based optimizer uses
+/// after [`place_on`] placed the stage's CPU side.
 ///
-/// The stage must be a stream whose final probe targets `ht`, and its
-/// segments must all be CPU-side (the co-partitioning is CPU work);
-/// anything else is the typed [`EngineError::InvalidCoProcessStage`].
+/// The stage must be a stream that probes, placed on CPUs only (the
+/// co-partitioning is CPU work), and `gpus` must be a non-empty list of
+/// GPUs; anything else is the typed [`EngineError::InvalidCoProcessStage`].
 pub fn into_coprocess_stage(
     stage: PlacedStage,
-    ht: String,
-    gpus: Vec<DeviceId>,
+    gpus: &[DeviceId],
 ) -> Result<PlacedStage, EngineError> {
-    let PlacedStage::Stream { pipeline, router, segments } = stage else {
-        return Err(EngineError::InvalidCoProcessStage { table: ht });
+    let (pipeline, segments) = match stage {
+        PlacedStage::Stream { pipeline, segments } => (pipeline, segments),
+        other => {
+            let scan = other.pipeline().source.clone();
+            return Err(EngineError::InvalidCoProcessStage { scan });
+        }
     };
-    let last_probes_ht = pipeline.last_probe().is_some_and(|(_, t)| t == ht);
-    if !last_probes_ht || segments.iter().any(|s| s.target.is_gpu()) || gpus.is_empty() {
-        return Err(EngineError::InvalidCoProcessStage { table: ht });
+    let cpus: Option<Vec<usize>> = segments
+        .iter()
+        .map(|s| match s.target {
+            DeviceId::Cpu(socket) => Some(socket),
+            DeviceId::Gpu(_) => None,
+        })
+        .collect();
+    let lanes: Option<Vec<usize>> = gpus
+        .iter()
+        .map(|d| match *d {
+            DeviceId::Gpu(g) => Some(g),
+            DeviceId::Cpu(_) => None,
+        })
+        .collect();
+    match (cpus, lanes) {
+        (Some(cpus), Some(gpus)) if !gpus.is_empty() && pipeline.last_probe().is_some() => {
+            Ok(PlacedStage::CoProcess { pipeline, cpus, gpus })
+        }
+        _ => Err(EngineError::InvalidCoProcessStage { scan: pipeline.source }),
     }
-    Ok(PlacedStage::CoProcess { pipeline, ht, router, segments, gpus })
 }
 
 /// Place each stage of `plan` on an explicit device subset — the entry
@@ -341,26 +332,18 @@ pub fn place_on(
         if let Some(absent) = devices.iter().find(|d| !present.contains(d)) {
             return Err(EngineError::DeviceNotPresent { device: absent.to_string() });
         }
-        match stage {
-            Stage::Build { name, key_col, pipeline } => {
-                let (router, segments) = place_pipeline(pipeline, devices, server);
-                stages.push(PlacedStage::Build {
-                    name: name.clone(),
-                    key_col: *key_col,
-                    pipeline: pipeline.clone(),
-                    router,
-                    segments,
-                });
-            }
+        let segments = devices.iter().map(|&target| Segment { target }).collect();
+        stages.push(match stage {
+            Stage::Build { name, key_col, pipeline } => PlacedStage::Build {
+                name: name.clone(),
+                key_col: *key_col,
+                pipeline: pipeline.clone(),
+                segments,
+            },
             Stage::Stream { pipeline } => {
-                let (router, segments) = place_pipeline(pipeline, devices, server);
-                stages.push(PlacedStage::Stream {
-                    pipeline: pipeline.clone(),
-                    router,
-                    segments,
-                });
+                PlacedStage::Stream { pipeline: pipeline.clone(), segments }
             }
-        }
+        });
     }
     Ok(PlacedPlan {
         name: plan.name.clone(),
@@ -412,40 +395,19 @@ impl PlacedPlan {
         }
     }
 
-    /// The devices each stage runs on, in stage order: segment targets
-    /// plus, for co-processing stages, the GPU lanes. This is the seed the
-    /// fault plane filters against a degraded fleet before handing
-    /// [`place_on`] its per-stage subsets.
-    pub fn stage_devices(&self) -> Vec<Vec<DeviceId>> {
-        self.stages
-            .iter()
-            .map(|s| {
-                let mut devices: Vec<DeviceId> =
-                    s.segments().iter().map(|seg| seg.target).collect();
-                if let PlacedStage::CoProcess { gpus, .. } = s {
-                    for g in gpus {
-                        if !devices.contains(g) {
-                            devices.push(*g);
-                        }
-                    }
-                }
-                devices
-            })
-            .collect()
-    }
-
     /// Render the placed plan for humans: one block per stage listing the
-    /// pipeline shape, the router, and each segment with its traits and
-    /// the exchanges inserted on its input edge. Optimized plans
+    /// pipeline shape, the router, and each segment with the traits and
+    /// input-edge exchanges derived for it on `server`. Optimized plans
     /// additionally render the chosen subset's per-stage cost estimate and
     /// the estimated plan makespan. This is what
     /// [`crate::session::Session::explain`] returns.
-    pub fn render(&self) -> String {
+    pub fn render(&self, server: &Server) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "PlacedPlan {}", self.name);
         for (i, stage) in self.stages.iter().enumerate() {
             let pipeline = stage.pipeline();
+            let coprocessed = pipeline.last_probe().map_or("", |(_, ht)| ht);
             match stage {
                 PlacedStage::Build { name, key_col, .. } => {
                     let _ = writeln!(out, "stage {i}: build {name} (key col {key_col})");
@@ -453,30 +415,32 @@ impl PlacedPlan {
                 PlacedStage::Stream { .. } => {
                     let _ = writeln!(out, "stage {i}: stream");
                 }
-                PlacedStage::CoProcess { ht, .. } => {
-                    let _ = writeln!(out, "stage {i}: stream (co-process {ht:?})");
+                PlacedStage::CoProcess { .. } => {
+                    let _ = writeln!(out, "stage {i}: stream (co-process {coprocessed:?})");
                 }
             }
             let _ = writeln!(out, "  pipeline: {}", render_pipeline(pipeline));
-            if let Some(router) = stage.router() {
+            if let Some(router) = stage.router(server) {
                 let _ = writeln!(out, "  {router}");
             }
-            for seg in stage.segments() {
-                let t = &seg.traits;
+            for target in stage.routed() {
+                let seg = Segment { target };
+                let t = seg.traits(server);
                 let _ = writeln!(
                     out,
-                    "  segment {}: {:?} dop={} mem={}",
-                    seg.target, t.device, t.dop, t.locality
+                    "  segment {target}: {:?} dop={} mem={}",
+                    t.device, t.dop, t.locality
                 );
-                for x in &seg.exchanges {
+                for x in seg.exchanges(pipeline) {
                     let _ = writeln!(out, "    {x}");
                 }
             }
-            if let PlacedStage::CoProcess { ht, gpus, .. } = stage {
-                let lanes: Vec<String> = gpus.iter().map(|g| g.to_string()).collect();
+            if let PlacedStage::CoProcess { gpus, .. } = stage {
+                let lanes: Vec<String> =
+                    gpus.iter().map(|&g| DeviceId::Gpu(g).to_string()).collect();
                 let _ = writeln!(
                     out,
-                    "  co-process: cpu co-partition {ht:?} -> single-pass join on {}",
+                    "  co-process: cpu co-partition {coprocessed:?} -> single-pass join on {}",
                     lanes.join(", "),
                 );
             }
@@ -567,6 +531,15 @@ mod tests {
         .unwrap()
     }
 
+    fn segments(stage: &PlacedStage) -> &[Segment] {
+        match stage {
+            PlacedStage::Build { segments, .. } | PlacedStage::Stream { segments, .. } => {
+                segments
+            }
+            PlacedStage::CoProcess { .. } => panic!("a co-processing stage has no segments"),
+        }
+    }
+
     #[test]
     fn cpu_only_placement_has_no_device_exchanges() {
         let plan = join_plan();
@@ -574,14 +547,15 @@ mod tests {
         let placed = place(&plan, &ExecConfig::new(Placement::CpuOnly), &server).unwrap();
         assert_eq!(placed.stages.len(), 2);
         let stream = placed.stages.last().unwrap();
-        assert_eq!(stream.segments().len(), 2); // one per socket
-        for seg in stream.segments() {
-            assert_eq!(seg.traits.device, DeviceType::Cpu);
-            assert_eq!(seg.traits.locality, MemNode::CpuDram(0));
-            assert!(seg.exchanges.is_empty(), "no trait mismatch on CPU segments");
+        assert_eq!(segments(stream).len(), 2); // one per socket
+        for seg in segments(stream) {
+            let traits = seg.traits(&server);
+            assert_eq!(traits.device, DeviceType::Cpu);
+            assert_eq!(traits.locality, MemNode::CpuDram(0));
+            assert!(seg.exchanges(stream.pipeline()).is_empty(), "no trait mismatch on CPUs");
         }
         // 1 -> 24 parallelism conversion: the router is required.
-        match stream.router() {
+        match stream.router(&server) {
             Some(Exchange::Router { from_dop: 1, to_dop: 24, .. }) => {}
             r => panic!("unexpected router {r:?}"),
         }
@@ -594,13 +568,13 @@ mod tests {
         let placed = place(&plan, &ExecConfig::new(Placement::Hybrid), &server).unwrap();
         let stream = placed.stages.last().unwrap();
         // CPU sockets first (router candidate order), then GPUs.
-        assert_eq!(stream.segments().len(), 4);
-        let gpu1 = &stream.segments()[3];
+        assert_eq!(segments(stream).len(), 4);
+        let gpu1 = &segments(stream)[3];
         assert_eq!(gpu1.target, DeviceId::Gpu(1));
-        assert_eq!(gpu1.traits.device, DeviceType::Gpu);
-        assert_eq!(gpu1.traits.locality, MemNode::GpuDram(1));
+        assert_eq!(gpu1.traits(&server).device, DeviceType::Gpu);
+        assert_eq!(gpu1.traits(&server).locality, MemNode::GpuDram(1));
         assert_eq!(
-            gpu1.exchanges,
+            gpu1.exchanges(stream.pipeline()),
             vec![
                 Exchange::MemMove {
                     from: MemNode::CpuDram(0),
@@ -615,12 +589,30 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(gpu1.broadcast_moves().count(), 1);
         // Hybrid router fans 1 -> 24 cores + 2 GPUs.
-        match stream.router() {
+        match stream.router(&server) {
             Some(Exchange::Router { from_dop: 1, to_dop: 26, .. }) => {}
             r => panic!("unexpected router {r:?}"),
         }
+    }
+
+    #[test]
+    fn derivations_are_total_on_devices_the_server_lacks() {
+        let plan = join_plan();
+        let server = Server::paper_testbed();
+        let mut placed = place(&plan, &ExecConfig::new(Placement::CpuOnly), &server).unwrap();
+        let PlacedStage::Stream { segments: stream, .. } = &mut placed.stages[1] else {
+            panic!("stage 1 is the stream")
+        };
+        stream[0].target = DeviceId::Cpu(7);
+        stream[1].target = DeviceId::Gpu(7);
+        let stream = &placed.stages[1];
+        assert_eq!(segments(stream)[0].traits(&server).dop, 0);
+        assert_eq!(segments(stream)[1].traits(&server).locality, MemNode::GpuDram(7));
+        assert_eq!(stream.router(&server), None, "0 + 1 instances: no dop conversion");
+        let text = placed.render(&server);
+        assert!(text.contains("segment cpu7: Cpu dop=0 mem=dram0"), "{text}");
+        assert!(text.contains("segment gpu7: Gpu dop=1 mem=gmem7"), "{text}");
     }
 
     #[test]
@@ -628,12 +620,8 @@ mod tests {
         let plan = join_plan();
         let server = Server::paper_testbed();
         let placed = place(&plan, &ExecConfig::new(Placement::GpuOnly), &server).unwrap();
-        let PlacedStage::Build { segments, .. } = &placed.stages[0] else {
-            panic!("first stage is the build");
-        };
-        assert!(segments.iter().all(|s| !s.target.is_gpu()));
-        let stream = placed.stages.last().unwrap();
-        assert!(stream.segments().iter().all(|s| s.target.is_gpu()));
+        assert!(placed.stages[0].devices().iter().all(|d| !d.is_gpu()));
+        assert!(placed.stages[1].devices().iter().all(DeviceId::is_gpu));
     }
 
     #[test]
@@ -649,9 +637,7 @@ mod tests {
         let plan = join_plan();
         let placed =
             place(&plan, &ExecConfig::new(Placement::Hybrid), &Server::cpu_only()).unwrap();
-        let stream = placed.stages.last().unwrap();
-        assert_eq!(stream.segments().len(), 2);
-        assert!(stream.segments().iter().all(|s| !s.target.is_gpu()));
+        assert_eq!(placed.stages[1].devices(), [DeviceId::Cpu(0), DeviceId::Cpu(1)]);
     }
 
     #[test]
@@ -659,11 +645,11 @@ mod tests {
         // A single GPU is a 1 -> 1 parallelism "conversion": the
         // needs_router predicate correctly suppresses the exchange.
         let plan = join_plan();
-        let placed =
-            place(&plan, &ExecConfig::new(Placement::GpuOnly), &Server::single_gpu()).unwrap();
+        let server = Server::single_gpu();
+        let placed = place(&plan, &ExecConfig::new(Placement::GpuOnly), &server).unwrap();
         let stream = placed.stages.last().unwrap();
-        assert!(stream.router().is_none());
-        assert_eq!(stream.segments().len(), 1);
+        assert!(stream.router(&server).is_none());
+        assert_eq!(stream.devices().len(), 1);
     }
 
     #[test]
@@ -690,8 +676,13 @@ mod tests {
         let placed =
             place(&plan, &ExecConfig::new(Placement::GpuOnly), &Server::paper_testbed())
                 .unwrap();
-        for seg in placed.stages.last().unwrap().segments() {
-            assert_eq!(seg.broadcast_moves().count(), 1, "{}", seg.target);
+        let stream = placed.stages.last().unwrap();
+        for seg in segments(stream) {
+            let broadcasts = seg
+                .exchanges(stream.pipeline())
+                .into_iter()
+                .filter(|x| matches!(x, Exchange::MemMove { table: Some(_), .. }));
+            assert_eq!(broadcasts.count(), 1, "{}", seg.target);
         }
     }
 
@@ -700,34 +691,27 @@ mod tests {
         let plan = join_plan();
         let server = Server::paper_testbed();
         let placed = place(&plan, &ExecConfig::new(Placement::CpuOnly), &server).unwrap();
+        let lanes = || vec![DeviceId::Gpu(0), DeviceId::Gpu(1)];
         // A build stage cannot co-process.
-        let err = into_coprocess_stage(
-            placed.stages[0].clone(),
-            "dim_ht".into(),
-            vec![DeviceId::Gpu(0)],
-        )
-        .unwrap_err();
+        let err = into_coprocess_stage(placed.stages[0].clone(), &lanes()).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
+        // The co-partitioning is CPU work: a stream with GPU segments cannot.
+        let hybrid = place(&plan, &ExecConfig::new(Placement::Hybrid), &server).unwrap();
+        let err = into_coprocess_stage(hybrid.stages[1].clone(), &lanes()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
         let stream = placed.stages[1].clone();
-        // The named table must be the stream's *final* probe.
-        let err = into_coprocess_stage(stream.clone(), "ghost".into(), vec![DeviceId::Gpu(0)])
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
-        // At least one GPU lane is required.
-        let err =
-            into_coprocess_stage(stream.clone(), "dim_ht".into(), Vec::new()).unwrap_err();
-        assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
-        let cp = into_coprocess_stage(
-            stream,
-            "dim_ht".into(),
-            vec![DeviceId::Gpu(0), DeviceId::Gpu(1)],
-        )
-        .unwrap();
-        assert!(cp.segments().iter().all(|s| !s.target.is_gpu()));
-        let PlacedStage::CoProcess { ht, gpus, .. } = &cp else {
+        // At least one GPU lane is required, and lanes are GPUs.
+        for bad in [Vec::new(), vec![DeviceId::Cpu(0)]] {
+            let err = into_coprocess_stage(stream.clone(), &bad).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
+        }
+        let cp = into_coprocess_stage(stream, &lanes()).unwrap();
+        let PlacedStage::CoProcess { pipeline, cpus, gpus } = &cp else {
             panic!("rewrite must produce a co-process stage")
         };
-        assert_eq!((ht.as_str(), gpus.len()), ("dim_ht", 2));
+        assert_eq!((cpus.as_slice(), gpus.as_slice()), ([0, 1].as_slice(), [0, 1].as_slice()));
+        assert_eq!(pipeline.last_probe(), Some((0, "dim_ht")), "the final probe is the table");
+        assert_eq!(cp.devices(), [vec![DeviceId::Cpu(0), DeviceId::Cpu(1)], lanes()].concat());
     }
 
     #[test]
@@ -773,10 +757,9 @@ mod tests {
     #[test]
     fn render_shows_exchanges() {
         let plan = join_plan();
-        let placed =
-            place(&plan, &ExecConfig::new(Placement::Hybrid), &Server::paper_testbed())
-                .unwrap();
-        let text = placed.render();
+        let server = Server::paper_testbed();
+        let placed = place(&plan, &ExecConfig::new(Placement::Hybrid), &server).unwrap();
+        let text = placed.render(&server);
         assert!(text.contains("Router(1 -> 26)"), "{text}");
         assert!(text.contains("MemMove(dram0 -> gmem0)"), "{text}");
         assert!(text.contains("DeviceCrossing(Cpu -> Gpu)"), "{text}");

@@ -348,7 +348,7 @@ impl<'a> Binder<'a> {
     fn flag(&mut self, (stage, op): At, kind: DiagnosticKind) {
         // A `Diagnostic`'s pass says which contract broke, not which code
         // found it: a stateful column outside the source is the
-        // user-aligned packet split's (pass 4's) to lose.
+        // user-aligned packet split's (the determinism contract's) to lose.
         let pass = match kind {
             DiagnosticKind::StatefulAlignmentInvalid { .. } => Pass::Determinism,
             _ => Pass::SchemaDataflow,

@@ -874,12 +874,11 @@ impl DeviceProvider for GpuWorker {
         self.est
     }
 
-    /// Execute the segment's broadcast mem-moves: every table named by a
-    /// `MemMove { table: Some(_) }` exchange crosses this worker's PCIe
-    /// link into device memory, after the capacity check against this
-    /// device's own spec. The exchange list is authoritative: a placed
-    /// plan that omits the broadcasts runs the probes against host-staged
-    /// default regions and skips the capacity constraint.
+    /// Execute the segment's broadcast mem-moves: every table the worker
+    /// was built with (each table the stage's pipeline probes, its
+    /// segment's `MemMove { table: Some(_) }` exchanges) crosses this
+    /// worker's PCIe link into device memory, after the capacity check
+    /// against this device's own spec.
     fn install_tables(
         &mut self,
         pipeline: &Pipeline,

@@ -56,7 +56,6 @@ use crate::catalog::TableRegistration;
 use crate::cost::{CostModel, HtEstimates};
 use crate::engine::{ExecConfig, QueryExec, QueryReport};
 use crate::error::HapeError;
-use crate::exchange::Exchange;
 use crate::fault::{FaultPlan, HealthRegistry};
 use crate::place::{PlacedPlan, PlacedStage};
 use crate::plan::JoinTable;
@@ -837,14 +836,16 @@ impl SessionServer {
 }
 
 /// Whether any stage of the plan broadcasts hash table `ht` into GPU
-/// memory — a cache entry produced by such a plan is device-resident, so
+/// memory — a build or stream stage with a GPU segment whose pipeline
+/// probes it. A cache entry produced by such a plan is device-resident, so
 /// later hits skip the PCIe broadcast too.
 fn plan_broadcasts(placed: &PlacedPlan, ht: &str) -> bool {
-    placed.stages.iter().any(|stage| {
-        stage.segments().iter().any(|seg| {
-            seg.broadcast_moves()
-                .any(|e| matches!(e, Exchange::MemMove { table: Some(t), .. } if t == ht))
-        })
+    placed.stages.iter().any(|stage| match stage {
+        PlacedStage::Build { pipeline, segments, .. }
+        | PlacedStage::Stream { pipeline, segments } => {
+            segments.iter().any(|s| s.target.is_gpu()) && pipeline.tables_probed().contains(&ht)
+        }
+        PlacedStage::CoProcess { .. } => false,
     })
 }
 
@@ -872,10 +873,7 @@ fn gpu_footprint(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan)
         let Ok(est) = model.estimate_pipeline(stage.pipeline(), &hts) else {
             return 0;
         };
-        let mut devices: Vec<_> = stage.segments().iter().map(|s| s.target).collect();
-        if let PlacedStage::CoProcess { gpus, .. } = stage {
-            devices.extend(gpus.iter().copied());
-        }
+        let devices = stage.devices();
         let is_build = matches!(stage, PlacedStage::Build { .. });
         if let Ok(cost) = model.stage_cost(&est, &devices, is_build) {
             if cost.gpu_capacity.is_some() {

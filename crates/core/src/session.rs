@@ -7,9 +7,10 @@
 //!
 //! 1. **lower** ([`Session::lower`]) — resolve names against the catalog,
 //!    push projections down, produce the physical [`crate::plan::QueryPlan`];
-//! 2. **place** ([`Session::place`]) — annotate every pipeline with
-//!    [`crate::place::Segment`]s and trait-conversion exchanges, producing
-//!    the [`PlacedPlan`] IR ([`Session::explain`] renders it);
+//! 2. **place** ([`Session::place`]) — give every pipeline its
+//!    [`crate::place::Segment`]s, producing the [`PlacedPlan`] IR
+//!    ([`Session::explain`] renders it with the traits and trait-conversion
+//!    exchanges derived from them);
 //! 3. **run** ([`Session::execute`] / [`Session::execute_with`]) — the
 //!    engine interprets the placed plan over its device providers.
 //!
@@ -107,8 +108,9 @@ impl Session {
     }
 
     /// Lower and place a logical query under the session's default config:
-    /// the explicit [`PlacedPlan`] IR with per-segment [`crate::traits::HetTraits`]
-    /// and the inserted exchange operators.
+    /// the explicit [`PlacedPlan`] IR — per-stage device subsets, from which
+    /// each segment's [`crate::traits::HetTraits`] and exchange operators are
+    /// derived.
     pub fn place(&self, query: &Query) -> Result<PlacedPlan, HapeError> {
         self.place_with(query, &self.config)
     }
@@ -134,8 +136,9 @@ impl Session {
     }
 
     /// Render the placed plan for a query under the session's default
-    /// config: segments, traits, every inserted Router / MemMove /
-    /// DeviceCrossing operator, and a `verified: N stages, M diagnostics`
+    /// config: segments, and the traits and Router / MemMove /
+    /// DeviceCrossing operators derived for them on this session's server
+    /// ([`PlacedPlan::render`]), then a `verified: N stages, M diagnostics`
     /// footer from the static verifier (diagnostics render one per line
     /// below it).
     pub fn explain(&self, query: &Query) -> Result<String, HapeError> {
@@ -150,13 +153,14 @@ impl Session {
     ) -> Result<String, HapeError> {
         let lowered = self.lower(query)?;
         let placed = self.place_lowered(&lowered, config)?;
-        let mut text = placed.render();
+        let mut text = placed.render(&self.engine.server);
         text.push_str(&verify::explain_footer(&placed, &lowered.catalog, &self.engine.server));
         Ok(text)
     }
 
-    /// Statically verify a query under the session's default config: all
-    /// four verifier passes ([`mod@crate::verify`]) over the placed plan.
+    /// Statically verify a query under the session's default config: the
+    /// binding walk and the device audit ([`mod@crate::verify`]) over the
+    /// placed plan.
     /// `Err(HapeError::Verify(..))` carries every diagnostic.
     pub fn verify(&self, query: &Query) -> Result<(), HapeError> {
         self.verify_with(query, &self.config)
@@ -277,7 +281,7 @@ mod tests {
         assert_eq!(placed.stages.len(), 2);
         // Default hybrid placement: the stream fans out over CPUs + GPUs.
         let stream = placed.stages.last().unwrap();
-        assert_eq!(stream.segments().len(), 4);
+        assert_eq!(stream.devices().len(), 4);
         let text = s.explain(&q).unwrap();
         assert!(text.contains("Router("), "{text}");
         assert!(text.contains("DeviceCrossing(Cpu -> Gpu)"), "{text}");
@@ -286,6 +290,18 @@ mod tests {
         let lowered = s.lower(&q).unwrap();
         let rep = s.engine().run_placed(&lowered.catalog, &placed).unwrap();
         assert_eq!(rep.rows[0].1[0], (1 << 12) as f64);
+    }
+
+    #[test]
+    fn zero_packet_rows_runs_one_row_packets_in_every_profile() {
+        let mut s = Session::new(Server::paper_testbed());
+        s.register_as("fact", gen_key_fk_table(1 << 9, 1 << 9, 1));
+        let q = s.query("tiny").from_table("fact").agg(vec![(AggFunc::Sum, col("v"))]);
+        let cfg = |rows| ExecConfig::new(Placement::CpuOnly).with_packet_rows(rows);
+        let zero = s.execute_with(&q, &cfg(0)).unwrap();
+        let one = s.execute_with(&q, &cfg(1)).unwrap();
+        assert_eq!(zero.packets_cpu, 1 << 9, "one row per packet");
+        assert_eq!((zero.rows, zero.time), (one.rows, one.time));
     }
 
     #[test]

@@ -8,21 +8,22 @@
 //! the first three; packing is fixed at packets with no shared property,
 //! so [`HetTraits`] carries no field for it.
 //!
-//! The placement pass ([`mod@crate::place`]) compares the traits on every
-//! placed edge with the `needs_*` predicates below and inserts the
-//! matching converter, following the paper's §3 mapping:
+//! A placed plan ([`mod@crate::place`]) stores only where each pipeline
+//! runs; the converter on every placed edge is derived from that by
+//! comparing the traits with the `needs_*` predicates below, following the
+//! paper's §3 mapping:
 //!
-//! | [`HetTraits`] field | mismatch predicate | converter (§3, Fig. 3) | IR operator |
-//! |---|---|---|---|
-//! | `device` | [`HetTraits::needs_device_crossing`] | device crossing (cpu2gpu / gpu2cpu) | [`crate::exchange::Exchange::DeviceCrossing`] |
-//! | `dop` | [`HetTraits::needs_router`] | router | [`crate::exchange::Exchange::Router`] |
-//! | `locality` | [`HetTraits::needs_mem_move`] | mem-move (+ broadcast variant) | [`crate::exchange::Exchange::MemMove`] |
-//! | packing (no field) | — (fixed: untagged packets between operators) | pack / unpack | packet granularity of the executor |
+//! | [`HetTraits`] field | mismatch predicate | converter (§3, Fig. 3) | IR operator | derived by |
+//! |---|---|---|---|---|
+//! | `device` | [`HetTraits::needs_device_crossing`] | device crossing (cpu2gpu / gpu2cpu) | [`crate::exchange::Exchange::DeviceCrossing`] | [`crate::place::Segment::exchanges`] |
+//! | `dop` | [`HetTraits::needs_router`] | router | [`crate::exchange::Exchange::Router`] | [`crate::place::PlacedStage::router`] |
+//! | `locality` | [`HetTraits::needs_mem_move`] | mem-move (+ broadcast variant) | [`crate::exchange::Exchange::MemMove`] | [`crate::place::Segment::exchanges`] |
+//! | packing (no field) | — (fixed: untagged packets between operators) | pack / unpack | packet granularity of the executor | — |
 //!
 //! A stream pipeline starts at [`HetTraits::cpu_seq`] (the sequential,
-//! host-resident scan source); each placed segment declares its own
-//! traits, and whatever disagrees becomes an explicit exchange on that
-//! segment's input edge — visible in
+//! host-resident scan source); each placed segment's traits follow from its
+//! device ([`crate::place::Segment::traits`]), and whatever disagrees is an
+//! explicit exchange on that segment's input edge — visible in
 //! [`crate::session::Session::explain`].
 
 use hape_sim::topology::MemNode;

@@ -1,7 +1,7 @@
 //! Quickstart: describe a join-and-aggregate query against named columns
 //! on a [`hape::core::Session`], inspect its placed plan with `explain`
-//! (segments, traits, and the inserted Router / MemMove / DeviceCrossing
-//! exchanges), run it in all three placements, and watch the hybrid
+//! (segments, traits, and the Router / MemMove / DeviceCrossing exchanges
+//! derived from them), run it in all three placements, and watch the hybrid
 //! configuration beat both.
 //!
 //! ```text
@@ -31,7 +31,7 @@ fn main() {
 
     // The placement pass makes the paper's trait conversions explicit:
     // `explain` renders each stage's segments with their HetTraits and
-    // every inserted exchange operator.
+    // every exchange operator derived from them.
     println!("{}", session.explain(&query).expect("quickstart query places"));
 
     println!("placement   time        CPU-pkts GPU-pkts  H2D bytes   result(count)");

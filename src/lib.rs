@@ -25,10 +25,10 @@
 //! positional indices, build/stream stages, memoised shared build sides);
 //! the cost-based *optimizer* (under [`core::Placement::Auto`]) picks
 //! per-stage device subsets from the hardware model; *placement*
-//! annotates every pipeline with per-device segments carrying
-//! [`core::HetTraits`] and inserts the trait-conversion exchange
-//! operators (router, mem-move, device crossing); the engine then
-//! *interprets* the placed plan over its device providers:
+//! records every pipeline's per-device segments, from which each
+//! segment's [`core::HetTraits`] and the trait-conversion exchange
+//! operators (router, mem-move, device crossing) are derived; the engine
+//! then *interprets* the placed plan over its device providers:
 //!
 //! ```
 //! use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};
@@ -52,7 +52,7 @@
 //!     .agg(vec![(AggFunc::Count, col("v2"))]);
 //!
 //! // `explain` renders the placed plan: segments, traits, and the
-//! // inserted HetExchange operators.
+//! // HetExchange operators derived from them.
 //! let text = session.explain(&query).unwrap();
 //! assert!(text.contains("Router("));
 //! assert!(text.contains("DeviceCrossing(Cpu -> Gpu)"));

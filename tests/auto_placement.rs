@@ -20,7 +20,7 @@
 use hape::core::engine::EngineError;
 use hape::core::{ExecConfig, HapeError, JoinAlgo, PlacedStage, Placement, Query, Session};
 use hape::ops::{col, lit, AggFunc};
-use hape::sim::topology::Server;
+use hape::sim::topology::{DeviceId, Server};
 use hape::storage::datagen::gen_key_fk_table;
 use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::rows_approx_eq;
@@ -71,16 +71,8 @@ fn auto_never_overcommits_gpu_memory() {
                 // The estimate is attached to the stage that actually uses
                 // GPUs — broadcast segments or co-processing lanes; pure
                 // CPU stages have no capacity bound.
-                let uses_gpu = placed.stages[i].segments().iter().any(|s| s.target.is_gpu())
-                    || matches!(&placed.stages[i], PlacedStage::CoProcess { gpus, .. } if !gpus.is_empty());
+                let uses_gpu = placed.stages[i].devices().iter().any(DeviceId::is_gpu);
                 assert_eq!(cost.gpu_capacity.is_some(), uses_gpu, "{ctx}: stage {i}");
-                // A co-processing stage co-partitions on the CPUs only.
-                if let PlacedStage::CoProcess { segments, .. } = &placed.stages[i] {
-                    assert!(
-                        segments.iter().all(|s| !s.target.is_gpu()),
-                        "{ctx}: stage {i} co-partitions on GPUs"
-                    );
-                }
             }
             let auto = session.execute(&q).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let cpu = session
@@ -130,11 +122,12 @@ fn auto_completes_q9_through_a_coprocess_stage() {
     // orders table, the GPUs run single-pass joins.
     let placed = session.place_with(&q9, &ExecConfig::new(Placement::Auto)).unwrap();
     let stream = placed.stages.last().unwrap();
-    let PlacedStage::CoProcess { ht, segments, gpus, .. } = stream else {
-        panic!("Q9's stream must place as a co-process stage:\n{}", placed.render());
+    let PlacedStage::CoProcess { pipeline, gpus, .. } = stream else {
+        let text = placed.render(&session.engine().server);
+        panic!("Q9's stream must place as a co-process stage:\n{text}");
     };
+    let (_, ht) = pipeline.last_probe().expect("a co-process stage probes");
     assert_eq!(ht, "Q9*.orders", "the oversized final probe is co-processed");
-    assert!(segments.iter().all(|s| !s.target.is_gpu()), "co-partitioning is CPU work");
     assert_eq!(gpus.len(), 2, "both GPUs serve as single-pass join lanes");
     let cost = &placed.costs.as_ref().unwrap().stages.last().unwrap();
     let cp = cost.coprocess.as_ref().expect("co-process stages carry the §5 decomposition");
@@ -180,7 +173,8 @@ fn coprocess_stage_runs_operators_after_its_final_probe() {
     let auto = |threads| ExecConfig::new(Placement::Auto).with_threads(threads);
     let placed = session.place_with(&query, &auto(1)).unwrap();
     let Some(PlacedStage::CoProcess { pipeline, .. }) = placed.stages.last() else {
-        panic!("the stream must place as a co-process stage:\n{}", placed.render());
+        let text = placed.render(&session.engine().server);
+        panic!("the stream must place as a co-process stage:\n{text}");
     };
     let (probe, _) = pipeline.last_probe().expect("a co-process stage probes");
     assert_eq!(pipeline.ops.len(), probe + 2, "one operator follows the final probe");

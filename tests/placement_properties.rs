@@ -5,8 +5,8 @@
 //!    row-identical results vs. the `CpuOnly` reference — identical group keys and row counts, values equal up to
 //!    the float-fold rounding that different packet partitionings imply.
 //! 2. **Explain snapshots**: `Session::explain` renders Q5's placed plan
-//!    with the inserted Router / MemMove / DeviceCrossing operators
-//!    visible in all three placements.
+//!    with the Router / MemMove / DeviceCrossing operators derived from
+//!    its device subsets visible in all three placements.
 
 use hape::core::engine::EngineError;
 use hape::core::{ExecConfig, HapeError, JoinAlgo, Placement, Query, Session};

@@ -5,8 +5,10 @@
 //! time through the placed IR's public fields, and assert the verifier
 //! reports the *specific* typed [`DiagnosticKind`] for that corruption
 //! class — not merely "some diagnostic". Each test is one corruption
-//! class; together they cover all four passes (schema dataflow, trait
-//! coherence, device/capacity audit, determinism contracts).
+//! class; together they cover every pass (schema dataflow, device/capacity
+//! audit, determinism contracts). A placed plan stores only its device
+//! subsets, so what placement derives from them (traits, exchanges,
+//! routers) has no corruption class.
 //!
 //! The final tests are the positive side: a property sweep asserting a
 //! clean verify for every (query × placement × threads) combination the
@@ -19,11 +21,11 @@
 
 use hape::core::verify::{check_placed, explain_footer, DiagnosticKind, Pass};
 use hape::core::{
-    Exchange, ExecConfig, JoinAlgo, LoweredQuery, PipeOp, PlacedPlan, PlacedStage, Placement,
-    Query, Session,
+    EngineError, ExecConfig, JoinAlgo, LoweredQuery, PipeOp, PlacedPlan, PlacedStage,
+    Placement, Query, Session,
 };
 use hape::ops::{Expr, StatefulAgg};
-use hape::sim::topology::{DeviceId, MemNode, Server};
+use hape::sim::topology::{DeviceId, Server};
 use hape::tpch::events::{behavioral_queries, generate_events};
 use hape::tpch::queries::{self, q1_query, q5_query, q6_query};
 
@@ -33,17 +35,24 @@ fn tpch_session() -> Session {
     queries::tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF))
 }
 
-/// Q5 lowered + placed under `placement`, asserted clean before any
+/// `query` lowered + placed under `placement`, asserted clean before any
 /// mutation (a corrupted seed would make every test vacuous).
-fn q5_placed(session: &Session, placement: Placement) -> (LoweredQuery, PlacedPlan) {
-    let q5 = q5_query(JoinAlgo::NonPartitioned);
-    let lowered = session.lower(&q5).unwrap();
-    let placed = session.place_with(&q5, &ExecConfig::new(placement)).unwrap();
+fn placed_clean(
+    session: &Session,
+    query: &Query,
+    placement: Placement,
+) -> (LoweredQuery, PlacedPlan) {
+    let lowered = session.lower(query).unwrap();
+    let placed = session.place_with(query, &ExecConfig::new(placement)).unwrap();
     assert!(
         check_placed(&placed, &lowered.catalog, &session.engine().server).is_empty(),
         "seed plan must verify clean before mutation"
     );
     (lowered, placed)
+}
+
+fn q5_placed(session: &Session, placement: Placement) -> (LoweredQuery, PlacedPlan) {
+    placed_clean(session, &q5_query(JoinAlgo::NonPartitioned), placement)
 }
 
 fn diags(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan) -> Vec<String> {
@@ -67,9 +76,9 @@ fn kinds(
 /// The Q5 stream stage (index 5) as mutable parts.
 fn stream_parts(
     placed: &mut PlacedPlan,
-) -> (&mut hape::core::Pipeline, &mut Option<Exchange>, &mut Vec<hape::core::Segment>) {
+) -> (&mut hape::core::Pipeline, &mut Vec<hape::core::Segment>) {
     match placed.stages.last_mut().unwrap() {
-        PlacedStage::Stream { pipeline, router, segments } => (pipeline, router, segments),
+        PlacedStage::Stream { pipeline, segments } => (pipeline, segments),
         other => panic!("Q5's last stage should be the stream, got {other:?}"),
     }
 }
@@ -133,7 +142,7 @@ fn mutation_probe_key_becomes_f64_after_projection() {
 fn mutation_probe_payload_beyond_build_width() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (pipeline, _, _) = stream_parts(&mut placed);
+    let (pipeline, _) = stream_parts(&mut placed);
     let Some(PipeOp::JoinProbe { build_payload_cols, .. }) =
         pipeline.ops.iter_mut().find(|op| matches!(op, PipeOp::JoinProbe { .. }))
     else {
@@ -152,7 +161,7 @@ fn mutation_probe_payload_beyond_build_width() {
 fn mutation_probe_of_unbuilt_table() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (pipeline, _, _) = stream_parts(&mut placed);
+    let (pipeline, _) = stream_parts(&mut placed);
     let Some(PipeOp::JoinProbe { ht, .. }) =
         pipeline.ops.iter_mut().find(|op| matches!(op, PipeOp::JoinProbe { .. }))
     else {
@@ -226,146 +235,23 @@ fn mutation_group_by_beyond_stream_width() {
     );
 }
 
-// ===================== pass 2: trait coherence =====================
-
-#[test]
-fn mutation_dropped_streaming_mem_move() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    let (_, _, segments) = stream_parts(&mut placed);
-    gpu_segment(segments)
-        .exchanges
-        .retain(|x| !matches!(x, Exchange::MemMove { table: None, .. }));
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::MissingExchange { expected } if expected.starts_with("MemMove"))),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_dropped_device_crossing() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    let (_, _, segments) = stream_parts(&mut placed);
-    gpu_segment(segments).exchanges.retain(|x| !matches!(x, Exchange::DeviceCrossing { .. }));
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::MissingExchange { expected } if expected.starts_with("DeviceCrossing"))),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_dropped_broadcast() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    let (_, _, segments) = stream_parts(&mut placed);
-    gpu_segment(segments)
-        .exchanges
-        .retain(|x| !matches!(x, Exchange::MemMove { table: Some(t), .. } if t == "Q5.orders"));
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::MissingBroadcast { ht } if ht == "Q5.orders")),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_duplicate_broadcast() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    let (_, _, segments) = stream_parts(&mut placed);
-    let seg = gpu_segment(segments);
-    let dup = seg.exchanges.iter().find(|x| x.is_broadcast()).unwrap().clone();
-    seg.exchanges.push(dup);
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::UnexpectedBroadcast { .. })),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_exchange_on_a_cpu_segment_is_dead() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (_, _, segments) = stream_parts(&mut placed);
-    // A CPU segment shares the source's traits end to end: any exchange
-    // on its edge converts nothing.
-    segments[0].exchanges.push(Exchange::MemMove {
-        from: MemNode::CpuDram(0),
-        to: MemNode::CpuDram(0),
-        table: None,
-    });
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::DeadExchange { .. })),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_corrupted_segment_dop() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (_, _, segments) = stream_parts(&mut placed);
-    segments[0].traits.dop = 99;
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::TraitsMismatch { found, .. } if found.dop == 99)),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_removed_router() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    *stream_parts(&mut placed).1 = None;
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::MissingRouter { total_dop } if *total_dop > 1)),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_router_with_parallel_producer_side() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (_, router, _) = stream_parts(&mut placed);
-    let Some(Exchange::Router { from_dop, .. }) = router else { panic!("stream routes") };
-    *from_dop = 3;
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::TraitCoherence
-            && matches!(k, DiagnosticKind::RouterDopMismatch { from_dop: 3, .. })),
-        "{ks:?}"
-    );
-}
-
-// ================= pass 3: device & capacity audit =================
+// ===================== device & capacity audit =====================
 
 #[test]
 fn mutation_segment_on_absent_device() {
     let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (_, _, segments) = stream_parts(&mut placed);
-    segments[0].target = DeviceId::Gpu(7);
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
-            && matches!(k, DiagnosticKind::DeviceNotPresent { device: DeviceId::Gpu(7) })),
-        "{ks:?}"
-    );
+    for device in [DeviceId::Gpu(7), DeviceId::Cpu(7)] {
+        let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
+        stream_parts(&mut placed).1[0].target = device;
+        let ks = kinds(&session, &lowered, &placed);
+        assert_eq!(ks, [(Pass::DeviceAudit, DiagnosticKind::DeviceNotPresent { device })]);
+        // Everything derived from the subsets is total on the absent
+        // device, and the engine refuses it typed, in every build profile.
+        let text = placed.render(&session.engine().server);
+        assert!(text.contains(&format!("segment {device}: ")), "{text}");
+        let err = session.engine().run_placed(&lowered.catalog, &placed).unwrap_err();
+        assert!(matches!(err, EngineError::DeviceNotPresent { .. }), "{device}: {err}");
+    }
 }
 
 #[test]
@@ -395,19 +281,18 @@ fn broadcast_over_capacity_is_predicted_statically() {
     assert!(session.execute_with(&q5, &ExecConfig::new(Placement::GpuOnly)).is_err());
 }
 
-/// Rebuild Q5's stream stage as a co-process stage with the given shape.
-fn coprocessed(mut placed: PlacedPlan, ht: &str, gpus: Vec<DeviceId>) -> PlacedPlan {
-    let PlacedStage::Stream { pipeline, router, segments } = placed.stages.pop().unwrap()
-    else {
-        panic!("Q5's last stage is the stream")
+/// Rebuild a CPU-placed plan's stream stage (its last) as a co-process
+/// stage over the same sockets and `gpus`.
+fn coprocessed(mut placed: PlacedPlan, gpus: Vec<usize>) -> PlacedPlan {
+    let Some(PlacedStage::Stream { pipeline, segments }) = placed.stages.pop() else {
+        panic!("the last stage is the stream")
     };
-    placed.stages.push(PlacedStage::CoProcess {
-        pipeline,
-        ht: ht.to_string(),
-        router,
-        segments,
-        gpus,
-    });
+    let socket = |target| match target {
+        DeviceId::Cpu(socket) => socket,
+        gpu => panic!("{gpu} is not a CPU socket"),
+    };
+    let cpus = segments.iter().map(|s| socket(s.target)).collect();
+    placed.stages.push(PlacedStage::CoProcess { pipeline, cpus, gpus });
     placed
 }
 
@@ -415,7 +300,7 @@ fn coprocessed(mut placed: PlacedPlan, ht: &str, gpus: Vec<DeviceId>) -> PlacedP
 fn mutation_coprocess_without_gpu_lanes() {
     let session = tpch_session();
     let (lowered, placed) = q5_placed(&session, Placement::CpuOnly);
-    let placed = coprocessed(placed, "Q5.supplier", Vec::new());
+    let placed = coprocessed(placed, Vec::new());
     let ks = kinds(&session, &lowered, &placed);
     assert!(
         ks.iter()
@@ -425,10 +310,23 @@ fn mutation_coprocess_without_gpu_lanes() {
 }
 
 #[test]
+fn mutation_coprocess_stage_without_a_probe() {
+    // Q6 probes nothing: there is no table to co-process, so no
+    // co-partitioning fanout exists, and the engine refuses the stage.
+    let session = tpch_session();
+    let (lowered, placed) = placed_clean(&session, &q6_query(), Placement::CpuOnly);
+    let placed = coprocessed(placed, vec![0]);
+    let infeasible = DiagnosticKind::CoProcessInfeasibleFanout { ht: String::new() };
+    assert_eq!(kinds(&session, &lowered, &placed), [(Pass::DeviceAudit, infeasible)]);
+    let err = session.engine().run_placed(&lowered.catalog, &placed).unwrap_err();
+    assert!(matches!(err, EngineError::InvalidCoProcessStage { .. }), "{err}");
+}
+
+#[test]
 fn mutation_coprocess_lane_on_absent_gpu() {
     let session = tpch_session();
     let (lowered, placed) = q5_placed(&session, Placement::CpuOnly);
-    let placed = coprocessed(placed, "Q5.supplier", vec![DeviceId::Gpu(9)]);
+    let placed = coprocessed(placed, vec![9]);
     let ks = kinds(&session, &lowered, &placed);
     assert!(
         ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
@@ -437,33 +335,7 @@ fn mutation_coprocess_lane_on_absent_gpu() {
     );
 }
 
-#[test]
-fn mutation_coprocess_table_is_not_the_final_probe() {
-    let session = tpch_session();
-    let (lowered, placed) = q5_placed(&session, Placement::CpuOnly);
-    let placed = coprocessed(placed, "Q5.orders", vec![DeviceId::Gpu(0)]);
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
-            && matches!(k, DiagnosticKind::CoProcessFinalProbeMismatch { ht } if ht == "Q5.orders")),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_coprocess_prefix_with_gpu_segment() {
-    let session = tpch_session();
-    let (lowered, placed) = q5_placed(&session, Placement::Hybrid);
-    let placed = coprocessed(placed, "Q5.supplier", vec![DeviceId::Gpu(0)]);
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
-            && matches!(k, DiagnosticKind::CoProcessGpuSegment { .. })),
-        "{ks:?}"
-    );
-}
-
-// ================= pass 4: determinism contracts =================
+// ====================== determinism contracts ======================
 
 fn behavioral_session() -> Session {
     let mut session = Session::new(Server::paper_testbed());
@@ -557,49 +429,20 @@ fn mutation_stateful_alignment_column_outside_source() {
     );
 }
 
-#[test]
-fn mutation_router_barrier_undercoverage() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (_, router, _) = stream_parts(&mut placed);
-    let Some(Exchange::Router { to_dop, .. }) = router else { panic!("stream routes") };
-    *to_dop -= 1; // one routed worker would escape the stage barrier
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::Determinism
-            && matches!(k, DiagnosticKind::BarrierCoverage { .. })),
-        "{ks:?}"
-    );
-}
-
-#[test]
-fn mutation_zero_packet_rows() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    placed.packet_rows = Some(0);
-    let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter()
-            .any(|(p, k)| *p == Pass::Determinism && *k == DiagnosticKind::InvalidPacketRows),
-        "{ks:?}"
-    );
-}
-
 // ===================== rendering contracts =====================
 
 #[test]
 fn diagnostics_carry_locations_and_pass_tags() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    let (_, _, segments) = stream_parts(&mut placed);
-    gpu_segment(segments).exchanges.clear();
+    gpu_segment(stream_parts(&mut placed).1).target = DeviceId::Gpu(7);
     let rendered = diags(&session, &lowered, &placed);
     assert!(!rendered.is_empty());
     // Each line locates the finding and names the pass, explain-style.
     assert!(
-        rendered.iter().any(|d| d.starts_with("stage 5 segment gpu")
-            && d.contains("[trait-coherence]")
-            && d.contains("missing exchange")),
+        rendered.iter().any(|d| d.starts_with("stage 5 segment gpu7")
+            && d.contains("[device-audit]")
+            && d.contains("not on the server")),
         "{rendered:?}"
     );
 }
@@ -608,11 +451,13 @@ fn diagnostics_carry_locations_and_pass_tags() {
 fn explain_footer_renders_diagnostics_on_a_broken_plan() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
-    placed.packet_rows = Some(0);
+    gpu_segment(stream_parts(&mut placed).1).target = DeviceId::Gpu(7);
     let footer = explain_footer(&placed, &lowered.catalog, &session.engine().server);
     assert!(footer.starts_with("verified: 6 stages, 1 diagnostic\n"), "{footer}");
     assert!(
-        footer.contains("  plan: [determinism] packet_rows = 0 cannot make progress"),
+        footer.contains(
+            "  stage 5 segment gpu7: [device-audit] device gpu7 is not on the server"
+        ),
         "{footer}"
     );
 }
@@ -623,8 +468,7 @@ fn verify_error_display_lists_every_finding() {
     let q5 = q5_query(JoinAlgo::NonPartitioned);
     let lowered = session.lower(&q5).unwrap();
     let mut placed = session.place_with(&q5, &ExecConfig::new(Placement::Hybrid)).unwrap();
-    let (_, _, segments) = stream_parts(&mut placed);
-    gpu_segment(segments).exchanges.clear();
+    gpu_segment(stream_parts(&mut placed).1).target = DeviceId::Gpu(7);
     let err =
         hape::core::verify::verify_placed(&placed, &lowered.catalog, &session.engine().server)
             .unwrap_err();
