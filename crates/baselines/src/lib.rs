@@ -127,11 +127,10 @@ pub(crate) fn run_stage(
     for packet in packets {
         let work = run_ops(packet, pipeline, tables, &mut scratch)?;
         price(pipeline, &work, tables)?;
-        if work.out.rows() > 0 {
-            match &mut agg {
-                Some(state) => state.update(&work.out),
-                None => outputs.push(work.out),
-            }
+        match &mut agg {
+            Some(state) if work.out.rows() > 0 => state.update(&work.out),
+            Some(_) => {}
+            None => outputs.push(work.out),
         }
     }
     if let Stage::Build { name, key_col, .. } = stage {

@@ -20,7 +20,7 @@
 //!   float aggregates must agree to within [`REL_TOL`] relative error,
 //!   because recovery legitimately re-routes packets (a priced retry
 //!   shifts the sim clock, a replan moves lanes) and f64 summation is
-//!   not associative — exact-integer workloads (`tests/chaos.rs`) stay
+//!   not associative — exact-integer workloads (`tests/differential.rs`) stay
 //!   bit-identical, TPC-H's float sums agree to accumulation round-off.
 //!   Each cell records the worst relative error observed (`max_rel_err`)
 //!   so the artifact quantifies the round-off instead of hiding it.

@@ -51,7 +51,7 @@
 //! which fault fired where — is therefore derived on the control plane,
 //! in packet order, from one ledger, and is bit-identical at any thread
 //! count, traced or not; wall timestamps ride along in spans and never
-//! feed back (`tests/runtime_determinism.rs`, `tests/chaos.rs` and
+//! feed back (the differential harness, `tests/differential.rs`, and
 //! `tests/trace.rs` pin this).
 
 use std::borrow::Cow;
@@ -267,8 +267,6 @@ pub struct QueryReport {
 pub struct Engine {
     /// The server topology.
     pub server: Server,
-    /// GPU memory-model fidelity.
-    pub fidelity: Fidelity,
 }
 
 /// Aggregated result rows, sorted by group key.
@@ -300,9 +298,9 @@ struct StageEnv<'a> {
 }
 
 impl Engine {
-    /// Engine over a server, analytic GPU fidelity.
+    /// Engine over a server; GPUs are priced by the analytic memory model.
     pub fn new(server: Server) -> Self {
-        Engine { server, fidelity: Fidelity::Analytic }
+        Engine { server }
     }
 
     /// The placement step, the only place-or-optimize dispatch: manual
@@ -471,7 +469,7 @@ impl StageEnv<'_> {
                             idx,
                             spec.clone(),
                             link,
-                            self.engine.fidelity,
+                            Fidelity::Analytic,
                             agg.map(|a| AggState::new(a.clone())),
                             broadcast,
                         )
@@ -568,7 +566,7 @@ impl StageEnv<'_> {
                 cpu_workers: dop,
                 variant: BuildProbeVariant::Sm,
                 mode: OutputMode::MatchIndices,
-                fidelity: self.engine.fidelity,
+                fidelity: Fidelity::Analytic,
                 threads,
             };
             let rep = coprocess_join_on(
@@ -879,11 +877,7 @@ impl StageEnv<'_> {
         // folding its packets in routed order.
         let mut outputs = Vec::new();
         if agg_spec.is_none() {
-            for (work, _, _) in works {
-                if work.out.rows() > 0 {
-                    outputs.push(work.out);
-                }
-            }
+            outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
         } else {
             let mut batches: Vec<Option<Batch>> =
                 works.into_iter().map(|(w, _, _)| Some(w.out)).collect();

@@ -33,9 +33,9 @@
 //! `std::thread` worker pool. [`engine::ExecConfig::threads`] (or the
 //! `HAPE_THREADS` environment variable) sizes the pool; it is a pure
 //! wall-clock knob — **simulated makespans and result rows are
-//! bit-identical at any thread count**, which the determinism sweep in
-//! `tests/runtime_determinism.rs` asserts across the TPC-H × placement
-//! matrix.
+//! bit-identical at any thread count**, which the differential harness
+//! (`tests/differential.rs`) asserts over generated queries and the TPC-H
+//! and behavioral suites, under every placement.
 //!
 //! Between lowering and placement sits the **cost-based optimizer**
 //! ([`mod@optimize`], backed by the analytic [`mod@cost`] model derived

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use hape_join::common::{ChainedTable, NIL};
 use hape_ops::expr::{ExprKind, KindMismatch};
-use hape_ops::{AggFunc, AggSpec, Expr, StatefulAgg};
+use hape_ops::{AggFunc, AggSpec, Expr, GroupKey, StatefulAgg};
 use hape_storage::{Batch, DataType};
 
 use crate::catalog::Catalog;
@@ -221,7 +221,7 @@ impl QueryPlan {
     }
 
     /// Check the stage structure of an already-assembled plan: the binding
-    /// walk ([`QueryPlan::bind`]) without a catalog — invariants 1–5 —
+    /// walk ([`QueryPlan::bind`]) without a catalog — invariants 1–5 and 13 —
     /// refusing with its first finding.
     pub fn validate(&self) -> Result<(), PlanError> {
         let views: Vec<StageView<'_>> = self.views().collect();
@@ -254,8 +254,9 @@ impl QueryPlan {
     /// | 10 | probe and build keys are `i32` / date typed | `ProbeKeyType`, `KeyType` | `Unbound` |
     /// | 11 | group keys are not `f64` typed | `KeyType` | `Unbound` |
     /// | 12 | a stateful aggregate's user / ts / event columns are in range and of a type their role accepts | `StatefulAlignmentInvalid`, `StatefulColumnType` | `StatefulColumn` |
+    /// | 13 | a group-by has at most as many columns as a `hape_ops::GroupKey` holds (4) | `TooManyGroupColumns` | `TooManyGroupColumns` |
     ///
-    /// 1–5 are structure, judged with or without a catalog. 6–12 need a
+    /// 1–5 and 13 are structure, judged with or without a catalog. 6–12 need a
     /// schema to flow: without a catalog there is none, and a pipeline whose
     /// source is unknown stops flowing at that finding. A bad reference is
     /// reported once and the walk continues with the operator's declared
@@ -310,6 +311,11 @@ pub(crate) fn bind<'a>(
             }
             None => {
                 streams += 1;
+                let max = GroupKey::default().len();
+                let got = pipeline.agg.as_ref().map_or(0, |spec| spec.group_by.len());
+                if got > max {
+                    cx.flag(at, DiagnosticKind::TooManyGroupColumns { got, max });
+                }
                 let (Some(out), Some(spec)) = (&out, &pipeline.agg) else { continue };
                 for &column in &spec.group_by {
                     cx.key(at, out, (column, "group-by"), is_group_key, |found| {
@@ -527,6 +533,9 @@ fn refuse(
         }
         DiagnosticKind::ProbeUnbuilt { ht } => PlanError::ProbeBeforeBuild { table: ht },
         DiagnosticKind::StatefulAfterReshape => PlanError::StatefulAfterReshape { name },
+        DiagnosticKind::TooManyGroupColumns { got, max } => {
+            PlanError::TooManyGroupColumns { got, max }
+        }
         DiagnosticKind::UnknownSource { table } => PlanError::UnknownTable { table },
         DiagnosticKind::StatefulColumnType { column, role, found } => {
             PlanError::StatefulColumn { table, role, column, found: Some(found) }

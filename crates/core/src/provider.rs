@@ -321,9 +321,6 @@ pub fn run_ops(
     let mut ops_trace = Vec::with_capacity(pipeline.ops.len());
     let mut cur = packet;
     for op in &pipeline.ops {
-        if cur.rows() == 0 {
-            break;
-        }
         let (rows_in, bytes_in) = (cur.rows(), cur.bytes());
         match op {
             PipeOp::Filter(pred) => {
@@ -398,6 +395,12 @@ pub fn run_ops(
                 });
                 cur = out;
             }
+        }
+        // An empty batch still takes every operator's shape — an empty
+        // build side keeps its pipeline's columns — but leaves nothing to
+        // price.
+        if rows_in == 0 {
+            ops_trace.pop();
         }
     }
     let folds = pipeline.agg.is_some();

@@ -979,9 +979,6 @@ impl<'a> Lowering<'a> {
 
         // ---- Terminal aggregation.
         if q.aggregates() {
-            if q.group_by.len() > 4 {
-                return Err(PlanError::TooManyGroupColumns { got: q.group_by.len(), max: 4 });
-            }
             let mut group_idx = Vec::with_capacity(q.group_by.len());
             for g in &q.group_by {
                 let context = format!("group-by of {}", q.name);
@@ -1013,12 +1010,9 @@ impl<'a> Lowering<'a> {
                 let scope = Scope { cols: &cols, catalog: self.base };
                 aggs.push((*func, e.resolve(&scope).map_err(|e| map_resolve(e, &context))?));
             }
-            let spec = if group_idx.is_empty() {
-                AggSpec::ungrouped(aggs)
-            } else {
-                AggSpec::grouped(group_idx, aggs)
-            };
-            pipeline = pipeline.aggregate(spec);
+            // The group-by's arity is the binding walk's to judge (its
+            // invariant 13), when `QueryPlan::try_new` closes the lowering.
+            pipeline = pipeline.aggregate(AggSpec { group_by: group_idx, aggs });
         }
 
         Ok((pipeline, cols))

@@ -8,7 +8,11 @@
 //! batch scheduler [`SessionServer::run_all`]. Three cooperating pieces:
 //!
 //! 1. **Device-aware admission control.** Every submission is lowered and
-//!    placed immediately, and its worst-case GPU working-set footprint is
+//!    placed immediately — lowering already refused a plan that breaks
+//!    the binding walk's structure, and [`Engine::begin`](crate::Engine::begin)
+//!    binds it against the catalog at admission, isolating a refusal into
+//!    that query's outcome; admission verifies nothing itself. Its
+//!    worst-case GPU working-set footprint is
 //!    read from the optimizer's [`StageCost`](crate::cost::StageCost)
 //!    estimates (attached by [`Placement::Auto`](crate::Placement) plans,
 //!    re-derived from the [`CostModel`] for manual placements). The
@@ -26,7 +30,8 @@
 //!    and whose workers are instantiated per stage. Interleaving therefore
 //!    cannot perturb results: every query's rows *and* simulated makespan
 //!    are bit-identical to a solo [`Session::execute`] run, at any thread
-//!    count and any admission order (asserted in `tests/serve.rs`).
+//!    count and any admission order (asserted by the differential harness,
+//!    `tests/differential.rs`).
 //!
 //! 3. **A cross-query build-side cache.** Query lowering already memoises
 //!    structurally identical build sides *within* a query; the
@@ -617,19 +622,6 @@ impl SessionServer {
     fn prepare(&self, query: &Query, config: &ExecConfig) -> Result<PreparedPlan, HapeError> {
         let lowered = self.session.lower(query)?;
         let placed = self.session.place_lowered(&lowered, config)?;
-        // Admission-time static verification: refuse structurally broken
-        // plans up front (isolated into this query's outcome, never
-        // aborting the batch). Capacity-class diagnostics stay with the
-        // admission gate below, which queues rather than refuses.
-        if let Err(e) = crate::verify::verify_placed(
-            &placed,
-            &lowered.catalog,
-            &self.session.engine().server,
-        ) {
-            if let Some(structural) = e.structural() {
-                return Err(structural.into());
-            }
-        }
         let gpu_footprint = gpu_footprint(&self.session, &lowered, &placed);
         Ok(PreparedPlan {
             lowered,

@@ -32,6 +32,7 @@
 //! | probes reference earlier builds | [`Pass::SchemaDataflow`] | [`DiagnosticKind::ProbeUnbuilt`] | §3 (stage order) |
 //! | builds never aggregate; the one stream does | [`Pass::SchemaDataflow`] | [`DiagnosticKind::BuildAggregates`] / [`DiagnosticKind::StreamMissingAgg`] / [`DiagnosticKind::NotExactlyOneStream`] | §3 |
 //! | only filters precede a stateful aggregate | [`Pass::SchemaDataflow`] | [`DiagnosticKind::StatefulAfterReshape`] | PR 7 order contract |
+//! | a group-by has at most 4 columns | [`Pass::SchemaDataflow`] | [`DiagnosticKind::TooManyGroupColumns`] | §3 |
 //! | stateful user/ts/event columns are correctly typed | [`Pass::SchemaDataflow`] | [`DiagnosticKind::StatefulColumnType`] | PR 7 |
 //! | every segment's and lane's device exists on the server | [`Pass::DeviceAudit`] | [`DiagnosticKind::DeviceNotPresent`] | §2.1 |
 //! | broadcast footprints fit the receiving GPU | [`Pass::DeviceAudit`] | [`DiagnosticKind::BroadcastOverCapacity`] | §6.4 |
@@ -39,19 +40,11 @@
 //! | a co-partitioning fanout exists within CPU bounds (none without a probe) | [`Pass::DeviceAudit`] | [`DiagnosticKind::CoProcessInfeasibleFanout`] | §5 |
 //! | stateful user/ts/event columns are valid in source coordinates | [`Pass::Determinism`] | [`DiagnosticKind::StatefulAlignmentInvalid`] | PR 7 (user-aligned packets) |
 //!
-//!
-//! ## Structural vs. state-dependent diagnostics
-//!
 //! The binding walk is **enforced in every build profile**: no executor
 //! ([`crate::engine::Engine::begin`], the baselines) moves a packet of a
-//! plan it refuses; the first finding surfaces as a typed error.
-//! **Structural** diagnostics ([`DiagnosticKind::is_structural`]) say the
-//! IR itself is malformed; serving admission refuses on them. The rest
-//! depend on catalog/server *state* (an absent device, an over-capacity
-//! broadcast, a table or column that is not there) and stay with the
-//! interpreter's typed refusals. Explicit verification ([`verify_placed`],
-//! [`crate::session::Session::verify`], `figures --verify`) always reports
-//! the full set.
+//! plan it refuses; the first finding surfaces as a typed error. Explicit
+//! verification ([`verify_placed`], [`crate::session::Session::verify`],
+//! `figures --verify`) reports every finding, the device audit's included.
 //!
 //! Verification is a **pure reader** of the IR: it never mutates the
 //! plan, the catalog or the server, so running it cannot perturb the
@@ -175,6 +168,13 @@ pub enum DiagnosticKind {
     },
     /// A stateful aggregate appears after a row-reshaping operator.
     StatefulAfterReshape,
+    /// A group-by names more columns than a group key holds.
+    TooManyGroupColumns {
+        /// The group-by's arity.
+        got: usize,
+        /// The most a group key holds.
+        max: usize,
+    },
     /// A stateful aggregate's user/ts/event column has the wrong type.
     StatefulColumnType {
         /// The column index.
@@ -224,28 +224,6 @@ pub enum DiagnosticKind {
     },
 }
 
-impl DiagnosticKind {
-    /// True for invariants that say the IR itself is malformed — what
-    /// serving admission refuses on. False for conditions that depend on
-    /// catalog/server state rather than on the IR's shape (absent devices,
-    /// unbuilt probes, capacity, co-process lane shape, a stateful
-    /// aggregate's columns against its source table), which the engine
-    /// refuses with typed errors of their own.
-    pub fn is_structural(&self) -> bool {
-        !matches!(
-            self,
-            DiagnosticKind::UnknownSource { .. }
-                | DiagnosticKind::ProbeUnbuilt { .. }
-                | DiagnosticKind::DeviceNotPresent { .. }
-                | DiagnosticKind::BroadcastOverCapacity { .. }
-                | DiagnosticKind::CoProcessNoGpuLane
-                | DiagnosticKind::CoProcessInfeasibleFanout { .. }
-                | DiagnosticKind::StatefulColumnType { .. }
-                | DiagnosticKind::StatefulAlignmentInvalid { .. }
-        )
-    }
-}
-
 impl std::fmt::Display for DiagnosticKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -286,6 +264,9 @@ impl std::fmt::Display for DiagnosticKind {
             }
             DiagnosticKind::StatefulAfterReshape => {
                 write!(f, "stateful aggregate preceded by a row-reshaping operator")
+            }
+            DiagnosticKind::TooManyGroupColumns { got, max } => {
+                write!(f, "group-by has {got} columns, a group key holds {max}")
             }
             DiagnosticKind::StatefulColumnType { column, role, found } => {
                 write!(f, "stateful {role} column {column} has type {found:?}")
@@ -359,20 +340,6 @@ pub struct VerifyError {
     pub plan: String,
     /// The findings.
     pub diagnostics: Vec<Diagnostic>,
-}
-
-impl VerifyError {
-    /// Keep only the structural diagnostics
-    /// ([`DiagnosticKind::is_structural`]); `None` when none are.
-    pub fn structural(&self) -> Option<VerifyError> {
-        let diagnostics: Vec<Diagnostic> =
-            self.diagnostics.iter().filter(|d| d.kind.is_structural()).cloned().collect();
-        if diagnostics.is_empty() {
-            None
-        } else {
-            Some(VerifyError { plan: self.plan.clone(), diagnostics })
-        }
-    }
 }
 
 impl std::fmt::Display for VerifyError {
@@ -602,35 +569,6 @@ mod tests {
         let text = e.to_string();
         assert!(text.starts_with("verify Q5: 1 diagnostic\n"), "{text}");
         assert!(text.contains("[device-audit]"), "{text}");
-    }
-
-    #[test]
-    fn structural_filter_keeps_runtime_checked_kinds_out() {
-        let mk = |kind| Diagnostic {
-            stage: Some(0),
-            segment: None,
-            op: None,
-            pass: Pass::DeviceAudit,
-            kind,
-        };
-        let e = VerifyError {
-            plan: "p".into(),
-            diagnostics: vec![
-                mk(DiagnosticKind::DeviceNotPresent { device: DeviceId::Gpu(7) }),
-                mk(DiagnosticKind::BroadcastOverCapacity {
-                    device: DeviceId::Gpu(0),
-                    required: 10,
-                    capacity: 1,
-                }),
-                mk(DiagnosticKind::ProbeUnbuilt { ht: "x".into() }),
-            ],
-        };
-        assert!(e.structural().is_none(), "runtime-checked kinds are not structural");
-        let e2 = VerifyError {
-            plan: "p".into(),
-            diagnostics: vec![mk(DiagnosticKind::StatefulAfterReshape)],
-        };
-        assert_eq!(e2.structural().expect("structural").diagnostics.len(), 1);
     }
 
     #[test]

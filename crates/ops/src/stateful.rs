@@ -24,11 +24,11 @@
 //! per-run copy, no per-run allocation. Two kernels have a general
 //! fallback: the funnel when `step_table` has no table for its steps,
 //! retention when `period` ≤ 0 or the span of its windows overflows `i64`.
-//! Timestamp arithmetic saturates. Sortedness within a run is asserted in
-//! debug builds but never exploited: release builds do not check it, so no
-//! kernel stops early on a timestamp, and the kernels equal the test
-//! oracle (the previous row-at-a-time implementation) on unsorted input
-//! too.
+//! Timestamp arithmetic saturates. Sortedness within a run is the caller's
+//! contract, never checked and never exploited: no kernel stops early on a
+//! timestamp, so the kernels equal the test oracle (the previous
+//! row-at-a-time implementation) on unsorted input too, in every build
+//! profile.
 
 use hape_sim::{CpuCostModel, GpuSim, Region, SimTime};
 use hape_storage::table::DataType;
@@ -490,22 +490,10 @@ fn sequence_match<E: Int>(ev: &[E], pattern: &[i32]) -> i64 {
 ///
 /// Precondition: the user / ts / event columns exist and are
 /// integer-valued — the engine checks that once per stage and refuses the
-/// plan otherwise; a float or missing column panics here.
+/// plan otherwise; a float or missing column panics here. Typed views, run
+/// bounds, kernel: the answer equals the test oracle's on *any* input,
+/// unsorted timestamps included.
 pub fn run_stateful(agg: &StatefulAgg, batch: &Batch) -> (Batch, usize) {
-    debug_assert!(runs_ts_sorted(agg, batch), "run not ts-sorted");
-    run_kernels(agg, batch)
-}
-
-fn runs_ts_sorted(agg: &StatefulAgg, batch: &Batch) -> bool {
-    let ends = with_ints!(Ints::of(batch.col(agg.user_col())), user => run_ends(user));
-    with_ints!(Ints::of(batch.col(agg.ts_col())), ts => {
-        runs(&ends).all(|r| ts[r].windows(2).all(|w| w[0].get() <= w[1].get()))
-    })
-}
-
-/// [`run_stateful`] proper — typed views, run bounds, kernel — which
-/// equals the test oracle on *any* input, unsorted timestamps included.
-fn run_kernels(agg: &StatefulAgg, batch: &Batch) -> (Batch, usize) {
     let view = |c: usize| Ints::of(batch.col(c));
     let (ends, uids) = with_ints!(view(agg.user_col()), user => {
         let ends = run_ends(user);
@@ -772,7 +760,7 @@ mod tests {
     /// Kernel output and oracle output agree on the user count and on every
     /// value of every column.
     fn assert_equals_oracle(agg: &StatefulAgg, batch: &Batch, case: &str) {
-        let (got, got_users) = run_kernels(agg, batch);
+        let (got, got_users) = run_stateful(agg, batch);
         let (want, want_users) = oracle::run_stateful(agg, batch);
         assert_eq!(got_users, want_users, "{case}: users, {agg:?}");
         assert_eq!(got.columns.len(), want.columns.len(), "{case}: width, {agg:?}");
@@ -911,7 +899,7 @@ mod tests {
                 if sorted {
                     // The public entry point adds only the contract check.
                     let (out, users) = run_stateful(agg, &batch);
-                    let (want, want_users) = run_kernels(agg, &batch);
+                    let (want, want_users) = run_stateful(agg, &batch);
                     assert_eq!(users, want_users);
                     assert_eq!(out.col(1).as_i64(), want.col(1).as_i64());
                 }

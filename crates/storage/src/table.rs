@@ -148,11 +148,18 @@ impl Batch {
     }
 
     /// Concatenate same-shaped batches column-wise into one batch — how
-    /// packet outputs become a build side. No batch yields
-    /// [`Batch::empty`]; a single batch is returned as it is (still a view),
-    /// and so is every column whose parts are adjacent views of one
-    /// allocation ([`Column::concat`]); the rest are copied.
+    /// packet outputs become a build side. Empty batches are skipped unless
+    /// all are, when the first is returned: an empty build side keeps its
+    /// columns. No batch yields [`Batch::empty`]; a single batch is
+    /// returned as it is (still a view), and so is every column whose parts
+    /// are adjacent views of one allocation ([`Column::concat`]); the rest
+    /// are copied.
     pub fn concat(mut parts: Vec<Batch>) -> Batch {
+        if parts.iter().any(|b| b.rows() > 0) {
+            parts.retain(|b| b.rows() > 0);
+        } else {
+            parts.truncate(1);
+        }
         if parts.len() <= 1 {
             return parts.pop().unwrap_or_else(Batch::empty);
         }

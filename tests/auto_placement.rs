@@ -5,9 +5,9 @@
 //!    `Placement::Auto` never selects a placement whose *estimated* GPU
 //!    hash-table footprint exceeds device capacity, and the placement it
 //!    does select executes to the `CpuOnly` reference rows.
-//! 2. **TPC-H sweep**: `Auto` picks a valid placement for every query —
-//!    row-identical to `CpuOnly`, including Q9, which completes where the
-//!    manual GPU placements hit the §6.4 out-of-memory failure.
+//! 2. **TPC-H**: `Auto` answers every query, Q9 included where the manual
+//!    GPU placements hit the §6.4 out-of-memory failure — swept over the
+//!    corpus by the differential harness (`tests/differential.rs`).
 //! 3. **Makespan**: on Q1/Q5/Q6 the optimizer's simulated makespan is no
 //!    worse than the best of the three manual placements.
 //! 4. **Explain snapshot**: Q5 under `Auto` renders the chosen subsets
@@ -29,16 +29,6 @@ const SF: f64 = 0.01;
 
 fn tpch_session() -> Session {
     queries::tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF))
-}
-
-fn tpch_queries() -> Vec<Query> {
-    vec![
-        q1_query(),
-        q5_query(JoinAlgo::NonPartitioned),
-        q5_query(JoinAlgo::Partitioned),
-        q6_query(),
-        q9_query(JoinAlgo::NonPartitioned),
-    ]
 }
 
 /// The Q9 regression guard as a property: whatever the ratio between
@@ -80,27 +70,6 @@ fn auto_never_overcommits_gpu_memory() {
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(auto.rows, cpu.rows, "{ctx}: rows diverge from CpuOnly");
         }
-    }
-}
-
-#[test]
-fn auto_is_row_identical_to_cpu_reference_across_tpch() {
-    let session = tpch_session();
-    for query in &tpch_queries() {
-        let reference =
-            session.execute_with(query, &ExecConfig::new(Placement::CpuOnly)).unwrap().rows;
-        let auto = session
-            .execute_with(query, &ExecConfig::new(Placement::Auto))
-            .unwrap_or_else(|e| panic!("{} under Auto: {e}", query.name));
-        assert_eq!(auto.rows.len(), reference.len(), "{}: row count", query.name);
-        for (got, want) in auto.rows.iter().zip(&reference) {
-            assert_eq!(got.0, want.0, "{}: group keys", query.name);
-        }
-        assert!(
-            rows_approx_eq(&auto.rows, &reference),
-            "{}: Auto values diverge from CpuOnly",
-            query.name
-        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end behavioral-analytics suite: reference oracles on a tiny
-//! hand-computed event log, result identity across placements and thread
-//! counts, and the cost-model routing guarantee — `Placement::Auto` keeps
+//! hand-computed event log, golden rows (result identity across
+//! placements and thread counts is the differential harness's,
+//! `tests/differential.rs`), and the cost-model routing guarantee — `Placement::Auto` keeps
 //! stateful pipelines off the GPU **because the priced sequential-state
 //! penalty exceeds the CPU cost**, not because of a hard-coded pin:
 //! scaling the GPU's memory system up flips the decision.
@@ -10,8 +11,6 @@ use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
 use hape::storage::{Batch, Column, DataType, Schema, Table};
 use hape::tpch::events::{behavioral_queries, generate_events};
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A 3-user log whose behavioral answers are computed by hand below.
 fn tiny_events() -> Table {
@@ -130,46 +129,6 @@ fn unknown_event_name_matches_no_rows() {
         .agg(vec![(AggFunc::Sum, col("matched"))]);
     let rep = run(&session, &q, Placement::CpuOnly, 1);
     assert_eq!(rep.rows[0].1, vec![0.0]);
-}
-
-#[test]
-fn behavioral_rows_identical_across_placements_and_threads() {
-    // Row identity is the strong invariant: every placement and every
-    // thread count computes bit-identical result rows; per-placement
-    // reports are additionally bit-identical across thread counts.
-    let session = events_session(3_000);
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    for q in behavioral_queries() {
-        let mut row_reference: Option<Vec<(hape::ops::GroupKey, Vec<f64>)>> = None;
-        for placement in placements {
-            let mut report_reference: Option<QueryReport> = None;
-            for threads in THREADS {
-                let cfg = ExecConfig::new(placement).with_threads(threads);
-                session.verify_with(&q, &cfg).unwrap_or_else(|e| {
-                    panic!("{}/{placement:?} threads={threads}: {e}", q.name)
-                });
-                let rep = run(&session, &q, placement, threads);
-                match &row_reference {
-                    None => row_reference = Some(rep.rows.clone()),
-                    Some(want) => assert_eq!(
-                        &rep.rows, want,
-                        "{}/{placement:?} threads={threads}: rows diverged",
-                        q.name
-                    ),
-                }
-                match &report_reference {
-                    None => report_reference = Some(rep),
-                    Some(want) => {
-                        let ctx = format!("{}/{placement:?} threads={threads}", q.name);
-                        assert_eq!(rep.time, want.time, "{ctx}: makespan");
-                        assert_eq!(rep.packets_cpu, want.packets_cpu, "{ctx}: cpu packets");
-                        assert_eq!(rep.packets_gpu, want.packets_gpu, "{ctx}: gpu packets");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,15 +1,13 @@
 //! Chaos suite: the fault-injection plane and degradation-aware recovery.
 //!
-//! The invariant under test: **faults may change how long a query takes,
-//! never what it returns.** For every (query × placement × fault plan)
-//! cell, the degraded execution either returns rows *bit-identical* to
-//! the fault-free run, or fails with the *identical* typed error the
-//! fault-free run produces (placements that are invalid regardless of
-//! faults stay invalid in the same way). The inputs are exact-integer
-//! tables, so "bit-identical" is meaningful even though re-placement and
-//! priced retries legitimately re-route packets.
+//! The invariant — **faults may change how long a query takes, never what
+//! it returns** — is swept over generated queries and the benchmark corpus
+//! by the differential harness (`tests/differential.rs`): canonical fault
+//! plans, every placement, repeated runs and CPU-only runs the GPU faults
+//! cannot touch. The inputs here are exact-integer tables, so rows compare
+//! bit for bit even though recovery legitimately re-routes packets.
 //!
-//! Alongside the matrix, targeted scenarios pin each recovery layer:
+//! Targeted scenarios pin each recovery layer:
 //! priced transfer retries, permanent-loss re-placement (down to a full
 //! GPU-fleet loss degrading GpuOnly onto the surviving CPUs), broadcast
 //! OOM quarantine, the bounded replan budget's typed exhaustion error,
@@ -29,7 +27,7 @@ use hape::storage::datagen::gen_key_fk_table;
 /// Exact-integer join + aggregation inputs: every aggregated value is an
 /// integer-valued f64, so sums are exact under any packet routing and
 /// bit-identity across degraded re-executions is well-defined.
-fn setup() -> (Catalog, Vec<QueryPlan>) {
+fn setup() -> (Catalog, QueryPlan) {
     let mut catalog = Catalog::new();
     catalog.register_as("fact", gen_key_fk_table(1 << 16, 1 << 18, 1));
     catalog.register_as("dim", gen_key_fk_table(1 << 13, 1 << 13, 2));
@@ -52,110 +50,33 @@ fn setup() -> (Catalog, Vec<QueryPlan>) {
         ],
     )
     .expect("join_agg plan is valid");
-    let scan_agg = QueryPlan::try_new(
-        "scan_agg",
-        vec![hape::core::Stage::Stream {
-            pipeline: hape::core::Pipeline::scan("fact").aggregate(AggSpec::ungrouped(vec![
-                (AggFunc::Count, Expr::col(0)),
-                (AggFunc::Sum, Expr::col(1)),
-                (AggFunc::Min, Expr::col(1)),
-                (AggFunc::Max, Expr::col(1)),
-            ])),
-        }],
-    )
-    .expect("scan_agg plan is valid");
-    (catalog, vec![join_agg, scan_agg])
+    (catalog, join_agg)
 }
 
-const PLACEMENTS: [Placement; 4] =
-    [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
+/// `(gpu, kind, trigger)` faults under the default retry policy.
+fn faults(specs: &[(usize, FaultKind, Trigger)]) -> FaultPlan {
+    let specs = specs.iter().map(|&(gpu, kind, trigger)| FaultSpec { gpu, kind, trigger });
+    FaultPlan::new(specs.collect(), RetryPolicy::default())
+}
 
-fn run(
-    engine: &Engine,
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    placement: Placement,
-    faults: FaultPlan,
-) -> Result<QueryReport, String> {
+/// The join plan under `placement` and `faults`.
+fn run(placement: Placement, faults: FaultPlan) -> Result<QueryReport, String> {
+    let (catalog, plan) = setup();
     let cfg = ExecConfig::new(placement).with_faults(faults);
-    engine.run(catalog, plan, &cfg).map_err(|e| e.to_string())
+    Engine::new(Server::paper_testbed()).run(&catalog, &plan, &cfg).map_err(|e| e.to_string())
 }
 
-#[test]
-fn canonical_fault_plans_preserve_results_across_the_matrix() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    for plan in &plans {
-        for placement in PLACEMENTS {
-            let clean = run(&engine, &catalog, plan, placement, FaultPlan::off());
-            for seed in [1u64, 7, 42] {
-                let faulted =
-                    run(&engine, &catalog, plan, placement, FaultPlan::canonical(seed));
-                let ctx = format!("{}/{placement:?}/seed={seed}", plan.name);
-                match (&clean, &faulted) {
-                    (Ok(c), Ok(f)) => {
-                        assert_eq!(c.rows, f.rows, "{ctx}: degraded rows diverged");
-                    }
-                    (Err(c), Err(f)) => {
-                        assert_eq!(c, f, "{ctx}: error diverged under faults");
-                    }
-                    (c, f) => panic!("{ctx}: success/failure flipped: {c:?} vs {f:?}"),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn faulted_runs_are_deterministic_across_repeats() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let faults = FaultPlan::canonical(7);
-    for placement in [Placement::GpuOnly, Placement::Hybrid, Placement::Auto] {
-        let a = run(&engine, &catalog, &plans[0], placement, faults.clone())
-            .expect("canonical plan recovers");
-        let b = run(&engine, &catalog, &plans[0], placement, faults.clone())
-            .expect("canonical plan recovers");
-        assert_eq!(a.rows, b.rows, "{placement:?}: rows");
-        assert_eq!(a.time, b.time, "{placement:?}: makespan");
-        assert_eq!(a.retries, b.retries, "{placement:?}: retries");
-        assert_eq!(a.replans, b.replans, "{placement:?}: replans");
-    }
-}
-
-#[test]
-fn cpu_only_runs_are_untouched_by_gpu_fault_plans() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::CpuOnly, FaultPlan::off())
-        .expect("clean CpuOnly run");
-    let faulted =
-        run(&engine, &catalog, &plans[0], Placement::CpuOnly, FaultPlan::canonical(1))
-            .expect("faulted CpuOnly run");
-    // No GPU workers exist, so no trigger can fire: even the makespan is
-    // bit-identical, and nothing is counted as recovered.
-    assert_eq!(clean.rows, faulted.rows);
-    assert_eq!(clean.time, faulted.time);
-    assert_eq!(faulted.retries, 0);
-    assert_eq!(faulted.replans, 0);
-}
+/// Both GPUs fail at their first packet.
+const FLEET_LOSS: [(usize, FaultKind, Trigger); 2] = [
+    (0, FaultKind::GpuFailed, Trigger::AtGpuPacket(1)),
+    (1, FaultKind::GpuFailed, Trigger::AtGpuPacket(1)),
+];
 
 #[test]
 fn transfer_faults_are_priced_retries_not_result_changes() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::GpuOnly, FaultPlan::off())
-        .expect("clean run");
-    let faults = FaultPlan::new(
-        vec![FaultSpec {
-            gpu: 0,
-            kind: FaultKind::TransferError { failures: 2 },
-            trigger: Trigger::AtGpuPacket(1),
-        }],
-        RetryPolicy::default(),
-    );
-    let faulted =
-        run(&engine, &catalog, &plans[0], Placement::GpuOnly, faults).expect("retries recover");
+    let clean = run(Placement::GpuOnly, FaultPlan::off()).expect("clean run");
+    let transfer = (0, FaultKind::TransferError { failures: 2 }, Trigger::AtGpuPacket(1));
+    let faulted = run(Placement::GpuOnly, faults(&[transfer])).expect("retries recover");
     assert_eq!(clean.rows, faulted.rows, "rows diverged");
     assert_eq!(faulted.retries, 2, "both transfer failures priced as retries");
     assert_eq!(faulted.replans, 0);
@@ -169,38 +90,17 @@ fn transfer_faults_are_priced_retries_not_result_changes() {
 
 #[test]
 fn permanent_gpu_loss_replans_on_the_survivors() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::Hybrid, FaultPlan::off())
-        .expect("clean run");
-    let faults = FaultPlan::new(
-        vec![FaultSpec {
-            gpu: 1,
-            kind: FaultKind::GpuFailed,
-            trigger: Trigger::AtGpuPacket(2),
-        }],
-        RetryPolicy::default(),
-    );
-    let faulted = run(&engine, &catalog, &plans[0], Placement::Hybrid, faults)
-        .expect("loss of one GPU recovers");
+    let clean = run(Placement::Hybrid, FaultPlan::off()).expect("clean run");
+    let loss = faults(&[(1, FaultKind::GpuFailed, Trigger::AtGpuPacket(2))]);
+    let faulted = run(Placement::Hybrid, loss).expect("loss of one GPU recovers");
     assert_eq!(clean.rows, faulted.rows, "rows diverged after re-placement");
     assert_eq!(faulted.replans, 1, "one mid-query re-placement");
 }
 
 #[test]
 fn gpu_only_degrades_onto_surviving_cpus_when_the_whole_gpu_fleet_dies() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::GpuOnly, FaultPlan::off())
-        .expect("clean run");
-    let faults = FaultPlan::new(
-        vec![
-            FaultSpec { gpu: 0, kind: FaultKind::GpuFailed, trigger: Trigger::AtGpuPacket(1) },
-            FaultSpec { gpu: 1, kind: FaultKind::GpuFailed, trigger: Trigger::AtGpuPacket(1) },
-        ],
-        RetryPolicy::default(),
-    );
-    let faulted = run(&engine, &catalog, &plans[0], Placement::GpuOnly, faults)
+    let clean = run(Placement::GpuOnly, FaultPlan::off()).expect("clean run");
+    let faulted = run(Placement::GpuOnly, faults(&FLEET_LOSS))
         .expect("full GPU loss falls back to the surviving CPUs");
     assert_eq!(clean.rows, faulted.rows, "rows diverged after CPU fallback");
     assert!(faulted.replans >= 1 && faulted.replans <= 2, "replans: {}", faulted.replans);
@@ -208,36 +108,19 @@ fn gpu_only_degrades_onto_surviving_cpus_when_the_whole_gpu_fleet_dies() {
 
 #[test]
 fn broadcast_oom_quarantines_the_device_and_replans() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::GpuOnly, FaultPlan::off())
-        .expect("clean run");
-    let faults = FaultPlan::new(
-        vec![FaultSpec { gpu: 0, kind: FaultKind::BroadcastOom, trigger: Trigger::AtStage(1) }],
-        RetryPolicy::default(),
-    );
-    let faulted = run(&engine, &catalog, &plans[0], Placement::GpuOnly, faults)
-        .expect("OOM quarantine recovers on the other GPU");
+    let clean = run(Placement::GpuOnly, FaultPlan::off()).expect("clean run");
+    let oom = faults(&[(0, FaultKind::BroadcastOom, Trigger::AtStage(1))]);
+    let faulted =
+        run(Placement::GpuOnly, oom).expect("OOM quarantine recovers on the other GPU");
     assert_eq!(clean.rows, faulted.rows, "rows diverged after OOM recovery");
     assert_eq!(faulted.replans, 1);
 }
 
 #[test]
 fn device_slow_changes_timing_but_never_rows() {
-    let (catalog, plans) = setup();
-    let engine = Engine::new(Server::paper_testbed());
-    let clean = run(&engine, &catalog, &plans[0], Placement::GpuOnly, FaultPlan::off())
-        .expect("clean run");
-    let faults = FaultPlan::new(
-        vec![FaultSpec {
-            gpu: 0,
-            kind: FaultKind::DeviceSlow { factor: 4.0 },
-            trigger: Trigger::AtStage(0),
-        }],
-        RetryPolicy::default(),
-    );
-    let faulted =
-        run(&engine, &catalog, &plans[0], Placement::GpuOnly, faults).expect("slow run");
+    let clean = run(Placement::GpuOnly, FaultPlan::off()).expect("clean run");
+    let slow = faults(&[(0, FaultKind::DeviceSlow { factor: 4.0 }, Trigger::AtStage(0))]);
+    let faulted = run(Placement::GpuOnly, slow).expect("slow run");
     assert_eq!(clean.rows, faulted.rows, "a slow link must not change results");
     assert!(
         faulted.time >= clean.time,
@@ -250,17 +133,12 @@ fn device_slow_changes_timing_but_never_rows() {
 
 #[test]
 fn exhausted_replan_budget_is_a_typed_recovery_failure() {
-    let (catalog, plans) = setup();
+    let (catalog, plan) = setup();
     let engine = Engine::new(Server::paper_testbed());
-    let faults = FaultPlan::new(
-        vec![
-            FaultSpec { gpu: 0, kind: FaultKind::GpuFailed, trigger: Trigger::AtGpuPacket(1) },
-            FaultSpec { gpu: 1, kind: FaultKind::GpuFailed, trigger: Trigger::AtGpuPacket(1) },
-        ],
-        RetryPolicy { max_replans: 1, ..RetryPolicy::default() },
-    );
+    let retry = RetryPolicy { max_replans: 1, ..RetryPolicy::default() };
+    let faults = FaultPlan::new(faults(&FLEET_LOSS).faults().to_vec(), retry);
     let cfg = ExecConfig::new(Placement::GpuOnly).with_faults(faults);
-    let err = engine.run(&catalog, &plans[0], &cfg).expect_err("budget of 1 cannot absorb 2");
+    let err = engine.run(&catalog, &plan, &cfg).expect_err("budget of 1 cannot absorb 2");
     assert!(
         matches!(err, EngineError::RecoveryFailed { .. }),
         "expected RecoveryFailed, got: {err}"
@@ -291,15 +169,8 @@ fn serving_layer_reports_degraded_outcomes_with_identical_rows() {
     let cfg = ExecConfig::new(Placement::GpuOnly);
     let clean = session.execute_with(&query, &cfg).expect("clean solo run");
 
-    let faults = FaultPlan::new(
-        vec![FaultSpec {
-            gpu: 1,
-            kind: FaultKind::GpuFailed,
-            trigger: Trigger::AtGpuPacket(2),
-        }],
-        RetryPolicy::default(),
-    );
-    let mut server = SessionServer::new(session).with_faults(faults);
+    let loss = faults(&[(1, FaultKind::GpuFailed, Trigger::AtGpuPacket(2))]);
+    let mut server = SessionServer::new(session).with_faults(loss);
     let handle = server.submit_with(&query, &cfg);
     let batch = server.run_all();
     let outcome = batch.outcome(handle);

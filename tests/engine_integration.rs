@@ -1,16 +1,14 @@
-//! Cross-crate integration tests: the engine, the TPC-H workload, the
-//! baselines and the co-processing path agree on results, and the paper's
-//! qualitative claims hold end-to-end — all through the logical
-//! `Query` front-end lowered against the base catalog.
+//! Cross-crate integration tests: the paper's qualitative claims hold
+//! end-to-end through the logical `Query` front-end lowered against the
+//! base catalog (that the engine, the baselines and the references agree
+//! on every query is the differential harness's, `tests/differential.rs`).
 
-use hape::baselines::{DbmsC, DbmsG};
+use hape::baselines::DbmsG;
 use hape::core::engine::EngineError;
 use hape::core::{Engine, ExecConfig, JoinAlgo, LoweredQuery, Placement};
 use hape::sim::topology::Server;
 use hape::tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
-use hape::tpch::reference::{
-    q1_reference, q5_reference, q6_reference, q9_reference, rows_approx_eq,
-};
+use hape::tpch::reference::{q6_reference, q9_reference, rows_approx_eq};
 
 const SF: f64 = 0.01;
 
@@ -23,42 +21,6 @@ fn setup() -> (hape::tpch::TpchData, hape::core::Catalog, Engine) {
 
 fn lower(q: &hape::core::Query, catalog: &hape::core::Catalog) -> LoweredQuery {
     q.lower(catalog).expect("TPC-H query lowers")
-}
-
-#[test]
-fn all_systems_agree_on_q1_and_q6() {
-    let (data, catalog, engine) = setup();
-    for (q, reference) in [
-        (lower(&q1_query(), &catalog), q1_reference(&data)),
-        (lower(&q6_query(), &catalog), q6_reference(&data)),
-    ] {
-        let cpu =
-            engine.run(&q.catalog, &q.plan, &ExecConfig::new(Placement::CpuOnly)).unwrap();
-        let hybrid =
-            engine.run(&q.catalog, &q.plan, &ExecConfig::new(Placement::Hybrid)).unwrap();
-        assert!(rows_approx_eq(&cpu.rows, &reference), "{}: engine CPU", q.plan.name);
-        assert!(rows_approx_eq(&hybrid.rows, &reference), "{}: engine hybrid", q.plan.name);
-        let c = DbmsC::new(engine.server.clone()).run_plan(&q.catalog, &q.plan).unwrap();
-        assert!(rows_approx_eq(&c.rows, &reference), "{}: DBMS C", q.plan.name);
-    }
-}
-
-#[test]
-fn q5_partitioned_and_non_partitioned_agree() {
-    let (data, catalog, engine) = setup();
-    let reference = q5_reference(&data);
-    for algo in [JoinAlgo::NonPartitioned, JoinAlgo::Partitioned] {
-        let q = lower(&q5_query(algo), &catalog);
-        for placement in [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid] {
-            let rep = engine
-                .run(&q.catalog, &q.plan, &ExecConfig::new(placement))
-                .unwrap_or_else(|e| panic!("{algo:?}/{placement:?}: {e}"));
-            assert!(
-                rows_approx_eq(&rep.rows, &reference),
-                "{algo:?}/{placement:?} results diverge"
-            );
-        }
-    }
 }
 
 #[test]

@@ -12,13 +12,16 @@
 //! `DbmsC::run_plan` and `DbmsG::run_plan`. The static verifier must agree
 //! with the runtime on every row and on every clean plan.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hape::baselines::{BaselineError, DbmsC, DbmsG};
+use common::{plan_parts, verdicts, Parts, Verdict};
+use hape::baselines::{DbmsC, DbmsG};
 use hape::core::verify::{verify_plan, DiagnosticKind as K};
 use hape::core::{
-    place, Catalog, Engine, EngineError, ExecConfig, JoinAlgo, PipeOp, Pipeline, PlacedPlan,
-    PlacedStage, Placement, PlanError, QueryPlan, Stage,
+    Catalog, Engine, EngineError, ExecConfig, JoinAlgo, PipeOp, Pipeline, Placement, PlanError,
+    QueryPlan, Stage,
 };
 use hape::ops::expr::ExprKind;
 use hape::ops::{AggFunc, AggSpec, Expr, StatefulAgg};
@@ -28,7 +31,9 @@ use hape::storage::{Batch, Column, DataType, Schema, Table};
 const ROWS: usize = 6_000;
 
 /// `fact(k i32, price f64, tag i32)`, `dim(k i32, weight f64)` and
-/// `ev(user i32, ts i64, score f64)`.
+/// `ev(user i32, ts i64, score f64)` — whose timestamps descend within each
+/// user: an unsorted log is answered, the same by every executor, not a
+/// debug-build panic.
 fn catalog() -> Catalog {
     let mut catalog = Catalog::new();
     catalog.register(Table::new(
@@ -53,7 +58,7 @@ fn catalog() -> Catalog {
         Schema::new([("user", DataType::I32), ("ts", DataType::I64), ("score", DataType::F64)]),
         Batch::new(vec![
             Column::from_i32((0..ROWS).map(|i| (i / 6) as i32).collect()),
-            Column::from_i64((0..ROWS).map(|i| (i % 6) as i64 * 1_000).collect()),
+            Column::from_i64((0..ROWS).map(|i| (5 - i % 6) as i64 * 1_000).collect()),
             Column::from_f64(vec![1.0; ROWS]),
         ]),
     ));
@@ -118,33 +123,6 @@ const SHAPES: [fn() -> QueryPlan; 5] =
     [scan_shape, group_shape, project_shape, join_shape, stateful_shape];
 
 // ---------------------------- the corruptions ----------------------------
-
-/// One stage's mutable parts, from either IR: the build key column (build
-/// stages only) and the pipeline.
-type Parts<'a> = (Option<&'a mut usize>, &'a mut Pipeline);
-
-fn plan_parts(plan: &mut QueryPlan) -> Vec<Parts<'_>> {
-    plan.stages
-        .iter_mut()
-        .map(|stage| match stage {
-            Stage::Build { key_col, pipeline, .. } => (Some(key_col), pipeline),
-            Stage::Stream { pipeline } => (None, pipeline),
-        })
-        .collect()
-}
-
-fn placed_parts(placed: &mut PlacedPlan) -> Vec<Parts<'_>> {
-    placed
-        .stages
-        .iter_mut()
-        .map(|stage| match stage {
-            PlacedStage::Build { key_col, pipeline, .. } => (Some(key_col), pipeline),
-            PlacedStage::Stream { pipeline, .. } | PlacedStage::CoProcess { pipeline, .. } => {
-                (None, pipeline)
-            }
-        })
-        .collect()
-}
 
 /// The stream stage's pipeline (every shape's last stage).
 fn stream<'a, 'b>(parts: &'a mut [Parts<'b>]) -> &'a mut Pipeline {
@@ -296,9 +274,10 @@ const UNBOUND: [Case; 13] = [
     },
 ];
 
-/// Conditions the runtime already refused with a pinned type; binding only
-/// moved the refusal ahead of the first stage.
-const PINNED: [Case; 4] = [
+/// Refusals with a pinned type: conditions the runtime already refused,
+/// which binding moved ahead of the first stage — and a group-by wider than
+/// a group key, which cpu and hybrid used to answer with one merged row.
+const PINNED: [Case; 5] = [
     Case {
         name: "unknown source table",
         shape: scan_shape,
@@ -348,6 +327,17 @@ const PINNED: [Case; 4] = [
             matches!(e, EngineError::InvalidPlan(got) if *got == want)
         },
     },
+    Case {
+        name: "five group-by columns",
+        shape: group_shape,
+        corrupt: |p| stream_agg(p).group_by = vec![2; 5],
+        refusal: |e| {
+            matches!(
+                e,
+                EngineError::InvalidPlan(PlanError::TooManyGroupColumns { got: 5, max: 4 })
+            )
+        },
+    },
 ];
 
 // ------------------------------ the harness ------------------------------
@@ -360,56 +350,13 @@ fn corrupted(case: &Case) -> QueryPlan {
     plan
 }
 
-/// Every entry point that executes `case`, as `(label, outcome)`; a panic
-/// is caught and reported as one, so a single run lists every offender.
-fn outcomes(case: &Case, catalog: &Catalog) -> Vec<(String, Result<(), String>)> {
-    let server = Server::paper_testbed();
-    let engine = Engine::new(server.clone());
-    let plan = corrupted(case);
-    let mut outcomes = Vec::new();
-    let mut entry = |label: String, run: &dyn Fn() -> Result<(), EngineError>| {
-        let outcome = match catch_unwind(AssertUnwindSafe(run)) {
-            Err(_) => Err("panicked".to_string()),
-            Ok(Ok(())) => Err("ran to Ok".to_string()),
-            Ok(Err(e)) if (case.refusal)(&e) => Ok(()),
-            Ok(Err(e)) => Err(format!("refused with the wrong error: {e:?}")),
-        };
-        outcomes.push((label, outcome));
-    };
-    let baseline = |r: Result<_, BaselineError>| match r {
-        Err(BaselineError::Engine(e)) => Err(e),
-        Err(BaselineError::Unsupported(e)) => panic!("refused for size, not shape: {e}"),
-        Ok(_) => Ok(()),
-    };
-    for p in PLACEMENTS {
-        entry(format!("Engine::run/{p}"), &|| {
-            engine.run(catalog, &plan, &ExecConfig::new(p)).map(|_| ())
-        });
-    }
-    for p in [Placement::CpuOnly, Placement::Hybrid] {
-        entry(format!("Engine::run_placed/{p}"), &|| {
-            let clean = (case.shape)();
-            let mut placed = place(&clean, &ExecConfig::new(p), &server).expect("places");
-            (case.corrupt)(&mut placed_parts(&mut placed));
-            engine.run_placed(catalog, &placed).map(|_| ())
-        });
-    }
-    entry("DbmsC::run_plan".into(), &|| {
-        baseline(DbmsC::new(server.clone()).run_plan(catalog, &plan).map(|_| ()))
-    });
-    entry("DbmsG::run_plan".into(), &|| {
-        baseline(DbmsG::new(server.clone()).run_plan(catalog, &plan).map(|_| ()))
-    });
-    outcomes
-}
-
 fn assert_all_refused(cases: &[Case]) {
     let catalog = catalog();
     let mut failures = Vec::new();
     for case in cases {
-        for (label, outcome) in outcomes(case, &catalog) {
-            if let Err(why) = outcome {
-                failures.push(format!("{} via {label}: {why}", case.name));
+        for (label, verdict) in verdicts(&catalog, &(case.shape)(), &case.corrupt) {
+            if !matches!(&verdict, Verdict::Refused(e) if (case.refusal)(e)) {
+                failures.push(format!("{} via {label}: {verdict:?}", case.name));
             }
         }
     }
@@ -433,25 +380,21 @@ fn refusals_the_runtime_already_typed_keep_their_types() {
 
 #[test]
 fn probe_of_an_unbuilt_table_keeps_its_types() {
-    let catalog = catalog();
-    let engine = Engine::new(Server::paper_testbed());
     let case = &PINNED[1];
+    let verdicts = verdicts(&catalog(), &(case.shape)(), &case.corrupt);
     // Placing a hand-assembled plan: the structural check's name for it.
-    let err = engine.run(&catalog, &corrupted(case), &ExecConfig::new(Placement::CpuOnly));
-    assert!(
-        matches!(&err, Err(EngineError::InvalidPlan(PlanError::ProbeBeforeBuild { table }))
-            if table == "ghost"),
-        "{err:?}"
-    );
+    let run = &verdicts[0].1;
+    let Verdict::Refused(EngineError::InvalidPlan(PlanError::ProbeBeforeBuild { table })) = run
+    else {
+        panic!("{run:?}")
+    };
+    assert_eq!(table, "ghost");
     // Running a placed one: the runtime's.
-    let mut placed = place(&join_shape(), &ExecConfig::new(Placement::CpuOnly), &engine.server)
-        .expect("places");
-    (case.corrupt)(&mut placed_parts(&mut placed));
-    let err = engine.run_placed(&catalog, &placed);
-    assert!(
-        matches!(&err, Err(EngineError::HashTableNotBuilt { table }) if table == "ghost"),
-        "{err:?}"
-    );
+    let placed = &verdicts[3].1;
+    let Verdict::Refused(EngineError::HashTableNotBuilt { table }) = placed else {
+        panic!("{placed:?}")
+    };
+    assert_eq!(table, "ghost");
 }
 
 /// The five structural invariants on plans assembled past `try_new` (the

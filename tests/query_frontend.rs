@@ -102,39 +102,39 @@ fn mid_chain_select_reaches_project_and_matches_the_oracle() {
         .from_table("lineitem")
         .select(vec![("revenue_item", col("l_extendedprice").mul(col("l_discount")))])
         .agg(vec![(AggFunc::Sum, col("l_quantity"))]);
-    match session.execute(&bad).unwrap_err() {
-        HapeError::Plan(PlanError::UnknownColumn { column, .. }) => {
-            assert_eq!(column, "l_quantity");
-        }
+    match refusal(&session, &bad) {
+        PlanError::UnknownColumn { column, .. } => assert_eq!(column, "l_quantity"),
         e => panic!("unexpected error {e}"),
     }
+}
+
+/// The `PlanError` `session` refuses `q` with.
+fn refusal(session: &Session, q: &Query) -> PlanError {
+    match session.execute(q).expect_err("the query is refused") {
+        HapeError::Plan(e) => e,
+        e => panic!("unexpected error {e}"),
+    }
+}
+
+/// `COUNT(l_orderkey)` over `lineitem` through `ops`.
+fn count_lineitem(session: &Session, ops: impl FnOnce(Query) -> Query) -> Query {
+    ops(session.query("bad").from_table("lineitem"))
+        .agg(vec![(AggFunc::Count, col("l_orderkey"))])
 }
 
 #[test]
 fn unknown_table_is_a_typed_error() {
     let (_, session) = tpch_session();
-    let q = session
-        .query("bad")
-        .from_table("lineitems")
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::UnknownTable { table }) => assert_eq!(table, "lineitems"),
-        e => panic!("unexpected error {e}"),
-    }
+    let q = count_lineitem(&session, |q| q.from_table("lineitems"));
+    assert_eq!(refusal(&session, &q), PlanError::UnknownTable { table: "lineitems".into() });
 }
 
 #[test]
 fn unknown_column_is_a_typed_error() {
     let (_, session) = tpch_session();
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .filter(col("l_shipmode").eq(lit(1)))
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::UnknownColumn { column, .. }) => {
-            assert_eq!(column, "l_shipmode");
-        }
+    let q = count_lineitem(&session, |q| q.filter(col("l_shipmode").eq(lit(1))));
+    match refusal(&session, &q) {
+        PlanError::UnknownColumn { column, .. } => assert_eq!(column, "l_shipmode"),
         e => panic!("unexpected error {e}"),
     }
 }
@@ -143,72 +143,45 @@ fn unknown_column_is_a_typed_error() {
 fn stream_without_aggregate_is_a_typed_error() {
     let (_, session) = tpch_session();
     let q = session.query("bad").from_table("lineitem");
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::StreamWithoutAggregate { name }) => assert_eq!(name, "bad"),
-        e => panic!("unexpected error {e}"),
-    }
+    assert_eq!(refusal(&session, &q), PlanError::StreamWithoutAggregate { name: "bad".into() });
 }
 
 #[test]
 fn aggregating_build_side_is_a_typed_error() {
     let (_, session) = tpch_session();
     let build = Query::scan("orders").agg(vec![(AggFunc::Count, col("o_orderkey"))]);
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .join(build, "l_orderkey", "o_orderkey", JoinAlgo::NonPartitioned)
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::BuildWithAggregate { stage }) => assert_eq!(stage, "orders"),
-        e => panic!("unexpected error {e}"),
-    }
+    let q = count_lineitem(&session, |q| {
+        q.join(build, "l_orderkey", "o_orderkey", JoinAlgo::NonPartitioned)
+    });
+    assert_eq!(refusal(&session, &q), PlanError::BuildWithAggregate { stage: "orders".into() });
+}
+
+#[test]
+fn five_group_by_columns_are_a_typed_error() {
+    let (_, session) = tpch_session();
+    let keys = ["l_orderkey", "l_pskey", "l_suppkey", "l_returnflag", "l_linestatus"];
+    let q = count_lineitem(&session, |q| q.group_by(&keys));
+    assert_eq!(refusal(&session, &q), PlanError::TooManyGroupColumns { got: 5, max: 4 });
 }
 
 #[test]
 fn type_mismatches_are_typed_errors() {
     let (_, session) = tpch_session();
+    let mismatch =
+        |ops: fn(Query) -> Query| match refusal(&session, &count_lineitem(&session, ops)) {
+            PlanError::TypeMismatch { expected, .. } => expected,
+            e => panic!("unexpected error {e}"),
+        };
     // Numeric filter where a boolean predicate is required.
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .filter(col("l_quantity").add(lit(1)))
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::TypeMismatch { expected, .. }) => {
-            assert_eq!(expected, "boolean predicate");
-        }
-        e => panic!("unexpected error {e}"),
-    }
+    assert_eq!(mismatch(|q| q.filter(col("l_quantity").add(lit(1)))), "boolean predicate");
     // Arithmetic over a dictionary-encoded string column.
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .filter(col("l_returnflag").add(lit(1)).gt(lit(0)))
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    assert!(matches!(
-        session.execute(&q).unwrap_err(),
-        HapeError::Plan(PlanError::TypeMismatch { .. })
-    ));
+    mismatch(|q| q.filter(col("l_returnflag").add(lit(1)).gt(lit(0))));
     // Grouping by a float column.
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .group_by(&["l_extendedprice"])
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    assert!(matches!(
-        session.execute(&q).unwrap_err(),
-        HapeError::Plan(PlanError::TypeMismatch { .. })
-    ));
+    mismatch(|q| q.group_by(&["l_extendedprice"]));
     // Joining on a float key.
-    let q = session
-        .query("bad")
-        .from_table("lineitem")
-        .join(Query::scan("orders"), "l_extendedprice", "o_orderkey", JoinAlgo::NonPartitioned)
-        .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    assert!(matches!(
-        session.execute(&q).unwrap_err(),
-        HapeError::Plan(PlanError::TypeMismatch { .. })
-    ));
+    mismatch(|q| {
+        q.join(Query::scan("orders"), "l_extendedprice", "o_orderkey", JoinAlgo::NonPartitioned)
+    });
 }
 
 #[test]
@@ -255,10 +228,7 @@ fn string_literals_resolve_through_dictionaries() {
         .from_table("nation")
         .filter(col("n_nationkey").eq(lit("ASIA")))
         .agg(vec![(AggFunc::Count, col("n_nationkey"))]);
-    assert!(matches!(
-        session.execute(&q).unwrap_err(),
-        HapeError::Plan(PlanError::TypeMismatch { .. })
-    ));
+    assert!(matches!(refusal(&session, &q), PlanError::TypeMismatch { .. }));
 
     // Equality between two string *columns* is rejected: their
     // dictionaries assign codes independently, so the comparison would
@@ -268,10 +238,8 @@ fn string_literals_resolve_through_dictionaries() {
         .from_table("lineitem")
         .filter(col("l_returnflag").eq(col("l_linestatus")))
         .agg(vec![(AggFunc::Count, col("l_orderkey"))]);
-    match session.execute(&q).unwrap_err() {
-        HapeError::Plan(PlanError::TypeMismatch { found, .. }) => {
-            assert_eq!(found, "two string columns");
-        }
+    match refusal(&session, &q) {
+        PlanError::TypeMismatch { found, .. } => assert_eq!(found, "two string columns"),
         e => panic!("unexpected error {e}"),
     }
 
@@ -282,10 +250,7 @@ fn string_literals_resolve_through_dictionaries() {
         .from_table("region")
         .filter(lit("ASIA").eq(lit("ATLANTIS")))
         .agg(vec![(AggFunc::Count, col("r_regionkey"))]);
-    assert!(matches!(
-        session.execute(&q).unwrap_err(),
-        HapeError::Plan(PlanError::StringComparedToNonString { .. })
-    ));
+    assert!(matches!(refusal(&session, &q), PlanError::StringComparedToNonString { .. }));
 }
 
 #[test]

@@ -4,89 +4,24 @@
 //! The guarantees under test:
 //!
 //! 1. **Concurrency never perturbs a query.** With the build cache off,
-//!    every query's report under a `SessionServer` batch — rows, simulated
-//!    makespan, busy times, packet routing, h2d traffic, and even typed
-//!    failures — is bit-identical to a solo `Session::execute_with` run,
-//!    across the TPC-H × placement matrix, at 1 and 8 data-plane threads,
-//!    in either submission order.
+//!    every report of a `SessionServer` batch, typed failures included, is
+//!    bit-identical to a solo run at any thread count and in either
+//!    submission order — swept by the differential harness
+//!    (`tests/differential.rs`), which also checks warm against cold rows.
 //! 2. **Admission bounds GPU memory.** Two broadcast-heavy queries whose
 //!    combined working sets exceed the fleet's GPU capacity run back to
 //!    back: the second queues (counted in `admission_wait`) instead of
 //!    OOM-failing, then completes.
 //! 3. **The build cache is correct.** Warm submissions skip memoised
-//!    builds (and their broadcasts), reported via `builds_cached`, with
-//!    row-identical results across the TPC-H × placement matrix; replacing
-//!    a table via the typed `register_table` path invalidates.
+//!    builds (and their broadcasts), reported via `builds_cached`;
+//!    replacing a table via the typed `register_table` path invalidates,
+//!    a lost device downgrades, and the bound evicts least-recently-used.
 
-mod common;
-
-use common::assert_reports_identical;
 use hape::core::serve::{CacheStats, SessionServer};
-use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
+use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};
 use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
 use hape::storage::datagen::gen_key_fk_table;
-use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
-
-const SF: f64 = 0.01;
-
-fn tpch_session() -> Session {
-    queries::tpch_session(&hape::tpch::generate(SF, 7170), Server::tpch_scaled(SF))
-}
-
-#[test]
-fn concurrent_batch_is_bit_identical_to_solo_across_the_matrix() {
-    let session = tpch_session();
-    let queries: Vec<Query> = vec![
-        q1_query(),
-        q5_query(JoinAlgo::Partitioned),
-        q6_query(),
-        q9_query(JoinAlgo::NonPartitioned),
-    ];
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-
-    // Solo baselines (errors included: Q9 GpuOnly OOMs at this scale).
-    let mut solo: Vec<(String, ExecConfig, Result<QueryReport, String>)> = Vec::new();
-    for query in &queries {
-        for placement in placements {
-            let cfg = ExecConfig::new(placement);
-            let report = session.execute_with(query, &cfg).map_err(|e| format!("{e}"));
-            solo.push((query.name.clone(), cfg, report));
-        }
-    }
-
-    for threads in [1usize, 8] {
-        for reverse in [false, true] {
-            // All 16 query × placement combinations in ONE batch over the
-            // shared fleet, cache off so even makespans must match solo.
-            let mut server = SessionServer::new(session.clone()).with_build_cache_capacity(0);
-            let mut order: Vec<usize> = (0..solo.len()).collect();
-            if reverse {
-                order.reverse();
-            }
-            let mut handles = Vec::new();
-            for &i in &order {
-                let (_, cfg, _) = &solo[i];
-                let cfg = cfg.clone().with_threads(threads);
-                handles.push((i, server.submit_with(&queries[i / placements.len()], &cfg)));
-            }
-            let batch = server.run_all();
-            assert_eq!(batch.outcomes.len(), solo.len());
-            for (i, handle) in handles {
-                let (name, cfg, want) = &solo[i];
-                let ctx =
-                    format!("{name}/{:?} threads={threads} reverse={reverse}", cfg.placement);
-                let got = batch.report(handle).as_ref().map_err(|e| format!("{e}"));
-                match (want, got) {
-                    (Ok(w), Ok(g)) => assert_reports_identical(g, w, &ctx),
-                    (Err(w), Err(g)) => assert_eq!(&g, w, "{ctx}: error diverged"),
-                    (w, g) => panic!("{ctx}: success/failure flipped: {w:?} vs {g:?}"),
-                }
-            }
-        }
-    }
-}
 
 #[test]
 fn admission_queues_second_gpu_heavy_query_instead_of_oom() {
@@ -253,56 +188,6 @@ fn device_failure_downgrades_broadcast_cache_entries_to_host_resident() {
     assert_eq!(again.builds_cached, 1);
     assert_eq!(again.rows, warm.rows);
     assert_eq!(server.cache_stats().invalidations, 1, "no double-count");
-}
-
-#[test]
-fn cached_builds_are_row_identical_across_the_tpch_matrix() {
-    // Property: for every join query × placement, a warm (cache-hit)
-    // submission returns exactly the rows of a cold one — and of solo
-    // execution — while genuinely skipping build stages.
-    let session = tpch_session();
-    let queries = [
-        q5_query(JoinAlgo::NonPartitioned),
-        q5_query(JoinAlgo::Partitioned),
-        q9_query(JoinAlgo::NonPartitioned),
-    ];
-    let mut hits = 0usize;
-    for query in &queries {
-        for placement in [Placement::CpuOnly, Placement::Hybrid, Placement::Auto] {
-            let cfg = ExecConfig::new(placement);
-            let solo = session.execute_with(query, &cfg).map_err(|e| format!("{e}"));
-            let mut server = SessionServer::new(session.clone());
-            let cold = server.submit_with(query, &cfg);
-            let warm = server.submit_with(query, &cfg);
-            let batch = server.run_all();
-            let ctx = format!("{}/{placement:?}", query.name);
-            let cold = batch.report(cold).as_ref().map_err(|e| format!("{e}"));
-            let warm = batch.report(warm).as_ref().map_err(|e| format!("{e}"));
-            match solo {
-                Ok(ref solo) => {
-                    let cold = cold.unwrap_or_else(|e| panic!("{ctx}: cold failed: {e}"));
-                    let warm = warm.unwrap_or_else(|e| panic!("{ctx}: warm failed: {e}"));
-                    assert_eq!(cold.rows, solo.rows, "{ctx}: cold vs solo");
-                    assert_eq!(warm.rows, solo.rows, "{ctx}: warm vs solo");
-                    assert_eq!(cold.builds_cached, 0, "{ctx}");
-                    assert!(warm.builds_cached > 0, "{ctx}: warm run must hit the cache");
-                    assert!(
-                        warm.time <= cold.time,
-                        "{ctx}: cache can only shorten the makespan"
-                    );
-                    hits += 1;
-                }
-                Err(want) => {
-                    // A combo that OOMs solo (Q9's big hash table under
-                    // Hybrid) must fail identically cold and warm — the
-                    // cache never converts a failure.
-                    assert_eq!(cold.unwrap_err(), want, "{ctx}: cold error");
-                    assert_eq!(warm.unwrap_err(), want, "{ctx}: warm error");
-                }
-            }
-        }
-    }
-    assert!(hits >= 6, "matrix must exercise warm cache hits, got {hits}");
 }
 
 #[test]

@@ -10,10 +10,10 @@
 //! subsets, so what placement derives from them (traits, exchanges,
 //! routers) has no corruption class.
 //!
-//! The final tests are the positive side: a property sweep asserting a
-//! clean verify for every (query × placement × threads) combination the
-//! execution suites run, and the diagnostic-rendering contract
-//! (locations + pass tags in `Display`, the `explain`-footer shape).
+//! The positive side — every plan the pass pipeline produces binds clean —
+//! is the differential harness's (`tests/differential.rs`); here are the
+//! diagnostic-rendering contract (locations + pass tags in `Display`, the
+//! `explain`-footer shape).
 
 // Test-corpus setup helpers unwrap freely (`allow-unwrap-in-tests` only
 // covers `#[test]` bodies, not shared helpers in integration tests).
@@ -27,7 +27,7 @@ use hape::core::{
 use hape::ops::{Expr, StatefulAgg};
 use hape::sim::topology::{DeviceId, Server};
 use hape::tpch::events::{behavioral_queries, generate_events};
-use hape::tpch::queries::{self, q1_query, q5_query, q6_query};
+use hape::tpch::queries::{self, q5_query, q6_query};
 
 const SF: f64 = 0.01;
 
@@ -55,13 +55,6 @@ fn q5_placed(session: &Session, placement: Placement) -> (LoweredQuery, PlacedPl
     placed_clean(session, &q5_query(JoinAlgo::NonPartitioned), placement)
 }
 
-fn diags(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan) -> Vec<String> {
-    check_placed(placed, &lowered.catalog, &session.engine().server)
-        .iter()
-        .map(ToString::to_string)
-        .collect()
-}
-
 fn kinds(
     session: &Session,
     lowered: &LoweredQuery,
@@ -83,6 +76,16 @@ fn stream_parts(
     }
 }
 
+/// Assert `ks` holds a finding of pass `$pass` whose `DiagnosticKind` matches.
+macro_rules! finds {
+    ($ks:expr, $pass:ident, $($kind:tt)+) => {
+        let found = |(p, k): &(Pass, DiagnosticKind)| {
+            *p == Pass::$pass && matches!(k, DiagnosticKind::$($kind)+)
+        };
+        assert!($ks.iter().any(found), "{:?}", $ks)
+    };
+}
+
 fn gpu_segment(segments: &mut [hape::core::Segment]) -> &mut hape::core::Segment {
     segments.iter_mut().find(|s| s.target.is_gpu()).expect("a GPU segment")
 }
@@ -95,11 +98,7 @@ fn mutation_unknown_source_table() {
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
     stream_parts(&mut placed).0.source = "ghost".to_string();
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::UnknownSource { table } if table == "ghost")),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, UnknownSource { table } if table == "ghost");
 }
 
 #[test]
@@ -108,14 +107,7 @@ fn mutation_filter_references_dropped_column() {
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
     stream_parts(&mut placed).0.ops.insert(0, PipeOp::Filter(Expr::col(99)));
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(
-                k,
-                DiagnosticKind::ColumnOutOfRange { column: 99, context: "filter", .. }
-            )),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, ColumnOutOfRange { column: 99, context: "filter", .. });
 }
 
 #[test]
@@ -128,14 +120,7 @@ fn mutation_probe_key_becomes_f64_after_projection() {
     let reshape = PipeOp::Project((0..width).map(Expr::col).collect());
     stream_parts(&mut placed).0.ops.insert(0, reshape);
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(
-                k,
-                DiagnosticKind::ProbeKeyType { found: hape::storage::DataType::F64, .. }
-            )),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, ProbeKeyType { found: hape::storage::DataType::F64, .. });
 }
 
 #[test]
@@ -150,11 +135,7 @@ fn mutation_probe_payload_beyond_build_width() {
     };
     build_payload_cols.push(99);
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::PayloadOutOfRange { column: 99, .. })),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, PayloadOutOfRange { column: 99, .. });
 }
 
 #[test]
@@ -169,11 +150,7 @@ fn mutation_probe_of_unbuilt_table() {
     };
     *ht = "Q5.unbuilt".to_string();
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::ProbeUnbuilt { ht } if ht == "Q5.unbuilt")),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, ProbeUnbuilt { ht } if ht == "Q5.unbuilt");
 }
 
 #[test]
@@ -186,11 +163,7 @@ fn mutation_build_stage_that_aggregates() {
     };
     pipeline.agg = agg;
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::BuildAggregates { .. })),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, BuildAggregates { .. });
 }
 
 #[test]
@@ -199,11 +172,7 @@ fn mutation_stream_stage_without_aggregation() {
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
     stream_parts(&mut placed).0.agg = None;
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter()
-            .any(|(p, k)| *p == Pass::SchemaDataflow && *k == DiagnosticKind::StreamMissingAgg),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, StreamMissingAgg);
 }
 
 #[test]
@@ -212,11 +181,7 @@ fn mutation_plan_with_no_stream_stage() {
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
     placed.stages.retain(|s| matches!(s, PlacedStage::Build { .. }));
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::NotExactlyOneStream { streams: 0 })),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, NotExactlyOneStream { streams: 0 });
 }
 
 #[test]
@@ -225,14 +190,7 @@ fn mutation_group_by_beyond_stream_width() {
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
     stream_parts(&mut placed).0.agg.as_mut().unwrap().group_by.push(99);
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(
-                k,
-                DiagnosticKind::ColumnOutOfRange { column: 99, context: "group-by", .. }
-            )),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, ColumnOutOfRange { column: 99, context: "group-by", .. });
 }
 
 // ===================== device & capacity audit =====================
@@ -271,12 +229,8 @@ fn broadcast_over_capacity_is_predicted_statically() {
     let lowered = session.lower(&q5).unwrap();
     let placed = session.place_with(&q5, &ExecConfig::new(Placement::GpuOnly)).unwrap();
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
-            && matches!(k, DiagnosticKind::BroadcastOverCapacity { required, capacity, .. }
-                if required > capacity)),
-        "{ks:?}"
-    );
+    finds!(ks, DeviceAudit, BroadcastOverCapacity { required, capacity, .. }
+        if required > capacity);
     // The runtime verdict agrees.
     assert!(session.execute_with(&q5, &ExecConfig::new(Placement::GpuOnly)).is_err());
 }
@@ -302,11 +256,7 @@ fn mutation_coprocess_without_gpu_lanes() {
     let (lowered, placed) = q5_placed(&session, Placement::CpuOnly);
     let placed = coprocessed(placed, Vec::new());
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter()
-            .any(|(p, k)| *p == Pass::DeviceAudit && *k == DiagnosticKind::CoProcessNoGpuLane),
-        "{ks:?}"
-    );
+    finds!(ks, DeviceAudit, CoProcessNoGpuLane);
 }
 
 #[test]
@@ -328,11 +278,7 @@ fn mutation_coprocess_lane_on_absent_gpu() {
     let (lowered, placed) = q5_placed(&session, Placement::CpuOnly);
     let placed = coprocessed(placed, vec![9]);
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::DeviceAudit
-            && matches!(k, DiagnosticKind::DeviceNotPresent { device: DeviceId::Gpu(9) })),
-        "{ks:?}"
-    );
+    finds!(ks, DeviceAudit, DeviceNotPresent { device: DeviceId::Gpu(9) });
 }
 
 // ====================== determinism contracts ======================
@@ -344,51 +290,34 @@ fn behavioral_session() -> Session {
 }
 
 fn behavioral_placed(session: &Session, idx: usize) -> (LoweredQuery, PlacedPlan) {
-    let q = &behavioral_queries()[idx];
-    let lowered = session.lower(q).unwrap();
-    let placed = session.place(q).unwrap();
-    assert!(
-        check_placed(&placed, &lowered.catalog, &session.engine().server).is_empty(),
-        "behavioral seed plan must verify clean before mutation"
-    );
-    (lowered, placed)
+    placed_clean(session, &behavioral_queries()[idx], Placement::Hybrid)
+}
+
+/// A behavioral plan's one stage: its stream pipeline.
+fn behavioral_stream(placed: &mut PlacedPlan) -> &mut hape::core::Pipeline {
+    let [PlacedStage::Stream { pipeline, .. }] = &mut placed.stages[..] else {
+        panic!("a behavioral plan is one stream")
+    };
+    pipeline
 }
 
 fn stateful_op(placed: &mut PlacedPlan) -> &mut StatefulAgg {
-    for stage in &mut placed.stages {
-        if let PlacedStage::Stream { pipeline, .. } = stage {
-            for op in &mut pipeline.ops {
-                if let PipeOp::Stateful(agg) = op {
-                    return agg;
-                }
-            }
-        }
-    }
-    panic!("behavioral plan has a stateful op")
+    let mut ops = behavioral_stream(placed).ops.iter_mut();
+    ops.find_map(|op| if let PipeOp::Stateful(agg) = op { Some(agg) } else { None })
+        .expect("a stateful op")
 }
 
 #[test]
 fn mutation_stateful_after_a_reshaping_projection() {
     let session = behavioral_session();
     let (lowered, mut placed) = behavioral_placed(&session, 0);
-    for stage in &mut placed.stages {
-        if let PlacedStage::Stream { pipeline, .. } = stage {
-            let at = pipeline
-                .ops
-                .iter()
-                .position(|op| matches!(op, PipeOp::Stateful(_)))
-                .expect("stateful op");
-            let width = lowered.catalog.get(&pipeline.source).unwrap().schema.fields.len();
-            pipeline.ops.insert(at, PipeOp::Project((0..width).map(Expr::col).collect()));
-        }
-    }
+    let pipeline = behavioral_stream(&mut placed);
+    let at = pipeline.ops.iter().position(|op| matches!(op, PipeOp::Stateful(_)));
+    let width = lowered.catalog.get(&pipeline.source).unwrap().schema.fields.len();
+    let reshape = PipeOp::Project((0..width).map(Expr::col).collect());
+    pipeline.ops.insert(at.expect("a stateful op"), reshape);
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter()
-            .any(|(p, k)| *p == Pass::SchemaDataflow
-                && *k == DiagnosticKind::StatefulAfterReshape),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, StatefulAfterReshape);
 }
 
 #[test]
@@ -404,11 +333,7 @@ fn mutation_stateful_event_column_mistyped() {
         *event_col = *ts_col; // integer-typed, not a dictionary string
     }
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::SchemaDataflow
-            && matches!(k, DiagnosticKind::StatefulColumnType { role: "event", .. })),
-        "{ks:?}"
-    );
+    finds!(ks, SchemaDataflow, StatefulColumnType { role: "event", .. });
 }
 
 #[test]
@@ -422,11 +347,7 @@ fn mutation_stateful_alignment_column_outside_source() {
         *user_col = 99; // breaks the user-aligned packetization contract
     }
     let ks = kinds(&session, &lowered, &placed);
-    assert!(
-        ks.iter().any(|(p, k)| *p == Pass::Determinism
-            && matches!(k, DiagnosticKind::StatefulAlignmentInvalid { user_col: 99, .. })),
-        "{ks:?}"
-    );
+    finds!(ks, Determinism, StatefulAlignmentInvalid { user_col: 99, .. });
 }
 
 // ===================== rendering contracts =====================
@@ -436,7 +357,8 @@ fn diagnostics_carry_locations_and_pass_tags() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::Hybrid);
     gpu_segment(stream_parts(&mut placed).1).target = DeviceId::Gpu(7);
-    let rendered = diags(&session, &lowered, &placed);
+    let diagnostics = check_placed(&placed, &lowered.catalog, &session.engine().server);
+    let rendered: Vec<String> = diagnostics.iter().map(ToString::to_string).collect();
     assert!(!rendered.is_empty());
     // Each line locates the finding and names the pass, explain-style.
     assert!(
@@ -479,40 +401,6 @@ fn verify_error_display_lists_every_finding() {
         1 + err.diagnostics.len(),
         "one header plus one line per finding:\n{text}"
     );
-}
-
-// ================= positive property sweep =================
-
-#[test]
-fn every_query_placement_and_thread_combo_verifies_clean() {
-    let session = tpch_session();
-    let queries: Vec<Query> = vec![
-        q1_query(),
-        q5_query(JoinAlgo::NonPartitioned),
-        q5_query(JoinAlgo::Partitioned),
-        q6_query(),
-    ];
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    for query in &queries {
-        for placement in placements {
-            for threads in [None, Some(1), Some(4)] {
-                let cfg = ExecConfig { threads, ..ExecConfig::new(placement) };
-                session.verify_with(query, &cfg).unwrap_or_else(|e| {
-                    panic!("{}/{placement:?}/threads {threads:?}: {e}", query.name)
-                });
-            }
-        }
-    }
-    let behavioral = behavioral_session();
-    for query in &behavioral_queries() {
-        for placement in placements {
-            let cfg = ExecConfig::new(placement);
-            behavioral
-                .verify_with(query, &cfg)
-                .unwrap_or_else(|e| panic!("{}/{placement:?}: {e}", query.name));
-        }
-    }
 }
 
 // ========== pass 1, continued: the invariants binding added ==========
