@@ -36,11 +36,12 @@ impl DbmsC {
         DbmsC { server }
     }
 
-    /// The per-core cost model of the first socket; `None` on a CPU-less
-    /// server.
-    fn model(&self) -> Option<CpuCostModel> {
-        let spec = self.server.cpus.first()?;
-        Some(CpuCostModel::new(spec.clone(), spec.cores))
+    /// The per-core cost model of the first socket; a CPU-less server is
+    /// the typed `DeviceNotPresent`.
+    fn model(&self) -> Result<CpuCostModel, EngineError> {
+        let no_cpu = || EngineError::DeviceNotPresent { device: "cpu0".into() };
+        let spec = self.server.cpus.first().ok_or_else(no_cpu)?;
+        Ok(CpuCostModel::new(spec.clone(), spec.cores))
     }
 
     /// The vector materialisation + interpretation surcharge for one
@@ -60,8 +61,7 @@ impl DbmsC {
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
         plan.bind(catalog)?;
-        let no_cpu = || EngineError::DeviceNotPresent { device: "cpu0".into() };
-        let model = self.model().ok_or_else(no_cpu)?;
+        let model = self.model()?;
         let mut tables = TableStore::new();
         let mut report = BaselineReport::default();
         for stage in &plan.stages {
@@ -123,35 +123,33 @@ impl DbmsC {
     }
 
     /// DBMS C's equi-join for the Figure 6 microbenchmark: a
-    /// non-partitioned hash join with vector-at-a-time overheads.
-    /// Precondition (figure harness only): the server has a CPU socket.
-    pub fn join_microbench(&self, r: JoinInput<'_>, s: JoinInput<'_>) -> JoinOutcome {
-        let mut out = cpu_npj(
-            r,
-            s,
-            &self.model().expect("DBMS C's join micro-benchmark needs a CPU socket"),
-            self.server.total_cpu_cores(),
-            OutputMode::AggregateOnly,
-        );
+    /// non-partitioned hash join with vector-at-a-time overheads. A
+    /// CPU-less server is refused as in [`DbmsC::run_plan`].
+    pub fn join_microbench(
+        &self,
+        r: JoinInput<'_>,
+        s: JoinInput<'_>,
+    ) -> Result<JoinOutcome, BaselineError> {
+        let cores = self.server.total_cpu_cores();
+        let mut out = cpu_npj(r, s, &self.model()?, cores, OutputMode::AggregateOnly);
         out.time = out.time * 1.25; // vector materialisation between phases
-        out
+        Ok(out)
     }
 
     /// DBMS C's join for the out-of-GPU sizes of Figure 7: internally a
     /// multi-pass partitioned join, but paying full vector materialisation
     /// between the passes — which is why its throughput stays "significantly
-    /// lower than the PCIe throughput" (§6.3). Same precondition as
-    /// [`DbmsC::join_microbench`].
-    pub fn join_large(&self, r: JoinInput<'_>, s: JoinInput<'_>) -> JoinOutcome {
-        let mut out = cpu_radix(
-            r,
-            s,
-            &self.model().expect("DBMS C's join micro-benchmark needs a CPU socket"),
-            self.server.total_cpu_cores(),
-            OutputMode::AggregateOnly,
-        );
+    /// lower than the PCIe throughput" (§6.3). A CPU-less server is refused
+    /// as in [`DbmsC::run_plan`].
+    pub fn join_large(
+        &self,
+        r: JoinInput<'_>,
+        s: JoinInput<'_>,
+    ) -> Result<JoinOutcome, BaselineError> {
+        let cores = self.server.total_cpu_cores();
+        let mut out = cpu_radix(r, s, &self.model()?, cores, OutputMode::AggregateOnly);
         out.time = out.time * 1.5;
-        out
+        Ok(out)
     }
 }
 
@@ -186,8 +184,23 @@ mod tests {
         let data = hape_tpch::generate(0.002, 31);
         let q1 = q1_query().lower(&base_catalog(&data)).unwrap();
         let server = Server { cpus: Vec::new(), ..Server::paper_testbed() };
-        let err = DbmsC::new(server).run_plan(&q1.catalog, &q1.plan).unwrap_err();
-        assert!(matches!(err, BaselineError::Engine(EngineError::DeviceNotPresent { .. })));
+        let dbms = DbmsC::new(server);
+        let (keys, vals) = (gen_unique_keys(1 << 10, 5), vec![0u32; 1 << 10]);
+        let r = JoinInput::new(&keys, &vals);
+        let errs = [
+            dbms.run_plan(&q1.catalog, &q1.plan).err(),
+            dbms.join_microbench(r, r).err(),
+            dbms.join_large(r, r).err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    Some(BaselineError::Engine(EngineError::DeviceNotPresent { .. }))
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -218,7 +231,7 @@ mod tests {
         let r = JoinInput::new(&keys, &vals);
         let server = Server::paper_testbed();
         let dbms = DbmsC::new(server.clone());
-        let out = dbms.join_microbench(r, r);
+        let out = dbms.join_microbench(r, r).unwrap();
         assert_eq!(out.stats.matches, n as u64);
         let plain = cpu_npj(
             r,

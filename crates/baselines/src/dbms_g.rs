@@ -45,6 +45,12 @@ impl DbmsG {
         DbmsG { server }
     }
 
+    /// The first GPU; a GPU-less server is the typed `DeviceNotPresent`.
+    fn gpu(&self) -> Result<&GpuSpec, EngineError> {
+        let no_gpu = || EngineError::DeviceNotPresent { device: "gpu0".into() };
+        self.server.gpus.first().ok_or_else(no_gpu)
+    }
+
     /// Run a plan operator-at-a-time, entirely in GPU memory.
     ///
     /// Every operator is a separate kernel launch over the *whole* column
@@ -60,8 +66,7 @@ impl DbmsG {
         plan: &QueryPlan,
     ) -> Result<BaselineReport, BaselineError> {
         plan.bind(catalog)?;
-        let no_gpu = || EngineError::DeviceNotPresent { device: "gpu0".into() };
-        let gpu = self.server.gpus.first().ok_or_else(no_gpu)?;
+        let gpu = self.gpu()?;
         let mut tables = TableStore::new();
         let mut report = BaselineReport::default();
         let mut resident: u64 = 0; // input + intermediate bytes pinned in device memory
@@ -143,20 +148,23 @@ impl DbmsG {
     }
 
     /// DBMS G's equi-join for Figure 6 (data pre-loaded in GPU memory):
-    /// a non-partitioned join plus operator-at-a-time materialisation.
-    /// Precondition (figure harness only, like [`DbmsG::join_uva_time`]):
-    /// the server has a GPU.
+    /// a non-partitioned join plus operator-at-a-time materialisation. A
+    /// join that does not fit one GPU's memory is [`GpuUnsupported`]; a
+    /// GPU-less server is refused as in [`DbmsG::run_plan`].
     pub fn join_microbench(
         &self,
         r: JoinInput<'_>,
         s: JoinInput<'_>,
-    ) -> Result<JoinOutcome, OutOfGpuMemory> {
-        let sim = GpuSim::new(self.server.gpus[0].clone(), Fidelity::Analytic);
+    ) -> Result<JoinOutcome, BaselineError> {
+        let sim = GpuSim::new(self.gpu()?.clone(), Fidelity::Analytic);
+        let unsupported = |e: OutOfGpuMemory| GpuUnsupported { reason: e.to_string() };
         // Materialised join output must also fit (before aggregation).
         let pool_extra = (r.len() as u64) * 16;
         let mut probe_pool = hape_sim::GpuMemPool::for_spec(sim.spec());
-        probe_pool.alloc(r.bytes() + s.bytes() + r.bytes() * 3 + pool_extra).map(|_| ())?;
-        let mut out = gpu_npj(&sim, r, s, OutputMode::AggregateOnly)?;
+        probe_pool
+            .alloc(r.bytes() + s.bytes() + r.bytes() * 3 + pool_extra)
+            .map_err(unsupported)?;
+        let mut out = gpu_npj(&sim, r, s, OutputMode::AggregateOnly).map_err(unsupported)?;
         out.time = out.time * MATERIALISE_FACTOR
             + SimTime::from_secs(pool_extra as f64 / sim.spec().dram_bw);
         Ok(out)
@@ -166,16 +174,16 @@ impl DbmsG {
     /// interconnect. Every hash-table access drags a cache line across
     /// PCIe, so the join collapses to interconnect random-access throughput
     /// — "not designed for out-of-GPU datasets … performs poorly even after
-    /// 512 million tuples" (§6.3).
-    pub fn join_uva_time(&self, n_tuples: u64) -> SimTime {
-        let gpu = &self.server.gpus[0];
+    /// 512 million tuples" (§6.3). A GPU-less server is refused as in
+    /// [`DbmsG::run_plan`].
+    pub fn join_uva_time(&self, n_tuples: u64) -> Result<SimTime, BaselineError> {
+        let line = self.gpu()?.l1.line as f64;
         let pcie_bw: f64 = self.server.pcie.iter().map(|l| l.bw).sum();
-        let line = gpu.l1.line as f64;
         // Build: stream r over PCIe + random HT writes (line each).
         // Probe: stream s + ~1.5 chain accesses, a line each.
         let stream = 2.0 * (n_tuples * 8) as f64 / pcie_bw;
         let random = (n_tuples as f64) * (1.0 + 1.5) * line / pcie_bw;
-        SimTime::from_secs(stream + random)
+        Ok(SimTime::from_secs(stream + random))
     }
 }
 
@@ -224,8 +232,23 @@ mod tests {
     fn gpu_less_server_is_a_typed_refusal() {
         let data = hape_tpch::generate(0.002, 41);
         let q6 = q6_query().lower(&base_catalog(&data)).unwrap();
-        let err = DbmsG::new(Server::cpu_only()).run_plan(&q6.catalog, &q6.plan).unwrap_err();
-        assert!(matches!(err, BaselineError::Engine(EngineError::DeviceNotPresent { .. })));
+        let dbms = DbmsG::new(Server::cpu_only());
+        let (keys, vals) = (gen_unique_keys(1 << 10, 6), vec![0u32; 1 << 10]);
+        let r = JoinInput::new(&keys, &vals);
+        let errs = [
+            dbms.run_plan(&q6.catalog, &q6.plan).err(),
+            dbms.join_microbench(r, r).err(),
+            dbms.join_uva_time(1 << 10).err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    Some(BaselineError::Engine(EngineError::DeviceNotPresent { .. }))
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -242,8 +265,8 @@ mod tests {
     #[test]
     fn uva_join_collapses_out_of_gpu() {
         let dbms = DbmsG::new(Server::paper_testbed());
-        let t_256m = dbms.join_uva_time(256 << 20);
-        let t_512m = dbms.join_uva_time(512 << 20);
+        let t_256m = dbms.join_uva_time(256 << 20).unwrap();
+        let t_512m = dbms.join_uva_time(512 << 20).unwrap();
         // Linear in n but at PCIe random-access throughput: seconds, not ms.
         assert!(t_256m.as_secs() > 1.0, "{t_256m}");
         assert!(t_512m.as_secs() > 1.9 * t_256m.as_secs() * 0.9);

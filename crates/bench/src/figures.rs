@@ -10,9 +10,7 @@ use hape_join::{
 use hape_sim::topology::Server;
 use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec};
 use hape_storage::datagen::{gen_balanced_partition_keys, gen_unique_keys};
-use hape_tpch::queries::{base_catalog, q5_query};
-
-use crate::tpch_suite;
+use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query, tpch_session};
 
 /// One line/bar series of a figure.
 #[derive(Debug, Clone)]
@@ -149,7 +147,7 @@ pub fn fig6(sizes: &[usize]) -> Figure {
         );
         push(&mut series[2], Some(cpu_npj(r, s, &model, workers, OutputMode::AggregateOnly)));
         push(&mut series[3], gpu_npj(&sim, r, s, OutputMode::AggregateOnly).ok());
-        push(&mut series[4], Some(dbms_c.join_microbench(r, s)));
+        push(&mut series[4], Some(dbms_c.join_microbench(r, s).expect("the testbed has CPUs")));
         push(&mut series[5], dbms_g.join_microbench(r, s).ok());
     }
     Figure {
@@ -190,17 +188,14 @@ pub fn fig7(sizes: &[usize]) -> Figure {
             series[si].points.push((x, Some(rep.outcome.time.as_secs())));
         }
         let dbms_c = DbmsC::new(server.clone());
-        let out = dbms_c.join_large(r, s);
+        let out = dbms_c.join_large(r, s).expect("the testbed has CPUs");
         assert_eq!(out.stats.matches, n as u64);
         series[2].points.push((x, Some(out.time.as_secs())));
         // DBMS G: UVA out-of-GPU access; the paper stops plotting it after
         // 512M (scaled: 2× the base size) because it "performs poorly".
         let dbms_g = DbmsG::new(server);
-        if mem_factor <= 2.0 {
-            series[3].points.push((x, Some(dbms_g.join_uva_time(n as u64).as_secs())));
-        } else {
-            series[3].points.push((x, None));
-        }
+        let uva = dbms_g.join_uva_time(n as u64).expect("the testbed has GPUs");
+        series[3].points.push((x, (mem_factor <= 2.0).then(|| uva.as_secs())));
     }
     Figure {
         id: "fig7".into(),
@@ -220,38 +215,19 @@ fn proteus_label(placement: Placement) -> &'static str {
     }
 }
 
-/// **Figure 8** — TPC-H Q1/Q5/Q6/Q9* end-to-end with the paper's series:
-/// DBMS C, Proteus CPU, Proteus Hybrid, Proteus GPU, Proteus Auto, DBMS G.
-/// GPU memory scales with `sf/100` so the paper's SF-100 capacity effects
-/// reproduce (Q9's broadcast tables overflow the GPUs: the manual GPU
-/// placements fail while Auto plans the §5 co-processing stage).
-pub fn fig8(sf: f64) -> Figure {
-    fig8_with(sf, &[Placement::CpuOnly, Placement::Hybrid, Placement::GpuOnly, Placement::Auto])
-}
-
-/// [`fig8`] with a CLI-selectable Proteus placement list (one series per
-/// placement, between the DBMS C and DBMS G baselines): pass
-/// `Placement::Auto` to plot the cost-based optimizer against the manual
-/// placements — on Q9 it plans the intra-operator co-processing stage
-/// (§5) instead of retreating to the CPUs, with no hand-written fallback
-/// anywhere in the harness.
-pub fn fig8_with(sf: f64, placements: &[Placement]) -> Figure {
-    fig8_opts(sf, placements, None, None)
-}
-
-/// [`fig8_with`] with the execution knobs the CLI sweeps: an explicit
-/// packet size (`--packet-rows`, `None` = the auto heuristic in
-/// [`ExecConfig::auto_packet_rows`]) and a data-plane thread count
-/// (`--threads`, `None` = environment/host default). Both are wall-clock
-/// knobs for the Proteus series; simulated packet routing changes with
-/// packet size but never with threads.
-pub fn fig8_opts(
-    sf: f64,
-    placements: &[Placement],
-    packet_rows: Option<usize>,
-    threads: Option<usize>,
-) -> Figure {
+/// **Figure 8** — TPC-H Q1/Q5/Q6/Q9* over seed-420 data (the repo
+/// benchmark's setup) end-to-end: DBMS C, one Proteus series per entry of
+/// `placements`, DBMS G (the paper's legend is cpu, hybrid, gpu; pass
+/// `Placement::Auto` to plot the cost-based optimizer against them). GPU
+/// memory scales with `sf/100` so the paper's SF-100 capacity effects
+/// reproduce: Q9's broadcast tables overflow the GPUs, so the manual GPU
+/// placements fail while Auto plans the §5 co-processing stage.
+/// `packet_rows` overrides the auto heuristic
+/// ([`ExecConfig::auto_packet_rows`]); packet size changes the simulated
+/// routing.
+pub fn fig8(sf: f64, placements: &[Placement], packet_rows: Option<usize>) -> Figure {
     let server = Server::tpch_scaled(sf);
+    let session = tpch_session(&hape_tpch::generate(sf, 420), server.clone());
     let dbms_c = DbmsC::new(server.clone());
     let dbms_g = DbmsG::new(server);
     let mut series: Vec<Series> = std::iter::once("DBMS C")
@@ -259,7 +235,11 @@ pub fn fig8_opts(
         .chain(std::iter::once("DBMS G"))
         .map(|l| Series { label: l.to_string(), points: Vec::new() })
         .collect();
-    for (qi, (engine, q)) in tpch_suite(sf).iter().enumerate() {
+    let part = JoinAlgo::Partitioned;
+    for (qi, query) in
+        [q1_query(), q5_query(part), q6_query(), q9_query(part)].iter().enumerate()
+    {
+        let q = session.lower(query).expect("TPC-H lowers");
         let x = qi as f64 + 1.0;
         series[0].points.push((
             x,
@@ -272,8 +252,8 @@ pub fn fig8_opts(
             // fallback here.
             let mut cfg = ExecConfig::new(placement);
             cfg.packet_rows = packet_rows;
-            cfg.threads = threads;
-            let t = engine.run(&q.catalog, &q.plan, &cfg).ok().map(|rep| rep.time.as_secs());
+            let t =
+                session.engine().run(&q.catalog, &q.plan, &cfg).ok().map(|r| r.time.as_secs());
             series[1 + si].points.push((x, t));
         }
         let last = series.len() - 1;
@@ -356,7 +336,7 @@ mod tests {
 
     #[test]
     fn fig8_auto_bar_completes_q9_where_gpu_only_cannot() {
-        let fig = fig8_with(0.01, &[Placement::GpuOnly, Placement::Auto]);
+        let fig = fig8(0.01, &[Placement::GpuOnly, Placement::Auto], None);
         assert_eq!(fig.series[1].label, "Proteus GPUs");
         assert_eq!(fig.series[2].label, "Proteus Auto");
         let q9 = fig.series[1].points.len() - 1;

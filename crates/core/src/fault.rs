@@ -150,8 +150,8 @@ impl FaultPlan {
         FaultPlan { inner: Some(Arc::new(PlanInner { faults, retry })) }
     }
 
-    /// The canonical chaos schedule used by the chaos suites and
-    /// `figures --chaos`: every recoverable fault kind, with trigger
+    /// The canonical chaos schedule the chaos suites and the differential
+    /// harness's faulted axis run: every recoverable fault kind, with trigger
     /// offsets varied pseudo-randomly by `seed` (pure arithmetic — no
     /// wall-clock, no OS randomness).
     ///

@@ -34,7 +34,7 @@
 //! in `chrome://tracing` or Perfetto) and [`Trace::render_profile`] (a
 //! deterministic plain-text per-stage table with est/actual ratios,
 //! rendered by [`Session::profile`](crate::session::Session::profile) and
-//! `figures --profile`).
+//! `examples/tpch_hybrid.rs --profile`).
 //!
 //! ```
 //! use hape_core::trace::{SpanKind, TraceRecorder};
@@ -602,9 +602,9 @@ impl Ledger {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal — the one
-/// escaper every hand-rolled JSON writer in the workspace calls.
-pub fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal (for
+/// [`Trace::to_chrome_json`], the workspace's one JSON writer).
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

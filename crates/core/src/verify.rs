@@ -44,7 +44,9 @@
 //! ([`crate::engine::Engine::begin`], the baselines) moves a packet of a
 //! plan it refuses; the first finding surfaces as a typed error. Explicit
 //! verification ([`verify_placed`], [`crate::session::Session::verify`],
-//! `figures --verify`) reports every finding, the device audit's included.
+//! [`check_placed`]) reports every finding, the device audit's included;
+//! the differential harness (`tests/differential.rs`) asserts the audit is
+//! empty exactly when the engine runs the placed plan.
 //!
 //! Verification is a **pure reader** of the IR: it never mutates the
 //! plan, the catalog or the server, so running it cannot perturb the

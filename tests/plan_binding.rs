@@ -507,31 +507,3 @@ fn static_and_runtime_verdicts_agree_on_every_row() {
         );
     }
 }
-
-#[test]
-fn static_and_runtime_verdicts_agree_on_the_benchmark_suites() {
-    use hape::core::Session;
-    use hape::tpch::events::{behavioral_queries, generate_events};
-    use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query, tpch_session};
-    const SF: f64 = 0.01;
-    let tpch = tpch_session(&hape::tpch::generate(SF, 31337), Server::tpch_scaled(SF));
-    let algo = JoinAlgo::Partitioned;
-    let tpch_queries = vec![q1_query(), q5_query(algo), q6_query(), q9_query(algo)];
-    let mut behavioral = Session::new(Server::paper_testbed());
-    behavioral.register(generate_events(2_000, 7171));
-    let suites = [(&tpch, tpch_queries), (&behavioral, behavioral_queries())];
-    for (session, queries) in &suites {
-        for query in queries {
-            let lowered = session.lower(query).expect("the suites lower");
-            assert!(
-                verify_plan(&lowered.plan, &lowered.catalog).is_ok(),
-                "{}: {:?}",
-                query.name,
-                verify_plan(&lowered.plan, &lowered.catalog)
-            );
-            let cfg = ExecConfig::new(Placement::CpuOnly);
-            let run = session.engine().run(&lowered.catalog, &lowered.plan, &cfg);
-            assert!(run.is_ok(), "{}: {:?}", query.name, run.err());
-        }
-    }
-}

@@ -66,6 +66,8 @@ fn spans_nest_packet_within_stage_within_query() {
     assert_eq!(query_span.name, "Q5");
     let stages: Vec<_> = trace.spans.iter().filter(|s| s.kind == SpanKind::Stage).collect();
     assert!(!stages.is_empty(), "stage spans recorded");
+    let optimized = trace.spans.iter().any(|s| s.kind == SpanKind::Optimize);
+    assert!(optimized, "an Auto run records the optimizer's spans");
     for stage in &stages {
         assert!(
             query_span.sim_contains(stage),
