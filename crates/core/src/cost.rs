@@ -472,18 +472,24 @@ impl<'a> CostModel<'a> {
         });
         let Some(first_socket) = first_socket else { return Ok(None) };
         let cpu0 = self.cpu_spec(first_socket)?;
+        let mut workers = 0usize;
+        for &d in cpus {
+            let DeviceId::Cpu(s) = d else { continue };
+            workers += self.cpu_spec(s)?.cores;
+        }
+        let n_sockets = cpus.iter().filter(|d| !d.is_gpu()).count().max(1);
 
-        // Fanout planning, shared with the executing join: prefer the
-        // fanout at which a pair fits every GPU, fall back to the largest
-        // budget within the CPU's multi-pass bound.
-        let (bits, planned_budget) =
-            match hape_join::plan_cpu_bits(r_bytes, s_bytes, min_budget, cpu0) {
-                Ok(b) => (b, min_budget),
-                Err(_) => match hape_join::plan_cpu_bits(r_bytes, s_bytes, max_budget, cpu0) {
-                    Ok(b) => (b, max_budget),
-                    Err(_) => return Ok(None),
-                },
-            };
+        // The executing join's co-partitioning plan: fanout, the budget it
+        // fits, and the CPU passes over both sides spread over all workers.
+        let Ok((bits, planned_budget, t_cpu)) = hape_join::coprocess(
+            (r_rows as u64, r_bytes),
+            (s_rows as u64, s_bytes),
+            (min_budget, max_budget),
+            cpu0,
+            (workers, n_sockets),
+        ) else {
+            return Ok(None);
+        };
         let per_partition_bytes = (2 * (r_bytes + s_bytes)) >> bits;
 
         // Only GPUs a planned co-partition actually fits receive work —
@@ -514,29 +520,12 @@ impl<'a> CostModel<'a> {
             ..est.clone()
         };
         let mut rates = 0.0f64;
-        let mut workers = 0usize;
         for &d in cpus {
             let DeviceId::Cpu(s) = d else { continue };
             rates += 1.0 / self.cpu_ns_per_byte(s, &prefix)?;
-            workers += self.cpu_spec(s)?.cores;
         }
         let prefix_seconds = est.in_bytes / rates / 1e9;
-
-        // Co-partition passes, mirroring coprocess_join: both sides, each
-        // pass near DRAM bandwidth, spread over all workers.
-        let n_sockets = cpus.iter().filter(|d| !d.is_gpu()).count().max(1);
-        let per_socket = (workers / n_sockets).max(1);
-        let model = CpuCostModel::new(cpu0.clone(), per_socket.min(cpu0.cores));
-        let max_pass_bits = cpu0.max_partition_fanout().trailing_zeros().max(1);
-        let mut t_cpu = hape_sim::SimTime::ZERO;
-        let mut rem = bits;
-        while rem > 0 {
-            let b = rem.min(max_pass_bits);
-            t_cpu += model.partition_pass(r_rows as u64, 8, 1 << b);
-            t_cpu += model.partition_pass(s_rows as u64, 8, 1 << b);
-            rem -= b;
-        }
-        let cpu_partition_seconds = t_cpu.as_secs() / (workers.max(1) as f64 * 0.92);
+        let cpu_partition_seconds = t_cpu.as_secs();
 
         // Single pass over PCIe, pipelined against the in-GPU radix joins
         // (partition-continue + build + probe ≈ 4 device-memory trips),
@@ -553,6 +542,8 @@ impl<'a> CostModel<'a> {
         // path charges their consumption in the post-join packet loop,
         // which this term mirrors).
         let matches = s_rows * JOIN_MATCH_RATE;
+        let per_socket = (workers / n_sockets).max(1);
+        let model = CpuCostModel::new(cpu0.clone(), per_socket.min(cpu0.cores));
         let agg_seconds = model.random_accesses(matches as u64, 1 << 16).as_secs()
             / (workers.max(1) as f64 * 0.9);
 

@@ -79,6 +79,7 @@ use crate::provider::{
 use crate::runtime;
 use crate::trace::{Ledger, Span, SpanKind, TraceRecorder};
 use crate::traits::DeviceType;
+use crate::verify::{Diagnostic, DiagnosticKind, Pass};
 
 pub use crate::error::EngineError;
 
@@ -310,16 +311,16 @@ impl Engine {
     /// statistics to pick per-stage device subsets. Either way the
     /// interpreter sees only the placed IR.
     ///
-    /// The plan is structurally re-validated by the placement pass, so
-    /// hand-assembled physical plans that bypass [`QueryPlan::try_new`]
-    /// surface [`EngineError::InvalidPlan`] instead of panicking
-    /// mid-execution.
+    /// The plan binds to `catalog` first ([`QueryPlan::bind`]): a plan that
+    /// does not is refused with the walk's first finding under every
+    /// placement, before the optimizer prices it.
     pub fn place(
         &self,
         catalog: &Catalog,
         plan: &QueryPlan,
         cfg: &ExecConfig,
     ) -> Result<PlacedPlan, EngineError> {
+        plan.bind(catalog)?;
         match cfg.placement {
             Placement::Auto => crate::optimize::optimize(plan, catalog, cfg, &self.server),
             _ => place(plan, cfg, &self.server),
@@ -362,8 +363,8 @@ impl Engine {
     /// re-entrantly.
     ///
     /// Fallible: a plan that does not bind to `catalog` is refused here,
-    /// before its first stage, with the typed error its first finding maps
-    /// to ([`QueryPlan::bind`]); a set-but-invalid `HAPE_THREADS` surfaces
+    /// before its first stage, with the walk's first finding
+    /// ([`QueryPlan::bind`]); a set-but-invalid `HAPE_THREADS` surfaces
     /// as [`EngineError::InvalidConfig`] instead of silently falling back.
     pub fn begin<'a>(
         &'a self,
@@ -373,7 +374,7 @@ impl Engine {
         // Bind once, in every profile: the pipelines are the caller's
         // input. What placement adds is the device subsets, and everything
         // the interpreter reads of them is derived from them.
-        crate::plan::bind_to(&placed.name, placed.views(), catalog)?;
+        crate::plan::bind_to(placed.views(), catalog)?;
         Ok(QueryExec {
             engine: self,
             catalog,
@@ -390,12 +391,13 @@ impl Engine {
     }
 }
 
-/// The terminal aggregation an aggregating stage must carry.
+/// The terminal aggregation an aggregating stage carries — binding has
+/// refused a plan whose stream does not.
 fn stream_agg(pipeline: &Pipeline) -> Result<&AggSpec, EngineError> {
     pipeline.agg.as_ref().ok_or_else(|| {
-        EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-            name: pipeline.source.clone(),
-        })
+        let (kind, pass) = (DiagnosticKind::StreamMissingAgg, Pass::SchemaDataflow);
+        let d = Diagnostic { stage: None, segment: None, op: None, pass, kind };
+        EngineError::InvalidPlan(PlanError::Unbound(Box::new(d)))
     })
 }
 
@@ -1309,7 +1311,8 @@ mod tests {
         let err = engine
             .run(&Catalog::new(), &plan, &ExecConfig::new(Placement::CpuOnly))
             .unwrap_err();
-        assert!(matches!(err, EngineError::MissingTable(_)));
+        let kind = unbound_kind(err);
+        assert_eq!(kind, DiagnosticKind::UnknownSource { table: "dim".into() });
     }
 
     #[test]
@@ -1352,10 +1355,7 @@ mod tests {
                 .unwrap();
         placed.stages.remove(0); // drop the build stage
         let err = engine.run_placed(&catalog, &placed).unwrap_err();
-        assert!(
-            matches!(err, EngineError::HashTableNotBuilt { ref table } if table == "dim_ht"),
-            "{err}"
-        );
+        assert_eq!(unbound_kind(err), DiagnosticKind::ProbeUnbuilt { ht: "dim_ht".into() });
     }
 
     /// A stateful plan assembled by hand over `ev(user i32, ts i64, score
@@ -1383,16 +1383,22 @@ mod tests {
         (catalog, QueryPlan::try_new("sessions", vec![Stage::Stream { pipeline }]).unwrap())
     }
 
+    /// The kind of a refusal's finding; panics on any other error.
+    fn unbound_kind(err: EngineError) -> DiagnosticKind {
+        match err {
+            EngineError::InvalidPlan(PlanError::Unbound(d)) => d.kind,
+            other => panic!("expected InvalidPlan(Unbound), got {other:?}"),
+        }
+    }
+
     /// `Engine::run` refuses the hand-built plan with `expected` under
-    /// every placement (so also through the optimizer), without panicking.
-    fn assert_stateful_refused(user_col: usize, expected: &PlanError) {
+    /// every placement (so also before the optimizer), without panicking.
+    fn assert_stateful_refused(user_col: usize, expected: &DiagnosticKind) {
         let (catalog, plan) = hand_built_sessionize(user_col);
         let engine = Engine::new(Server::paper_testbed());
         for p in [Placement::CpuOnly, Placement::Hybrid, Placement::Auto] {
-            match engine.run(&catalog, &plan, &ExecConfig::new(p)) {
-                Err(EngineError::InvalidPlan(e)) => assert_eq!(&e, expected, "{p:?}"),
-                other => panic!("{p:?}: expected InvalidPlan, got {other:?}"),
-            }
+            let err = engine.run(&catalog, &plan, &ExecConfig::new(p)).unwrap_err();
+            assert_eq!(&unbound_kind(err), expected, "{p:?}");
         }
     }
 
@@ -1408,26 +1414,28 @@ mod tests {
     fn stateful_over_a_float_column_is_refused_not_a_panic() {
         // Release builds run no verifier before `run_workers`; the kernels
         // used to panic `stateful aggregate over a float column`.
-        let found = Some(hape_storage::DataType::F64);
+        let found = hape_storage::DataType::F64;
         assert_stateful_refused(
             2,
-            &PlanError::StatefulColumn { table: "ev".into(), role: "user", column: 2, found },
+            &DiagnosticKind::StatefulColumnType { column: 2, role: "user", found },
         );
     }
 
     #[test]
     fn stateful_column_outside_the_source_is_refused_not_a_panic() {
         // Used to panic `index out of bounds` in the user-aligned split.
-        let refusal = PlanError::StatefulColumn {
-            table: "ev".into(),
+        let kind = DiagnosticKind::StatefulAlignmentInvalid {
             role: "user",
-            column: 7,
-            found: None,
+            user_col: 7,
+            source_width: 3,
         };
-        assert_stateful_refused(7, &refusal);
+        assert_stateful_refused(7, &kind);
+        let (catalog, plan) = hand_built_sessionize(7);
+        let err = plan.bind(&catalog).unwrap_err();
         assert_eq!(
-            EngineError::InvalidPlan(refusal).to_string(),
-            "invalid plan: stateful user column 7 is outside the schema of \"ev\""
+            err.to_string(),
+            "invalid plan: plan does not bind: stage 0 op 0: [determinism] stateful user \
+             column 7 is outside the source schema (width 3); packet alignment would be undefined"
         );
     }
 

@@ -1,18 +1,26 @@
-//! Typed errors for plan construction, placement and execution.
+//! Typed errors, one enum per owner.
 //!
-//! Everything that can go wrong while *describing* a query surfaces as a
-//! [`PlanError`] from the logical front-end ([`crate::query`]) or from
-//! [`crate::plan::QueryPlan::try_new`]; everything that goes wrong while
-//! *placing* or *running* one surfaces as an [`EngineError`] from the
-//! placement pass ([`mod@crate::place`]) or the engine interpreter. The
-//! crate-level [`HapeError`] unifies the two for callers (the
-//! [`crate::session::Session`] front door returns it), so `?` works across
-//! the whole build→lower→place→execute path without `unwrap`s or panics.
+//! - [`PlanError`] is what lowering ([`crate::query`]) finds *by name* — an
+//!   unknown table or column, a missing scan, a type mismatch, a string
+//!   compared to a non-string column, an empty select — plus
+//!   [`PlanError::Unbound`]: the first finding of the binding walk
+//!   ([`crate::plan::QueryPlan::bind`]). `Unbound` is the one refusal of a
+//!   plan that does not bind, from every door: bare from
+//!   [`crate::plan::QueryPlan::try_new`] / `validate`, and as
+//!   [`EngineError::InvalidPlan`] from `Engine::place` / `run` /
+//!   `run_placed` and the baselines.
+//! - [`EngineError`] is what depends on state the plan does not carry: the
+//!   server a plan is placed on and run against (absent devices and
+//!   workers, GPU capacity, co-partition skew), runtime configuration,
+//!   faults, and the engine's typed lookups after binding.
+//! - [`HapeError`] unifies both with the verifier's [`VerifyError`] for the
+//!   [`crate::session::Session`] front door, so `?` works across the whole
+//!   lower → place → execute path without `unwrap`s or panics.
+//!
+//! [`VerifyError`]: crate::verify::VerifyError
 
-use hape_storage::DataType;
-
-/// Why a logical query could not be built or lowered, or why a physical
-/// plan failed validation.
+/// Why a logical query could not be lowered, or why a physical plan does
+/// not bind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// A scanned or joined table is not in the catalog.
@@ -48,69 +56,14 @@ pub enum PlanError {
         /// Where the comparison appears.
         context: String,
     },
-    /// A pipeline probes a hash table no earlier stage built.
-    ProbeBeforeBuild {
-        /// The unbuilt table name.
-        table: String,
-    },
-    /// A build stage's pipeline ends in an aggregation.
-    BuildWithAggregate {
-        /// The offending build stage.
-        stage: String,
-    },
-    /// A stream stage's pipeline (or a logical query being lowered for
-    /// execution) has no terminal aggregation.
-    StreamWithoutAggregate {
-        /// The plan or query name.
-        name: String,
-    },
-    /// A plan must have exactly one stream stage.
-    NotExactlyOneStream {
-        /// The plan name.
-        plan: String,
-        /// How many stream stages it has.
-        streams: usize,
-    },
-    /// More group-by columns than the execution layer supports.
-    TooManyGroupColumns {
-        /// Requested group-by arity.
-        got: usize,
-        /// Supported maximum.
-        max: usize,
-    },
     /// A `select` projection produced no output columns.
     EmptySelect {
         /// The query whose select is empty.
         query: String,
     },
-    /// A stateful per-user aggregate appears after an operator that
-    /// reshapes rows (projection, join probe, or another stateful
-    /// aggregate). The engine aligns packet boundaries on the aggregate's
-    /// user column in *source* order; only filters preserve that contract.
-    StatefulAfterReshape {
-        /// The plan or query name.
-        name: String,
-    },
-    /// A stateful aggregate's user / ts / event column is missing from the
-    /// table it scans, or has a type its role does not accept (the
-    /// vocabulary of [`crate::verify::DiagnosticKind::StatefulColumnType`]
-    /// and `StatefulAlignmentInvalid`): the kernels and the user-aligned
-    /// packet split index these columns unchecked.
-    StatefulColumn {
-        /// The scanned table.
-        table: String,
-        /// Which role the column plays (`user`, `ts`, `event`).
-        role: &'static str,
-        /// The column index the aggregate carries.
-        column: usize,
-        /// The type found there; `None` when the index lies outside the
-        /// table's schema.
-        found: Option<DataType>,
-    },
-    /// The plan does not bind to the catalog it was about to run against —
-    /// the invariants of [`crate::plan::QueryPlan::bind`] that no older
-    /// variant names (a column out of range, a wrong kind or key type, an
-    /// empty projection). Lowering refuses the same mistakes by name.
+    /// The plan does not bind: the binding walk's first finding, for any
+    /// invariant [`crate::plan::QueryPlan::bind`] lists. Lowering refuses
+    /// what it can by name first.
     Unbound(Box<crate::verify::Diagnostic>),
 }
 
@@ -135,36 +88,8 @@ impl std::fmt::Display for PlanError {
                     "string literal {literal:?} compared to a non-string column in {context}"
                 )
             }
-            PlanError::ProbeBeforeBuild { table } => {
-                write!(f, "hash table {table:?} probed before built")
-            }
-            PlanError::BuildWithAggregate { stage } => {
-                write!(f, "build stage {stage:?} must not aggregate")
-            }
-            PlanError::StreamWithoutAggregate { name } => {
-                write!(f, "stream pipeline of {name:?} must end in an aggregation")
-            }
-            PlanError::NotExactlyOneStream { plan, streams } => {
-                write!(f, "plan {plan:?} needs exactly one stream stage (got {streams})")
-            }
-            PlanError::TooManyGroupColumns { got, max } => {
-                write!(f, "{got} group-by columns requested, at most {max} supported")
-            }
             PlanError::EmptySelect { query } => {
                 write!(f, "select in query {query:?} projects no columns")
-            }
-            PlanError::StatefulAfterReshape { name } => {
-                write!(
-                    f,
-                    "stateful aggregate in {name:?} must come before any projection, \
-                     join or other stateful aggregate (only filters may precede it)"
-                )
-            }
-            PlanError::StatefulColumn { table, role, column, found: Some(found) } => {
-                write!(f, "stateful {role} column {column} of {table:?} has type {found:?}")
-            }
-            PlanError::StatefulColumn { table, role, column, found: None } => {
-                write!(f, "stateful {role} column {column} is outside the schema of {table:?}")
             }
             PlanError::Unbound(diagnostic) => write!(f, "plan does not bind: {diagnostic}"),
         }
@@ -173,7 +98,7 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Why a (structurally valid) plan could not be placed or executed.
+/// Why a plan could not be placed or executed.
 #[derive(Debug)]
 pub enum EngineError {
     /// The plan's hash tables exceed a device's memory (with working
@@ -184,18 +109,19 @@ pub enum EngineError {
         /// Device capacity.
         capacity: u64,
     },
-    /// A table referenced by the plan is missing from the catalog.
+    /// A table the engine looked up is missing from the catalog — a
+    /// lookup after binding, which refuses an unknown scan source first.
     MissingTable(String),
-    /// The plan failed structural validation before execution started.
+    /// The plan does not bind ([`PlanError::Unbound`]); refused before
+    /// placement or execution started.
     InvalidPlan(PlanError),
     /// The placement selects a device class the server does not have.
     NoWorkers {
         /// The placement description.
         placement: String,
     },
-    /// A pipeline probes a hash table that no earlier placed stage built —
-    /// only reachable through hand-assembled [`crate::place::PlacedPlan`]s
-    /// that bypass plan validation.
+    /// A hash table the engine looked up was never built — a lookup after
+    /// binding, which refuses a probe of an unbuilt table first.
     HashTableNotBuilt {
         /// The missing hash-table name.
         table: String,
@@ -432,8 +358,17 @@ mod tests {
         let e = PlanError::UnknownColumn { column: "l_foo".into(), context: "lineitem".into() };
         assert!(e.to_string().contains("l_foo"));
         assert!(e.to_string().contains("lineitem"));
-        let e = PlanError::ProbeBeforeBuild { table: "ghost".into() };
-        assert!(e.to_string().contains("probed before built"));
+        let kind = crate::verify::DiagnosticKind::ProbeUnbuilt { ht: "ghost".into() };
+        let (stage, segment, op, pass) =
+            (Some(1), None, Some(0), crate::verify::Pass::SchemaDataflow);
+        let e = PlanError::Unbound(Box::new(crate::verify::Diagnostic {
+            stage,
+            segment,
+            op,
+            pass,
+            kind,
+        }));
+        assert!(e.to_string().contains("stage 1 op 0: [schema-dataflow] hash table \"ghost\""));
         let h: HapeError = e.into();
         assert!(h.to_string().contains("plan error"));
         let h: HapeError = EngineError::MissingTable("fact".into()).into();

@@ -83,8 +83,7 @@
 //! assert_eq!(report.rows[0].1[0], (1 << 12) as f64);
 //!
 //! // The manual `Placement` arms are sugar selecting which devices
-//! // participate; a placement with no devices is a typed error, never a
-//! // panic.
+//! // participate.
 //! let cpu = session
 //!     .execute_with(&query, &ExecConfig::new(Placement::CpuOnly))
 //!     .unwrap();
@@ -153,14 +152,15 @@
 //! the pipelines a caller supplies), plus a device/capacity audit of the
 //! subsets placement chose, each violation a typed [`verify::Diagnostic`]
 //! with a (stage, segment, op) location. The binding walk runs on every
-//! plan every executor begins, in every build profile, and refuses with a
-//! typed error before a packet moves; what placement adds is derived from
-//! the device subsets, so only their judgement against the server is left.
-//! The explicit API reports the full diagnostic list.
+//! plan every executor begins, in every build profile, and refuses with its
+//! first finding — [`PlanError::Unbound`] — before a packet moves; what
+//! placement adds is derived from the device subsets, so only their
+//! judgement against the server is left. The explicit API reports the full
+//! diagnostic list.
 //!
 //! ```
 //! use hape_core::verify::{self, DiagnosticKind, Pass};
-//! use hape_core::{JoinAlgo, Query, Session};
+//! use hape_core::{EngineError, JoinAlgo, PlanError, Query, Session};
 //! use hape_ops::{col, AggFunc};
 //! use hape_sim::topology::{DeviceId, Server};
 //! use hape_storage::datagen::gen_key_fk_table;
@@ -196,6 +196,20 @@
 //!     d.to_string(),
 //!     "stage 1 segment gpu7: [device-audit] device gpu7 is not on the server"
 //! );
+//!
+//! // Scan a table the catalog lacks, and the engine refuses the plan with
+//! // the verifier's first finding.
+//! let mut plan = lowered.plan.clone();
+//! if let hape_core::Stage::Stream { pipeline } = &mut plan.stages[1] {
+//!     pipeline.source = "ghost".into();
+//! }
+//! let first = &verify::verify_plan(&plan, &lowered.catalog).unwrap_err().diagnostics[0];
+//! let cpu = hape_core::ExecConfig::new(hape_core::Placement::CpuOnly);
+//! match session.engine().run(&lowered.catalog, &plan, &cpu) {
+//!     Err(EngineError::InvalidPlan(PlanError::Unbound(d))) => assert_eq!(*d, *first),
+//!     other => panic!("expected the binding refusal, got {other:?}"),
+//! }
+//! assert_eq!(first.kind, DiagnosticKind::UnknownSource { table: "ghost".into() });
 //! ```
 
 #![warn(missing_docs)]

@@ -211,9 +211,8 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Create a named plan, validating its stage structure: builds must not
-    /// aggregate, the (single) stream stage must, and every probe must
-    /// reference an earlier build.
+    /// Create a named plan, refusing one whose structure does not bind
+    /// ([`QueryPlan::validate`]).
     pub fn try_new(name: impl Into<String>, stages: Vec<Stage>) -> Result<Self, PlanError> {
         let plan = QueryPlan { name: name.into(), stages };
         plan.validate()?;
@@ -222,39 +221,40 @@ impl QueryPlan {
 
     /// Check the stage structure of an already-assembled plan: the binding
     /// walk ([`QueryPlan::bind`]) without a catalog — invariants 1–5 and 13 —
-    /// refusing with its first finding.
+    /// refusing with its first finding as [`PlanError::Unbound`].
     pub fn validate(&self) -> Result<(), PlanError> {
-        let views: Vec<StageView<'_>> = self.views().collect();
-        refuse(&self.name, &views, bind(views.iter().copied(), None))
+        refuse(bind(self.views(), None))
     }
 
     /// Bind the plan to the catalog it will run against, refusing with the
     /// first finding. Every executor ([`crate::engine::Engine::begin`], the
-    /// baselines) binds before its first packet, in every build profile.
+    /// baselines) binds before its first packet, in every build profile,
+    /// and so does [`crate::engine::Engine::place`] before it dispatches.
     ///
     /// The binding walk is **the** list of plan invariants. It walks every
     /// stage's operators once, flowing the column types from the scanned
     /// schema through each operator boundary, and reports every violation
     /// as a located [`Diagnostic`] ([`crate::verify::check_plan`] returns
-    /// them all). A caller is refused with [`EngineError::InvalidPlan`] of
-    /// the [`PlanError`] named, unless an [`EngineError`] is; `try_new`
-    /// stands for every catalog-less caller, `begin` for every executor.
+    /// them all). Every door refuses a plan that does not bind the same
+    /// way: with [`PlanError::Unbound`] of the walk's first finding —
+    /// bare from [`QueryPlan::try_new`] and `validate`, as
+    /// [`EngineError::InvalidPlan`] from every executor.
     ///
-    /// | # | invariant | [`DiagnosticKind`] | refusal |
-    /// |---|---|---|---|
-    /// | 1 | a build stage does not aggregate | `BuildAggregates` | `BuildWithAggregate` |
-    /// | 2 | a streaming stage does | `StreamMissingAgg` | `StreamWithoutAggregate` |
-    /// | 3 | there is exactly one streaming stage | `NotExactlyOneStream` | `NotExactlyOneStream` |
-    /// | 4 | a probed hash table is built by an earlier stage | `ProbeUnbuilt` | `try_new`: `ProbeBeforeBuild`; `begin`: [`EngineError::HashTableNotBuilt`] |
-    /// | 5 | only filters precede a stateful aggregate | `StatefulAfterReshape` | `StatefulAfterReshape` |
-    /// | 6 | the scanned table exists | `UnknownSource` | [`EngineError::MissingTable`] |
-    /// | 7 | every column an expression, key, group-by or probe payload names is in range | `ColumnOutOfRange`, `PayloadOutOfRange` | `Unbound` |
-    /// | 8 | filters are boolean; projections, the arguments of every aggregate but `Count`, and each operand ([`Expr::kind`]) of the kind its operator takes | `ExprKindMismatch` | `Unbound` |
-    /// | 9 | a projection has a column | `EmptyProject` | `Unbound` |
-    /// | 10 | probe and build keys are `i32` / date typed | `ProbeKeyType`, `KeyType` | `Unbound` |
-    /// | 11 | group keys are not `f64` typed | `KeyType` | `Unbound` |
-    /// | 12 | a stateful aggregate's user / ts / event columns are in range and of a type their role accepts | `StatefulAlignmentInvalid`, `StatefulColumnType` | `StatefulColumn` |
-    /// | 13 | a group-by has at most as many columns as a `hape_ops::GroupKey` holds (4) | `TooManyGroupColumns` | `TooManyGroupColumns` |
+    /// | # | invariant | [`DiagnosticKind`] |
+    /// |---|---|---|
+    /// | 1 | a build stage does not aggregate | `BuildAggregates` |
+    /// | 2 | a streaming stage does | `StreamMissingAgg` |
+    /// | 3 | there is exactly one streaming stage | `NotExactlyOneStream` |
+    /// | 4 | a probed hash table is built by an earlier stage | `ProbeUnbuilt` |
+    /// | 5 | only filters precede a stateful aggregate | `StatefulAfterReshape` |
+    /// | 6 | the scanned table exists | `UnknownSource` |
+    /// | 7 | every column an expression, key, group-by or probe payload names is in range | `ColumnOutOfRange`, `PayloadOutOfRange` |
+    /// | 8 | filters are boolean; projections, the arguments of every aggregate but `Count`, and each operand ([`Expr::kind`]) of the kind its operator takes | `ExprKindMismatch` |
+    /// | 9 | a projection has a column | `EmptyProject` |
+    /// | 10 | probe and build keys are `i32` / date typed | `ProbeKeyType`, `KeyType` |
+    /// | 11 | group keys are not `f64` typed | `KeyType` |
+    /// | 12 | a stateful aggregate's user / ts / event columns are in range and of a type their role accepts | `StatefulAlignmentInvalid`, `StatefulColumnType` |
+    /// | 13 | a group-by has at most as many columns as a `hape_ops::GroupKey` holds (4) | `TooManyGroupColumns` |
     ///
     /// 1–5 and 13 are structure, judged with or without a catalog. 6–12 need a
     /// schema to flow: without a catalog there is none, and a pipeline whose
@@ -262,7 +262,7 @@ impl QueryPlan {
     /// reported once and the walk continues with the operator's declared
     /// output shape, so one corruption yields one diagnostic, not a cascade.
     pub fn bind(&self, catalog: &Catalog) -> Result<(), EngineError> {
-        bind_to(&self.name, self.views(), catalog)
+        bind_to(self.views(), catalog)
     }
 
     pub(crate) fn views(&self) -> impl Iterator<Item = StageView<'_>> {
@@ -511,61 +511,18 @@ impl<'a> Binder<'a> {
     }
 }
 
-/// The one `Diagnostic` → error mapping: refuse with the first finding,
-/// as the [`PlanError`] that has named its invariant since before the walk
-/// owned it (listed per invariant on [`bind`]).
-fn refuse(
-    plan: &str,
-    views: &[StageView<'_>],
-    diagnostics: Vec<Diagnostic>,
-) -> Result<(), PlanError> {
-    let Some(d) = diagnostics.into_iter().next() else { return Ok(()) };
-    let name = plan.to_string();
-    let table = d.stage.and_then(|si| views.get(si)).map(|(_, p)| p.source.clone());
-    let table = table.unwrap_or_default();
-    Err(match d.kind.clone() {
-        DiagnosticKind::BuildAggregates { name } => {
-            PlanError::BuildWithAggregate { stage: name }
-        }
-        DiagnosticKind::StreamMissingAgg => PlanError::StreamWithoutAggregate { name },
-        DiagnosticKind::NotExactlyOneStream { streams } => {
-            PlanError::NotExactlyOneStream { plan: name, streams }
-        }
-        DiagnosticKind::ProbeUnbuilt { ht } => PlanError::ProbeBeforeBuild { table: ht },
-        DiagnosticKind::StatefulAfterReshape => PlanError::StatefulAfterReshape { name },
-        DiagnosticKind::TooManyGroupColumns { got, max } => {
-            PlanError::TooManyGroupColumns { got, max }
-        }
-        DiagnosticKind::UnknownSource { table } => PlanError::UnknownTable { table },
-        DiagnosticKind::StatefulColumnType { column, role, found } => {
-            PlanError::StatefulColumn { table, role, column, found: Some(found) }
-        }
-        DiagnosticKind::StatefulAlignmentInvalid { role, user_col, .. } => {
-            PlanError::StatefulColumn { table, role, column: user_col, found: None }
-        }
-        _ => PlanError::Unbound(Box::new(d)),
-    })
-}
-
-/// A binding refusal in the types the interpreter raised while these
-/// conditions were still found mid-run.
-fn runtime_error(e: PlanError) -> EngineError {
-    match e {
-        PlanError::UnknownTable { table } => EngineError::MissingTable(table),
-        PlanError::ProbeBeforeBuild { table } => EngineError::HashTableNotBuilt { table },
-        e => EngineError::InvalidPlan(e),
-    }
+/// Refuse with the walk's first finding, if there is one.
+fn refuse(diagnostics: Vec<Diagnostic>) -> Result<(), PlanError> {
+    diagnostics.into_iter().next().map_or(Ok(()), |d| Err(PlanError::Unbound(Box::new(d))))
 }
 
 /// Bind stage views to the catalog they will run against: [`bind`] with
 /// the schemas to flow, refusing with its first finding.
 pub(crate) fn bind_to<'a>(
-    plan: &str,
-    views: impl Iterator<Item = StageView<'a>>,
+    views: impl IntoIterator<Item = StageView<'a>>,
     catalog: &Catalog,
 ) -> Result<(), EngineError> {
-    let views: Vec<StageView<'_>> = views.collect();
-    refuse(plan, &views, bind(views.iter().copied(), Some(catalog))).map_err(runtime_error)
+    refuse(bind(views, Some(catalog))).map_err(EngineError::InvalidPlan)
 }
 
 /// A materialised build-side hash table (runtime object).
@@ -644,56 +601,49 @@ mod tests {
         assert_eq!(plan.stages.len(), 2);
     }
 
+    /// The kind of the finding `try_new` refuses `stages` with.
+    fn refusal(stages: Vec<Stage>) -> DiagnosticKind {
+        match QueryPlan::try_new("bad", stages) {
+            Err(PlanError::Unbound(d)) => d.kind,
+            other => panic!("expected Unbound, got {other:?}"),
+        }
+    }
+
     #[test]
     fn probing_unbuilt_table_rejected() {
-        let err = QueryPlan::try_new(
-            "bad",
-            vec![Stage::Stream {
-                pipeline: Pipeline::scan("fact")
-                    .join("ghost", 0, vec![], JoinAlgo::NonPartitioned)
-                    .aggregate(agg()),
-            }],
-        )
-        .unwrap_err();
-        assert_eq!(err, PlanError::ProbeBeforeBuild { table: "ghost".into() });
+        let pipeline = Pipeline::scan("fact")
+            .join("ghost", 0, vec![], JoinAlgo::NonPartitioned)
+            .aggregate(agg());
+        let kind = refusal(vec![Stage::Stream { pipeline }]);
+        assert_eq!(kind, DiagnosticKind::ProbeUnbuilt { ht: "ghost".into() });
     }
 
     #[test]
     fn stream_without_agg_rejected() {
-        let err =
-            QueryPlan::try_new("bad", vec![Stage::Stream { pipeline: Pipeline::scan("t") }])
-                .unwrap_err();
-        assert_eq!(err, PlanError::StreamWithoutAggregate { name: "bad".into() });
+        let kind = refusal(vec![Stage::Stream { pipeline: Pipeline::scan("t") }]);
+        assert_eq!(kind, DiagnosticKind::StreamMissingAgg);
     }
 
     #[test]
     fn build_with_agg_rejected() {
-        let err = QueryPlan::try_new(
-            "bad",
-            vec![
-                Stage::Build {
-                    name: "d".into(),
-                    key_col: 0,
-                    pipeline: Pipeline::scan("dim").aggregate(agg()),
-                },
-                Stage::Stream { pipeline: Pipeline::scan("fact").aggregate(agg()) },
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(err, PlanError::BuildWithAggregate { stage: "d".into() });
+        let kind = refusal(vec![
+            Stage::Build {
+                name: "d".into(),
+                key_col: 0,
+                pipeline: Pipeline::scan("dim").aggregate(agg()),
+            },
+            Stage::Stream { pipeline: Pipeline::scan("fact").aggregate(agg()) },
+        ]);
+        assert_eq!(kind, DiagnosticKind::BuildAggregates { name: "d".into() });
     }
 
     #[test]
     fn multiple_streams_rejected() {
-        let err = QueryPlan::try_new(
-            "bad",
-            vec![
-                Stage::Stream { pipeline: Pipeline::scan("a").aggregate(agg()) },
-                Stage::Stream { pipeline: Pipeline::scan("b").aggregate(agg()) },
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(err, PlanError::NotExactlyOneStream { plan: "bad".into(), streams: 2 });
+        let kind = refusal(vec![
+            Stage::Stream { pipeline: Pipeline::scan("a").aggregate(agg()) },
+            Stage::Stream { pipeline: Pipeline::scan("b").aggregate(agg()) },
+        ]);
+        assert_eq!(kind, DiagnosticKind::NotExactlyOneStream { streams: 2 });
     }
 
     #[test]
@@ -723,17 +673,13 @@ mod tests {
         let Stage::Stream { pipeline } = &ok.stages[0] else { unreachable!() };
         assert_eq!(pipeline.stateful_agg(), Some(&sess));
 
-        let err = QueryPlan::try_new(
-            "bad",
-            vec![Stage::Stream {
-                pipeline: Pipeline::scan("ev")
-                    .project(vec![Expr::col(0)])
-                    .stateful(sess)
-                    .aggregate(agg()),
-            }],
-        )
-        .unwrap_err();
-        assert_eq!(err, PlanError::StatefulAfterReshape { name: "bad".into() });
+        let kind = refusal(vec![Stage::Stream {
+            pipeline: Pipeline::scan("ev")
+                .project(vec![Expr::col(0)])
+                .stateful(sess)
+                .aggregate(agg()),
+        }]);
+        assert_eq!(kind, DiagnosticKind::StatefulAfterReshape);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub const GPU_HT_WORKING_FACTOR: f64 = 2.5;
 
 /// Seed for a CPU worker's calibrated ns-per-byte processing estimate (the
 /// router tie-breaker before the first packet lands): roughly one core's
-/// share of socket bandwidth on the paper's Xeon. Shared with the cost
-/// subsystem so the optimizer's priors match the router's.
+/// share of socket bandwidth on the paper's Xeon. Only the router reads
+/// it; the optimizer prices CPUs from the socket spec instead.
 pub const CPU_WORKER_SEED_NS_PER_BYTE: f64 = 0.25;
 
 /// Seed for a GPU worker's calibrated ns-per-byte estimate: PCIe-bound

@@ -28,9 +28,11 @@
 //! scan and transfer costs are charged on exactly the touched bytes — what
 //! the per-query hand-maintained projections used to do manually.
 //!
-//! Everything is fallible: unknown tables/columns, type mismatches,
-//! aggregating build sides and aggregate-less streams all surface as
-//! [`PlanError`]s instead of panicking.
+//! Everything is fallible: unknown tables and columns and type mismatches
+//! surface as [`PlanError`]s by name; what the binding walk owns — an
+//! aggregating build side, an aggregate-less stream, a too-wide group-by —
+//! as the [`PlanError::Unbound`] finding of [`QueryPlan::try_new`], which
+//! closes every lowering.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -314,9 +316,6 @@ impl Query {
     /// on the structural key, so later sites probe the first site's hash
     /// table instead of emitting a duplicate build stage.
     pub fn lower(&self, catalog: &Catalog) -> Result<LoweredQuery, PlanError> {
-        if !self.aggregates() {
-            return Err(PlanError::StreamWithoutAggregate { name: self.name.clone() });
-        }
         let mut ctx = Lowering::with_export_unions(
             catalog,
             Lowering::collect_export_unions(catalog, self, &self.name)?,
@@ -714,11 +713,6 @@ impl<'a> Lowering<'a> {
                     cols = out_cols;
                 }
                 LogicalOp::Join(j) => {
-                    if j.build.aggregates() {
-                        return Err(PlanError::BuildWithAggregate {
-                            stage: j.build.name.clone(),
-                        });
-                    }
                     // What later ops (and our own consumer) still need but
                     // cannot see yet — candidates for this join's payload.
                     // Track each name's first point of use: a name only
@@ -1126,6 +1120,7 @@ fn infer_kind(e: &NamedExpr, cols: &[ColInfo], context: &str) -> Result<Kind, Pl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::DiagnosticKind;
     use hape_ops::{col, lit};
     use hape_storage::datagen::gen_key_fk_table;
 
@@ -1275,13 +1270,18 @@ mod tests {
         }
     }
 
+    /// The kind of the binding finding lowering `q` is refused with.
+    fn unbound_kind(q: &Query) -> DiagnosticKind {
+        match q.lower(&catalog()) {
+            Err(PlanError::Unbound(d)) => d.kind,
+            other => panic!("expected Unbound, got {:?}", other.err()),
+        }
+    }
+
     #[test]
     fn missing_aggregate_reported() {
         let q = Query::new("q").from_table("fact");
-        assert_eq!(
-            q.lower(&catalog()).unwrap_err(),
-            PlanError::StreamWithoutAggregate { name: "q".into() }
-        );
+        assert_eq!(unbound_kind(&q), DiagnosticKind::StreamMissingAgg);
     }
 
     #[test]
@@ -1291,9 +1291,10 @@ mod tests {
             .from_table("fact")
             .join(build, "k", "k", JoinAlgo::NonPartitioned)
             .agg(count());
-        assert_eq!(
-            q.lower(&catalog()).unwrap_err(),
-            PlanError::BuildWithAggregate { stage: "dim".into() }
+        assert!(
+            matches!(unbound_kind(&q), DiagnosticKind::BuildAggregates { ref name } if name == "q.dim"),
+            "{:?}",
+            q.lower(&catalog()).err()
         );
     }
 

@@ -14,10 +14,11 @@
 //! Everything that judges the *caller's* pipelines
 //! ([`Pass::SchemaDataflow`], [`Pass::Determinism`]) does not live here:
 //! it is the binding walk in [`crate::plan`]
-//! ([`crate::plan::QueryPlan::bind`] documents it invariant by invariant,
-//! with the error each refusal surfaces as), which `QueryPlan::validate`,
-//! every executor and this module all call. The device audit over the
-//! subsets is below.
+//! ([`crate::plan::QueryPlan::bind`] documents it invariant by invariant),
+//! which `QueryPlan::validate`, `Engine::place`, every executor and this
+//! module all call — and every one of them but this module refuses with
+//! its first finding, as [`crate::PlanError::Unbound`]. The device audit
+//! over the subsets is below.
 //!
 //! ## Invariants ↔ passes ↔ diagnostics ↔ paper sections
 //!
@@ -42,7 +43,8 @@
 //!
 //! The binding walk is **enforced in every build profile**: no executor
 //! ([`crate::engine::Engine::begin`], the baselines) moves a packet of a
-//! plan it refuses; the first finding surfaces as a typed error. Explicit
+//! plan it refuses; the first finding surfaces as the refusal, so the
+//! static and runtime verdicts agree kind for kind. Explicit
 //! verification ([`verify_placed`], [`crate::session::Session::verify`],
 //! [`check_placed`]) reports every finding, the device audit's included;
 //! the differential harness (`tests/differential.rs`) asserts the audit is

@@ -31,7 +31,6 @@ use hape_sim::topology::Server;
 use hape_sim::{Fidelity, GpuSim, SimTime};
 
 use crate::common::{JoinInput, JoinOutcome, JoinStats, OutputMode};
-use crate::cpu_radix::RadixPlan;
 use crate::gpu_radix::{gpu_radix_with_shift, BuildProbeVariant};
 use crate::partition::radix_partition_with_threads;
 use hape_sim::CpuCostModel;
@@ -217,6 +216,44 @@ pub fn plan_cpu_bits(
     Ok(bits.max(3))
 }
 
+/// The §5 co-partitioning plan, one statement for the executing join
+/// ([`coprocess_join_on`]) and the optimizer's estimate of it: the CPU
+/// fanout in radix bits, the GPU budget it was planned against, and the
+/// simulated time of the CPU partition passes.
+///
+/// The fanout is the smallest at which a co-partition pair fits every
+/// selected GPU (`min_budget`, see [`plan_cpu_bits`]); when none within the
+/// CPU's bound does, the largest budget's (`max_budget`), and GPUs a pair
+/// does not fit receive none. The bits split into passes of at most
+/// [`CpuSpec::max_partition_fanout`]; each pass streams both sides' `(key,
+/// row index)` pairs — `r` and `s` as `(tuples, bytes)` — near DRAM
+/// bandwidth through `cpu`'s cost model at the per-socket share of
+/// `workers` cores over `sockets`, and the passes spread over all `workers`.
+pub fn coprocess(
+    r: (u64, u64),
+    s: (u64, u64),
+    (min_budget, max_budget): (u64, u64),
+    cpu: &CpuSpec,
+    (workers, sockets): (usize, usize),
+) -> Result<(u32, u64, SimTime), CoprocessError> {
+    let (bits, budget) = match plan_cpu_bits(r.1, s.1, min_budget, cpu) {
+        Ok(bits) => (bits, min_budget),
+        Err(_) => (plan_cpu_bits(r.1, s.1, max_budget, cpu)?, max_budget),
+    };
+    let max_pass_bits = cpu.max_partition_fanout().trailing_zeros().max(1);
+    let per_socket = (workers / sockets.max(1)).max(1);
+    let model = CpuCostModel::new(cpu.clone(), per_socket.min(cpu.cores));
+    let mut time = SimTime::ZERO;
+    let mut rem = bits;
+    while rem > 0 {
+        let pass = rem.min(max_pass_bits);
+        time += model.partition_pass(r.0, 8, 1 << pass);
+        time += model.partition_pass(s.0, 8, 1 << pass);
+        rem -= pass;
+    }
+    Ok((bits, budget, time / (workers.max(1) as f64 * 0.92)))
+}
+
 /// Run the co-processing join on `server` (CPU-resident inputs), using the
 /// first `cfg.n_gpus` GPUs. See [`coprocess_join_on`] for explicit device
 /// selection.
@@ -285,38 +322,19 @@ pub fn coprocess_join_on(
     let max_budget = lanes.iter().map(|l| l.budget).max().unwrap_or(0);
     let cpu_spec = &server.cpus[0];
 
-    // ---- Plan and execute the CPU-side co-partitioning. Prefer the
-    // fanout at which a co-partition fits *every* selected GPU (best load
-    // balance); if only a larger budget is reachable within the fanout
-    // bound, plan for it and let the per-partition routing skip the
-    // smaller devices.
-    let cpu_bits = plan_cpu_bits(r.bytes(), s.bytes(), min_budget, cpu_spec)
-        .or_else(|_| plan_cpu_bits(r.bytes(), s.bytes(), max_budget, cpu_spec))?;
+    // ---- Plan (`coprocess`) and execute the CPU-side co-partitioning;
+    // the per-partition routing below skips GPUs a pair does not fit.
+    let (cpu_bits, _, t_cpu) = coprocess(
+        (r.len() as u64, r.bytes()),
+        (s.len() as u64, s.bytes()),
+        (min_budget, max_budget),
+        cpu_spec,
+        (cfg.cpu_workers, server.cpus.len()),
+    )?;
     let max_pass_bits = cpu_spec.max_partition_fanout().trailing_zeros().max(1);
-    let plan = {
-        let mut pass_bits = Vec::new();
-        let mut rem = cpu_bits;
-        while rem > 0 {
-            let b = rem.min(max_pass_bits);
-            pass_bits.push(b);
-            rem -= b;
-        }
-        RadixPlan { pass_bits, total_bits: cpu_bits }
-    };
     let (rp, _) = radix_partition_with_threads(r, cpu_bits, max_pass_bits, cfg.threads);
     let (sp, _) = radix_partition_with_threads(s, cpu_bits, max_pass_bits, cfg.threads);
     let fanout = rp.fanout();
-
-    // CPU partitioning cost: the low fanout keeps every pass near DRAM
-    // bandwidth. Both sockets' workers share the work.
-    let per_socket = (cfg.cpu_workers / server.cpus.len()).max(1);
-    let model = CpuCostModel::new(cpu_spec.clone(), per_socket.min(cpu_spec.cores));
-    let mut t_cpu = SimTime::ZERO;
-    for &bits in &plan.pass_bits {
-        t_cpu += model.partition_pass(r.len() as u64, 8, 1 << bits);
-        t_cpu += model.partition_pass(s.len() as u64, 8, 1 << bits);
-    }
-    let t_cpu = t_cpu / (cfg.cpu_workers.max(1) as f64 * 0.92);
 
     // ---- Data plane: a join's outcome is a pure function of (spec group,
     // co-partition), so every pair is joined on the pool before any lane is
@@ -506,38 +524,19 @@ mod tests {
         let max_budget = lanes.iter().map(|l| l.budget).max().unwrap_or(0);
         let cpu_spec = &server.cpus[0];
 
-        // ---- Plan and execute the CPU-side co-partitioning. Prefer the
-        // fanout at which a co-partition fits *every* selected GPU (best load
-        // balance); if only a larger budget is reachable within the fanout
-        // bound, plan for it and let the per-partition routing skip the
-        // smaller devices.
-        let cpu_bits = plan_cpu_bits(r.bytes(), s.bytes(), min_budget, cpu_spec)
-            .or_else(|_| plan_cpu_bits(r.bytes(), s.bytes(), max_budget, cpu_spec))?;
+        // ---- Plan (`coprocess`) and execute the CPU-side co-partitioning;
+        // the per-partition routing below skips GPUs a pair does not fit.
+        let (cpu_bits, _, t_cpu) = coprocess(
+            (r.len() as u64, r.bytes()),
+            (s.len() as u64, s.bytes()),
+            (min_budget, max_budget),
+            cpu_spec,
+            (cfg.cpu_workers, server.cpus.len()),
+        )?;
         let max_pass_bits = cpu_spec.max_partition_fanout().trailing_zeros().max(1);
-        let plan = {
-            let mut pass_bits = Vec::new();
-            let mut rem = cpu_bits;
-            while rem > 0 {
-                let b = rem.min(max_pass_bits);
-                pass_bits.push(b);
-                rem -= b;
-            }
-            RadixPlan { pass_bits, total_bits: cpu_bits }
-        };
         let (rp, _) = radix_partition_with_threads(r, cpu_bits, max_pass_bits, cfg.threads);
         let (sp, _) = radix_partition_with_threads(s, cpu_bits, max_pass_bits, cfg.threads);
         let fanout = rp.fanout();
-
-        // CPU partitioning cost: the low fanout keeps every pass near DRAM
-        // bandwidth. Both sockets' workers share the work.
-        let per_socket = (cfg.cpu_workers / server.cpus.len()).max(1);
-        let model = CpuCostModel::new(cpu_spec.clone(), per_socket.min(cpu_spec.cores));
-        let mut t_cpu = SimTime::ZERO;
-        for &bits in &plan.pass_bits {
-            t_cpu += model.partition_pass(r.len() as u64, 8, 1 << bits);
-            t_cpu += model.partition_pass(s.len() as u64, 8, 1 << bits);
-        }
-        let t_cpu = t_cpu / (cfg.cpu_workers.max(1) as f64 * 0.92);
 
         // ---- Schedule co-partitions over GPUs (load-aware routing).
         let mut assignments = vec![0usize; lanes.len()];

@@ -14,7 +14,7 @@
 //!   partitioning with scratchpad-staged store consolidation and linked-list
 //!   output buffers, then per-co-partition build & probe with the
 //!   scratchpad (SM), SM+L1 or L1 placement variants of Figure 5.
-//! * [`coprocess`] — the Sioulas et al. co-processing join (§5): low-fanout
+//! * [`mod@coprocess`] — the Sioulas et al. co-processing join (§5): low-fanout
 //!   CPU-side co-partitioning sized so each co-partition fits GPU memory,
 //!   a single pass over PCIe, and per-co-partition GPU radix joins load
 //!   balanced over 1..N GPUs.
@@ -36,7 +36,7 @@ pub mod partition;
 
 pub use common::{hash32, reference_join, JoinInput, JoinOutcome, JoinStats, OutputMode};
 pub use coprocess::{
-    coprocess_join, coprocess_join_on, gpu_budget, plan_cpu_bits, CoprocessConfig,
+    coprocess, coprocess_join, coprocess_join_on, gpu_budget, plan_cpu_bits, CoprocessConfig,
     CoprocessError, CoprocessReport,
 };
 pub use cpu_npj::cpu_npj;

@@ -58,11 +58,6 @@ impl CpuCostModel {
         SimTime::from_secs(1.5 * bytes as f64 / self.worker_bw())
     }
 
-    /// Time to stream-write `bytes` with non-temporal (streaming) stores.
-    pub fn seq_write_nt(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs(bytes as f64 / self.worker_bw())
-    }
-
     /// Time for `n` scalar operations.
     pub fn compute(&self, n_ops: u64) -> SimTime {
         SimTime::from_secs(n_ops as f64 / (self.spec.clock_hz * self.spec.ipc))

@@ -47,25 +47,10 @@ impl Resource {
         (start, end)
     }
 
-    /// Advance the availability clock to at least `t` without accruing busy
-    /// time (e.g. a worker blocked on an upstream dependency).
-    pub fn wait_until(&mut self, t: SimTime) {
-        self.free_at = self.free_at.max(t);
-    }
-
     /// Reset the clock (new query).
     pub fn reset(&mut self) {
         self.free_at = SimTime::ZERO;
         self.busy = SimTime::ZERO;
-    }
-
-    /// Utilisation relative to a makespan.
-    pub fn utilisation(&self, makespan: SimTime) -> f64 {
-        if makespan.is_zero() {
-            0.0
-        } else {
-            self.busy / makespan
-        }
     }
 }
 
@@ -99,16 +84,8 @@ mod tests {
         r.acquire(SimTime::ZERO, SimTime::from_ms(2.0));
         r.acquire(SimTime::from_ms(6.0), SimTime::from_ms(2.0));
         assert_eq!(r.busy_time(), SimTime::from_ms(4.0));
-        let u = r.utilisation(SimTime::from_ms(8.0));
-        assert!((u - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wait_until_does_not_accrue_busy() {
-        let mut r = Resource::new("w");
-        r.wait_until(SimTime::from_ms(3.0));
-        assert_eq!(r.free_at(), SimTime::from_ms(3.0));
-        assert_eq!(r.busy_time(), SimTime::ZERO);
+        // Utilisation: busy time over the makespan.
+        assert_eq!(r.busy_time() / SimTime::from_ms(8.0), 0.5);
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Number of warps in this block.
-    pub fn warps(&self) -> usize {
-        self.spec.warps_per_block(self.threads)
-    }
-
     /// The device spec this block runs on.
     pub fn spec(&self) -> &GpuSpec {
         self.spec

@@ -158,11 +158,6 @@ impl GpuMemPool {
         debug_assert!(self.used >= buf.region.bytes);
         self.used = self.used.saturating_sub(buf.region.bytes);
     }
-
-    /// Check whether `bytes` would fit without allocating.
-    pub fn would_fit(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
 }
 
 #[cfg(test)]

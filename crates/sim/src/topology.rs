@@ -161,16 +161,6 @@ impl Server {
         self.cpus.iter().map(|c| c.cores).sum()
     }
 
-    /// The transfer link a device's packets arrive over: the PCIe link for
-    /// a GPU, `None` for CPU sockets (host-resident packets are streamed in
-    /// place — NUMA is not modelled on the packet path).
-    pub fn link_of(&self, device: DeviceId) -> Option<&Link> {
-        match device {
-            DeviceId::Cpu(_) => None,
-            DeviceId::Gpu(g) => self.pcie.get(g),
-        }
-    }
-
     /// All compute devices.
     pub fn devices(&self) -> Vec<DeviceId> {
         let mut d: Vec<DeviceId> = (0..self.cpus.len()).map(DeviceId::Cpu).collect();

@@ -13,17 +13,6 @@ use rand::{Rng, SeedableRng};
 use crate::column::Column;
 use crate::table::{Batch, DataType, Schema, Table};
 
-/// A pair of join inputs with a known expected match count.
-#[derive(Debug, Clone)]
-pub struct JoinTablePair {
-    /// Build side.
-    pub r: Table,
-    /// Probe side.
-    pub s: Table,
-    /// Number of output tuples an equi-join on `k` must produce.
-    pub expected_matches: u64,
-}
-
 /// A shuffled permutation of `0..n` as `i32` keys.
 pub fn gen_unique_keys(n: usize, seed: u64) -> Vec<i32> {
     let mut keys: Vec<i32> = (0..n as i32).collect();
@@ -107,13 +96,6 @@ pub fn gen_key_fk_table(keys: usize, rows: usize, seed: u64) -> Table {
     )
 }
 
-/// Build the §6.2 pair: equal-sized tables with the same unique key set.
-pub fn gen_join_pair(rows: usize, seed: u64) -> JoinTablePair {
-    let r = gen_key_fk_table(rows, rows, seed);
-    let s = gen_key_fk_table(rows, rows, seed.wrapping_add(1000));
-    JoinTablePair { r, s, expected_matches: rows as u64 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +126,6 @@ mod tests {
         // Keys are unique (it is still a valid join key set).
         let set: HashSet<i32> = keys.iter().copied().collect();
         assert_eq!(set.len(), n);
-    }
-
-    #[test]
-    fn join_pair_has_same_key_sets() {
-        let pair = gen_join_pair(512, 42);
-        let rk: HashSet<i32> = pair.r.column("k").as_i32().iter().copied().collect();
-        let sk: HashSet<i32> = pair.s.column("k").as_i32().iter().copied().collect();
-        assert_eq!(rk, sk);
-        assert_eq!(pair.expected_matches, 512);
     }
 
     #[test]

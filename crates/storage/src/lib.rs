@@ -33,7 +33,7 @@ pub mod table;
 pub use column::{Column, ColumnData};
 pub use datagen::{
     gen_balanced_partition_keys, gen_key_fk_table, gen_uniform_i32, gen_unique_keys,
-    gen_zipf_i32, JoinTablePair,
+    gen_zipf_i32,
 };
 pub use dict::Dictionary;
 pub use table::{Batch, DataType, Field, Schema, Table};

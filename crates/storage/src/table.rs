@@ -87,11 +87,6 @@ impl Schema {
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
-
-    /// Bytes per row.
-    pub fn row_width(&self) -> usize {
-        self.fields.iter().map(|f| f.dtype.width()).sum()
-    }
 }
 
 /// A batch of rows — the engine's unit of data flow (the paper's *packet*).
@@ -323,7 +318,6 @@ mod tests {
         let t = Table::new("r", schema, two_col_batch(5));
         assert_eq!(t.column("v").as_i64().len(), 5);
         assert_eq!(t.rows(), 5);
-        assert_eq!(t.schema.row_width(), 12);
     }
 
     #[test]

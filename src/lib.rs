@@ -31,7 +31,7 @@
 //! then *interprets* the placed plan over its device providers:
 //!
 //! ```
-//! use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};
+//! use hape::core::{ExecConfig, HapeError, JoinAlgo, Placement, PlanError, Query, Session};
 //! use hape::ops::{col, lit, AggFunc};
 //! use hape::sim::topology::Server;
 //! use hape::storage::datagen::gen_key_fk_table;
@@ -73,11 +73,16 @@
 //!     .unwrap();
 //! assert_eq!(auto.rows, report.rows);
 //!
-//! // Misdescribed queries are typed errors, not panics.
+//! // Misdescribed queries are typed errors, not panics: lowering names the
+//! // column it cannot resolve.
 //! let bad = session.query("bad").from_table("fact")
 //!     .filter(col("missing").lt(lit(1)))
 //!     .agg(vec![(AggFunc::Count, col("k"))]);
-//! assert!(session.execute(&bad).is_err());
+//! let err = session.execute(&bad).unwrap_err();
+//! assert!(matches!(
+//!     err,
+//!     HapeError::Plan(PlanError::UnknownColumn { ref column, .. }) if column == "missing"
+//! ));
 //! ```
 //!
 //! ## Q9 under plain `Placement::Auto`

@@ -9,8 +9,9 @@
 //!   reference or refuse typed — cpu never, the others only with
 //!   `GpuMemoryExceeded` (an auto refusal is an optimizer finding, counted);
 //!   the lowered plan binds clean; in the fixed corpus the static device
-//!   audit of each placed plan is empty exactly where the run succeeded,
-//!   and names only the §6.4 broadcast overflow where it refused;
+//!   audit of the lowered plan placed under each is empty exactly where the
+//!   run succeeded, and names only the §6.4 broadcast overflow where it
+//!   refused;
 //! - **threads** 2 and 8: the report is the one-thread report;
 //! - **traced**: the untraced report, with query and packet spans recorded;
 //! - **faulted** (`FaultPlan::canonical`): the clean run's rows — TPC-H's
@@ -28,8 +29,8 @@
 //!
 //! Placement runs for every query; the other axes rotate with the seed, one
 //! per query (all of them in the `--ignored` variants). Generated plan
-//! mutants check that the static verifier refuses exactly the plans
-//! `Engine::run` refuses, and that no executor panics on any of them.
+//! mutants check that every executor refuses exactly the plans the static
+//! verifier refuses, with its first finding's kind, and never panics.
 
 mod common;
 
@@ -42,8 +43,8 @@ use hape::core::serve::{QueryHandle, ServeReport, SessionServer};
 use hape::core::trace::{SpanKind, TraceRecorder};
 use hape::core::verify::{check_placed, verify_plan, DiagnosticKind};
 use hape::core::{
-    EngineError, ExecConfig, FaultPlan, HapeError, JoinAlgo, PipeOp, PlacedStage, Placement,
-    Query, QueryReport, Session, Stage,
+    Catalog, EngineError, ExecConfig, FaultPlan, HapeError, JoinAlgo, PipeOp, PlacedStage,
+    Placement, PlanError, Query, QueryPlan, QueryReport, Session, Stage,
 };
 use hape::ops::GroupKey;
 use hape::sim::topology::Server;
@@ -84,12 +85,14 @@ fn cfg(p: Placement, threads: usize) -> ExecConfig {
 
 /// A query, its session, and the rows it must answer — bit for bit, or,
 /// for a TPC-H oracle whose sums are not integer-valued (so depend on the
-/// fold order), through `rows_approx_eq`.
+/// fold order), through `rows_approx_eq`. The fixed corpus is `audited`:
+/// the device audit's estimates predict its runs' capacity refusals.
 struct Subject<'a> {
     session: &'a Session,
     query: Query,
     want: Rows,
     approx: bool,
+    audited: bool,
 }
 
 impl Subject<'_> {
@@ -154,6 +157,9 @@ fn sweep(s: &Subject, seed: u64, axes: &[Axis], queue: &mut Queue) -> Swept {
     for p in PLACEMENTS {
         let ctx = format!("{name}/{p}");
         let solo = s.session.execute_with(&s.query, &cfg(p, 1));
+        if s.audited {
+            audit(s, catalog, plan, p, &solo);
+        }
         match &solo {
             Ok(rep) => assert!(s.answers(&rep.rows), "{ctx}: answered {:?}", rep.rows),
             Err(HapeError::Engine(EngineError::GpuMemoryExceeded { .. }))
@@ -284,7 +290,7 @@ fn generated(seeds: Range<u64>, full: bool) {
             let case = gen::case(seed);
             let session = &sessions[usize::from(case.scaled)];
             let (query, want) = (case.to_query(), case.reference(&tables));
-            let subject = Subject { session, query, want, approx: false };
+            let subject = Subject { session, query, want, approx: false, audited: false };
             let axes = if full { &AXES[..] } else { &AXES[seed as usize % 5..][..1] };
             let queue = &mut queues[usize::from(case.scaled)];
             let refused = sweep(&subject, seed, axes, queue).refused;
@@ -342,24 +348,28 @@ fn generated_queries_full_product_second_half() {
     generated(5_000..10_000, true);
 }
 
-/// The static device audit of each placed plan against the runtime: empty
-/// exactly where the run succeeded, and on a refusal (Q9\* under gpu and
-/// hybrid) only the §6.4 broadcast overflow.
-fn audit(s: &Subject, refused: &[Placement]) {
-    let lowered = s.session.lower(&s.query).expect("the corpus lowers");
-    for p in PLACEMENTS {
-        let ctx = format!("{}/{p}", s.query.name);
-        let placed =
-            s.session.place_with(&s.query, &cfg(p, 1)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        let diagnostics = check_placed(&placed, &lowered.catalog, &s.session.engine().server);
-        let kinds: Vec<_> = diagnostics.into_iter().map(|d| d.kind).collect();
-        let over =
-            |k: &DiagnosticKind| matches!(k, DiagnosticKind::BroadcastOverCapacity { .. });
-        assert!(
-            kinds.is_empty() != refused.contains(&p) && kinds.iter().all(over),
-            "{ctx}: the device audit found {kinds:?}, the runtime refused {refused:?}"
-        );
-    }
+/// The static device audit of `plan` placed under `p` against the solo
+/// run: empty exactly where the run succeeded, and on a refusal only the
+/// §6.4 broadcast overflow.
+fn audit(
+    s: &Subject,
+    catalog: &Catalog,
+    plan: &QueryPlan,
+    p: Placement,
+    solo: &Result<QueryReport, HapeError>,
+) {
+    let ctx = format!("{}/{p}", s.query.name);
+    let engine = s.session.engine();
+    let placed =
+        engine.place(catalog, plan, &cfg(p, 1)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let kinds: Vec<_> =
+        check_placed(&placed, catalog, &engine.server).into_iter().map(|d| d.kind).collect();
+    let over = |k: &DiagnosticKind| matches!(k, DiagnosticKind::BroadcastOverCapacity { .. });
+    assert!(
+        kinds.is_empty() == solo.is_ok() && kinds.iter().all(over),
+        "{ctx}: the device audit found {kinds:?}, the runtime said {:?}",
+        solo.as_ref().err()
+    );
 }
 
 /// Q1, Q5 and Q9\* under both join algorithms and Q6 over TPC-H at `sf`
@@ -381,18 +391,23 @@ fn fixed_corpus(sf: f64, users: usize) {
     ];
     let n_tpch = oracles.len();
     let mut subjects: Vec<Subject> = (oracles.into_iter())
-        .map(|(query, want)| Subject { session: &tpch, query, want, approx: true })
+        .map(|(query, want)| Subject {
+            session: &tpch,
+            query,
+            want,
+            approx: true,
+            audited: true,
+        })
         .collect();
     for query in behavioral_queries() {
         let cpu = events.execute_with(&query, &cfg(Placement::CpuOnly, 1));
         let want = cpu.unwrap_or_else(|e| panic!("{}: {e}", query.name)).rows;
-        subjects.push(Subject { session: &events, query, want, approx: false });
+        subjects.push(Subject { session: &events, query, want, approx: false, audited: true });
     }
     let (mut queues, mut retried, mut replanned) = ([Queue::new(), Queue::new()], 0, 0);
     for (i, s) in subjects.iter().enumerate() {
         let swept = sweep(s, i as u64, &AXES, &mut queues[usize::from(i >= n_tpch)]);
         assert!(!swept.refused.contains(&Placement::Auto), "{}: auto refused", s.query.name);
-        audit(s, &swept.refused);
         (retried, replanned) = (retried + swept.retried, replanned + swept.replanned);
     }
     // The fault plane fires and recovery runs: some faulted run retried a
@@ -414,8 +429,10 @@ fn fixed_corpus_at_the_benchmarks_scale() {
     fixed_corpus(0.05, 20_000);
 }
 
-/// Mutants of generated plans: static refusal ⇔ `Engine::run` refusal, and
-/// no panic from any executor `tests/plan_binding.rs` drives.
+/// Mutants of generated plans: every executor `tests/plan_binding.rs` drives
+/// refuses a mutant exactly when the static verifier does, as `Unbound` of
+/// its first finding's kind, and none panics (DBMS G may refuse for size a
+/// plan that binds).
 fn mutants(seeds: Range<u64>) {
     let ((_, [session, _]), mut refused) = (fixture(7), 0);
     for seed in seeds.clone() {
@@ -436,12 +453,19 @@ fn mutants(seeds: Range<u64>) {
         let verdicts = verdicts(catalog, &lowered.plan, &|parts| {
             mutate(parts);
         });
-        for (entry, verdict) in &verdicts {
-            assert!(!matches!(verdict, Verdict::Panicked), "{ctx}: {entry} panicked");
+        let statically = verify_plan(&plan, catalog).err();
+        let first = statically.as_ref().map(|e| &e.diagnostics[0].kind);
+        for (door, verdict) in &verdicts {
+            let agrees = match verdict {
+                Verdict::Refused(EngineError::InvalidPlan(PlanError::Unbound(d))) => {
+                    first == Some(&d.kind)
+                }
+                Verdict::Answered | Verdict::TooBig => first.is_none(),
+                Verdict::Refused(_) | Verdict::Panicked => false,
+            };
+            assert!(agrees, "{ctx}: {door} {verdict:?}, statically {first:?}");
         }
-        let (statically, cpu) = (verify_plan(&plan, catalog), &verdicts[0].1);
-        assert_eq!(statically.is_err(), matches!(cpu, Verdict::Refused(_)), "{ctx}: {cpu:?}");
-        refused += usize::from(statically.is_err());
+        refused += usize::from(first.is_some());
     }
     println!("{seeds:?}: {refused} mutants refused");
     assert!(refused > 0 && refused < seeds.count(), "both verdicts occur");

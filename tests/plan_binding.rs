@@ -1,27 +1,31 @@
-//! The refusal table: hand-built plans that do not bind are refused with
-//! typed errors before a packet moves — never a panic, never an answer —
-//! from every entry point that executes a plan, in every build profile
-//! (CI runs this file under `--release` too: the profile with no debug
-//! hook, where 12 of the first 13 rows used to panic and the 13th returned
-//! zero rows for a `COUNT(*)`).
+//! The refusal table: hand-built plans that do not bind are refused before
+//! a packet moves — never a panic, never an answer — by every entry point
+//! that executes a plan, in every build profile (CI runs this file under
+//! `--release` too: the profile with no debug hook, where 12 of the first
+//! 13 rows used to panic and the 13th returned zero rows for a
+//! `COUNT(*)`).
 //!
-//! Each row is one well-formed *shape* plus one corruption of it, applied
-//! through the mutable parts [`QueryPlan`] and [`PlacedPlan`] share, so the
-//! same row drives `Engine::run` (under `CpuOnly`, `Hybrid` and `Auto`),
-//! `Engine::run_placed` (a placed clean plan, then corrupted),
-//! `DbmsC::run_plan` and `DbmsG::run_plan`. The static verifier must agree
-//! with the runtime on every row and on every clean plan.
+//! Each row is one well-formed *shape*, one corruption of it, applied
+//! through the mutable parts [`QueryPlan`] and [`PlacedPlan`] share, and
+//! the one [`DiagnosticKind`] it breaks. Every door — `Engine::run` under
+//! `CpuOnly`, `Hybrid` and `Auto`, `Engine::run_placed` (a placed clean
+//! plan, then corrupted), `DbmsC::run_plan`, `DbmsG::run_plan` and
+//! `QueryPlan::validate` — refuses it as `Unbound` of a finding of that
+//! kind, and that kind is the static verifier's first finding, on the plan
+//! and on the placed plan.
+//!
+//! [`PlacedPlan`]: hape::core::PlacedPlan
 
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use common::{plan_parts, verdicts, Parts, Verdict};
+use common::{placed_parts, plan_parts, verdicts, Parts, Verdict};
 use hape::baselines::{DbmsC, DbmsG};
-use hape::core::verify::{verify_plan, DiagnosticKind as K};
+use hape::core::verify::{check_placed, verify_plan, DiagnosticKind as K};
 use hape::core::{
-    Catalog, Engine, EngineError, ExecConfig, JoinAlgo, PipeOp, Pipeline, Placement, PlanError,
-    QueryPlan, Stage,
+    place, Catalog, Engine, EngineError, ExecConfig, JoinAlgo, PipeOp, Pipeline, Placement,
+    PlanError, QueryPlan, Stage,
 };
 use hape::ops::expr::ExprKind;
 use hape::ops::{AggFunc, AggSpec, Expr, StatefulAgg};
@@ -31,9 +35,9 @@ use hape::storage::{Batch, Column, DataType, Schema, Table};
 const ROWS: usize = 6_000;
 
 /// `fact(k i32, price f64, tag i32)`, `dim(k i32, weight f64)` and
-/// `ev(user i32, ts i64, score f64)` — whose timestamps descend within each
-/// user: an unsorted log is answered, the same by every executor, not a
-/// debug-build panic.
+/// `ev(user i32, ts i64, score f64, event str)` — whose timestamps descend
+/// within each user: an unsorted log is answered, the same by every
+/// executor, not a debug-build panic.
 fn catalog() -> Catalog {
     let mut catalog = Catalog::new();
     catalog.register(Table::new(
@@ -53,13 +57,20 @@ fn catalog() -> Catalog {
             Column::from_f64((0..64).map(f64::from).collect()),
         ]),
     ));
+    let events = ["view", "cart", "buy"];
     catalog.register(Table::new(
         "ev",
-        Schema::new([("user", DataType::I32), ("ts", DataType::I64), ("score", DataType::F64)]),
+        Schema::new([
+            ("user", DataType::I32),
+            ("ts", DataType::I64),
+            ("score", DataType::F64),
+            ("event", DataType::Str),
+        ]),
         Batch::new(vec![
             Column::from_i32((0..ROWS).map(|i| (i / 6) as i32).collect()),
             Column::from_i64((0..ROWS).map(|i| (5 - i % 6) as i64 * 1_000).collect()),
             Column::from_f64(vec![1.0; ROWS]),
+            Column::from_strs((0..ROWS).map(|i| events[i % 3])),
         ]),
     ));
     catalog
@@ -119,8 +130,22 @@ fn stateful_shape() -> QueryPlan {
     plan("stateful", vec![Stage::Stream { pipeline }])
 }
 
-const SHAPES: [fn() -> QueryPlan; 5] =
-    [scan_shape, group_shape, project_shape, join_shape, stateful_shape];
+fn funnel_shape() -> QueryPlan {
+    let funnel = StatefulAgg::WindowFunnel {
+        user_col: 0,
+        ts_col: 1,
+        event_col: 3,
+        steps: vec![0, 1],
+        window: 5_000,
+    };
+    let pipeline = Pipeline::scan("ev")
+        .stateful(funnel)
+        .aggregate(AggSpec::ungrouped(vec![(AggFunc::Sum, Expr::col(1))]));
+    plan("funnel", vec![Stage::Stream { pipeline }])
+}
+
+const SHAPES: [fn() -> QueryPlan; 6] =
+    [scan_shape, group_shape, project_shape, join_shape, stateful_shape, funnel_shape];
 
 // ---------------------------- the corruptions ----------------------------
 
@@ -155,188 +180,151 @@ fn user_col<'a>(parts: &'a mut [Parts<'_>]) -> &'a mut usize {
     }
 }
 
+fn event_col<'a>(parts: &'a mut [Parts<'_>]) -> &'a mut usize {
+    match &mut stream(parts).ops[0] {
+        PipeOp::Stateful(StatefulAgg::WindowFunnel { event_col, .. }) => event_col,
+        other => panic!("the funnel shape is a window funnel, got {other:?}"),
+    }
+}
+
 /// One row of the refusal table.
 struct Case {
     name: &'static str,
     shape: fn() -> QueryPlan,
     corrupt: fn(&mut [Parts<'_>]),
-    /// The refusal every entry point must give.
-    refusal: fn(&EngineError) -> bool,
+    /// The finding every door refuses the corrupted plan with.
+    kind: fn() -> K,
 }
 
-/// `InvalidPlan(Unbound(d))` with `d.kind` accepted by `kind`.
-fn unbound(e: &EngineError, kind: impl Fn(&K) -> bool) -> bool {
-    matches!(e, EngineError::InvalidPlan(PlanError::Unbound(d)) if kind(&d.kind))
+fn out_of_range(column: usize, width: usize, context: &'static str) -> K {
+    K::ColumnOutOfRange { column, width, context }
 }
 
-fn out_of_range(e: &EngineError, column: usize, context: &str) -> bool {
-    unbound(e, |k| {
-        matches!(k, K::ColumnOutOfRange { column: c, context: cx, .. }
-            if *c == column && *cx == context)
-    })
-}
-
-fn wrong_kind(e: &EngineError, context: &str, expected: ExprKind) -> bool {
-    unbound(e, |k| {
-        matches!(k, K::ExprKindMismatch { context: cx, expected: want, found }
-            if *cx == context && *want == expected && found != want)
-    })
+fn wrong_kind(context: &'static str, expected: ExprKind) -> K {
+    let found = if expected == ExprKind::Bool { ExprKind::Num } else { ExprKind::Bool };
+    K::ExprKindMismatch { context, expected, found }
 }
 
 /// Column 1 — an `f64` — as the key `context` names.
-fn mistyped_key(e: &EngineError, context: &'static str) -> bool {
-    unbound(e, |k| *k == K::KeyType { context, column: 1, found: DataType::F64 })
+fn mistyped_key(context: &'static str) -> K {
+    K::KeyType { context, column: 1, found: DataType::F64 }
 }
 
-/// The 13 plans `QueryPlan::try_new` accepts and nothing used to refuse.
-const UNBOUND: [Case; 13] = [
+const TABLE: [Case; 19] = [
     Case {
         name: "filter column out of range",
         shape: scan_shape,
         corrupt: |p| stream(p).ops[0] = PipeOp::Filter(Expr::lt(Expr::col(9), Expr::LitI32(1))),
-        refusal: |e| out_of_range(e, 9, "filter"),
+        kind: || out_of_range(9, 3, "filter"),
     },
     Case {
         name: "aggregate argument column out of range",
         shape: scan_shape,
         corrupt: |p| stream_agg(p).aggs[1].1 = Expr::col(9),
-        refusal: |e| out_of_range(e, 9, "agg"),
+        kind: || out_of_range(9, 3, "agg"),
     },
     Case {
         name: "group-by column out of range",
         shape: group_shape,
         corrupt: |p| stream_agg(p).group_by = vec![9],
-        refusal: |e| out_of_range(e, 9, "group-by"),
+        kind: || out_of_range(9, 3, "group-by"),
     },
     Case {
         name: "build key out of range",
         shape: join_shape,
         corrupt: |p| *build_key(p) = 9,
-        refusal: |e| out_of_range(e, 9, "build key"),
+        kind: || out_of_range(9, 2, "build key"),
     },
     Case {
         name: "probe payload out of range",
         shape: join_shape,
         corrupt: |p| *probe(p).2 = vec![9],
-        refusal: |e| unbound(e, |k| matches!(k, K::PayloadOutOfRange { column: 9, .. })),
+        kind: || K::PayloadOutOfRange { ht: "dim_ht".into(), column: 9, build_width: 2 },
     },
     Case {
         name: "numeric filter",
         shape: scan_shape,
         corrupt: |p| stream(p).ops[0] = PipeOp::Filter(Expr::col(0)),
-        refusal: |e| wrong_kind(e, "filter", ExprKind::Bool),
+        kind: || wrong_kind("filter", ExprKind::Bool),
     },
     Case {
         name: "numeric operand under `and`",
         shape: scan_shape,
         corrupt: |p| stream(p).ops[0] = PipeOp::Filter(Expr::and(Expr::col(0), small_keys())),
-        refusal: |e| wrong_kind(e, "filter", ExprKind::Bool),
+        kind: || wrong_kind("filter", ExprKind::Bool),
     },
     Case {
         name: "boolean projection",
         shape: project_shape,
         corrupt: |p| stream(p).ops[0] = PipeOp::Project(vec![small_keys(), Expr::col(1)]),
-        refusal: |e| wrong_kind(e, "project", ExprKind::Num),
+        kind: || wrong_kind("project", ExprKind::Num),
     },
     Case {
         name: "boolean aggregate argument",
         shape: scan_shape,
         corrupt: |p| stream_agg(p).aggs[1].1 = small_keys(),
-        refusal: |e| wrong_kind(e, "agg", ExprKind::Num),
+        kind: || wrong_kind("agg", ExprKind::Num),
     },
     Case {
         name: "group-by over an f64 column",
         shape: group_shape,
         corrupt: |p| stream_agg(p).group_by = vec![1],
-        refusal: |e| mistyped_key(e, "group-by"),
+        kind: || mistyped_key("group-by"),
     },
     Case {
         name: "probe key over an f64 column",
         shape: join_shape,
         corrupt: |p| *probe(p).1 = 1,
-        refusal: |e| {
-            unbound(e, |k| {
-                matches!(k, K::ProbeKeyType { key_col: 1, found: DataType::F64, .. })
-            })
-        },
+        kind: || K::ProbeKeyType { ht: "dim_ht".into(), key_col: 1, found: DataType::F64 },
     },
     Case {
         name: "build key over an f64 column",
         shape: join_shape,
         corrupt: |p| *build_key(p) = 1,
-        refusal: |e| mistyped_key(e, "build key"),
+        kind: || mistyped_key("build key"),
     },
     Case {
         name: "empty projection",
         shape: project_shape,
         corrupt: |p| stream(p).ops[0] = PipeOp::Project(Vec::new()),
-        refusal: |e| unbound(e, |k| *k == K::EmptyProject),
+        kind: || K::EmptyProject,
     },
-];
-
-/// Refusals with a pinned type: conditions the runtime already refused,
-/// which binding moved ahead of the first stage — and a group-by wider than
-/// a group key, which cpu and hybrid used to answer with one merged row.
-const PINNED: [Case; 5] = [
     Case {
         name: "unknown source table",
         shape: scan_shape,
         corrupt: |p| stream(p).source = "ghost".into(),
-        refusal: |e| matches!(e, EngineError::MissingTable(t) if t == "ghost"),
+        kind: || K::UnknownSource { table: "ghost".into() },
     },
     Case {
-        // Placement's catalog-less structural check and binding name the
-        // same condition differently; the test after the table pins which
-        // entry point says which.
         name: "probe of an unbuilt table",
         shape: join_shape,
         corrupt: |p| *probe(p).0 = "ghost".into(),
-        refusal: |e| match e {
-            EngineError::InvalidPlan(PlanError::ProbeBeforeBuild { table })
-            | EngineError::HashTableNotBuilt { table } => table == "ghost",
-            _ => false,
-        },
+        kind: || K::ProbeUnbuilt { ht: "ghost".into() },
     },
     Case {
         name: "stateful user column over an f64 column",
         shape: stateful_shape,
         corrupt: |p| *user_col(p) = 2,
-        refusal: |e| {
-            let found = Some(DataType::F64);
-            let want = PlanError::StatefulColumn {
-                table: "ev".into(),
-                role: "user",
-                column: 2,
-                found,
-            };
-            matches!(e, EngineError::InvalidPlan(got) if *got == want)
-        },
+        kind: || K::StatefulColumnType { column: 2, role: "user", found: DataType::F64 },
+    },
+    Case {
+        name: "stateful event column over an f64 column",
+        shape: funnel_shape,
+        corrupt: |p| *event_col(p) = 2,
+        kind: || K::StatefulColumnType { column: 2, role: "event", found: DataType::F64 },
     },
     Case {
         name: "stateful user column out of range",
         shape: stateful_shape,
         corrupt: |p| *user_col(p) = 7,
-        refusal: |e| {
-            let found = None;
-            let want = PlanError::StatefulColumn {
-                table: "ev".into(),
-                role: "user",
-                column: 7,
-                found,
-            };
-            matches!(e, EngineError::InvalidPlan(got) if *got == want)
-        },
+        kind: || K::StatefulAlignmentInvalid { role: "user", user_col: 7, source_width: 4 },
     },
     Case {
+        // cpu and hybrid used to answer this with one merged row.
         name: "five group-by columns",
         shape: group_shape,
         corrupt: |p| stream_agg(p).group_by = vec![2; 5],
-        refusal: |e| {
-            matches!(
-                e,
-                EngineError::InvalidPlan(PlanError::TooManyGroupColumns { got: 5, max: 4 })
-            )
-        },
+        kind: || K::TooManyGroupColumns { got: 5, max: 4 },
     },
 ];
 
@@ -344,67 +332,72 @@ const PINNED: [Case; 5] = [
 
 const PLACEMENTS: [Placement; 3] = [Placement::CpuOnly, Placement::Hybrid, Placement::Auto];
 
-fn corrupted(case: &Case) -> QueryPlan {
-    let mut plan = (case.shape)();
-    (case.corrupt)(&mut plan_parts(&mut plan));
-    plan
+/// The kind of a `PlanError::Unbound` refusal.
+fn unbound(e: &PlanError) -> Option<&K> {
+    match e {
+        PlanError::Unbound(d) => Some(&d.kind),
+        _ => None,
+    }
 }
 
-fn assert_all_refused(cases: &[Case]) {
+/// The kind of an engine refusal of a plan that does not bind.
+fn refused(e: &EngineError) -> Option<&K> {
+    match e {
+        EngineError::InvalidPlan(e) => unbound(e),
+        _ => None,
+    }
+}
+
+/// Every door refuses each row as its kind, and so do the static
+/// verifier's first findings: on the plan, and on the clean plan placed
+/// under hybrid and then corrupted.
+#[test]
+fn static_and_runtime_verdicts_agree_on_every_row() {
     let catalog = catalog();
+    let server = Server::paper_testbed();
     let mut failures = Vec::new();
-    for case in cases {
-        for (label, verdict) in verdicts(&catalog, &(case.shape)(), &case.corrupt) {
-            if !matches!(&verdict, Verdict::Refused(e) if (case.refusal)(e)) {
-                failures.push(format!("{} via {label}: {verdict:?}", case.name));
+    for case in &TABLE {
+        let want = (case.kind)();
+        let mut check = |door: &str, got: Option<&K>, seen: &dyn std::fmt::Debug| {
+            if got != Some(&want) {
+                failures.push(format!("{} via {door}: {seen:?}", case.name));
             }
+        };
+        for (door, verdict) in verdicts(&catalog, &(case.shape)(), &case.corrupt) {
+            let got = match &verdict {
+                Verdict::Refused(e) => refused(e),
+                _ => None,
+            };
+            check(&door, got, &verdict);
         }
+        let mut plan = (case.shape)();
+        (case.corrupt)(&mut plan_parts(&mut plan));
+        // Without a catalog, only structure is judged.
+        if let Err(e) = plan.validate() {
+            check("QueryPlan::validate", unbound(&e), &e);
+        }
+        let statically = verify_plan(&plan, &catalog).err();
+        let first = statically.as_ref().and_then(|e| e.diagnostics.first());
+        check("verify_plan", first.map(|d| &d.kind), &statically);
+        let cfg = ExecConfig::new(Placement::Hybrid);
+        let mut placed = place(&(case.shape)(), &cfg, &server).expect("a clean plan places");
+        (case.corrupt)(&mut placed_parts(&mut placed));
+        let findings = check_placed(&placed, &catalog, &server);
+        check("check_placed", findings.first().map(|d| &d.kind), &findings);
     }
     assert!(failures.is_empty(), "{} failures:\n{}", failures.len(), failures.join("\n"));
 }
 
-#[test]
-fn the_thirteen_unbound_plans_are_refused_with_typed_errors_everywhere() {
-    for case in &UNBOUND {
-        // They are exactly the plans the structural check lets through.
-        let plan = corrupted(case);
-        assert!(plan.validate().is_ok(), "{}: {:?}", case.name, plan.validate());
-    }
-    assert_all_refused(&UNBOUND);
-}
-
-#[test]
-fn refusals_the_runtime_already_typed_keep_their_types() {
-    assert_all_refused(&PINNED);
-}
-
-#[test]
-fn probe_of_an_unbuilt_table_keeps_its_types() {
-    let case = &PINNED[1];
-    let verdicts = verdicts(&catalog(), &(case.shape)(), &case.corrupt);
-    // Placing a hand-assembled plan: the structural check's name for it.
-    let run = &verdicts[0].1;
-    let Verdict::Refused(EngineError::InvalidPlan(PlanError::ProbeBeforeBuild { table })) = run
-    else {
-        panic!("{run:?}")
-    };
-    assert_eq!(table, "ghost");
-    // Running a placed one: the runtime's.
-    let placed = &verdicts[3].1;
-    let Verdict::Refused(EngineError::HashTableNotBuilt { table }) = placed else {
-        panic!("{placed:?}")
-    };
-    assert_eq!(table, "ghost");
-}
-
 /// The five structural invariants on plans assembled past `try_new` (the
-/// fields are public). `place` ends in `place_on`'s structural check;
-/// under `Auto` the optimizer's cost walk reads the plan first, and names
-/// an unbuilt probe the way the runtime does.
+/// fields are public) — plans `place` will not place, so they have no
+/// placed doors: `validate`, the static verifier, `Engine::run` under every
+/// placement (binding ahead of placement and the optimizer) and both
+/// baselines find the same kind.
 #[test]
 fn structurally_malformed_plans_keep_their_refusals_under_every_placement() {
     let catalog = catalog();
-    let engine = Engine::new(Server::paper_testbed());
+    let server = Server::paper_testbed();
+    let engine = Engine::new(server.clone());
     let assemble = |name: &str, stages| QueryPlan { name: name.into(), stages };
     let (scan, join, stateful) = (scan_shape(), join_shape(), stateful_shape());
     let [Stage::Stream { pipeline: scan }] = &scan.stages[..] else { panic!("one stream") };
@@ -421,44 +414,45 @@ fn structurally_malformed_plans_keep_their_refusals_under_every_placement() {
     reshaped.ops.insert(0, PipeOp::Project(vec![Expr::col(0), Expr::col(1)]));
     let mut aggless = scan.clone();
     aggless.agg = None;
-    type Want = fn(&PlanError) -> bool;
-    let rows: [(QueryPlan, Want); 5] = [
+    let rows = [
         (
             assemble("agg-build", vec![aggregating_build, stream(scan)]),
-            |e| matches!(e, PlanError::BuildWithAggregate { stage } if stage == "scan_ht"),
+            K::BuildAggregates { name: "scan_ht".into() },
         ),
+        (assemble("aggless", vec![stream(&aggless)]), K::StreamMissingAgg),
         (
-            assemble("aggless", vec![stream(&aggless)]),
-            |e| matches!(e, PlanError::StreamWithoutAggregate { name } if name == "aggless"),
+            assemble("two-streams", vec![stream(scan), stream(scan)]),
+            K::NotExactlyOneStream { streams: 2 },
         ),
-        (assemble("two-streams", vec![stream(scan), stream(scan)]), |e| {
-            matches!(e, PlanError::NotExactlyOneStream { streams: 2, .. })
-        }),
         (
             assemble("late-build", vec![stream(probing), build.clone()]),
-            |e| matches!(e, PlanError::ProbeBeforeBuild { table } if table == "dim_ht"),
+            K::ProbeUnbuilt { ht: "dim_ht".into() },
         ),
-        (
-            assemble("reshaped", vec![stream(&reshaped)]),
-            |e| matches!(e, PlanError::StatefulAfterReshape { name } if name == "reshaped"),
-        ),
+        (assemble("reshaped", vec![stream(&reshaped)]), K::StatefulAfterReshape),
     ];
     for (plan, want) in &rows {
-        assert!(matches!(plan.validate(), Err(e) if want(&e)), "{}", plan.name);
+        let validated = plan.validate();
+        assert_eq!(validated.as_ref().err().and_then(unbound), Some(want), "{}", plan.name);
+        let statically = verify_plan(plan, &catalog).err();
+        let first = statically.as_ref().and_then(|e| e.diagnostics.first());
+        assert_eq!(first.map(|d| &d.kind), Some(want), "{}", plan.name);
         for p in PLACEMENTS {
             let got = catch_unwind(AssertUnwindSafe(|| {
                 engine.run(&catalog, plan, &ExecConfig::new(p)).map(|_| ())
             }))
             .unwrap_or_else(|_| panic!("{}/{p}: panicked", plan.name));
-            let cost_walk_first = p == Placement::Auto && plan.name == "late-build";
-            let kept = match &got {
-                Err(EngineError::HashTableNotBuilt { table }) => {
-                    cost_walk_first && table == "dim_ht"
-                }
-                Err(EngineError::InvalidPlan(e)) => !cost_walk_first && want(e),
-                _ => false,
+            let e = got.expect_err("refused");
+            assert_eq!(refused(&e), Some(want), "{}/{p}: {e}", plan.name);
+        }
+        for (door, got) in [
+            ("DBMS C", DbmsC::new(server.clone()).run_plan(&catalog, plan).map(drop)),
+            ("DBMS G", DbmsG::new(server.clone()).run_plan(&catalog, plan).map(drop)),
+        ] {
+            let e = match got {
+                Err(hape::baselines::BaselineError::Engine(e)) => e,
+                other => panic!("{}/{door}: {other:?}", plan.name),
             };
-            assert!(kept, "{}/{p}: {got:?}", plan.name);
+            assert_eq!(refused(&e), Some(want), "{}/{door}: {e}", plan.name);
         }
     }
 }
@@ -484,26 +478,5 @@ fn well_formed_controls_run_everywhere() {
         answers.push(g.unwrap_or_else(|e| panic!("{}/DBMS G: {e}", plan.name)).rows);
         assert!(!answers[0].is_empty(), "{}: a control answers something", plan.name);
         assert!(answers.iter().all(|a| *a == answers[0]), "{}: {answers:?}", plan.name);
-    }
-}
-
-#[test]
-fn static_and_runtime_verdicts_agree_on_every_row() {
-    let catalog = catalog();
-    let engine = Engine::new(Server::paper_testbed());
-    let cfg = ExecConfig::new(Placement::CpuOnly);
-    let clean = SHAPES.iter().map(|shape| shape());
-    let broken = UNBOUND.iter().chain(&PINNED).map(corrupted);
-    for plan in clean.chain(broken) {
-        let runtime = catch_unwind(AssertUnwindSafe(|| engine.run(&catalog, &plan, &cfg)))
-            .unwrap_or_else(|_| panic!("{}: Engine::run panicked", plan.name));
-        assert_eq!(
-            verify_plan(&plan, &catalog).is_err(),
-            runtime.is_err(),
-            "{}: static {:?} vs runtime {:?}",
-            plan.name,
-            verify_plan(&plan, &catalog).err(),
-            runtime.err()
-        );
     }
 }

@@ -1,8 +1,10 @@
 //! The Session/Query front-end: TPC-H through the logical builder matches
 //! the reference oracles on every placement, and misdescribed queries
-//! surface typed `PlanError`s instead of panicking.
+//! surface typed `PlanError`s instead of panicking: lowering's by name, the
+//! binding walk's as `Unbound` of its first finding.
 
 use hape::core::error::{HapeError, PlanError};
+use hape::core::verify::DiagnosticKind;
 use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};
 use hape::ops::{col, lit, AggFunc};
 use hape::sim::topology::Server;
@@ -116,6 +118,14 @@ fn refusal(session: &Session, q: &Query) -> PlanError {
     }
 }
 
+/// The binding walk's finding `session` refuses `q` with.
+fn unbound(session: &Session, q: &Query) -> DiagnosticKind {
+    match refusal(session, q) {
+        PlanError::Unbound(d) => d.kind,
+        e => panic!("unexpected error {e}"),
+    }
+}
+
 /// `COUNT(l_orderkey)` over `lineitem` through `ops`.
 fn count_lineitem(session: &Session, ops: impl FnOnce(Query) -> Query) -> Query {
     ops(session.query("bad").from_table("lineitem"))
@@ -143,7 +153,7 @@ fn unknown_column_is_a_typed_error() {
 fn stream_without_aggregate_is_a_typed_error() {
     let (_, session) = tpch_session();
     let q = session.query("bad").from_table("lineitem");
-    assert_eq!(refusal(&session, &q), PlanError::StreamWithoutAggregate { name: "bad".into() });
+    assert_eq!(unbound(&session, &q), DiagnosticKind::StreamMissingAgg);
 }
 
 #[test]
@@ -153,7 +163,8 @@ fn aggregating_build_side_is_a_typed_error() {
     let q = count_lineitem(&session, |q| {
         q.join(build, "l_orderkey", "o_orderkey", JoinAlgo::NonPartitioned)
     });
-    assert_eq!(refusal(&session, &q), PlanError::BuildWithAggregate { stage: "orders".into() });
+    let name = "bad.orders".into();
+    assert_eq!(unbound(&session, &q), DiagnosticKind::BuildAggregates { name });
 }
 
 #[test]
@@ -161,7 +172,7 @@ fn five_group_by_columns_are_a_typed_error() {
     let (_, session) = tpch_session();
     let keys = ["l_orderkey", "l_pskey", "l_suppkey", "l_returnflag", "l_linestatus"];
     let q = count_lineitem(&session, |q| q.group_by(&keys));
-    assert_eq!(refusal(&session, &q), PlanError::TooManyGroupColumns { got: 5, max: 4 });
+    assert_eq!(unbound(&session, &q), DiagnosticKind::TooManyGroupColumns { got: 5, max: 4 });
 }
 
 #[test]
@@ -259,14 +270,15 @@ fn probe_before_build_is_a_typed_error_on_the_physical_layer() {
     // hand-assembled physical plan can, and `try_new` rejects it.
     use hape::core::{Pipeline, QueryPlan, Stage};
     use hape::ops::{AggSpec, Expr};
-    let err = QueryPlan::try_new(
+    let Err(PlanError::Unbound(d)) = QueryPlan::try_new(
         "bad",
         vec![Stage::Stream {
             pipeline: Pipeline::scan("fact")
                 .join("ghost", 0, vec![], JoinAlgo::NonPartitioned)
                 .aggregate(AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))])),
         }],
-    )
-    .unwrap_err();
-    assert_eq!(err, PlanError::ProbeBeforeBuild { table: "ghost".into() });
+    ) else {
+        panic!("an unbuilt probe does not bind")
+    };
+    assert_eq!(d.kind, DiagnosticKind::ProbeUnbuilt { ht: "ghost".into() });
 }
