@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hape_ops::agg::AggState;
-use hape_ops::{cpu as cpu_ops, eval_bool, gpu as gpu_ops, stateful, AggSpec, GroupKey};
+use hape_ops::{cpu as cpu_ops, gpu as gpu_ops, stateful, AggSpec, GroupKey};
 use hape_sim::des::Resource;
 use hape_sim::interconnect::Link;
 use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec, Region, SimTime};
@@ -266,7 +266,10 @@ pub struct PacketWork {
     /// first operator that saw zero rows).
     pub ops: Vec<OpTrace>,
     /// Rows leaving the operator chain: the build output, or the rows the
-    /// terminal aggregation folds.
+    /// terminal aggregation folds. A folding pipeline's `out` may carry a
+    /// selection ([`Batch::selection`]); only
+    /// [`DeviceProvider::fold_packet`], [`Batch::rows`] and [`Batch::bytes`]
+    /// read it. A build output never carries one.
     pub out: Batch,
     /// True when the pipeline ends in an aggregation (`out` feeds the
     /// routed worker's fold instead of the stage output).
@@ -311,6 +314,16 @@ pub enum CostClass {
 /// `hape-baselines` stand-ins (DBMS C, DBMS G) call it too, on their own
 /// packet sizes, and price the recorded [`OpTrace`]s with their own
 /// execution models (CI greps that no second interpreter reappears there).
+///
+/// A filter gathers nothing: it leaves a selection on the batch
+/// ([`hape_ops::expr::select`]), and a filter after it refines that
+/// selection. `Project`, `JoinProbe` and `Stateful` compact the batch
+/// first ([`Batch::compact`], the one gather of a filter's survivors), and
+/// so does a pipeline that does not fold, before its output leaves; a
+/// folding pipeline hands the selection to the fold. The recorded statistics
+/// describe the simulated device, which materialises every operator's
+/// output either way: `rows()` and `bytes()` of a selected batch equal its
+/// compaction's, so no [`OpTrace`] field and no charge depends on it.
 pub fn run_ops(
     packet: Batch,
     pipeline: &Pipeline,
@@ -324,23 +337,22 @@ pub fn run_ops(
         let (rows_in, bytes_in) = (cur.rows(), cur.bytes());
         match op {
             PipeOp::Filter(pred) => {
-                let pred_row_bytes = pred
-                    .columns_used()
-                    .iter()
-                    .map(|&i| cur.col(i).data_type().width() as u64)
-                    .sum::<u64>()
-                    .max(1);
+                let pred_row_bytes = pred.row_bytes(&cur).max(1);
                 let out_row_bytes =
                     cur.columns.iter().map(|c| c.data_type().width() as u64).sum();
-                let keep = eval_bool(pred, &cur);
                 scratch.sel.clear();
-                scratch
-                    .sel
-                    .extend(keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i as u32));
-                let survivors = gpu_ops::block_survivors(&scratch.sel, rows_in);
-                let out = Batch {
-                    columns: cur.columns.iter().map(|c| c.take(&scratch.sel)).collect(),
+                hape_ops::expr::select(pred, &cur, &mut scratch.sel);
+                // Survivors are counted per block of the filter's input rows:
+                // a refined selection counts them by their rank in the one it
+                // refines.
+                let survivors = match cur.selection() {
+                    None => gpu_ops::block_survivors(&scratch.sel, rows_in),
+                    Some(prev) => gpu_ops::block_survivors(&ranks(prev, &scratch.sel), rows_in),
                 };
+                // A filter every row passes leaves the batch as it is.
+                if scratch.sel.len() < rows_in {
+                    cur = cur.with_selection(scratch.sel.as_slice().into());
+                }
                 ops_trace.push(OpTrace::Filter {
                     rows_in,
                     pred_ops: pred.ops_per_row(),
@@ -348,18 +360,19 @@ pub fn run_ops(
                     out_row_bytes,
                     survivors,
                     bytes_in,
-                    bytes_out: out.bytes(),
+                    bytes_out: cur.bytes(),
                 });
-                cur = out;
             }
             PipeOp::Project(exprs) => {
+                cur = cur.compact();
                 let ops: f64 = exprs.iter().map(|e| e.ops_per_row()).sum();
                 let cols = exprs.iter().map(|e| cpu_ops::project_column(e, &cur)).collect();
-                cur = Batch { columns: cols };
+                cur = Batch::new(cols);
                 let bytes_out = cur.bytes();
                 ops_trace.push(OpTrace::Project { rows_in, ops, bytes_in, bytes_out });
             }
             PipeOp::JoinProbe { ht, key_col, build_payload_cols, algo } => {
+                cur = cur.compact();
                 let jt = lookup_ht(tables, ht)?;
                 let keys = cur.col(*key_col).clone();
                 let (out, avg_chain) =
@@ -378,6 +391,7 @@ pub fn run_ops(
                 cur = out;
             }
             PipeOp::Stateful(agg) => {
+                cur = cur.compact();
                 let mut row_bytes = cur.col(agg.user_col()).data_type().width() as u64
                     + cur.col(agg.ts_col()).data_type().width() as u64;
                 if let Some(ev) = agg.event_col() {
@@ -403,7 +417,11 @@ pub fn run_ops(
             ops_trace.pop();
         }
     }
+    // Only a fold reads a selection; any other consumer gets the rows.
     let folds = pipeline.agg.is_some();
+    if !folds {
+        cur = cur.compact();
+    }
     let agg = match &pipeline.agg {
         Some(spec) if cur.rows() > 0 => Some(PacketAgg {
             rows: cur.rows() as u64,
@@ -412,6 +430,17 @@ pub fn run_ops(
         _ => None,
     };
     Ok(PacketWork { bytes, ops: ops_trace, out: cur, folds, agg })
+}
+
+/// The rank of each row of `sub` in `rows` (both ascending, `sub` ⊆ `rows`).
+fn ranks(rows: &[u32], sub: &[u32]) -> Vec<u32> {
+    let mut at = 0;
+    sub.iter()
+        .map(|&r| {
+            at += rows[at..].iter().take_while(|&&x| x < r).count();
+            at as u32
+        })
+        .collect()
 }
 
 /// A placed worker instance: one router consumer executing packets of a
@@ -585,7 +614,7 @@ pub fn gather_matches(
     for &b in build_payload_cols {
         cols.push(jt.batch.col(b).take(build_sel));
     }
-    Batch { columns: cols }
+    Batch::new(cols)
 }
 
 fn lookup_ht<'a>(tables: &'a TableStore, ht: &str) -> Result<&'a Arc<JoinTable>, EngineError> {
@@ -843,7 +872,8 @@ impl GpuWorker {
                     keys[start..end].iter().map(|&k| hape_join::hash32(k, 12)).collect();
                 blk.smem_access(&words);
                 let extra = ((cn as f64) * (avg_chain - 1.0).max(0.0)) as usize;
-                let extra_words: Vec<u32> = words.iter().take(extra).map(|&w| w + 1).collect();
+                let extra_words: Vec<u32> =
+                    words[..extra.min(words.len())].iter().map(|&w| w + 1).collect();
                 blk.smem_access(&extra_words);
             }),
         };
@@ -1212,6 +1242,89 @@ mod tests {
         assert_eq!((*bytes_in, *bytes_out), (64 * 12, 64 * 20));
         assert_eq!((work.bytes, keys.len(), work.out.rows()), (64 * 12, 64, 64));
         assert_eq!(work.out.col(2).as_f64()[1], 140.0);
+    }
+
+    /// One filter the way `run_ops` ran it before selections: `eval_bool`,
+    /// then a gather of every column — the per-block survivors and the
+    /// materialised batch.
+    fn filtered_by_copy(pred: &Expr, b: &Batch) -> (Vec<u32>, Batch) {
+        let keep: Vec<u32> = hape_ops::eval_bool(pred, b)
+            .iter()
+            .enumerate()
+            .filter(|(_, &k)| k)
+            .map(|(i, _)| i as u32)
+            .collect();
+        let out = Batch::new(b.columns.iter().map(|c| c.take(&keep)).collect());
+        (gpu_ops::block_survivors(&keep, b.rows()), out)
+    }
+
+    #[test]
+    fn stacked_filters_leave_a_selection_that_traces_like_the_copies_it_replaces() {
+        // Over several GPU blocks, a second filter refining the first's
+        // selection: survivors must be counted per block of *its* input.
+        let n = 3 * gpu_ops::ITEMS_PER_BLOCK + 17;
+        let first = Expr::and(
+            Expr::ge(Expr::col(1), Expr::LitF64(100.0)),
+            Expr::lt(Expr::col(0), Expr::LitI32(20_000)),
+        );
+        let second = Expr::or(
+            Expr::lt(Expr::col(0), Expr::LitI32(9_000)),
+            Expr::gt(Expr::col(1), Expr::LitF64(15_000.5)),
+        );
+        let spec = AggSpec::ungrouped(vec![
+            (AggFunc::Count, Expr::col(0)),
+            (AggFunc::Sum, Expr::mul(Expr::col(1), Expr::LitF64(0.5))),
+            (AggFunc::Max, Expr::col(0)),
+        ]);
+        let build = Pipeline::scan("t").filter(first.clone()).filter(second.clone());
+        let fold = build.clone().aggregate(spec.clone());
+
+        let (s1, mid) = filtered_by_copy(&first, &packet(n));
+        let (s2, last) = filtered_by_copy(&second, &mid);
+        let mut want_state = AggState::new(spec.clone());
+        want_state.update(&last);
+        let want = [
+            (n, s1, packet(n).bytes(), mid.bytes()),
+            (mid.rows(), s2, mid.bytes(), last.bytes()),
+        ];
+
+        for p in [&build, &fold] {
+            let work = run_ops(packet(n), p, &TableStore::new(), &mut Scratch::new()).unwrap();
+            assert_eq!(work.ops.len(), 2);
+            for (op, (rows, survivors, bytes_in, bytes_out)) in work.ops.iter().zip(&want) {
+                let OpTrace::Filter {
+                    rows_in,
+                    survivors: got,
+                    pred_row_bytes,
+                    out_row_bytes,
+                    ..
+                } = op
+                else {
+                    panic!("{op:?}");
+                };
+                assert_eq!(
+                    (rows_in, got, *pred_row_bytes, *out_row_bytes),
+                    (rows, survivors, 12, 12)
+                );
+                assert_eq!((op.bytes_in(), op.bytes_out()), (*bytes_in, *bytes_out));
+            }
+            assert_eq!((work.out.rows(), work.out.bytes()), (last.rows(), last.bytes()));
+            assert_eq!(
+                work.out.selection().is_some(),
+                work.folds,
+                "only a fold reads a selection"
+            );
+            let mut state = AggState::new(spec.clone());
+            state.update(&work.out);
+            let bits = |s: &AggState| -> Vec<Vec<u64>> {
+                s.finish()
+                    .iter()
+                    .map(|(_, v)| v.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&state), bits(&want_state));
+            assert_eq!(work.out.clone().compact().col(1).as_f64(), last.col(1).as_f64());
+        }
     }
 
     #[test]

@@ -6,37 +6,54 @@
 //! synchronise on a shared hash table, which is exactly what makes the
 //! operator heterogeneity-oblivious.
 //!
+//! A folded batch may carry a selection (what a filter leaves instead of a
+//! copy, see [`Batch::selection`]): both kernels below read its columns
+//! through it, so the filter's survivors are never gathered into a batch.
+//!
 //! # The group-id kernel
 //!
 //! Group keys are computed in exactly one place, `group_ids`: one batch in,
 //! a dense `u32` id per row plus the distinct keys in first-seen row order
-//! out. When the batch's combined key range is small (dictionary codes,
-//! nation × year) the ids come from a direct-mapped table indexed by the
-//! mixed-radix key offset; otherwise from one hash-map lookup per row. Both
-//! consumers share it: [`distinct_groups`] (the control plane's pricing
+//! out. Key columns are read as their own integer type, through the
+//! selection. When the batch's combined key range is small (dictionary
+//! codes, nation × year) the ids come from a direct-mapped table indexed by
+//! the mixed-radix key offset; otherwise from one hash-map lookup per row.
+//! Both consumers share it: [`distinct_groups`] (the control plane's pricing
 //! statistic) is its `keys` output, and [`AggState::update`] maps each
-//! batch-local id to a state slot once per distinct group, then runs one
-//! columnar loop per aggregate over `accs[agg][slot[row]]`, touching only
-//! the fields its [`AggFunc`] reads.
+//! batch-local id to a state slot once per distinct group.
+//!
+//! # The fused fold
+//!
+//! [`AggState::update`] then evaluates each distinct aggregate argument
+//! once over the selected rows (every column the arguments read gathered
+//! and widened once) and runs **one** loop over the rows that updates every
+//! aggregate of the row. A slot's accumulators sit side by side
+//! (`accs[slot * aggs + agg]`), so a row's updates land in one contiguous
+//! run, and the load-add-store chains of a hot group's aggregates
+//! interleave instead of running one loop after another. Each aggregate
+//! touches only the fields its [`AggFunc`] reads; a row's count goes to a
+//! per-group tally that is added to every counting accumulator once per
+//! block (integer sums: exact in any order).
 //!
 //! # Bit-identity
 //!
 //! Results equal a row-at-a-time fold bit for bit (the `#[cfg(test)]`
-//! oracle below asserts it), for two reasons. Every loop visits rows in
-//! batch order, so each group's accumulator sees its values in the same
-//! order and floating-point sums round identically; splitting the work by
-//! aggregate instead of by row reorders only operations on *different*
-//! accumulators. And both id paths number keys in first-seen row order, so
-//! [`distinct_groups`] — hence every simulated makespan priced from it —
-//! cannot depend on which path a batch took.
+//! oracle below asserts it), for two reasons. The fused loop visits rows in
+//! batch order, and within a row each aggregate updates its own
+//! accumulator, so each floating-point accumulator sees its group's values
+//! in the same order as the oracle and rounds identically; argument
+//! values are the same IEEE operations on the same widened values whether
+//! a batch is selected or compacted. And both id paths number keys in
+//! first-seen row order, so [`distinct_groups`] — hence every simulated
+//! makespan priced from it — cannot depend on which path a batch took, nor
+//! on whether it carried a selection.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use hape_storage::table::DataType;
-use hape_storage::{Batch, Column};
+use hape_storage::Batch;
 
 use crate::expr::{eval_distinct, Expr};
+use crate::stateful::{with_ints, Int, Ints};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +87,13 @@ impl AggSpec {
 
     /// Grouped aggregation.
     pub fn grouped(group_by: Vec<usize>, aggs: Vec<(AggFunc, Expr)>) -> Self {
-        assert!(group_by.len() <= 4, "at most 4 group-by columns supported");
+        // Invariant 13 of hape_core's binding walk: a group-by has at most
+        // as many columns as a `GroupKey` holds, so no plan that binds
+        // builds a wider spec.
+        debug_assert!(
+            group_by.len() <= GroupKey::default().len(),
+            "at most 4 group-by columns"
+        );
         AggSpec { group_by, aggs }
     }
 
@@ -142,29 +165,26 @@ struct GroupIds {
     keys: Vec<GroupKey>,
 }
 
-/// A group-by column widened to `i64` key components.
-fn key_column(col: &Column) -> Cow<'_, [i64]> {
-    match col.data_type() {
-        DataType::I32 | DataType::Date => {
-            Cow::Owned(col.as_i32().iter().map(|&v| v as i64).collect())
-        }
-        DataType::I64 => Cow::Borrowed(col.as_i64()),
-        DataType::Str => Cow::Owned(col.as_codes().iter().map(|&v| v as i64).collect()),
-        // Invariant: a plan's group keys are not `f64` — hape_core's binding
-        // walk (`plan::is_group_key`) refuses it before any batch is folded.
-        DataType::F64 => panic!("cannot group by a float column"),
+/// `(min, max)` of a key column over the selected rows (every row when
+/// `sel` is `None`).
+fn key_bounds<T: Int>(v: &[T], sel: Option<&[u32]>) -> (i64, i64) {
+    let bounds = |(lo, hi): (i64, i64), x: i64| (lo.min(x), hi.max(x));
+    let empty = (i64::MAX, i64::MIN);
+    match sel {
+        None => v.iter().map(|x| x.get()).fold(empty, bounds),
+        Some(sel) => sel.iter().map(|&r| v[r as usize].get()).fold(empty, bounds),
     }
 }
 
-/// Per column `(min, range)` when the batch's combined key range fits the
-/// direct map. All range arithmetic is checked: extreme keys, or a single
-/// column wider than the limit, fall through to the hashed path.
-fn dense_domain(cols: &[Cow<'_, [i64]>]) -> Option<Vec<(i64, u64)>> {
+/// Per column `(min, range)` over the selected rows when the batch's
+/// combined key range fits the direct map. All range arithmetic is
+/// checked: extreme keys, or a single column wider than the limit, fall
+/// through to the hashed path.
+fn dense_domain(cols: &[Ints<'_>], sel: Option<&[u32]>) -> Option<Vec<(i64, u64)>> {
     let mut size = 1u64;
     cols.iter()
         .map(|col| {
-            let (lo, hi) =
-                col.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let (lo, hi) = with_ints!(col, v => key_bounds(v, sel));
             let range = hi.abs_diff(lo).checked_add(1)?;
             size = size.checked_mul(range).filter(|&s| s <= DENSE_LIMIT)?;
             Some((lo, range))
@@ -172,44 +192,51 @@ fn dense_domain(cols: &[Cow<'_, [i64]>]) -> Option<Vec<(i64, u64)>> {
         .collect()
 }
 
-/// The group-id kernel: a dense id per row of `batch` under `spec`'s
-/// group-by columns, plus the distinct keys in first-seen row order. An
-/// ungrouped spec puts every row in the single all-zero key.
+/// The group-id kernel: a dense id per row of `batch` (per selected row,
+/// when it carries a selection) under `spec`'s group-by columns, plus the
+/// distinct keys in first-seen row order. An ungrouped spec puts every row
+/// in the single all-zero key.
 fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
-    let n = batch.rows();
-    let cols: Vec<Cow<'_, [i64]>> =
-        spec.group_by.iter().map(|&i| key_column(batch.col(i))).collect();
+    let (n, sel) = (batch.rows(), batch.selection());
+    let cols: Vec<Ints<'_>> = spec.group_by.iter().map(|&i| Ints::of(batch.col(i))).collect();
+    // The key of column row `row` (not block row: through the selection).
     let key_at = |row: usize| {
         let mut key: GroupKey = [0; 4];
         for (slot, col) in key.iter_mut().zip(&cols) {
-            *slot = col[row];
+            *slot = with_ints!(col, v => v[row].get());
         }
         key
     };
+    let row_of = |k: usize| sel.map_or(k, |sel| sel[k] as usize);
     let mut keys: Vec<GroupKey> = Vec::new();
     let mut ids = vec![0u32; n];
-    if let Some(dims) = dense_domain(&cols) {
+    if let Some(dims) = dense_domain(&cols, sel) {
         // Mixed-radix offset of each row's key, column by column; every
         // digit is below its range, so the offset is below DENSE_LIMIT.
         for (col, &(lo, range)) in cols.iter().zip(&dims) {
-            for (id, &v) in ids.iter_mut().zip(col.iter()) {
-                *id = *id * range as u32 + v.wrapping_sub(lo) as u32;
-            }
+            let digit = |id: u32, x: i64| id * range as u32 + x.wrapping_sub(lo) as u32;
+            with_ints!(col, v => match sel {
+                None => ids.iter_mut().zip(v.iter()).for_each(|(id, x)| *id = digit(*id, x.get())),
+                Some(sel) => ids
+                    .iter_mut()
+                    .zip(sel)
+                    .for_each(|(id, &r)| *id = digit(*id, v[r as usize].get())),
+            });
         }
         let size: u64 = dims.iter().map(|d| d.1).product();
         let mut table = vec![u32::MAX; size as usize];
-        for (row, id) in ids.iter_mut().enumerate() {
+        for (k, id) in ids.iter_mut().enumerate() {
             let slot = &mut table[*id as usize];
             if *slot == u32::MAX {
                 *slot = keys.len() as u32;
-                keys.push(key_at(row));
+                keys.push(key_at(row_of(k)));
             }
             *id = *slot;
         }
     } else {
         let mut seen: HashMap<GroupKey, u32> = HashMap::new();
-        for (row, id) in ids.iter_mut().enumerate() {
-            let key = key_at(row);
+        for (k, id) in ids.iter_mut().enumerate() {
+            let key = key_at(row_of(k));
             *id = *seen.entry(key).or_insert_with(|| {
                 keys.push(key);
                 keys.len() as u32 - 1
@@ -235,8 +262,9 @@ pub struct AggState {
     /// Group keys in first-seen order; a key's index is its slot.
     keys: Vec<GroupKey>,
     slots: HashMap<GroupKey, u32>,
-    /// `accs[agg][slot]`.
-    accs: Vec<Vec<Acc>>,
+    /// `accs[slot * spec.aggs.len() + agg]`: a slot's accumulators side by
+    /// side.
+    accs: Vec<Acc>,
     /// Input rows folded in (for observability / cost accounting).
     pub rows_seen: u64,
 }
@@ -244,8 +272,13 @@ pub struct AggState {
 impl AggState {
     /// Fresh state for a spec.
     pub fn new(spec: AggSpec) -> Self {
-        let accs = vec![Vec::new(); spec.aggs.len()];
-        AggState { spec, keys: Vec::new(), slots: HashMap::new(), accs, rows_seen: 0 }
+        AggState {
+            spec,
+            keys: Vec::new(),
+            slots: HashMap::new(),
+            accs: Vec::new(),
+            rows_seen: 0,
+        }
     }
 
     /// The spec.
@@ -263,14 +296,13 @@ impl AggState {
     fn slot(&mut self, key: GroupKey) -> u32 {
         *self.slots.entry(key).or_insert_with(|| {
             self.keys.push(key);
-            for accs in &mut self.accs {
-                accs.push(Acc::new());
-            }
+            self.accs.extend(self.spec.aggs.iter().map(|_| Acc::new()));
             self.keys.len() as u32 - 1
         })
     }
 
-    /// Fold one batch into the state.
+    /// Fold one batch into the state — its selected rows, when it carries
+    /// a selection.
     pub fn update(&mut self, batch: &Batch) {
         let n = batch.rows();
         self.rows_seen += n as u64;
@@ -280,69 +312,86 @@ impl AggState {
     }
 
     fn fold_block(&mut self, batch: &Batch) {
-        let GroupIds { ids: mut slots, keys } = group_ids(&self.spec, batch);
-        // Batch-local id -> state slot: one map lookup per distinct group.
-        let slot_of: Vec<u32> = keys.into_iter().map(|k| self.slot(k)).collect();
-        for s in &mut slots {
-            *s = slot_of[*s as usize];
-        }
+        let GroupIds { ids, keys } = group_ids(&self.spec, batch);
+        // Batch-local id -> the state slot's first accumulator: one map
+        // lookup per distinct group.
+        let width = self.spec.aggs.len();
+        let first: Vec<usize> =
+            keys.into_iter().map(|k| self.slot(k) as usize * width).collect();
         // Each distinct argument expression is evaluated once, vectorised
-        // (bare `f64` column references borrow the batch's storage); count
-        // ignores its argument.
+        // over the selected rows; count ignores its argument.
         let exprs: Vec<Option<&Expr>> =
             self.spec.aggs.iter().map(|(f, e)| (*f != AggFunc::Count).then_some(e)).collect();
         let (vals, arg_of) = eval_distinct(&exprs, batch);
-        for (((func, _), accs), arg) in self.spec.aggs.iter().zip(&mut self.accs).zip(arg_of) {
-            let vals: &[f64] = arg.map_or(&[], |i| &vals[i]);
-            let rows = slots.iter().map(|&s| s as usize).zip(vals);
+        let (mut sums, mut mins, mut maxs, mut counted) = (vec![], vec![], vec![], vec![]);
+        for (a, ((func, _), arg)) in self.spec.aggs.iter().zip(arg_of).enumerate() {
+            let vals = arg.map_or(&[][..], |i| &vals[i][..]);
             match func {
-                AggFunc::Count => slots.iter().for_each(|&s| accs[s as usize].count += 1),
-                AggFunc::Sum => rows.for_each(|(s, &v)| accs[s].sum += v),
-                AggFunc::Avg => rows.for_each(|(s, &v)| {
-                    accs[s].sum += v;
-                    accs[s].count += 1;
-                }),
-                AggFunc::Min => rows.for_each(|(s, &v)| {
-                    if v < accs[s].min {
-                        accs[s].min = v;
-                    }
-                }),
-                AggFunc::Max => rows.for_each(|(s, &v)| {
-                    if v > accs[s].max {
-                        accs[s].max = v;
-                    }
-                }),
+                AggFunc::Sum => sums.push((a, vals)),
+                AggFunc::Avg => {
+                    sums.push((a, vals));
+                    counted.push(a);
+                }
+                AggFunc::Count => counted.push(a),
+                AggFunc::Min => mins.push((a, vals)),
+                AggFunc::Max => maxs.push((a, vals)),
+            }
+        }
+        // One loop over the rows; each row updates every aggregate.
+        let mut rows_of = vec![0u64; first.len()];
+        for (row, &id) in ids.iter().enumerate() {
+            let accs = &mut self.accs[first[id as usize]..][..width];
+            for &(a, v) in &sums {
+                accs[a].sum += v[row];
+            }
+            for &(a, v) in &mins {
+                if v[row] < accs[a].min {
+                    accs[a].min = v[row];
+                }
+            }
+            for &(a, v) in &maxs {
+                if v[row] > accs[a].max {
+                    accs[a].max = v[row];
+                }
+            }
+            rows_of[id as usize] += 1;
+        }
+        for (&at, &rows) in first.iter().zip(&rows_of) {
+            for &a in &counted {
+                self.accs[at + a].count += rows;
             }
         }
     }
 
     /// Merge another partial state (same spec) into this one.
     pub fn merge(&mut self, other: &AggState) {
-        assert_eq!(self.spec.group_by, other.spec.group_by, "merging different specs");
-        assert_eq!(self.spec.aggs.len(), other.spec.aggs.len());
+        // Every partial of one stage is built from the stage's one spec
+        // (the engine's workers, the co-processed fold's chunks, the
+        // baselines' streams), so the layouts agree.
+        debug_assert_eq!(self.spec.group_by, other.spec.group_by, "merging different specs");
+        debug_assert_eq!(self.spec.aggs.len(), other.spec.aggs.len());
+        let width = self.spec.aggs.len();
         self.rows_seen += other.rows_seen;
         for (theirs, key) in other.keys.iter().enumerate() {
-            let mine = self.slot(*key) as usize;
-            for (m, o) in self.accs.iter_mut().zip(&other.accs) {
-                m[mine].merge(&o[theirs]);
+            let mine = self.slot(*key) as usize * width;
+            let theirs = &other.accs[theirs * width..][..width];
+            for (m, o) in self.accs[mine..][..width].iter_mut().zip(theirs) {
+                m.merge(o);
             }
         }
     }
 
     /// Finish into `(key, values)` rows, sorted by key for determinism.
     pub fn finish(&self) -> Vec<(GroupKey, Vec<f64>)> {
+        let width = self.spec.aggs.len();
         let mut out: Vec<(GroupKey, Vec<f64>)> = self
             .keys
             .iter()
             .enumerate()
             .map(|(slot, k)| {
-                let vals = self
-                    .accs
-                    .iter()
-                    .zip(&self.spec.aggs)
-                    .map(|(accs, (f, _))| accs[slot].finish(*f))
-                    .collect();
-                (*k, vals)
+                let accs = &self.accs[slot * width..][..width];
+                let vals = accs.iter().zip(&self.spec.aggs).map(|(a, (f, _))| a.finish(*f));
+                (*k, vals.collect())
             })
             .collect();
         out.sort_by_key(|a| a.0);
@@ -353,6 +402,8 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hape_storage::table::DataType;
+    use hape_storage::Column;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -651,6 +702,58 @@ mod tests {
         assert_eq!(merged.rows_seen, batch.rows() as u64);
     }
 
+    /// Fold `batch` under a selection of `sel`: whole, and in packets over
+    /// two merged partials, `to_bits`-equal to folding its compaction and
+    /// to the row-at-a-time reference over it; the pricing statistic and
+    /// the batch geometry equal the compaction's.
+    fn assert_selected_matches_reference(
+        spec: &AggSpec,
+        batch: &Batch,
+        sel: Vec<u32>,
+        rng: &mut StdRng,
+    ) {
+        let selected = batch.clone().with_selection(sel.into());
+        let compact = selected.clone().compact();
+        assert!(compact.selection().is_none());
+        assert_eq!((selected.rows(), selected.bytes()), (compact.rows(), compact.bytes()));
+        assert_eq!(distinct_groups(spec, &selected), ref_distinct_groups(spec, &compact));
+
+        let fold = |b: &Batch| {
+            let mut st = AggState::new(spec.clone());
+            st.update(b);
+            (bits(st.finish()), st.n_groups(), st.rows_seen)
+        };
+        let mut reference = RefState::new(spec.clone());
+        reference.update(&compact);
+        let (got, groups, rows) = fold(&selected);
+        assert_eq!(got, reference.finish());
+        assert_eq!((got, groups, rows), fold(&compact));
+
+        let mut parts = [AggState::new(spec.clone()), AggState::new(spec.clone())];
+        let mut ref_parts = [RefState::new(spec.clone()), RefState::new(spec.clone())];
+        let mut off = 0;
+        while off < selected.rows() {
+            let len = rng.gen_range(1..=selected.rows() - off).min(97);
+            let w = rng.gen_range(0..2usize);
+            parts[w].update(&selected.slice(off, len));
+            ref_parts[w].update(&compact.slice(off, len));
+            off += len;
+        }
+        let mut merged = AggState::new(spec.clone());
+        let mut ref_merged = RefState::new(spec.clone());
+        for (p, r) in parts.iter().zip(&ref_parts) {
+            merged.merge(p);
+            ref_merged.merge(r);
+        }
+        assert_eq!(bits(merged.finish()), ref_merged.finish());
+    }
+
+    /// Empty, sparse (~2 %), dense (~98 %) and full selections of `n` rows.
+    fn selections(n: usize, rng: &mut StdRng) -> [Vec<u32>; 4] {
+        let mut share = |p: f64| (0..n as u32).filter(|_| rng.gen_bool(p)).collect();
+        [Vec::new(), share(0.02), share(0.98), (0..n as u32).collect()]
+    }
+
     #[test]
     fn columnar_fold_is_bit_identical_to_the_row_at_a_time_reference() {
         use Keys::*;
@@ -674,6 +777,9 @@ mod tests {
             for n in [0, 1, 2, 500, 3_000, BLOCK_ROWS + 3] {
                 let batch = random_batch(keys, n, &mut rng);
                 assert_matches_reference(&spec, &batch, &mut rng);
+                for sel in selections(n, &mut rng) {
+                    assert_selected_matches_reference(&spec, &batch, sel, &mut rng);
+                }
             }
         }
     }
@@ -682,9 +788,8 @@ mod tests {
     fn dense_path_takes_small_domains_and_refuses_the_rest_without_overflow() {
         let limit = DENSE_LIMIT as i64;
         let dense = |cols: &[Vec<i64>]| {
-            let cols: Vec<Cow<'_, [i64]>> =
-                cols.iter().map(|c| Cow::Borrowed(&c[..])).collect();
-            dense_domain(&cols)
+            let cols: Vec<Ints<'_>> = cols.iter().map(|c| Ints::I64(c)).collect();
+            dense_domain(&cols, None)
         };
         // Q1's shape: two tiny columns, offsets from the column minimum.
         assert_eq!(dense(&[vec![2, 0, 1], vec![-7, -6, -7]]), Some(vec![(0, 3), (-7, 2)]));

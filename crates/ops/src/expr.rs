@@ -8,7 +8,7 @@
 use std::borrow::Cow;
 
 use hape_storage::table::DataType;
-use hape_storage::Batch;
+use hape_storage::{Batch, Column};
 
 /// A scalar expression over the columns of a batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +127,32 @@ impl Expr {
         cols.sort_unstable();
         cols.dedup();
         cols
+    }
+
+    /// Whether the expression reads column `i`.
+    fn reads(&self, i: usize) -> bool {
+        match self {
+            Expr::Col(c) => *c == i,
+            Expr::LitI32(_) | Expr::LitI64(_) | Expr::LitF64(_) => false,
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Eq(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Ge(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b) => a.reads(i) || b.reads(i),
+        }
+    }
+
+    /// Bytes per row of the columns of `batch` the expression reads, each
+    /// counted once: the widths of [`Expr::columns_used`], without
+    /// collecting them.
+    pub fn row_bytes(&self, batch: &Batch) -> u64 {
+        let widths = batch.columns.iter().map(|c| c.data_type().width() as u64);
+        widths.enumerate().filter(|&(i, _)| self.reads(i)).map(|(_, w)| w).sum()
     }
 
     /// The [`ExprValue`] arm [`eval`] produces — or the operand `eval` would
@@ -487,19 +513,71 @@ impl<'a> ExprValue<'a> {
     }
 }
 
-fn column_as_f64(batch: &Batch, i: usize) -> Cow<'_, [f64]> {
-    let c = batch.col(i);
-    match c.data_type() {
-        DataType::I32 | DataType::Date => {
-            Cow::Owned(c.as_i32().iter().map(|&v| v as f64).collect())
+/// An element of a physical column, widened to `f64` the one way every
+/// evaluation path widens it (`as`: exact for `i32`, dates and codes,
+/// rounding to nearest for `i64` beyond 2^53).
+trait Widen: Copy {
+    fn widen(self) -> f64;
+}
+
+macro_rules! widen_as_f64 {
+    ($($t:ty),*) => {$(
+        impl Widen for $t {
+            fn widen(self) -> f64 {
+                self as f64
+            }
         }
-        DataType::I64 => Cow::Owned(c.as_i64().iter().map(|&v| v as f64).collect()),
-        DataType::F64 => Cow::Borrowed(c.as_f64()),
-        DataType::Str => Cow::Owned(c.as_codes().iter().map(|&v| v as f64).collect()),
+    )*};
+}
+
+widen_as_f64!(i32, i64, u32);
+
+impl Widen for f64 {
+    fn widen(self) -> f64 {
+        self
     }
 }
 
-/// Evaluate `expr` over `batch`.
+/// Evaluate `$body` with `$v` bound to the typed slice behind column
+/// `$col`: one monomorphised copy of the body per physical type.
+macro_rules! typed {
+    ($col:expr, $v:ident => $body:expr) => {{
+        let col = $col;
+        match col.data_type() {
+            DataType::I32 | DataType::Date => {
+                let $v = col.as_i32();
+                $body
+            }
+            DataType::I64 => {
+                let $v = col.as_i64();
+                $body
+            }
+            DataType::F64 => {
+                let $v = col.as_f64();
+                $body
+            }
+            DataType::Str => {
+                let $v = col.as_codes();
+                $body
+            }
+        }
+    }};
+}
+
+/// The rows `sel` selects of `col` (all of them when `None`), gathered and
+/// widened to `f64` in one pass. An unselected `f64` column is borrowed.
+fn gather_f64<'a>(col: &'a Column, sel: Option<&[u32]>) -> Cow<'a, [f64]> {
+    match (col.data_type(), sel) {
+        (DataType::F64, None) => Cow::Borrowed(col.as_f64()),
+        (_, None) => Cow::Owned(typed!(col, v => v.iter().map(|x| x.widen()).collect())),
+        (_, Some(sel)) => {
+            Cow::Owned(typed!(col, v => sel.iter().map(|&r| v[r as usize].widen()).collect()))
+        }
+    }
+}
+
+/// Evaluate `expr` over the rows of `batch` (its selected rows, when it
+/// carries a selection).
 pub fn eval<'a>(expr: &Expr, batch: &'a Batch) -> ExprValue<'a> {
     eval_memo(expr, batch, &[])
 }
@@ -508,13 +586,20 @@ pub fn eval<'a>(expr: &Expr, batch: &'a Batch) -> ExprValue<'a> {
 /// expression once: the returned indices map every `Some` entry of `exprs`
 /// to its values (`None` entries are skipped). An expression that recurs
 /// as an operand inside a later one — Q1's `disc_price` inside `charge` —
-/// is reused there too rather than recomputed.
+/// is reused there too rather than recomputed, and every column the
+/// expressions read is gathered through the batch's selection and widened
+/// once, up front.
 pub(crate) fn eval_distinct<'a>(
     exprs: &[Option<&Expr>],
     batch: &'a Batch,
 ) -> (Vec<Cow<'a, [f64]>>, Vec<Option<usize>>) {
-    let mut done: Vec<&Expr> = Vec::new();
-    let mut vals: Vec<Cow<'a, [f64]>> = Vec::new();
+    let mut cols: Vec<usize> = exprs.iter().flatten().flat_map(|e| e.columns_used()).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    let leaves: Vec<Expr> = cols.iter().map(|&i| Expr::Col(i)).collect();
+    let mut done: Vec<&Expr> = leaves.iter().collect();
+    let mut vals: Vec<Cow<'a, [f64]>> =
+        cols.iter().map(|&i| gather_f64(batch.col(i), batch.selection())).collect();
     let mut index = Vec::with_capacity(exprs.len());
     for expr in exprs {
         index.push(expr.map(|e| {
@@ -560,7 +645,7 @@ fn eval_memo<'a>(expr: &Expr, batch: &'a Batch, memo: &[(&Expr, &[f64])]) -> Exp
     let n = batch.rows();
     let num = |vals: Vec<f64>| ExprValue::F64(Cow::Owned(vals));
     match expr {
-        Expr::Col(i) => ExprValue::F64(column_as_f64(batch, *i)),
+        Expr::Col(i) => ExprValue::F64(gather_f64(batch.col(*i), batch.selection())),
         Expr::LitI32(v) => num(vec![*v as f64; n]),
         Expr::LitI64(v) => num(vec![*v as f64; n]),
         Expr::LitF64(v) => num(vec![*v; n]),
@@ -577,6 +662,16 @@ fn eval_memo<'a>(expr: &Expr, batch: &'a Batch, memo: &[(&Expr, &[f64])]) -> Exp
     }
 }
 
+/// The value of a literal operand, widened as [`eval`] widens it.
+fn literal(e: &Expr) -> Option<f64> {
+    match e {
+        Expr::LitI32(v) => Some(*v as f64),
+        Expr::LitI64(v) => Some(*v as f64),
+        Expr::LitF64(v) => Some(*v),
+        _ => None,
+    }
+}
+
 /// A numeric operand of a binary node: literals stay scalar, so the node
 /// runs one scalar loop instead of materialising `vec![lit; n]`.
 enum Operand<'x> {
@@ -585,14 +680,12 @@ enum Operand<'x> {
 }
 
 fn operand<'x>(expr: &Expr, batch: &'x Batch, memo: &[(&Expr, &'x [f64])]) -> Operand<'x> {
-    match expr {
-        Expr::LitI32(v) => Operand::Lit(*v as f64),
-        Expr::LitI64(v) => Operand::Lit(*v as f64),
-        Expr::LitF64(v) => Operand::Lit(*v),
-        _ => match memo.iter().find(|(e, _)| same_expr(e, expr)) {
-            Some((_, vals)) => Operand::Vals(Cow::Borrowed(vals)),
-            None => Operand::Vals(eval_memo(expr, batch, memo).into_f64()),
-        },
+    if let Some(x) = literal(expr) {
+        return Operand::Lit(x);
+    }
+    match memo.iter().find(|(e, _)| same_expr(e, expr)) {
+        Some((_, vals)) => Operand::Vals(Cow::Borrowed(vals)),
+        None => Operand::Vals(eval_memo(expr, batch, memo).into_f64()),
     }
 }
 
@@ -636,10 +729,119 @@ pub fn eval_bool(expr: &Expr, batch: &Batch) -> Vec<bool> {
     }
 }
 
+/// Append to `out`, ascending, the rows of `batch` where `pred` holds, as
+/// indices into its columns — among its selected rows, when it carries a
+/// selection. The filter kernel: `and` tests its right side only on the
+/// rows its left side kept, `or` merges what each side selects, and a
+/// comparison of a column with a literal or with a column runs over the
+/// columns' own element types, widening each element in-register exactly
+/// as [`eval`] widens a column. Every truth value is therefore the one [`eval_bool`] computes —
+/// `i64` beyond 2^53, NaN and `-0.0` included.
+pub fn select(pred: &Expr, batch: &Batch, out: &mut Vec<u32>) {
+    select_among(pred, batch, batch.selection(), out);
+}
+
+/// [`select`] among the candidate rows `cand` (ascending indices into the
+/// columns; every row when `None`).
+fn select_among(pred: &Expr, batch: &Batch, cand: Option<&[u32]>, out: &mut Vec<u32>) {
+    match pred {
+        Expr::And(a, b) => {
+            let mut left = Vec::new();
+            select_among(a, batch, cand, &mut left);
+            select_among(b, batch, Some(&left), out);
+        }
+        Expr::Or(a, b) => {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            select_among(a, batch, cand, &mut left);
+            select_among(b, batch, cand, &mut right);
+            union(&left, &right, out);
+        }
+        Expr::Eq(a, b) => compare(a, b, batch, cand, out, |x, y| x == y),
+        Expr::Lt(a, b) => compare(a, b, batch, cand, out, |x, y| x < y),
+        Expr::Le(a, b) => compare(a, b, batch, cand, out, |x, y| x <= y),
+        Expr::Gt(a, b) => compare(a, b, batch, cand, out, |x, y| x > y),
+        Expr::Ge(a, b) => compare(a, b, batch, cand, out, |x, y| x >= y),
+        // Invariant: a plan's filters are boolean — the binding walk refuses the rest.
+        _ => panic!("predicate does not evaluate to boolean"),
+    }
+}
+
+/// The candidates where `f(a, b)` holds, appended to `out`.
+fn compare(
+    a: &Expr,
+    b: &Expr,
+    batch: &Batch,
+    cand: Option<&[u32]>,
+    out: &mut Vec<u32>,
+    f: impl Fn(f64, f64) -> bool + Copy,
+) {
+    // Without candidates the batch carries no selection: all its rows.
+    let n = batch.rows();
+    match (a, b, literal(a), literal(b)) {
+        (Expr::Col(i), _, _, Some(y)) => {
+            typed!(batch.col(*i), v => keep(n, cand, out, |r| f(v[r].widen(), y)));
+        }
+        (_, Expr::Col(j), Some(x), _) => {
+            typed!(batch.col(*j), v => keep(n, cand, out, |r| f(x, v[r].widen())));
+        }
+        (Expr::Col(i), Expr::Col(j), _, _) => typed!(batch.col(*i), u => {
+            typed!(batch.col(*j), v => keep(n, cand, out, |r| f(u[r].widen(), v[r].widen())));
+        }),
+        _ => {
+            // Computed operands: evaluated over the candidate rows only.
+            let among = match cand {
+                None => Cow::Borrowed(batch),
+                Some(c) => Cow::Owned(batch.clone().with_selection(c.into())),
+            };
+            let holds = zip_with(a, b, &among, &[], f);
+            let rows = (0..holds.len() as u32).map(|k| cand.map_or(k, |c| c[k as usize]));
+            out.extend(rows.zip(holds).filter(|&(_, h)| h).map(|(r, _)| r));
+        }
+    }
+}
+
+/// Append to `out` the candidates (all `n` rows when `None`) that pass
+/// `test`, branch-free: every candidate is written, and the write position
+/// advances past the ones that pass.
+fn keep(n: usize, cand: Option<&[u32]>, out: &mut Vec<u32>, test: impl Fn(usize) -> bool) {
+    let start = out.len();
+    out.resize(start + cand.map_or(n, <[u32]>::len), 0);
+    let mut k = start;
+    match cand {
+        None => {
+            for r in 0..n {
+                out[k] = r as u32;
+                k += test(r) as usize;
+            }
+        }
+        Some(c) => {
+            for &r in c {
+                out[k] = r;
+                k += test(r as usize) as usize;
+            }
+        }
+    }
+    out.truncate(k);
+}
+
+/// The ascending union of two ascending row lists, appended to `out`.
+fn union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hape_storage::Column;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn batch() -> Batch {
         Batch::new(vec![
@@ -746,10 +948,11 @@ mod tests {
         let charge = Expr::mul(disc_price.clone(), Expr::add(Expr::LitF64(1.0), Expr::col(1)));
         let exprs = [Some(&disc_price), None, Some(&charge), Some(&disc_price), Some(&charge)];
         let (vals, index) = eval_distinct(&exprs, &b);
-        assert_eq!(index, [Some(0), None, Some(1), Some(0), Some(1)]);
-        assert_eq!(vals.len(), 2);
-        assert_eq!(f64_bits(&vals[0]), f64_bits(eval(&disc_price, &b).as_f64()));
-        assert_eq!(f64_bits(&vals[1]), f64_bits(eval(&charge, &b).as_f64()));
+        // The two columns the expressions read come first, gathered once.
+        assert_eq!(index, [Some(2), None, Some(3), Some(2), Some(3)]);
+        assert_eq!(vals.len(), 4);
+        assert_eq!(f64_bits(&vals[2]), f64_bits(eval(&disc_price, &b).as_f64()));
+        assert_eq!(f64_bits(&vals[3]), f64_bits(eval(&charge, &b).as_f64()));
 
         // The operand of `charge` that equals an evaluated expression is
         // borrowed from the memo, not recomputed: plant a sentinel there.
@@ -770,10 +973,10 @@ mod tests {
         assert_eq!(pos, neg);
         let nested = Expr::add(neg.clone(), Expr::LitF64(-0.0));
         let (vals, index) = eval_distinct(&[Some(&pos), Some(&neg), Some(&nested)], &b);
-        assert_eq!(index, [Some(0), Some(1), Some(2)]);
-        assert_eq!(f64_bits(&vals[0]), [0.0f64.to_bits(); 3]);
-        assert_eq!(f64_bits(&vals[1]), [(-0.0f64).to_bits(); 3]);
+        assert_eq!(index, [Some(1), Some(2), Some(3)]);
+        assert_eq!(f64_bits(&vals[1]), [0.0f64.to_bits(); 3]);
         assert_eq!(f64_bits(&vals[2]), [(-0.0f64).to_bits(); 3]);
+        assert_eq!(f64_bits(&vals[3]), [(-0.0f64).to_bits(); 3]);
     }
 
     #[test]
@@ -842,6 +1045,130 @@ mod tests {
             assert!(panics(&|| drop(eval(&mixed, &b))));
             assert_eq!(mixed.kind(), Err(KindMismatch { expected, found }));
         }
+    }
+
+    /// The filter kernel's oracle batch: one column per physical type —
+    /// `i32` in `0..100` (so `< 0`, `< 2`, `< 98`, `<= 99` select 0 %, ~2 %,
+    /// ~98 % and 100 %), dates, `i64` straddling 2^53 (where widening
+    /// rounds), `f64` salted with NaN, `-0.0` and `0.0`, dictionary codes —
+    /// and a second `f64` for column-vs-column comparisons.
+    fn typed_batch(n: usize, rng: &mut StdRng) -> Batch {
+        let big = 1i64 << 53;
+        let specials = [f64::NAN, -0.0, 0.0];
+        let f64s = |rng: &mut StdRng| -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..8usize) {
+                    k @ 0..=2 => specials[k],
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect()
+        };
+        let names = ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"];
+        Batch::new(vec![
+            Column::from_i32((0..n).map(|_| rng.gen_range(0..100)).collect()),
+            Column::from_i32((0..n).map(|_| rng.gen_range(8_760..8_780)).collect()),
+            Column::from_i64((0..n).map(|_| big + rng.gen_range(-3..4i64)).collect()),
+            Column::from_f64(f64s(rng)),
+            Column::from_strs((0..n).map(|_| names[rng.gen_range(0..names.len())])),
+            Column::from_f64(f64s(rng)),
+        ])
+    }
+
+    /// A random literal of a random type, near the values the columns hold.
+    fn random_literal(rng: &mut StdRng) -> Expr {
+        let big = 1i64 << 53;
+        match rng.gen_range(0..6usize) {
+            0 => Expr::LitI32(rng.gen_range(-1..101)),
+            1 => Expr::LitI32(rng.gen_range(8_759..8_781)),
+            2 => Expr::LitI64(big + rng.gen_range(-4..5i64)),
+            3 => Expr::LitF64([0.0, -0.0, f64::NAN, 0.5][rng.gen_range(0..4usize)]),
+            4 => Expr::LitI32(rng.gen_range(0..5)),
+            _ => Expr::LitF64(rng.gen_range(-2.0..2.0)),
+        }
+    }
+
+    /// A random predicate: comparisons of a column with a literal (either
+    /// side), a column, or a computed operand, under nested `and` / `or`.
+    fn random_predicate(depth: usize, rng: &mut StdRng) -> Expr {
+        let cols = 6;
+        if depth > 0 && rng.gen_bool(0.5) {
+            let (a, b) = (random_predicate(depth - 1, rng), random_predicate(depth - 1, rng));
+            return if rng.gen_bool(0.5) { Expr::and(a, b) } else { Expr::or(a, b) };
+        }
+        let column = Expr::col(rng.gen_range(0..cols));
+        let (a, b) = match rng.gen_range(0..4usize) {
+            0 => (column, random_literal(rng)),
+            1 => (random_literal(rng), column),
+            2 => (column, Expr::col(rng.gen_range(0..cols))),
+            _ => (Expr::mul(column, Expr::LitF64(0.5)), Expr::col(rng.gen_range(0..cols))),
+        };
+        let cmp = [Expr::eq, Expr::lt, Expr::le, Expr::gt, Expr::ge][rng.gen_range(0..5usize)];
+        cmp(a, b)
+    }
+
+    /// `select` over `batch` against the positions `eval_bool` says hold,
+    /// mapped through the batch's selection.
+    fn assert_select_matches_eval_bool(pred: &Expr, batch: &Batch) {
+        let mut got = vec![7]; // `select` appends: what is there stays.
+        select(pred, batch, &mut got);
+        let want: Vec<u32> = std::iter::once(7)
+            .chain(
+                eval_bool(pred, batch)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &t)| t)
+                    .map(|(k, _)| batch.selection().map_or(k as u32, |sel| sel[k])),
+            )
+            .collect();
+        assert_eq!(got, want, "{pred:?} over {} rows", batch.rows());
+    }
+
+    #[test]
+    fn select_holds_exactly_where_eval_bool_does() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let x = || Expr::col(0);
+        let shares = [
+            Expr::lt(x(), Expr::LitI32(0)),
+            Expr::lt(x(), Expr::LitI32(2)),
+            Expr::lt(x(), Expr::LitI32(98)),
+            Expr::le(x(), Expr::LitI32(99)),
+        ];
+        for n in [0, 1, 3, 700, 5_000] {
+            let batch = typed_batch(n, &mut rng);
+            let every = (0..n as u32).collect::<Vec<_>>();
+            let some = every.iter().copied().filter(|_| rng.gen_bool(0.6)).collect::<Vec<_>>();
+            let views = [
+                batch.clone(),
+                batch.clone().with_selection(some.into()),
+                batch.clone().with_selection(every.into()),
+                batch.clone().with_selection(Vec::new().into()),
+            ];
+            let mut preds: Vec<Expr> = shares.to_vec();
+            preds.extend((0..200).map(|_| random_predicate(3, &mut rng)));
+            for view in &views {
+                for pred in &preds {
+                    assert_select_matches_eval_bool(pred, view);
+                }
+            }
+            if n == 5_000 {
+                let count = |p: &Expr| eval_bool(p, &batch).iter().filter(|&&t| t).count();
+                let got = shares.each_ref().map(count);
+                assert_eq!((got[0], got[3]), (0, n));
+                assert!((50..=150).contains(&got[1]) && (4_850..=4_950).contains(&got[2]));
+            }
+        }
+        // The lossy widening and the float specials, pinned: 2^53 + 1
+        // widens to 2^53, NaN compares false, `-0.0 == 0.0`.
+        let b = Batch::new(vec![
+            Column::from_i64(vec![(1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 53) + 2]),
+            Column::from_f64(vec![f64::NAN, -0.0, 0.0, 1.0]),
+        ]);
+        let mut got = Vec::new();
+        select(&Expr::eq(Expr::col(0), Expr::LitI64((1 << 53) + 1)), &b, &mut got);
+        assert_eq!(got, [1, 2]);
+        got.clear();
+        select(&Expr::le(Expr::col(1), Expr::LitF64(0.0)), &b, &mut got);
+        assert_eq!(got, [1, 2]);
     }
 
     /// Toy scope: `a` at 0 (numeric), `region` at 1 (strings ASIA=7).

@@ -10,7 +10,6 @@ use hape_sim::{BlockCtx, GpuSim, KernelReport, LaunchConfig, Region, SimTime};
 use hape_storage::Batch;
 
 use crate::agg::AggSpec;
-use crate::expr::Expr;
 
 /// Rows each thread block processes.
 pub const ITEMS_PER_BLOCK: usize = 8192;
@@ -20,10 +19,6 @@ pub const BLOCK_THREADS: usize = 256;
 /// Launch geometry for `rows` items.
 pub fn grid_for(rows: usize) -> LaunchConfig {
     LaunchConfig::new(rows.div_ceil(ITEMS_PER_BLOCK).max(1), BLOCK_THREADS, 0)
-}
-
-fn bytes_used_per_row(e: &Expr, batch: &Batch) -> u64 {
-    e.columns_used().iter().map(|&i| batch.col(i).data_type().width() as u64).sum()
 }
 
 /// The rows this block covers.
@@ -37,11 +32,13 @@ fn block_range(blk: &BlockCtx<'_>, rows: usize) -> (usize, usize) {
 /// statistic [`filter_cost`] replays instead of re-evaluating the
 /// predicate. `sel` holds the surviving row indices in ascending order.
 pub fn block_survivors(sel: &[u32], rows: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; rows.div_ceil(ITEMS_PER_BLOCK).max(1)];
-    for &i in sel {
-        counts[i as usize / ITEMS_PER_BLOCK] += 1;
-    }
-    counts
+    let mut done = 0;
+    (1..=rows.div_ceil(ITEMS_PER_BLOCK).max(1))
+        .map(|b| {
+            let end = sel.partition_point(|&i| (i as usize) < b * ITEMS_PER_BLOCK);
+            (end - std::mem::replace(&mut done, end)) as u32
+        })
+        .collect()
 }
 
 /// Charge a fused filter from recorded statistics: `rows` input rows whose
@@ -81,7 +78,7 @@ pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> 
     let rows = batch.rows();
     let mut row_bytes = 0u64;
     for (_, e) in &spec.aggs {
-        row_bytes += bytes_used_per_row(e, batch);
+        row_bytes += e.row_bytes(batch);
     }
     for &g in &spec.group_by {
         row_bytes += batch.col(g).data_type().width() as u64;
@@ -134,6 +131,7 @@ pub fn stream_pass(sim: &GpuSim, region: Region, bytes: u64, ops_per_item: f64) 
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
+    use crate::expr::Expr;
     use hape_sim::{Fidelity, GpuSpec};
     use hape_storage::Column;
 
@@ -155,6 +153,21 @@ mod tests {
         let sel: Vec<u32> = (0..b.rows() as u32).filter(|&i| (i as i32) < below).collect();
         let survivors = block_survivors(&sel, b.rows());
         filter_cost(&sim(), region, b.rows(), 4, 12, pred.ops_per_row(), &survivors)
+    }
+
+    #[test]
+    fn block_survivors_counts_each_blocks_share_of_the_selection() {
+        let rows = 3 * ITEMS_PER_BLOCK + 5;
+        let sel: Vec<u32> =
+            (0..rows as u32).filter(|i| i % 3 == 0 || (8_000..8_300).contains(i)).collect();
+        let mut want = vec![0u32; 4];
+        for &i in &sel {
+            want[i as usize / ITEMS_PER_BLOCK] += 1;
+        }
+        assert_eq!(block_survivors(&sel, rows), want);
+        assert_eq!(block_survivors(&sel[..1], rows), [1, 0, 0, 0]);
+        assert_eq!(block_survivors(&[], rows), [0; 4]);
+        assert_eq!(block_survivors(&[], 0), [0]);
     }
 
     #[test]

@@ -215,8 +215,9 @@ impl StatefulAgg {
 }
 
 /// An element of an integer-valued physical column — `i32`, `i64` or a
-/// `u32` dictionary code — widened for the state machines.
-trait Int: Copy + PartialEq + Into<i64> {
+/// `u32` dictionary code — widened for the state machines and the group-id
+/// kernel ([`crate::agg`]).
+pub(crate) trait Int: Copy + PartialEq + Into<i64> {
     fn get(self) -> i64 {
         self.into()
     }
@@ -224,9 +225,9 @@ trait Int: Copy + PartialEq + Into<i64> {
 
 impl<T: Copy + PartialEq + Into<i64>> Int for T {}
 
-/// A stateful input column resolved to its physical slice — once per
-/// packet, so no kernel loop dispatches on the column type.
-enum Ints<'a> {
+/// A stateful input or group-key column resolved to its physical slice —
+/// once per packet, so no kernel loop dispatches on the column type.
+pub(crate) enum Ints<'a> {
     I32(&'a [i32]),
     I64(&'a [i64]),
     Codes(&'a [u32]),
@@ -236,12 +237,15 @@ impl<'a> Ints<'a> {
     /// Panics on `f64` columns: the engine refuses such a plan before any
     /// packet exists (`EngineError::InvalidPlan`), so a float here is a
     /// caller bug.
-    fn of(col: &'a Column) -> Self {
+    pub(crate) fn of(col: &'a Column) -> Self {
         match col.data_type() {
             DataType::I32 | DataType::Date => Ints::I32(col.as_i32()),
             DataType::I64 => Ints::I64(col.as_i64()),
             DataType::Str => Ints::Codes(col.as_codes()),
-            DataType::F64 => panic!("stateful aggregate over a float column"),
+            // Invariants 11 and 12 of hape_core's binding walk: group keys
+            // (`plan::is_group_key`) and a stateful aggregate's user / ts /
+            // event columns are not `f64` typed.
+            DataType::F64 => panic!("integer column expected, got a float column"),
         }
     }
 }
@@ -251,12 +255,13 @@ impl<'a> Ints<'a> {
 macro_rules! with_ints {
     ($view:expr, $s:ident => $body:expr) => {
         match $view {
-            Ints::I32($s) => $body,
-            Ints::I64($s) => $body,
-            Ints::Codes($s) => $body,
+            $crate::stateful::Ints::I32($s) => $body,
+            $crate::stateful::Ints::I64($s) => $body,
+            $crate::stateful::Ints::Codes($s) => $body,
         }
     };
 }
+pub(crate) use with_ints;
 
 /// The row ranges that `ends` (exclusive run ends, ascending) delimits.
 fn runs(ends: &[usize]) -> impl ExactSizeIterator<Item = std::ops::Range<usize>> + '_ {
@@ -526,7 +531,7 @@ pub fn run_stateful(agg: &StatefulAgg, batch: &Batch) -> (Batch, usize) {
         }
     }
     let columns = out.into_iter().map(Column::from_i64).collect();
-    (Batch { columns }, ends.len())
+    (Batch::new(columns), ends.len())
 }
 
 /// CPU cost of a stateful pass over `rows` input rows covering `users`
@@ -753,7 +758,7 @@ mod tests {
                 start = end;
             }
             let columns = out.into_iter().map(Column::from_i64).collect();
-            (Batch { columns }, users)
+            (Batch::new(columns), users)
         }
     }
 

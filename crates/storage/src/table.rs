@@ -1,5 +1,7 @@
 //! Schemas, batches (packets) and tables.
 
+use std::sync::Arc;
+
 use hape_sim::topology::MemNode;
 
 use crate::column::Column;
@@ -92,10 +94,20 @@ impl Schema {
 /// A batch of rows — the engine's unit of data flow (the paper's *packet*).
 /// Packets carry no shared property: routers decide from their size and the
 /// consumers' load alone (see `hape_core::exchange`).
+///
+/// A batch may carry a *selection*: the ascending indices of the rows of
+/// `columns` it consists of — what a filter leaves instead of a copy of its
+/// survivors. [`Batch::rows`] and [`Batch::bytes`] count the selected rows
+/// only, so both equal those of [`Batch::compact`], the one gather that
+/// materialises them.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// The columns; all the same length.
+    /// The columns; all the same length. On a selected batch they still hold
+    /// the unselected rows: read them through [`Batch::selection`], or
+    /// [`Batch::compact`] first.
     pub columns: Vec<Column>,
+    /// The selected rows of `columns`, ascending; `None` selects every row.
+    sel: Option<Arc<[u32]>>,
 }
 
 impl Batch {
@@ -105,27 +117,66 @@ impl Batch {
             let n = first.len();
             assert!(columns.iter().all(|c| c.len() == n), "ragged batch");
         }
-        Batch { columns }
+        Batch { columns, sel: None }
     }
 
     /// An empty batch with no columns.
     pub fn empty() -> Self {
-        Batch { columns: Vec::new() }
+        Batch::new(Vec::new())
     }
 
-    /// Number of rows.
+    /// The same columns with `sel` (ascending indices into them) as the
+    /// selection, replacing any selection the batch carried.
+    pub fn with_selection(self, sel: Arc<[u32]>) -> Batch {
+        debug_assert!(sel.windows(2).all(|w| w[0] < w[1]), "selection not ascending");
+        let len = self.columns.first().map_or(0, Column::len);
+        debug_assert!(sel.last().is_none_or(|&r| (r as usize) < len), "selection out of range");
+        Batch { sel: Some(sel), ..self }
+    }
+
+    /// The selected rows of [`Batch::columns`], or `None` when every row is.
+    pub fn selection(&self) -> Option<&[u32]> {
+        self.sel.as_deref()
+    }
+
+    /// The selected rows gathered into fresh columns ([`Column::take`]); a
+    /// batch without a selection is returned as it is.
+    pub fn compact(self) -> Batch {
+        match &self.sel {
+            None => self,
+            Some(sel) => {
+                Batch { columns: self.columns.iter().map(|c| c.take(sel)).collect(), sel: None }
+            }
+        }
+    }
+
+    /// Number of rows (selected rows, on a selected batch).
     pub fn rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        match &self.sel {
+            Some(sel) => sel.len(),
+            None => self.columns.first().map_or(0, Column::len),
+        }
     }
 
-    /// Total payload bytes (what a `mem-move` would transfer).
+    /// Total payload bytes of the rows (what a `mem-move` would transfer).
     pub fn bytes(&self) -> u64 {
-        self.columns.iter().map(Column::byte_len).sum()
+        let width: usize = self.columns.iter().map(|c| c.data_type().width()).sum();
+        (width * self.rows()) as u64
     }
 
-    /// O(1) row-range view.
+    /// O(1) row-range view; on a selected batch, the range of the selection
+    /// (a copy of its indices, unless the range is all of it).
     pub fn slice(&self, off: usize, len: usize) -> Batch {
-        Batch { columns: self.columns.iter().map(|c| c.slice(off, len)).collect() }
+        match &self.sel {
+            Some(sel) if off == 0 && len == sel.len() => self.clone(),
+            Some(sel) => {
+                Batch { columns: self.columns.clone(), sel: Some(sel[off..off + len].into()) }
+            }
+            None => Batch {
+                columns: self.columns.iter().map(|c| c.slice(off, len)).collect(),
+                sel: None,
+            },
+        }
     }
 
     /// Split into packets of at most `rows_per_packet` rows (views).
@@ -148,8 +199,9 @@ impl Batch {
     /// columns. No batch yields [`Batch::empty`]; a single batch is
     /// returned as it is (still a view), and so is every column whose parts
     /// are adjacent views of one allocation ([`Column::concat`]); the rest
-    /// are copied.
-    pub fn concat(mut parts: Vec<Batch>) -> Batch {
+    /// are copied. Selected parts are compacted first.
+    pub fn concat(parts: Vec<Batch>) -> Batch {
+        let mut parts: Vec<Batch> = parts.into_iter().map(Batch::compact).collect();
         if parts.iter().any(|b| b.rows() > 0) {
             parts.retain(|b| b.rows() > 0);
         } else {
@@ -168,7 +220,7 @@ impl Batch {
         Batch::new(cols)
     }
 
-    /// Column by index.
+    /// Column by index — all its rows, on a selected batch too.
     pub fn col(&self, i: usize) -> &Column {
         // Invariant: every column index a plan carries is in range of the
         // schema flowing past it — hape_core's binding walk (`plan::bind`).
@@ -310,6 +362,23 @@ mod tests {
         assert_eq!(joined.col(1).as_i64(), b.col(1).as_i64());
         assert_eq!(Batch::concat(Vec::new()).rows(), 0);
         assert_eq!(Batch::concat(vec![b.slice(2, 3)]).col(0).as_i32(), &[2, 3, 4]);
+    }
+
+    #[test]
+    fn a_selected_batch_is_its_compaction_to_every_reader() {
+        let b = two_col_batch(10).with_selection(vec![1, 4, 5, 8].into());
+        let c = b.clone().compact();
+        assert_eq!((c.selection(), c.col(0).as_i32()), (None, &[1, 4, 5, 8][..]));
+        assert_eq!((b.rows(), b.bytes()), (4, 4 * 12));
+        assert_eq!((b.rows(), b.bytes()), (c.rows(), c.bytes()));
+        // Slices and packets of a selection select the same rows.
+        assert_eq!(b.slice(1, 2).compact().col(1).as_i64(), &[4, 5]);
+        let packets = b.split(3);
+        assert_eq!(packets.iter().map(Batch::rows).collect::<Vec<_>>(), [3, 1]);
+        assert_eq!(Batch::concat(packets).col(0).as_i32(), c.col(0).as_i32());
+        // An empty selection is an empty batch that keeps its columns.
+        let none = two_col_batch(10).with_selection(Vec::new().into());
+        assert_eq!((none.rows(), none.bytes(), none.columns.len()), (0, 0, 2));
     }
 
     #[test]
