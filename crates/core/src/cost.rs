@@ -3,36 +3,38 @@
 //! The paper's thesis is that placement must follow from the *hardware
 //! model*, not from a user-chosen enum: which devices run a pipeline is a
 //! function of compute throughput, memory bandwidth, interconnect cost and
-//! device memory capacity (§2.1, §6). This module derives per-stage cost
-//! estimates from exactly the specs the simulator executes against — the
-//! same [`CpuSpec`](hape_sim::CpuSpec)/[`GpuSpec`](hape_sim::GpuSpec)
-//! numbers, the same [`Link`](hape_sim::interconnect::Link) bandwidths —
-//! so the optimizer ([`crate::optimize::optimize`]) and the engine agree about the
-//! hardware by construction.
+//! device memory capacity (§2.1, §6). This module states none of that
+//! hardware itself. It estimates what a stage's packets look like and
+//! prices one of them with the functions the device providers charge every
+//! executed packet with — the same [`CpuCostModel`] formulas, the same GPU
+//! kernels on a [`GpuSim`], the same [`Link`](hape_sim::interconnect::Link)
+//! transfers — so the optimizer ([`crate::optimize::optimize`]) and the
+//! engine agree about the hardware by construction. What separates an
+//! estimate from the run is cardinality: the default selectivities below.
 //!
-//! ## Cost formulas ↔ paper hardware parameters
+//! ## Cost terms ↔ paper hardware parameters
 //!
-//! | formula term | hardware parameter (paper §) | spec accessor |
+//! | term | hardware parameter (paper §) | priced by |
 //! |---|---|---|
-//! | CPU scan ns/byte = `1e9 / socket_scan_bw` | socket DRAM bandwidth, per-core issue limit (§2.1) | [`CpuSpec::socket_scan_bw`](hape_sim::CpuSpec::socket_scan_bw) |
-//! | CPU probe ns/access (cache blend, MLP, TLB) | cache hierarchy + memory-level parallelism (§2.1, §4.1) | [`CpuCostModel::random_access_ns`] |
-//! | GPU stream ns/byte = `max(link, kernel)` | PCIe 3 x16 ≈ 12 GB/s vs GDDR5X 280 GB/s (§2.1) | [`Link::bw`](hape_sim::interconnect::Link), [`GpuSpec::dram_bw`](hape_sim::GpuSpec) |
-//! | GPU probe ns/access (L2 vs device memory line) | fat cache hierarchy, line over-fetch (§2.1, §4.1) | [`GpuSpec::random_access_ns`](hape_sim::GpuSpec::random_access_ns) |
-//! | per-packet fixed ns = `link latency + launch overhead` | DMA setup, kernel launch (§2.2) | [`Link::latency`](hape_sim::interconnect::Link), [`GpuSpec::launch_overhead_ns`](hape_sim::GpuSpec) |
+//! | CPU packet: scan + fused filter / project / probe / stateful | per-core share of socket DRAM bandwidth, SIMD issue, cache-blend random access (§2.1, §4.1) | [`cpu_packet_cost`] — what [`CpuWorker::charge`](crate::provider::CpuWorker) charges |
+//! | CPU fold of a packet's surviving rows | group-table random accesses (§2.1) | [`hape_ops::cpu::agg_cost`] — what [`CpuWorker::commit_packet`](crate::provider::CpuWorker) charges |
+//! | GPU packet: filter / project / probe / stateful / aggregation kernels | GDDR5X bandwidth, L2 vs device-memory lines, scratchpad, the serial per-user chain (§2.1, §4.1) | [`gpu_packet_cost`] — what [`GpuWorker::charge`](crate::provider::GpuWorker) charges |
+//! | GPU packet input | PCIe 3 x16 ≈ 12 GB/s plus DMA setup (§2.2) | [`Link::duration`](hape_sim::interconnect::Link::duration) — what [`GpuWorker::commit_packet`](crate::provider::GpuWorker) moves |
+//! | stage stream time = the subset's packets spread over its workers | load-aware routing: each packet to the worker believed to finish it first, so every worker reached takes one and the slowest bounds the stage (§4.2) | [`route`] replayed on the packets [`ExecConfig::auto_packet_rows`] cuts |
 //! | broadcast s = `Σ ht bytes / link bw` per GPU | hash-table mem-move over PCIe (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
+//! | d2h s = a GPU's share of the build output over its link | built tables end up host-resident (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
 //! | capacity bound = `Σ ht bytes × working factor ≤ DRAM` | GPU device memory, Q9's §6.4 failure | [`GpuSpec::dram_capacity`](hape_sim::GpuSpec), [`GPU_HT_WORKING_FACTOR`] |
 //! | co-partition fanout: `2(R+S) >> bits ≤ 0.9 × DRAM` | §5 "just small enough to fit in GPU-memory" | [`hape_join::plan_cpu_bits`], [`hape_join::gpu_budget`] |
 //! | co-partition s = `Σ passes partition_pass(n, 8, 2^bits) / workers` | TLB-bounded multi-pass CPU partitioning (§4.1, §5) | [`CpuCostModel::partition_pass`], [`CpuSpec::max_partition_fanout`](hape_sim::CpuSpec::max_partition_fanout) |
 //! | co-process single pass s = `max((R+S)/Σ link bw, 4(R+S)/Σ gpu bw)` | each co-partition pair crosses PCIe once, joined at device bandwidth (§5) | [`Link::bw`](hape_sim::interconnect::Link), [`GpuSpec::dram_bw`](hape_sim::GpuSpec) |
-//! | CPU stateful s = `compute_simd(rows, ops) + users × random_access` | per-user state machines scan sorted runs; state stays cache-resident (§2.1) | [`CpuCostModel::compute_simd`], [`CpuCostModel::random_accesses`] |
-//! | GPU stateful ns/row = `random_access_ns × seq-chain factor` | serial per-user dependency chain defeats the GPU's latency hiding — the paper's random-access term, unamortised (§2.1, §4.1) | [`GpuSpec::random_access_ns`](hape_sim::GpuSpec::random_access_ns), [`hape_ops::stateful::GPU_SEQ_CHAIN_FACTOR`] |
-//! | stateful packet floor s = `max over devices of packet_bytes × ns/B` | a participating worker processes at least one user-aligned packet — a slow device bounds the stage even when summed rates look fast | [`CostModel::stage_cost`] |
+//! | co-process prefix and fold | the CPUs' packets up to the co-processed probe; the fused fold of its matches (§5) | [`CostModel::stage_cost`]; [`hape_ops::cpu::agg_cost`] spread as the stage spreads it |
 //! | retry delay s = `Σ_{a=1..n} base·2^(a−1) + transfer replay` | transient transfer failure: each attempt pays exponential backoff plus the re-sent packet crossing PCIe, charged to the GPU's sim clock before commit (fault plane, PR 10) | [`RetryPolicy::backoff`](crate::fault::RetryPolicy::backoff), [`Link::bw`](hape_sim::interconnect::Link) |
 //! | replan penalty s = `base·2^(replan)` + degraded placement | permanent device loss mid-query: the control plane pays one backoff per re-placement, then runs the remaining stages on the surviving fleet's (slower) plan (fault plane, PR 10) | [`RetryPolicy::backoff`](crate::fault::RetryPolicy::backoff), [`optimize_on`](crate::optimize::optimize_on) |
 //!
-//! Cardinalities are estimated from the catalog's *actual* table sizes
-//! (the scan views lowering pushes down), with classic default
-//! selectivities for filters and foreign-key match rates for joins; the
+//! Cardinalities are estimated from the catalog's *actual* table sizes and
+//! column types (the scan views lowering pushes down), with classic default
+//! selectivities for filters and foreign-key match rates for joins — a
+//! probe keeps the share of its table's rows the build kept; the
 //! estimated hash-table footprint mirrors the executor's
 //! [`JoinTable`](crate::plan::JoinTable) layout (batch payload plus
 //! chained-table heads/next arrays). Estimates are deliberately mildly
@@ -40,16 +42,24 @@
 //! might have fit, never the reverse, which is the safe direction for the
 //! paper's Q9 capacity cliff.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
+use hape_ops::gpu as gpu_ops;
 use hape_sim::topology::{DeviceId, Server};
-use hape_sim::CpuCostModel;
+use hape_sim::{CpuCostModel, Fidelity, GpuSim, SimTime};
+use hape_storage::Column;
 
 use crate::catalog::Catalog;
-use crate::engine::ExecConfig;
+use crate::engine::{fold_span, ExecConfig};
 use crate::error::EngineError;
+use crate::exchange::{route, CandidateLoad};
 use crate::plan::{PipeOp, Pipeline};
-use crate::provider::{GPU_HT_WORKING_FACTOR, GPU_PACKET_SHARE};
+use crate::provider::{
+    cpu_packet_cost, gpu_packet_cost, update_estimate, FoldStats, OpTrace, ProbedTable,
+    ProbedTables, CPU_WORKER_SEED_NS_PER_BYTE, GPU_HT_WORKING_FACTOR, GPU_PACKET_SHARE,
+    GPU_WORKER_SEED_NS_PER_BYTE,
+};
 
 /// Default selectivity charged per filter operator (no per-column
 /// statistics yet; the classic textbook third-to-half compromise).
@@ -59,15 +69,10 @@ pub const FILTER_SELECTIVITY: f64 = 0.4;
 /// probe row is assumed to survive with one match.
 pub const JOIN_MATCH_RATE: f64 = 1.0;
 
-/// Estimated bytes per payload/projection column when the physical plan no
-/// longer carries type information (conservative: the widest column kind).
+/// Estimated bytes per column an operator produces when the walk does not
+/// track its type (conservative: the widest column kind) — build payloads;
+/// projections and stateful outputs are this wide for real.
 pub const EST_COLUMN_BYTES: f64 = 8.0;
-
-/// Estimated chain accesses per hash-table probe (head + one entry).
-const PROBE_ACCESSES: f64 = 2.0;
-
-/// Scalar ops per probed row (hash + compare), charged on CPU cores.
-const PROBE_OPS: f64 = 8.0;
 
 /// Estimated events per user run for stateful aggregates (no per-column
 /// statistics yet; matches the behavioral generator's average run length).
@@ -82,11 +87,39 @@ pub struct HtEstimate {
     pub rows: f64,
     /// Estimated total footprint (batch payload + chained table).
     pub bytes: u64,
+    /// Estimated share of the scanned rows the build kept: a foreign key
+    /// finds its row in the table this often.
+    pub kept: f64,
+}
+
+impl HtEstimate {
+    /// Bucket count of the chained table over the estimated rows, sized as
+    /// [`ChainedTable::build`](hape_join::common::ChainedTable::build)
+    /// sizes it.
+    fn heads(&self) -> u64 {
+        (self.rows as u64).max(2).next_power_of_two()
+    }
+
+    /// Estimated chain entries a probe walks: its match plus half the
+    /// table's load of colliding entries (dense keys collide less under the
+    /// multiplicative hash, scattered ones more).
+    fn chain(&self) -> f64 {
+        1.0 + self.rows / self.heads() as f64 / 2.0
+    }
 }
 
 /// Estimated hash-table footprints, by build-stage name — accumulated in
 /// stage order as the optimizer walks the plan.
 pub type HtEstimates = HashMap<String, HtEstimate>;
+
+impl ProbedTables for HtEstimates {
+    fn probed(&self, ht: &str) -> Result<ProbedTable, EngineError> {
+        let est = self
+            .get(ht)
+            .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })?;
+        Ok(ProbedTable { bytes: est.bytes, bits: est.heads().trailing_zeros() })
+    }
+}
 
 /// One hash-table probe inside a pipeline, with its estimated load.
 #[derive(Debug, Clone)]
@@ -115,15 +148,54 @@ pub struct PipelineEstimate {
     pub out_bytes: f64,
     /// The probes, in pipeline order.
     pub probes: Vec<ProbeEstimate>,
-    /// Rows entering a stateful per-user aggregate (0 when the pipeline
-    /// has none).
-    pub stateful_rows: f64,
-    /// Estimated distinct users those rows cover.
-    pub stateful_users: f64,
-    /// Estimated per-user state working set, summed over users.
-    pub stateful_state_bytes: f64,
-    /// State-machine operations per input row.
-    pub stateful_ops_per_row: f64,
+    /// The walked pipeline, the scan's column widths and the probed
+    /// tables: what [`PipelineEstimate::packet`] walks again at packet
+    /// scale.
+    pipeline: Pipeline,
+    widths: Vec<u64>,
+    tables: HtEstimates,
+    /// Each device class's price of a packet of so many rows, as priced so
+    /// far: the candidate subsets of a stage share devices and packet sizes.
+    prices: RefCell<Vec<(DeviceId, usize, f64)>>,
+}
+
+/// Rows leaving `op` when `rows` enter it: the walk's default
+/// selectivities, a probe's scaled by the share of its table's rows the
+/// build kept.
+fn rows_out(op: &PipeOp, rows: f64, tables: &HtEstimates) -> f64 {
+    match op {
+        PipeOp::Filter(_) => rows * FILTER_SELECTIVITY,
+        PipeOp::Project(_) => rows,
+        PipeOp::JoinProbe { ht, .. } => {
+            rows * JOIN_MATCH_RATE * tables.get(ht).map_or(1.0, |t| t.kept)
+        }
+        PipeOp::Stateful(_) => (rows / STATEFUL_EVENTS_PER_USER).max(1.0),
+    }
+}
+
+/// Column widths leaving `op` when columns of `widths` enter it.
+fn widths_out(op: &PipeOp, widths: &[u64]) -> Vec<u64> {
+    let est = EST_COLUMN_BYTES as u64;
+    match op {
+        PipeOp::Filter(_) => widths.to_vec(),
+        PipeOp::Project(exprs) => vec![est; exprs.len()],
+        PipeOp::JoinProbe { build_payload_cols, .. } => {
+            let payload = std::iter::repeat_n(est, build_payload_cols.len());
+            widths.iter().copied().chain(payload).collect()
+        }
+        PipeOp::Stateful(agg) => vec![est; agg.out_width()],
+    }
+}
+
+/// One estimated packet: the walk at packet scale, as the statistics the
+/// providers price an executed packet by.
+struct EstPacket {
+    /// Input payload bytes.
+    bytes: u64,
+    /// Per-operator statistics, in pipeline order.
+    ops: Vec<OpTrace>,
+    /// What reaches the terminal aggregation, when rows do.
+    fold: Option<FoldStats>,
 }
 
 impl PipelineEstimate {
@@ -136,8 +208,158 @@ impl PipelineEstimate {
         let rows = self.out_rows.max(1.0);
         let heads = (rows as u64).max(2).next_power_of_two();
         let chained = (heads + rows as u64) * 4;
-        HtEstimate { rows, bytes: chained + self.out_bytes as u64 }
+        let kept = (self.out_rows / self.in_rows).min(1.0);
+        HtEstimate { rows, bytes: chained + self.out_bytes as u64, kept }
     }
+
+    /// The estimated packet of `rows` scanned rows: filters keep uniform
+    /// per-block survivors, probes see a foreign key spread evenly over the
+    /// estimated table (only GPU kernels read the keys, so only `keyed`
+    /// packets carry them), a stateful operator the users *of the packet*.
+    /// An operator no row reaches is left out, as
+    /// [`run_ops`](crate::provider::run_ops) leaves it out.
+    fn packet(&self, rows: usize, keyed: bool) -> EstPacket {
+        let sum = |w: &[u64]| w.iter().sum::<u64>();
+        let (mut r, mut widths) = (rows as f64, self.widths.clone());
+        let mut ops = Vec::with_capacity(self.pipeline.ops.len());
+        for op in &self.pipeline.ops {
+            let (out, out_widths) = (rows_out(op, r, &self.tables), widths_out(op, &widths));
+            let (rows_in, rows_out) = (r.round() as usize, out.round() as usize);
+            let bytes_in = rows_in as u64 * sum(&widths);
+            let bytes_out = rows_out as u64 * sum(&out_widths);
+            let trace = match op {
+                PipeOp::Filter(pred) => {
+                    let block = gpu_ops::ITEMS_PER_BLOCK;
+                    let survivors = (0..rows_in.div_ceil(block))
+                        .map(|b| {
+                            let n = (rows_in - b * block).min(block);
+                            (n as f64 * FILTER_SELECTIVITY).round() as u32
+                        })
+                        .collect();
+                    OpTrace::Filter {
+                        rows_in,
+                        pred_ops: pred.ops_per_row(),
+                        pred_row_bytes: pred.row_bytes(&widths).max(1),
+                        out_row_bytes: sum(&widths),
+                        survivors,
+                        bytes_in,
+                        bytes_out,
+                    }
+                }
+                PipeOp::Project(exprs) => OpTrace::Project {
+                    rows_in,
+                    ops: exprs.iter().map(|e| e.ops_per_row()).sum(),
+                    bytes_in,
+                    bytes_out,
+                },
+                PipeOp::JoinProbe { ht, build_payload_cols, algo, .. } => {
+                    let table = self.tables[ht];
+                    let reaching =
+                        self.probes.iter().find(|p| p.ht == *ht).map_or(1.0, |p| p.rows);
+                    let step = table.rows / reaching.max(1.0);
+                    let keys =
+                        (0..rows_in * usize::from(keyed)).map(|i| (i as f64 * step) as i32);
+                    OpTrace::Probe {
+                        ht: ht.clone(),
+                        algo: *algo,
+                        rows_in,
+                        avg_chain: table.chain(),
+                        keys: Column::from_i32(keys.collect()),
+                        rows_out,
+                        payload_cols: build_payload_cols.len(),
+                        bytes_in,
+                        bytes_out,
+                    }
+                }
+                PipeOp::Stateful(agg) => {
+                    let read = [Some(agg.user_col()), Some(agg.ts_col()), agg.event_col()];
+                    OpTrace::Stateful {
+                        rows_in,
+                        users: rows_out,
+                        row_bytes: read.iter().flatten().map(|&c| widths[c]).sum(),
+                        state_bytes: rows_out as u64 * agg.state_bytes_per_user(),
+                        ops_per_row: agg.ops_per_row(),
+                        bytes_in,
+                        bytes_out,
+                    }
+                }
+            };
+            if rows_in > 0 {
+                ops.push(trace);
+            }
+            (r, widths) = (out, out_widths);
+        }
+        let folded = r.round() as usize;
+        let fold = self.pipeline.agg.as_ref().filter(|_| folded > 0).map(|spec| FoldStats {
+            rows: folded,
+            row_bytes: gpu_ops::agg_row_bytes(spec, &widths),
+            bytes: folded as u64 * sum(&widths),
+        });
+        EstPacket { bytes: rows as u64 * sum(&self.widths), ops, fold }
+    }
+
+    /// The stream up to (not including) its final probe, feeding no
+    /// aggregation: what a co-processing stage's CPUs run before the join.
+    fn prefix(&self) -> Option<PipelineEstimate> {
+        let (last, _) = self.pipeline.last_probe()?;
+        let mut prefix = self.clone();
+        prefix.prices = RefCell::default();
+        prefix.pipeline.ops.truncate(last);
+        prefix.pipeline.agg = None;
+        prefix.probes.pop();
+        Some(prefix)
+    }
+}
+
+/// The workers one device of a candidate subset adds: `workers` identical
+/// workers taking `time` seconds of device time per packet, which a GPU
+/// receives over its link in `moved` seconds; `seed` is the router's
+/// belief of a fresh worker's rate, in ns per byte.
+struct Lane {
+    workers: usize,
+    time: f64,
+    moved: f64,
+    seed: f64,
+}
+
+/// Spread `packets` packets of `bytes` each — the last one `last` of a full
+/// one — over `lanes` the way the engine's control plane does: [`route`]
+/// sends each packet to the worker it believes finishes it first (a fresh
+/// worker at its seed rate, a busy one at the rate its packets calibrated),
+/// and a GPU's link moves one packet while its kernels run the one before.
+/// Every worker the router reaches takes at least one packet, so the
+/// slowest of them bounds the stage. Returns the makespan and the packets
+/// each lane took.
+fn spread(lanes: &[Lane], packets: usize, bytes: u64, last: f64) -> (f64, Vec<usize>) {
+    let mut taken = vec![0usize; lanes.len()];
+    // The router's view of each lane's next worker, and when the lane's
+    // link and that worker are free.
+    let fresh = |l: &Lane| CandidateLoad {
+        ready_at: SimTime::from_secs(l.moved),
+        est_ns_per_byte: l.seed,
+    };
+    let mut view: Vec<CandidateLoad> = lanes.iter().map(fresh).collect();
+    let mut clocks = vec![(0.0f64, 0.0f64); lanes.len()];
+    let (mut left, mut end) = (packets, 0.0f64);
+    while left > 0 && !lanes.is_empty() {
+        let i = route(bytes, &view);
+        let (lane, (link, free)) = (&lanes[i], &mut clocks[i]);
+        // The lane's workers are alike: its idle ones take a packet each,
+        // at one belief, before any takes a second.
+        let n = (lane.workers - taken[i] % lane.workers).min(left);
+        (left, taken[i]) = (left - n, taken[i] + n);
+        *link += lane.moved;
+        let done = free.max(*link) + lane.time;
+        let partial = if left == 0 && n == 1 { (1.0 - last) * lane.time } else { 0.0 };
+        end = end.max(done - partial);
+        if taken[i].is_multiple_of(lane.workers) {
+            *free = done;
+            let time = SimTime::from_secs(lane.time);
+            update_estimate(&mut view[i].est_ns_per_byte, time, bytes.max(1));
+        }
+        view[i].ready_at = SimTime::from_secs(free.max(*link + lane.moved));
+    }
+    (end, taken)
 }
 
 /// The co-processing components of a [`StageCost`], present when the
@@ -170,8 +392,9 @@ pub struct CoprocessCost {
 pub struct StageCost {
     /// The candidate devices.
     pub devices: Vec<DeviceId>,
-    /// Estimated streaming makespan: input bytes over the subset's summed
-    /// effective rates (the load-aware router balances by rate). For a
+    /// Estimated streaming makespan: the stage's packets, each priced on
+    /// every device of the subset, spread over its workers the way the
+    /// router spreads them. For a
     /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess)
     /// this is the CPU-side prefix (everything up to the co-processed
     /// probe) plus the final aggregation.
@@ -194,6 +417,9 @@ pub struct StageCost {
     /// [`PlacedStage::CoProcess`](crate::place::PlacedStage::CoProcess);
     /// `None` for broadcast stages.
     pub coprocess: Option<CoprocessCost>,
+    /// Workers whose device prices a packet within the estimated stream
+    /// time — the optimizer's tie-break between subsets.
+    pub capable_workers: usize,
 }
 
 impl StageCost {
@@ -238,16 +464,44 @@ impl PlanCost {
 
 /// The analytic cost model: a server topology plus the catalog the plan's
 /// scans resolve against.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     server: &'a Server,
     catalog: &'a Catalog,
+    /// Each device's class: the first device with its spec (and, for a
+    /// GPU, its link) — alike devices price every packet alike.
+    classes: Vec<(DeviceId, DeviceId)>,
 }
 
 impl<'a> CostModel<'a> {
     /// A model over `server`, with scan statistics from `catalog`.
     pub fn new(server: &'a Server, catalog: &'a Catalog) -> Self {
-        CostModel { server, catalog }
+        let (cpus, gpus) = (&server.cpus, &server.gpus);
+        let link = |g: usize| server.pcie.get(g).map(|l| (l.bw, l.latency));
+        let alike = |a: DeviceId, b: DeviceId| match (a, b) {
+            (DeviceId::Cpu(a), DeviceId::Cpu(b)) => cpus[a] == cpus[b],
+            (DeviceId::Gpu(a), DeviceId::Gpu(b)) => gpus[a] == gpus[b] && link(a) == link(b),
+            _ => false,
+        };
+        let devices = server.devices();
+        let classes = devices
+            .iter()
+            .map(|&d| (d, devices.iter().copied().find(|&c| alike(c, d)).unwrap_or(d)))
+            .collect();
+        CostModel { server, catalog, classes }
+    }
+
+    /// `device`'s class (see [`CostModel::shape`]).
+    fn class(&self, device: DeviceId) -> DeviceId {
+        self.classes.iter().find(|c| c.0 == device).map_or(device, |c| c.1)
+    }
+
+    /// `devices` up to alike devices (same spec and, for GPUs, link),
+    /// sorted: subsets of one shape price every stage alike.
+    pub(crate) fn shape(&self, devices: &[DeviceId]) -> Vec<DeviceId> {
+        let mut shape: Vec<DeviceId> = devices.iter().map(|&d| self.class(d)).collect();
+        shape.sort_unstable();
+        shape
     }
 
     /// Walk a pipeline's cardinalities: exact scan statistics from the
@@ -258,54 +512,37 @@ impl<'a> CostModel<'a> {
         hts: &HtEstimates,
     ) -> Result<PipelineEstimate, EngineError> {
         let table = self.catalog.lookup(&pipeline.source)?;
+        let widths: Vec<u64> =
+            table.data.columns.iter().map(|c| c.data_type().width() as u64).collect();
         let in_rows = table.rows().max(1) as f64;
-        let in_bytes = (table.bytes().max(1)) as f64;
-        let mut rows = in_rows;
-        let mut width = in_bytes / in_rows;
-        let mut probes = Vec::new();
-        let mut stateful_rows = 0.0f64;
-        let mut stateful_users = 0.0f64;
-        let mut stateful_state_bytes = 0.0f64;
-        let mut stateful_ops_per_row = 0.0f64;
+        let (mut rows, mut out_widths) = (in_rows, widths.clone());
+        let (mut probes, mut tables) = (Vec::new(), HtEstimates::new());
         for op in &pipeline.ops {
-            match op {
-                PipeOp::Filter(_) => rows *= FILTER_SELECTIVITY,
-                PipeOp::Project(exprs) => width = exprs.len() as f64 * EST_COLUMN_BYTES,
-                PipeOp::JoinProbe { ht, build_payload_cols, .. } => {
-                    let est = hts
-                        .get(ht)
-                        .copied()
-                        .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.clone() })?;
-                    probes.push(ProbeEstimate {
-                        ht: ht.clone(),
-                        rows,
-                        ht_bytes: est.bytes,
-                        ht_rows: est.rows,
-                    });
-                    rows *= JOIN_MATCH_RATE;
-                    width += build_payload_cols.len() as f64 * EST_COLUMN_BYTES;
-                }
-                PipeOp::Stateful(agg) => {
-                    let users = (rows / STATEFUL_EVENTS_PER_USER).max(1.0);
-                    stateful_rows += rows;
-                    stateful_users += users;
-                    stateful_state_bytes += users * agg.state_bytes_per_user() as f64;
-                    stateful_ops_per_row = agg.ops_per_row();
-                    rows = users;
-                    width = agg.out_width() as f64 * EST_COLUMN_BYTES;
-                }
+            if let PipeOp::JoinProbe { ht, .. } = op {
+                let est = hts
+                    .get(ht)
+                    .copied()
+                    .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.clone() })?;
+                probes.push(ProbeEstimate {
+                    ht: ht.clone(),
+                    rows,
+                    ht_bytes: est.bytes,
+                    ht_rows: est.rows,
+                });
+                tables.insert(ht.clone(), est);
             }
+            (rows, out_widths) = (rows_out(op, rows, hts), widths_out(op, &out_widths));
         }
         Ok(PipelineEstimate {
             in_rows,
-            in_bytes,
+            in_bytes: table.bytes().max(1) as f64,
             out_rows: rows,
-            out_bytes: rows * width,
+            out_bytes: rows * out_widths.iter().sum::<u64>() as f64,
             probes,
-            stateful_rows,
-            stateful_users,
-            stateful_state_bytes,
-            stateful_ops_per_row,
+            pipeline: pipeline.clone(),
+            widths,
+            tables,
+            prices: RefCell::default(),
         })
     }
 
@@ -313,6 +550,12 @@ impl<'a> CostModel<'a> {
     /// precomputed cardinality walk (the walk is subset-independent, so
     /// callers enumerating subsets run [`CostModel::estimate_pipeline`]
     /// once per stage).
+    ///
+    /// The scan splits into packets by the engine's own rule
+    /// ([`ExecConfig::auto_packet_rows`]); one estimated packet is priced on
+    /// every device of the subset by the functions its provider charges an
+    /// executed packet with, and the packets are spread over the subset's
+    /// workers the way the router spreads them.
     ///
     /// `returns_output` marks build stages, whose GPU-produced output must
     /// travel back to host memory (the built table ends up host-resident
@@ -323,19 +566,26 @@ impl<'a> CostModel<'a> {
         devices: &[DeviceId],
         returns_output: bool,
     ) -> Result<StageCost, EngineError> {
+        self.stage_cost_below(est, devices, returns_output, f64::INFINITY)
+    }
+
+    /// [`CostModel::stage_cost`], except that a subset whose CPUs and GPU
+    /// links cannot carry the packets in under `bound` seconds — its GPU
+    /// kernels taken as free — is not priced on its GPUs: its stream time
+    /// is that floor.
+    pub(crate) fn stage_cost_below(
+        &self,
+        est: &PipelineEstimate,
+        devices: &[DeviceId],
+        returns_output: bool,
+        bound: f64,
+    ) -> Result<StageCost, EngineError> {
         // The engine's packet-sizing rule on the scan's row count, which
-        // `in_rows` holds exactly (< 2^53). For such `r`, f64 `r / d`
-        // truncates to the integer `r / d`, so pricing in f64 would size
-        // the same packets.
-        let shares: usize = devices
-            .iter()
-            .map(|d| match d {
-                DeviceId::Cpu(s) => self.cpu_spec(*s).map(|c| c.cores),
-                DeviceId::Gpu(_) => Ok(GPU_PACKET_SHARE),
-            })
-            .sum::<Result<usize, _>>()?;
-        let packet_rows = ExecConfig::auto_packet_rows(est.in_rows as usize, shares, None);
-        let packet_bytes = packet_rows as f64 * (est.in_bytes / est.in_rows);
+        // `in_rows` holds exactly.
+        let scanned = est.in_rows as usize;
+        let packet_rows = ExecConfig::auto_packet_rows(scanned, self.shares(devices)?, None);
+        let (rows, packets) = (packet_rows.min(scanned), scanned.div_ceil(packet_rows));
+        let last = (scanned - (packets - 1) * packet_rows) as f64 / rows as f64;
 
         // A pipeline may probe the same table at several sites (memoised
         // build sides); the broadcast moves — and capacity-counts — each
@@ -353,66 +603,129 @@ impl<'a> CostModel<'a> {
             })
             .map(|p| p.ht_bytes)
             .sum();
-        let mut rates = 0.0f64; // bytes per ns, summed over the subset
-        let mut gpu_rates: Vec<(usize, f64)> = Vec::new();
         let mut broadcast_seconds = 0.0f64;
         let mut gpu_capacity: Option<u64> = None;
-        let mut slowest_packet_seconds = 0.0f64;
         for &device in devices {
-            match device {
-                DeviceId::Cpu(s) => {
-                    let ns = self.cpu_ns_per_byte(s, est)?;
-                    rates += 1.0 / ns;
-                    slowest_packet_seconds =
-                        slowest_packet_seconds.max(packet_bytes * ns / 1e9);
-                }
-                DeviceId::Gpu(g) => {
-                    let ns = self.gpu_ns_per_byte(g, est, packet_bytes)?;
-                    let rate = 1.0 / ns;
-                    rates += rate;
-                    gpu_rates.push((g, rate));
-                    slowest_packet_seconds =
-                        slowest_packet_seconds.max(packet_bytes * ns / 1e9);
-                    let (spec, link) = self.gpu_spec(g)?;
-                    gpu_capacity = Some(gpu_capacity.map_or(spec.dram_capacity as u64, |c| {
-                        c.min(spec.dram_capacity as u64)
-                    }));
-                    // Dedicated links broadcast in parallel: the slowest
-                    // GPU's copy bounds the setup time.
-                    let t =
-                        broadcast_bytes as f64 / link.bw + seen_hts.len() as f64 * link.latency;
-                    broadcast_seconds = broadcast_seconds.max(t);
-                }
-            }
+            let DeviceId::Gpu(g) = device else { continue };
+            let (spec, link) = self.gpu_spec(g)?;
+            let capacity = spec.dram_capacity as u64;
+            gpu_capacity = Some(gpu_capacity.map_or(capacity, |c| c.min(capacity)));
+            // Dedicated links broadcast in parallel: the slowest GPU's copy
+            // bounds the setup time.
+            let t = broadcast_bytes as f64 / link.bw + seen_hts.len() as f64 * link.latency;
+            broadcast_seconds = broadcast_seconds.max(t);
         }
-        let mut stream_seconds = est.in_bytes / rates / 1e9;
-        if est.stateful_rows > 0.0 {
-            // Every device in the subset processes at least one user-aligned
-            // packet, so a latency-bound device puts a floor under the stage
-            // even when the subset's summed rate looks attractive. This is
-            // what lets the model *price out* a GPU for sequential-state
-            // work instead of hard-pinning it to the CPU.
-            stream_seconds = stream_seconds.max(slowest_packet_seconds);
-        }
-        // A GPU-built table's output rides its link back to the host.
-        let mut d2h_seconds = 0.0f64;
-        if returns_output {
-            for &(g, rate) in &gpu_rates {
-                let (_, link) = self.gpu_spec(g)?;
-                let share = est.out_bytes * (rate / rates);
-                d2h_seconds = d2h_seconds.max(share / link.bw + link.latency);
-            }
-        }
-        Ok(StageCost {
+        let mut cost = StageCost {
             devices: devices.to_vec(),
-            stream_seconds,
+            stream_seconds: f64::INFINITY,
             broadcast_seconds,
-            d2h_seconds,
+            d2h_seconds: 0.0,
             ht_bytes: broadcast_bytes,
             gpu_required: (broadcast_bytes as f64 * GPU_HT_WORKING_FACTOR) as u64,
             gpu_capacity,
             coprocess: None,
-        })
+            capable_workers: 0,
+        };
+        // A subset whose GPUs cannot hold the tables cannot run the stage:
+        // its packets are not priced.
+        if !cost.fits_gpu_memory() {
+            return Ok(cost);
+        }
+        // Each device's workers; a GPU's packets cross its link, pipelined
+        // against its kernels.
+        let bytes = rows as u64 * est.widths.iter().sum::<u64>();
+        let mut lanes = Vec::with_capacity(devices.len());
+        for &device in devices {
+            lanes.push(match device {
+                DeviceId::Cpu(s) => {
+                    let workers = self.cpu_spec(s)?.cores.max(1);
+                    Lane { workers, time: 0.0, moved: 0.0, seed: CPU_WORKER_SEED_NS_PER_BYTE }
+                }
+                DeviceId::Gpu(g) => {
+                    let moved = self.gpu_spec(g)?.1.duration(bytes.max(1)).as_secs();
+                    Lane { workers: 1, time: 0.0, moved, seed: GPU_WORKER_SEED_NS_PER_BYTE }
+                }
+            });
+        }
+        // The estimated packet at this subset's size, priced on each
+        // device: the CPUs first, which bound the stage with the GPUs'
+        // links (a worker finishes a packet per period at most).
+        for (lane, &device) in lanes.iter_mut().zip(devices).filter(|(_, d)| !d.is_gpu()) {
+            lane.time = self.price(est, device, rows)?;
+        }
+        let rate: f64 = lanes.iter().map(|l| l.workers as f64 / l.time.max(l.moved)).sum();
+        let floor = (packets - 1) as f64 / rate;
+        if floor >= bound {
+            cost.stream_seconds = floor;
+            return Ok(cost);
+        }
+        for (lane, &device) in lanes.iter_mut().zip(devices).filter(|(_, d)| d.is_gpu()) {
+            lane.time = self.price(est, device, rows)?;
+        }
+        let (stream_seconds, taken) = spread(&lanes, packets, bytes, last);
+        cost.stream_seconds = stream_seconds;
+        let capable = lanes.iter().filter(|l| l.time <= stream_seconds);
+        cost.capable_workers = capable.map(|l| l.workers).sum();
+        // A GPU-built table's output rides its link back to the host: each
+        // GPU returns the share of the packets it took.
+        if returns_output {
+            for (&device, &n) in devices.iter().zip(&taken) {
+                let DeviceId::Gpu(g) = device else { continue };
+                let (_, link) = self.gpu_spec(g)?;
+                let share = est.out_bytes * n as f64 / packets as f64;
+                cost.d2h_seconds = cost.d2h_seconds.max(share / link.bw + link.latency);
+            }
+        }
+        Ok(cost)
+    }
+
+    /// The estimated packet of `rows` scanned rows
+    /// ([`PipelineEstimate::packet`]) priced on `device` by the functions
+    /// its provider charges an executed packet with, in seconds.
+    fn price(
+        &self,
+        est: &PipelineEstimate,
+        device: DeviceId,
+        rows: usize,
+    ) -> Result<f64, EngineError> {
+        let class = self.class(device);
+        let priced =
+            est.prices.borrow().iter().find(|p| (p.0, p.1) == (class, rows)).map(|p| p.2);
+        if let Some(t) = priced {
+            return Ok(t);
+        }
+        let packet = est.packet(rows, device.is_gpu());
+        let fold = est.pipeline.agg.as_ref().zip(packet.fold);
+        let t = match device {
+            DeviceId::Cpu(s) => {
+                let spec = self.cpu_spec(s)?;
+                let model = CpuCostModel::new(spec.clone(), spec.cores);
+                let mut t = cpu_packet_cost(&model, packet.bytes, &packet.ops, &est.tables)?;
+                if let Some((agg, f)) = fold {
+                    t += hape_ops::cpu::agg_cost(agg, f.rows as u64, 1, &model);
+                }
+                t
+            }
+            DeviceId::Gpu(g) => {
+                let sim = GpuSim::new(self.gpu_spec(g)?.0.clone(), Fidelity::Analytic);
+                let (bytes, ops, none) = (packet.bytes, &packet.ops, &HashMap::new());
+                gpu_packet_cost(&sim, bytes, ops, fold, &est.tables, none)?
+            }
+        };
+        est.prices.borrow_mut().push((class, rows, t.as_secs()));
+        Ok(t.as_secs())
+    }
+
+    /// Packet shares `devices` request from the engine's packet sizer — a
+    /// CPU's cores.
+    fn shares(&self, devices: &[DeviceId]) -> Result<usize, EngineError> {
+        devices
+            .iter()
+            .map(|d| match d {
+                DeviceId::Cpu(s) => self.cpu_spec(*s).map(|c| c.cores),
+                DeviceId::Gpu(_) => Ok(GPU_PACKET_SHARE),
+            })
+            .sum()
     }
 
     /// Price a stream stage as a
@@ -435,7 +748,7 @@ impl<'a> CostModel<'a> {
         cpus: &[DeviceId],
         gpus: &[DeviceId],
     ) -> Result<Option<StageCost>, EngineError> {
-        let Some(big) = est.probes.last() else {
+        let (Some(big), Some(prefix)) = (est.probes.last(), est.prefix()) else {
             return Ok(None);
         };
         if cpus.is_empty() || gpus.is_empty() {
@@ -471,12 +784,7 @@ impl<'a> CostModel<'a> {
             DeviceId::Gpu(_) => None,
         });
         let Some(first_socket) = first_socket else { return Ok(None) };
-        let cpu0 = self.cpu_spec(first_socket)?;
-        let mut workers = 0usize;
-        for &d in cpus {
-            let DeviceId::Cpu(s) = d else { continue };
-            workers += self.cpu_spec(s)?.cores;
-        }
+        let (cpu0, workers) = (self.cpu_spec(first_socket)?, self.shares(cpus)?);
         let n_sockets = cpus.iter().filter(|d| !d.is_gpu()).count().max(1);
 
         // The executing join's co-partitioning plan: fanout, the budget it
@@ -513,18 +821,9 @@ impl<'a> CostModel<'a> {
             return Ok(None);
         }
 
-        // CPU prefix: the stream with every probe but the last, priced on
-        // the CPU subset exactly like an ordinary CPU-only stream stage.
-        let prefix = PipelineEstimate {
-            probes: est.probes[..est.probes.len() - 1].to_vec(),
-            ..est.clone()
-        };
-        let mut rates = 0.0f64;
-        for &d in cpus {
-            let DeviceId::Cpu(s) = d else { continue };
-            rates += 1.0 / self.cpu_ns_per_byte(s, &prefix)?;
-        }
-        let prefix_seconds = est.in_bytes / rates / 1e9;
+        // CPU prefix: the stream's packets up to the co-processed probe,
+        // priced on the CPU subset like any stage's.
+        let prefix_seconds = self.stage_cost(&prefix, cpus, false)?.stream_seconds;
         let cpu_partition_seconds = t_cpu.as_secs();
 
         // Single pass over PCIe, pipelined against the in-GPU radix joins
@@ -537,21 +836,19 @@ impl<'a> CostModel<'a> {
         let gpu_pass_seconds =
             transfer.max(kernel) + co_partitions * fixed_seconds / eligible as f64;
 
-        // The final aggregation folds the match pairs CPU-side (the pair
-        // indices are tiny against the co-partition traffic; the executed
-        // path charges their consumption in the post-join packet loop,
-        // which this term mirrors).
-        let matches = s_rows * JOIN_MATCH_RATE;
-        let per_socket = (workers / n_sockets).max(1);
-        let model = CpuCostModel::new(cpu0.clone(), per_socket.min(cpu0.cores));
-        let agg_seconds = model.random_accesses(matches as u64, 1 << 16).as_secs()
-            / (workers.max(1) as f64 * 0.9);
+        // The fused fold of the match pairs, charged and spread over the
+        // CPU workers the way the stage runs it.
+        let model = CpuCostModel::new(cpu0.clone(), cpu0.cores);
+        let matches = (s_rows * JOIN_MATCH_RATE) as u64;
+        let fold_seconds = est.pipeline.agg.as_ref().map_or(0.0, |spec| {
+            fold_span(hape_ops::cpu::agg_cost(spec, matches, 1, &model), workers).as_secs()
+        });
 
         let mut devices = cpus.to_vec();
         devices.extend_from_slice(gpus);
         Ok(Some(StageCost {
             devices,
-            stream_seconds: prefix_seconds + agg_seconds,
+            stream_seconds: prefix_seconds + fold_seconds,
             broadcast_seconds: 0.0,
             d2h_seconds: 0.0,
             ht_bytes: big.ht_bytes,
@@ -564,71 +861,8 @@ impl<'a> CostModel<'a> {
                 cpu_bits: bits,
                 per_partition_bytes,
             }),
+            capable_workers: 0,
         }))
-    }
-
-    /// Effective processing cost of one input byte on a CPU socket, in
-    /// nanoseconds, all cores active: sequential scan at the socket's
-    /// bandwidth, plus the latency-bound hash probes (cache-blend model,
-    /// spread over the cores).
-    fn cpu_ns_per_byte(
-        &self,
-        socket: usize,
-        est: &PipelineEstimate,
-    ) -> Result<f64, EngineError> {
-        let spec = self.cpu_spec(socket)?;
-        let model = CpuCostModel::new(spec.clone(), spec.cores);
-        let cores = spec.cores as f64;
-        let mut ns = 1e9 / spec.socket_scan_bw();
-        for probe in &est.probes {
-            let per_row = PROBE_ACCESSES * model.random_access_ns(probe.ht_bytes)
-                + PROBE_OPS / (spec.clock_hz * spec.ipc) * 1e9;
-            ns += (probe.rows / est.in_bytes) * per_row / cores;
-        }
-        if est.stateful_rows > 0.0 {
-            // One worker scans sorted user runs; the socket spreads packets
-            // across its cores, so aggregate the single-worker time the same
-            // way the probe term does.
-            let t = hape_ops::stateful::cpu_cost(
-                est.stateful_rows as u64,
-                est.stateful_users as u64,
-                est.stateful_state_bytes as u64,
-                est.stateful_ops_per_row,
-                &model,
-            );
-            ns += t.as_ns() / est.in_bytes / cores;
-        }
-        Ok(ns)
-    }
-
-    /// Effective processing cost of one input byte on a GPU: the maximum
-    /// of the PCIe transfer and the kernel-side work (transfers pipeline
-    /// against kernels), plus per-packet fixed costs (DMA setup, kernel
-    /// launch) amortised over the packet.
-    fn gpu_ns_per_byte(
-        &self,
-        gpu: usize,
-        est: &PipelineEstimate,
-        packet_bytes: f64,
-    ) -> Result<f64, EngineError> {
-        let (spec, link) = self.gpu_spec(gpu)?;
-        let link_ns = 1e9 / link.bw + link.latency * 1e9 / packet_bytes;
-        let mut kernel_ns = 1e9 / spec.dram_bw + spec.launch_overhead_ns / packet_bytes;
-        for probe in &est.probes {
-            kernel_ns += (probe.rows / est.in_bytes)
-                * PROBE_ACCESSES
-                * spec.random_access_ns(probe.ht_bytes);
-        }
-        if est.stateful_rows > 0.0 {
-            // The per-user dependency chain serialises the warp: every event
-            // pays the uncoalesced random-access latency without the usual
-            // thousands-of-threads overlap (§2.1) — the paper's random-access
-            // term, unamortised.
-            kernel_ns += (est.stateful_rows / est.in_bytes)
-                * spec.random_access_ns((est.stateful_state_bytes as u64).max(64))
-                * hape_ops::stateful::GPU_SEQ_CHAIN_FACTOR;
-        }
-        Ok(link_ns.max(kernel_ns))
     }
 
     fn cpu_spec(&self, socket: usize) -> Result<&hape_sim::CpuSpec, EngineError> {
@@ -788,6 +1022,37 @@ mod tests {
         let on_gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], true).unwrap();
         assert_eq!(on_cpu.d2h_seconds, 0.0);
         assert!(on_gpu.d2h_seconds > 0.0);
+    }
+
+    #[test]
+    fn estimate_is_the_engines_makespan_when_the_walk_knows_every_cardinality() {
+        // scan → ungrouped aggregate guesses no selectivity: all that is
+        // left between the estimate and the run is the hardware, which the
+        // cost model and the engine price with the same functions.
+        use crate::engine::{Engine, Placement};
+        use crate::place::place_on;
+        use crate::plan::{QueryPlan, Stage};
+        let (catalog, server) = setup();
+        let pipeline = Pipeline::scan("fact").aggregate(AggSpec::ungrouped(vec![
+            (AggFunc::Count, Expr::col(0)),
+            (AggFunc::Sum, Expr::col(1)),
+        ]));
+        let stages = vec![Stage::Stream { pipeline: pipeline.clone() }];
+        let plan = QueryPlan::try_new("scan", stages).unwrap();
+        let model = CostModel::new(&server, &catalog);
+        let est = estimate(&model, &pipeline, &HtEstimates::new());
+        let (engine, cfg) = (Engine::new(server.clone()), ExecConfig::new(Placement::Hybrid));
+        let (cpu, gpu) = ([0, 1].map(DeviceId::Cpu), [0, 1].map(DeviceId::Gpu));
+        for devices in [&cpu[..1], &cpu[..], &gpu[..1], &gpu[..]] {
+            let estimate = model.stage_cost(&est, devices, false).unwrap().total_seconds();
+            let placed = place_on(&plan, &cfg, &server, &[devices.to_vec()]).unwrap();
+            let actual = engine.run_placed(&catalog, &placed).unwrap().time.as_secs();
+            let ratio = estimate / actual;
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "{devices:?}: {estimate} s est, {actual} s run"
+            );
+        }
     }
 
     #[test]

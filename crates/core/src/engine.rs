@@ -401,6 +401,13 @@ fn stream_agg(pipeline: &Pipeline) -> Result<&AggSpec, EngineError> {
     })
 }
 
+/// How long a co-processing stage's fused fold of `busy` single-core work
+/// takes spread over its `workers` CPU workers (90% parallel efficiency) —
+/// the engine's rule, and the cost model's estimate of it.
+pub(crate) fn fold_span(busy: SimTime, workers: usize) -> SimTime {
+    busy / (workers.max(1) as f64 * 0.9)
+}
+
 /// Merge the workers' partial aggregates at the stage barrier (cheap:
 /// group counts are small), in worker order for determinism.
 fn merge_partials(spec: &AggSpec, workers: &[Box<dyn DeviceProvider>]) -> AggRows {
@@ -667,7 +674,7 @@ impl StageEnv<'_> {
             };
             self.ledger.busy(fold_busy, SimTime::ZERO);
             rows = state.finish();
-            end = (fold_start + fold_busy / (dop.max(1) as f64 * 0.9)).max(join_end);
+            end = (fold_start + fold_span(fold_busy, dop)).max(join_end);
         } else {
             // Operators remain after the co-processed probe: the joined
             // rows genuinely re-enter the generic packet loop on the CPU
@@ -839,7 +846,7 @@ impl StageEnv<'_> {
                 ready_at: w.ready_at(start, bytes),
                 est_ns_per_byte: w.est_ns_per_byte(),
             }));
-            let pick = route(&packets[i], &candidates);
+            let pick = route(packets[i].bytes(), &candidates);
             let sim_ready = candidates[pick].ready_at;
             let worker = &mut workers[pick];
             // ---- Fault plane: triggers keyed on the routed GPU's

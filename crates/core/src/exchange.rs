@@ -13,7 +13,6 @@
 
 use hape_sim::topology::MemNode;
 use hape_sim::SimTime;
-use hape_storage::Batch;
 
 use crate::traits::DeviceType;
 
@@ -115,14 +114,15 @@ pub struct CandidateLoad {
     pub est_ns_per_byte: f64,
 }
 
-/// The router's pick for `packet` among `candidates`: earliest finish wins
-/// — the consumer that can begin soonest (its clock, plus any transfer its
-/// placement needs) plus the packet's bytes at its calibrated rate; the
-/// first of equals. Fast consumers drain their queues sooner and attract
-/// more packets, which is what load-balances hybrid execution (§4.2).
-pub fn route(packet: &Batch, candidates: &[CandidateLoad]) -> usize {
+/// The router's pick for a packet of `bytes` among `candidates`: earliest
+/// finish wins — the consumer that can begin soonest (its clock, plus any
+/// transfer its placement needs) plus the packet's bytes at its calibrated
+/// rate; the first of equals. Fast consumers drain their queues sooner and
+/// attract more packets, which is what load-balances hybrid execution
+/// (§4.2).
+pub fn route(bytes: u64, candidates: &[CandidateLoad]) -> usize {
     assert!(!candidates.is_empty(), "router with no consumers");
-    let bytes = packet.bytes() as f64;
+    let bytes = bytes as f64;
     let mut best = 0;
     let mut best_done = f64::INFINITY;
     for (i, c) in candidates.iter().enumerate() {
@@ -138,7 +138,7 @@ pub fn route(packet: &Batch, candidates: &[CandidateLoad]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hape_storage::Column;
+    use hape_storage::{Batch, Column};
 
     fn packet() -> Batch {
         Batch::new(vec![Column::from_i32(vec![1, 2, 3])])
@@ -151,13 +151,13 @@ mod tests {
     #[test]
     fn load_aware_prefers_idle_consumer() {
         let c = vec![load(1000.0, 1.0), load(0.0, 1.0)];
-        assert_eq!(route(&packet(), &c), 1);
+        assert_eq!(route(packet().bytes(), &c), 1);
     }
 
     #[test]
     fn load_aware_prefers_faster_consumer_when_equally_free() {
         let c = vec![load(0.0, 10.0), load(0.0, 1.0)];
-        assert_eq!(route(&packet(), &c), 1);
+        assert_eq!(route(packet().bytes(), &c), 1);
     }
 
     #[test]

@@ -5,14 +5,17 @@
 //! Manual placements fan every stream stage over *all* devices of a
 //! class-selected pool. [`optimize`] instead enumerates candidate device
 //! subsets per stage over the [`PlacedPlan`] IR's expressiveness, prices
-//! each candidate with the analytic [`CostModel`] (derived from the same
-//! hardware specs the simulator executes against), prunes subsets whose
-//! estimated GPU hash-table footprint exceeds device capacity (the
-//! paper's §6.4 constraint — this is what routes Q9 away from the
-//! GPU-only out-of-memory failure automatically), and places each stage
-//! on its minimum-makespan subset. Build stages participate too: they may
-//! place on GPUs when the footprint fits and the estimate wins, paying
-//! the device-to-host return of the built table.
+//! each candidate with the [`CostModel`] — one estimated packet per stage,
+//! priced by the functions the device providers charge an executed packet
+//! with, spread over the subset's workers the way the router spreads them
+//! — prunes subsets whose estimated GPU hash-table footprint exceeds
+//! device capacity (the paper's §6.4 constraint — this is what routes Q9
+//! away from the GPU-only out-of-memory failure automatically), and places
+//! each stage on its minimum-makespan subset; on a tie, the subset with
+//! more workers able to price a packet within the stage. Subsets of alike
+//! devices (same spec and link) tie, so one of each shape is priced. Build
+//! stages choose among CPU subsets, as under every manual placement: the
+//! table they build is the host-side broadcast source (§4.2).
 //!
 //! The output is an ordinary [`PlacedPlan`] — the engine interprets it
 //! with zero knowledge that an optimizer chose the subsets — annotated
@@ -129,11 +132,26 @@ pub fn optimize_on(
         // The cardinality walk is subset-independent: run it once per
         // stage and price every candidate subset against it.
         let est = model.estimate_pipeline(pipeline, &hts)?;
-        let mut best: Option<StageCost> = None;
+        let mut best: Option<(usize, StageCost)> = None;
         let mut over_capacity: Option<(u64, u64)> = None;
         let mut gpu_subset_fits = false;
-        for subset in &candidates {
-            let cost = model.stage_cost(&est, subset, is_build)?;
+        // Builds stay host-side, as under every manual placement: the
+        // table they build is the broadcast source (§4.2). Alike subsets
+        // tie, so the first of each shape is priced; the largest go first,
+        // so that a good incumbent leaves smaller ones unpriced.
+        let (mut shapes, mut order) = (Vec::new(), Vec::new());
+        for (i, subset) in candidates.iter().enumerate() {
+            let shape = model.shape(subset);
+            if (is_build && subset.iter().any(|d| d.is_gpu())) || shapes.contains(&shape) {
+                continue;
+            }
+            shapes.push(shape);
+            order.push((i, subset));
+        }
+        order.sort_by_key(|(_, subset)| std::cmp::Reverse(subset.len()));
+        for (i, subset) in order {
+            let bound = best.as_ref().map_or(f64::INFINITY, |b| b.1.total_seconds());
+            let cost = model.stage_cost_below(&est, subset, is_build, bound)?;
             if !cost.fits_gpu_memory() {
                 let cap = cost.gpu_capacity.unwrap_or(0);
                 if over_capacity.is_none_or(|(r, _)| cost.gpu_required < r) {
@@ -142,10 +160,23 @@ pub fn optimize_on(
                 continue;
             }
             gpu_subset_fits |= subset.iter().any(|d| d.is_gpu());
-            if best.as_ref().is_none_or(|b| cost.total_seconds() < b.total_seconds()) {
-                best = Some(cost);
+            // On a tie the subset with more workers able to price a packet
+            // within the stage wins — the estimate says they take none, but
+            // should the busy ones run slower than estimated, the router
+            // hands them packets — then the one with fewer devices, then
+            // the earlier candidate.
+            let wins = |(bi, b): &(usize, StageCost)| {
+                let (t, tb) = (cost.total_seconds(), b.total_seconds());
+                let rank = |c: &StageCost, i: usize| {
+                    (c.capable_workers, std::cmp::Reverse((c.devices.len(), i)))
+                };
+                t < tb || (t == tb && rank(&cost, i) > rank(b, *bi))
+            };
+            if best.as_ref().is_none_or(wins) {
+                best = Some((i, cost));
             }
         }
+        let mut best = best.map(|(_, cost)| cost);
         // The §5 co-processing arm: when the stream's probed tables
         // overflow *every* GPU (all GPU-bearing subsets were pruned), the
         // choice is no longer "CPUs or nothing" — CPU-side co-partitioning

@@ -42,8 +42,9 @@ pub const GPU_HT_WORKING_FACTOR: f64 = 2.5;
 
 /// Seed for a CPU worker's calibrated ns-per-byte processing estimate (the
 /// router tie-breaker before the first packet lands): roughly one core's
-/// share of socket bandwidth on the paper's Xeon. Only the router reads
-/// it; the optimizer prices CPUs from the socket spec instead.
+/// share of socket bandwidth on the paper's Xeon. Only the router's
+/// beliefs read it — the cost model's replay of them included; packets are
+/// priced from the socket spec.
 pub const CPU_WORKER_SEED_NS_PER_BYTE: f64 = 0.25;
 
 /// Seed for a GPU worker's calibrated ns-per-byte estimate: PCIe-bound
@@ -222,7 +223,7 @@ impl OpTrace {
     pub fn cpu_cost(
         &self,
         model: &CpuCostModel,
-        tables: &TableStore,
+        tables: &impl ProbedTables,
     ) -> Result<SimTime, EngineError> {
         let rows = self.rows_in();
         Ok(match self {
@@ -231,13 +232,206 @@ impl OpTrace {
             // Fused probe: random table accesses only — the gathered
             // payloads ride in registers to the next operator.
             OpTrace::Probe { ht, avg_chain, .. } => {
-                model.ht_probe(rows, *avg_chain, lookup_ht(tables, ht)?.bytes())
+                model.ht_probe(rows, *avg_chain, tables.probed(ht)?.bytes)
             }
             OpTrace::Stateful { users, state_bytes, ops_per_row, .. } => {
                 stateful::cpu_cost(rows, *users as u64, *state_bytes, *ops_per_row, model)
             }
         })
     }
+}
+
+/// What a probe's price reads of the table it probes: the footprint (its
+/// working set) and the chained table's bucket bits.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbedTable {
+    /// Footprint: chained table plus build rows.
+    pub bytes: u64,
+    /// log2 of the bucket count.
+    pub bits: u32,
+}
+
+/// The hash tables a packet's probes are priced against, by name: the
+/// engine's built tables, or the optimizer's estimates of them
+/// ([`crate::cost::HtEstimates`]) — one set of charge functions prices
+/// both.
+pub trait ProbedTables {
+    /// Table `ht`'s statistics, or the typed
+    /// [`EngineError::HashTableNotBuilt`].
+    fn probed(&self, ht: &str) -> Result<ProbedTable, EngineError>;
+}
+
+impl ProbedTables for TableStore {
+    fn probed(&self, ht: &str) -> Result<ProbedTable, EngineError> {
+        let jt = lookup_ht(self, ht)?;
+        Ok(ProbedTable { bytes: jt.bytes(), bits: jt.table.bits })
+    }
+}
+
+/// What the GPU aggregation kernel reads of the rows a packet folds.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldStats {
+    /// Rows reaching the aggregation.
+    pub rows: usize,
+    /// Bytes per row the aggregation reads ([`gpu_ops::agg_row_bytes`]).
+    pub row_bytes: u64,
+    /// Payload bytes of the rows (the kernel's input region).
+    pub bytes: u64,
+}
+
+/// A packet's price on one CPU core under `model`: the source scan of its
+/// `bytes` plus every fused operator of `ops` — what [`CpuWorker::charge`]
+/// charges. The terminal aggregation is the commit's
+/// ([`hape_ops::cpu::agg_cost`]): its price depends on the routed worker's
+/// group count.
+pub fn cpu_packet_cost(
+    model: &CpuCostModel,
+    bytes: u64,
+    ops: &[OpTrace],
+    tables: &impl ProbedTables,
+) -> Result<SimTime, EngineError> {
+    let mut time = cpu_ops::scan_cost(bytes, model);
+    for op in ops {
+        time += op.cpu_cost(model, tables)?;
+    }
+    Ok(time)
+}
+
+/// A packet's price as GPU kernels on `sim`: every fused operator of `ops`
+/// over an input of `bytes`, probes against the device-memory `regions`
+/// the broadcast assigned (a table without one is priced at a default
+/// residence), and the terminal aggregation `fold` when it has rows —
+/// what [`GpuWorker::charge`] charges. Transfers are the commit's.
+pub fn gpu_packet_cost(
+    sim: &GpuSim,
+    bytes: u64,
+    ops: &[OpTrace],
+    fold: Option<(&AggSpec, FoldStats)>,
+    tables: &impl ProbedTables,
+    regions: &HashMap<String, Region>,
+) -> Result<SimTime, EngineError> {
+    let mut time = SimTime::ZERO;
+    let in_region = Region::at(1 << 24, bytes.max(1));
+    for op in ops {
+        match op {
+            OpTrace::Filter {
+                rows_in,
+                pred_ops,
+                pred_row_bytes,
+                out_row_bytes,
+                survivors,
+                ..
+            } => {
+                time += gpu_ops::filter_cost(
+                    sim,
+                    in_region,
+                    *rows_in,
+                    *pred_row_bytes,
+                    *out_row_bytes,
+                    *pred_ops,
+                    survivors,
+                )
+                .time;
+            }
+            OpTrace::Project { ops, bytes_in, .. } => {
+                // Fused projection: stream + compute, outputs stay in
+                // registers for the next fused operator.
+                time += gpu_ops::stream_pass(sim, in_region, *bytes_in, *ops);
+            }
+            OpTrace::Probe { ht, algo, avg_chain, keys, rows_out, payload_cols, .. } => {
+                let table = tables.probed(ht)?;
+                let region = regions
+                    .get(ht)
+                    .copied()
+                    .unwrap_or_else(|| Region::at(1 << 44, table.bytes.max(1)));
+                time +=
+                    gpu_probe_cost(sim, keys.as_i32(), table.bits, region, *avg_chain, *algo);
+                time += SimTime::from_ns((*rows_out * *payload_cols) as f64 * 0.05);
+            }
+            OpTrace::Stateful { rows_in, row_bytes, state_bytes, ops_per_row, .. } => {
+                time += stateful::gpu_cost(
+                    sim,
+                    in_region,
+                    *rows_in,
+                    *row_bytes,
+                    *state_bytes,
+                    *ops_per_row,
+                );
+            }
+        }
+    }
+    if let Some((spec, f)) = fold {
+        let region = Region::at(1 << 24, f.bytes.max(1));
+        time += gpu_ops::agg_cost(sim, region, f.rows, f.row_bytes, spec).time;
+    }
+    Ok(time)
+}
+
+/// The GPU join-probe kernel: `keys` against a device-resident chained
+/// table of `2^bits` buckets at `region`, walking `avg_chain` entries per
+/// key.
+fn gpu_probe_cost(
+    sim: &GpuSim,
+    keys: &[i32],
+    bits: u32,
+    region: Region,
+    avg_chain: f64,
+    algo: JoinAlgo,
+) -> SimTime {
+    let n = keys.len();
+    if n == 0 {
+        return SimTime::ZERO;
+    }
+    let cfg = gpu_ops::grid_for(n);
+    let report = match algo {
+        JoinAlgo::NonPartitioned => sim.launch(&cfg, |blk| {
+            let start = blk.block_idx * gpu_ops::ITEMS_PER_BLOCK;
+            let end = (start + gpu_ops::ITEMS_PER_BLOCK).min(n);
+            if start >= end {
+                return;
+            }
+            let cn = (end - start) as u64;
+            blk.global_read_stream(&region, 0, cn * 8);
+            blk.compute(cn, 6.0);
+            // Random head + chain loads through L1/L2 — each drags a
+            // whole line for 8 bytes of use.
+            let offs: Vec<u64> = keys[start..end]
+                .iter()
+                .map(|&k| hape_join::hash32(k, bits) as u64 * 4)
+                .collect();
+            blk.global_read(&region, &offs, 4);
+            let chain_loads = (cn as f64 * avg_chain).ceil() as usize;
+            let chain_offs: Vec<u64> = (keys[start..end].iter().cycle().take(chain_loads))
+                .map(|&k| {
+                    (hape_join::hash32(k, bits.max(4)) as u64).wrapping_mul(2654435761)
+                        % region.bytes.max(128)
+                })
+                .collect();
+            blk.global_read(&region, &chain_offs, 12);
+        }),
+        JoinAlgo::Partitioned => sim.launch(&cfg, |blk| {
+            let start = blk.block_idx * gpu_ops::ITEMS_PER_BLOCK;
+            let end = (start + gpu_ops::ITEMS_PER_BLOCK).min(n);
+            if start >= end {
+                return;
+            }
+            let cn = (end - start) as u64;
+            // Partition the probe packet (read + consolidated write +
+            // read back), then probe scratchpad-resident tables.
+            blk.global_read_stream(&region, 0, cn * 8);
+            blk.global_write_stream(cn * 8);
+            blk.global_read_stream(&region, 0, cn * 8);
+            blk.compute(cn, 9.0);
+            let words: Vec<u32> =
+                keys[start..end].iter().map(|&k| hape_join::hash32(k, 12)).collect();
+            blk.smem_access(&words);
+            let extra = ((cn as f64) * (avg_chain - 1.0).max(0.0)) as usize;
+            let extra_words: Vec<u32> =
+                words[..extra.min(words.len())].iter().map(|&w| w + 1).collect();
+            blk.smem_access(&extra_words);
+        }),
+    };
+    report.time
 }
 
 /// The aggregation-relevant statistics of one packet: how many rows reach
@@ -337,9 +531,9 @@ pub fn run_ops(
         let (rows_in, bytes_in) = (cur.rows(), cur.bytes());
         match op {
             PipeOp::Filter(pred) => {
-                let pred_row_bytes = pred.row_bytes(&cur).max(1);
-                let out_row_bytes =
-                    cur.columns.iter().map(|c| c.data_type().width() as u64).sum();
+                let widths = widths(&cur);
+                let pred_row_bytes = pred.row_bytes(&widths).max(1);
+                let out_row_bytes = widths.iter().sum();
                 scratch.sel.clear();
                 hape_ops::expr::select(pred, &cur, &mut scratch.sel);
                 // Survivors are counted per block of the filter's input rows:
@@ -430,6 +624,11 @@ pub fn run_ops(
         _ => None,
     };
     Ok(PacketWork { bytes, ops: ops_trace, out: cur, folds, agg })
+}
+
+/// Bytes per value of each of `batch`'s columns.
+fn widths(batch: &Batch) -> Vec<u64> {
+    batch.columns.iter().map(|c| c.data_type().width() as u64).collect()
 }
 
 /// The rank of each row of `sub` in `rows` (both ascending, `sub` ⊆ `rows`).
@@ -622,7 +821,7 @@ fn lookup_ht<'a>(tables: &'a TableStore, ht: &str) -> Result<&'a Arc<JoinTable>,
 }
 
 /// Exponentially-weighted update of a worker's ns-per-byte estimate.
-fn update_estimate(est: &mut f64, time: SimTime, bytes: u64) {
+pub(crate) fn update_estimate(est: &mut f64, time: SimTime, bytes: u64) {
     *est = 0.7 * *est + 0.3 * (time.as_ns() / bytes as f64);
 }
 
@@ -700,11 +899,7 @@ impl DeviceProvider for CpuWorker {
         _agg: Option<&AggSpec>,
         tables: &TableStore,
     ) -> Result<SimTime, EngineError> {
-        let mut time = cpu_ops::scan_cost(work.bytes, &self.model);
-        for op in &work.ops {
-            time += op.cpu_cost(&self.model, tables)?;
-        }
-        Ok(time)
+        cpu_packet_cost(&self.model, work.bytes, &work.ops, tables)
     }
 
     fn commit_packet(
@@ -811,73 +1006,6 @@ impl GpuWorker {
     pub fn with_resident(mut self, resident: HashSet<String>) -> Self {
         self.resident = resident;
         self
-    }
-
-    /// Charge a GPU join probe of `keys` against a device-resident table.
-    fn charge_probe(
-        &self,
-        keys: &[i32],
-        jt: &JoinTable,
-        region: Region,
-        avg_chain: f64,
-        algo: JoinAlgo,
-    ) -> SimTime {
-        let n = keys.len();
-        if n == 0 {
-            return SimTime::ZERO;
-        }
-        let cfg = gpu_ops::grid_for(n);
-        let bits = jt.table.bits;
-        let report = match algo {
-            JoinAlgo::NonPartitioned => self.sim.launch(&cfg, |blk| {
-                let start = blk.block_idx * gpu_ops::ITEMS_PER_BLOCK;
-                let end = (start + gpu_ops::ITEMS_PER_BLOCK).min(n);
-                if start >= end {
-                    return;
-                }
-                let cn = (end - start) as u64;
-                blk.global_read_stream(&region, 0, cn * 8);
-                blk.compute(cn, 6.0);
-                // Random head + chain loads through L1/L2 — each drags a
-                // whole line for 8 bytes of use.
-                let offs: Vec<u64> = keys[start..end]
-                    .iter()
-                    .map(|&k| hape_join::hash32(k, bits) as u64 * 4)
-                    .collect();
-                blk.global_read(&region, &offs, 4);
-                let chain_loads = (cn as f64 * avg_chain).ceil() as usize;
-                let chain_offs: Vec<u64> = (0..chain_loads)
-                    .map(|i| {
-                        let k = keys[start + i % (end - start)];
-                        (hape_join::hash32(k, bits.max(4)) as u64).wrapping_mul(2654435761)
-                            % region.bytes.max(128)
-                    })
-                    .collect();
-                blk.global_read(&region, &chain_offs, 12);
-            }),
-            JoinAlgo::Partitioned => self.sim.launch(&cfg, |blk| {
-                let start = blk.block_idx * gpu_ops::ITEMS_PER_BLOCK;
-                let end = (start + gpu_ops::ITEMS_PER_BLOCK).min(n);
-                if start >= end {
-                    return;
-                }
-                let cn = (end - start) as u64;
-                // Partition the probe packet (read + consolidated write +
-                // read back), then probe scratchpad-resident tables.
-                blk.global_read_stream(&region, 0, cn * 8);
-                blk.global_write_stream(cn * 8);
-                blk.global_read_stream(&region, 0, cn * 8);
-                blk.compute(cn, 9.0);
-                let words: Vec<u32> =
-                    keys[start..end].iter().map(|&k| hape_join::hash32(k, 12)).collect();
-                blk.smem_access(&words);
-                let extra = ((cn as f64) * (avg_chain - 1.0).max(0.0)) as usize;
-                let extra_words: Vec<u32> =
-                    words[..extra.min(words.len())].iter().map(|&w| w + 1).collect();
-                blk.smem_access(&extra_words);
-            }),
-        };
-        report.time
     }
 }
 
@@ -991,63 +1119,15 @@ impl DeviceProvider for GpuWorker {
         agg: Option<&AggSpec>,
         tables: &TableStore,
     ) -> Result<SimTime, EngineError> {
-        let mut time = SimTime::ZERO;
-        let in_region = Region::at(1 << 24, work.bytes.max(1));
-        for op in &work.ops {
-            match op {
-                OpTrace::Filter {
-                    rows_in,
-                    pred_ops,
-                    pred_row_bytes,
-                    out_row_bytes,
-                    survivors,
-                    ..
-                } => {
-                    time += gpu_ops::filter_cost(
-                        &self.sim,
-                        in_region,
-                        *rows_in,
-                        *pred_row_bytes,
-                        *out_row_bytes,
-                        *pred_ops,
-                        survivors,
-                    )
-                    .time;
-                }
-                OpTrace::Project { ops, bytes_in, .. } => {
-                    // Fused projection: stream + compute, outputs stay in
-                    // registers for the next fused operator.
-                    time += gpu_ops::stream_pass(&self.sim, in_region, *bytes_in, *ops);
-                }
-                OpTrace::Probe {
-                    ht, algo, avg_chain, keys, rows_out, payload_cols, ..
-                } => {
-                    let jt = lookup_ht(tables, ht)?;
-                    let region = self
-                        .ht_regions
-                        .get(ht)
-                        .copied()
-                        .unwrap_or_else(|| Region::at(1 << 44, jt.bytes().max(1)));
-                    time += self.charge_probe(keys.as_i32(), jt, region, *avg_chain, *algo);
-                    time += SimTime::from_ns((*rows_out * *payload_cols) as f64 * 0.05);
-                }
-                OpTrace::Stateful { rows_in, row_bytes, state_bytes, ops_per_row, .. } => {
-                    time += stateful::gpu_cost(
-                        &self.sim,
-                        in_region,
-                        *rows_in,
-                        *row_bytes,
-                        *state_bytes,
-                        *ops_per_row,
-                    );
-                }
+        let fold = match (agg, &work.agg) {
+            (Some(spec), Some(_)) => {
+                let row_bytes = gpu_ops::agg_row_bytes(spec, &widths(&work.out));
+                let (rows, bytes) = (work.out.rows(), work.out.bytes());
+                Some((spec, FoldStats { rows, row_bytes, bytes }))
             }
-        }
-        if let (Some(spec), Some(_)) = (agg, &work.agg) {
-            let region = Region::at(1 << 24, work.out.bytes().max(1));
-            time += gpu_ops::agg_cost(&self.sim, region, &work.out, spec).time;
-        }
-        Ok(time)
+            _ => None,
+        };
+        gpu_packet_cost(&self.sim, work.bytes, &work.ops, fold, tables, &self.ht_regions)
     }
 
     fn commit_packet(

@@ -948,6 +948,7 @@ mod tests {
             gpu_required: 0,
             gpu_capacity: None,
             coprocess: None,
+            capable_workers: 0,
         };
         rec.record(
             Span::new(SpanKind::Stage, "stream", "Q5")

@@ -147,12 +147,12 @@ impl Expr {
         }
     }
 
-    /// Bytes per row of the columns of `batch` the expression reads, each
-    /// counted once: the widths of [`Expr::columns_used`], without
-    /// collecting them.
-    pub fn row_bytes(&self, batch: &Batch) -> u64 {
-        let widths = batch.columns.iter().map(|c| c.data_type().width() as u64);
-        widths.enumerate().filter(|&(i, _)| self.reads(i)).map(|(_, w)| w).sum()
+    /// Bytes per row of the columns the expression reads out of a schema
+    /// of column `widths`, each counted once: the widths of
+    /// [`Expr::columns_used`], without collecting them.
+    pub fn row_bytes(&self, widths: &[u64]) -> u64 {
+        let widths = widths.iter().enumerate();
+        widths.filter(|&(i, _)| self.reads(i)).map(|(_, w)| w).sum()
     }
 
     /// The [`ExprValue`] arm [`eval`] produces — or the operand `eval` would

@@ -7,7 +7,6 @@
 //! the host side afterwards).
 
 use hape_sim::{BlockCtx, GpuSim, KernelReport, LaunchConfig, Region, SimTime};
-use hape_storage::Batch;
 
 use crate::agg::AggSpec;
 
@@ -71,18 +70,24 @@ pub fn filter_cost(
     })
 }
 
+/// Bytes per row the fused aggregation reads out of a schema of column
+/// `widths`: every aggregate's argument columns and the group keys.
+pub fn agg_row_bytes(spec: &AggSpec, widths: &[u64]) -> u64 {
+    let args: u64 = spec.aggs.iter().map(|(_, e)| e.row_bytes(widths)).sum();
+    args + spec.group_by.iter().map(|&g| widths[g]).sum::<u64>()
+}
+
 /// Charge the fused-aggregation kernel (per-block partial aggregates in
-/// the scratchpad) for `batch` under `spec` without folding any state — the
-/// fold itself runs on the data plane, in routed packet order.
-pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> KernelReport {
-    let rows = batch.rows();
-    let mut row_bytes = 0u64;
-    for (_, e) in &spec.aggs {
-        row_bytes += e.row_bytes(batch);
-    }
-    for &g in &spec.group_by {
-        row_bytes += batch.col(g).data_type().width() as u64;
-    }
+/// the scratchpad) for `rows` rows of `row_bytes` each (see
+/// [`agg_row_bytes`]) under `spec`, without folding any state — the fold
+/// itself runs on the data plane, in routed packet order.
+pub fn agg_cost(
+    sim: &GpuSim,
+    region: Region,
+    rows: usize,
+    row_bytes: u64,
+    spec: &AggSpec,
+) -> KernelReport {
     let row_bytes = row_bytes.max(1);
     // Scratchpad for per-block group table: 64B per group slot, pessimistic
     // 1024 slots.
@@ -101,13 +106,26 @@ pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> 
         // scratchpad words. With few groups the same-word serialisation is
         // mitigated by warp-level pre-aggregation: model one atomic per warp
         // per aggregate plus one smem update per row.
-        let words: Vec<u32> = (0..n.min(1024) as u32).map(|i| i % 241).collect();
-        blk.smem_access(&words);
-        let warp_atomics: Vec<u32> = (0..(n / 32).max(1) as u32).map(|i| i % 61).collect();
+        blk.smem_access(&AGG_WORDS[..n.min(1024)]);
         for _ in &spec.aggs {
-            blk.smem_atomic(&warp_atomics);
+            blk.smem_atomic(&AGG_WARP_ATOMICS[..(n / 32).max(1)]);
         }
     })
+}
+
+/// The scratchpad words an aggregation block's rows update (`i % 241`) and
+/// its warps' atomics hit (`i % 61`): a fixed pattern, built once.
+static AGG_WORDS: [u32; 1024] = modulo_pattern(241);
+static AGG_WARP_ATOMICS: [u32; ITEMS_PER_BLOCK / 32] = modulo_pattern(61);
+
+const fn modulo_pattern<const N: usize>(modulus: u32) -> [u32; N] {
+    let mut out = [0u32; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = i as u32 % modulus;
+        i += 1;
+    }
+    out
 }
 
 /// Cost-only helper: a fused streaming pass of `bytes` through a GPU
@@ -133,7 +151,7 @@ mod tests {
     use crate::agg::AggFunc;
     use crate::expr::Expr;
     use hape_sim::{Fidelity, GpuSpec};
-    use hape_storage::Column;
+    use hape_storage::{Batch, Column};
 
     fn sim() -> GpuSim {
         GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic)
@@ -189,7 +207,11 @@ mod tests {
             (AggFunc::Sum, Expr::col(1)),
             (AggFunc::Count, Expr::col(1)),
         ]);
-        let report = agg_cost(&sim(), Region::at(1 << 20, b.bytes()), &b, &spec);
+        let widths: Vec<u64> = b.columns.iter().map(|c| c.data_type().width() as u64).collect();
+        let row_bytes = agg_row_bytes(&spec, &widths);
+        assert_eq!(row_bytes, 16, "both aggregates read the f64 column");
+        let report =
+            agg_cost(&sim(), Region::at(1 << 20, b.bytes()), b.rows(), row_bytes, &spec);
         assert!(report.time.as_us() > 0.0);
         assert!(report.stats.smem_ops > 0);
     }

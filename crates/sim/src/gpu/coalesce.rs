@@ -14,6 +14,9 @@ pub struct DistinctChunks<'a> {
     /// Chunk ids already seen (warp is ≤ 32 lanes, stack buffer suffices).
     seen: [u64; 32],
     n_seen: usize,
+    /// Which of 64 buckets (chunk id mod 64) hold a seen chunk: a chunk in
+    /// an empty bucket is new without a scan.
+    buckets: u64,
     i: usize,
 }
 
@@ -24,7 +27,9 @@ impl<'a> Iterator for DistinctChunks<'a> {
         while self.i < self.addrs.len() {
             let c = self.addrs[self.i] / self.chunk;
             self.i += 1;
-            if !self.seen[..self.n_seen].contains(&c) {
+            let bucket = 1u64 << (c % 64);
+            if self.buckets & bucket == 0 || !self.seen[..self.n_seen].contains(&c) {
+                self.buckets |= bucket;
                 if self.n_seen < self.seen.len() {
                     self.seen[self.n_seen] = c;
                     self.n_seen += 1;
@@ -42,7 +47,7 @@ impl<'a> Iterator for DistinctChunks<'a> {
 pub fn distinct_chunks(addrs: &[u64], chunk: u64) -> DistinctChunks<'_> {
     debug_assert!(addrs.len() <= 32, "coalescing operates on one warp at a time");
     debug_assert!(chunk.is_power_of_two());
-    DistinctChunks { addrs, chunk, seen: [u64::MAX; 32], n_seen: 0, i: 0 }
+    DistinctChunks { addrs, chunk, seen: [u64::MAX; 32], n_seen: 0, buckets: 0, i: 0 }
 }
 
 #[cfg(test)]

@@ -16,13 +16,20 @@ pub fn conflict_cycles(words: &[u32], banks: usize) -> u32 {
     if words.is_empty() {
         return 0;
     }
-    let mut seen = [u32::MAX; 32];
-    let mut n_seen = 0usize;
+    // Lanes on pairwise distinct banks cost one cycle.
+    let banks_hit = words.iter().fold(0u64, |m, &w| m | 1 << ((w as usize) & (banks - 1)));
+    if banks_hit.count_ones() as usize == words.len() {
+        return 1;
+    }
+    let (mut seen, mut n_seen, mut marks) = ([u32::MAX; 32], 0usize, 0u64);
     let mut per_bank = [0u8; 64];
     for &w in words {
-        if seen[..n_seen].contains(&w) {
+        // A word repeats only where an earlier one left its mark.
+        let mark = 1u64 << (w & 63);
+        if marks & mark != 0 && seen[..n_seen].contains(&w) {
             continue; // broadcast
         }
+        marks |= mark;
         seen[n_seen] = w;
         n_seen += 1;
         per_bank[(w as usize) & (banks - 1)] += 1;
@@ -40,6 +47,10 @@ pub fn atomic_cycles(words: &[u32], banks: usize) -> u32 {
     debug_assert!(banks <= 64 && banks.is_power_of_two());
     if words.is_empty() {
         return 0;
+    }
+    let banks_hit = words.iter().fold(0u64, |m, &w| m | 1 << ((w as usize) & (banks - 1)));
+    if banks_hit.count_ones() as usize == words.len() {
+        return 1;
     }
     let mut per_bank = [0u8; 64];
     for &w in words {

@@ -204,25 +204,25 @@ stage 1: build Q5.nation (key col 0)
   Router(1 -> 24)
   segment cpu0: Cpu dop=12 mem=dram0
   segment cpu1: Cpu dop=12 mem=dram0
-  est: total 0.0000 ms = stream 0.0000 ms + broadcast 0.0000 ms + d2h 0.0000 ms
+  est: total 0.0003 ms = stream 0.0003 ms + broadcast 0.0000 ms + d2h 0.0000 ms
 stage 2: build Q5.customer (key col 0)
   pipeline: scan(customer) | join(Q5.nation)
   Router(1 -> 24)
   segment cpu0: Cpu dop=12 mem=dram0
   segment cpu1: Cpu dop=12 mem=dram0
-  est: total 0.0005 ms = stream 0.0005 ms + broadcast 0.0000 ms + d2h 0.0000 ms
+  est: total 0.0137 ms = stream 0.0137 ms + broadcast 0.0000 ms + d2h 0.0000 ms
 stage 3: build Q5.orders (key col 0)
   pipeline: scan(Q5.orders) | filter | join(Q5.customer)
   Router(1 -> 24)
   segment cpu0: Cpu dop=12 mem=dram0
   segment cpu1: Cpu dop=12 mem=dram0
-  est: total 0.0034 ms = stream 0.0034 ms + broadcast 0.0000 ms + d2h 0.0000 ms
+  est: total 0.0120 ms = stream 0.0120 ms + broadcast 0.0000 ms + d2h 0.0000 ms
 stage 4: build Q5.supplier (key col 0)
   pipeline: scan(supplier) | join(Q5.nation)
   Router(1 -> 24)
   segment cpu0: Cpu dop=12 mem=dram0
   segment cpu1: Cpu dop=12 mem=dram0
-  est: total 0.0000 ms = stream 0.0000 ms + broadcast 0.0000 ms + d2h 0.0000 ms
+  est: total 0.0009 ms = stream 0.0009 ms + broadcast 0.0000 ms + d2h 0.0000 ms
 stage 5: stream
   pipeline: scan(Q5.lineitem) | join(Q5.orders) | join(Q5.supplier) | filter | agg
   Router(1 -> 26)
@@ -238,9 +238,9 @@ stage 5: stream
     DeviceCrossing(Cpu -> Gpu)
     MemMove(dram0 -> gmem1, broadcast \"Q5.orders\")
     MemMove(dram0 -> gmem1, broadcast \"Q5.supplier\")
-  est: total 0.0522 ms = stream 0.0373 ms + broadcast 0.0149 ms + d2h 0.0000 ms
-  est: gpu hash tables 179280 B (448200 B with working space) of 858993 B
-est makespan: 0.0562 ms
+  est: total 0.0679 ms = stream 0.0616 ms + broadcast 0.0063 ms + d2h 0.0000 ms
+  est: gpu hash tables 75040 B (187600 B with working space) of 858993 B
+est makespan: 0.0948 ms
 verified: 6 stages, 0 diagnostics
 ";
 

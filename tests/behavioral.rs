@@ -192,9 +192,9 @@ fn auto_prices_stateful_pipelines_off_the_gpu_and_the_lever_flips_it() {
 fn auto_matches_the_best_manual_placement_at_smoke_scale() {
     // The optimizer prices the GPU's sequential-state penalty instead of
     // pinning stateful pipelines by rule, so Auto ties the best manual
-    // placement (same device subset) up to float noise. At 20 000 users
-    // the B4 mis-route (ROADMAP item 6) breaks this; the benchmark's
-    // `optimize.auto_vs_best_manual` gates that scale.
+    // placement (same device subset) up to float noise. The differential
+    // harness asserts the same for B1–B4 at the benchmark's 20 000 users
+    // (`tests/differential.rs::fixed_corpus_at_the_benchmarks_scale`).
     let session = events_session(2_000);
     for q in behavioral_queries() {
         let sim = |p| run(&session, &q, p, 2).time.as_secs();

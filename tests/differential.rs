@@ -11,7 +11,9 @@
 //!   the lowered plan binds clean; in the fixed corpus the static device
 //!   audit of the lowered plan placed under each is empty exactly where the
 //!   run succeeded, and names only the §6.4 broadcast overflow where it
-//!   refused;
+//!   refused, auto never refuses and its simulated makespan is no longer
+//!   than the best manual placement's (1e-9 relative), and Q9\*/auto
+//!   places a co-processing stage;
 //! - **threads** 2 and 8: the report is the one-thread report;
 //! - **traced**: the untraced report, with query and packet spans recorded;
 //! - **faulted** (`FaultPlan::canonical`): the clean run's rows — TPC-H's
@@ -119,11 +121,12 @@ impl Subject<'_> {
     }
 }
 
-/// What one subject's sweep saw: the placements that refused with
-/// `GpuMemoryExceeded`, and how many faulted runs retried a transfer and
-/// re-placed stages.
+/// What one subject's sweep saw: the placements that ran and their
+/// simulated makespans, the ones that refused with `GpuMemoryExceeded`, and
+/// how many faulted runs retried a transfer and re-placed stages.
 #[derive(Default)]
 struct Swept {
+    ran: Vec<(Placement, f64)>,
     refused: Vec<Placement>,
     retried: usize,
     replanned: usize,
@@ -161,7 +164,10 @@ fn sweep(s: &Subject, seed: u64, axes: &[Axis], queue: &mut Queue) -> Swept {
             audit(s, catalog, plan, p, &solo);
         }
         match &solo {
-            Ok(rep) => assert!(s.answers(&rep.rows), "{ctx}: answered {:?}", rep.rows),
+            Ok(rep) => {
+                assert!(s.answers(&rep.rows), "{ctx}: answered {:?}", rep.rows);
+                swept.ran.push((p, rep.time.as_secs()));
+            }
             Err(HapeError::Engine(EngineError::GpuMemoryExceeded { .. }))
                 if p != Placement::CpuOnly =>
             {
@@ -408,6 +414,18 @@ fn fixed_corpus(sf: f64, users: usize) {
     for (i, s) in subjects.iter().enumerate() {
         let swept = sweep(s, i as u64, &AXES, &mut queues[usize::from(i >= n_tpch)]);
         assert!(!swept.refused.contains(&Placement::Auto), "{}: auto refused", s.query.name);
+        let name = &s.query.name;
+        // Auto is never slower than the best manual placement that ran.
+        let sim = |p| swept.ran.iter().find(|r| r.0 == p).map(|r| r.1);
+        let best = PLACEMENTS[..3].iter().filter_map(|&p| sim(p)).fold(f64::INFINITY, f64::min);
+        let auto = sim(Placement::Auto).unwrap_or(f64::INFINITY);
+        assert!(auto <= best * (1.0 + 1e-9), "{name}: auto {auto} s, best manual {best} s");
+        if name == "Q9*" {
+            let placed = s.session.place_with(&s.query, &cfg(Placement::Auto, 1));
+            let placed = placed.unwrap_or_else(|e| panic!("{name}: {e}"));
+            let coprocessed = |st: &PlacedStage| matches!(st, PlacedStage::CoProcess { .. });
+            assert!(placed.stages.iter().any(coprocessed), "{name}: auto co-processes");
+        }
         (retried, replanned) = (retried + swept.retried, replanned + swept.replanned);
     }
     // The fault plane fires and recovery runs: some faulted run retried a

@@ -93,15 +93,6 @@ fn gpu_segment(segments: &mut [hape::core::Segment]) -> &mut hape::core::Segment
 // ===================== pass 1: schema dataflow =====================
 
 #[test]
-fn mutation_unknown_source_table() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    stream_parts(&mut placed).0.source = "ghost".to_string();
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, UnknownSource { table } if table == "ghost");
-}
-
-#[test]
 fn mutation_filter_references_dropped_column() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
@@ -121,36 +112,6 @@ fn mutation_probe_key_becomes_f64_after_projection() {
     stream_parts(&mut placed).0.ops.insert(0, reshape);
     let ks = kinds(&session, &lowered, &placed);
     finds!(ks, SchemaDataflow, ProbeKeyType { found: hape::storage::DataType::F64, .. });
-}
-
-#[test]
-fn mutation_probe_payload_beyond_build_width() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (pipeline, _) = stream_parts(&mut placed);
-    let Some(PipeOp::JoinProbe { build_payload_cols, .. }) =
-        pipeline.ops.iter_mut().find(|op| matches!(op, PipeOp::JoinProbe { .. }))
-    else {
-        panic!("stream pipeline probes")
-    };
-    build_payload_cols.push(99);
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, PayloadOutOfRange { column: 99, .. });
-}
-
-#[test]
-fn mutation_probe_of_unbuilt_table() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    let (pipeline, _) = stream_parts(&mut placed);
-    let Some(PipeOp::JoinProbe { ht, .. }) =
-        pipeline.ops.iter_mut().find(|op| matches!(op, PipeOp::JoinProbe { .. }))
-    else {
-        panic!("stream pipeline probes")
-    };
-    *ht = "Q5.unbuilt".to_string();
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, ProbeUnbuilt { ht } if ht == "Q5.unbuilt");
 }
 
 #[test]
