@@ -20,10 +20,10 @@
 //! | CPU fold of a packet's surviving rows | group-table random accesses (§2.1) | [`hape_ops::cpu::agg_cost`] — what [`CpuWorker::commit_packet`](crate::provider::CpuWorker) charges |
 //! | GPU packet: filter / project / probe / stateful / aggregation kernels | GDDR5X bandwidth, L2 vs device-memory lines, scratchpad, the serial per-user chain (§2.1, §4.1) | [`gpu_packet_cost`] — what [`GpuWorker::charge`](crate::provider::GpuWorker) charges |
 //! | GPU packet input | PCIe 3 x16 ≈ 12 GB/s plus DMA setup (§2.2) | [`Link::duration`](hape_sim::interconnect::Link::duration) — what [`GpuWorker::commit_packet`](crate::provider::GpuWorker) moves |
-//! | stage stream time = the subset's packets spread over its workers | load-aware routing: each packet to the worker believed to finish it first, so every worker reached takes one and the slowest bounds the stage (§4.2) | [`route`] replayed on the packets [`ExecConfig::auto_packet_rows`] cuts |
+//! | stage stream time = the subset's packets spread over its workers, the packet priced once per class of alike devices | load-aware routing over interchangeable device instances: each packet to the worker believed to finish it first, so every worker reached takes one and the slowest bounds the stage (§4.2) | [`route`] replayed on the packets [`ExecConfig::auto_packet_rows`] cuts; prices cached by [`Server::class`] |
 //! | broadcast s = `Σ ht bytes / link bw` per GPU | hash-table mem-move over PCIe (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
 //! | d2h s = a GPU's share of the build output over its link | built tables end up host-resident (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
-//! | capacity bound = `Σ ht bytes × working factor ≤ DRAM` | GPU device memory, Q9's §6.4 failure | [`GpuSpec::dram_capacity`](hape_sim::GpuSpec), [`GPU_HT_WORKING_FACTOR`] |
+//! | capacity bound = `Σ ht bytes × working factor ≤ DRAM` | GPU device memory, Q9's §6.4 failure | [`PipelineEstimate::gpu_footprint`] (also the verifier's audit and serving's admission), [`GpuSpec::dram_capacity`](hape_sim::GpuSpec) |
 //! | co-partition fanout: `2(R+S) >> bits ≤ 0.9 × DRAM` | §5 "just small enough to fit in GPU-memory" | [`hape_join::plan_cpu_bits`], [`hape_join::gpu_budget`] |
 //! | co-partition s = `Σ passes partition_pass(n, 8, 2^bits) / workers` | TLB-bounded multi-pass CPU partitioning (§4.1, §5) | [`CpuCostModel::partition_pass`], [`CpuSpec::max_partition_fanout`](hape_sim::CpuSpec::max_partition_fanout) |
 //! | co-process single pass s = `max((R+S)/Σ link bw, 4(R+S)/Σ gpu bw)` | each co-partition pair crosses PCIe once, joined at device bandwidth (§5) | [`Link::bw`](hape_sim::interconnect::Link), [`GpuSpec::dram_bw`](hape_sim::GpuSpec) |
@@ -154,8 +154,9 @@ pub struct PipelineEstimate {
     pipeline: Pipeline,
     widths: Vec<u64>,
     tables: HtEstimates,
-    /// Each device class's price of a packet of so many rows, as priced so
-    /// far: the candidate subsets of a stage share devices and packet sizes.
+    /// Each class of alike devices' ([`Server::class`]) price of a packet
+    /// of so many rows, as priced so far: the candidate subsets of a stage
+    /// share classes and packet sizes.
     prices: RefCell<Vec<(DeviceId, usize, f64)>>,
 }
 
@@ -298,6 +299,20 @@ impl PipelineEstimate {
         EstPacket { bytes: rows as u64 * sum(&self.widths), ops, fold }
     }
 
+    /// What a GPU running the stage receives ahead of it: each distinct
+    /// table the pipeline probes, once — as (tables, bytes).
+    fn broadcast(&self) -> (usize, u64) {
+        (self.tables.len(), self.tables.values().map(|t| t.bytes).sum())
+    }
+
+    /// Device memory each GPU running the stage needs: its broadcast with
+    /// working space ([`GPU_HT_WORKING_FACTOR`], §6.4) — what the optimizer
+    /// prunes a subset by, the verifier audits a placed GPU segment against
+    /// and the serving layer admits a manually placed query on.
+    pub fn gpu_footprint(&self) -> u64 {
+        (self.broadcast().1 as f64 * GPU_HT_WORKING_FACTOR) as u64
+    }
+
     /// The stream up to (not including) its final probe, feeding no
     /// aggregation: what a co-processing stage's CPUs run before the join.
     fn prefix(&self) -> Option<PipelineEstimate> {
@@ -306,7 +321,10 @@ impl PipelineEstimate {
         prefix.prices = RefCell::default();
         prefix.pipeline.ops.truncate(last);
         prefix.pipeline.agg = None;
-        prefix.probes.pop();
+        let big = prefix.probes.pop()?;
+        if prefix.probes.iter().all(|p| p.ht != big.ht) {
+            prefix.tables.remove(&big.ht);
+        }
         Some(prefix)
     }
 }
@@ -468,40 +486,12 @@ impl PlanCost {
 pub struct CostModel<'a> {
     server: &'a Server,
     catalog: &'a Catalog,
-    /// Each device's class: the first device with its spec (and, for a
-    /// GPU, its link) — alike devices price every packet alike.
-    classes: Vec<(DeviceId, DeviceId)>,
 }
 
 impl<'a> CostModel<'a> {
     /// A model over `server`, with scan statistics from `catalog`.
     pub fn new(server: &'a Server, catalog: &'a Catalog) -> Self {
-        let (cpus, gpus) = (&server.cpus, &server.gpus);
-        let link = |g: usize| server.pcie.get(g).map(|l| (l.bw, l.latency));
-        let alike = |a: DeviceId, b: DeviceId| match (a, b) {
-            (DeviceId::Cpu(a), DeviceId::Cpu(b)) => cpus[a] == cpus[b],
-            (DeviceId::Gpu(a), DeviceId::Gpu(b)) => gpus[a] == gpus[b] && link(a) == link(b),
-            _ => false,
-        };
-        let devices = server.devices();
-        let classes = devices
-            .iter()
-            .map(|&d| (d, devices.iter().copied().find(|&c| alike(c, d)).unwrap_or(d)))
-            .collect();
-        CostModel { server, catalog, classes }
-    }
-
-    /// `device`'s class (see [`CostModel::shape`]).
-    fn class(&self, device: DeviceId) -> DeviceId {
-        self.classes.iter().find(|c| c.0 == device).map_or(device, |c| c.1)
-    }
-
-    /// `devices` up to alike devices (same spec and, for GPUs, link),
-    /// sorted: subsets of one shape price every stage alike.
-    pub(crate) fn shape(&self, devices: &[DeviceId]) -> Vec<DeviceId> {
-        let mut shape: Vec<DeviceId> = devices.iter().map(|&d| self.class(d)).collect();
-        shape.sort_unstable();
-        shape
+        CostModel { server, catalog }
     }
 
     /// Walk a pipeline's cardinalities: exact scan statistics from the
@@ -587,22 +577,7 @@ impl<'a> CostModel<'a> {
         let (rows, packets) = (packet_rows.min(scanned), scanned.div_ceil(packet_rows));
         let last = (scanned - (packets - 1) * packet_rows) as f64 / rows as f64;
 
-        // A pipeline may probe the same table at several sites (memoised
-        // build sides); the broadcast moves — and capacity-counts — each
-        // distinct table once.
-        let mut seen_hts: Vec<&str> = Vec::new();
-        let broadcast_bytes: u64 = est
-            .probes
-            .iter()
-            .filter(|p| {
-                let fresh = !seen_hts.contains(&p.ht.as_str());
-                if fresh {
-                    seen_hts.push(&p.ht);
-                }
-                fresh
-            })
-            .map(|p| p.ht_bytes)
-            .sum();
+        let (tables, broadcast_bytes) = est.broadcast();
         let mut broadcast_seconds = 0.0f64;
         let mut gpu_capacity: Option<u64> = None;
         for &device in devices {
@@ -612,7 +587,7 @@ impl<'a> CostModel<'a> {
             gpu_capacity = Some(gpu_capacity.map_or(capacity, |c| c.min(capacity)));
             // Dedicated links broadcast in parallel: the slowest GPU's copy
             // bounds the setup time.
-            let t = broadcast_bytes as f64 / link.bw + seen_hts.len() as f64 * link.latency;
+            let t = broadcast_bytes as f64 / link.bw + tables as f64 * link.latency;
             broadcast_seconds = broadcast_seconds.max(t);
         }
         let mut cost = StageCost {
@@ -621,7 +596,7 @@ impl<'a> CostModel<'a> {
             broadcast_seconds,
             d2h_seconds: 0.0,
             ht_bytes: broadcast_bytes,
-            gpu_required: (broadcast_bytes as f64 * GPU_HT_WORKING_FACTOR) as u64,
+            gpu_required: est.gpu_footprint(),
             gpu_capacity,
             coprocess: None,
             capable_workers: 0,
@@ -688,7 +663,7 @@ impl<'a> CostModel<'a> {
         device: DeviceId,
         rows: usize,
     ) -> Result<f64, EngineError> {
-        let class = self.class(device);
+        let class = self.server.class(device);
         let priced =
             est.prices.borrow().iter().find(|p| (p.0, p.1) == (class, rows)).map(|p| p.2);
         if let Some(t) = priced {

@@ -36,9 +36,10 @@
 //! **Determinism.** A packet loop has three beats on two planes:
 //!
 //! 1. *data plane* (the [`runtime`] pool, parallel) — every packet runs
-//!    the fused-kernel pass ([`run_ops`]) exactly once and is priced per
-//!    worker cost class ([`DeviceProvider::charge`]): pure per packet, so
-//!    the pool's schedule cannot matter;
+//!    the fused-kernel pass ([`run_ops`]) exactly once and is priced once
+//!    per class of alike workers ([`Server::class`],
+//!    [`DeviceProvider::charge`]): pure per packet, so the pool's schedule
+//!    cannot matter;
 //! 2. *control plane* (one sequential loop) — per packet, in packet order:
 //!    the candidates' `ready_at` state, the router's pick, the fault
 //!    plane's verdict, the commit against the routed worker's simulated
@@ -73,8 +74,8 @@ use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
 use crate::provider::{
-    gather_matches, run_ops, CostClass, CpuWorker, DeviceProvider, GpuWorker, PacketWork,
-    Scratch, TableStore,
+    gather_matches, run_ops, CpuWorker, DeviceProvider, GpuWorker, PacketWork, Scratch,
+    TableStore,
 };
 use crate::runtime;
 use crate::trace::{Ledger, Span, SpanKind, TraceRecorder};
@@ -436,7 +437,7 @@ impl StageEnv<'_> {
         pipeline: &Pipeline,
         agg: Option<&AggSpec>,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
-        let (server, faults) = (&self.engine.server, self.faults);
+        let (server, faults) = (self.server(), self.faults);
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for &device in devices {
             match device {
@@ -462,22 +463,13 @@ impl StageEnv<'_> {
                         server.gpus.get(idx).zip(server.pcie.get(idx)).ok_or_else(|| {
                             EngineError::DeviceNotPresent { device: format!("gpu{idx}") }
                         })?;
-                    let mut link = link.clone();
-                    if faults.is_active() {
-                        if let Some(f) = faults.health().slow_factor(idx) {
-                            // A degraded link: every transfer this stage
-                            // prices — broadcasts, packets, build pulls —
-                            // pays the derated bandwidth.
-                            link.bw /= f;
-                        }
-                    }
                     let broadcast =
                         pipeline.tables_probed().into_iter().map(str::to_string).collect();
                     workers.push(Box::new(
                         GpuWorker::new(
                             idx,
                             spec.clone(),
-                            link,
+                            link.clone(),
                             Fidelity::Analytic,
                             agg.map(|a| AggState::new(a.clone())),
                             broadcast,
@@ -488,6 +480,22 @@ impl StageEnv<'_> {
             }
         }
         Ok(workers)
+    }
+
+    /// The server as the fault plane has it: a slowed device's link runs
+    /// at `1/factor`, so every transfer a stage prices over it —
+    /// broadcasts, packets, build pulls, §5 lanes — pays the derated
+    /// bandwidth.
+    fn server(&self) -> Cow<'_, Server> {
+        let mut server = Cow::Borrowed(&self.engine.server);
+        if self.faults.is_active() {
+            for g in 0..server.pcie.len() {
+                if let Some(f) = self.faults.health().slow_factor(g) {
+                    server.to_mut().pcie[g].bw /= f;
+                }
+            }
+        }
+        server
     }
 
     /// Run a placed co-processing stage
@@ -502,9 +510,9 @@ impl StageEnv<'_> {
     /// 2. the intermediate's key column is co-partitioned against the final
     ///    probe's hash table (the co-processed table) and joined via
     ///    `hape_join::coprocess_join_on` over the stage's GPU lanes — each
-    ///    lane priced and capacity-checked against its own spec, link and
-    ///    budget; what comes back is (build row, probe row) match pairs, no
-    ///    columns;
+    ///    lane priced and capacity-checked against its own spec, link
+    ///    (derated when slowed) and budget; what comes back is (build row,
+    ///    probe row) match pairs, no columns;
     /// 3. when the probe feeds the aggregation directly (the §5 shape), the
     ///    fold gathers per chunk of pairs only the columns the `AggSpec`
     ///    reads — the joined batch is never materialised; when operators
@@ -579,7 +587,7 @@ impl StageEnv<'_> {
                 threads,
             };
             let rep = coprocess_join_on(
-                &self.engine.server,
+                &self.server(),
                 gpus,
                 JoinInput::new(&jt.keys, &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
@@ -726,7 +734,7 @@ impl StageEnv<'_> {
     }
 
     /// The generic packet loop over a catalog source: one router, N
-    /// `dyn DeviceProvider` workers, no knowledge of device classes beyond
+    /// `dyn DeviceProvider` workers, no knowledge of device types beyond
     /// the trait.
     fn run_workers(
         &mut self,
@@ -785,22 +793,20 @@ impl StageEnv<'_> {
             self.ledger.tables_installed(w.install_tables(pipeline, tables, start)?);
         }
 
-        // ---- Cost classes: one charge per packet per distinct class,
-        // not per worker (all cores of a socket share a model).
-        let mut classes: Vec<CostClass> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::with_capacity(workers.len());
+        // ---- Alike workers (the server's device classes) price every
+        // packet alike: one charge per packet per class, not per worker.
+        let classes: Vec<DeviceId> =
+            workers.iter().map(|w| self.engine.server.class(w.id().device())).collect();
         let mut reps: Vec<usize> = Vec::new();
-        for (wi, w) in workers.iter().enumerate() {
-            let c = w.cost_class();
-            match classes.iter().position(|x| *x == c) {
-                Some(i) => class_of.push(i),
+        let class_of: Vec<usize> = (0..workers.len())
+            .map(|i| match reps.iter().position(|&r| classes[r] == classes[i]) {
+                Some(c) => c,
                 None => {
-                    classes.push(c);
-                    reps.push(wi);
-                    class_of.push(classes.len() - 1);
+                    reps.push(i);
+                    reps.len() - 1
                 }
-            }
-        }
+            })
+            .collect();
 
         // ---- Phase 1, data plane: kernels once per packet, priced per
         // class, on the worker pool.

@@ -11,7 +11,7 @@
 //! providers); the **mem-move** converts locality (charged on the
 //! topology's links, with broadcast-aware multicasting).
 
-use hape_sim::topology::MemNode;
+use hape_sim::topology::{DeviceId, MemNode};
 use hape_sim::SimTime;
 
 use crate::traits::DeviceType;
@@ -90,6 +90,14 @@ impl WorkerId {
     /// True for GPU workers.
     pub fn is_gpu(&self) -> bool {
         matches!(self, WorkerId::Gpu(_))
+    }
+
+    /// The device the worker runs on.
+    pub fn device(&self) -> DeviceId {
+        match *self {
+            WorkerId::CpuCore { socket, .. } => DeviceId::Cpu(socket),
+            WorkerId::Gpu(idx) => DeviceId::Gpu(idx),
+        }
     }
 }
 

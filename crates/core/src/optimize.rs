@@ -4,18 +4,19 @@
 //!
 //! Manual placements fan every stream stage over *all* devices of a
 //! class-selected pool. [`optimize`] instead enumerates candidate device
-//! subsets per stage over the [`PlacedPlan`] IR's expressiveness, prices
-//! each candidate with the [`CostModel`] — one estimated packet per stage,
-//! priced by the functions the device providers charge an executed packet
-//! with, spread over the subset's workers the way the router spreads them
-//! — prunes subsets whose estimated GPU hash-table footprint exceeds
-//! device capacity (the paper's §6.4 constraint — this is what routes Q9
-//! away from the GPU-only out-of-memory failure automatically), and places
-//! each stage on its minimum-makespan subset; on a tie, the subset with
-//! more workers able to price a packet within the stage. Subsets of alike
-//! devices (same spec and link) tie, so one of each shape is priced. Build
-//! stages choose among CPU subsets, as under every manual placement: the
-//! table they build is the host-side broadcast source (§4.2).
+//! subsets per stage: alike devices ([`Server::class`]) price every packet
+//! alike, so a candidate is how many devices of each class the stage uses.
+//! It prices each candidate with the [`CostModel`] — one estimated packet
+//! per stage, priced by the functions the device providers charge an
+//! executed packet with, spread over the subset's workers the way the
+//! router spreads them — prunes subsets whose estimated GPU hash-table
+//! footprint exceeds device capacity (the paper's §6.4 constraint — this
+//! is what routes Q9 away from the GPU-only out-of-memory failure
+//! automatically), and places each stage on its minimum-makespan subset;
+//! on a tie, the subset with more workers able to price a packet within
+//! the stage. Build stages choose among CPU subsets, as under every manual
+//! placement: the table they build is the host-side broadcast source
+//! (§4.2).
 //!
 //! The output is an ordinary [`PlacedPlan`] — the engine interprets it
 //! with zero knowledge that an optimizer chose the subsets — annotated
@@ -33,50 +34,37 @@ use crate::place::{participants, place_on, PlacedPlan};
 use crate::plan::{QueryPlan, Stage};
 use crate::trace::{Span, SpanKind};
 
-/// Above this device count the subset enumeration stops being exhaustive
-/// (2^n candidates) and falls back to the pruned class-combination lattice.
-const MAX_EXHAUSTIVE_DEVICES: usize = 10;
-
 /// Candidate device subsets for one stage, in deterministic order.
 ///
-/// Small servers (≤ `MAX_EXHAUSTIVE_DEVICES` devices) enumerate every
-/// non-empty subset. Larger pools prune to the class lattice: all CPUs,
-/// all GPUs, everything, each single device, and all-CPUs plus each
-/// single GPU — the shapes the cost model can actually distinguish.
-pub fn candidate_subsets(pool: &[DeviceId]) -> Vec<Vec<DeviceId>> {
-    if pool.len() <= MAX_EXHAUSTIVE_DEVICES {
-        let mut subsets = Vec::with_capacity((1 << pool.len()) - 1);
-        for mask in 1u32..(1 << pool.len()) {
-            subsets.push(
-                pool.iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &d)| d)
-                    .collect(),
-            );
+/// Alike devices ([`Server::class`]) price every stage alike, so a subset
+/// is fixed by how many devices of each class it uses: for each class a
+/// count from none to all of its members, always its first members in
+/// pool order. The non-empty combinations come in the order of their
+/// bitmasks over pool positions, each subset in pool order — for a pool
+/// of pairwise unlike devices, the whole power set.
+pub fn candidate_subsets(server: &Server, pool: &[DeviceId]) -> Vec<Vec<DeviceId>> {
+    // Each class's pool positions, in pool order.
+    let mut classes: Vec<(DeviceId, Vec<usize>)> = Vec::new();
+    for (i, &d) in pool.iter().enumerate() {
+        let class = server.class(d);
+        match classes.iter_mut().find(|c| c.0 == class) {
+            Some(c) => c.1.push(i),
+            None => classes.push((class, vec![i])),
         }
-        return subsets;
     }
-    let cpus: Vec<DeviceId> = pool.iter().copied().filter(|d| !d.is_gpu()).collect();
-    let gpus: Vec<DeviceId> = pool.iter().copied().filter(|d| d.is_gpu()).collect();
-    let mut subsets: Vec<Vec<DeviceId>> = Vec::new();
-    let mut push = |s: Vec<DeviceId>| {
-        if !s.is_empty() && !subsets.contains(&s) {
-            subsets.push(s);
-        }
-    };
-    push(cpus.clone());
-    push(gpus.clone());
-    push(pool.to_vec());
-    for &d in pool {
-        push(vec![d]);
+    let mut subsets: Vec<Vec<usize>> = vec![Vec::new()];
+    for (_, members) in &classes {
+        subsets = subsets
+            .iter()
+            .flat_map(|s| (0..=members.len()).map(move |n| [s, &members[..n]].concat()))
+            .collect();
     }
-    for &g in &gpus {
-        let mut s = cpus.clone();
-        s.push(g);
-        push(s);
-    }
-    subsets
+    subsets.retain(|s| !s.is_empty());
+    subsets.iter_mut().for_each(|s| s.sort_unstable());
+    // Bitmask order: the highest position where two subsets differ
+    // belongs to the later one.
+    subsets.sort_by(|a, b| a.iter().rev().cmp(b.iter().rev()));
+    subsets.into_iter().map(|s| s.into_iter().map(|i| pool[i]).collect()).collect()
 }
 
 /// Run the cost-based optimizer: lower → **optimize** → place.
@@ -114,7 +102,11 @@ pub fn optimize_on(
     if pool.is_empty() {
         return Err(EngineError::NoWorkers { placement: "Auto (empty server)".to_string() });
     }
-    let candidates = candidate_subsets(pool);
+    // The largest subsets go first, so that a good incumbent leaves
+    // smaller ones unpriced; the tie-break keeps the enumeration's order.
+    let mut candidates: Vec<(usize, Vec<DeviceId>)> =
+        candidate_subsets(server, pool).into_iter().enumerate().collect();
+    candidates.sort_by_key(|(_, subset)| std::cmp::Reverse(subset.len()));
     let model = CostModel::new(server, catalog);
     let mut hts = HtEstimates::new();
     let mut subsets: Vec<Vec<DeviceId>> = Vec::with_capacity(plan.stages.len());
@@ -136,20 +128,11 @@ pub fn optimize_on(
         let mut over_capacity: Option<(u64, u64)> = None;
         let mut gpu_subset_fits = false;
         // Builds stay host-side, as under every manual placement: the
-        // table they build is the broadcast source (§4.2). Alike subsets
-        // tie, so the first of each shape is priced; the largest go first,
-        // so that a good incumbent leaves smaller ones unpriced.
-        let (mut shapes, mut order) = (Vec::new(), Vec::new());
-        for (i, subset) in candidates.iter().enumerate() {
-            let shape = model.shape(subset);
-            if (is_build && subset.iter().any(|d| d.is_gpu())) || shapes.contains(&shape) {
+        // table they build is the broadcast source (§4.2).
+        for &(i, ref subset) in &candidates {
+            if is_build && subset.iter().any(|d| d.is_gpu()) {
                 continue;
             }
-            shapes.push(shape);
-            order.push((i, subset));
-        }
-        order.sort_by_key(|(_, subset)| std::cmp::Reverse(subset.len()));
-        for (i, subset) in order {
             let bound = best.as_ref().map_or(f64::INFINITY, |b| b.1.total_seconds());
             let cost = model.stage_cost_below(&est, subset, is_build, bound)?;
             if !cost.fits_gpu_memory() {
@@ -267,22 +250,115 @@ mod tests {
         (catalog, plan)
     }
 
+    /// The enumeration `candidate_subsets` replaced, kept as its oracle:
+    /// the power set in bitmask order, then the first subset of each shape
+    /// (its devices' classes, sorted), a device's class being the first
+    /// device with its spec and, for a GPU, its link.
+    fn first_of_each_shape(server: &Server, pool: &[DeviceId]) -> Vec<Vec<DeviceId>> {
+        let link = |g: usize| server.pcie.get(g).map(|l| (l.bw, l.latency));
+        let alike = |a: DeviceId, b: DeviceId| match (a, b) {
+            (DeviceId::Cpu(a), DeviceId::Cpu(b)) => server.cpus[a] == server.cpus[b],
+            (DeviceId::Gpu(a), DeviceId::Gpu(b)) => {
+                server.gpus[a] == server.gpus[b] && link(a) == link(b)
+            }
+            _ => false,
+        };
+        let devices = server.devices();
+        let class = |d: DeviceId| devices.iter().copied().find(|&c| alike(c, d)).unwrap_or(d);
+        let (mut shapes, mut priced) = (Vec::new(), Vec::new());
+        for mask in 1u32..(1 << pool.len()) {
+            let subset: Vec<DeviceId> = pool
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &d)| d)
+                .collect();
+            let mut shape: Vec<DeviceId> = subset.iter().map(|&d| class(d)).collect();
+            shape.sort_unstable();
+            if !shapes.contains(&shape) {
+                shapes.push(shape);
+                priced.push(subset);
+            }
+        }
+        priced
+    }
+
+    #[test]
+    fn candidates_are_the_first_subset_of_each_shape() {
+        let servers = [
+            Server::paper_testbed(),
+            Server::paper_testbed_gpu_mem_scaled(1.0 / 64.0),
+            Server::tpch_scaled(0.01),
+            Server::tpch_scaled(0.05),
+            Server::single_gpu(),
+            Server::cpu_only(),
+        ];
+        for server in &servers {
+            let full = server.devices();
+            let pools = std::iter::once(full.clone())
+                .chain((0..server.gpus.len()).map(|g| {
+                    full.iter().copied().filter(|&d| d != DeviceId::Gpu(g)).collect()
+                }));
+            for pool in pools {
+                let want = first_of_each_shape(server, &pool);
+                assert_eq!(candidate_subsets(server, &pool), want, "pool {pool:?}");
+            }
+        }
+        let testbed = Server::paper_testbed();
+        let lost_gpu = [DeviceId::Cpu(0), DeviceId::Cpu(1), DeviceId::Gpu(0)];
+        assert_eq!(candidate_subsets(&testbed, &testbed.devices()).len(), 8);
+        assert_eq!(candidate_subsets(&testbed, &lost_gpu).len(), 5);
+        assert_eq!(
+            candidate_subsets(&Server::cpu_only(), &[DeviceId::Cpu(0), DeviceId::Cpu(1)]).len(),
+            2
+        );
+
+        // Pairwise unlike devices: the power set, in bitmask order.
+        let mut unlike = Server::paper_testbed();
+        unlike.cpus[1].cores = 8;
+        unlike.pcie[1].bw /= 2.0;
+        unlike.gpus.push(hape_sim::GpuSpec::gtx_1080_scaled(0.5));
+        unlike.pcie.push(hape_sim::interconnect::Link::pcie3_x16("pcie2"));
+        unlike.gpu_socket.push(1);
+        let pool = unlike.devices();
+        assert_eq!(candidate_subsets(&unlike, &pool), first_of_each_shape(&unlike, &pool));
+    }
+
     #[test]
     fn exhaustive_enumeration_covers_the_power_set() {
-        let server = Server::paper_testbed();
-        let subsets = candidate_subsets(&server.devices());
+        // Pairwise unlike devices — a socket with fewer cores, a GPU on a
+        // slower link — share no class, so every subset is its own shape.
+        let mut server = Server::paper_testbed();
+        server.cpus[1].cores = 8;
+        server.pcie[1].bw /= 2.0;
+        let pool = server.devices();
+        let subsets = candidate_subsets(&server, &pool);
         assert_eq!(subsets.len(), 15); // 2^4 - 1
-                                       // Deterministic: first is {cpu0}, last is the full pool.
+                                       // Deterministic, in bitmask order: first is {cpu0}, third
+                                       // {cpu0, cpu1}, last the full pool.
         assert_eq!(subsets[0], vec![DeviceId::Cpu(0)]);
-        assert_eq!(subsets.last().unwrap().len(), 4);
+        assert_eq!(subsets[2], pool[..2].to_vec());
+        assert_eq!(subsets.last().unwrap(), &pool);
+
+        // A fifth unlike device, a GPU of another spec: 2^5 - 1.
+        server.gpus.push(hape_sim::GpuSpec::gtx_1080_scaled(0.5));
+        server.pcie.push(hape_sim::interconnect::Link::pcie3_x16("pcie2"));
+        server.gpu_socket.push(1);
+        assert_eq!(candidate_subsets(&server, &server.devices()).len(), 31);
     }
 
     #[test]
     fn large_pools_prune_to_the_class_lattice() {
-        let pool: Vec<DeviceId> =
-            (0..8).map(DeviceId::Cpu).chain((0..8).map(DeviceId::Gpu)).collect();
-        let subsets = candidate_subsets(&pool);
-        assert!(subsets.len() < 50, "pruned lattice, not 2^16");
+        // Past ten devices the lattice stays whole: 8 alike CPUs and 8
+        // alike GPUs give 9 × 9 − 1 count combinations, not 2^16 − 1.
+        let mut big = Server::paper_testbed();
+        big.cpus = vec![big.cpus[0].clone(); 8];
+        big.gpus = vec![big.gpus[0].clone(); 8];
+        big.pcie = vec![big.pcie[0].clone(); 8];
+        big.gpu_socket = vec![0; 8];
+        let pool = big.devices();
+        let subsets = candidate_subsets(&big, &pool);
+        assert_eq!(subsets.len(), 80);
         assert!(subsets.contains(&pool));
         assert!(subsets.iter().any(|s| s.iter().all(|d| !d.is_gpu()) && s.len() == 8));
     }

@@ -401,8 +401,8 @@ fn gpu_probe_cost(
                 .collect();
             blk.global_read(&region, &offs, 4);
             let chain_loads = (cn as f64 * avg_chain).ceil() as usize;
-            let chain_offs: Vec<u64> = (keys[start..end].iter().cycle().take(chain_loads))
-                .map(|&k| {
+            let chain_offs: Vec<u64> = (keys[start..end].iter().cycle().zip(0..chain_loads))
+                .map(|(&k, _)| {
                     (hape_join::hash32(k, bits.max(4)) as u64).wrapping_mul(2654435761)
                         % region.bytes.max(128)
                 })
@@ -448,9 +448,9 @@ pub struct PacketAgg {
 
 /// Everything one packet's trip through the fused operator chain produced:
 /// the functional result plus the per-operator cost statistics. Computed
-/// once per packet on the data plane ([`run_ops`]), priced per device
-/// class ([`DeviceProvider::charge`]), and committed against the routed
-/// worker's clocks by the control plane
+/// once per packet on the data plane ([`run_ops`]), priced once per class
+/// of alike devices ([`DeviceProvider::charge`]), and committed against
+/// the routed worker's clocks by the control plane
 /// ([`DeviceProvider::commit_packet`]).
 #[derive(Debug, Clone)]
 pub struct PacketWork {
@@ -470,28 +470,6 @@ pub struct PacketWork {
     pub folds: bool,
     /// Fold statistics, when `folds` and rows survived.
     pub agg: Option<PacketAgg>,
-}
-
-/// Cost-equivalence class of a worker: workers in the same class charge
-/// identical device times for the same packet (same spec, same model), so
-/// the data plane prices each packet once per class instead of once per
-/// worker.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CostClass {
-    /// All cores of one socket (they share the per-core cost model).
-    Cpu {
-        /// Socket index.
-        socket: usize,
-    },
-    /// GPUs whose charge inputs coincide: same spec *and* same broadcast
-    /// table list (the broadcast determines the deterministic device
-    /// regions [`DeviceProvider::charge`] prices probes against). The
-    /// paper testbed's two identical GTX 1080s therefore share one class
-    /// — one `charge` per packet instead of one per GPU.
-    Gpu {
-        /// Canonical fingerprint of the spec + broadcast list.
-        key: String,
-    },
 }
 
 /// The canonical functional pass: push one packet through the fused
@@ -647,7 +625,7 @@ fn ranks(rows: &[u32], sub: &[u32]) -> Vec<u32> {
 ///
 /// The trait unifies everything the engine's two planes need. The **data
 /// plane** calls the `&self` methods from pool threads: [`charge`] prices
-/// a packet's recorded statistics on this worker's cost class, and the
+/// a packet's recorded statistics on this worker's device, and the
 /// canonical kernels run through the free [`run_ops`]. The **control
 /// plane** calls the `&mut self` methods sequentially on the coordinator:
 /// [`install_tables`] executes the broadcast mem-moves,
@@ -668,9 +646,6 @@ pub trait DeviceProvider: Send + Sync {
 
     /// The device type executing the packets (the device trait).
     fn device(&self) -> DeviceType;
-
-    /// The worker's cost-equivalence class (see [`CostClass`]).
-    fn cost_class(&self) -> CostClass;
 
     /// Relative packet-sizing weight: how many packet shares this worker
     /// wants in flight (GPUs pipeline transfers against kernels, so they
@@ -703,7 +678,9 @@ pub trait DeviceProvider: Send + Sync {
     /// that depends on routing history (those are applied by
     /// [`DeviceProvider::commit_packet`]). `agg` is the stage's
     /// aggregation spec, when it has one. Pure w.r.t. the worker's clocks
-    /// — safe to call from pool threads.
+    /// — safe to call from pool threads. The workers of one stage on alike
+    /// devices ([`Server::class`](hape_sim::topology::Server::class))
+    /// charge a packet alike: the engine charges it once per class.
     fn charge(
         &self,
         work: &PacketWork,
@@ -867,10 +844,6 @@ impl DeviceProvider for CpuWorker {
         DeviceType::Cpu
     }
 
-    fn cost_class(&self) -> CostClass {
-        CostClass::Cpu { socket: self.socket }
-    }
-
     fn ready_at(&self, start: SimTime, _bytes: u64) -> SimTime {
         self.res.free_at().max(start)
     }
@@ -958,9 +931,6 @@ pub struct GpuWorker {
     /// PCIe transfer and the partition prep.
     resident: HashSet<String>,
     ht_regions: HashMap<String, Region>,
-    /// Cost-equivalence fingerprint: spec + broadcast list (see
-    /// [`CostClass::Gpu`]).
-    class_key: String,
     agg: Option<AggState>,
     est: f64,
 }
@@ -980,9 +950,6 @@ impl GpuWorker {
         broadcast: Vec<String>,
     ) -> Self {
         link.reset();
-        // Identical spec + identical broadcast list ⇒ identical regions ⇒
-        // bit-identical `charge` for every packet: one class, one price.
-        let class_key = format!("{spec:?}#{broadcast:?}");
         GpuWorker {
             idx,
             res: Resource::new(format!("gpu{idx}")),
@@ -993,7 +960,6 @@ impl GpuWorker {
             broadcast,
             resident: HashSet::new(),
             ht_regions: HashMap::new(),
-            class_key,
             agg,
             est: GPU_WORKER_SEED_NS_PER_BYTE,
         }
@@ -1016,10 +982,6 @@ impl DeviceProvider for GpuWorker {
 
     fn device(&self) -> DeviceType {
         DeviceType::Gpu
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Gpu { key: self.class_key.clone() }
     }
 
     fn packet_share(&self) -> usize {

@@ -175,11 +175,14 @@ impl Query {
     /// column. Build-side columns referenced downstream are carried along
     /// automatically.
     ///
-    /// Name resolution is first-provider-wins: a name visible on the probe
-    /// side (or provided by an earlier join) binds there, and only names
-    /// not yet visible are pulled from this join's build side. Joins whose
-    /// sides share column names therefore resolve to the probe side's
-    /// column rather than erroring.
+    /// Name resolution: a name visible on the probe side binds there. A
+    /// name it lacks rides the build side of the *latest* join, before the
+    /// name's first use, that can provide it: when two build sides provide
+    /// one name, the later carries it unless an operator between the two
+    /// joins reads it (Q5's `n_name` rides the supplier build, not the
+    /// orders → customer → nation chain). Joins whose sides share column
+    /// names therefore resolve to the probe side's column rather than
+    /// erroring.
     pub fn join(
         mut self,
         build: Query,
@@ -1123,6 +1126,7 @@ mod tests {
     use crate::verify::DiagnosticKind;
     use hape_ops::{col, lit};
     use hape_storage::datagen::gen_key_fk_table;
+    use hape_storage::{Batch, Column, Schema};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1190,6 +1194,49 @@ mod tests {
             },
             s => panic!("unexpected stage {s:?}"),
         }
+    }
+
+    #[test]
+    fn a_name_two_builds_provide_rides_the_latest_join_before_its_first_use() {
+        let table = |cols: [&str; 2]| {
+            let data = || Column::from_i32((0..16).collect());
+            let schema = Schema::new(cols.map(|c| (c, DataType::I32)));
+            Table::new("t", schema, Batch::new(vec![data(), data()]))
+        };
+        let mut c = Catalog::new();
+        c.register_as("f", table(["fk1", "fk2"]));
+        c.register_as("d1", table(["k1", "name"]));
+        c.register_as("d2", table(["k2", "name"]));
+        let payloads = |between: Option<NamedExpr>| {
+            let mut q = Query::new("q").from_table("f").join(
+                Query::scan("d1"),
+                "fk1",
+                "k1",
+                JoinAlgo::NonPartitioned,
+            );
+            if let Some(e) = between {
+                q = q.filter(e);
+            }
+            let q = q
+                .join(Query::scan("d2"), "fk2", "k2", JoinAlgo::NonPartitioned)
+                .agg(vec![(AggFunc::Sum, col("name"))]);
+            let lowered = q.lower(&c).unwrap();
+            let Some(Stage::Stream { pipeline }) = lowered.plan.stages.last() else {
+                panic!("the last stage streams")
+            };
+            let probes = pipeline.ops.iter().filter_map(|op| match op {
+                crate::plan::PipeOp::JoinProbe { build_payload_cols, .. } => {
+                    Some(build_payload_cols.len())
+                }
+                _ => None,
+            });
+            probes.collect::<Vec<_>>()
+        };
+        // Read only by the aggregate: the later join carries `name`.
+        assert_eq!(payloads(None), [0, 1]);
+        // Read between the joins: the earlier one carries it, and the
+        // later join's build side is not consulted.
+        assert_eq!(payloads(Some(col("name").lt(lit(8)))), [1, 0]);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use hape_sim::topology::DeviceId;
 use hape_sim::SimTime;
 use hape_storage::Table;
 
@@ -843,11 +844,12 @@ fn plan_broadcasts(placed: &PlacedPlan, ht: &str) -> bool {
 
 /// Worst-case per-GPU working-set bytes across the plan's stages — the
 /// admission signal. Optimizer-placed plans carry their chosen
-/// [`StageCost`](crate::cost::StageCost)s; manual placements re-run the
-/// cost model's capacity walk over the placed stages. Estimation failures
-/// degrade to 0 (admit immediately): execution still capacity-checks for
-/// real, so the worst case is solo-equivalent behaviour, never a new
-/// failure mode.
+/// [`StageCost`](crate::cost::StageCost)s; manual placements take each
+/// GPU-bearing stage's estimated
+/// [`gpu_footprint`](crate::cost::PipelineEstimate::gpu_footprint), the
+/// figure the verifier audits. Estimation failures degrade to 0 (admit
+/// immediately): execution still capacity-checks for real, so the worst
+/// case is solo-equivalent behaviour, never a new failure mode.
 fn gpu_footprint(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan) -> u64 {
     if let Some(costs) = &placed.costs {
         return costs
@@ -865,12 +867,8 @@ fn gpu_footprint(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan)
         let Ok(est) = model.estimate_pipeline(stage.pipeline(), &hts) else {
             return 0;
         };
-        let devices = stage.devices();
-        let is_build = matches!(stage, PlacedStage::Build { .. });
-        if let Ok(cost) = model.stage_cost(&est, &devices, is_build) {
-            if cost.gpu_capacity.is_some() {
-                worst = worst.max(cost.gpu_required);
-            }
+        if stage.devices().iter().any(DeviceId::is_gpu) {
+            worst = worst.max(est.gpu_footprint());
         }
         if let PlacedStage::Build { name, .. } = stage {
             hts.insert(name.clone(), est.table_estimate());

@@ -62,7 +62,6 @@ use crate::catalog::Catalog;
 use crate::cost::{CostModel, HtEstimates};
 use crate::place::{PlacedPlan, PlacedStage};
 use crate::plan::{bind, QueryPlan};
-use crate::provider::GPU_HT_WORKING_FACTOR;
 
 /// Which check produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -451,13 +450,7 @@ pub fn check_placed(
                 let Some(est) = &est else { continue };
                 // A GPU segment installs every table its pipeline probes
                 // (its broadcast mem-moves), with working space (§6.4).
-                let bytes: u64 = pipeline
-                    .tables_probed()
-                    .into_iter()
-                    .filter_map(|ht| est.probes.iter().find(|p| p.ht == ht))
-                    .map(|p| p.ht_bytes)
-                    .sum();
-                let required = (bytes as f64 * GPU_HT_WORKING_FACTOR) as u64;
+                let required = est.gpu_footprint();
                 for seg in segments {
                     let DeviceId::Gpu(g) = seg.target else { continue };
                     let Some(spec) = server.gpus.get(g) else { continue };

@@ -168,6 +168,25 @@ impl Server {
         d
     }
 
+    /// `device`'s class: the first device alike to it — the same spec and,
+    /// for a GPU, a link of the same bandwidth and latency. Alike devices
+    /// price every packet alike, so the engine charges a packet once per
+    /// class and the optimizer enumerates how many of each class a stage
+    /// uses. A device the server lacks is its own class.
+    pub fn class(&self, device: DeviceId) -> DeviceId {
+        match device {
+            DeviceId::Cpu(s) => {
+                let spec = self.cpus.get(s);
+                DeviceId::Cpu(self.cpus.iter().position(|c| Some(c) == spec).unwrap_or(s))
+            }
+            DeviceId::Gpu(g) => {
+                let key =
+                    |i: usize| (self.gpus.get(i), self.pcie.get(i).map(|l| (l.bw, l.latency)));
+                DeviceId::Gpu((0..self.gpus.len()).find(|&i| key(i) == key(g)).unwrap_or(g))
+            }
+        }
+    }
+
     /// Whether moving data between two memory nodes crosses an interconnect,
     /// and which links it uses (in hop order). Same-node moves are free.
     pub fn route(&self, from: MemNode, to: MemNode) -> Vec<RouteHop> {
@@ -265,6 +284,17 @@ mod tests {
         let s = Server::paper_testbed();
         let bw = s.route_bandwidth(MemNode::CpuDram(1), MemNode::GpuDram(0));
         assert_eq!(bw, s.pcie[0].bw);
+    }
+
+    #[test]
+    fn alike_devices_share_the_first_ones_class() {
+        let mut s = Server::paper_testbed();
+        assert_eq!(s.class(DeviceId::Cpu(1)), DeviceId::Cpu(0));
+        assert_eq!(s.class(DeviceId::Gpu(1)), DeviceId::Gpu(0));
+        assert_eq!(s.class(DeviceId::Gpu(7)), DeviceId::Gpu(7), "absent: its own class");
+        // One spec, a slower link: no longer alike.
+        s.pcie[1].bw /= 2.0;
+        assert_eq!(s.class(DeviceId::Gpu(1)), DeviceId::Gpu(1));
     }
 
     #[test]

@@ -10,19 +10,21 @@
 //! Targeted scenarios pin each recovery layer:
 //! priced transfer retries, permanent-loss re-placement (down to a full
 //! GPU-fleet loss degrading GpuOnly onto the surviving CPUs), broadcast
-//! OOM quarantine, the bounded replan budget's typed exhaustion error,
-//! and the serving layer's `Outcome::Degraded` reporting.
+//! OOM quarantine, a slowed link on the §5 co-processing lanes, the
+//! bounded replan budget's typed exhaustion error, and the serving layer's
+//! `Outcome::Degraded` reporting.
 
 use hape::core::fault::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, Trigger};
 use hape::core::serve::{Outcome, SessionServer};
 use hape::core::{
-    Catalog, Engine, EngineError, ExecConfig, JoinAlgo, Placement, Query, QueryPlan,
-    QueryReport, Session,
+    Catalog, Engine, EngineError, ExecConfig, JoinAlgo, PlacedStage, Placement, Query,
+    QueryPlan, QueryReport, Session,
 };
 use hape::ops::{col, AggFunc, AggSpec, Expr};
 use hape::sim::topology::Server;
 use hape::sim::SimTime;
 use hape::storage::datagen::gen_key_fk_table;
+use hape::tpch::queries::{q9_query, tpch_session};
 
 /// Exact-integer join + aggregation inputs: every aggregated value is an
 /// integer-valued f64, so sums are exact under any packet routing and
@@ -129,6 +131,33 @@ fn device_slow_changes_timing_but_never_rows() {
         clean.time
     );
     assert_eq!(faulted.replans, 0, "slow-down is not a loss");
+}
+
+/// A slowed GPU's link runs at `1/factor` on the §5 lanes too: Q9\*/auto
+/// with both GPUs slowed at its co-process stage's barrier takes longer,
+/// answers the clean rows bit for bit, and reports alike at 1 and 2
+/// threads.
+#[test]
+fn device_slow_derates_the_coprocess_lanes() {
+    let sf = 0.01;
+    let session = tpch_session(&hape::tpch::generate(sf, 31337), Server::tpch_scaled(sf));
+    let q9 = q9_query(JoinAlgo::NonPartitioned);
+    let auto = || ExecConfig::new(Placement::Auto);
+    let placed = session.place_with(&q9, &auto()).expect("Q9* places");
+    let stage = placed.stages.iter().position(|s| matches!(s, PlacedStage::CoProcess { .. }));
+    let stage = stage.expect("Auto co-processes Q9*'s stream");
+    let clean = session.execute_with(&q9, &auto()).expect("clean run");
+    let slow = |threads| {
+        let slow = FaultKind::DeviceSlow { factor: 8.0 };
+        let plan =
+            faults(&[(0, slow, Trigger::AtStage(stage)), (1, slow, Trigger::AtStage(stage))]);
+        let cfg = auto().with_threads(threads).with_faults(plan);
+        session.execute_with(&q9, &cfg).expect("slow run")
+    };
+    let (one, two) = (slow(1), slow(2));
+    assert!(one.time > clean.time, "slowed lanes: {} vs clean {}", one.time, clean.time);
+    assert_eq!(format!("{:?}", one.rows), format!("{:?}", clean.rows), "rows diverged");
+    assert_eq!(format!("{one:?}"), format!("{two:?}"), "threads 1 and 2 diverged");
 }
 
 #[test]

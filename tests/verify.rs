@@ -93,15 +93,6 @@ fn gpu_segment(segments: &mut [hape::core::Segment]) -> &mut hape::core::Segment
 // ===================== pass 1: schema dataflow =====================
 
 #[test]
-fn mutation_filter_references_dropped_column() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    stream_parts(&mut placed).0.ops.insert(0, PipeOp::Filter(Expr::col(99)));
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, ColumnOutOfRange { column: 99, context: "filter", .. });
-}
-
-#[test]
 fn mutation_probe_key_becomes_f64_after_projection() {
     let session = tpch_session();
     let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
@@ -143,15 +134,6 @@ fn mutation_plan_with_no_stream_stage() {
     placed.stages.retain(|s| matches!(s, PlacedStage::Build { .. }));
     let ks = kinds(&session, &lowered, &placed);
     finds!(ks, SchemaDataflow, NotExactlyOneStream { streams: 0 });
-}
-
-#[test]
-fn mutation_group_by_beyond_stream_width() {
-    let session = tpch_session();
-    let (lowered, mut placed) = q5_placed(&session, Placement::CpuOnly);
-    stream_parts(&mut placed).0.agg.as_mut().unwrap().group_by.push(99);
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, ColumnOutOfRange { column: 99, context: "group-by", .. });
 }
 
 // ===================== device & capacity audit =====================
@@ -279,36 +261,6 @@ fn mutation_stateful_after_a_reshaping_projection() {
     pipeline.ops.insert(at.expect("a stateful op"), reshape);
     let ks = kinds(&session, &lowered, &placed);
     finds!(ks, SchemaDataflow, StatefulAfterReshape);
-}
-
-#[test]
-fn mutation_stateful_event_column_mistyped() {
-    let session = behavioral_session();
-    // B2 is the funnel: the only suite query with an event column.
-    let (lowered, mut placed) = behavioral_placed(&session, 1);
-    {
-        let StatefulAgg::WindowFunnel { ts_col, event_col, .. } = stateful_op(&mut placed)
-        else {
-            panic!("B2 is a window funnel")
-        };
-        *event_col = *ts_col; // integer-typed, not a dictionary string
-    }
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, SchemaDataflow, StatefulColumnType { role: "event", .. });
-}
-
-#[test]
-fn mutation_stateful_alignment_column_outside_source() {
-    let session = behavioral_session();
-    let (lowered, mut placed) = behavioral_placed(&session, 0);
-    {
-        let StatefulAgg::Sessionize { user_col, .. } = stateful_op(&mut placed) else {
-            panic!("B1 sessionizes")
-        };
-        *user_col = 99; // breaks the user-aligned packetization contract
-    }
-    let ks = kinds(&session, &lowered, &placed);
-    finds!(ks, Determinism, StatefulAlignmentInvalid { user_col: 99, .. });
 }
 
 // ===================== rendering contracts =====================
