@@ -103,7 +103,8 @@ impl DbmsC {
                 *t += model.seq_write(op.bytes_out());
             }
         }
-        if let (Some(spec), Some(info)) = (&pipeline.agg, &work.agg) {
+        if let (Some(spec), Some(numbered)) = (&pipeline.agg, &work.groups) {
+            let rows = work.out.rows() as u64;
             *t += self.vector_overhead(work.out.bytes());
             // Vectorised aggregation runs one primitive per aggregate, each
             // reading its argument vector and materialising a result
@@ -114,10 +115,10 @@ impl DbmsC {
             let expr_passes: f64 = spec.aggs.iter().map(|(_, e)| e.ops_per_row()).sum();
             let passes = spec.aggs.len() + expr_passes.ceil() as usize;
             for _ in 0..passes {
-                *t += self.vector_overhead(info.rows * 16);
+                *t += self.vector_overhead(rows * 16);
             }
-            groups.extend(&info.groups);
-            *t += cpu_ops::agg_cost(spec, info.rows, groups.len(), model);
+            groups.extend(&numbered.keys);
+            *t += cpu_ops::agg_cost(spec, rows, groups.len(), model);
         }
         Ok(())
     }

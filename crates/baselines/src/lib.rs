@@ -104,9 +104,10 @@ pub struct BaselineReport {
 /// runs when the pipeline carries a stateful aggregate, as the engine
 /// aligns its packets), pushes each through [`run_ops`], hands the recorded
 /// [`PacketWork`] to `price`, and folds `work.out` into the stream's
-/// aggregation or keeps it as build output. A build stage ends by
-/// installing its [`JoinTable`] in `tables` and returns no rows; the stream
-/// stage returns the finished aggregate.
+/// aggregation (through the group ids `run_ops` carries) or keeps it as
+/// build output. A build stage ends by installing its [`JoinTable`] in
+/// `tables` and returns no rows; the stream stage returns the finished
+/// aggregate.
 pub(crate) fn run_stage(
     catalog: &Catalog,
     stage: &Stage,
@@ -127,10 +128,10 @@ pub(crate) fn run_stage(
     for packet in packets {
         let work = run_ops(packet, pipeline, tables, &mut scratch)?;
         price(pipeline, &work, tables)?;
-        match &mut agg {
-            Some(state) if work.out.rows() > 0 => state.update(&work.out),
-            Some(_) => {}
-            None => outputs.push(work.out),
+        match (&mut agg, &work.groups) {
+            (Some(state), Some(groups)) => state.fold(&work.out, groups),
+            (Some(_), None) => {}
+            (None, _) => outputs.push(work.out),
         }
     }
     if let Stage::Build { name, key_col, .. } = stage {

@@ -45,7 +45,8 @@
 //!    plane's verdict, the commit against the routed worker's simulated
 //!    clocks ([`DeviceProvider::commit_packet`]), and one ledger entry;
 //! 3. *data plane again* — one fold job per worker folds the packets
-//!    routed to it, in routed order; partial states merge at the stage
+//!    routed to it, in routed order, through the group ids beat 1
+//!    computed ([`PacketWork::groups`]); partial states merge at the stage
 //!    barrier in worker order.
 //!
 //! Everything observable — rows, makespans, the report, spans, counters,
@@ -411,9 +412,9 @@ pub(crate) fn fold_span(busy: SimTime, workers: usize) -> SimTime {
 
 /// Merge the workers' partial aggregates at the stage barrier (cheap:
 /// group counts are small), in worker order for determinism.
-fn merge_partials(spec: &AggSpec, workers: &[Box<dyn DeviceProvider>]) -> AggRows {
+fn merge_partials(spec: &AggSpec, workers: &mut [Box<dyn DeviceProvider>]) -> AggRows {
     let mut merged = AggState::new(spec.clone());
-    for partial in workers.iter().filter_map(|w| w.agg()) {
+    for partial in workers.iter_mut().filter_map(|w| w.agg_mut()) {
         merged.merge(partial);
     }
     merged.finish()
@@ -703,7 +704,7 @@ impl StageEnv<'_> {
                 Vec::new()
             };
             let post = self.packet_loop(&packets, &suffix, &mut workers, fold_start)?;
-            rows = merge_partials(agg_spec, &workers);
+            rows = merge_partials(agg_spec, &mut workers);
             end = post.end.max(join_end);
         }
 
@@ -894,24 +895,26 @@ impl StageEnv<'_> {
         if agg_spec.is_none() {
             outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
         } else {
-            let mut batches: Vec<Option<Batch>> =
-                works.into_iter().map(|(w, _, _)| Some(w.out)).collect();
-            let jobs: Vec<(&mut Box<dyn DeviceProvider>, Vec<Batch>)> = workers
+            let mut folds: Vec<Option<PacketWork>> =
+                works.into_iter().map(|(w, _, _)| Some(w)).collect();
+            let jobs: Vec<(&mut AggState, Vec<PacketWork>)> = workers
                 .iter_mut()
                 .zip(&assignments)
                 .filter(|(_, idxs)| !idxs.is_empty())
-                .map(|(w, idxs)| {
+                .filter_map(|(w, idxs)| {
                     let mine = idxs
                         .iter()
-                        .map(|&i| batches[i].take().expect("packet routed once"))
+                        .map(|&i| folds[i].take().expect("packet routed once"))
                         .collect();
-                    (w, mine)
+                    Some((w.agg_mut()?, mine))
                 })
                 .collect();
-            runtime::drain(threads, jobs, |(w, mine)| {
-                for b in &mine {
-                    if b.rows() > 0 {
-                        w.fold_packet(b);
+            // Through the group ids `run_ops` numbered for pricing; a packet
+            // no row survived carries none.
+            runtime::drain(threads, jobs, |(state, mine)| {
+                for work in &mine {
+                    if let Some(groups) = &work.groups {
+                        state.fold(&work.out, groups);
                     }
                 }
             });
@@ -1128,7 +1131,7 @@ impl<'a> QueryExec<'a> {
                 let mut workers =
                     env.workers_for(&stage.devices(), pipeline, Some(agg_spec))?;
                 self.clock = env.run_workers(pipeline, &mut workers, start)?.end;
-                self.rows = merge_partials(agg_spec, &workers);
+                self.rows = merge_partials(agg_spec, &mut workers);
                 self.rows.len()
             }
             PlacedStage::CoProcess { cpus, gpus, .. } => {

@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use hape_ops::agg::AggState;
+use hape_ops::agg::{group_ids, AggState, GroupIds};
 use hape_ops::{cpu as cpu_ops, gpu as gpu_ops, stateful, AggSpec, GroupKey};
 use hape_sim::des::Resource;
 use hape_sim::interconnect::Link;
@@ -434,18 +434,6 @@ fn gpu_probe_cost(
     report.time
 }
 
-/// The aggregation-relevant statistics of one packet: how many rows reach
-/// the terminal fold and which distinct group keys they contribute. The
-/// control plane accumulates the keys per worker to reproduce the
-/// cumulative group-table growth term of the CPU cost model exactly.
-#[derive(Debug, Clone)]
-pub struct PacketAgg {
-    /// Rows reaching the aggregation.
-    pub rows: u64,
-    /// Distinct group keys among them (first-seen order).
-    pub groups: Vec<GroupKey>,
-}
-
 /// Everything one packet's trip through the fused operator chain produced:
 /// the functional result plus the per-operator cost statistics. Computed
 /// once per packet on the data plane ([`run_ops`]), priced once per class
@@ -461,15 +449,17 @@ pub struct PacketWork {
     pub ops: Vec<OpTrace>,
     /// Rows leaving the operator chain: the build output, or the rows the
     /// terminal aggregation folds. A folding pipeline's `out` may carry a
-    /// selection ([`Batch::selection`]); only
-    /// [`DeviceProvider::fold_packet`], [`Batch::rows`] and [`Batch::bytes`]
-    /// read it. A build output never carries one.
+    /// selection ([`Batch::selection`]); only the fold ([`AggState::fold`],
+    /// [`DeviceProvider::fold_packet`]), [`Batch::rows`] and
+    /// [`Batch::bytes`] read it. A build output never carries one.
     pub out: Batch,
     /// True when the pipeline ends in an aggregation (`out` feeds the
     /// routed worker's fold instead of the stage output).
     pub folds: bool,
-    /// Fold statistics, when `folds` and rows survived.
-    pub agg: Option<PacketAgg>,
+    /// The group ids of `out` under the pipeline's aggregation, when
+    /// `folds` and rows survived: pricing reads their `keys`, the routed
+    /// worker's fold ([`AggState::fold`]) their `ids`.
+    pub groups: Option<GroupIds>,
 }
 
 /// The canonical functional pass: push one packet through the fused
@@ -496,6 +486,9 @@ pub struct PacketWork {
 /// describe the simulated device, which materialises every operator's
 /// output either way: `rows()` and `bytes()` of a selected batch equal its
 /// compaction's, so no [`OpTrace`] field and no charge depends on it.
+///
+/// A folding packet's groups are numbered here, once
+/// ([`PacketWork::groups`]): its pricing and its fold both read them.
 pub fn run_ops(
     packet: Batch,
     pipeline: &Pipeline,
@@ -594,14 +587,11 @@ pub fn run_ops(
     if !folds {
         cur = cur.compact();
     }
-    let agg = match &pipeline.agg {
-        Some(spec) if cur.rows() > 0 => Some(PacketAgg {
-            rows: cur.rows() as u64,
-            groups: hape_ops::agg::distinct_groups(spec, &cur),
-        }),
+    let groups = match &pipeline.agg {
+        Some(spec) if cur.rows() > 0 => Some(group_ids(spec, &cur)),
         _ => None,
     };
-    Ok(PacketWork { bytes, ops: ops_trace, out: cur, folds, agg })
+    Ok(PacketWork { bytes, ops: ops_trace, out: cur, folds, groups })
 }
 
 /// Bytes per value of each of `batch`'s columns.
@@ -630,16 +620,16 @@ fn ranks(rows: &[u32], sub: &[u32]) -> Vec<u32> {
 /// plane** calls the `&mut self` methods sequentially on the coordinator:
 /// [`install_tables`] executes the broadcast mem-moves,
 /// [`commit_packet`] advances the worker's simulated clocks for a routed
-/// packet, and [`fold_packet`] folds the packet's rows into the worker's
-/// partial aggregation state (invoked from the data plane's per-worker
-/// fold jobs, in routed order). The interpreter holds
+/// packet, and [`agg_mut`] lends the worker's partial aggregation state to
+/// the data plane's per-worker fold job, which folds the routed packets
+/// into it in routed order. The interpreter holds
 /// `Box<dyn DeviceProvider>` workers and treats CPU cores and GPUs
 /// identically.
 ///
 /// [`charge`]: DeviceProvider::charge
 /// [`install_tables`]: DeviceProvider::install_tables
 /// [`commit_packet`]: DeviceProvider::commit_packet
-/// [`fold_packet`]: DeviceProvider::fold_packet
+/// [`agg_mut`]: DeviceProvider::agg_mut
 pub trait DeviceProvider: Send + Sync {
     /// This worker's identity.
     fn id(&self) -> WorkerId;
@@ -701,13 +691,19 @@ pub trait DeviceProvider: Send + Sync {
         start: SimTime,
     ) -> CommitOutcome;
 
-    /// Fold one packet's surviving rows into the worker's partial
-    /// aggregation state. Called in routed-packet order from the worker's
-    /// fold job — bitwise identical to folding inline during execution.
-    fn fold_packet(&mut self, batch: &Batch);
+    /// Fold a bare batch into the worker's partial aggregation state,
+    /// numbering its groups afresh ([`AggState::update`]); the engine folds
+    /// a packet through the ids [`run_ops`] carried instead, bit for bit
+    /// the same ([`AggState::fold`] on [`DeviceProvider::agg_mut`]).
+    fn fold_packet(&mut self, batch: &Batch) {
+        if let Some(state) = self.agg_mut() {
+            state.update(batch);
+        }
+    }
 
-    /// The worker's partial aggregation state (stream stages).
-    fn agg(&self) -> Option<&AggState>;
+    /// The worker's partial aggregation state (stream stages): routed
+    /// packets fold into it, and it merges at the stage barrier.
+    fn agg_mut(&mut self) -> Option<&mut AggState>;
 
     /// Total simulated busy time of the worker's compute resource.
     fn busy(&self) -> SimTime;
@@ -883,26 +879,18 @@ impl DeviceProvider for CpuWorker {
     ) -> CommitOutcome {
         let bytes = work.bytes.max(1);
         let mut time = base;
-        if let (Some(state), Some(info)) = (&self.agg, &work.agg) {
-            for k in &info.groups {
-                self.groups_seen.insert(*k);
-            }
-            time +=
-                cpu_ops::agg_cost(state.spec(), info.rows, self.groups_seen.len(), &self.model);
+        if let (Some(state), Some(groups)) = (&self.agg, &work.groups) {
+            self.groups_seen.extend(&groups.keys);
+            let rows = work.out.rows() as u64;
+            time += cpu_ops::agg_cost(state.spec(), rows, self.groups_seen.len(), &self.model);
         }
         let (_, done) = self.res.acquire(start, time);
         update_estimate(&mut self.est, time, bytes);
         CommitOutcome { done, h2d_bytes: 0 }
     }
 
-    fn fold_packet(&mut self, batch: &Batch) {
-        if let Some(state) = &mut self.agg {
-            state.update(batch);
-        }
-    }
-
-    fn agg(&self) -> Option<&AggState> {
-        self.agg.as_ref()
+    fn agg_mut(&mut self) -> Option<&mut AggState> {
+        self.agg.as_mut()
     }
 
     fn busy(&self) -> SimTime {
@@ -1081,7 +1069,7 @@ impl DeviceProvider for GpuWorker {
         agg: Option<&AggSpec>,
         tables: &TableStore,
     ) -> Result<SimTime, EngineError> {
-        let fold = match (agg, &work.agg) {
+        let fold = match (agg, &work.groups) {
             (Some(spec), Some(_)) => {
                 let row_bytes = gpu_ops::agg_row_bytes(spec, &widths(&work.out));
                 let (rows, bytes) = (work.out.rows(), work.out.bytes());
@@ -1113,14 +1101,8 @@ impl DeviceProvider for GpuWorker {
         CommitOutcome { done, h2d_bytes: bytes }
     }
 
-    fn fold_packet(&mut self, batch: &Batch) {
-        if let Some(state) = &mut self.agg {
-            state.update(batch);
-        }
-    }
-
-    fn agg(&self) -> Option<&AggState> {
-        self.agg.as_ref()
+    fn agg_mut(&mut self) -> Option<&mut AggState> {
+        self.agg.as_mut()
     }
 
     fn busy(&self) -> SimTime {
@@ -1218,8 +1200,8 @@ mod tests {
         let (w2, t2) = run(&mut gpu, packet(1000), &p, &tables).unwrap();
         assert!(w1.folds && w2.folds);
 
-        let a = cpu.agg().unwrap().finish();
-        let b = gpu.agg().unwrap().finish();
+        let a = cpu.agg_mut().unwrap().finish();
+        let b = gpu.agg_mut().unwrap().finish();
         assert_eq!(a, b);
         // 50 keys of 0..100 are even and survive the filter.
         assert_eq!(a[0].1[0], 50.0);
@@ -1370,11 +1352,63 @@ mod tests {
     }
 
     #[test]
+    fn a_q1_shaped_packet_folds_through_its_carried_ids_like_the_wrapper() {
+        // Q1's shape over more rows than the fold's 16 384-row block: a
+        // date filter that leaves a selection, two dictionary group keys,
+        // sums of computed arguments, averages and a count.
+        let n = 40_000;
+        let flags = ["A", "N", "R"];
+        let packet = Batch::new(vec![
+            Column::from_strs((0..n).map(|i| flags[i * 7 % 3])),
+            Column::from_strs((0..n).map(|i| ["F", "O"][i * 5 % 11 % 2])),
+            Column::from_f64((0..n).map(|i| (i % 50 + 1) as f64).collect()),
+            Column::from_f64((0..n).map(|i| 900.0 + i as f64 * 1.37).collect()),
+            Column::from_f64((0..n).map(|i| (i % 11) as f64 * 0.01).collect()),
+            Column::from_i32((0..n as i32).map(|i| 8_000 + i % 2_600).collect()),
+        ]);
+        let disc_price = Expr::mul(Expr::col(3), Expr::sub(Expr::LitF64(1.0), Expr::col(4)));
+        let charge = Expr::mul(disc_price.clone(), Expr::add(Expr::LitF64(1.0), Expr::col(4)));
+        let spec = AggSpec::grouped(
+            vec![0, 1],
+            vec![
+                (AggFunc::Sum, Expr::col(2)),
+                (AggFunc::Sum, Expr::col(3)),
+                (AggFunc::Sum, disc_price),
+                (AggFunc::Sum, charge),
+                (AggFunc::Avg, Expr::col(2)),
+                (AggFunc::Avg, Expr::col(3)),
+                (AggFunc::Avg, Expr::col(4)),
+                (AggFunc::Count, Expr::col(2)),
+            ],
+        );
+        let p = Pipeline::scan("lineitem")
+            .filter(Expr::le(Expr::col(5), Expr::LitI32(10_500)))
+            .aggregate(spec.clone());
+        let work = run_ops(packet, &p, &TableStore::new(), &mut Scratch::new()).unwrap();
+        assert!(work.out.selection().is_some() && work.out.rows() > 1 << 14);
+        let groups = work.groups.as_ref().unwrap();
+
+        let (mut carried, mut wrapper) = (cpu_worker(Some(&spec)), cpu_worker(Some(&spec)));
+        carried.agg_mut().unwrap().fold(&work.out, groups);
+        wrapper.fold_packet(&work.out);
+        let result = |w: &mut CpuWorker| {
+            let state = w.agg_mut().unwrap();
+            let rows: Vec<(GroupKey, Vec<u64>)> = (state.finish().into_iter())
+                .map(|(k, v)| (k, v.into_iter().map(f64::to_bits).collect()))
+                .collect();
+            (rows, state.n_groups(), state.rows_seen)
+        };
+        let carried = result(&mut carried);
+        assert_eq!(carried, result(&mut wrapper));
+        assert_eq!(carried.1, 6);
+    }
+
+    #[test]
     fn build_pipeline_returns_output() {
         let p = Pipeline::scan("t").filter(Expr::lt(Expr::col(0), Expr::LitI32(10)));
         let (work, _) =
             run(&mut cpu_worker(None), packet(100), &p, &TableStore::new()).unwrap();
-        assert!(!work.folds && work.agg.is_none());
+        assert!(!work.folds && work.groups.is_none());
         assert_eq!(work.out.rows(), 10);
         // A computed projection materialises its values, and the trace
         // records the payload on either side of the operator.
@@ -1425,7 +1459,7 @@ mod tests {
             let mut gpu = gpu_worker(p.agg.as_ref(), vec!["big".into()]);
             gpu.install_tables(&p, &tables, SimTime::ZERO).unwrap();
             let (_, time) = run(&mut gpu, probe.clone(), &p, &tables).unwrap();
-            (gpu.agg().unwrap().finish(), time)
+            (gpu.agg_mut().unwrap().finish(), time)
         };
         let (rows_npj, t_npj) = price(JoinAlgo::NonPartitioned);
         let (rows_part, t_part) = price(JoinAlgo::Partitioned);
@@ -1459,7 +1493,7 @@ mod tests {
             assert!(out.done.as_ns() > 0.0);
             w.fold_packet(&work.out);
             assert!(w.busy().as_ns() > 0.0);
-            merged.merge(w.agg().unwrap());
+            merged.merge(w.agg_mut().unwrap());
         }
         let rows = merged.finish();
         assert_eq!(rows[0].1[0], 100.0); // both workers saw 50 matches

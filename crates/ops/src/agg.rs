@@ -12,28 +12,31 @@
 //!
 //! # The group-id kernel
 //!
-//! Group keys are computed in exactly one place, `group_ids`: one batch in,
-//! a dense `u32` id per row plus the distinct keys in first-seen row order
-//! out. Key columns are read as their own integer type, through the
-//! selection. When the batch's combined key range is small (dictionary
-//! codes, nation × year) the ids come from a direct-mapped table indexed by
-//! the mixed-radix key offset; otherwise from one hash-map lookup per row.
-//! Both consumers share it: [`distinct_groups`] (the control plane's pricing
-//! statistic) is its `keys` output, and [`AggState::update`] maps each
-//! batch-local id to a state slot once per distinct group.
+//! Group keys are numbered in exactly one place, [`group_ids`], once per
+//! folded packet: `hape_core::provider::run_ops` carries the [`GroupIds`]
+//! to the packet's pricing, which reads the `keys`, and to its fold
+//! ([`AggState::fold`]), which reads the `ids`. One batch in, a dense `u32`
+//! id per row plus the distinct keys in first-seen row order out. Key
+//! columns are read as their own integer type, through the selection. When
+//! the batch's combined key range is small (dictionary codes, nation ×
+//! year) the ids come from a direct-mapped table indexed by the mixed-radix
+//! key offset; otherwise from one hash-map lookup per row.
 //!
 //! # The fused fold
 //!
-//! [`AggState::update`] then evaluates each distinct aggregate argument
-//! once over the selected rows (every column the arguments read gathered
-//! and widened once) and runs **one** loop over the rows that updates every
-//! aggregate of the row. A slot's accumulators sit side by side
-//! (`accs[slot * aggs + agg]`), so a row's updates land in one contiguous
-//! run, and the load-add-store chains of a hot group's aggregates
-//! interleave instead of running one loop after another. Each aggregate
-//! touches only the fields its [`AggFunc`] reads; a row's count goes to a
-//! per-group tally that is added to every counting accumulator once per
-//! block (integer sums: exact in any order).
+//! [`AggState::fold`] maps each batch-local id to a state slot once per
+//! distinct group, then, `BLOCK_ROWS` rows at a time, evaluates each
+//! distinct aggregate argument once over the block's selected rows (every
+//! column the arguments read gathered and widened once) and runs **one**
+//! loop over the rows that updates every aggregate of the row. A slot's
+//! accumulators sit side by side (`accs[slot * aggs + agg]`), so a row's
+//! updates land in one contiguous run, and the load-add-store chains of a
+//! hot group's aggregates interleave instead of running one loop after
+//! another. Each aggregate touches only the fields its [`AggFunc`] reads; a
+//! row's count goes to a per-group tally that is added to every counting
+//! accumulator once per fold (integer sums: exact in any order). Sums of one
+//! argument (Q1's `sum(l_quantity)`, `avg(l_quantity)`) add the same values
+//! to the same start, so one accumulates and its twins copy its sum.
 //!
 //! # Bit-identity
 //!
@@ -44,9 +47,10 @@
 //! in the same order as the oracle and rounds identically; argument
 //! values are the same IEEE operations on the same widened values whether
 //! a batch is selected or compacted. And both id paths number keys in
-//! first-seen row order, so [`distinct_groups`] — hence every simulated
-//! makespan priced from it — cannot depend on which path a batch took, nor
-//! on whether it carried a selection.
+//! first-seen row order, whether a batch is numbered whole or one block at
+//! a time, so the keys — hence the slot order and every simulated makespan
+//! priced from them — cannot depend on which path a batch took, on its
+//! size, nor on whether it carried a selection.
 
 use std::collections::HashMap;
 
@@ -152,17 +156,18 @@ impl Acc {
 /// costs to hash.
 const DENSE_LIMIT: u64 = 1 << 14;
 
-/// Rows [`AggState::update`] folds at a time: a block's slot ids and
-/// argument vectors stay L2-resident, so the cost per row does not grow
-/// with the batch.
+/// Rows [`AggState::fold`] accumulates at a time: a block's argument
+/// vectors stay L2-resident, so the cost per row does not grow with the
+/// batch.
 const BLOCK_ROWS: usize = 1 << 14;
 
 /// Output of the group-id kernel for one batch.
-struct GroupIds {
-    /// Per row, the index of its key in `keys`.
-    ids: Vec<u32>,
+#[derive(Debug, Clone)]
+pub struct GroupIds {
+    /// Per (selected) row, the index of its key in `keys`.
+    pub ids: Vec<u32>,
     /// Distinct group keys, in first-seen row order.
-    keys: Vec<GroupKey>,
+    pub keys: Vec<GroupKey>,
 }
 
 /// `(min, max)` of a key column over the selected rows (every row when
@@ -196,7 +201,7 @@ fn dense_domain(cols: &[Ints<'_>], sel: Option<&[u32]>) -> Option<Vec<(i64, u64)
 /// when it carries a selection) under `spec`'s group-by columns, plus the
 /// distinct keys in first-seen row order. An ungrouped spec puts every row
 /// in the single all-zero key.
-fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
+pub fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
     let (n, sel) = (batch.rows(), batch.selection());
     let cols: Vec<Ints<'_>> = spec.group_by.iter().map(|&i| Ints::of(batch.col(i))).collect();
     // The key of column row `row` (not block row: through the selection).
@@ -246,15 +251,6 @@ fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
     GroupIds { ids, keys }
 }
 
-/// Distinct group keys `batch` contributes under `spec`, in first-seen row
-/// order. This is the statistic the engine's control plane uses to price
-/// cumulative group-table growth per worker (the fused-aggregation
-/// random-access term) without folding the actual [`AggState`], which the
-/// data plane does later in routed packet order.
-pub fn distinct_groups(spec: &AggSpec, batch: &Batch) -> Vec<GroupKey> {
-    group_ids(spec, batch).keys
-}
-
 /// A mergeable (partial) aggregation state.
 #[derive(Debug, Clone)]
 pub struct AggState {
@@ -302,63 +298,74 @@ impl AggState {
     }
 
     /// Fold one batch into the state — its selected rows, when it carries
-    /// a selection.
+    /// a selection — numbering its groups first ([`AggState::fold`]).
     pub fn update(&mut self, batch: &Batch) {
-        let n = batch.rows();
-        self.rows_seen += n as u64;
-        for off in (0..n).step_by(BLOCK_ROWS) {
-            self.fold_block(&batch.slice(off, BLOCK_ROWS.min(n - off)));
-        }
+        self.fold(batch, &group_ids(&self.spec, batch));
     }
 
-    fn fold_block(&mut self, batch: &Batch) {
-        let GroupIds { ids, keys } = group_ids(&self.spec, batch);
+    /// Fold one batch through its [`group_ids`] under this state's spec:
+    /// each batch-local id maps to a state slot once, then the rows are
+    /// accumulated `BLOCK_ROWS` at a time.
+    pub fn fold(&mut self, batch: &Batch, groups: &GroupIds) {
+        let n = batch.rows();
+        debug_assert_eq!(groups.ids.len(), n, "group ids of another batch");
+        self.rows_seen += n as u64;
         // Batch-local id -> the state slot's first accumulator: one map
         // lookup per distinct group.
         let width = self.spec.aggs.len();
         let first: Vec<usize> =
-            keys.into_iter().map(|k| self.slot(k) as usize * width).collect();
-        // Each distinct argument expression is evaluated once, vectorised
-        // over the selected rows; count ignores its argument.
+            groups.keys.iter().map(|&k| self.slot(k) as usize * width).collect();
+        // Each distinct argument expression is evaluated once per block,
+        // vectorised over the selected rows; count ignores its argument.
         let exprs: Vec<Option<&Expr>> =
             self.spec.aggs.iter().map(|(f, e)| (*f != AggFunc::Count).then_some(e)).collect();
-        let (vals, arg_of) = eval_distinct(&exprs, batch);
-        let (mut sums, mut mins, mut maxs, mut counted) = (vec![], vec![], vec![], vec![]);
-        for (a, ((func, _), arg)) in self.spec.aggs.iter().zip(arg_of).enumerate() {
-            let vals = arg.map_or(&[][..], |i| &vals[i][..]);
-            match func {
-                AggFunc::Sum => sums.push((a, vals)),
-                AggFunc::Avg => {
-                    sums.push((a, vals));
-                    counted.push(a);
-                }
-                AggFunc::Count => counted.push(a),
-                AggFunc::Min => mins.push((a, vals)),
-                AggFunc::Max => maxs.push((a, vals)),
-            }
-        }
-        // One loop over the rows; each row updates every aggregate.
         let mut rows_of = vec![0u64; first.len()];
-        for (row, &id) in ids.iter().enumerate() {
-            let accs = &mut self.accs[first[id as usize]..][..width];
-            for &(a, v) in &sums {
-                accs[a].sum += v[row];
-            }
-            for &(a, v) in &mins {
-                if v[row] < accs[a].min {
-                    accs[a].min = v[row];
+        for off in (0..n).step_by(BLOCK_ROWS) {
+            let len = BLOCK_ROWS.min(n - off);
+            let block = batch.slice(off, len);
+            let (vals, arg_of) = eval_distinct(&exprs, &block);
+            // `(aggregate, argument, values)`; twins: `(aggregate, the sum it copies)`.
+            let mut sums: Vec<(usize, Option<usize>, &[f64])> = vec![];
+            let (mut mins, mut maxs, mut twins) = (vec![], vec![], vec![]);
+            for (a, ((func, _), arg)) in self.spec.aggs.iter().zip(arg_of).enumerate() {
+                let vals = arg.map_or(&[][..], |i| &vals[i][..]);
+                match func {
+                    AggFunc::Sum | AggFunc::Avg => match sums.iter().find(|s| s.1 == arg) {
+                        Some(&(twin, ..)) => twins.push((a, twin)),
+                        None => sums.push((a, arg, vals)),
+                    },
+                    AggFunc::Count => {}
+                    AggFunc::Min => mins.push((a, vals)),
+                    AggFunc::Max => maxs.push((a, vals)),
                 }
             }
-            for &(a, v) in &maxs {
-                if v[row] > accs[a].max {
-                    accs[a].max = v[row];
+            // One loop over the rows; each row updates every aggregate.
+            for (row, &id) in groups.ids[off..off + len].iter().enumerate() {
+                let accs = &mut self.accs[first[id as usize]..][..width];
+                for &(a, _, v) in &sums {
+                    accs[a].sum += v[row];
+                }
+                for &(a, v) in &mins {
+                    if v[row] < accs[a].min {
+                        accs[a].min = v[row];
+                    }
+                }
+                for &(a, v) in &maxs {
+                    if v[row] > accs[a].max {
+                        accs[a].max = v[row];
+                    }
+                }
+                rows_of[id as usize] += 1;
+            }
+            for &(a, twin) in &twins {
+                for &at in &first {
+                    self.accs[at + a].sum = self.accs[at + twin].sum;
                 }
             }
-            rows_of[id as usize] += 1;
         }
-        for (&at, &rows) in first.iter().zip(&rows_of) {
-            for &a in &counted {
-                self.accs[at + a].count += rows;
+        for (a, (f, _)) in self.spec.aggs.iter().enumerate() {
+            if matches!(f, AggFunc::Count | AggFunc::Avg) {
+                first.iter().zip(&rows_of).for_each(|(&at, &n)| self.accs[at + a].count += n);
             }
         }
     }
@@ -509,7 +516,7 @@ mod tests {
         key
     }
 
-    fn ref_distinct_groups(spec: &AggSpec, batch: &Batch) -> Vec<GroupKey> {
+    fn ref_first_seen_keys(spec: &AggSpec, batch: &Batch) -> Vec<GroupKey> {
         let mut seen = std::collections::HashSet::new();
         (0..batch.rows())
             .map(|row| ref_key(spec, batch, row))
@@ -663,12 +670,25 @@ mod tests {
         AggSpec { group_by, aggs }
     }
 
-    /// Fold `batch` whole, then split into packets over two partial states
-    /// that are merged — the engine's shape — and compare every result and
-    /// the pricing statistic against the row-at-a-time reference.
+    /// Fold `batch` into one state with each block numbered on its own: the
+    /// slot order and results whole-batch ids must reproduce.
+    fn fold_per_block_ids(spec: &AggSpec, batch: &Batch) -> AggState {
+        let mut st = AggState::new(spec.clone());
+        for off in (0..batch.rows()).step_by(BLOCK_ROWS) {
+            let block = batch.slice(off, BLOCK_ROWS.min(batch.rows() - off));
+            st.fold(&block, &group_ids(spec, &block));
+        }
+        st
+    }
+
+    /// Fold `batch` whole through its carried ids, then split into packets
+    /// over two partial states that are merged — the engine's shape — and
+    /// compare every result and the pricing statistic against the
+    /// row-at-a-time reference; slot order and results equal numbering the
+    /// batch one block at a time.
     fn assert_matches_reference(spec: &AggSpec, batch: &Batch, rng: &mut StdRng) {
-        assert_eq!(distinct_groups(spec, batch), ref_distinct_groups(spec, batch));
         let g = group_ids(spec, batch);
+        assert_eq!(g.keys, ref_first_seen_keys(spec, batch));
         assert_eq!(g.ids.len(), batch.rows());
         for (row, &id) in g.ids.iter().enumerate() {
             assert_eq!(g.keys[id as usize], ref_key(spec, batch, row));
@@ -676,11 +696,14 @@ mod tests {
 
         let mut whole = AggState::new(spec.clone());
         let mut ref_whole = RefState::new(spec.clone());
-        whole.update(batch);
+        whole.fold(batch, &g);
         ref_whole.update(batch);
         assert_eq!(bits(whole.finish()), ref_whole.finish());
         assert_eq!(whole.n_groups(), ref_whole.groups.len());
         assert_eq!(whole.rows_seen, batch.rows() as u64);
+        let blockwise = fold_per_block_ids(spec, batch);
+        assert_eq!(whole.keys, blockwise.keys, "slot order");
+        assert_eq!(bits(whole.finish()), bits(blockwise.finish()));
 
         let mut parts = [AggState::new(spec.clone()), AggState::new(spec.clone())];
         let mut ref_parts = [RefState::new(spec.clone()), RefState::new(spec.clone())];
@@ -716,17 +739,20 @@ mod tests {
         let compact = selected.clone().compact();
         assert!(compact.selection().is_none());
         assert_eq!((selected.rows(), selected.bytes()), (compact.rows(), compact.bytes()));
-        assert_eq!(distinct_groups(spec, &selected), ref_distinct_groups(spec, &compact));
+        let g = group_ids(spec, &selected);
+        assert_eq!(g.keys, ref_first_seen_keys(spec, &compact));
 
         let fold = |b: &Batch| {
             let mut st = AggState::new(spec.clone());
-            st.update(b);
+            st.fold(b, &group_ids(spec, b));
             (bits(st.finish()), st.n_groups(), st.rows_seen)
         };
         let mut reference = RefState::new(spec.clone());
         reference.update(&compact);
         let (got, groups, rows) = fold(&selected);
         assert_eq!(got, reference.finish());
+        let blockwise = fold_per_block_ids(spec, &selected);
+        assert_eq!((bits(blockwise.finish()), blockwise.n_groups()), (got.clone(), groups));
         assert_eq!((got, groups, rows), fold(&compact));
 
         let mut parts = [AggState::new(spec.clone()), AggState::new(spec.clone())];
@@ -774,12 +800,47 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         for keys in shapes {
             let spec = every_func((0..keys.len()).collect());
-            for n in [0, 1, 2, 500, 3_000, BLOCK_ROWS + 3] {
+            for n in [0, 1, 2, 500, 3_000, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 5] {
                 let batch = random_batch(keys, n, &mut rng);
                 assert_matches_reference(&spec, &batch, &mut rng);
                 for sel in selections(n, &mut rng) {
                     assert_selected_matches_reference(&spec, &batch, sel, &mut rng);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_first_seen_in_the_last_block_folds_like_the_reference() {
+        // Three blocks; the first two hold keys 0..3 only, and the last
+        // block brings key 7 (dense: a small domain) or `i64::MAX` (hashed:
+        // the range overflows the direct map) in two of its five rows.
+        let n = 2 * BLOCK_ROWS + 5;
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut late = |x: i64| {
+            let mut keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+            keys[n - 4] = x;
+            keys[n - 1] = x;
+            keys
+        };
+        for keys in [late(7), late(i64::MAX)] {
+            let value = |scale: f64| (0..n).map(|i| (i as f64 - 9_000.5) * scale).collect();
+            let batch = Batch::new(vec![
+                Column::from_i64(keys),
+                Column::from_f64(value(1e3)),
+                Column::from_f64(value(1e-4)),
+            ]);
+            let spec = every_func(vec![0]);
+            let g = group_ids(&spec, &batch);
+            assert_eq!(g.keys.last().map(|k| k[0]), Some(batch.col(0).as_i64()[n - 1]));
+            assert_matches_reference(&spec, &batch, &mut rng);
+            // Selected: every row but one of the late key's, and a sparse
+            // selection that keeps both.
+            let but_one: Vec<u32> = (0..n as u32).filter(|&r| r as usize != n - 4).collect();
+            let sparse: Vec<u32> =
+                (0..n as u32).filter(|&r| r % 37 == 0 || r as usize >= n - 4).collect();
+            for sel in [but_one, sparse] {
+                assert_selected_matches_reference(&spec, &batch, sel, &mut rng);
             }
         }
     }

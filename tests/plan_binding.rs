@@ -388,61 +388,105 @@ fn static_and_runtime_verdicts_agree_on_every_row() {
     assert!(failures.is_empty(), "{} failures:\n{}", failures.len(), failures.join("\n"));
 }
 
-/// The five structural invariants on plans assembled past `try_new` (the
-/// fields are public) — plans `place` will not place, so they have no
-/// placed doors: `validate`, the static verifier, `Engine::run` under every
-/// placement (binding ahead of placement and the optimizer) and both
-/// baselines find the same kind.
+/// A structural corruption: an edit of a plan's stage list, or of its
+/// pipelines, that `try_new` refuses to build (the fields are public) and
+/// that reads the same on a lowered plan and on a placed one.
+#[derive(Clone, Copy, Debug)]
+enum Edit {
+    /// The first stage (a build) aggregates.
+    AggregatingBuild,
+    /// The stream stage loses its aggregation.
+    Aggless,
+    /// The stream stage runs twice.
+    TwoStreams,
+    /// The stream stage goes.
+    NoStream,
+    /// The build runs after the stream that probes it.
+    LateBuild,
+    /// A projection reshapes the input of the stream's stateful operator.
+    Reshaped,
+}
+
+impl Edit {
+    /// The clean shape the edit corrupts.
+    fn shape(self) -> QueryPlan {
+        match self {
+            Edit::AggregatingBuild | Edit::NoStream | Edit::LateBuild => join_shape(),
+            Edit::Aggless | Edit::TwoStreams => scan_shape(),
+            Edit::Reshaped => stateful_shape(),
+        }
+    }
+}
+
+/// `edit`'s change to the stage list, if it makes one.
+fn restage<S: Clone>(edit: Edit, stages: &mut Vec<S>) {
+    match edit {
+        Edit::TwoStreams => {
+            let stream = stages.last().cloned();
+            stages.extend(stream);
+        }
+        Edit::NoStream => {
+            stages.pop();
+        }
+        Edit::LateBuild => stages.rotate_left(1),
+        Edit::AggregatingBuild | Edit::Aggless | Edit::Reshaped => {}
+    }
+}
+
+/// `edit`'s change to the pipelines, if it makes one.
+fn repipe(edit: Edit, parts: &mut [Parts<'_>]) {
+    match edit {
+        Edit::AggregatingBuild => parts[0].1.agg = Some(count_and_sum()),
+        Edit::Aggless => stream(parts).agg = None,
+        Edit::Reshaped => {
+            stream(parts).ops.insert(0, PipeOp::Project(vec![Expr::col(0), Expr::col(1)]));
+        }
+        Edit::TwoStreams | Edit::NoStream | Edit::LateBuild => {}
+    }
+}
+
+/// The six structural invariants on plans assembled past `try_new` —
+/// plans `place` will not place: `validate`, the static verifier,
+/// `Engine::run` under every placement (binding ahead of placement and the
+/// optimizer) and both baselines find the same kind, and so does
+/// `check_placed` on the clean shape placed under hybrid and then given the
+/// same edit.
 #[test]
 fn structurally_malformed_plans_keep_their_refusals_under_every_placement() {
     let catalog = catalog();
     let server = Server::paper_testbed();
     let engine = Engine::new(server.clone());
-    let assemble = |name: &str, stages| QueryPlan { name: name.into(), stages };
-    let (scan, join, stateful) = (scan_shape(), join_shape(), stateful_shape());
-    let [Stage::Stream { pipeline: scan }] = &scan.stages[..] else { panic!("one stream") };
-    let [build, Stage::Stream { pipeline: probing }] = &join.stages[..] else {
-        panic!("a build and a stream")
-    };
-    let [Stage::Stream { pipeline: sessions }] = &stateful.stages[..] else {
-        panic!("one stream")
-    };
-    let stream = |pipeline: &Pipeline| Stage::Stream { pipeline: pipeline.clone() };
-    let aggregating_build =
-        Stage::Build { name: "scan_ht".into(), key_col: 0, pipeline: scan.clone() };
-    let mut reshaped = sessions.clone();
-    reshaped.ops.insert(0, PipeOp::Project(vec![Expr::col(0), Expr::col(1)]));
-    let mut aggless = scan.clone();
-    aggless.agg = None;
     let rows = [
-        (
-            assemble("agg-build", vec![aggregating_build, stream(scan)]),
-            K::BuildAggregates { name: "scan_ht".into() },
-        ),
-        (assemble("aggless", vec![stream(&aggless)]), K::StreamMissingAgg),
-        (
-            assemble("two-streams", vec![stream(scan), stream(scan)]),
-            K::NotExactlyOneStream { streams: 2 },
-        ),
-        (
-            assemble("late-build", vec![stream(probing), build.clone()]),
-            K::ProbeUnbuilt { ht: "dim_ht".into() },
-        ),
-        (assemble("reshaped", vec![stream(&reshaped)]), K::StatefulAfterReshape),
+        ("agg-build", Edit::AggregatingBuild, K::BuildAggregates { name: "dim_ht".into() }),
+        ("aggless", Edit::Aggless, K::StreamMissingAgg),
+        ("two-streams", Edit::TwoStreams, K::NotExactlyOneStream { streams: 2 }),
+        ("no-stream", Edit::NoStream, K::NotExactlyOneStream { streams: 0 }),
+        ("late-build", Edit::LateBuild, K::ProbeUnbuilt { ht: "dim_ht".into() }),
+        ("reshaped", Edit::Reshaped, K::StatefulAfterReshape),
     ];
-    for (plan, want) in &rows {
+    for (name, edit, want) in &rows {
+        let mut plan = edit.shape();
+        restage(*edit, &mut plan.stages);
+        repipe(*edit, &mut plan_parts(&mut plan));
+        let plan = &plan;
         let validated = plan.validate();
-        assert_eq!(validated.as_ref().err().and_then(unbound), Some(want), "{}", plan.name);
+        assert_eq!(validated.as_ref().err().and_then(unbound), Some(want), "{name}");
         let statically = verify_plan(plan, &catalog).err();
         let first = statically.as_ref().and_then(|e| e.diagnostics.first());
-        assert_eq!(first.map(|d| &d.kind), Some(want), "{}", plan.name);
+        assert_eq!(first.map(|d| &d.kind), Some(want), "{name}");
+        let mut placed = place(&edit.shape(), &ExecConfig::new(Placement::Hybrid), &server)
+            .expect("a clean plan places");
+        restage(*edit, &mut placed.stages);
+        repipe(*edit, &mut placed_parts(&mut placed));
+        let findings = check_placed(&placed, &catalog, &server);
+        assert_eq!(findings.first().map(|d| &d.kind), Some(want), "{name}/check_placed");
         for p in PLACEMENTS {
             let got = catch_unwind(AssertUnwindSafe(|| {
                 engine.run(&catalog, plan, &ExecConfig::new(p)).map(|_| ())
             }))
-            .unwrap_or_else(|_| panic!("{}/{p}: panicked", plan.name));
+            .unwrap_or_else(|_| panic!("{name}/{p}: panicked"));
             let e = got.expect_err("refused");
-            assert_eq!(refused(&e), Some(want), "{}/{p}: {e}", plan.name);
+            assert_eq!(refused(&e), Some(want), "{name}/{p}: {e}");
         }
         for (door, got) in [
             ("DBMS C", DbmsC::new(server.clone()).run_plan(&catalog, plan).map(drop)),
@@ -450,9 +494,9 @@ fn structurally_malformed_plans_keep_their_refusals_under_every_placement() {
         ] {
             let e = match got {
                 Err(hape::baselines::BaselineError::Engine(e)) => e,
-                other => panic!("{}/{door}: {other:?}", plan.name),
+                other => panic!("{name}/{door}: {other:?}"),
             };
-            assert_eq!(refused(&e), Some(want), "{}/{door}: {e}", plan.name);
+            assert_eq!(refused(&e), Some(want), "{name}/{door}: {e}");
         }
     }
 }
