@@ -22,7 +22,7 @@ use hape_ops::agg::{group_ids, AggState, GroupIds};
 use hape_ops::{cpu as cpu_ops, gpu as gpu_ops, stateful, AggSpec, GroupKey};
 use hape_sim::des::Resource;
 use hape_sim::interconnect::Link;
-use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec, Region, SimTime};
+use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec, KernelReport, Region, SimTime};
 use hape_storage::{Batch, Column};
 
 use crate::error::EngineError;
@@ -344,8 +344,11 @@ pub fn gpu_packet_cost(
                     .get(ht)
                     .copied()
                     .unwrap_or_else(|| Region::at(1 << 44, table.bytes.max(1)));
-                time +=
-                    gpu_probe_cost(sim, keys.as_i32(), table.bits, region, *avg_chain, *algo);
+                if !keys.is_empty() {
+                    let keys = keys.as_i32();
+                    time +=
+                        gpu_probe_cost(sim, keys, table.bits, region, *avg_chain, *algo).time;
+                }
                 time += SimTime::from_ns((*rows_out * *payload_cols) as f64 * 0.05);
             }
             OpTrace::Stateful { rows_in, row_bytes, state_bytes, ops_per_row, .. } => {
@@ -369,7 +372,7 @@ pub fn gpu_packet_cost(
 
 /// The GPU join-probe kernel: `keys` against a device-resident chained
 /// table of `2^bits` buckets at `region`, walking `avg_chain` entries per
-/// key.
+/// key. Callers skip a packet without keys: it launches nothing.
 fn gpu_probe_cost(
     sim: &GpuSim,
     keys: &[i32],
@@ -377,13 +380,10 @@ fn gpu_probe_cost(
     region: Region,
     avg_chain: f64,
     algo: JoinAlgo,
-) -> SimTime {
+) -> KernelReport {
     let n = keys.len();
-    if n == 0 {
-        return SimTime::ZERO;
-    }
     let cfg = gpu_ops::grid_for(n);
-    let report = match algo {
+    match algo {
         JoinAlgo::NonPartitioned => sim.launch(&cfg, |blk| {
             let start = blk.block_idx * gpu_ops::ITEMS_PER_BLOCK;
             let end = (start + gpu_ops::ITEMS_PER_BLOCK).min(n);
@@ -430,8 +430,7 @@ fn gpu_probe_cost(
                 words[..extra.min(words.len())].iter().map(|&w| w + 1).collect();
             blk.smem_access(&extra_words);
         }),
-    };
-    report.time
+    }
 }
 
 /// Everything one packet's trip through the fused operator chain produced:
@@ -1131,6 +1130,42 @@ mod tests {
     use hape_ops::{AggFunc, AggSpec, Expr};
     use hape_sim::{CpuSpec, Fidelity, GpuSpec};
     use hape_storage::Column;
+
+    /// Both probe kernels' whole reports on seeded key packets — runs of
+    /// repeated keys, a small key domain, uniform keys; up to 50 000 keys
+    /// — on the paper's GPU and on a 2-SM GPU whose two-block waves
+    /// complete mid-grid, pinned from before the warp counters' fast
+    /// paths.
+    #[test]
+    fn probe_kernel_reports_are_pinned_bit_for_bit() {
+        let narrow = GpuSpec { sms: 2, max_threads_per_sm: 512, ..GpuSpec::gtx_1080() };
+        let mut state = 42u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut reports = Vec::new();
+        for case in 0..48u64 {
+            let spec = if case % 2 == 0 { GpuSpec::gtx_1080() } else { narrow.clone() };
+            let sim = GpuSim::new(spec, Fidelity::Analytic);
+            let n = (next() % 50_000) as usize;
+            let keys: Vec<i32> = match case % 3 {
+                0 => (0..n).map(|i| (i / (1 + (case as usize % 7))) as i32).collect(),
+                1 => (0..n).map(|_| (next() % 25) as i32).collect(),
+                _ => (0..n).map(|_| next() as i32).collect(),
+            };
+            let bits = 4 + (next() % 13) as u32;
+            let avg_chain = [1.0, 1.25, 2.5][(case / 3 % 3) as usize];
+            let region = Region::at(1 << 40, 1 + next() % (1 << 24));
+            for algo in [JoinAlgo::NonPartitioned, JoinAlgo::Partitioned] {
+                reports.push(gpu_probe_cost(&sim, &keys, bits, region, avg_chain, algo));
+            }
+        }
+        assert_eq!(reports.len(), 96);
+        assert_eq!(KernelReport::digest(&reports), 0xe752_a573_14e7_5bb5);
+    }
 
     fn packet(n: usize) -> Batch {
         Batch::new(vec![

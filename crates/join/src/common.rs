@@ -160,6 +160,23 @@ impl ChainedTable {
         ChainedTable { heads, next, bits }
     }
 
+    /// Rebuild over `keys` as [`ChainedTable::build`] does, in this table's
+    /// buffers.
+    pub(crate) fn rebuild(&mut self, keys: &[i32]) {
+        let bits = (keys.len().max(2)).next_power_of_two().trailing_zeros();
+        let (heads, next) = (&mut self.heads, &mut self.next);
+        heads.clear();
+        heads.resize(1usize << bits, NIL);
+        next.clear();
+        next.resize(keys.len(), NIL);
+        for (i, &k) in keys.iter().enumerate() {
+            let b = hash32(k, bits) as usize;
+            next[i] = heads[b];
+            heads[b] = i as u32;
+        }
+        self.bits = bits;
+    }
+
     /// Bytes this table occupies (what the probe's working set is).
     pub fn bytes(&self) -> u64 {
         ((self.heads.len() + self.next.len()) * 4) as u64

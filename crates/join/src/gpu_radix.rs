@@ -101,6 +101,11 @@ fn charge_partition_pass(
     // Running output cursor per partition (blocks execute in order in the
     // simulator, so a deterministic cursor reproduces the buffer layout).
     let mut cursors = vec![0u64; fanout];
+    // One block's histogram and address lists, reused block after block.
+    let mut counts = vec![0u32; fanout];
+    let mut part_words: Vec<u32> = Vec::with_capacity(n.min(CHUNK));
+    let mut addrs: Vec<u64> = Vec::with_capacity(n.min(CHUNK));
+    let mut touched: Vec<u64> = Vec::with_capacity(fanout.min(n));
     sim.launch(&cfg, |blk| {
         let start = blk.block_idx * CHUNK;
         let end = (start + CHUNK).min(n);
@@ -113,30 +118,28 @@ fn charge_partition_pass(
         blk.compute(cn, 5.0);
         // Histogram in scratchpad: one atomic per tuple on its partition
         // counter — conflicts reflect the actual radix distribution.
-        let part_words: Vec<u32> =
-            keys[start..end].iter().map(|&k| radix_of(k, shift, bits) as u32).collect();
+        part_words.clear();
+        part_words.extend(keys[start..end].iter().map(|&k| radix_of(k, shift, bits) as u32));
         blk.smem_atomic(&part_words);
         // Reorder within the scratchpad: write + read per tuple.
-        let lane_words: Vec<u32> = (0..(end - start) as u32).map(|i| i % 2048).collect();
-        blk.smem_access(&lane_words);
-        blk.smem_access(&lane_words);
+        let lane_words = &STAGING_WORDS[..end - start];
+        blk.smem_access(lane_words);
+        blk.smem_access(lane_words);
         // Scatter runs to the output partitions: address lists derived from
         // the real per-chunk histogram, so run lengths (and hence store
         // coalescing) are the actual ones.
-        let mut counts = vec![0u32; fanout];
-        for &k in &keys[start..end] {
-            counts[radix_of(k, shift, bits)] += 1;
+        counts.fill(0);
+        for &p in &part_words {
+            counts[p as usize] += 1;
         }
-        let mut addrs = Vec::with_capacity(end - start);
-        let mut touched = Vec::new();
+        addrs.clear();
+        touched.clear();
         for (p, &c) in counts.iter().enumerate() {
             if c == 0 {
                 continue;
             }
             let base = (output.bytes / fanout as u64) * p as u64 + cursors[p] * 8;
-            for i in 0..c as u64 {
-                addrs.push(base + i * 8);
-            }
+            addrs.extend((0..c as u64).map(|i| base + i * 8));
             cursors[p] += c as u64;
             touched.push(p as u64 * 64);
         }
@@ -145,6 +148,18 @@ fn charge_partition_pass(
         blk.global_atomic(&tails, &touched);
     })
 }
+
+/// The scratchpad words a partitioning block's lanes stage their tuples
+/// through (`i % 2048`): a fixed pattern, built once.
+static STAGING_WORDS: [u32; CHUNK] = {
+    let mut out = [0u32; CHUNK];
+    let mut i = 0;
+    while i < CHUNK {
+        out[i] = i as u32 % 2048;
+        i += 1;
+    }
+    out
+};
 
 /// Run the build & probe phase (Fig. 3) over already co-partitioned inputs.
 ///
@@ -185,6 +200,14 @@ pub fn build_probe_phase(
         OutputMode::AggregateOnly => None,
     };
 
+    // One co-partition's table and cost lists, reused block after block.
+    let mut table = ChainedTable::build(&[]);
+    let mut probe_steps: Vec<u32> = Vec::new();
+    let mut chain_offs: Vec<u64> = Vec::new();
+    let mut bucket_words: Vec<u32> = Vec::new();
+    let mut probe_words: Vec<u32> = Vec::new();
+    let mut extra: Vec<u32> = Vec::new();
+    let mut offs: Vec<u64> = Vec::new();
     let report = sim.launch(&cfg, |blk| {
         let p = blk.block_idx;
         let rpart = rp.part(p);
@@ -195,9 +218,9 @@ pub fn build_probe_phase(
             return;
         }
         // Real join work for this co-partition.
-        let table = ChainedTable::build(rpart.keys);
-        let mut probe_steps: Vec<u32> = Vec::with_capacity(spart.len());
-        let mut chain_offs: Vec<u64> = Vec::new();
+        table.rebuild(rpart.keys);
+        probe_steps.clear();
+        chain_offs.clear();
         let mut block_matches = 0u64;
         for (&k, &sv) in spart.keys.iter().zip(spart.vals) {
             let mut steps = 0u32;
@@ -229,10 +252,15 @@ pub fn build_probe_phase(
         blk.global_read_stream(&s_region, s_off, ns * 8);
         blk.compute(nr, 5.0);
         blk.compute(ns, 7.0);
-        let bucket_words: Vec<u32> =
-            rpart.keys.iter().map(|&k| crate::common::hash32(k, table.bits)).collect();
-        let probe_words: Vec<u32> =
-            spart.keys.iter().map(|&k| crate::common::hash32(k, table.bits)).collect();
+        let hash = |k: &i32| crate::common::hash32(*k, table.bits);
+        bucket_words.clear();
+        bucket_words.extend(rpart.keys.iter().map(hash));
+        probe_words.clear();
+        probe_words.extend(spart.keys.iter().map(hash));
+        let heads = |words: &[u32], offs: &mut Vec<u64>| {
+            offs.clear();
+            offs.extend(words.iter().map(|&w| (p * slots) as u64 * 4 + w as u64 * 4));
+        };
         match variant {
             BuildProbeVariant::Sm => {
                 // Build: copy tuples into the scratchpad + atomic inserts.
@@ -240,12 +268,14 @@ pub fn build_probe_phase(
                 blk.smem_atomic(&bucket_words);
                 // Probe: head lookup + chain walk, all in scratchpad.
                 blk.smem_access(&probe_words);
-                let extra: Vec<u32> = probe_words
-                    .iter()
-                    .zip(&probe_steps)
-                    .filter(|(_, &st)| st > 1)
-                    .map(|(&w, _)| w + 1)
-                    .collect();
+                extra.clear();
+                extra.extend(
+                    probe_words
+                        .iter()
+                        .zip(&probe_steps)
+                        .filter(|(_, &st)| st > 1)
+                        .map(|(&w, _)| w + 1),
+                );
                 blk.smem_access(&extra);
             }
             BuildProbeVariant::SmL1 => {
@@ -257,17 +287,11 @@ pub fn build_probe_phase(
             }
             BuildProbeVariant::L1 => {
                 // Heads and entries in global memory.
-                let head_offs: Vec<u64> = bucket_words
-                    .iter()
-                    .map(|&w| (p * slots) as u64 * 4 + w as u64 * 4)
-                    .collect();
-                blk.global_atomic(&heads_region, &head_offs);
+                heads(&bucket_words, &mut offs);
+                blk.global_atomic(&heads_region, &offs);
                 blk.global_write_stream(nr * 12);
-                let probe_head_offs: Vec<u64> = probe_words
-                    .iter()
-                    .map(|&w| (p * slots) as u64 * 4 + w as u64 * 4)
-                    .collect();
-                blk.global_read(&heads_region, &probe_head_offs, 4);
+                heads(&probe_words, &mut offs);
+                blk.global_read(&heads_region, &offs, 4);
                 blk.global_read(&ht_region, &chain_offs, 12);
             }
         }
@@ -376,6 +400,55 @@ mod tests {
 
     fn sim() -> GpuSim {
         GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic)
+    }
+
+    /// The partitioning pass's and the build & probe phase's whole reports
+    /// on seeded keys (uniform over a small and a large domain, skewed),
+    /// every variant, both fidelities (the exact replay on up to 4 000
+    /// keys), on the paper's GPU and on a 2-SM GPU whose two-block waves
+    /// complete mid-grid — pinned from before the warp counters' fast paths
+    /// and the reused kernel buffers.
+    #[test]
+    fn partition_and_build_probe_reports_are_pinned_bit_for_bit() {
+        use hape_storage::datagen::{gen_uniform_i32, gen_zipf_i32};
+        let narrow = GpuSpec { sms: 2, max_threads_per_sm: 512, ..GpuSpec::gtx_1080() };
+        let mut reports = Vec::new();
+        for case in 0..24u64 {
+            let spec = if case % 2 == 0 { GpuSpec::gtx_1080() } else { narrow.clone() };
+            let fidelity = if case % 4 < 2 { Fidelity::Analytic } else { Fidelity::Exact };
+            let sim = GpuSim::new(spec, fidelity);
+            // The exact replay is the slow one: smaller inputs.
+            let n = 1 + (case as usize * 7919) % [30_000, 4_000][(case % 4 / 2) as usize];
+            let keys = match case % 3 {
+                0 => gen_uniform_i32(n, 300, case),
+                1 => gen_uniform_i32(n, i32::MAX, case),
+                _ => gen_zipf_i32(n, 5_000, 0.9, case),
+            };
+            let vals: Vec<u32> = (0..n as u32).collect();
+            let (shift, bits) = ((case % 5) as u32, 1 + (case % 9) as u32);
+            let (input, output) =
+                (Region::at(1 << 24, n as u64 * 8), Region::at(1 << 34, n as u64 * 8));
+            reports.push(charge_partition_pass(
+                &sim,
+                &keys,
+                shift,
+                bits,
+                input,
+                output,
+                Region::at(1 << 44, 1 << 16),
+            ));
+            let (rp, _) = radix_partition(JoinInput::new(&keys, &vals), bits, bits);
+            let probe = &keys[..n / 2];
+            let (sp, _) = radix_partition(JoinInput::new(probe, &vals[..n / 2]), bits, bits);
+            for variant in
+                [BuildProbeVariant::Sm, BuildProbeVariant::SmL1, BuildProbeVariant::L1]
+            {
+                reports.push(
+                    build_probe_phase(&sim, &rp, &sp, variant, OutputMode::AggregateOnly).1,
+                );
+            }
+        }
+        assert_eq!(KernelReport::digest(&reports), 0x7d09_809e_0e4a_80d4);
     }
 
     #[test]

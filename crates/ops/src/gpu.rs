@@ -90,9 +90,10 @@ pub fn agg_cost(
 ) -> KernelReport {
     let row_bytes = row_bytes.max(1);
     // Scratchpad for per-block group table: 64B per group slot, pessimistic
-    // 1024 slots.
-    let smem = 16 << 10;
+    // 1024 slots — or all a block may have, on a smaller scratchpad.
+    let smem = (16 << 10).min(sim.spec().smem_per_block);
     let cfg = LaunchConfig::new(rows.div_ceil(ITEMS_PER_BLOCK).max(1), BLOCK_THREADS, smem);
+    let ops_per_row = spec.ops_per_row();
 
     sim.launch(&cfg, |blk| {
         let (start, end) = block_range(blk, rows);
@@ -101,7 +102,7 @@ pub fn agg_cost(
         }
         let n = end - start;
         blk.global_read_stream(&region, start as u64 * row_bytes, n as u64 * row_bytes);
-        blk.compute(n as u64, spec.ops_per_row());
+        blk.compute(n as u64, ops_per_row);
         // One scratchpad atomic per row per aggregate; group keys map to
         // scratchpad words. With few groups the same-word serialisation is
         // mitigated by warp-level pre-aggregation: model one atomic per warp
@@ -212,6 +213,54 @@ mod tests {
         assert_eq!(row_bytes, 16, "both aggregates read the f64 column");
         let report =
             agg_cost(&sim(), Region::at(1 << 20, b.bytes()), b.rows(), row_bytes, &spec);
+        assert!(report.time.as_us() > 0.0);
+        assert!(report.stats.smem_ops > 0);
+    }
+
+    /// `filter_cost` and `agg_cost` whole reports on seeded shapes (up to
+    /// 60 000 rows, any survivor counts, one to four aggregates) on the
+    /// paper's GPU and on a 2-SM GPU whose two-block waves complete
+    /// mid-grid, pinned from before the warp counters' fast paths and the
+    /// reused kernel buffers.
+    #[test]
+    fn filter_and_agg_reports_are_pinned_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let narrow = GpuSpec { sms: 2, max_threads_per_sm: 512, ..GpuSpec::gtx_1080() };
+        let mut r = StdRng::seed_from_u64(7);
+        let mut reports = Vec::new();
+        for case in 0..64 {
+            let spec = if case % 2 == 0 { GpuSpec::gtx_1080() } else { narrow.clone() };
+            let sim = GpuSim::new(spec, Fidelity::Analytic);
+            let rows = r.gen_range(0..60_000usize);
+            let region = Region::at(1 << 20, r.gen_range(1..1u64 << 26));
+            let survivors: Vec<u32> = (0..rows.div_ceil(ITEMS_PER_BLOCK).max(1))
+                .map(|b| {
+                    r.gen_range(0..=(rows - b * ITEMS_PER_BLOCK).min(ITEMS_PER_BLOCK) as u32)
+                })
+                .collect();
+            let (row_bytes, out_bytes) = (r.gen_range(1..40u64), r.gen_range(1..40u64));
+            let pred_ops = r.gen_range(0.5..6.0);
+            reports.push(filter_cost(
+                &sim, region, rows, row_bytes, out_bytes, pred_ops, &survivors,
+            ));
+            let aggs =
+                (0..r.gen_range(1..5usize)).map(|i| (AggFunc::Sum, Expr::col(i % 2))).collect();
+            let agg = AggSpec::grouped(vec![0], aggs);
+            reports.push(agg_cost(&sim, region, rows, row_bytes, &agg));
+        }
+        assert_eq!(KernelReport::digest(&reports), 0x68da_178e_79b4_ca4d);
+    }
+
+    /// A GPU whose blocks get less scratchpad than the aggregation's
+    /// 16 KiB table still prices it: the request is clamped to what a
+    /// block may have.
+    #[test]
+    fn agg_cost_fits_a_small_scratchpad() {
+        let small = GpuSpec { smem_per_block: 8 << 10, ..GpuSpec::gtx_1080() };
+        let spec = AggSpec::ungrouped(vec![(AggFunc::Sum, Expr::col(1))]);
+        let sim = GpuSim::new(small, Fidelity::Analytic);
+        let report = agg_cost(&sim, Region::at(1 << 20, 1 << 20), 20_000, 8, &spec);
         assert!(report.time.as_us() > 0.0);
         assert!(report.stats.smem_ops > 0);
     }

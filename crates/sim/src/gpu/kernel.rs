@@ -5,7 +5,7 @@ use crate::spec::GpuSpec;
 use crate::time::SimTime;
 
 use super::coalesce::distinct_chunks;
-use super::scratchpad::{atomic_cycles, conflict_cycles};
+use super::scratchpad::{atomic_cycles, each_warp_conflict_cycles};
 use super::{Fidelity, Region};
 
 /// Sector size for scattered global writes (GDDR write granularity).
@@ -65,6 +65,34 @@ pub struct KernelReport {
     pub dram_time: SimTime,
     /// Execution statistics.
     pub stats: KernelStats,
+}
+
+impl KernelReport {
+    /// FNV-1a over every field of `reports`, bit for bit: one number that
+    /// pins whole reports in tests.
+    #[doc(hidden)]
+    pub fn digest(reports: &[KernelReport]) -> u64 {
+        let words = reports.iter().flat_map(|r| {
+            let KernelStats {
+                dram_bytes,
+                l1_hits,
+                l1_misses,
+                l2_hits,
+                l2_misses,
+                smem_ops,
+                smem_cycles,
+                global_transactions,
+                warp_instructions,
+                blocks,
+            } = r.stats;
+            [r.time, r.sm_time, r.dram_time]
+                .map(|t| t.as_secs().to_bits())
+                .into_iter()
+                .chain([dram_bytes.to_bits(), l1_hits, l1_misses, l2_hits, l2_misses])
+                .chain([smem_ops, smem_cycles, global_transactions, warp_instructions, blocks])
+        });
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
 }
 
 /// What one warp memory operation recorded, for exact-mode replay.
@@ -150,12 +178,12 @@ impl<'a> BlockCtx<'a> {
 
     /// Warp-chunked scratchpad read/write at the given bank-word indices.
     pub fn smem_access(&mut self, words: &[u32]) {
-        for warp in words.chunks(self.spec.warp) {
-            let cycles = conflict_cycles(warp, self.spec.smem_banks);
-            self.rec.smem_ns += cycles as f64 * self.spec.smem_cycle_ns;
-            self.rec.stats.smem_ops += 1;
-            self.rec.stats.smem_cycles += cycles as u64;
-        }
+        let (spec, rec) = (self.spec, &mut self.rec);
+        each_warp_conflict_cycles(words, spec.warp, spec.smem_banks, |cycles| {
+            rec.smem_ns += cycles as f64 * spec.smem_cycle_ns;
+            rec.stats.smem_ops += 1;
+            rec.stats.smem_cycles += cycles as u64;
+        });
     }
 
     /// Warp-chunked scratchpad atomic at the given bank-word indices.
@@ -172,16 +200,11 @@ impl<'a> BlockCtx<'a> {
     /// `region.base + offset`. Charges one transaction per distinct line.
     pub fn global_read(&mut self, region: &Region, byte_offsets: &[u64], access_bytes: u32) {
         let line = self.spec.l1.line as u64;
-        let mut scratch = [0u64; 32];
         for warp in byte_offsets.chunks(self.spec.warp) {
-            let mut n = 0;
-            for (slot, off) in scratch.iter_mut().zip(warp.iter()) {
-                // An access may straddle a line; charge the first line (the
-                // straddle fraction is negligible at 4–16B accesses).
-                *slot = region.base + *off;
-                n += 1;
-            }
-            self.read_lines(region, &scratch[..n], line, access_bytes);
+            // An access may straddle a line; charge the first line (the
+            // straddle fraction is negligible at 4–16B accesses).
+            let (addrs, n) = warp_addresses(region, warp);
+            self.read_lines(region, &addrs[..n], line, access_bytes);
         }
     }
 
@@ -212,14 +235,9 @@ impl<'a> BlockCtx<'a> {
     /// Warp-chunked scatter: each element writes `access_bytes` at
     /// `region.base + offset`. GPU L1 is write-through: sectors go to L2.
     pub fn global_write(&mut self, region: &Region, byte_offsets: &[u64], access_bytes: u32) {
-        let mut scratch = [0u64; 32];
         for warp in byte_offsets.chunks(self.spec.warp) {
-            let mut n = 0;
-            for (slot, off) in scratch.iter_mut().zip(warp.iter()) {
-                *slot = region.base + *off;
-                n += 1;
-            }
-            let addrs = &scratch[..n];
+            let (addrs, n) = warp_addresses(region, warp);
+            let addrs = &addrs[..n];
             match self.fidelity {
                 Fidelity::Exact => {
                     for s in distinct_chunks(addrs, SECTOR) {
@@ -242,25 +260,14 @@ impl<'a> BlockCtx<'a> {
     /// Warp-chunked global atomic (e.g. linked-list tail bumps). Charged as
     /// an L2 transaction plus serialisation for same-address conflicts.
     pub fn global_atomic(&mut self, region: &Region, byte_offsets: &[u64]) {
-        let mut scratch = [0u64; 32];
         for warp in byte_offsets.chunks(self.spec.warp) {
-            let mut n = 0;
-            let mut max_same = 1u32;
-            for (slot, off) in scratch.iter_mut().zip(warp.iter()) {
-                *slot = region.base + *off;
-                n += 1;
-            }
             // Same-address multiplicity within the warp.
-            for i in 0..n {
-                let mut c = 0u32;
-                for j in 0..n {
-                    if scratch[j] == scratch[i] {
-                        c += 1;
-                    }
-                }
-                max_same = max_same.max(c);
+            let mut max_same = 1u32;
+            for a in warp {
+                max_same = max_same.max(warp.iter().filter(|&b| b == a).count() as u32);
             }
-            let lines = distinct_chunks(&scratch[..n], self.spec.l2.line as u64).count() as f64;
+            let (addrs, n) = warp_addresses(region, warp);
+            let lines = distinct_chunks(&addrs[..n], self.spec.l2.line as u64).count() as f64;
             self.rec.mem_ns +=
                 lines * self.spec.l2_access_ns + max_same as f64 * self.spec.atomic_ns;
             self.rec.stats.global_transactions += lines as u64;
@@ -317,6 +324,15 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// One warp's byte addresses, on the stack.
+fn warp_addresses(region: &Region, warp: &[u64]) -> ([u64; 64], usize) {
+    let mut addrs = [0u64; 64];
+    for (a, off) in addrs.iter_mut().zip(warp) {
+        *a = region.base + off;
+    }
+    (addrs, warp.len())
+}
+
 /// The GPU simulator: executes kernels and reports simulated time.
 #[derive(Debug, Clone)]
 pub struct GpuSim {
@@ -342,6 +358,13 @@ impl GpuSim {
 
     /// Launch a kernel: run `body` for every block in the grid, then account
     /// time per the throughput model described in the module docs.
+    ///
+    /// Block `b` runs on SM `b mod sms`; an SM's blocks form waves of
+    /// `occupancy` co-resident blocks, and a wave is settled when it is full
+    /// (then each SM's partial wave, in SM order) — the exact replay needs a
+    /// whole wave before it can price one. Each SM's time is the sum of its
+    /// blocks' times in block order, and the kernel's DRAM bytes are summed
+    /// in the order the waves are settled.
     pub fn launch(
         &self,
         cfg: &LaunchConfig,
@@ -355,55 +378,48 @@ impl GpuSim {
             cfg.smem_per_block,
             self.spec.smem_per_block
         );
+        assert!(
+            self.spec.warp <= 64 && self.spec.smem_banks <= 64,
+            "the warp counters model up to 64 lanes and 64 banks"
+        );
         let occ = self.spec.occupancy(cfg.block_threads, cfg.smem_per_block);
         let sms = self.spec.sms;
-        let mut l1s: Vec<SetAssocCache> = match self.fidelity {
-            Fidelity::Exact => (0..sms).map(|_| SetAssocCache::new(self.spec.l1)).collect(),
-            Fidelity::Analytic => Vec::new(),
-        };
-        // Only the exact replay reads the L2 tag array (two 128 KB vectors
+        // Only the exact replay reads the caches (two 128 KB L2 tag vectors
         // per launch on the paper testbed); the analytic model never does.
-        let mut l2 =
-            (self.fidelity == Fidelity::Exact).then(|| SetAssocCache::new(self.spec.l2));
-
+        let mut caches = (self.fidelity == Fidelity::Exact).then(|| {
+            let l1s: Vec<SetAssocCache> =
+                (0..sms).map(|_| SetAssocCache::new(self.spec.l1)).collect();
+            (l1s, SetAssocCache::new(self.spec.l2))
+        });
         let mut sm_ns = vec![0.0f64; sms];
         let mut stats = KernelStats::default();
         let mut total_dram = 0.0f64;
-        // Pending (unreplayed) blocks per SM, grouped into occupancy waves.
+        // Pending (unsettled) blocks per SM: at most one wave each.
         let mut pending: Vec<Vec<BlockRecord>> = (0..sms).map(|_| Vec::new()).collect();
-
-        let flush_wave = |sm: usize,
-                          wave: &mut Vec<BlockRecord>,
-                          l1s: &mut Vec<SetAssocCache>,
-                          l2: &mut Option<SetAssocCache>,
-                          sm_ns: &mut Vec<f64>,
-                          stats: &mut KernelStats,
-                          total_dram: &mut f64| {
-            if wave.is_empty() {
-                return;
-            }
-            if let Some(l2) = l2 {
-                Self::replay_wave(&self.spec, &mut l1s[sm], l2, wave, stats);
-            }
-            for rec in wave.drain(..) {
-                let block_ns = rec.compute_ns.max(rec.smem_ns).max(rec.mem_ns)
-                    + self.spec.block_overhead_ns / occ as f64;
-                sm_ns[sm] += block_ns;
-                *total_dram += rec.dram_bytes;
-                stats.dram_bytes += rec.dram_bytes;
-                stats.smem_ops += rec.stats.smem_ops;
-                stats.smem_cycles += rec.stats.smem_cycles;
-                stats.global_transactions += rec.stats.global_transactions;
-                stats.warp_instructions += rec.stats.warp_instructions;
-                stats.blocks += rec.stats.blocks;
-                if self.fidelity == Fidelity::Analytic {
+        let mut settle_wave =
+            |sm: usize, wave: &mut Vec<BlockRecord>, stats: &mut KernelStats| {
+                if let Some((l1s, l2)) = &mut caches {
+                    Self::replay_wave(&self.spec, &mut l1s[sm], l2, wave, stats);
+                }
+                for rec in wave.drain(..) {
+                    stats.smem_ops += rec.stats.smem_ops;
+                    stats.smem_cycles += rec.stats.smem_cycles;
+                    stats.global_transactions += rec.stats.global_transactions;
+                    stats.warp_instructions += rec.stats.warp_instructions;
+                    stats.blocks += rec.stats.blocks;
+                    // Only the analytic model counts hits per block; the replay
+                    // counts them into `stats` directly.
                     stats.l1_hits += rec.stats.l1_hits;
                     stats.l1_misses += rec.stats.l1_misses;
                     stats.l2_hits += rec.stats.l2_hits;
                     stats.l2_misses += rec.stats.l2_misses;
+                    // The slowest of the block's three overlapped lanes plus its
+                    // share of the scheduling overhead.
+                    sm_ns[sm] += rec.compute_ns.max(rec.smem_ns).max(rec.mem_ns)
+                        + self.spec.block_overhead_ns / occ as f64;
+                    total_dram += rec.dram_bytes;
                 }
-            }
-        };
+            };
 
         for b in 0..cfg.grid {
             let mut ctx = BlockCtx::new(&self.spec, self.fidelity, occ, b, cfg);
@@ -411,32 +427,14 @@ impl GpuSim {
             let sm = b % sms;
             pending[sm].push(ctx.rec);
             if pending[sm].len() == occ {
-                let mut wave = std::mem::take(&mut pending[sm]);
-                flush_wave(
-                    sm,
-                    &mut wave,
-                    &mut l1s,
-                    &mut l2,
-                    &mut sm_ns,
-                    &mut stats,
-                    &mut total_dram,
-                );
+                settle_wave(sm, &mut pending[sm], &mut stats);
             }
         }
-        #[allow(clippy::needless_range_loop)] // flush_wave needs the SM index too
-        for sm in 0..sms {
-            let mut wave = std::mem::take(&mut pending[sm]);
-            flush_wave(
-                sm,
-                &mut wave,
-                &mut l1s,
-                &mut l2,
-                &mut sm_ns,
-                &mut stats,
-                &mut total_dram,
-            );
+        for (sm, wave) in pending.iter_mut().enumerate() {
+            settle_wave(sm, wave, &mut stats);
         }
 
+        stats.dram_bytes = total_dram;
         let sm_time = SimTime::from_ns(sm_ns.iter().copied().fold(0.0, f64::max));
         let dram_time = SimTime::from_secs(total_dram / self.spec.dram_bw);
         let time = sm_time.max(dram_time) + SimTime::from_ns(self.spec.launch_overhead_ns);
@@ -604,6 +602,28 @@ mod tests {
             }
         });
         assert!(slow.time.as_secs() > 2.0 * fast.time.as_secs());
+    }
+
+    /// A 64-lane warp (an AMD wavefront) is counted lane by lane at both
+    /// fidelities: 64 distinct lines are 64 transactions, not the first 32.
+    #[test]
+    fn a_64_lane_warp_of_distinct_lines_costs_64_transactions() {
+        let spec = GpuSpec { warp: 64, ..GpuSpec::gtx_1080() };
+        let region = Region::at(1 << 20, 1 << 24);
+        let lines: Vec<u64> = (0..64u64).map(|i| i * 4096).collect();
+        let same_bank: Vec<u32> = (0..64u32).map(|i| i * 32).collect();
+        for fidelity in [Fidelity::Analytic, Fidelity::Exact] {
+            let s = GpuSim::new(spec.clone(), fidelity);
+            let cfg = LaunchConfig::new(1, 64, 0);
+            let read = s.launch(&cfg, |blk| blk.global_read(&region, &lines, 4));
+            let write = s.launch(&cfg, |blk| blk.global_write(&region, &lines, 4));
+            let atomic = s.launch(&cfg, |blk| blk.global_atomic(&region, &lines));
+            let smem = s.launch(&cfg, |blk| blk.smem_access(&same_bank));
+            for (op, report) in [("read", read), ("write", write), ("atomic", atomic)] {
+                assert_eq!(report.stats.global_transactions, 64, "{op} at {fidelity:?}");
+            }
+            assert_eq!((smem.stats.smem_ops, smem.stats.smem_cycles), (1, 64), "{fidelity:?}");
+        }
     }
 
     #[test]

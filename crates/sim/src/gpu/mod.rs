@@ -20,6 +20,28 @@
 //! bytes / bandwidth)). This is the standard analytical GPU roofline and is
 //! what makes scan kernels bandwidth-bound and probe kernels issue- or
 //! latency-bound, as in the paper's Figures 5 and 6.
+//!
+//! # Per-warp counters
+//!
+//! Every warp-chunked method reduces one warp (up to 64 lanes; more is
+//! refused) to a count, and the time is a fixed function of the counts.
+//!
+//! * **Scratchpad reads** ([`conflict_cycles`]): the largest number of
+//!   distinct words in one bank. Fast path, when every word's high part
+//!   (`word >> log2(banks)`) is below 128: a per-thread table holds a seen
+//!   flag per word (per high part, the banks it was seen in), a lane counts
+//!   for its bank only if its word's flag was still clear — so a repeated
+//!   word (a broadcast) never counts twice — and a second pass clears the
+//!   flags it set. No data-dependent branch. Otherwise: a seen-list with a
+//!   64-bucket filter. Both paths count the same distinct words, so the
+//!   fast one is exact; the routine it replaced is kept as a test oracle.
+//! * **Scratchpad atomics** ([`atomic_cycles`]): the largest number of
+//!   lanes on one bank, one branch-free count per bank, for any words —
+//!   equal to the replaced routine, also kept as a test oracle.
+//! * **Global reads, writes and atomics**: the number of distinct lines
+//!   (or 32-byte sectors) the warp touches, from [`DistinctChunks`], which
+//!   the exact replay also walks in first-touch order. An atomic's
+//!   serialisation is the largest number of lanes on one address.
 
 mod coalesce;
 mod kernel;

@@ -139,3 +139,56 @@ fn scan_bound_queries_prefer_cpu_join_heavy_prefer_gpu() {
          scan-bound Q6 ({q6_ratio:.2})"
     );
 }
+
+/// The GPU clock of Q1, Q5 (under both join algorithms) and Q6 under the
+/// two placements that price packets on the simulated GPUs, pinned bit for
+/// bit: every `KernelReport` the GPU workers add up, from the filter, fold
+/// and probe kernels to the scratchpad and coalescing counters beneath
+/// them, reaches `QueryReport::time`. A faster counter that changes one
+/// cycle anywhere moves one of these.
+#[test]
+fn gpu_priced_makespans_are_pinned_bit_for_bit() {
+    let (_, catalog, engine) = setup();
+    let queries = [
+        ("Q1", q1_query()),
+        ("Q5/npj", q5_query(JoinAlgo::NonPartitioned)),
+        ("Q5/radix", q5_query(JoinAlgo::Partitioned)),
+        ("Q6", q6_query()),
+    ];
+    // Taken from the commit before the counters' fast paths; `[gpu, hybrid]`.
+    let pins: [[u64; 2]; 4] = [
+        [0x3f1b_37ea_1e36_b7ce, 0x3efa_bc17_4bba_0206],
+        [0x3f16_991e_996a_81c2, 0x3f07_f4db_d71a_1602],
+        [0x3f15_d007_adb6_5e0a, 0x3f07_f4db_d71a_1602],
+        [0x3f10_28d8_b87c_ac78, 0x3eea_2c0d_0e85_4db8],
+    ];
+    let mut got = Vec::new();
+    for ((name, q), want) in queries.iter().zip(pins) {
+        let q = lower(q, &catalog);
+        for (placement, want) in [Placement::GpuOnly, Placement::Hybrid].into_iter().zip(want) {
+            let rep = engine.run(&q.catalog, &q.plan, &ExecConfig::new(placement)).unwrap();
+            got.push((format!("{name}/{placement:?}"), rep.time.as_secs().to_bits(), want));
+        }
+    }
+    for (cell, bits, want) in &got {
+        assert_eq!(bits, want, "{cell}: {bits:#018x}; all cells: {got:#x?}");
+    }
+}
+
+/// A GPU whose blocks get 8 KiB of scratchpad — less than the 16 KiB the
+/// aggregation kernel asks for — still runs GPU-placed aggregates, and
+/// Auto still prices them: the request is clamped to the block's share.
+#[test]
+fn small_scratchpad_gpus_run_gpu_placed_aggregates() {
+    let (data, catalog, _) = setup();
+    let mut server = Server::tpch_scaled(SF);
+    for gpu in &mut server.gpus {
+        gpu.smem_per_block = 8 << 10;
+    }
+    let engine = Engine::new(server);
+    let q6 = lower(&q6_query(), &catalog);
+    for placement in [Placement::GpuOnly, Placement::Auto] {
+        let rep = engine.run(&q6.catalog, &q6.plan, &ExecConfig::new(placement)).unwrap();
+        assert!(rows_approx_eq(&rep.rows, &q6_reference(&data)), "{placement:?}");
+    }
+}
