@@ -44,7 +44,6 @@ use hape_core::plan::{JoinTable, Pipeline, Stage};
 use hape_core::provider::{run_ops, PacketWork, Scratch, TableStore};
 use hape_core::Catalog;
 use hape_ops::agg::AggState;
-use hape_ops::stateful::split_user_aligned;
 use hape_ops::GroupKey;
 use hape_sim::SimTime;
 use hape_storage::Batch;
@@ -100,14 +99,13 @@ pub struct BaselineReport {
 }
 
 /// The stage driver both stand-ins share. Looks up the stage's source,
-/// splits it into packets of at most `packet_rows` rows (aligned on user
-/// runs when the pipeline carries a stateful aggregate, as the engine
-/// aligns its packets), pushes each through [`run_ops`], hands the recorded
-/// [`PacketWork`] to `price`, and folds `work.out` into the stream's
-/// aggregation (through the group ids `run_ops` carries) or keeps it as
-/// build output. A build stage ends by installing its [`JoinTable`] in
-/// `tables` and returns no rows; the stream stage returns the finished
-/// aggregate.
+/// splits it into packets of at most `packet_rows` rows by the engine's
+/// split rule ([`Pipeline::packets`]), pushes each through [`run_ops`],
+/// hands the recorded [`PacketWork`] to `price`, and folds `work.out` into
+/// the stream's aggregation (through the group ids `run_ops` carries) or
+/// keeps it as build output. A build stage ends by installing its
+/// [`JoinTable`] in `tables` and returns no rows; the stream stage returns
+/// the finished aggregate.
 pub(crate) fn run_stage(
     catalog: &Catalog,
     stage: &Stage,
@@ -118,10 +116,7 @@ pub(crate) fn run_stage(
     let (Stage::Build { pipeline, .. } | Stage::Stream { pipeline }) = stage;
     let source = &catalog.lookup(&pipeline.source)?.data;
     let packet_rows = packet_rows.min(source.rows()).max(1);
-    let packets = match pipeline.stateful_agg() {
-        Some(sagg) => split_user_aligned(source, sagg.user_col(), packet_rows),
-        None => source.split(packet_rows),
-    };
+    let packets = pipeline.packets(source, packet_rows);
     let mut agg = pipeline.agg.clone().map(AggState::new);
     let mut outputs = Vec::new();
     let mut scratch = Scratch::new();

@@ -24,7 +24,7 @@
 //! | broadcast s = `Σ ht bytes / link bw` per GPU | hash-table mem-move over PCIe (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
 //! | d2h s = a GPU's share of the build output over its link | built tables end up host-resident (§4.2) | [`Link::bw`](hape_sim::interconnect::Link) |
 //! | capacity bound = `Σ ht bytes × working factor ≤ DRAM` | GPU device memory, Q9's §6.4 failure | [`PipelineEstimate::gpu_footprint`] (also the verifier's audit and serving's admission), [`GpuSpec::dram_capacity`](hape_sim::GpuSpec) |
-//! | co-partition fanout: `2(R+S) >> bits ≤ 0.9 × DRAM` | §5 "just small enough to fit in GPU-memory" | [`hape_join::plan_cpu_bits`], [`hape_join::gpu_budget`] |
+//! | co-partition fanout: `2(R+S) >> bits ≤ min(0.9 × DRAM, DRAM − 64 KiB)` | §5 "just small enough to fit in GPU-memory", beside the GPU join's fixed tails buffer | [`hape_join::plan_cpu_bits`], [`hape_join::gpu_budget`] |
 //! | co-partition s = `Σ passes partition_pass(n, 8, 2^bits) / workers` | TLB-bounded multi-pass CPU partitioning (§4.1, §5) | [`CpuCostModel::partition_pass`], [`CpuSpec::max_partition_fanout`](hape_sim::CpuSpec::max_partition_fanout) |
 //! | co-process single pass s = `max((R+S)/Σ link bw, 4(R+S)/Σ gpu bw)` | each co-partition pair crosses PCIe once, joined at device bandwidth (§5) | [`Link::bw`](hape_sim::interconnect::Link), [`GpuSpec::dram_bw`](hape_sim::GpuSpec) |
 //! | co-process prefix and fold | the CPUs' packets up to the co-processed probe; the fused fold of its matches (§5) | [`CostModel::stage_cost`]; [`hape_ops::cpu::agg_cost`] spread as the stage spreads it |

@@ -75,7 +75,7 @@ use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
 use crate::provider::{
-    gather_matches, run_ops, CpuWorker, DeviceProvider, GpuWorker, PacketWork, Scratch,
+    cpu_packet_cost, run_ops, CpuWorker, DeviceProvider, GpuWorker, PacketWork, Scratch,
     TableStore,
 };
 use crate::runtime;
@@ -275,12 +275,15 @@ pub struct Engine {
 /// Aggregated result rows, sorted by group key.
 type AggRows = Vec<(GroupKey, Vec<f64>)>;
 
-/// What a packet loop hands back: the packets' outputs (build pipelines;
-/// aggregating ones fold theirs into the workers) and when the last packet
-/// finished. Everything else that happened is in the ledger.
+/// What a packet loop hands back: the packets' outputs (build pipelines),
+/// the workers' merged aggregate (aggregating ones) and when the last
+/// packet finished. Everything else that happened is in the ledger.
 struct Streamed {
     outputs: Vec<Batch>,
+    rows: AggRows,
     end: SimTime,
+    /// How many workers ran it.
+    workers: usize,
 }
 
 /// The one way into the packet loop: everything a stage's interpretation
@@ -424,8 +427,9 @@ impl StageEnv<'_> {
     /// Instantiate the workers that run `pipeline` on `devices`: one
     /// [`CpuWorker`] per core of a CPU socket, one [`GpuWorker`] per GPU,
     /// which installs every table the pipeline probes (its segment's
-    /// broadcast mem-moves, [`crate::place::Segment::exchanges`]). A device
-    /// this server lacks is the typed [`EngineError::DeviceNotPresent`].
+    /// broadcast mem-moves, [`crate::place::Segment::exchanges`]), each
+    /// with a partial state of the pipeline's aggregation. A device this
+    /// server lacks is the typed [`EngineError::DeviceNotPresent`].
     ///
     /// The fault plane hooks in here: a segment targeting a quarantined
     /// GPU is the typed [`EngineError::DeviceFailed`] (which the stepper
@@ -436,9 +440,8 @@ impl StageEnv<'_> {
         &self,
         devices: &[DeviceId],
         pipeline: &Pipeline,
-        agg: Option<&AggSpec>,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
-        let (server, faults) = (self.server(), self.faults);
+        let (server, faults, agg) = (self.server(), self.faults, pipeline.agg.as_ref());
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for &device in devices {
             match device {
@@ -514,11 +517,13 @@ impl StageEnv<'_> {
     ///    lane priced and capacity-checked against its own spec, link
     ///    (derated when slowed) and budget; what comes back is (build row,
     ///    probe row) match pairs, no columns;
-    /// 3. when the probe feeds the aggregation directly (the §5 shape), the
-    ///    fold gathers per chunk of pairs only the columns the `AggSpec`
-    ///    reads — the joined batch is never materialised; when operators
-    ///    remain, the pairs are gathered into the physical layout an
-    ///    in-pipeline probe would produce and re-enter the packet loop.
+    /// 3. the rest of the pipeline (the operators after the final probe and
+    ///    the aggregation) consumes the pairs fused, chunk by chunk: each
+    ///    chunk gathers the columns the rest reads into the layout an
+    ///    in-pipeline probe produces, runs through [`run_ops`] and folds
+    ///    ([`AggState::fold`]) — the joined batch is never materialised;
+    ///    the charge is the rest's operators plus the fold, spread over the
+    ///    CPU workers ([`fold_span`]).
     ///
     /// Returns the aggregated rows and the stage's end time. All failures
     /// are typed [`EngineError`]s — a pipeline with no probe is
@@ -559,9 +564,8 @@ impl StageEnv<'_> {
             agg: None,
         };
         let wall_prefix_start = self.ledger.recorder().now_ns();
-        let mut workers = self.workers_for(&sockets, &prefix, None)?;
-        let dop = workers.len();
-        let pre = self.run_workers(&prefix, &mut workers, start)?;
+        let pre = self.run_workers(&sockets, &prefix, start)?;
+        let dop = pre.workers;
         let inter = Batch::concat(pre.outputs);
         let wall_prefix_end = self.ledger.recorder().now_ns();
 
@@ -607,106 +611,80 @@ impl StageEnv<'_> {
         let join_end = pre.end + join_time;
         let wall_join_end = self.ledger.recorder().now_ns();
 
-        // ---- 3. Remaining operators + aggregation on the CPU workers.
-        // Match pairs stream back as co-partitions complete, so the fold
-        // overlaps the join phase (§5's pipelining) — but it cannot start
-        // before the first co-partition's join lands *and* the CPUs have
-        // finished the co-partitioning passes; the stage ends when both
-        // the last join and the fold have finished.
+        // ---- 3. The rest of the pipeline — the operators after the final
+        // probe, then the aggregation — folds the match pairs chunk by chunk
+        // on the CPU workers. Match pairs stream back as co-partitions
+        // complete, so the fold overlaps the join phase (§5's pipelining) —
+        // but it cannot start before the first co-partition's join lands
+        // *and* the CPUs have finished the co-partitioning passes; the stage
+        // ends when both the last join and the fold have finished.
         let fold_start = pre.end + first_join_done.max(cpu_partition_time);
-        let suffix_ops = &pipeline.ops[probe_idx + 1..];
-        let (rows, end);
-        if suffix_ops.is_empty() {
-            // The §5 shape: the co-processed probe feeds the aggregation
-            // directly, so the match pairs stream through registers into
-            // the fold (fused consumption) — expression evaluation plus
-            // group-table random accesses, spread over the CPU workers; no
-            // rematerialised scan of the joined rows.
-            let socket = *cpus.first().ok_or_else(invalid)?;
-            let spec = self.engine.server.cpus.get(socket).ok_or_else(|| {
+        let rest = Pipeline {
+            source: pipeline.source.clone(),
+            ops: pipeline.ops[probe_idx + 1..].to_vec(),
+            agg: pipeline.agg.clone(),
+        };
+        let socket = *cpus.first().ok_or_else(invalid)?;
+        let spec =
+            self.engine.server.cpus.get(socket).ok_or_else(|| {
                 EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
             })?;
-            let model = CpuCostModel::new(spec.clone(), spec.cores);
-            // The fold rides the same worker pool as the packet loop:
-            // deterministic per-dop chunks folded in parallel, partial
-            // states merged in chunk order (thread-count-independent),
-            // charged exactly what the single-pass fold charges — the
-            // same expression work plus random accesses into the final
-            // group table.
-            //
-            // The fold gathers what it reads: each chunk takes its slice of
-            // the match pairs and gathers only the columns the spec reads
-            // (group-by ∪ aggregate arguments; column 0 when it reads none,
-            // for the row count). The chunk keeps the joined layout, so the
-            // spec's indices hold as they are: every position nothing reads
-            // is a clone of the first gathered column — a view of the right
-            // length, never the right data, never looked at.
-            let mut state = AggState::new(agg_spec.clone());
-            let fold_busy = if n_joined > 0 {
-                let n_probe = inter.columns.len();
-                let mut reads = agg_spec.group_by.clone();
-                reads.extend(agg_spec.aggs.iter().flat_map(|(_, e)| e.columns_used()));
-                let lead = reads.first().copied().unwrap_or(0);
-                let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
-                let partials = runtime::scatter(
-                    threads,
-                    n_joined.div_ceil(chunk_rows),
-                    |_| (),
-                    |i, _scratch| {
-                        let (lo, hi) = (i * chunk_rows, n_joined.min((i + 1) * chunk_rows));
-                        let (build, probe) = (&build_rows[lo..hi], &probe_rows[lo..hi]);
-                        let take = |c: usize| match c.checked_sub(n_probe) {
-                            None => inter.col(c).take(probe),
-                            Some(b) => jt.batch.col(build_payload_cols[b]).take(build),
-                        };
-                        let first = take(lead);
-                        let columns = (0..n_probe + build_payload_cols.len())
-                            .map(|c| {
-                                if c != lead && reads.contains(&c) {
-                                    take(c)
-                                } else {
-                                    first.clone()
-                                }
-                            })
-                            .collect();
-                        let mut partial = AggState::new(agg_spec.clone());
-                        partial.update(&Batch::new(columns));
-                        partial
-                    },
-                );
-                for p in &partials {
-                    state.merge(p);
-                }
-                hape_ops::cpu::agg_cost(agg_spec, n_joined as u64, state.n_groups(), &model)
-            } else {
-                SimTime::ZERO
-            };
-            self.ledger.busy(fold_busy, SimTime::ZERO);
-            rows = state.finish();
-            end = (fold_start + fold_span(fold_busy, dop)).max(join_end);
-        } else {
-            // Operators remain after the co-processed probe: the joined
-            // rows genuinely re-enter the generic packet loop on the CPU
-            // workers.
-            let suffix = Pipeline {
-                source: pipeline.source.clone(),
-                ops: suffix_ops.to_vec(),
-                agg: pipeline.agg.clone(),
-            };
-            let mut workers = self.workers_for(&sockets, &suffix, Some(agg_spec))?;
-            let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-            let packets = if n_joined > 0 {
-                let joined =
-                    gather_matches(&inter, jt, &probe_rows, &build_rows, build_payload_cols);
-                let rows = ExecConfig::auto_packet_rows(n_joined, shares, self.packet_rows);
-                joined.split(rows)
-            } else {
-                Vec::new()
-            };
-            let post = self.packet_loop(&packets, &suffix, &mut workers, fold_start)?;
-            rows = merge_partials(agg_spec, &mut workers);
-            end = post.end.max(join_end);
+        let model = CpuCostModel::new(spec.clone(), spec.cores);
+        // A chunk is a slice of the match pairs gathered into the joined
+        // layout an in-pipeline probe produces (probe columns, then the build
+        // payload), so `rest`'s indices hold as they are. It gathers only
+        // what `rest` reads: every column when operators remain; otherwise
+        // the group-by ∪ aggregate arguments (column 0 when the spec reads
+        // none, for the row count), every other position a clone of the
+        // first gathered column — a view of the right length, never looked
+        // at. The joined batch is never materialised whole.
+        let n_probe = inter.columns.len();
+        let n_cols = n_probe + build_payload_cols.len();
+        let mut reads = agg_spec.group_by.clone();
+        reads.extend(agg_spec.aggs.iter().flat_map(|(_, e)| e.columns_used()));
+        if !rest.ops.is_empty() {
+            reads = (0..n_cols).collect();
         }
+        let lead = reads.first().copied().unwrap_or(0);
+        // Each chunk runs through `run_ops` on the worker pool and folds
+        // into a partial state; the partials merge in chunk order, so the
+        // result is thread-count-independent. The charge is what `run_ops`
+        // recorded for `rest`'s operators (the pairs stream through
+        // registers: no scan) plus the fold's expression work and random
+        // accesses into the final group table.
+        let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
+        let chunks = runtime::scatter(
+            threads,
+            n_joined.div_ceil(chunk_rows),
+            |_| Scratch::new(),
+            |i, scratch| {
+                let (lo, hi) = (i * chunk_rows, n_joined.min((i + 1) * chunk_rows));
+                let (build, probe) = (&build_rows[lo..hi], &probe_rows[lo..hi]);
+                let take = |c: usize| match c.checked_sub(n_probe) {
+                    None => inter.col(c).take(probe),
+                    Some(b) => jt.batch.col(build_payload_cols[b]).take(build),
+                };
+                let (first, own) = (take(lead), |c| c != lead && reads.contains(&c));
+                let columns = (0..n_cols).map(|c| if own(c) { take(c) } else { first.clone() });
+                let work = run_ops(Batch::new(columns.collect()), &rest, tables, scratch)?;
+                let mut partial = AggState::new(agg_spec.clone());
+                if let Some(groups) = &work.groups {
+                    partial.fold(&work.out, groups);
+                }
+                Ok::<_, EngineError>((partial, cpu_packet_cost(&model, 0, &work.ops, tables)?))
+            },
+        );
+        let (mut state, mut ops_busy) = (AggState::new(agg_spec.clone()), SimTime::ZERO);
+        for chunk in chunks {
+            let (partial, busy) = chunk?;
+            state.merge(&partial);
+            ops_busy += busy;
+        }
+        let (folded, groups) = (state.rows_seen, state.n_groups());
+        let fold_busy = ops_busy + hape_ops::cpu::agg_cost(agg_spec, folded, groups, &model);
+        self.ledger.busy(fold_busy, SimTime::ZERO);
+        let rows = state.finish();
+        let end = (fold_start + fold_span(fold_busy, dop)).max(join_end);
 
         // The §5 phase spans: CPU prefix, the co-partitioned GPU lanes,
         // and the overlapping CPU fold.
@@ -734,50 +712,27 @@ impl StageEnv<'_> {
         Ok((rows, end))
     }
 
-    /// The generic packet loop over a catalog source: one router, N
-    /// `dyn DeviceProvider` workers, no knowledge of device types beyond
-    /// the trait.
+    /// The packet loop (the module header's three beats) over a catalog
+    /// source: one router, N `dyn DeviceProvider` workers on `devices`
+    /// ([`StageEnv::workers_for`]), no knowledge of device types beyond the
+    /// trait.
     fn run_workers(
         &mut self,
+        devices: &[DeviceId],
         pipeline: &Pipeline,
-        workers: &mut [Box<dyn DeviceProvider>],
         start: SimTime,
     ) -> Result<Streamed, EngineError> {
+        let mut workers = self.workers_for(devices, pipeline)?;
         let table = self.catalog.lookup(&pipeline.source)?;
-        let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-        let rows_per_packet =
-            ExecConfig::auto_packet_rows(table.rows(), shares, self.packet_rows);
-        // Stateful aggregates consume whole per-user runs, so their packet
-        // boundaries snap to user boundaries (binding guarantees only
-        // filters precede the op, so its columns are source-table indices,
-        // in range and of a type the kernels read). The split is computed
-        // once, before any worker sees a packet, so it is identical at
-        // every thread count.
-        let packets = match pipeline.stateful_agg() {
-            Some(agg) => hape_ops::stateful::split_user_aligned(
-                &table.data,
-                agg.user_col(),
-                rows_per_packet,
-            ),
-            None => table.data.split(rows_per_packet),
-        };
-        self.packet_loop(&packets, pipeline, workers, start)
-    }
-
-    /// The packet loop proper (the module header's three beats), over
-    /// pre-split packets — also driven directly by the co-processing
-    /// stage for its post-join remainder (whose input is an in-memory
-    /// batch, not a catalog table).
-    fn packet_loop(
-        &mut self,
-        packets: &[Batch],
-        pipeline: &Pipeline,
-        workers: &mut [Box<dyn DeviceProvider>],
-        start: SimTime,
-    ) -> Result<Streamed, EngineError> {
         if workers.is_empty() {
             return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
         }
+        let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
+        let rows_per_packet =
+            ExecConfig::auto_packet_rows(table.rows(), shares, self.packet_rows);
+        // Split once, before any worker sees a packet: identical at every
+        // thread count.
+        let packets = pipeline.packets(&table.data, rows_per_packet);
         let (tables, threads) = (self.tables, self.threads);
 
         // ---- Broadcast the probed hash tables along each worker's input
@@ -812,7 +767,7 @@ impl StageEnv<'_> {
         // ---- Phase 1, data plane: kernels once per packet, priced per
         // class, on the worker pool.
         let agg_spec = pipeline.agg.as_ref();
-        let shared: &[Box<dyn DeviceProvider>] = workers;
+        let shared: &[Box<dyn DeviceProvider>] = &workers;
         // Per-packet wall interval + the pool thread that computed it —
         // measured on the data plane (zeros when the recorder is off),
         // shipped back with the results, entered on the control plane.
@@ -891,10 +846,8 @@ impl StageEnv<'_> {
         // ---- Phase 3: stage outputs (build), or the per-worker fold
         // jobs (stream) — data plane again, one job per worker, each
         // folding its packets in routed order.
-        let mut outputs = Vec::new();
-        if agg_spec.is_none() {
-            outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
-        } else {
+        let (mut outputs, mut rows) = (Vec::new(), AggRows::new());
+        if let Some(spec) = agg_spec {
             let mut folds: Vec<Option<PacketWork>> =
                 works.into_iter().map(|(w, _, _)| Some(w)).collect();
             let jobs: Vec<(&mut AggState, Vec<PacketWork>)> = workers
@@ -918,13 +871,16 @@ impl StageEnv<'_> {
                     }
                 }
             });
+            rows = merge_partials(spec, &mut workers);
+        } else {
+            outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
         }
 
         let busy_of = |device: DeviceType| {
             workers.iter().filter(|w| w.device() == device).map(|w| w.busy()).sum()
         };
         self.ledger.busy(busy_of(DeviceType::Cpu), busy_of(DeviceType::Gpu));
-        Ok(Streamed { outputs, end })
+        Ok(Streamed { outputs, rows, end, workers: workers.len() })
     }
 }
 
@@ -1118,8 +1074,7 @@ impl<'a> QueryExec<'a> {
                 }
                 // Build stages always auto-size: plumbing, not the workload.
                 env.packet_rows = None;
-                let mut workers = env.workers_for(&stage.devices(), pipeline, None)?;
-                let out = env.run_workers(pipeline, &mut workers, start)?;
+                let out = env.run_workers(&stage.devices(), pipeline, start)?;
                 self.clock = out.end;
                 let table = Arc::new(JoinTable::build(Batch::concat(out.outputs), *key_col));
                 let rows = table.rows();
@@ -1127,11 +1082,9 @@ impl<'a> QueryExec<'a> {
                 rows
             }
             PlacedStage::Stream { .. } => {
-                let agg_spec = stream_agg(pipeline)?;
-                let mut workers =
-                    env.workers_for(&stage.devices(), pipeline, Some(agg_spec))?;
-                self.clock = env.run_workers(pipeline, &mut workers, start)?.end;
-                self.rows = merge_partials(agg_spec, &mut workers);
+                stream_agg(pipeline)?;
+                let out = env.run_workers(&stage.devices(), pipeline, start)?;
+                (self.rows, self.clock) = (out.rows, out.end);
                 self.rows.len()
             }
             PlacedStage::CoProcess { cpus, gpus, .. } => {

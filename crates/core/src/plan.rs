@@ -138,6 +138,19 @@ impl Pipeline {
         })
     }
 
+    /// `source` split into the packets this pipeline runs, of at most `rows`
+    /// rows each — the engine's and the baselines' one split rule. Stateful
+    /// aggregates consume whole per-user runs, so their packet boundaries
+    /// snap to user boundaries (binding guarantees only filters precede the
+    /// op, so its columns are source-table indices, in range and of a type
+    /// the kernels read).
+    pub fn packets(&self, source: &Batch, rows: usize) -> Vec<Batch> {
+        match self.stateful_agg() {
+            Some(agg) => hape_ops::stateful::split_user_aligned(source, agg.user_col(), rows),
+            None => source.split(rows),
+        }
+    }
+
     /// The pipeline's stateful aggregate, if any. Because binding
     /// ([`QueryPlan::bind`]) guarantees only filters precede it, its column
     /// indices are in *source*-table coordinates — the engine aligns packet

@@ -762,9 +762,10 @@ pub fn probe_join_with(
 /// Assemble the joined batch from match pairs: the probe side's columns
 /// gathered by `probe_sel` (handed through as views, uncopied, when the
 /// selection is the identity), followed by the selected build payload
-/// columns gathered by `build_sel` — the one shape both
-/// [`probe_join_with`] and the operators downstream of a co-processed
-/// probe ([`crate::place::PlacedStage::CoProcess`]) see.
+/// columns gathered by `build_sel` — [`probe_join_with`]'s output. A
+/// co-processed probe ([`crate::place::PlacedStage::CoProcess`]) never
+/// builds it whole: its stage gathers the same layout chunk by chunk, and
+/// only the columns the rest of its pipeline reads.
 pub fn gather_matches(
     probe: &Batch,
     jt: &JoinTable,

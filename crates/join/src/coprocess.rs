@@ -31,7 +31,7 @@ use hape_sim::topology::Server;
 use hape_sim::{Fidelity, GpuSim, SimTime};
 
 use crate::common::{JoinInput, JoinOutcome, JoinStats, OutputMode};
-use crate::gpu_radix::{gpu_radix_with_shift, BuildProbeVariant};
+use crate::gpu_radix::{gpu_radix_with_shift, BuildProbeVariant, GPU_RADIX_TAILS_BYTES};
 use crate::partition::radix_partition_with_threads;
 use hape_sim::CpuCostModel;
 
@@ -172,13 +172,18 @@ pub struct CoprocessReport {
 }
 
 /// The fraction of a GPU's device memory the co-partitioning may plan
-/// against (the rest is working-space slack for tails/bookkeeping).
+/// against (the rest is bookkeeping slack). It covers the GPU join's fixed
+/// partition-tails buffer only on GPUs of at least 640 KiB, so
+/// [`gpu_budget`] also subtracts that buffer itself.
 const GPU_BUDGET_FRACTION: f64 = 0.9;
 
 /// A GPU's co-partition budget: the device memory available to one
-/// resident co-partition pair plus the join's double buffers.
+/// resident co-partition pair plus the join's double buffers — what is left
+/// beside the join's fixed 64 KiB tails buffer, and at most 90 % of the
+/// device.
 pub fn gpu_budget(dram_capacity: usize) -> u64 {
-    (dram_capacity as f64 * GPU_BUDGET_FRACTION) as u64
+    let beside_tails = dram_capacity.saturating_sub(GPU_RADIX_TAILS_BYTES) as u64;
+    ((dram_capacity as f64 * GPU_BUDGET_FRACTION) as u64).min(beside_tails)
 }
 
 /// Pick the CPU-side fanout: the smallest power of two such that one

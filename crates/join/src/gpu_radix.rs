@@ -28,6 +28,11 @@ use crate::common::{ChainedTable, JoinInput, JoinOutcome, JoinStats, OutputMode}
 use crate::cpu_radix::RadixPlan;
 use crate::partition::{radix_of, radix_partition, RadixPartitions};
 
+/// Device memory the GPU join allocates for its partition tails, whatever
+/// the input size — working space the co-partition budget leaves beside
+/// each pair ([`crate::coprocess::gpu_budget`]).
+pub(crate) const GPU_RADIX_TAILS_BYTES: usize = 1 << 16;
+
 /// Where the build & probe phase keeps the per-partition hash table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildProbeVariant {
@@ -335,7 +340,7 @@ pub fn gpu_radix_with_shift(
     let s_in = pool.alloc(s.bytes().max(8))?;
     let r_out = pool.alloc(r.bytes().max(8))?;
     let s_out = pool.alloc(s.bytes().max(8))?;
-    let tails = pool.alloc(1 << 16)?;
+    let tails = pool.alloc(GPU_RADIX_TAILS_BYTES as u64)?;
 
     let plan = plan_radix_gpu(r.len().max(2), sim.spec());
     let max_pass_bits = *plan.pass_bits.iter().max().unwrap_or(&1);

@@ -245,11 +245,6 @@ impl GpuSpec {
         1e9 / self.clock_hz
     }
 
-    /// Warps per block of `threads` threads.
-    pub fn warps_per_block(&self, threads: usize) -> usize {
-        threads.div_ceil(self.warp)
-    }
-
     /// How many blocks can be resident on one SM simultaneously, given the
     /// per-block thread count and scratchpad usage. This drives both the
     /// under-utilisation effect at tiny partition sizes (Fig. 5) and the

@@ -94,12 +94,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime((self.0 - other.0).max(0.0))
     }
-
-    /// True if this is exactly time zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
 }
 
 impl Add for SimTime {

@@ -122,37 +122,81 @@ fn auto_completes_q9_through_a_coprocess_stage() {
     assert!(auto.h2d_bytes > 0, "co-partitions must cross PCIe");
 }
 
-/// Q9* ends in its co-processed probe; a filter on the build side's
-/// payload keeps an operator *after* it, so the joined rows re-enter the
-/// packet loop on the CPU workers — the co-process stage's other branch.
+/// Q9*'s joins with an operator *after* the co-processed probe — a filter
+/// on the build side's payload, or a `select` that changes the layout the
+/// aggregation reads — so each chunk of match pairs runs that operator
+/// through `run_ops` before it folds.
 #[test]
 fn coprocess_stage_runs_operators_after_its_final_probe() {
     let session = tpch_session();
     let algo = JoinAlgo::NonPartitioned;
-    let query = Query::new("late")
-        .from_table("lineitem")
-        .join(Query::scan("partsupp"), "l_pskey", "ps_pskey", algo)
-        .join(Query::scan("orders"), "l_orderkey", "o_orderkey", algo)
-        .filter(col("o_year").gt(lit(1994)))
-        .group_by(&["o_year"])
-        .agg(vec![(
+    let joined = || {
+        Query::new("late")
+            .from_table("lineitem")
+            .join(Query::scan("partsupp"), "l_pskey", "ps_pskey", algo)
+            .join(Query::scan("orders"), "l_orderkey", "o_orderkey", algo)
+    };
+    let filtered =
+        joined().filter(col("o_year").gt(lit(1994))).group_by(&["o_year"]).agg(vec![(
             AggFunc::Sum,
             col("l_extendedprice").sub(col("ps_supplycost").mul(col("l_quantity"))),
         )]);
+    // A select's outputs are `f64`, which cannot group: a global aggregate.
+    let selected = joined()
+        .select(vec![
+            ("year", col("o_year")),
+            ("amount", col("l_extendedprice").sub(col("ps_supplycost").mul(col("l_quantity")))),
+        ])
+        .agg(vec![(AggFunc::Sum, col("amount")), (AggFunc::Max, col("year"))]);
     let auto = |threads| ExecConfig::new(Placement::Auto).with_threads(threads);
-    let placed = session.place_with(&query, &auto(1)).unwrap();
-    let Some(PlacedStage::CoProcess { pipeline, .. }) = placed.stages.last() else {
-        let text = placed.render(&session.engine().server);
-        panic!("the stream must place as a co-process stage:\n{text}");
-    };
-    let (probe, _) = pipeline.last_probe().expect("a co-process stage probes");
-    assert_eq!(pipeline.ops.len(), probe + 2, "one operator follows the final probe");
-    let one = session.execute_with(&query, &auto(1)).unwrap();
-    let two = session.execute_with(&query, &auto(2)).unwrap();
-    assert_eq!((one.time, &one.rows), (two.time, &two.rows), "thread count is wall-clock only");
-    assert!(one.packets_cpu > 0 && one.packets_gpu > 0, "prefix, lanes and suffix all ran");
-    let cpu = session.execute_with(&query, &ExecConfig::new(Placement::CpuOnly)).unwrap();
-    assert!(!cpu.rows.is_empty() && rows_approx_eq(&one.rows, &cpu.rows));
+    for query in [filtered, selected] {
+        let placed = session.place_with(&query, &auto(1)).unwrap();
+        let Some(PlacedStage::CoProcess { pipeline, .. }) = placed.stages.last() else {
+            let text = placed.render(&session.engine().server);
+            panic!("{}: the stream must place as a co-process stage:\n{text}", query.name);
+        };
+        let (probe, _) = pipeline.last_probe().expect("a co-process stage probes");
+        assert_eq!(pipeline.ops.len(), probe + 2, "one operator follows the final probe");
+        let one = session.execute_with(&query, &auto(1)).unwrap();
+        for threads in [2, 8] {
+            let other = session.execute_with(&query, &auto(threads)).unwrap();
+            assert_eq!(
+                format!("{one:?}"),
+                format!("{other:?}"),
+                "{}: thread count is wall-clock only ({threads} threads)",
+                query.name
+            );
+        }
+        assert!(one.packets_cpu > 0 && one.packets_gpu > 0, "prefix and lanes both ran");
+        let cpu = session.execute_with(&query, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+        assert!(!cpu.rows.is_empty() && rows_approx_eq(&one.rows, &cpu.rows), "{}", query.name);
+    }
+}
+
+/// GPUs too small for the GPU join's fixed working space beside any
+/// co-partition: Auto must not plan the §5 stage on them (the verifier and
+/// the lanes agree with the optimizer), and it answers CpuOnly's rows.
+#[test]
+fn auto_answers_on_gpus_too_small_for_the_join_working_space() {
+    for kib in [8usize, 32, 64] {
+        let mut server = Server::tpch_scaled(SF);
+        for gpu in &mut server.gpus {
+            gpu.dram_capacity = kib << 10;
+        }
+        let mut session = Session::new(server);
+        session.register_as("fact", gen_key_fk_table(4096, 4096, 7));
+        session.register_as("dim", gen_key_fk_table(4096, 4096, 8));
+        let q = session
+            .query("small")
+            .from_table("fact")
+            .join(Query::scan("dim"), "k", "k", JoinAlgo::NonPartitioned)
+            .agg(vec![(AggFunc::Count, col("k")), (AggFunc::Sum, col("v"))]);
+        let auto = ExecConfig::new(Placement::Auto);
+        session.verify_with(&q, &auto).unwrap_or_else(|e| panic!("{kib} KiB: {e}"));
+        let rows = session.execute_with(&q, &auto).unwrap_or_else(|e| panic!("{kib} KiB: {e}"));
+        let cpu = session.execute_with(&q, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+        assert_eq!(rows.rows, cpu.rows, "{kib} KiB: rows diverge from CpuOnly");
+    }
 }
 
 /// The deleted `run_q9_hybrid` path is the makespan yardstick: the
