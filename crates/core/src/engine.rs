@@ -61,12 +61,15 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use hape_ops::agg::AggState;
-use hape_ops::{AggSpec, GroupKey};
+use hape_ops::expr::{eval, same_expr};
+use hape_ops::{AggFunc, AggSpec, Expr, GroupKey};
 use hape_sim::topology::{DeviceId, Server};
 use hape_sim::{CpuCostModel, Fidelity, SimTime};
-use hape_storage::Batch;
+use hape_storage::{Batch, Column};
 
-use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput, OutputMode};
+use hape_join::{
+    coprocess_join_parts, BuildProbeVariant, CoprocessConfig, JoinInput, MatchPairs, OutputMode,
+};
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
@@ -406,6 +409,81 @@ fn stream_agg(pipeline: &Pipeline) -> Result<&AggSpec, EngineError> {
     })
 }
 
+/// Rows `range` of the concatenation of `parts`' (build rows, probe rows)
+/// vectors, which begin at `starts` in it: borrowed when one part holds
+/// them, else copied out of the parts they span.
+fn pair_rows<'a>(
+    parts: &'a [MatchPairs],
+    starts: &[usize],
+    range: std::ops::Range<usize>,
+) -> (Cow<'a, [u32]>, Cow<'a, [u32]>) {
+    let first = starts.partition_point(|&s| s <= range.start) - 1;
+    let (build, probe) = &parts[first];
+    let within = range.start - starts[first]..range.end - starts[first];
+    if within.end <= probe.len() {
+        return (Cow::Borrowed(&build[within.clone()]), Cow::Borrowed(&probe[within]));
+    }
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+    for ((build, probe), &s) in parts[first..].iter().zip(&starts[first..]) {
+        if s >= range.end {
+            break;
+        }
+        let span = range.start.max(s) - s..(range.end - s).min(probe.len());
+        build_rows.extend_from_slice(&build[span.clone()]);
+        probe_rows.extend_from_slice(&probe[span]);
+    }
+    (Cow::Owned(build_rows), Cow::Owned(probe_rows))
+}
+
+/// The co-processing stage's fold spec and the columns it reads past the
+/// joined layout of `n_cols` columns: `spec` with each argument that is
+/// not a count's, not a bare column, and reads only probe-side columns (the
+/// prefix's `packets`) replaced by `Col(n_cols + j)`, and column `j` that
+/// argument evaluated over the packets' rows in order, one packet per job
+/// on the pool. Arguments that evaluate to the same bits share one column.
+fn evaluate_probe_args(
+    spec: &AggSpec,
+    packets: &[Batch],
+    n_cols: usize,
+    threads: usize,
+) -> (AggSpec, Vec<Column>) {
+    let n_probe = packets.first().map_or(0, |b| b.columns.len());
+    let mut fold_spec = spec.clone();
+    let mut exprs: Vec<Expr> = Vec::new();
+    for (func, arg) in fold_spec.aggs.iter_mut() {
+        let cols = arg.columns_used();
+        let probe_only = !cols.is_empty() && cols.iter().all(|&c| c < n_probe);
+        if *func == AggFunc::Count || matches!(arg, Expr::Col(_)) || !probe_only {
+            continue;
+        }
+        let j = exprs.iter().position(|e| same_expr(e, arg)).unwrap_or_else(|| {
+            exprs.push(arg.clone());
+            exprs.len() - 1
+        });
+        *arg = Expr::Col(n_cols + j);
+    }
+    if exprs.is_empty() {
+        return (fold_spec, Vec::new());
+    }
+    let n = packets.iter().map(Batch::rows).sum();
+    let mut values: Vec<Vec<f64>> = vec![vec![0.0; n]; exprs.len()];
+    let mut blocks: Vec<Vec<&mut [f64]>> = packets.iter().map(|_| Vec::new()).collect();
+    for column in values.iter_mut() {
+        let mut rest = &mut column[..];
+        for (packet, block) in packets.iter().zip(blocks.iter_mut()) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(packet.rows());
+            block.push(head);
+            rest = tail;
+        }
+    }
+    runtime::drain(threads, packets.iter().zip(blocks).collect(), |(packet, dsts)| {
+        for (expr, dst) in exprs.iter().zip(dsts) {
+            dst.copy_from_slice(&eval(expr, packet).into_f64());
+        }
+    });
+    (fold_spec, values.into_iter().map(Column::from_f64).collect())
+}
+
 /// How long a co-processing stage's fused fold of `busy` single-core work
 /// takes spread over its `workers` CPU workers (90% parallel efficiency) —
 /// the engine's rule, and the cost model's estimate of it.
@@ -509,21 +587,36 @@ impl StageEnv<'_> {
     ///    (every operator before the final probe) through the ordinary
     ///    packet loop; the packet outputs become the intermediate — columns
     ///    that passed the prefix untouched (a scan through foreign-key
-    ///    probes) stay views of the base table, only columns an operator
-    ///    produced are materialised;
+    ///    probes) stay views of the base table, and of the columns an
+    ///    operator produced only the key and those step 3 gathers are
+    ///    concatenated;
     /// 2. the intermediate's key column is co-partitioned against the final
     ///    probe's hash table (the co-processed table) and joined via
     ///    `hape_join::coprocess_join_on` over the stage's GPU lanes — each
     ///    lane priced and capacity-checked against its own spec, link
     ///    (derated when slowed) and budget; what comes back is (build row,
-    ///    probe row) match pairs, no columns;
+    ///    probe row) match pairs, no columns, left in one vector pair per
+    ///    co-partition (`hape_join::coprocess_join_parts`): a fold chunk
+    ///    reads its rows of their concatenation ([`pair_rows`]) without it
+    ///    being built;
     /// 3. the rest of the pipeline (the operators after the final probe and
     ///    the aggregation) consumes the pairs fused, chunk by chunk: each
     ///    chunk gathers the columns the rest reads into the layout an
     ///    in-pipeline probe produces, runs through [`run_ops`] and folds
-    ///    ([`AggState::fold`]) — the joined batch is never materialised;
-    ///    the charge is the rest's operators plus the fold, spread over the
-    ///    CPU workers ([`fold_span`]).
+    ///    ([`AggState::fold`]) — the joined batch is never materialised.
+    ///    When no operator follows the probe, each aggregate argument that
+    ///    reads only probe-side columns (not a count's, not a bare column)
+    ///    is evaluated once over the prefix's output packets, in row order,
+    ///    into an `f64` column the fold's spec reads instead; a chunk
+    ///    gathers that column rather than every column the argument reads,
+    ///    and a column only such arguments read is never concatenated
+    ///    either. The charge is the rest's operators plus the fold of the
+    ///    *original* spec ([`hape_ops::cpu::agg_cost`]), spread over the CPU
+    ///    workers ([`fold_span`]): the pre-evaluation is host work the CPU
+    ///    plan does not price either, so no simulated time moves, and its
+    ///    values are the same element-wise `f64` operations the fold would
+    ///    have made, summed in the same pair order, so no bit of an answer
+    ///    moves.
     ///
     /// Returns the aggregated rows and the stage's end time. All failures
     /// are typed [`EngineError`]s — a pipeline with no probe is
@@ -566,14 +659,67 @@ impl StageEnv<'_> {
         let wall_prefix_start = self.ledger.recorder().now_ns();
         let pre = self.run_workers(&sockets, &prefix, start)?;
         let dop = pre.workers;
-        let inter = Batch::concat(pre.outputs);
+        let outputs: Vec<Batch> =
+            pre.outputs.into_iter().map(Batch::compact).filter(|b| b.rows() > 0).collect();
+        // What step 3 reads of the intermediate. A chunk of match pairs is
+        // gathered into the joined layout an in-pipeline probe produces
+        // (probe columns, then the build payload), so `rest`'s indices hold
+        // as they are. It gathers only what `rest` reads: every column when
+        // operators remain; otherwise the group-by ∪ the arguments the fold
+        // evaluates (column 0 when the spec reads none, for the row count),
+        // every other position a clone of the first gathered column — a
+        // view of the right length, never looked at. With no operator after
+        // the probe, the fold's spec reads its probe-side arguments
+        // pre-evaluated, packet by packet, into columns past the joined
+        // layout ([`evaluate_probe_args`]).
+        let rest = Pipeline {
+            source: pipeline.source.clone(),
+            ops: pipeline.ops[probe_idx + 1..].to_vec(),
+            agg: pipeline.agg.clone(),
+        };
+        let n_probe = outputs.first().map_or(0, |b| b.columns.len());
+        let n_cols = n_probe + build_payload_cols.len();
+        let (fold_spec, evaluated) = if rest.ops.is_empty() && !outputs.is_empty() {
+            evaluate_probe_args(agg_spec, &outputs, n_cols, threads)
+        } else {
+            (agg_spec.clone(), Vec::new())
+        };
+        let rest = Pipeline { agg: Some(fold_spec.clone()), ..rest };
+        let mut reads = fold_spec.group_by.clone();
+        let args = fold_spec.aggs.iter().filter(|(f, _)| *f != AggFunc::Count);
+        reads.extend(args.flat_map(|(_, e)| e.columns_used()));
+        if !rest.ops.is_empty() {
+            reads = (0..n_cols).collect();
+        }
+        let lead = reads.first().copied().unwrap_or(0);
+        // The intermediate concatenates the key column and the columns a
+        // chunk reads; every other position holds the key column, never
+        // looked at — so a column only a pre-evaluated argument reads is
+        // never copied.
+        let inter = match outputs.first() {
+            None => Batch::empty(),
+            Some(_) => {
+                let column = |c: usize| {
+                    Column::concat(
+                        &outputs.iter().map(|b| b.col(c).clone()).collect::<Vec<_>>(),
+                    )
+                };
+                let keys = column(*key_col);
+                let read = |c| c != *key_col && reads.contains(&c);
+                Batch::new(
+                    (0..n_probe)
+                        .map(|c| if read(c) { column(c) } else { keys.clone() })
+                        .collect(),
+                )
+            }
+        };
         let wall_prefix_end = self.ledger.recorder().now_ns();
 
         // ---- 2. Co-partition + single-pass GPU joins on the stage's
         // lanes. Sides follow the §5 convention: the (smaller) build side
         // is R, the streamed intermediate is S; values are row indices so
         // the match pairs address both batches.
-        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        let mut pairs = Vec::new();
         let mut join_time = SimTime::ZERO;
         let mut first_join_done = SimTime::ZERO;
         let mut cpu_partition_time = SimTime::ZERO;
@@ -591,7 +737,8 @@ impl StageEnv<'_> {
                 fidelity: Fidelity::Analytic,
                 threads,
             };
-            let rep = coprocess_join_on(
+            let rep;
+            (rep, pairs) = coprocess_join_parts(
                 &self.server(),
                 gpus,
                 JoinInput::new(&jt.keys, &build_vals),
@@ -605,9 +752,15 @@ impl StageEnv<'_> {
             let lanes = gpus.iter().copied().zip(rep.per_gpu_assignments.iter().copied());
             self.ledger.lanes_joined(lanes, rep.h2d_bytes);
             self.ledger.busy(cpu_partition_time, rep.gpu_busy);
-            (build_rows, probe_rows) = rep.outcome.pairs.unwrap_or_default();
         }
-        let n_joined = probe_rows.len();
+        // The pairs stay in the co-partitions' vectors; `starts` is where
+        // each begins in their concatenation, which the fold reads.
+        pairs.retain(|(_, probe)| !probe.is_empty());
+        let starts: Vec<usize> = pairs
+            .iter()
+            .scan(0, |at, (_, probe)| Some(std::mem::replace(at, *at + probe.len())))
+            .collect();
+        let n_joined = pairs.iter().map(|(_, probe)| probe.len()).sum();
         let join_end = pre.end + join_time;
         let wall_join_end = self.ledger.recorder().now_ns();
 
@@ -619,68 +772,51 @@ impl StageEnv<'_> {
         // *and* the CPUs have finished the co-partitioning passes; the stage
         // ends when both the last join and the fold have finished.
         let fold_start = pre.end + first_join_done.max(cpu_partition_time);
-        let rest = Pipeline {
-            source: pipeline.source.clone(),
-            ops: pipeline.ops[probe_idx + 1..].to_vec(),
-            agg: pipeline.agg.clone(),
-        };
         let socket = *cpus.first().ok_or_else(invalid)?;
         let spec =
             self.engine.server.cpus.get(socket).ok_or_else(|| {
                 EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
             })?;
         let model = CpuCostModel::new(spec.clone(), spec.cores);
-        // A chunk is a slice of the match pairs gathered into the joined
-        // layout an in-pipeline probe produces (probe columns, then the build
-        // payload), so `rest`'s indices hold as they are. It gathers only
-        // what `rest` reads: every column when operators remain; otherwise
-        // the group-by ∪ aggregate arguments (column 0 when the spec reads
-        // none, for the row count), every other position a clone of the
-        // first gathered column — a view of the right length, never looked
-        // at. The joined batch is never materialised whole.
-        let n_probe = inter.columns.len();
-        let n_cols = n_probe + build_payload_cols.len();
-        let mut reads = agg_spec.group_by.clone();
-        reads.extend(agg_spec.aggs.iter().flat_map(|(_, e)| e.columns_used()));
-        if !rest.ops.is_empty() {
-            reads = (0..n_cols).collect();
-        }
-        let lead = reads.first().copied().unwrap_or(0);
+        let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
         // Each chunk runs through `run_ops` on the worker pool and folds
         // into a partial state; the partials merge in chunk order, so the
         // result is thread-count-independent. The charge is what `run_ops`
         // recorded for `rest`'s operators (the pairs stream through
         // registers: no scan) plus the fold's expression work and random
         // accesses into the final group table.
-        let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
         let chunks = runtime::scatter(
             threads,
             n_joined.div_ceil(chunk_rows),
             |_| Scratch::new(),
             |i, scratch| {
                 let (lo, hi) = (i * chunk_rows, n_joined.min((i + 1) * chunk_rows));
-                let (build, probe) = (&build_rows[lo..hi], &probe_rows[lo..hi]);
-                let take = |c: usize| match c.checked_sub(n_probe) {
-                    None => inter.col(c).take(probe),
-                    Some(b) => jt.batch.col(build_payload_cols[b]).take(build),
+                let (build, probe) = pair_rows(&pairs, &starts, lo..hi);
+                let (build, probe) = (&*build, &*probe);
+                let take = |c: usize| match (c.checked_sub(n_probe), c.checked_sub(n_cols)) {
+                    (None, _) => inter.col(c).take(probe),
+                    (Some(b), None) => jt.batch.col(build_payload_cols[b]).take(build),
+                    (_, Some(e)) => evaluated[e].take(probe),
                 };
                 let (first, own) = (take(lead), |c| c != lead && reads.contains(&c));
-                let columns = (0..n_cols).map(|c| if own(c) { take(c) } else { first.clone() });
+                let width = n_cols + evaluated.len();
+                let columns = (0..width).map(|c| if own(c) { take(c) } else { first.clone() });
                 let work = run_ops(Batch::new(columns.collect()), &rest, tables, scratch)?;
-                let mut partial = AggState::new(agg_spec.clone());
+                let mut partial = AggState::new(fold_spec.clone());
                 if let Some(groups) = &work.groups {
                     partial.fold(&work.out, groups);
                 }
                 Ok::<_, EngineError>((partial, cpu_packet_cost(&model, 0, &work.ops, tables)?))
             },
         );
-        let (mut state, mut ops_busy) = (AggState::new(agg_spec.clone()), SimTime::ZERO);
+        let (mut state, mut ops_busy) = (AggState::new(fold_spec), SimTime::ZERO);
         for chunk in chunks {
             let (partial, busy) = chunk?;
             state.merge(&partial);
             ops_busy += busy;
         }
         let (folded, groups) = (state.rows_seen, state.n_groups());
+        // Priced as the original spec: the pre-evaluation is not a charge.
         let fold_busy = ops_busy + hape_ops::cpu::agg_cost(agg_spec, folded, groups, &model);
         self.ledger.busy(fold_busy, SimTime::ZERO);
         let rows = state.finish();

@@ -9,6 +9,14 @@ pub fn hash32(key: i32, bits: u32) -> u32 {
     (key as u32).wrapping_mul(2654435769) >> (32 - bits)
 }
 
+/// `key` with its low `shift` bits dropped, as a key: what a join whose
+/// radix starts at `shift` hashes and compares, because lower radix passes
+/// have already grouped its keys by those bits.
+#[inline]
+pub(crate) fn shifted(key: i32, shift: u32) -> i32 {
+    (key as u32 >> shift) as i32
+}
+
 /// One join input: keys plus per-tuple values.
 ///
 /// `vals` carry either the 4-byte payloads of the paper's microbenchmark
@@ -160,9 +168,9 @@ impl ChainedTable {
         ChainedTable { heads, next, bits }
     }
 
-    /// Rebuild over `keys` as [`ChainedTable::build`] does, in this table's
-    /// buffers.
-    pub(crate) fn rebuild(&mut self, keys: &[i32]) {
+    /// Rebuild over `keys` as [`ChainedTable::build`] does over the keys
+    /// `shift`ed right ([`shifted`]), in this table's buffers.
+    pub(crate) fn rebuild(&mut self, keys: &[i32], shift: u32) {
         let bits = (keys.len().max(2)).next_power_of_two().trailing_zeros();
         let (heads, next) = (&mut self.heads, &mut self.next);
         heads.clear();
@@ -170,7 +178,7 @@ impl ChainedTable {
         next.clear();
         next.resize(keys.len(), NIL);
         for (i, &k) in keys.iter().enumerate() {
-            let b = hash32(k, bits) as usize;
+            let b = hash32(shifted(k, shift), bits) as usize;
             next[i] = heads[b];
             heads[b] = i as u32;
         }

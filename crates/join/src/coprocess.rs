@@ -24,6 +24,19 @@
 //! replays lane picks and link / GPU reservations in partition order from
 //! the outcome of the group each pick lands on: the thread count cannot
 //! reach a simulated time, a statistic or the order of the pairs.
+//!
+//! What the lanes materialise is the host work a CPU plan has no
+//! counterpart for, so it is kept to the join's own output. The CPU
+//! co-partitioning scatters straight from the inputs into its final buffers
+//! ([`crate::partition::radix_partition_pass_par`]); a co-partition's GPU
+//! join partitions and hashes its keys in place above the CPU's bits rather
+//! than on a shifted copy, and its passes are priced from per-partition
+//! runs, not per-tuple address lists; a join's match pairs are sized for
+//! its probe side. The pairs — `(build row, probe row)` — are the only
+//! thing a stage reads back: [`coprocess_join_parts`] hands them over as
+//! the chosen joins made them, one vector pair per co-partition, and
+//! [`coprocess_join_on`] concatenates them once, into vectors reserved at
+//! their exact total.
 
 use hape_sim::des::Resource;
 use hape_sim::spec::CpuSpec;
@@ -283,6 +296,10 @@ struct GpuLane {
     sim_group: usize,
 }
 
+/// One joined co-partition's match pairs: its build rows and its probe
+/// rows, position for position.
+pub type MatchPairs = (Vec<u32>, Vec<u32>);
+
 /// Run the co-processing join on an explicit GPU subset (`gpu_ids` index
 /// into `server.gpus`). Every GPU is validated, priced and
 /// capacity-checked against its own spec, budget and PCIe link.
@@ -293,6 +310,32 @@ pub fn coprocess_join_on(
     s: JoinInput<'_>,
     cfg: &CoprocessConfig,
 ) -> Result<CoprocessReport, CoprocessError> {
+    let (mut report, parts) = coprocess_join_parts(server, gpu_ids, r, s, cfg)?;
+    report.outcome.pairs = (cfg.mode == OutputMode::MatchIndices).then(|| {
+        let total = parts.iter().map(|(r, _)| r.len()).sum();
+        let (mut pr, mut ps) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for (jr, js) in &parts {
+            pr.extend_from_slice(jr);
+            ps.extend_from_slice(js);
+        }
+        (pr, ps)
+    });
+    Ok(report)
+}
+
+/// [`coprocess_join_on`], with the match pairs left as the joins made
+/// them: one `(build rows, probe rows)` pair of vectors per joined
+/// co-partition, in partition order — `coprocess_join_on`'s pairs are their
+/// concatenation, and the report's `outcome.pairs` is `None`. A consumer
+/// that reads the pairs by position (the engine's §5 fold) spares the
+/// concatenated copy.
+pub fn coprocess_join_parts(
+    server: &Server,
+    gpu_ids: &[usize],
+    r: JoinInput<'_>,
+    s: JoinInput<'_>,
+    cfg: &CoprocessConfig,
+) -> Result<(CoprocessReport, Vec<MatchPairs>), CoprocessError> {
     if gpu_ids.is_empty() || server.gpus.is_empty() {
         return Err(CoprocessError::NoGpus);
     }
@@ -366,10 +409,8 @@ pub fn coprocess_join_on(
     // routing), sequentially, in partition order.
     let mut assignments = vec![0usize; lanes.len()];
     let mut stats = JoinStats::default();
-    let mut pairs = match cfg.mode {
-        OutputMode::MatchIndices => Some((Vec::new(), Vec::new())),
-        OutputMode::AggregateOnly => None,
-    };
+    // The chosen joins' match pairs, in partition order.
+    let mut chosen_pairs: Vec<MatchPairs> = Vec::new();
     let mut makespan = SimTime::ZERO;
     let mut first_join_done: Option<SimTime> = None;
     let mut h2d_bytes = 0u64;
@@ -443,10 +484,7 @@ pub fn coprocess_join_on(
             })?;
         group_est[group] = Some(join.time);
         stats.merge(&join.stats);
-        if let (Some((pr, ps)), Some((jr, js))) = (pairs.as_mut(), join.pairs.as_ref()) {
-            pr.extend_from_slice(jr);
-            ps.extend_from_slice(js);
-        }
+        chosen_pairs.extend(join.pairs);
         let lane = &mut lanes[best];
         let (_, arrived) = lane.link.transfer(ready, pair_bytes);
         let (_, done) = lane.gpu.acquire(arrived, join.time);
@@ -458,8 +496,8 @@ pub fn coprocess_join_on(
     let transfer_busy = lanes.iter().map(|l| l.link.busy_time()).sum::<SimTime>();
     let gpu_busy = lanes.iter().map(|l| l.gpu.busy_time()).sum::<SimTime>();
 
-    Ok(CoprocessReport {
-        outcome: JoinOutcome { stats, pairs, time: makespan },
+    let report = CoprocessReport {
+        outcome: JoinOutcome { stats, pairs: None, time: makespan },
         cpu_partition_time: t_cpu,
         transfer_busy,
         gpu_busy,
@@ -468,7 +506,8 @@ pub fn coprocess_join_on(
         co_partitions: fanout,
         cpu_bits,
         per_gpu_assignments: assignments,
-    })
+    };
+    Ok((report, chosen_pairs))
 }
 
 #[cfg(test)]

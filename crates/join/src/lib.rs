@@ -36,8 +36,8 @@ pub mod partition;
 
 pub use common::{hash32, reference_join, JoinInput, JoinOutcome, JoinStats, OutputMode};
 pub use coprocess::{
-    coprocess, coprocess_join, coprocess_join_on, gpu_budget, plan_cpu_bits, CoprocessConfig,
-    CoprocessError, CoprocessReport,
+    coprocess, coprocess_join, coprocess_join_on, coprocess_join_parts, gpu_budget,
+    plan_cpu_bits, CoprocessConfig, CoprocessError, CoprocessReport, MatchPairs,
 };
 pub use cpu_npj::cpu_npj;
 pub use cpu_radix::{cpu_radix, plan_radix_cpu, RadixPlan};

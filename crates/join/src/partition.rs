@@ -95,17 +95,19 @@ const PAR_MIN_ROWS: usize = 1 << 12;
 
 /// Deterministic parallel variant of [`radix_partition_pass`].
 ///
-/// The input is cut into at most `threads` contiguous chunks; each chunk
-/// builds its own histogram and scatters its slice privately, then a global
-/// exclusive prefix over the per-chunk histograms fixes every chunk's
-/// destination range and the chunk outputs are merged per partition in
-/// chunk order (concurrently across partitions, over disjoint
-/// `split_at_mut` ranges) — both fan-outs through the workspace's one pool
-/// ([`hape_pool`]). Because the sequential scatter preserves input order
-/// within a partition and so does chunk-order merging of stable per-chunk
-/// scatters, the result is **byte-identical** to [`radix_partition_pass`]
-/// at any thread count — the thread count is a pure wall-clock knob,
-/// exactly like the engine's data-plane pool.
+/// The input is cut into at most `threads` contiguous chunks. Each chunk
+/// builds its histogram on the pool; a global exclusive prefix over the
+/// per-chunk histograms then fixes, for every partition, where each chunk's
+/// run of it lands — chunk after chunk within the partition — and the final
+/// buffers are split (`split_at_mut`) into those disjoint runs. A second
+/// fan-out scatters each chunk once, straight into its own runs: no chunk
+/// builds private partitions and nothing is merged or copied afterwards.
+/// Both fan-outs go through the workspace's one pool ([`hape_pool`]).
+/// Because the sequential scatter preserves input order within a partition
+/// and so does a stable scatter of consecutive chunks into consecutive runs,
+/// the result is **byte-identical** to [`radix_partition_pass`] at any
+/// thread count — the thread count is a pure wall-clock knob, exactly like
+/// the engine's data-plane pool.
 pub fn radix_partition_pass_par(
     keys: &[i32],
     vals: &[u32],
@@ -119,45 +121,51 @@ pub fn radix_partition_pass_par(
         return radix_partition_pass(keys, vals, shift, bits);
     }
     let fanout = 1usize << bits;
-    // Per-chunk histogram + private scatter, in parallel. `chunks` derives
-    // the chunk *count* from the chunk length — 5 000 rows over 128 threads
-    // are 125 chunks of 40 — so no chunk can start past the input.
+    // `chunks` derives the chunk *count* from the chunk length — 5 000 rows
+    // over 128 threads are 125 chunks of 40 — so no chunk can start past
+    // the input.
     let len = n.div_ceil(threads);
     let chunks: Vec<(&[i32], &[u32])> = keys.chunks(len).zip(vals.chunks(len)).collect();
-    let locals = scatter(
+    let hists = scatter(
         threads,
         chunks.len(),
         |_| (),
-        |c, ()| radix_partition_pass(chunks[c].0, chunks[c].1, shift, bits),
+        |c, ()| {
+            let mut hist = vec![0usize; fanout];
+            for &k in chunks[c].0 {
+                hist[radix_of(k, shift, bits)] += 1;
+            }
+            hist
+        },
     );
-    // Global exclusive prefix over the chunk histograms.
-    let mut offsets = Vec::with_capacity(fanout + 1);
-    offsets.push(0usize);
-    for p in 0..fanout {
-        let total: usize = locals.iter().map(|l| l.part_len(p)).sum();
-        offsets.push(offsets[p] + total);
-    }
-    // Merge into the final buffers: each partition's output range is a
-    // disjoint mutable slice, filled in chunk order.
+    // Partition by partition, each chunk's run of it, in chunk order.
     let mut out_keys = vec![0i32; n];
     let mut out_vals = vec![0u32; n];
-    let mut jobs: Vec<(usize, &mut [i32], &mut [u32])> = Vec::with_capacity(fanout);
+    let mut key_runs: Vec<Vec<&mut [i32]>> =
+        hists.iter().map(|_| Vec::with_capacity(fanout)).collect();
+    let mut val_runs: Vec<Vec<&mut [u32]>> =
+        hists.iter().map(|_| Vec::with_capacity(fanout)).collect();
+    let mut offsets = Vec::with_capacity(fanout + 1);
+    offsets.push(0usize);
     let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
     for p in 0..fanout {
-        let len = offsets[p + 1] - offsets[p];
-        let (khead, ktail) = krest.split_at_mut(len);
-        let (vhead, vtail) = vrest.split_at_mut(len);
-        krest = ktail;
-        vrest = vtail;
-        jobs.push((p, khead, vhead));
+        for (c, hist) in hists.iter().enumerate() {
+            let (khead, ktail) = std::mem::take(&mut krest).split_at_mut(hist[p]);
+            let (vhead, vtail) = std::mem::take(&mut vrest).split_at_mut(hist[p]);
+            (krest, vrest) = (ktail, vtail);
+            key_runs[c].push(khead);
+            val_runs[c].push(vhead);
+        }
+        offsets.push(n - krest.len());
     }
-    drain(threads, jobs, |(p, kdst, vdst)| {
-        let mut at = 0usize;
-        for l in &locals {
-            let s = l.part(p);
-            kdst[at..at + s.keys.len()].copy_from_slice(s.keys);
-            vdst[at..at + s.vals.len()].copy_from_slice(s.vals);
-            at += s.keys.len();
+    let jobs: Vec<_> = chunks.into_iter().zip(key_runs.into_iter().zip(val_runs)).collect();
+    drain(threads, jobs, |((keys, vals), (mut kruns, mut vruns))| {
+        let mut at = vec![0usize; fanout];
+        for (&k, &v) in keys.iter().zip(vals) {
+            let p = radix_of(k, shift, bits);
+            kruns[p][at[p]] = k;
+            vruns[p][at[p]] = v;
+            at[p] += 1;
         }
     });
     RadixPartitions { keys: out_keys, vals: out_vals, offsets, bits }
@@ -191,6 +199,19 @@ pub fn radix_partition_with_threads(
     bits_per_pass: u32,
     threads: usize,
 ) -> (RadixPartitions, Vec<u32>) {
+    radix_partition_above(input, 0, total_bits, bits_per_pass, threads)
+}
+
+/// [`radix_partition_with_threads`] on the key bits `[low, low +
+/// total_bits)`: the partitions a multi-pass radix over the keys shifted
+/// right by `low` makes, without shifting a copy of the keys.
+pub(crate) fn radix_partition_above(
+    input: JoinInput<'_>,
+    low: u32,
+    total_bits: u32,
+    bits_per_pass: u32,
+    threads: usize,
+) -> (RadixPartitions, Vec<u32>) {
     assert!(total_bits > 0 && total_bits <= 24, "unreasonable radix width {total_bits}");
     assert!(bits_per_pass > 0);
     let mut passes = Vec::new();
@@ -200,23 +221,15 @@ pub fn radix_partition_with_threads(
         passes.push(b);
         remaining -= b;
     }
-    // First pass over the most significant of the radix bits.
-    let mut shift = total_bits;
-    let mut current = RadixPartitions {
-        keys: input.keys.to_vec(),
-        vals: input.vals.to_vec(),
-        offsets: vec![0, input.len()],
-        bits: 0,
-    };
-    for &b in &passes {
+    // First pass over the most significant of the radix bits, straight from
+    // the input.
+    let mut shift = low + total_bits - passes[0];
+    let mut current =
+        radix_partition_pass_par(input.keys, input.vals, shift, passes[0], threads);
+    for &b in &passes[1..] {
         shift -= b;
         // Re-partition every existing partition on the next `b` bits.
         let fanout_before = current.fanout();
-        if fanout_before == 1 {
-            let sub = radix_partition_pass_par(&current.keys, &current.vals, shift, b, threads);
-            current = RadixPartitions { bits: current.bits + b, ..sub };
-            continue;
-        }
         let subs = scatter(
             if current.keys.len() < PAR_MIN_ROWS { 1 } else { threads },
             fanout_before,
@@ -319,16 +332,33 @@ mod tests {
         assert_eq!(parts.fanout(), 128);
     }
 
+    /// Inputs for the parallel passes: skewed keys, so chunks have unequal
+    /// histograms, at `PAR_MIN_ROWS` and above; one below it; lengths no
+    /// thread count divides; every key in one partition; keys that leave
+    /// most partitions empty. The 5 000-row input leaves, at each of its
+    /// larger thread counts, a shortfall of more than one chunk (125 / 186 /
+    /// 250 chunks of 40 / 27 / 20 rows, not 128 / 192 / 256).
+    fn parallel_inputs() -> Vec<(Vec<i32>, Vec<usize>)> {
+        let skewed = |n: u64| (0..n).map(|i| (i * 2654435761u64 % 977) as i32).collect();
+        let each = vec![2, 3, 8, 140];
+        vec![
+            (skewed(1 << 14), vec![2, 3, 8, 64]),
+            (skewed(5_000), vec![2, 128, 192, 256]),
+            ((0..PAR_MIN_ROWS as i32 - 1).map(|i| i * 7 % 301).collect(), each.clone()),
+            (
+                (0..10_007).map(|i| (i as u64 * 2654435761 % 4093) as i32).collect(),
+                each.clone(),
+            ),
+            (vec![-5; 9_001], each.clone()),
+            ((0..8_191).map(|i| (i % 3) << 5).collect(), each),
+        ]
+    }
+
     #[test]
     fn parallel_pass_is_byte_identical_to_sequential() {
-        // Large enough to clear PAR_MIN_ROWS; skewed keys so chunks have
-        // unequal histograms. The second input leaves, at each of its
-        // larger thread counts, a shortfall of more than one chunk (125 /
-        // 186 / 250 chunks of 40 / 27 / 20 rows, not 128 / 192 / 256).
-        for (n, thread_counts) in [(1u64 << 14, [2, 3, 8, 64]), (5_000, [2, 128, 192, 256])] {
-            let (keys, vals) =
-                input_from((0..n).map(|i| (i * 2654435761u64 % 977) as i32).collect());
-            let seq = radix_partition_pass(&keys, &vals, 2, 5);
+        for (keys, thread_counts) in parallel_inputs() {
+            let (keys, vals) = input_from(keys);
+            let (n, seq) = (keys.len(), radix_partition_pass(&keys, &vals, 2, 5));
             for threads in thread_counts {
                 let par = radix_partition_pass_par(&keys, &vals, 2, 5, threads);
                 assert_eq!(par.keys, seq.keys, "n={n} threads={threads}");
@@ -341,15 +371,20 @@ mod tests {
 
     #[test]
     fn multi_pass_is_byte_identical_across_thread_counts() {
-        let (keys, vals) = input_from((0..(1 << 14)).map(|i| i * 40503 % 4096).collect());
-        let input = JoinInput::new(&keys, &vals);
-        let (seq, seq_passes) = radix_partition_with_threads(input, 9, 4, 1);
-        for threads in [2, 8, 24, 140, 192] {
-            let (par, passes) = radix_partition_with_threads(input, 9, 4, threads);
-            assert_eq!(passes, seq_passes);
-            assert_eq!(par.keys, seq.keys, "threads={threads}");
-            assert_eq!(par.vals, seq.vals, "threads={threads}");
-            assert_eq!(par.offsets, seq.offsets, "threads={threads}");
+        let even = (0..(1 << 14)).map(|i| i * 40503 % 4096).collect();
+        let inputs = parallel_inputs().into_iter().map(|(keys, _)| keys);
+        for keys in std::iter::once(even).chain(inputs) {
+            let (keys, vals) = input_from(keys);
+            let input = JoinInput::new(&keys, &vals);
+            let (n, (seq, seq_passes)) =
+                (keys.len(), radix_partition_with_threads(input, 9, 4, 1));
+            for threads in [2, 3, 8, 24, 140, 192] {
+                let (par, passes) = radix_partition_with_threads(input, 9, 4, threads);
+                assert_eq!(passes, seq_passes);
+                assert_eq!(par.keys, seq.keys, "n={n} threads={threads}");
+                assert_eq!(par.vals, seq.vals, "n={n} threads={threads}");
+                assert_eq!(par.offsets, seq.offsets, "n={n} threads={threads}");
+            }
         }
     }
 

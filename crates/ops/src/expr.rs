@@ -619,7 +619,7 @@ pub(crate) fn eval_distinct<'a>(
 /// Whether two expressions evaluate to the same bits, so one may stand in
 /// for the other. Float literals compare by bit pattern: the derived
 /// `PartialEq` equates `0.0` and `-0.0`, which `x * lit` tells apart.
-fn same_expr(a: &Expr, b: &Expr) -> bool {
+pub fn same_expr(a: &Expr, b: &Expr) -> bool {
     use Expr::*;
     match (a, b) {
         (LitF64(x), LitF64(y)) => x.to_bits() == y.to_bits(),

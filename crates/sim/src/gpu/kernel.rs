@@ -180,10 +180,18 @@ impl<'a> BlockCtx<'a> {
     pub fn smem_access(&mut self, words: &[u32]) {
         let (spec, rec) = (self.spec, &mut self.rec);
         each_warp_conflict_cycles(words, spec.warp, spec.smem_banks, |cycles| {
-            rec.smem_ns += cycles as f64 * spec.smem_cycle_ns;
-            rec.stats.smem_ops += 1;
-            rec.stats.smem_cycles += cycles as u64;
+            charge_smem_cycles(spec, rec, cycles);
         });
+    }
+
+    /// [`BlockCtx::smem_access`] of words whose per-warp conflict cycles
+    /// were counted beforehand ([`GpuSim::smem_conflict_cycles`]) — a fixed
+    /// pattern many blocks repeat: each warp is charged in order, exactly as
+    /// `smem_access` charges it.
+    pub fn smem_access_counted(&mut self, warp_cycles: &[u32]) {
+        for &cycles in warp_cycles {
+            charge_smem_cycles(self.spec, &mut self.rec, cycles);
+        }
     }
 
     /// Warp-chunked scratchpad atomic at the given bank-word indices.
@@ -235,6 +243,7 @@ impl<'a> BlockCtx<'a> {
     /// Warp-chunked scatter: each element writes `access_bytes` at
     /// `region.base + offset`. GPU L1 is write-through: sectors go to L2.
     pub fn global_write(&mut self, region: &Region, byte_offsets: &[u64], access_bytes: u32) {
+        let _ = access_bytes;
         for warp in byte_offsets.chunks(self.spec.warp) {
             let (addrs, n) = warp_addresses(region, warp);
             let addrs = &addrs[..n];
@@ -246,15 +255,79 @@ impl<'a> BlockCtx<'a> {
                     }
                 }
                 Fidelity::Analytic => {
-                    let sectors = distinct_chunks(addrs, SECTOR).count() as f64;
-                    self.rec.stats.global_transactions += sectors as u64;
-                    let f_l2 = (self.spec.l2.size as f64 / region.bytes.max(1) as f64).min(1.0);
-                    self.rec.mem_ns += sectors * self.spec.l1_access_ns;
-                    self.rec.dram_bytes += sectors * (1.0 - f_l2) * SECTOR as f64;
-                    let _ = access_bytes;
+                    self.write_sectors(region, distinct_chunks(addrs, SECTOR).count() as u64);
                 }
             }
         }
+    }
+
+    /// [`BlockCtx::global_write`] of runs: `(offset, count)` is `count`
+    /// consecutive `access_bytes`-wide slots from `offset`, and the offsets
+    /// are the runs' slots in order, warp-chunked across run boundaries.
+    ///
+    /// The analytic model counts each warp's sectors from its run segments
+    /// without listing an address: a segment of consecutive slots no wider
+    /// than a sector touches every sector from its first slot's to its
+    /// last's, so the warp's sectors are the union of its segments' sector
+    /// ranges — merged, because segments need not ascend or stay apart (a
+    /// radix partition's cursor may run into the next partition's range).
+    /// The count, hence every charge, equals `global_write`'s. The exact
+    /// replay needs each sector in first-touch order, so it lists one warp
+    /// of addresses at a time.
+    pub fn global_write_runs(
+        &mut self,
+        region: &Region,
+        runs: &[(u64, u64)],
+        access_bytes: u32,
+    ) {
+        let stride = access_bytes as u64;
+        assert!(stride > 0 && stride <= SECTOR, "run slots are at most one sector wide");
+        let warp = self.spec.warp;
+        if self.fidelity == Fidelity::Exact {
+            let (mut offs, mut lanes) = ([0u64; 64], 0);
+            for &(offset, count) in runs {
+                for i in 0..count {
+                    offs[lanes] = offset + i * stride;
+                    lanes += 1;
+                    if lanes == warp {
+                        self.global_write(region, &offs[..lanes], access_bytes);
+                        lanes = 0;
+                    }
+                }
+            }
+            if lanes > 0 {
+                self.global_write(region, &offs[..lanes], access_bytes);
+            }
+            return;
+        }
+        // Each warp's segments as inclusive sector ranges.
+        let (mut spans, mut n_spans, mut lanes) = ([(0u64, 0u64); 64], 0, 0);
+        for &(offset, count) in runs {
+            let (mut at, mut left) = (region.base + offset, count);
+            while left > 0 {
+                let take = left.min((warp - lanes) as u64);
+                spans[n_spans] = (at / SECTOR, (at + (take - 1) * stride) / SECTOR);
+                n_spans += 1;
+                lanes += take as usize;
+                (at, left) = (at + take * stride, left - take);
+                if lanes == warp {
+                    self.write_sectors(region, union_len(&mut spans[..n_spans]));
+                    (n_spans, lanes) = (0, 0);
+                }
+            }
+        }
+        if lanes > 0 {
+            self.write_sectors(region, union_len(&mut spans[..n_spans]));
+        }
+    }
+
+    /// The analytic charge of one warp's scatter touching `sectors` sectors.
+    fn write_sectors(&mut self, region: &Region, sectors: u64) {
+        let sectors = sectors as f64;
+        self.rec.stats.global_transactions += sectors as u64;
+        let f_l2 = (self.spec.l2.size as f64 / region.bytes.max(1) as f64).min(1.0);
+        self.rec.mem_ns += sectors * self.spec.l1_access_ns;
+        self.rec.dram_bytes += sectors * (1.0 - f_l2) * SECTOR as f64;
     }
 
     /// Warp-chunked global atomic (e.g. linked-list tail bumps). Charged as
@@ -324,6 +397,31 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// Charge one warp's scratchpad access of `cycles` cycles.
+fn charge_smem_cycles(spec: &GpuSpec, rec: &mut BlockRecord, cycles: u32) {
+    rec.smem_ns += cycles as f64 * spec.smem_cycle_ns;
+    rec.stats.smem_ops += 1;
+    rec.stats.smem_cycles += cycles as u64;
+}
+
+/// How many integers the inclusive ranges `spans` cover together (sorts
+/// them in place when they do not ascend).
+fn union_len(spans: &mut [(u64, u64)]) -> u64 {
+    if !spans.is_sorted() {
+        spans.sort_unstable();
+    }
+    // Ascending starts: a range adds what lies past the highest end so far.
+    let (mut total, mut next) = (0, 0);
+    for &(lo, hi) in spans.iter() {
+        let from = lo.max(next);
+        if hi >= from {
+            total += hi - from + 1;
+            next = hi + 1;
+        }
+    }
+    total
+}
+
 /// One warp's byte addresses, on the stack.
 fn warp_addresses(region: &Region, warp: &[u64]) -> ([u64; 64], usize) {
     let mut addrs = [0u64; 64];
@@ -354,6 +452,18 @@ impl GpuSim {
     /// The memory-model fidelity.
     pub fn fidelity(&self) -> Fidelity {
         self.fidelity
+    }
+
+    /// The conflict cycles of each warp-sized chunk of `words`, in order —
+    /// what [`BlockCtx::smem_access`] would charge for them, counted once
+    /// for [`BlockCtx::smem_access_counted`] to charge in every block that
+    /// repeats the pattern.
+    pub fn smem_conflict_cycles(&self, words: &[u32]) -> Vec<u32> {
+        let mut cycles = Vec::with_capacity(words.len().div_ceil(self.spec.warp));
+        each_warp_conflict_cycles(words, self.spec.warp, self.spec.smem_banks, |c| {
+            cycles.push(c);
+        });
+        cycles
     }
 
     /// Launch a kernel: run `body` for every block in the grid, then account
@@ -623,6 +733,47 @@ mod tests {
                 assert_eq!(report.stats.global_transactions, 64, "{op} at {fidelity:?}");
             }
             assert_eq!((smem.stats.smem_ops, smem.stats.smem_cycles), (1, 64), "{fidelity:?}");
+        }
+    }
+
+    /// A scatter given as runs charges what the same scatter given as its
+    /// address list charges, whole report for whole report: seeded runs that
+    /// overlap, go backwards and straddle warps, 4- and 8-byte slots, 32- and
+    /// 64-lane warps, both fidelities.
+    #[test]
+    fn runs_charge_what_their_address_list_charges() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..300u64 {
+            let mut r = StdRng::seed_from_u64(seed);
+            let warp = [32, 64][r.gen_range(0..2usize)];
+            let fidelity = [Fidelity::Analytic, Fidelity::Exact][r.gen_range(0..2usize)];
+            let s = GpuSim::new(GpuSpec { warp, ..GpuSpec::gtx_1080() }, fidelity);
+            let stride = [4u64, 8][r.gen_range(0..2usize)];
+            let region = Region::at(1 << 20, r.gen_range(1..1u64 << 26));
+            let runs: Vec<Vec<(u64, u64)>> = (0..3)
+                .map(|_| {
+                    (0..r.gen_range(0..40))
+                        .map(|_| (r.gen_range(0..4096u64), r.gen_range(0..90u64)))
+                        .collect()
+                })
+                .collect();
+            let cfg = LaunchConfig::new(runs.len(), 256, 0);
+            let by_runs = s.launch(&cfg, |blk| {
+                blk.global_write_runs(&region, &runs[blk.block_idx], stride as u32);
+            });
+            let by_list = s.launch(&cfg, |blk| {
+                let offs: Vec<u64> = runs[blk.block_idx]
+                    .iter()
+                    .flat_map(|&(at, c)| (0..c).map(move |i| at + i * stride))
+                    .collect();
+                blk.global_write(&region, &offs, stride as u32);
+            });
+            assert_eq!(
+                KernelReport::digest(&[by_runs]),
+                KernelReport::digest(&[by_list]),
+                "seed {seed}"
+            );
         }
     }
 

@@ -42,6 +42,12 @@
 //!   (or 32-byte sectors) the warp touches, from [`DistinctChunks`], which
 //!   the exact replay also walks in first-touch order. An atomic's
 //!   serialisation is the largest number of lanes on one address.
+//! * **Scatters given as runs** ([`BlockCtx::global_write_runs`]): the
+//!   same sector count, from the union of each warp's run segments' sector
+//!   ranges — no address is listed (the exact replay still lists them).
+//!   A fixed scratchpad pattern's conflict cycles can be counted once per
+//!   launch ([`GpuSim::smem_conflict_cycles`]) and charged per block
+//!   ([`BlockCtx::smem_access_counted`]).
 
 mod coalesce;
 mod kernel;

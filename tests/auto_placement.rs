@@ -327,3 +327,72 @@ fn q9_auto_rows_and_makespan_are_the_parents_bit_for_bit() {
         assert_eq!(bits(174), ([24, 1998, 0, 0], 0x4125_edbb_ec8c_3387), "threads={threads}");
     }
 }
+
+/// Q9\*'s joins under `Auto`, whose stream places as the §5 co-process
+/// stage, with four kinds of aggregate argument: one mixing probe-side and
+/// build payload columns, one probe-side expression under both `Sum` and
+/// `Avg`, `Count`, and a bare column's `Sum`. The fold evaluates the
+/// probe-side expression once over the intermediate and gathers the rest;
+/// the rows (an FNV-1a digest over every key component and value bit
+/// pattern, and the first row's values in the clear) and the makespan are
+/// pinned from the commit before it did. The whole report is identical at
+/// 1, 2 and 8 threads, and the rows answer CpuOnly's.
+#[test]
+fn coprocess_fold_keeps_every_argument_kind_bit_for_bit() {
+    let session = tpch_session();
+    let algo = JoinAlgo::NonPartitioned;
+    let amount = || {
+        col("l_extendedprice")
+            .mul(lit(1.0).sub(col("l_discount")))
+            .sub(col("ps_supplycost").mul(col("l_quantity")))
+    };
+    let suppliers =
+        Query::scan("supplier").join(Query::scan("nation"), "s_nationkey", "n_nationkey", algo);
+    let query = Query::new("Q9* four arguments")
+        .from_table("lineitem")
+        .join(Query::scan("partsupp"), "l_pskey", "ps_pskey", algo)
+        .join(suppliers, "l_suppkey", "s_suppkey", algo)
+        .join(Query::scan("orders"), "l_orderkey", "o_orderkey", algo)
+        .group_by(&["n_name", "o_year"])
+        .agg(vec![
+            (AggFunc::Sum, col("l_extendedprice").mul(col("o_year")).sub(col("l_quantity"))),
+            (AggFunc::Sum, amount()),
+            (AggFunc::Avg, amount()),
+            (AggFunc::Count, col("l_quantity")),
+            (AggFunc::Sum, col("l_quantity")),
+        ]);
+    let auto = |threads| ExecConfig::new(Placement::Auto).with_threads(threads);
+    let placed = session.place_with(&query, &auto(1)).unwrap();
+    let Some(PlacedStage::CoProcess { pipeline, .. }) = placed.stages.last() else {
+        let text = placed.render(&session.engine().server);
+        panic!("the stream must place as a co-process stage:\n{text}");
+    };
+    let (probe, _) = pipeline.last_probe().expect("a co-process stage probes");
+    assert_eq!(pipeline.ops.len(), probe + 1, "no operator follows the final probe");
+    let one = session.execute_with(&query, &auto(1)).unwrap();
+    for threads in [2, 8] {
+        let other = session.execute_with(&query, &auto(threads)).unwrap();
+        assert_eq!(format!("{one:?}"), format!("{other:?}"), "{threads} threads");
+    }
+    let words = one.rows.iter().flat_map(|(key, vals)| {
+        key.iter().map(|&k| k as u64).chain(vals.iter().map(|v| v.to_bits()))
+    });
+    let digest = words
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3));
+    assert_eq!(one.time.as_secs().to_bits(), 0x3f2e_e9e2_d2dc_d061);
+    assert_eq!(one.rows.len(), 175);
+    assert_eq!(digest, 0xc0ee_71b6_69be_5e2d);
+    let first: Vec<u64> = one.rows[0].1.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(
+        first,
+        [
+            0x4201_b174_18a8_5b8b,
+            0x413f_e8b5_0cd9_9e69,
+            0x40c6_90c3_eccc_d034,
+            0x4066_a000_0000_0000,
+            0x40b2_9a00_0000_0000
+        ]
+    );
+    let cpu = session.execute_with(&query, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+    assert!(!cpu.rows.is_empty() && rows_approx_eq(&one.rows, &cpu.rows));
+}
