@@ -39,18 +39,21 @@ pub struct Figure {
 /// Print a figure as an aligned table.
 pub fn print_figure(fig: &Figure) {
     println!("== {} — {}", fig.id, fig.title);
+    // Each series column is as wide as its label plus one space, and never
+    // narrower than a value, so adjacent labels cannot run together.
+    let widths: Vec<usize> = fig.series.iter().map(|s| (s.label.len() + 1).max(18)).collect();
     print!("{:>24}", fig.xlabel);
-    for s in &fig.series {
-        print!("{:>18}", s.label);
+    for (s, w) in fig.series.iter().zip(&widths) {
+        print!("{:>w$}", s.label);
     }
     println!();
     let n = fig.series.first().map_or(0, |s| s.points.len());
     for i in 0..n {
         print!("{:>24}", fig.series[0].points[i].0);
-        for s in &fig.series {
+        for (s, w) in fig.series.iter().zip(&widths) {
             match s.points[i].1 {
-                Some(y) => print!("{y:>18.6}"),
-                None => print!("{:>18}", "-"),
+                Some(y) => print!("{y:>w$.6}"),
+                None => print!("{:>w$}", "-"),
             }
         }
         println!();
@@ -118,7 +121,7 @@ pub fn fig6(sizes: &[usize]) -> Figure {
         "Partitioned CPU",
         "Partitioned GPU",
         "Non-partitioned CPU",
-        "Non-Partitioned GPU",
+        "Non-partitioned GPU",
         "DBMS C",
         "DBMS G",
     ]
@@ -276,7 +279,7 @@ pub fn fig9(sf: f64) -> Figure {
     let catalog = base_catalog(&data);
     let server = Server::tpch_scaled(sf);
     let engine = Engine::new(server);
-    let mut series: Vec<Series> = ["Non partitioned join", "Partitioned join"]
+    let mut series: Vec<Series> = ["Non-partitioned join", "Partitioned join"]
         .iter()
         .map(|l| Series { label: l.to_string(), points: Vec::new() })
         .collect();
@@ -293,7 +296,7 @@ pub fn fig9(sf: f64) -> Figure {
     }
     Figure {
         id: "fig9".into(),
-        title: "Partitioned vs Non-Partitioned join on TPC-H Q5 (x=1: GPU, x=2: Hybrid)".into(),
+        title: "Partitioned vs non-partitioned join on TPC-H Q5 (x=1: GPU, x=2: Hybrid)".into(),
         xlabel: "configuration".into(),
         series,
     }

@@ -61,7 +61,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use hape_ops::agg::AggState;
-use hape_ops::expr::{eval, same_expr};
+use hape_ops::expr::{same_expr, Program};
 use hape_ops::{AggFunc, AggSpec, Expr, GroupKey};
 use hape_sim::topology::{DeviceId, Server};
 use hape_sim::{CpuCostModel, Fidelity, SimTime};
@@ -439,8 +439,9 @@ fn pair_rows<'a>(
 /// joined layout of `n_cols` columns: `spec` with each argument that is
 /// not a count's, not a bare column, and reads only probe-side columns (the
 /// prefix's `packets`) replaced by `Col(n_cols + j)`, and column `j` that
-/// argument evaluated over the packets' rows in order, one packet per job
-/// on the pool. Arguments that evaluate to the same bits share one column.
+/// argument evaluated over the packets' rows in order by one register
+/// [`Program`], one packet per job on the pool. Arguments that evaluate to
+/// the same bits share one column.
 fn evaluate_probe_args(
     spec: &AggSpec,
     packets: &[Batch],
@@ -476,10 +477,9 @@ fn evaluate_probe_args(
             rest = tail;
         }
     }
-    runtime::drain(threads, packets.iter().zip(blocks).collect(), |(packet, dsts)| {
-        for (expr, dst) in exprs.iter().zip(dsts) {
-            dst.copy_from_slice(&eval(expr, packet).into_f64());
-        }
+    let program = Program::new(&exprs);
+    runtime::drain(threads, packets.iter().zip(blocks).collect(), |(packet, mut dsts)| {
+        program.eval_into(packet, &mut dsts);
     });
     (fold_spec, values.into_iter().map(Column::from_f64).collect())
 }
@@ -492,9 +492,10 @@ pub(crate) fn fold_span(busy: SimTime, workers: usize) -> SimTime {
 }
 
 /// Merge the workers' partial aggregates at the stage barrier (cheap:
-/// group counts are small), in worker order for determinism.
-fn merge_partials(spec: &AggSpec, workers: &mut [Box<dyn DeviceProvider>]) -> AggRows {
-    let mut merged = AggState::new(spec.clone());
+/// group counts are small), in worker order for determinism, into a clone
+/// of the stage's `empty` state.
+fn merge_partials(empty: &AggState, workers: &mut [Box<dyn DeviceProvider>]) -> AggRows {
+    let mut merged = empty.clone();
     for partial in workers.iter_mut().filter_map(|w| w.agg_mut()) {
         merged.merge(partial);
     }
@@ -506,8 +507,9 @@ impl StageEnv<'_> {
     /// [`CpuWorker`] per core of a CPU socket, one [`GpuWorker`] per GPU,
     /// which installs every table the pipeline probes (its segment's
     /// broadcast mem-moves, [`crate::place::Segment::exchanges`]), each
-    /// with a partial state of the pipeline's aggregation. A device this
-    /// server lacks is the typed [`EngineError::DeviceNotPresent`].
+    /// with a partial state of the pipeline's aggregation: a clone of the
+    /// stage's compiled `agg`. A device this server lacks is the typed
+    /// [`EngineError::DeviceNotPresent`].
     ///
     /// The fault plane hooks in here: a segment targeting a quarantined
     /// GPU is the typed [`EngineError::DeviceFailed`] (which the stepper
@@ -518,8 +520,9 @@ impl StageEnv<'_> {
         &self,
         devices: &[DeviceId],
         pipeline: &Pipeline,
+        agg: Option<&AggState>,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
-        let (server, faults, agg) = (self.server(), self.faults, pipeline.agg.as_ref());
+        let (server, faults) = (self.server(), self.faults);
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for &device in devices {
             match device {
@@ -533,7 +536,7 @@ impl StageEnv<'_> {
                             socket,
                             core,
                             model.clone(),
-                            agg.map(|a| AggState::new(a.clone())),
+                            agg.cloned(),
                         )));
                     }
                 }
@@ -553,7 +556,7 @@ impl StageEnv<'_> {
                             spec.clone(),
                             link.clone(),
                             Fidelity::Analytic,
-                            agg.map(|a| AggState::new(a.clone())),
+                            agg.cloned(),
                             broadcast,
                         )
                         .with_resident(self.resident.clone()),
@@ -785,6 +788,7 @@ impl StageEnv<'_> {
         // recorded for `rest`'s operators (the pairs stream through
         // registers: no scan) plus the fold's expression work and random
         // accesses into the final group table.
+        let empty = AggState::new(fold_spec.clone());
         let chunks = runtime::scatter(
             threads,
             n_joined.div_ceil(chunk_rows),
@@ -802,14 +806,14 @@ impl StageEnv<'_> {
                 let width = n_cols + evaluated.len();
                 let columns = (0..width).map(|c| if own(c) { take(c) } else { first.clone() });
                 let work = run_ops(Batch::new(columns.collect()), &rest, tables, scratch)?;
-                let mut partial = AggState::new(fold_spec.clone());
+                let mut partial = empty.clone();
                 if let Some(groups) = &work.groups {
                     partial.fold(&work.out, groups);
                 }
                 Ok::<_, EngineError>((partial, cpu_packet_cost(&model, 0, &work.ops, tables)?))
             },
         );
-        let (mut state, mut ops_busy) = (AggState::new(fold_spec), SimTime::ZERO);
+        let (mut state, mut ops_busy) = (empty, SimTime::ZERO);
         for chunk in chunks {
             let (partial, busy) = chunk?;
             state.merge(&partial);
@@ -858,7 +862,9 @@ impl StageEnv<'_> {
         pipeline: &Pipeline,
         start: SimTime,
     ) -> Result<Streamed, EngineError> {
-        let mut workers = self.workers_for(devices, pipeline)?;
+        // The stage's aggregation compiles once; every partial is a clone.
+        let empty = pipeline.agg.clone().map(AggState::new);
+        let mut workers = self.workers_for(devices, pipeline, empty.as_ref())?;
         let table = self.catalog.lookup(&pipeline.source)?;
         if workers.is_empty() {
             return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
@@ -983,7 +989,7 @@ impl StageEnv<'_> {
         // jobs (stream) — data plane again, one job per worker, each
         // folding its packets in routed order.
         let (mut outputs, mut rows) = (Vec::new(), AggRows::new());
-        if let Some(spec) = agg_spec {
+        if let Some(empty) = &empty {
             let mut folds: Vec<Option<PacketWork>> =
                 works.into_iter().map(|(w, _, _)| Some(w)).collect();
             let jobs: Vec<(&mut AggState, Vec<PacketWork>)> = workers
@@ -1007,7 +1013,7 @@ impl StageEnv<'_> {
                     }
                 }
             });
-            rows = merge_partials(spec, &mut workers);
+            rows = merge_partials(empty, &mut workers);
         } else {
             outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
         }

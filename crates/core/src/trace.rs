@@ -20,7 +20,7 @@
 //!   optimizer-placed ([`Placement::Auto`](crate::engine::Placement)) plan
 //!   carries the optimizer's chosen [`StageCost`] decomposition next to
 //!   the observed simulated elapsed time and row counts, making estimate
-//!   error queryable per stage (the feedback hook of ROADMAP item 4).
+//!   error queryable per stage (the feedback hook of ROADMAP item 8).
 //!
 //! Nothing here is written by hand twice: the control plane reports each
 //! decision once to a [`Ledger`], and the [`QueryReport`] fields, the

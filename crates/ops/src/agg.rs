@@ -20,43 +20,54 @@
 //! columns are read as their own integer type, through the selection. When
 //! the batch's combined key range is small (dictionary codes, nation ×
 //! year) the ids come from a direct-mapped table indexed by the mixed-radix
-//! key offset; otherwise from one hash-map lookup per row.
+//! key offset; otherwise from one hash-map lookup per row. A dictionary-coded
+//! column's range is its dictionary's, so it takes no bounds pass, and the
+//! last two columns' digits are read, combined and looked up in one pass
+//! (Q1's two flags: one pass in all). An ungrouped spec takes no pass.
 //!
 //! # The fused fold
 //!
+//! [`AggState::new`] compiles the spec once: its distinct non-count
+//! arguments become one register [`Program`] (a leaf per column read, an
+//! instruction per distinct arithmetic node, common sub-expressions such as
+//! Q1's `disc_price` inside `charge` found once), and each aggregate becomes
+//! what it does with its argument's register: a sum, a minimum, a maximum,
+//! or a copy of an earlier sum of the same register (Q1's
+//! `avg(l_quantity)` beside `sum(l_quantity)`). Clones share the compiled
+//! program, so a stage compiles once however many partial states it folds.
+//!
 //! [`AggState::fold`] maps each batch-local id to a state slot once per
-//! distinct group, then, `BLOCK_ROWS` rows at a time, evaluates each
-//! distinct aggregate argument once over the block's selected rows (every
-//! column the arguments read gathered and widened once) and runs **one**
-//! loop over the rows that updates every aggregate of the row. A slot's
-//! accumulators sit side by side (`accs[slot * aggs + agg]`), so a row's
-//! updates land in one contiguous run, and the load-add-store chains of a
-//! hot group's aggregates interleave instead of running one loop after
-//! another. Each aggregate touches only the fields its [`AggFunc`] reads; a
-//! row's count goes to a per-group tally that is added to every counting
-//! accumulator once per fold (integer sums: exact in any order). Sums of one
-//! argument (Q1's `sum(l_quantity)`, `avg(l_quantity)`) add the same values
-//! to the same start, so one accumulates and its twins copy its sum.
+//! distinct group and copies the groups' sums side by side. The program
+//! then runs block by block over the selected rows (see
+//! [`Program`]: dense over the span a block covers when its rows fill at
+//! least half of it, `f64` columns read in place; gathered otherwise), and
+//! **one** loop per block, specialised on the number of sums, updates every
+//! sum of each row and tallies its group's rows. Minima and maxima take one
+//! loop each. The sums go back to the state after the fold; the row tally
+//! is added to every counting accumulator once (integer sums: exact in any
+//! order), and each twin copies the sum it shares.
 //!
 //! # Bit-identity
 //!
 //! Results equal a row-at-a-time fold bit for bit (the `#[cfg(test)]`
-//! oracle below asserts it), for two reasons. The fused loop visits rows in
-//! batch order, and within a row each aggregate updates its own
-//! accumulator, so each floating-point accumulator sees its group's values
-//! in the same order as the oracle and rounds identically; argument
-//! values are the same IEEE operations on the same widened values whether
-//! a batch is selected or compacted. And both id paths number keys in
-//! first-seen row order, whether a batch is numbered whole or one block at
-//! a time, so the keys — hence the slot order and every simulated makespan
-//! priced from them — cannot depend on which path a batch took, on its
-//! size, nor on whether it carried a selection.
+//! oracle below asserts it), for two reasons. Each accumulator sees its
+//! group's values in batch order — every loop visits rows in order, and the
+//! sums copied out of the state continue from the state's own values — so
+//! it rounds as the oracle does; and every argument value is the IEEE
+//! operation [`crate::expr::eval`] computes on the same widened operands,
+//! whether a block ran dense or gathered and whether the batch carried a
+//! selection. Both id paths number keys in first-seen row order, whether a
+//! batch is numbered whole or one block at a time, and whichever way a
+//! column's range was found, so the keys — hence the slot order and every
+//! simulated makespan priced from them — cannot depend on which path a batch
+//! took, on its size, nor on whether it carried a selection.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hape_storage::Batch;
 
-use crate::expr::{eval_distinct, Expr};
+use crate::expr::{Expr, Program, Regs};
 use crate::stateful::{with_ints, Int, Ints};
 
 /// Aggregate functions.
@@ -156,11 +167,6 @@ impl Acc {
 /// costs to hash.
 const DENSE_LIMIT: u64 = 1 << 14;
 
-/// Rows [`AggState::fold`] accumulates at a time: a block's argument
-/// vectors stay L2-resident, so the cost per row does not grow with the
-/// batch.
-const BLOCK_ROWS: usize = 1 << 14;
-
 /// Output of the group-id kernel for one batch.
 #[derive(Debug, Clone)]
 pub struct GroupIds {
@@ -181,20 +187,155 @@ fn key_bounds<T: Int>(v: &[T], sel: Option<&[u32]>) -> (i64, i64) {
     }
 }
 
-/// Per column `(min, range)` over the selected rows when the batch's
-/// combined key range fits the direct map. All range arithmetic is
-/// checked: extreme keys, or a single column wider than the limit, fall
-/// through to the hashed path.
-fn dense_domain(cols: &[Ints<'_>], sel: Option<&[u32]>) -> Option<Vec<(i64, u64)>> {
+/// Per column `(min, range)` when the batch's combined key range fits the
+/// direct map. A column with an entry in `dicts` (a dictionary's length)
+/// takes its range `[0, len)` from it; the others from a bounds pass over
+/// the selected rows. All range arithmetic is checked: extreme keys, or a
+/// single column wider than the limit, fall through to the hashed path.
+fn dense_domain(
+    cols: &[Ints<'_>],
+    sel: Option<&[u32]>,
+    dicts: &[Option<u64>],
+) -> Option<Vec<(i64, u64)>> {
     let mut size = 1u64;
     cols.iter()
-        .map(|col| {
-            let (lo, hi) = with_ints!(col, v => key_bounds(v, sel));
-            let range = hi.abs_diff(lo).checked_add(1)?;
+        .enumerate()
+        .map(|(i, col)| {
+            let (lo, range) = match dicts.get(i).copied().flatten() {
+                Some(len) => (0, len),
+                None => {
+                    let (lo, hi) = with_ints!(col, v => key_bounds(v, sel));
+                    (lo, hi.abs_diff(lo).checked_add(1)?)
+                }
+            };
             size = size.checked_mul(range).filter(|&s| s <= DENSE_LIMIT)?;
             Some((lo, range))
         })
         .collect()
+}
+
+/// The mixed-radix digit of `x` in a column of `(min, range)`, or `None`
+/// when `x` lies outside it (a code beyond its column's dictionary).
+fn digit(x: i64, (lo, range): (i64, u64)) -> Option<u32> {
+    let d = x.wrapping_sub(lo) as u64;
+    (d < range).then_some(d as u32)
+}
+
+/// Dense ids under `dims` from [`dense_domain`]: the key of each row's
+/// mixed-radix offset numbered through a direct-mapped table, in first-seen
+/// row order, for one to four columns. All digits but the last two fold
+/// into `ids` one column per pass; the last two are read, offset and looked
+/// up in one pass. `None` when a row's key lies outside `dims`. `rows`
+/// yields the selected rows' column indices.
+fn dense_ids(
+    cols: &[Ints<'_>],
+    dims: &[(i64, u64)],
+    rows: impl Iterator<Item = usize> + Clone,
+    n: usize,
+    key_at: impl Fn(usize) -> GroupKey,
+) -> Option<GroupIds> {
+    let mut ids = vec![0u32; n];
+    let split = cols.len().saturating_sub(2);
+    for (col, &dim) in cols[..split].iter().zip(dims) {
+        let radix = dim.1 as u32;
+        let mut ok = true;
+        with_ints!(col, v => ids.iter_mut().zip(rows.clone()).for_each(|(id, r)| {
+            let d = digit(v[r].get(), dim);
+            ok &= d.is_some();
+            *id = *id * radix + d.unwrap_or(0);
+        }));
+        if !ok {
+            return None;
+        }
+    }
+    let size: u64 = dims.iter().map(|d| d.1).product();
+    let mut table = Numbering { ids: vec![u32::MAX; size as usize], keys: Vec::new(), key_at };
+    let rows = ids.iter_mut().zip(rows);
+    match (&cols[split..], &dims[split..]) {
+        ([a], &[da]) => with_ints!(a, a => {
+            for (id, r) in rows {
+                *id = table.id(digit(a[r].get(), da)?, r);
+            }
+        }),
+        ([a, b], &[da, db]) => with_ints!(a, a => with_ints!(b, b => {
+            let radix = db.1 as u32;
+            for (id, r) in rows {
+                let off = (*id * da.1 as u32 + digit(a[r].get(), da)?) * radix;
+                *id = table.id(off + digit(b[r].get(), db)?, r);
+            }
+        })),
+        _ => unreachable!("one or two trailing key columns"),
+    }
+    Some(GroupIds { ids, keys: table.keys })
+}
+
+/// A direct-mapped table from a key's mixed-radix offset to its id.
+struct Numbering<F> {
+    /// Per offset, its key's id; `u32::MAX` until first seen.
+    ids: Vec<u32>,
+    /// Distinct keys in first-seen order.
+    keys: Vec<GroupKey>,
+    /// The key of a column row.
+    key_at: F,
+}
+
+impl<F: Fn(usize) -> GroupKey> Numbering<F> {
+    /// The id of the key at offset `off`, first seen at column row `r`
+    /// unless numbered before.
+    fn id(&mut self, off: u32, r: usize) -> u32 {
+        match self.ids[off as usize] {
+            u32::MAX => self.first_seen(off, r),
+            id => id,
+        }
+    }
+
+    /// Out of the per-row loop: a batch sees each key once.
+    #[cold]
+    fn first_seen(&mut self, off: u32, r: usize) -> u32 {
+        let id = self.keys.len() as u32;
+        self.ids[off as usize] = id;
+        self.keys.push((self.key_at)(r));
+        id
+    }
+}
+
+/// [`group_ids`] over the selected rows `rows` (column indices) of `cols`.
+fn number_rows(
+    cols: &[Ints<'_>],
+    dicts: &[Option<u64>],
+    sel: Option<&[u32]>,
+    rows: impl Iterator<Item = usize> + Clone,
+    n: usize,
+) -> GroupIds {
+    // The key of column row `row` (not block row: through the selection).
+    let key_at = |row: usize| {
+        let mut key: GroupKey = [0; 4];
+        for (slot, col) in key.iter_mut().zip(cols) {
+            *slot = with_ints!(col, v => v[row].get());
+        }
+        key
+    };
+    let dense = |dicts: &[Option<u64>]| {
+        let dims = dense_domain(cols, sel, dicts)?;
+        dense_ids(cols, &dims, rows.clone(), n, key_at)
+    };
+    // Should a code lie outside its dictionary, the bounds decide.
+    let with_dicts = dicts.iter().any(Option::is_some);
+    if let Some(groups) = dense(dicts).or_else(|| with_dicts.then(|| dense(&[])).flatten()) {
+        return groups;
+    }
+    let mut keys: Vec<GroupKey> = Vec::new();
+    let mut seen: HashMap<GroupKey, u32> = HashMap::new();
+    let ids = rows
+        .map(|r| {
+            let key = key_at(r);
+            *seen.entry(key).or_insert_with(|| {
+                keys.push(key);
+                keys.len() as u32 - 1
+            })
+        })
+        .collect();
+    GroupIds { ids, keys }
 }
 
 /// The group-id kernel: a dense id per row of `batch` (per selected row,
@@ -203,58 +344,204 @@ fn dense_domain(cols: &[Ints<'_>], sel: Option<&[u32]>) -> Option<Vec<(i64, u64)
 /// in the single all-zero key.
 pub fn group_ids(spec: &AggSpec, batch: &Batch) -> GroupIds {
     let (n, sel) = (batch.rows(), batch.selection());
+    if spec.group_by.is_empty() {
+        let keys = if n > 0 { vec![[0; 4]] } else { Vec::new() };
+        return GroupIds { ids: vec![0; n], keys };
+    }
     let cols: Vec<Ints<'_>> = spec.group_by.iter().map(|&i| Ints::of(batch.col(i))).collect();
-    // The key of column row `row` (not block row: through the selection).
-    let key_at = |row: usize| {
-        let mut key: GroupKey = [0; 4];
-        for (slot, col) in key.iter_mut().zip(&cols) {
-            *slot = with_ints!(col, v => v[row].get());
+    // A dictionary-coded column's range is its dictionary's: no bounds pass.
+    let dicts: Vec<Option<u64>> = spec
+        .group_by
+        .iter()
+        .map(|&i| batch.col(i).dict().map(|d| d.len() as u64).filter(|&l| l <= DENSE_LIMIT))
+        .collect();
+    match sel {
+        None => number_rows(&cols, &dicts, sel, 0..n, n),
+        Some(rows) => number_rows(&cols, &dicts, sel, rows.iter().map(|&r| r as usize), n),
+    }
+}
+
+/// A spec compiled once ([`AggState::new`]): its distinct non-count
+/// arguments as one register [`Program`], and per aggregate what it does
+/// with its argument's values.
+#[derive(Debug)]
+struct FoldProgram {
+    spec: AggSpec,
+    /// Output `j` is the argument of the `j`-th non-count aggregate.
+    args: Program,
+    /// `(aggregate, output)` of each sum that accumulates: the first sum or
+    /// average of its argument's register.
+    sums: Vec<(usize, usize)>,
+    /// `(aggregate, output)` of each minimum.
+    mins: Vec<(usize, usize)>,
+    /// `(aggregate, output)` of each maximum.
+    maxs: Vec<(usize, usize)>,
+    /// `(aggregate, the aggregate whose sum it copies)`: a later sum or
+    /// average of a register an earlier one accumulates.
+    twins: Vec<(usize, usize)>,
+    /// The aggregates that count rows (`Count`, `Avg`).
+    counts: Vec<usize>,
+}
+
+impl FoldProgram {
+    fn new(spec: AggSpec) -> FoldProgram {
+        let args: Vec<(usize, &Expr)> = (spec.aggs.iter().enumerate())
+            .filter(|(_, (f, _))| *f != AggFunc::Count)
+            .map(|(a, (_, e))| (a, e))
+            .collect();
+        let program = Program::new(args.iter().map(|&(_, e)| e));
+        let (mut sums, mut mins, mut maxs, mut twins) = (vec![], vec![], vec![], vec![]);
+        for (j, &(a, _)) in args.iter().enumerate() {
+            let reg = program.out_register(j);
+            match spec.aggs[a].0 {
+                AggFunc::Sum | AggFunc::Avg => {
+                    match sums.iter().find(|&&(_, o)| program.out_register(o) == reg) {
+                        Some(&(twin, _)) => twins.push((a, twin)),
+                        None => sums.push((a, j)),
+                    }
+                }
+                AggFunc::Min => mins.push((a, j)),
+                AggFunc::Max => maxs.push((a, j)),
+                AggFunc::Count => unreachable!("counts take no argument"),
+            }
         }
-        key
-    };
-    let row_of = |k: usize| sel.map_or(k, |sel| sel[k] as usize);
-    let mut keys: Vec<GroupKey> = Vec::new();
-    let mut ids = vec![0u32; n];
-    if let Some(dims) = dense_domain(&cols, sel) {
-        // Mixed-radix offset of each row's key, column by column; every
-        // digit is below its range, so the offset is below DENSE_LIMIT.
-        for (col, &(lo, range)) in cols.iter().zip(&dims) {
-            let digit = |id: u32, x: i64| id * range as u32 + x.wrapping_sub(lo) as u32;
-            with_ints!(col, v => match sel {
-                None => ids.iter_mut().zip(v.iter()).for_each(|(id, x)| *id = digit(*id, x.get())),
-                Some(sel) => ids
-                    .iter_mut()
-                    .zip(sel)
-                    .for_each(|(id, &r)| *id = digit(*id, v[r as usize].get())),
+        let counts = (spec.aggs.iter().enumerate())
+            .filter(|(_, (f, _))| matches!(f, AggFunc::Count | AggFunc::Avg))
+            .map(|(a, _)| a)
+            .collect();
+        FoldProgram { spec, args: program, sums, mins, maxs, twins, counts }
+    }
+
+    /// Accumulate one block's rows, in row order: sum `j` of batch-local
+    /// group `id` into `sums[id * self.sums.len() + j]`, the minima and
+    /// maxima into the slots `first` maps the ids to, and a tally of rows
+    /// per id into `rows_of`.
+    fn accumulate(&self, batch: &mut BatchAccs<'_>, ids: &[u32], regs: &Regs<'_>) {
+        match regs.dense {
+            None => self.accumulate_at(batch, ids, regs, Seq),
+            Some((sel, start)) => self.accumulate_at(batch, ids, regs, Rel(sel, start)),
+        }
+    }
+
+    fn accumulate_at(
+        &self,
+        batch: &mut BatchAccs<'_>,
+        ids: &[u32],
+        regs: &Regs<'_>,
+        at: impl At,
+    ) {
+        let BatchAccs { accs, first, sums, rows_of } = batch;
+        let vals = |j: usize| regs.out(self.sums[j].1);
+        // The sums and the row tally in one loop, specialised on how many
+        // sums there are so each row's updates unroll.
+        macro_rules! fused {
+            ($($s:literal)*) => {
+                match self.sums.len() {
+                    $($s => add_sums::<$s>(sums, ids, at, std::array::from_fn(vals), rows_of),)*
+                    width => {
+                        for j in 0..width {
+                            let v = vals(j);
+                            for (k, &id) in ids.iter().enumerate() {
+                                sums[id as usize * width + j] += v[at.at(k)];
+                            }
+                        }
+                        ids.iter().for_each(|&id| rows_of[id as usize] += 1);
+                    }
+                }
+            };
+        }
+        fused!(0 1 2 3 4 5 6);
+        for &(a, out) in &self.mins {
+            let v = regs.out(out);
+            each_row(first, ids, at, |acc, i| {
+                if v[i] < accs[acc + a].min {
+                    accs[acc + a].min = v[i];
+                }
             });
         }
-        let size: u64 = dims.iter().map(|d| d.1).product();
-        let mut table = vec![u32::MAX; size as usize];
-        for (k, id) in ids.iter_mut().enumerate() {
-            let slot = &mut table[*id as usize];
-            if *slot == u32::MAX {
-                *slot = keys.len() as u32;
-                keys.push(key_at(row_of(k)));
-            }
-            *id = *slot;
-        }
-    } else {
-        let mut seen: HashMap<GroupKey, u32> = HashMap::new();
-        for (k, id) in ids.iter_mut().enumerate() {
-            let key = key_at(row_of(k));
-            *id = *seen.entry(key).or_insert_with(|| {
-                keys.push(key);
-                keys.len() as u32 - 1
+        for &(a, out) in &self.maxs {
+            let v = regs.out(out);
+            each_row(first, ids, at, |acc, i| {
+                if v[i] > accs[acc + a].max {
+                    accs[acc + a].max = v[i];
+                }
             });
         }
     }
-    GroupIds { ids, keys }
+}
+
+/// Where the values of a block's `k`-th selected row sit in its registers.
+trait At: Copy {
+    fn at(self, k: usize) -> usize;
+}
+
+/// Row `k` at `k`: an unselected batch, or a gathered block.
+#[derive(Clone, Copy)]
+struct Seq;
+
+impl At for Seq {
+    fn at(self, k: usize) -> usize {
+        k
+    }
+}
+
+/// Row `k` at `sel[k] - start`: a selected block evaluated over its span.
+#[derive(Clone, Copy)]
+struct Rel<'s>(&'s [u32], usize);
+
+impl At for Rel<'_> {
+    fn at(self, k: usize) -> usize {
+        self.0[k] as usize - self.1
+    }
+}
+
+/// The accumulators one fold updates: the state's, the state slot of each
+/// batch-local group id (`first`, its first accumulator), the batch's
+/// groups' sums side by side (`sums[id * sums + j]`, copied out of the
+/// state before the fold and back after it, so every addition is the one
+/// the state's accumulator would have made), and its row tally per id.
+struct BatchAccs<'s> {
+    accs: &'s mut [Acc],
+    first: &'s [usize],
+    sums: Vec<f64>,
+    rows_of: Vec<u64>,
+}
+
+/// `f(first accumulator of the row's slot, register index)` per row, in row
+/// order.
+fn each_row(first: &[usize], ids: &[u32], at: impl At, mut f: impl FnMut(usize, usize)) {
+    for (k, &id) in ids.iter().enumerate() {
+        f(first[id as usize], at.at(k));
+    }
+}
+
+/// `S` sums and the row tally, every row updating all of them.
+fn add_sums<const S: usize>(
+    sums: &mut [f64],
+    ids: &[u32],
+    at: impl At,
+    vals: [&[f64]; S],
+    rows_of: &mut [u64],
+) {
+    for (k, &id) in ids.iter().enumerate() {
+        let (id, i) = (id as usize, at.at(k));
+        let acc: &mut [f64; S] = (&mut sums[id * S..id * S + S]).try_into().expect("S sums");
+        for (acc, v) in acc.iter_mut().zip(vals) {
+            *acc += v[i];
+        }
+        rows_of[id] += 1;
+    }
 }
 
 /// A mergeable (partial) aggregation state.
+///
+/// [`AggState::new`] compiles the spec's arguments once; a clone shares
+/// the compiled program, so the partial states of one stage (its workers
+/// and their merge, the co-processed fold's chunks) are clones of one empty
+/// state and compile nothing.
 #[derive(Debug, Clone)]
 pub struct AggState {
-    spec: AggSpec,
+    program: Arc<FoldProgram>,
     /// Group keys in first-seen order; a key's index is its slot.
     keys: Vec<GroupKey>,
     slots: HashMap<GroupKey, u32>,
@@ -266,10 +553,11 @@ pub struct AggState {
 }
 
 impl AggState {
-    /// Fresh state for a spec.
+    /// Fresh state for a spec, its arguments compiled into a register
+    /// program.
     pub fn new(spec: AggSpec) -> Self {
         AggState {
-            spec,
+            program: Arc::new(FoldProgram::new(spec)),
             keys: Vec::new(),
             slots: HashMap::new(),
             accs: Vec::new(),
@@ -279,7 +567,7 @@ impl AggState {
 
     /// The spec.
     pub fn spec(&self) -> &AggSpec {
-        &self.spec
+        &self.program.spec
     }
 
     /// Number of groups so far.
@@ -292,7 +580,7 @@ impl AggState {
     fn slot(&mut self, key: GroupKey) -> u32 {
         *self.slots.entry(key).or_insert_with(|| {
             self.keys.push(key);
-            self.accs.extend(self.spec.aggs.iter().map(|_| Acc::new()));
+            self.accs.extend(self.program.spec.aggs.iter().map(|_| Acc::new()));
             self.keys.len() as u32 - 1
         })
     }
@@ -300,73 +588,39 @@ impl AggState {
     /// Fold one batch into the state — its selected rows, when it carries
     /// a selection — numbering its groups first ([`AggState::fold`]).
     pub fn update(&mut self, batch: &Batch) {
-        self.fold(batch, &group_ids(&self.spec, batch));
+        self.fold(batch, &group_ids(self.spec(), batch));
     }
 
     /// Fold one batch through its [`group_ids`] under this state's spec:
-    /// each batch-local id maps to a state slot once, then the rows are
-    /// accumulated `BLOCK_ROWS` at a time.
+    /// each batch-local id maps to a state slot once, then the compiled
+    /// program runs block by block over the selected rows and one loop per
+    /// block accumulates them.
     pub fn fold(&mut self, batch: &Batch, groups: &GroupIds) {
         let n = batch.rows();
         debug_assert_eq!(groups.ids.len(), n, "group ids of another batch");
         self.rows_seen += n as u64;
         // Batch-local id -> the state slot's first accumulator: one map
         // lookup per distinct group.
-        let width = self.spec.aggs.len();
+        let width = self.spec().aggs.len();
         let first: Vec<usize> =
             groups.keys.iter().map(|&k| self.slot(k) as usize * width).collect();
-        // Each distinct argument expression is evaluated once per block,
-        // vectorised over the selected rows; count ignores its argument.
-        let exprs: Vec<Option<&Expr>> =
-            self.spec.aggs.iter().map(|(f, e)| (*f != AggFunc::Count).then_some(e)).collect();
-        let mut rows_of = vec![0u64; first.len()];
-        for off in (0..n).step_by(BLOCK_ROWS) {
-            let len = BLOCK_ROWS.min(n - off);
-            let block = batch.slice(off, len);
-            let (vals, arg_of) = eval_distinct(&exprs, &block);
-            // `(aggregate, argument, values)`; twins: `(aggregate, the sum it copies)`.
-            let mut sums: Vec<(usize, Option<usize>, &[f64])> = vec![];
-            let (mut mins, mut maxs, mut twins) = (vec![], vec![], vec![]);
-            for (a, ((func, _), arg)) in self.spec.aggs.iter().zip(arg_of).enumerate() {
-                let vals = arg.map_or(&[][..], |i| &vals[i][..]);
-                match func {
-                    AggFunc::Sum | AggFunc::Avg => match sums.iter().find(|s| s.1 == arg) {
-                        Some(&(twin, ..)) => twins.push((a, twin)),
-                        None => sums.push((a, arg, vals)),
-                    },
-                    AggFunc::Count => {}
-                    AggFunc::Min => mins.push((a, vals)),
-                    AggFunc::Max => maxs.push((a, vals)),
-                }
-            }
-            // One loop over the rows; each row updates every aggregate.
-            for (row, &id) in groups.ids[off..off + len].iter().enumerate() {
-                let accs = &mut self.accs[first[id as usize]..][..width];
-                for &(a, _, v) in &sums {
-                    accs[a].sum += v[row];
-                }
-                for &(a, v) in &mins {
-                    if v[row] < accs[a].min {
-                        accs[a].min = v[row];
-                    }
-                }
-                for &(a, v) in &maxs {
-                    if v[row] > accs[a].max {
-                        accs[a].max = v[row];
-                    }
-                }
-                rows_of[id as usize] += 1;
-            }
-            for &(a, twin) in &twins {
-                for &at in &first {
-                    self.accs[at + a].sum = self.accs[at + twin].sum;
-                }
-            }
+        let (program, accs) = (&self.program, &mut self.accs);
+        let sums = first.iter().flat_map(|&at| program.sums.iter().map(move |&(a, _)| at + a));
+        let sums = sums.map(|acc| accs[acc].sum).collect();
+        let mut batch_accs =
+            BatchAccs { accs, first: &first, sums, rows_of: vec![0u64; first.len()] };
+        program.args.for_each_block(batch, |off, regs| {
+            let ids = &groups.ids[off..off + regs.rows];
+            program.accumulate(&mut batch_accs, ids, regs);
+        });
+        let BatchAccs { accs, sums, rows_of, .. } = batch_accs;
+        let slots = first.iter().flat_map(|&at| program.sums.iter().map(move |&(a, _)| at + a));
+        slots.zip(sums).for_each(|(acc, sum)| accs[acc].sum = sum);
+        for &(a, twin) in &program.twins {
+            first.iter().for_each(|&at| accs[at + a].sum = accs[at + twin].sum);
         }
-        for (a, (f, _)) in self.spec.aggs.iter().enumerate() {
-            if matches!(f, AggFunc::Count | AggFunc::Avg) {
-                first.iter().zip(&rows_of).for_each(|(&at, &n)| self.accs[at + a].count += n);
-            }
+        for &a in &program.counts {
+            first.iter().zip(&rows_of).for_each(|(&at, &n)| accs[at + a].count += n);
         }
     }
 
@@ -375,9 +629,13 @@ impl AggState {
         // Every partial of one stage is built from the stage's one spec
         // (the engine's workers, the co-processed fold's chunks, the
         // baselines' streams), so the layouts agree.
-        debug_assert_eq!(self.spec.group_by, other.spec.group_by, "merging different specs");
-        debug_assert_eq!(self.spec.aggs.len(), other.spec.aggs.len());
-        let width = self.spec.aggs.len();
+        debug_assert_eq!(
+            self.spec().group_by,
+            other.spec().group_by,
+            "merging different specs"
+        );
+        debug_assert_eq!(self.spec().aggs.len(), other.spec().aggs.len());
+        let width = self.spec().aggs.len();
         self.rows_seen += other.rows_seen;
         for (theirs, key) in other.keys.iter().enumerate() {
             let mine = self.slot(*key) as usize * width;
@@ -390,14 +648,15 @@ impl AggState {
 
     /// Finish into `(key, values)` rows, sorted by key for determinism.
     pub fn finish(&self) -> Vec<(GroupKey, Vec<f64>)> {
-        let width = self.spec.aggs.len();
+        let aggs = &self.spec().aggs;
+        let width = aggs.len();
         let mut out: Vec<(GroupKey, Vec<f64>)> = self
             .keys
             .iter()
             .enumerate()
             .map(|(slot, k)| {
                 let accs = &self.accs[slot * width..][..width];
-                let vals = accs.iter().zip(&self.spec.aggs).map(|(a, (f, _))| a.finish(*f));
+                let vals = accs.iter().zip(aggs).map(|(a, (f, _))| a.finish(*f));
                 (*k, vals.collect())
             })
             .collect();
@@ -409,8 +668,9 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::BLOCK_ROWS;
     use hape_storage::table::DataType;
-    use hape_storage::Column;
+    use hape_storage::{Column, Dictionary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -597,6 +857,12 @@ mod tests {
         Date,
         /// Dictionary-coded strings.
         Str,
+        /// Dictionary codes of a dictionary longer than [`DENSE_LIMIT`]:
+        /// the range comes from a bounds pass instead.
+        BigDict,
+        /// Codes beyond their column's dictionary: the dictionary's range
+        /// is refused and the bounds decide.
+        PastDict,
         /// One column spanning exactly [`DENSE_LIMIT`] values: still dense.
         AtLimit,
         /// One column spanning one value more: hashed.
@@ -632,6 +898,18 @@ mod tests {
                     (0..n).map(|_| names[rng.gen_range(0..5usize)]).collect();
                 Column::from_strs(picks)
             }
+            Keys::BigDict => {
+                let len = DENSE_LIMIT as u32 + 1;
+                let names: Vec<String> = (0..len).map(|c| format!("s{c}")).collect();
+                let (dict, _) = Dictionary::from_values(names.iter().map(String::as_str));
+                let codes = (0..n).map(|_| len - 1 - rng.gen_range(0..6u32)).collect();
+                Column::from_codes(codes, std::sync::Arc::new(dict))
+            }
+            Keys::PastDict => {
+                let (dict, _) = Dictionary::from_values(["A", "N"]);
+                let codes = (0..n).map(|_| rng.gen_range(0..5u32)).collect();
+                Column::from_codes(codes, std::sync::Arc::new(dict))
+            }
             Keys::Extreme => {
                 let pool = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
                 Column::from_i64((0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect())
@@ -650,7 +928,8 @@ mod tests {
     }
 
     /// Every [`AggFunc`], over bare columns, computed arguments (with a
-    /// literal on either side) and one argument that repeats.
+    /// literal on either side), a bare literal, arguments that repeat, and
+    /// minima and maxima of arguments a sum twin shares.
     fn every_func(group_by: Vec<usize>) -> AggSpec {
         let (x, y) = (group_by.len(), group_by.len() + 1);
         let disc_price = Expr::mul(Expr::col(x), Expr::sub(Expr::LitF64(1.0), Expr::col(y)));
@@ -664,8 +943,11 @@ mod tests {
             (AggFunc::Count, Expr::col(x)),
             (AggFunc::Min, Expr::sub(Expr::col(y), Expr::LitI32(7))),
             (AggFunc::Max, Expr::col(y)),
-            (AggFunc::Avg, disc_price),
+            (AggFunc::Avg, disc_price.clone()),
             (AggFunc::Avg, Expr::col(x)),
+            (AggFunc::Min, Expr::col(x)),
+            (AggFunc::Max, disc_price),
+            (AggFunc::Sum, Expr::LitF64(2.0)),
         ];
         AggSpec { group_by, aggs }
     }
@@ -774,10 +1056,31 @@ mod tests {
         assert_eq!(bits(merged.finish()), ref_merged.finish());
     }
 
-    /// Empty, sparse (~2 %), dense (~98 %) and full selections of `n` rows.
-    fn selections(n: usize, rng: &mut StdRng) -> [Vec<u32>; 4] {
+    /// Empty, sparse (~2 %), dense (~98 %) and full selections of `n` rows,
+    /// and three whose blocks of [`BLOCK_ROWS`] selected rows span exactly
+    /// twice as many column rows (the density rule's boundary: dense), one
+    /// row fewer (dense) and one row more (gathered).
+    fn selections(n: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
         let mut share = |p: f64| (0..n as u32).filter(|_| rng.gen_bool(p)).collect();
-        [Vec::new(), share(0.02), share(0.98), (0..n as u32).collect()]
+        let mut sels = vec![Vec::new(), share(0.02), share(0.98), (0..n as u32).collect()];
+        sels.extend([-1, 0, 1].map(|d| spanning(n, |len| (2 * len).saturating_add_signed(d))));
+        sels
+    }
+
+    /// Rows of `n`, one block of [`BLOCK_ROWS`] selected rows (fewer in the
+    /// last) after another, a block of `len` rows spanning `span(len)`
+    /// column rows: its first and last, the rest spread between them.
+    fn spanning(n: usize, span: impl Fn(usize) -> usize) -> Vec<u32> {
+        let (mut sel, mut at) = (Vec::new(), 0);
+        loop {
+            let len = BLOCK_ROWS.min((n - at) / 2);
+            let width = span(len).max(len);
+            if len < 2 || at + width > n {
+                return sel;
+            }
+            sel.extend((0..len).map(|k| (at + k * (width - 1) / (len - 1)) as u32));
+            at += width;
+        }
     }
 
     #[test]
@@ -796,11 +1099,16 @@ mod tests {
             &[Extreme, Str],
             &[SmallI32, AboveLimit],
             &[Extreme, Extreme, Extreme, Extreme],
+            &[BigDict],
+            &[BigDict, Str],
+            &[PastDict, Str],
+            &[Str, SmallI32, PastDict],
         ];
         let mut rng = StdRng::seed_from_u64(15);
         for keys in shapes {
             let spec = every_func((0..keys.len()).collect());
-            for n in [0, 1, 2, 500, 3_000, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 5] {
+            let fb = BLOCK_ROWS;
+            for n in [0, 1, 2, 500, fb - 1, fb, fb + 1, 2 * fb + 3, 5 * fb + 7, (1 << 14) + 3] {
                 let batch = random_batch(keys, n, &mut rng);
                 assert_matches_reference(&spec, &batch, &mut rng);
                 for sel in selections(n, &mut rng) {
@@ -850,7 +1158,7 @@ mod tests {
         let limit = DENSE_LIMIT as i64;
         let dense = |cols: &[Vec<i64>]| {
             let cols: Vec<Ints<'_>> = cols.iter().map(|c| Ints::I64(c)).collect();
-            dense_domain(&cols, None)
+            dense_domain(&cols, None, &[])
         };
         // Q1's shape: two tiny columns, offsets from the column minimum.
         assert_eq!(dense(&[vec![2, 0, 1], vec![-7, -6, -7]]), Some(vec![(0, 3), (-7, 2)]));
@@ -870,5 +1178,13 @@ mod tests {
         assert!(dense(&[vec![-1, i64::MAX], vec![i64::MIN, i64::MAX]]).is_none());
         assert_eq!(dense(&[vec![i64::MIN, i64::MIN + 1]]), Some(vec![(i64::MIN, 2)]));
         assert_eq!(dense(&[vec![i64::MAX]]), Some(vec![(i64::MAX, 1)]));
+        // A dictionary's length stands for a bounds pass; past the limit,
+        // or multiplied past it, the column is not dense either.
+        let codes = [vec![7u32, 1], vec![0, 0]];
+        let cols: Vec<Ints<'_>> = codes.iter().map(|c| Ints::Codes(c)).collect();
+        let dims = |dicts: &[Option<u64>]| dense_domain(&cols, None, dicts);
+        assert_eq!(dims(&[Some(25), None]), Some(vec![(0, 25), (0, 1)]));
+        assert_eq!(dims(&[None, Some(2)]), Some(vec![(1, 7), (0, 2)]));
+        assert!(dims(&[Some(limit as u64), Some(2)]).is_none());
     }
 }

@@ -3,9 +3,14 @@
 //! Expressions are evaluated one batch at a time into transient vectors —
 //! within a compiled pipeline these play the role of the "registers" JIT
 //! code generation keeps intermediate results in (§2.2): they are never
-//! materialised across operators.
+//! materialised across operators. [`eval`] walks the tree per call; the
+//! filter kernel [`select`] reads columns typed; a [`Program`] compiles a
+//! stage's numeric expressions once into typed block ops over a per-thread
+//! register file — what the aggregation and the §5 stage's pre-evaluated
+//! arguments run, with [`eval`] as its oracle.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 
 use hape_storage::table::DataType;
 use hape_storage::{Batch, Column};
@@ -579,41 +584,24 @@ fn gather_f64<'a>(col: &'a Column, sel: Option<&[u32]>) -> Cow<'a, [f64]> {
 /// Evaluate `expr` over the rows of `batch` (its selected rows, when it
 /// carries a selection).
 pub fn eval<'a>(expr: &Expr, batch: &'a Batch) -> ExprValue<'a> {
-    eval_memo(expr, batch, &[])
-}
-
-/// Evaluate several numeric expressions over one batch, each distinct
-/// expression once: the returned indices map every `Some` entry of `exprs`
-/// to its values (`None` entries are skipped). An expression that recurs
-/// as an operand inside a later one — Q1's `disc_price` inside `charge` —
-/// is reused there too rather than recomputed, and every column the
-/// expressions read is gathered through the batch's selection and widened
-/// once, up front.
-pub(crate) fn eval_distinct<'a>(
-    exprs: &[Option<&Expr>],
-    batch: &'a Batch,
-) -> (Vec<Cow<'a, [f64]>>, Vec<Option<usize>>) {
-    let mut cols: Vec<usize> = exprs.iter().flatten().flat_map(|e| e.columns_used()).collect();
-    cols.sort_unstable();
-    cols.dedup();
-    let leaves: Vec<Expr> = cols.iter().map(|&i| Expr::Col(i)).collect();
-    let mut done: Vec<&Expr> = leaves.iter().collect();
-    let mut vals: Vec<Cow<'a, [f64]>> =
-        cols.iter().map(|&i| gather_f64(batch.col(i), batch.selection())).collect();
-    let mut index = Vec::with_capacity(exprs.len());
-    for expr in exprs {
-        index.push(expr.map(|e| {
-            done.iter().position(|d| same_expr(d, e)).unwrap_or_else(|| {
-                let memo: Vec<(&Expr, &[f64])> =
-                    done.iter().copied().zip(vals.iter().map(|v| &**v)).collect();
-                let v = eval_memo(e, batch, &memo).into_f64();
-                done.push(e);
-                vals.push(v);
-                vals.len() - 1
-            })
-        }));
+    let n = batch.rows();
+    let num = |vals: Vec<f64>| ExprValue::F64(Cow::Owned(vals));
+    match expr {
+        Expr::Col(i) => ExprValue::F64(gather_f64(batch.col(*i), batch.selection())),
+        Expr::LitI32(v) => num(vec![*v as f64; n]),
+        Expr::LitI64(v) => num(vec![*v as f64; n]),
+        Expr::LitF64(v) => num(vec![*v; n]),
+        Expr::Add(a, b) => num(zip_with(a, b, batch, |x, y| x + y)),
+        Expr::Sub(a, b) => num(zip_with(a, b, batch, |x, y| x - y)),
+        Expr::Mul(a, b) => num(zip_with(a, b, batch, |x, y| x * y)),
+        Expr::Eq(a, b) => ExprValue::Bool(zip_with(a, b, batch, |x, y| x == y)),
+        Expr::Lt(a, b) => ExprValue::Bool(zip_with(a, b, batch, |x, y| x < y)),
+        Expr::Le(a, b) => ExprValue::Bool(zip_with(a, b, batch, |x, y| x <= y)),
+        Expr::Gt(a, b) => ExprValue::Bool(zip_with(a, b, batch, |x, y| x > y)),
+        Expr::Ge(a, b) => ExprValue::Bool(zip_with(a, b, batch, |x, y| x >= y)),
+        Expr::And(a, b) => binary_bool(a, b, batch, |x, y| x && y),
+        Expr::Or(a, b) => binary_bool(a, b, batch, |x, y| x || y),
     }
-    (vals, index)
 }
 
 /// Whether two expressions evaluate to the same bits, so one may stand in
@@ -639,29 +627,6 @@ pub fn same_expr(a: &Expr, b: &Expr) -> bool {
     }
 }
 
-/// [`eval`] with a memo of already-evaluated expressions an operand may
-/// borrow instead of recomputing.
-fn eval_memo<'a>(expr: &Expr, batch: &'a Batch, memo: &[(&Expr, &[f64])]) -> ExprValue<'a> {
-    let n = batch.rows();
-    let num = |vals: Vec<f64>| ExprValue::F64(Cow::Owned(vals));
-    match expr {
-        Expr::Col(i) => ExprValue::F64(gather_f64(batch.col(*i), batch.selection())),
-        Expr::LitI32(v) => num(vec![*v as f64; n]),
-        Expr::LitI64(v) => num(vec![*v as f64; n]),
-        Expr::LitF64(v) => num(vec![*v; n]),
-        Expr::Add(a, b) => num(zip_with(a, b, batch, memo, |x, y| x + y)),
-        Expr::Sub(a, b) => num(zip_with(a, b, batch, memo, |x, y| x - y)),
-        Expr::Mul(a, b) => num(zip_with(a, b, batch, memo, |x, y| x * y)),
-        Expr::Eq(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x == y)),
-        Expr::Lt(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x < y)),
-        Expr::Le(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x <= y)),
-        Expr::Gt(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x > y)),
-        Expr::Ge(a, b) => ExprValue::Bool(zip_with(a, b, batch, memo, |x, y| x >= y)),
-        Expr::And(a, b) => binary_bool(a, b, batch, memo, |x, y| x && y),
-        Expr::Or(a, b) => binary_bool(a, b, batch, memo, |x, y| x || y),
-    }
-}
-
 /// The value of a literal operand, widened as [`eval`] widens it.
 fn literal(e: &Expr) -> Option<f64> {
     match e {
@@ -679,25 +644,16 @@ enum Operand<'x> {
     Vals(Cow<'x, [f64]>),
 }
 
-fn operand<'x>(expr: &Expr, batch: &'x Batch, memo: &[(&Expr, &'x [f64])]) -> Operand<'x> {
-    if let Some(x) = literal(expr) {
-        return Operand::Lit(x);
-    }
-    match memo.iter().find(|(e, _)| same_expr(e, expr)) {
-        Some((_, vals)) => Operand::Vals(Cow::Borrowed(vals)),
-        None => Operand::Vals(eval_memo(expr, batch, memo).into_f64()),
+fn operand<'x>(expr: &Expr, batch: &'x Batch) -> Operand<'x> {
+    match literal(expr) {
+        Some(x) => Operand::Lit(x),
+        None => Operand::Vals(eval(expr, batch).into_f64()),
     }
 }
 
 /// `f` over the rows of two numeric operands, in operand order.
-fn zip_with<T: Clone>(
-    a: &Expr,
-    b: &Expr,
-    batch: &Batch,
-    memo: &[(&Expr, &[f64])],
-    f: impl Fn(f64, f64) -> T,
-) -> Vec<T> {
-    match (operand(a, batch, memo), operand(b, batch, memo)) {
+fn zip_with<T: Clone>(a: &Expr, b: &Expr, batch: &Batch, f: impl Fn(f64, f64) -> T) -> Vec<T> {
+    match (operand(a, batch), operand(b, batch)) {
         (Operand::Vals(va), Operand::Vals(vb)) => {
             va.iter().zip(vb.iter()).map(|(&x, &y)| f(x, y)).collect()
         }
@@ -711,11 +667,10 @@ fn binary_bool<'a>(
     a: &Expr,
     b: &Expr,
     batch: &Batch,
-    memo: &[(&Expr, &[f64])],
     f: impl Fn(bool, bool) -> bool,
 ) -> ExprValue<'a> {
-    let va = eval_memo(a, batch, memo);
-    let vb = eval_memo(b, batch, memo);
+    let va = eval(a, batch);
+    let vb = eval(b, batch);
     let (va, vb) = (va.as_bool(), vb.as_bool());
     ExprValue::Bool(va.iter().zip(vb).map(|(&x, &y)| f(x, y)).collect())
 }
@@ -793,7 +748,7 @@ fn compare(
                 None => Cow::Borrowed(batch),
                 Some(c) => Cow::Owned(batch.clone().with_selection(c.into())),
             };
-            let holds = zip_with(a, b, &among, &[], f);
+            let holds = zip_with(a, b, &among, f);
             let rows = (0..holds.len() as u32).map(|k| cand.map_or(k, |c| c[k as usize]));
             out.extend(rows.zip(holds).filter(|&(_, h)| h).map(|(r, _)| r));
         }
@@ -835,6 +790,316 @@ fn union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
+}
+
+/// Selected rows a register program evaluates at a time: the registers of
+/// a dense block span at most twice as many column rows, so a block of a
+/// program as wide as Q1's (eight registers) stays within a 128 KiB L2.
+pub(crate) const BLOCK_ROWS: usize = 1 << 10;
+
+thread_local! {
+    /// Each data-plane thread's register file, kept between blocks,
+    /// packets and stages and grown to the widest block it has run.
+    static REGISTERS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// The three arithmetic operators, each the one IEEE operation [`eval`]
+/// performs for it.
+#[derive(Debug, Clone, Copy)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+}
+
+impl Arith {
+    fn op(self) -> fn(f64, f64) -> f64 {
+        match self {
+            Arith::Add => |x, y| x + y,
+            Arith::Sub => |x, y| x - y,
+            Arith::Mul => |x, y| x * y,
+        }
+    }
+}
+
+/// An operand of a register instruction.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// An earlier register.
+    Reg(usize),
+    /// A literal, widened as [`eval`] widens it.
+    Lit(f64),
+}
+
+/// One register of a [`Program`], computed from earlier ones.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Column `c` widened to `f64`; an `f64` column over a dense span is
+    /// read in place instead.
+    Leaf(usize),
+    /// A literal output (`sum(2.0)`): the value on every row.
+    Splat(f64),
+    /// An arithmetic node over registers and literals, in operand order.
+    Bin(Arith, Src, Src),
+}
+
+/// The rows one block of a [`Program`] run covers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'s> {
+    /// Column rows `start..start + len`, every one evaluated.
+    Span(usize, usize),
+    /// The listed column rows, gathered.
+    Gather(&'s [u32]),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Span(_, len) => *len,
+            Rows::Gather(rows) => rows.len(),
+        }
+    }
+}
+
+/// Numeric expressions compiled once into a register program: one leaf
+/// register per column they read, one instruction per distinct arithmetic
+/// node (common sub-expressions found once with [`same_expr`], literal-only
+/// subtrees folded with the same `f64` operation [`eval`] applies), in
+/// dependency order. [`Program::eval_into`] runs it block by block over a
+/// batch's selected rows, with the registers in a per-thread file.
+///
+/// Every value is the IEEE operation [`eval`] computes, on the same widened
+/// operands, so the two agree bit for bit — NaN, `-0.0` and `i64` beyond
+/// 2^53 included; the seeded oracle in this module's tests holds it to that.
+#[derive(Debug, Clone, Default)]
+pub struct Program {
+    slots: Vec<Slot>,
+    /// The register each compiled expression's value sits in.
+    outs: Vec<usize>,
+}
+
+impl Program {
+    /// Compile numeric expressions ([`ExprKind::Num`]; the binding walk
+    /// refuses a plan whose aggregate argument or projection is boolean).
+    pub fn new<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Program {
+        let mut program = Program::default();
+        let mut nodes: Vec<(&Expr, usize)> = Vec::new();
+        for expr in exprs {
+            let out = match program.lower(expr, &mut nodes) {
+                Src::Reg(r) => r,
+                Src::Lit(x) => program.register(Slot::Splat(x)),
+            };
+            program.outs.push(out);
+        }
+        program
+    }
+
+    /// The register holding `expr`'s value, or its literal value.
+    fn lower<'e>(&mut self, expr: &'e Expr, nodes: &mut Vec<(&'e Expr, usize)>) -> Src {
+        if let Some(x) = literal(expr) {
+            return Src::Lit(x);
+        }
+        let (op, a, b) = match expr {
+            Expr::Col(c) => return Src::Reg(self.register(Slot::Leaf(*c))),
+            Expr::Add(a, b) => (Arith::Add, a, b),
+            Expr::Sub(a, b) => (Arith::Sub, a, b),
+            Expr::Mul(a, b) => (Arith::Mul, a, b),
+            // Invariant: hape_core's binding walk (`plan::bind`) refuses a
+            // plan whose numeric positions hold a boolean (`Expr::kind`).
+            _ => panic!("expected numeric expression, got boolean"),
+        };
+        if let Some(&(_, r)) = nodes.iter().find(|(node, _)| same_expr(node, expr)) {
+            return Src::Reg(r);
+        }
+        match (self.lower(a, nodes), self.lower(b, nodes)) {
+            (Src::Lit(x), Src::Lit(y)) => Src::Lit(op.op()(x, y)),
+            (a, b) => {
+                let r = self.register(Slot::Bin(op, a, b));
+                nodes.push((expr, r));
+                Src::Reg(r)
+            }
+        }
+    }
+
+    /// The register computing `slot`: an existing leaf or splat of the same
+    /// column or bits, or a new one.
+    fn register(&mut self, slot: Slot) -> usize {
+        let same = |s: &Slot| match (s, &slot) {
+            (Slot::Leaf(a), Slot::Leaf(b)) => a == b,
+            (Slot::Splat(a), Slot::Splat(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        };
+        self.slots.iter().position(same).unwrap_or_else(|| {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        })
+    }
+
+    /// The register output `j` sits in: two outputs in one register are
+    /// the same values.
+    pub(crate) fn out_register(&self, j: usize) -> usize {
+        self.outs[j]
+    }
+
+    /// Evaluate every compiled expression over the rows of `batch` (its
+    /// selected rows, when it carries a selection): expression `j` into
+    /// `outs[j]`, which holds one value per row.
+    pub fn eval_into(&self, batch: &Batch, outs: &mut [&mut [f64]]) {
+        self.for_each_block(batch, |off, regs| {
+            for (j, out) in outs.iter_mut().enumerate() {
+                let (vals, dst) = (regs.out(j), &mut out[off..off + regs.rows]);
+                match regs.dense {
+                    None => dst.copy_from_slice(vals),
+                    Some((sel, start)) => {
+                        dst.iter_mut()
+                            .zip(sel)
+                            .for_each(|(d, &r)| *d = vals[r as usize - start]);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Run the program over `batch`'s selected rows [`BLOCK_ROWS`] at a
+    /// time, handing `f` each block's offset among them and its registers.
+    /// A block evaluates densely over the column span it covers when its
+    /// rows fill at least half of that span (Q1's date filter keeps 98 %),
+    /// reading `f64` columns in place and widening each integer element
+    /// once; a sparser block (Q6 keeps 2 %) is gathered, because evaluating
+    /// the rows between its own would cost more than gathering them.
+    pub(crate) fn for_each_block(&self, batch: &Batch, mut f: impl FnMut(usize, &Regs<'_>)) {
+        let (n, sel) = (batch.rows(), batch.selection());
+        let mut file = REGISTERS.take();
+        for off in (0..n).step_by(BLOCK_ROWS) {
+            let len = BLOCK_ROWS.min(n - off);
+            let (rows, dense) = match sel {
+                None => (Rows::Span(off, len), None),
+                Some(sel) => {
+                    let block = &sel[off..off + len];
+                    let start = block[0] as usize;
+                    let span = block[len - 1] as usize + 1 - start;
+                    match 2 * len >= span {
+                        true => (Rows::Span(start, span), Some((block, start))),
+                        false => (Rows::Gather(block), None),
+                    }
+                }
+            };
+            let regs = self.run(batch, rows, &mut file);
+            f(off, &Regs { dense, rows: len, ..regs });
+        }
+        REGISTERS.set(file);
+    }
+
+    /// Evaluate every register over `rows` of `batch`, register `r` into
+    /// `file[r * len..][..len]` unless it is read in place.
+    pub(crate) fn run<'a>(
+        &'a self,
+        batch: &'a Batch,
+        rows: Rows<'a>,
+        file: &'a mut Vec<f64>,
+    ) -> Regs<'a> {
+        let len = rows.len();
+        let need = self.slots.len() * len;
+        if file.len() < need {
+            file.resize(need, 0.0);
+        }
+        for (r, slot) in self.slots.iter().enumerate() {
+            if self.in_place(r, batch, rows).is_some() {
+                continue;
+            }
+            let (done, rest) = file.split_at_mut(r * len);
+            let dst = &mut rest[..len];
+            match *slot {
+                Slot::Leaf(c) => widen_into(batch.col(c), rows, dst),
+                Slot::Splat(x) => dst.fill(x),
+                Slot::Bin(op, a, b) => {
+                    let src = |s: Src| match s {
+                        Src::Reg(q) => Ok(self.view(q, batch, rows, done)),
+                        Src::Lit(x) => Err(x),
+                    };
+                    let (a, b) = (src(a), src(b));
+                    match op {
+                        Arith::Add => apply(dst, a, b, |x, y| x + y),
+                        Arith::Sub => apply(dst, a, b, |x, y| x - y),
+                        Arith::Mul => apply(dst, a, b, |x, y| x * y),
+                    }
+                }
+            }
+        }
+        Regs { program: self, batch, rows: len, span: rows, file: &file[..need], dense: None }
+    }
+
+    /// Register `r` read in place: an `f64` column over a span.
+    fn in_place<'a>(&self, r: usize, batch: &'a Batch, rows: Rows<'_>) -> Option<&'a [f64]> {
+        match (self.slots[r], rows) {
+            (Slot::Leaf(c), Rows::Span(start, len))
+                if batch.col(c).data_type() == DataType::F64 =>
+            {
+                Some(&batch.col(c).as_f64()[start..start + len])
+            }
+            _ => None,
+        }
+    }
+
+    /// The values of register `r` over `rows`, from the file of the
+    /// registers before it or in place.
+    fn view<'a>(
+        &self,
+        r: usize,
+        batch: &'a Batch,
+        rows: Rows<'_>,
+        file: &'a [f64],
+    ) -> &'a [f64] {
+        let len = rows.len();
+        self.in_place(r, batch, rows).unwrap_or(&file[r * len..][..len])
+    }
+}
+
+/// A block's registers after a [`Program`] run.
+pub(crate) struct Regs<'a> {
+    program: &'a Program,
+    batch: &'a Batch,
+    /// Selected rows in the block.
+    pub(crate) rows: usize,
+    span: Rows<'a>,
+    file: &'a [f64],
+    /// For a selected block evaluated over its span: its rows (ascending
+    /// column indices) and the span's first row, so row `k`'s values sit at
+    /// `sel[k] - start`. Otherwise row `k`'s values sit at `k`.
+    pub(crate) dense: Option<(&'a [u32], usize)>,
+}
+
+impl<'a> Regs<'a> {
+    /// The values of compiled expression `j`, one per row of the span.
+    pub(crate) fn out(&self, j: usize) -> &'a [f64] {
+        self.program.view(self.program.outs[j], self.batch, self.span, self.file)
+    }
+}
+
+/// `dst[k] = f(a[k], b[k])`, a literal operand standing for every row. Both
+/// literal is folded when the program is compiled.
+fn apply(
+    dst: &mut [f64],
+    a: Result<&[f64], f64>,
+    b: Result<&[f64], f64>,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => dst.iter_mut().zip(a).zip(b).for_each(|((d, &x), &y)| *d = f(x, y)),
+        (Ok(a), Err(y)) => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = f(x, y)),
+        (Err(x), Ok(b)) => dst.iter_mut().zip(b).for_each(|(d, &y)| *d = f(x, y)),
+        (Err(x), Err(y)) => dst.fill(f(x, y)),
+    }
+}
+
+/// `col`'s `rows`, widened to `f64` into `dst` as [`eval`] widens them.
+fn widen_into(col: &Column, rows: Rows<'_>, dst: &mut [f64]) {
+    typed!(col, v => match rows {
+        Rows::Span(start, len) => {
+            dst.iter_mut().zip(&v[start..start + len]).for_each(|(d, x)| *d = x.widen());
+        }
+        Rows::Gather(sel) => dst.iter_mut().zip(sel).for_each(|(d, &r)| *d = v[r as usize].widen()),
+    });
 }
 
 #[cfg(test)]
@@ -936,34 +1201,34 @@ mod tests {
         assert_eq!(f64_bits(eval(&e, &b).as_f64()), f64_bits(&want));
     }
 
+    /// `program` over `batch` through [`Program::eval_into`], one vector
+    /// per compiled expression.
+    fn program_values(program: &Program, batch: &Batch) -> Vec<Vec<f64>> {
+        let mut outs = vec![vec![f64::NAN; batch.rows()]; program.outs.len()];
+        let mut dsts: Vec<&mut [f64]> = outs.iter_mut().map(|v| &mut v[..]).collect();
+        program.eval_into(batch, &mut dsts);
+        outs
+    }
+
     #[test]
     fn repeated_arguments_are_evaluated_once_with_the_same_bits() {
         // Q1's shape: disc_price, charge = disc_price * (1 + tax), and
-        // disc_price again; a skipped (count) slot in between.
+        // disc_price again.
         let b = Batch::new(vec![
             Column::from_f64(vec![901.5, 33.25, 1e7]),
             Column::from_f64(vec![0.05, 0.1, 0.07]),
         ]);
         let disc_price = Expr::mul(Expr::col(0), Expr::sub(Expr::LitF64(1.0), Expr::col(1)));
         let charge = Expr::mul(disc_price.clone(), Expr::add(Expr::LitF64(1.0), Expr::col(1)));
-        let exprs = [Some(&disc_price), None, Some(&charge), Some(&disc_price), Some(&charge)];
-        let (vals, index) = eval_distinct(&exprs, &b);
-        // The two columns the expressions read come first, gathered once.
-        assert_eq!(index, [Some(2), None, Some(3), Some(2), Some(3)]);
-        assert_eq!(vals.len(), 4);
-        assert_eq!(f64_bits(&vals[2]), f64_bits(eval(&disc_price, &b).as_f64()));
-        assert_eq!(f64_bits(&vals[3]), f64_bits(eval(&charge, &b).as_f64()));
-
-        // The operand of `charge` that equals an evaluated expression is
-        // borrowed from the memo, not recomputed: plant a sentinel there.
-        let sentinel = [2.0, 4.0, 8.0];
-        let memo = [(&disc_price, &sentinel[..])];
-        match operand(&disc_price, &b, &memo) {
-            Operand::Vals(Cow::Borrowed(v)) => assert_eq!(v.as_ptr(), sentinel.as_ptr()),
-            _ => panic!("memo hit must borrow the memoised values"),
-        }
-        let from_memo = eval_memo(&charge, &b, &memo).into_f64();
-        assert_eq!(&from_memo[..], &[2.0 * 1.05, 4.0 * 1.1, 8.0 * 1.07]);
+        let program = Program::new([&disc_price, &charge, &disc_price, &charge]);
+        // Two leaves, `1 - x1`, disc_price, `1 + x1`, charge: the operand of
+        // `charge` that equals disc_price is disc_price's register.
+        assert_eq!(program.slots.len(), 6);
+        assert_eq!(program.outs, [3, 5, 3, 5]);
+        assert!(matches!(program.slots[5], Slot::Bin(Arith::Mul, Src::Reg(3), Src::Reg(4))));
+        let vals = program_values(&program, &b);
+        assert_eq!(f64_bits(&vals[0]), f64_bits(eval(&disc_price, &b).as_f64()));
+        assert_eq!(f64_bits(&vals[1]), f64_bits(eval(&charge, &b).as_f64()));
 
         // Literals that differ only in the sign of zero are `==` but fold
         // different bits (`x * 0.0` vs `x * -0.0`): not the same argument,
@@ -972,11 +1237,112 @@ mod tests {
         let (pos, neg) = (times(0.0), times(-0.0));
         assert_eq!(pos, neg);
         let nested = Expr::add(neg.clone(), Expr::LitF64(-0.0));
-        let (vals, index) = eval_distinct(&[Some(&pos), Some(&neg), Some(&nested)], &b);
-        assert_eq!(index, [Some(1), Some(2), Some(3)]);
-        assert_eq!(f64_bits(&vals[1]), [0.0f64.to_bits(); 3]);
+        let program = Program::new([&pos, &neg, &nested]);
+        assert_eq!(program.outs, [1, 2, 3]);
+        let vals = program_values(&program, &b);
+        assert_eq!(f64_bits(&vals[0]), [0.0f64.to_bits(); 3]);
+        assert_eq!(f64_bits(&vals[1]), [(-0.0f64).to_bits(); 3]);
         assert_eq!(f64_bits(&vals[2]), [(-0.0f64).to_bits(); 3]);
-        assert_eq!(f64_bits(&vals[3]), [(-0.0f64).to_bits(); 3]);
+
+        // A literal-only subtree folds at compile time with the operation
+        // `eval` applies per row; a bare literal output is one register.
+        let two = Expr::add(Expr::LitI32(1), Expr::LitF64(1.0));
+        let program = Program::new([&Expr::mul(Expr::col(1), two.clone()), &two]);
+        assert!(
+            matches!(program.slots[1], Slot::Bin(Arith::Mul, Src::Reg(0), Src::Lit(x)) if x == 2.0)
+        );
+        assert_eq!(program_values(&program, &b)[1], [2.0; 3]);
+    }
+
+    /// A random numeric expression over [`typed_batch`]'s columns: a
+    /// column, a literal of each type (a literal-only subtree now and then),
+    /// or `+ - *` of two smaller ones; half the time a subtree already
+    /// drawn, so programs share sub-expressions.
+    fn random_numeric(depth: usize, pool: &mut Vec<Expr>, rng: &mut StdRng) -> Expr {
+        if !pool.is_empty() && rng.gen_bool(0.25) {
+            return pool[rng.gen_range(0..pool.len())].clone();
+        }
+        let leaf = depth == 0 || rng.gen_bool(0.3);
+        let e = match (leaf, rng.gen_range(0..3usize)) {
+            (true, 0) => random_literal(rng),
+            (true, _) => Expr::col(rng.gen_range(0..6)),
+            (false, op) => {
+                let (a, b) = (
+                    random_numeric(depth - 1, pool, rng),
+                    random_numeric(depth - 1, pool, rng),
+                );
+                [Expr::add, Expr::sub, Expr::mul][op](a, b)
+            }
+        };
+        pool.push(e.clone());
+        e
+    }
+
+    /// Run `program` over `rows` of `batch` and read row `k`'s value of
+    /// output `j` at `at(k)`.
+    fn run_mode(
+        program: &Program,
+        batch: &Batch,
+        rows: Rows<'_>,
+        n: usize,
+        at: impl Fn(usize) -> usize,
+    ) -> Vec<Vec<u64>> {
+        let mut file = Vec::new();
+        let regs = program.run(batch, rows, &mut file);
+        (0..program.outs.len())
+            .map(|j| (0..n).map(|k| regs.out(j)[at(k)].to_bits()).collect())
+            .collect()
+    }
+
+    /// Seeded cases: each compiles a few random expressions, then over no
+    /// selection, a dense one (~90 %) and a sparse one (~3 %) runs them
+    /// densely over the selection's span, gathered, and through
+    /// `eval_into`, each `to_bits`-equal to `eval` per expression.
+    fn assert_program_matches_eval(cases: u64) {
+        let mut rng = StdRng::seed_from_u64(42);
+        for case in 0..cases {
+            let n = match rng.gen_range(0..8usize) {
+                0 => rng.gen_range(0..4),
+                1 => rng.gen_range(BLOCK_ROWS..3 * BLOCK_ROWS),
+                _ => rng.gen_range(4..300),
+            };
+            let batch = typed_batch(n, &mut rng);
+            let mut pool = Vec::new();
+            let exprs: Vec<Expr> = (0..rng.gen_range(1..5))
+                .map(|_| random_numeric(3, &mut pool, &mut rng))
+                .collect();
+            let program = Program::new(&exprs);
+            for share in [1.0, 0.9, 0.03] {
+                let sel: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(share)).collect();
+                let view = match share {
+                    1.0 => batch.clone(),
+                    _ => batch.clone().with_selection(sel.clone().into()),
+                };
+                let want: Vec<Vec<u64>> =
+                    exprs.iter().map(|e| f64_bits(eval(e, &view).as_f64())).collect();
+                let got: Vec<Vec<u64>> =
+                    program_values(&program, &view).iter().map(|v| f64_bits(v)).collect();
+                assert_eq!(got, want, "case {case}: eval_into of {exprs:?}");
+                let gathered = run_mode(&program, &batch, Rows::Gather(&sel), sel.len(), |k| k);
+                assert_eq!(gathered, want, "case {case}: gathered {exprs:?}");
+                let start = sel.first().map_or(0, |&r| r as usize);
+                let span = sel.last().map_or(0, |&r| r as usize + 1 - start);
+                let at = |k: usize| sel[k] as usize - start;
+                let dense = run_mode(&program, &batch, Rows::Span(start, span), sel.len(), at);
+                assert_eq!(dense, want, "case {case}: dense {exprs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn register_program_matches_eval() {
+        assert_program_matches_eval(1_000);
+    }
+
+    #[test]
+    #[ignore = "10^5 seeded programs: cargo test --release -p hape-ops -- --ignored register_program"]
+    fn register_program_matches_eval_at_scale() {
+        assert_program_matches_eval(100_000);
     }
 
     #[test]
