@@ -28,20 +28,30 @@
 //! scan and transfer costs are charged on exactly the touched bytes — what
 //! the per-query hand-maintained projections used to do manually.
 //!
+//! Lowering a chain is a scan with its pushed-down projection, then one
+//! `Lowering` method per logical operator (`lower_filter`, `lower_select`,
+//! `lower_join`, `lower_stateful`) and one for the terminal aggregation.
+//! They share one column resolver and one kind check (`Scope::resolve`,
+//! `Scope::typed`), so a name or a type is refused the same way wherever
+//! it appears. Every join's build side goes through `Lowering::build_side`,
+//! which holds the memo of structurally identical build sides.
+//!
 //! Everything is fallible: unknown tables and columns and type mismatches
 //! surface as [`PlanError`]s by name; what the binding walk owns — an
 //! aggregating build side, an aggregate-less stream, a too-wide group-by —
 //! as the [`PlanError::Unbound`] finding of [`QueryPlan::try_new`], which
 //! closes every lowering.
+#![deny(clippy::too_many_lines)]
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 
-use hape_ops::{AggFunc, AggSpec, ColumnResolver, NamedExpr, ResolveError, StatefulAgg};
+use hape_ops::{AggFunc, AggSpec, ColumnResolver, Expr, NamedExpr, ResolveError, StatefulAgg};
 use hape_storage::{DataType, Table};
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
-use crate::plan::{JoinAlgo, Pipeline, QueryPlan, Stage};
+use crate::plan::{JoinAlgo, PipeOp, Pipeline, QueryPlan, Stage};
 
 /// A logical relational query over named columns.
 #[derive(Debug, Clone)]
@@ -61,6 +71,21 @@ enum LogicalOp {
     Select(Vec<(String, NamedExpr)>),
     Join(JoinSpec),
     Stateful(StatefulSpec),
+}
+
+impl LogicalOp {
+    /// The column names this operator reads (a join's build side is a
+    /// chain of its own).
+    fn reads(&self) -> Vec<String> {
+        match self {
+            LogicalOp::Filter(e) => e.columns_used(),
+            LogicalOp::Select(items) => {
+                items.iter().flat_map(|(_, e)| e.columns_used()).collect()
+            }
+            LogicalOp::Join(j) => vec![j.probe_key.clone()],
+            LogicalOp::Stateful(s) => s.input_names(),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -102,22 +127,53 @@ impl StatefulSpec {
         names
     }
 
-    /// Output column names (user column first), mirroring
-    /// [`hape_ops::StatefulAgg::out_names`].
+    /// The physical aggregate: `col` resolves a column name to its index
+    /// (user, timestamp, then event), `code` an event name to its code in
+    /// the named event column's dictionary.
+    fn agg<E>(
+        &self,
+        mut col: impl FnMut(&str) -> Result<usize, E>,
+        code: impl Fn(&str, &str) -> i32,
+    ) -> Result<StatefulAgg, E> {
+        let (user_col, ts_col) = (col(&self.user)?, col(&self.ts)?);
+        let codes = |event: &str, names: &[String]| -> Vec<i32> {
+            names.iter().map(|n| code(event, n)).collect()
+        };
+        Ok(match &self.kind {
+            StatefulKind::Sessionize { gap } => {
+                StatefulAgg::Sessionize { user_col, ts_col, gap: *gap }
+            }
+            StatefulKind::WindowFunnel { event, steps, window } => StatefulAgg::WindowFunnel {
+                user_col,
+                ts_col,
+                event_col: col(event)?,
+                steps: codes(event, steps),
+                window: *window,
+            },
+            StatefulKind::Retention { event, cohort, returns, period } => {
+                StatefulAgg::Retention {
+                    user_col,
+                    ts_col,
+                    event_col: col(event)?,
+                    cohort_event: code(event, cohort),
+                    return_events: codes(event, returns),
+                    period: *period,
+                }
+            }
+            StatefulKind::SequenceMatch { event, pattern } => StatefulAgg::SequenceMatch {
+                user_col,
+                ts_col,
+                event_col: col(event)?,
+                pattern: codes(event, pattern),
+            },
+        })
+    }
+
+    /// Output column names: the user column, then the aggregate's own
+    /// ([`StatefulAgg::out_names`]).
     fn output_names(&self) -> Vec<String> {
-        let mut names = vec![self.user.clone()];
-        match &self.kind {
-            StatefulKind::Sessionize { .. } => {
-                names.extend(["sessions".to_string(), "events".to_string()]);
-            }
-            StatefulKind::WindowFunnel { .. } => names.push("funnel_depth".to_string()),
-            StatefulKind::Retention { returns, .. } => {
-                names.push("in_cohort".to_string());
-                names.extend((1..=returns.len()).map(|i| format!("ret{i}")));
-            }
-            StatefulKind::SequenceMatch { .. } => names.push("matched".to_string()),
-        }
-        names
+        let Ok(agg) = self.agg::<Infallible>(|_| Ok(0), |_, _| -1);
+        std::iter::once(self.user.clone()).chain(agg.out_names()).collect()
     }
 }
 
@@ -319,10 +375,13 @@ impl Query {
     /// on the structural key, so later sites probe the first site's hash
     /// table instead of emitting a duplicate build stage.
     pub fn lower(&self, catalog: &Catalog) -> Result<LoweredQuery, PlanError> {
-        let mut ctx = Lowering::with_export_unions(
-            catalog,
-            Lowering::collect_export_unions(catalog, self, &self.name)?,
-        );
+        // The first pass keeps only the export unions; it is cheap
+        // (lowering touches no data) and keeps the payload derivation in
+        // one place.
+        let mut collect = Lowering::new(catalog, true);
+        collect.lower_chain(self, &self.name, &[])?;
+        let mut ctx =
+            Lowering { export_unions: collect.export_unions, ..Lowering::new(catalog, false) };
         let (pipeline, _) = ctx.lower_chain(self, &self.name, &[])?;
         let mut stages = ctx.stages;
         stages.push(Stage::Stream { pipeline });
@@ -351,26 +410,21 @@ impl Query {
         Ok(names)
     }
 
-    /// Names this chain itself consumes (filters, select expressions,
-    /// probe keys, group-by, aggregate arguments) — not including
-    /// sub-chains.
-    fn names_used(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for op in &self.ops {
-            match op {
-                LogicalOp::Filter(e) => names.extend(e.columns_used()),
-                LogicalOp::Select(items) => {
-                    names.extend(items.iter().flat_map(|(_, e)| e.columns_used()));
-                }
-                LogicalOp::Join(j) => names.push(j.probe_key.clone()),
-                LogicalOp::Stateful(s) => names.extend(s.input_names()),
-            }
-        }
-        names.extend(self.group_by.iter().cloned());
-        for (_, e) in &self.aggs {
-            names.extend(e.columns_used());
-        }
-        names
+    /// Every name this chain reads from operator `from` on (not its
+    /// sub-chains), each with the index of the operator reading it:
+    /// `ops.len()` for the terminal aggregation and for `export`, the
+    /// names the chain's consumer reads.
+    fn reads_from<'s>(
+        &'s self,
+        from: usize,
+        export: &'s [String],
+    ) -> impl Iterator<Item = (String, usize)> + 's {
+        let end = self.ops.len();
+        let ops = self.ops.iter().enumerate().skip(from);
+        let args = self.aggs.iter().flat_map(|(_, e)| e.columns_used());
+        let tail = self.group_by.iter().cloned().chain(args).chain(export.iter().cloned());
+        ops.flat_map(|(i, op)| op.reads().into_iter().map(move |n| (n, i)))
+            .chain(tail.map(move |n| (n, end)))
     }
 
     fn source(&self) -> Result<&str, PlanError> {
@@ -474,8 +528,49 @@ struct Scope<'a> {
 }
 
 impl Scope<'_> {
-    fn find(&self, name: &str) -> Option<&ColInfo> {
-        self.cols.iter().find(|c| c.name == name)
+    /// The position of visible column `name`; an unknown name is reported
+    /// in `context`.
+    fn resolve(&self, name: &str, context: &str) -> Result<usize, PlanError> {
+        self.index_of(name).ok_or_else(|| PlanError::UnknownColumn {
+            column: name.to_string(),
+            context: context.to_string(),
+        })
+    }
+
+    /// `e` over the visible columns, as the physical expression.
+    fn expr(&self, e: &NamedExpr, context: &str) -> Result<Expr, PlanError> {
+        e.resolve(self).map_err(|e| {
+            let context = context.to_string();
+            match e {
+                ResolveError::UnknownColumn { column } => {
+                    PlanError::UnknownColumn { column, context }
+                }
+                ResolveError::StringLiteralContext { literal }
+                | ResolveError::StringLiteralType { literal, .. } => {
+                    PlanError::StringComparedToNonString { literal, context }
+                }
+            }
+        })
+    }
+
+    /// [`Scope::expr`] of an `e` whose kind must be `want`; `expected`
+    /// names what the position requires when it is not.
+    fn typed(
+        &self,
+        e: &NamedExpr,
+        want: Kind,
+        expected: &'static str,
+        context: &str,
+    ) -> Result<Expr, PlanError> {
+        let kind = infer_kind(e, self.cols, context)?;
+        if kind != want {
+            return Err(PlanError::TypeMismatch {
+                context: context.to_string(),
+                expected,
+                found: kind.describe().to_string(),
+            });
+        }
+        self.expr(e, context)
     }
 }
 
@@ -486,7 +581,9 @@ impl ColumnResolver for Scope<'_> {
 
     fn str_code(&self, name: &str, value: &str) -> Result<i32, ResolveError> {
         let info = self
-            .find(name)
+            .cols
+            .iter()
+            .find(|c| c.name == name)
             .ok_or_else(|| ResolveError::UnknownColumn { column: name.to_string() })?;
         if info.dtype != DataType::Str {
             return Err(ResolveError::StringLiteralType {
@@ -510,6 +607,39 @@ impl ColumnResolver for Scope<'_> {
 /// plus the key column the hash table is built over.
 type BuildKey = (String, String);
 
+/// An emitted build side: its hash table, its output layout (what probe
+/// sites address payloads against) and the key column it is built over.
+#[derive(Clone)]
+struct Built {
+    ht: String,
+    cols: Vec<ColInfo>,
+    key_col: usize,
+}
+
+/// One chain being lowered: its query, scanned base table, hash-table name
+/// root and exports (see [`Lowering::lower_chain`]), and the columns
+/// visible at the current pipeline point.
+struct Chain<'q> {
+    q: &'q Query,
+    source: &'q str,
+    root: &'q str,
+    export: &'q [String],
+    cols: Vec<ColInfo>,
+}
+
+impl Chain<'_> {
+    /// Replace the visible columns with computed outputs of one type. Their
+    /// origin is only consulted for dictionary lookups, which the f64 and
+    /// i64 outputs of selects and stateful aggregates never trigger.
+    fn replace_cols(&mut self, names: impl IntoIterator<Item = String>, dtype: DataType) {
+        let origin = self.source;
+        self.cols = names
+            .into_iter()
+            .map(|name| ColInfo { name, dtype, origin: origin.to_string() })
+            .collect();
+    }
+}
+
 /// Shared lowering state: the derived catalog being assembled, the build
 /// stages emitted so far, the alias/hash-table names already taken, and
 /// the build-side memoisation (structural-hash cache) that lowers
@@ -526,7 +656,7 @@ struct Lowering<'a> {
     export_unions: HashMap<BuildKey, BTreeSet<String>>,
     /// Builds already emitted this pass: later structurally identical
     /// sites reuse the hash table instead of emitting a duplicate stage.
-    built: HashMap<BuildKey, (String, Vec<ColInfo>)>,
+    built: HashMap<BuildKey, Built>,
     /// Cross-query structural fingerprint per emitted hash table (see
     /// [`LoweredQuery::build_fingerprints`]).
     fingerprints: HashMap<String, String>,
@@ -536,7 +666,7 @@ struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    fn new(base: &'a Catalog) -> Self {
+    fn new(base: &'a Catalog, collecting: bool) -> Self {
         Lowering {
             base,
             derived: base.clone(),
@@ -546,81 +676,12 @@ impl<'a> Lowering<'a> {
             export_unions: HashMap::new(),
             built: HashMap::new(),
             fingerprints: HashMap::new(),
-            collecting: false,
+            collecting,
         }
     }
 
-    /// The real (second) lowering pass, seeded with the export unions the
-    /// collection pass gathered.
-    fn with_export_unions(
-        base: &'a Catalog,
-        export_unions: HashMap<BuildKey, BTreeSet<String>>,
-    ) -> Self {
-        Lowering { export_unions, ..Lowering::new(base) }
-    }
-
-    /// Pass 1: lower the whole chain once, discarding the plan, to learn —
-    /// per shared build structure — the union of export columns its probe
-    /// sites need. Cheap (lowering touches no data) and keeps the payload
-    /// derivation logic in one place.
-    fn collect_export_unions(
-        base: &'a Catalog,
-        q: &Query,
-        root: &str,
-    ) -> Result<HashMap<BuildKey, BTreeSet<String>>, PlanError> {
-        let mut ctx = Lowering::new(base);
-        ctx.collecting = true;
-        ctx.lower_chain(q, root, &[])?;
-        Ok(ctx.export_unions)
-    }
-
-    /// Claim a unique scan alias derived from `want` (must not shadow a
-    /// base table either).
-    fn unique_table(&mut self, want: &str) -> String {
-        let mut name = want.to_string();
-        let mut n = 1;
-        while self.taken_tables.contains(&name) || self.base.get(&name).is_some() {
-            n += 1;
-            name = format!("{want}#{n}");
-        }
-        self.taken_tables.insert(name.clone());
-        name
-    }
-
-    /// Claim a unique hash-table name derived from `want`. Hash tables
-    /// live in the run's table store, a separate namespace from the
-    /// catalog.
-    fn unique_ht(&mut self, want: &str) -> String {
-        let mut name = want.to_string();
-        let mut n = 1;
-        while self.taken_hts.contains(&name) {
-            n += 1;
-            name = format!("{want}#{n}");
-        }
-        self.taken_hts.insert(name.clone());
-        name
-    }
-
-    /// Claim a hash-table name for a lowered build side, resolve the key
-    /// column the table is built over, and emit the build stage. Returns
-    /// the name and output layout probe sites address payloads against.
-    fn push_build(
-        &mut self,
-        build: &Query,
-        build_key: &str,
-        root: &str,
-        pipeline: Pipeline,
-        build_cols: &[ColInfo],
-    ) -> Result<(String, Vec<ColInfo>), PlanError> {
-        let key_col = build_cols.iter().position(|c| c.name == build_key).ok_or_else(|| {
-            PlanError::UnknownColumn {
-                column: build_key.to_string(),
-                context: format!("build side {}", build.name),
-            }
-        })?;
-        let ht = self.unique_ht(&format!("{root}.{}", build.name));
-        self.stages.push(Stage::Build { name: ht.clone(), key_col, pipeline });
-        Ok((ht, build_cols.to_vec()))
+    fn scope<'s>(&'s self, cols: &'s [ColInfo]) -> Scope<'s> {
+        Scope { cols, catalog: self.base }
     }
 
     /// Lower one linear chain (the stream chain or a build side).
@@ -636,384 +697,280 @@ impl<'a> Lowering<'a> {
         export: &[String],
     ) -> Result<(Pipeline, Vec<ColInfo>), PlanError> {
         let source = q.source()?;
-        let table = lookup(self.base, source)?;
+        let (scan, cols) = self.pushdown(q, source, root, export)?;
+        let mut c = Chain { q, source, root, export, cols };
+        let mut pipeline = Pipeline::scan(scan);
+        for (at, op) in q.ops.iter().enumerate() {
+            let op = match op {
+                LogicalOp::Filter(pred) => self.lower_filter(&c, pred)?,
+                LogicalOp::Select(items) => self.lower_select(&mut c, items)?,
+                LogicalOp::Join(j) => self.lower_join(&mut c, at, j)?,
+                LogicalOp::Stateful(s) => self.lower_stateful(&mut c, s)?,
+            };
+            pipeline.ops.push(op);
+        }
+        let context = format!("output of {}", q.name);
+        for name in export {
+            self.scope(&c.cols).resolve(name, &context)?;
+        }
+        if q.aggregates() {
+            pipeline.agg = Some(self.lower_aggregate(&c)?);
+        }
+        Ok((pipeline, c.cols))
+    }
 
-        // ---- Projection pushdown: the scan reads exactly the base-table
-        // columns this chain (or its consumer) references.
-        let mut wanted: Vec<String> = q.names_used();
-        wanted.extend(export.iter().cloned());
-        let projected: Vec<&str> = table
+    /// Projection pushdown: the chain's scan reads exactly the columns of
+    /// `source` the chain (or its consumer) references — a zero-copy view
+    /// registered under a fresh alias, unless that is every column.
+    /// Returns the scanned table's name and its columns.
+    fn pushdown(
+        &mut self,
+        q: &Query,
+        source: &str,
+        root: &str,
+        export: &[String],
+    ) -> Result<(String, Vec<ColInfo>), PlanError> {
+        let table = lookup(self.base, source)?;
+        let wanted: Vec<String> = q.reads_from(0, export).map(|(name, _)| name).collect();
+        let cols: Vec<ColInfo> = table
             .schema
             .fields
             .iter()
-            .map(|f| f.name.as_str())
-            .filter(|n| wanted.iter().any(|w| w == n))
-            .collect();
-        let scan_source = if projected.len() == table.schema.len() {
-            source.to_string()
-        } else {
-            let alias = self.unique_table(&format!("{root}.{source}"));
-            let view =
-                table.try_project(&projected).expect("projected names come from this schema");
-            self.derived.register_as(alias.clone(), view);
-            alias
-        };
-        let mut cols: Vec<ColInfo> = projected
-            .iter()
-            .map(|n| ColInfo {
-                name: n.to_string(),
-                dtype: table.schema.dtype_of(n).expect("projected names come from this schema"),
+            .filter(|f| wanted.contains(&f.name))
+            .map(|f| ColInfo {
+                name: f.name.clone(),
+                dtype: f.dtype,
                 origin: source.to_string(),
             })
             .collect();
+        if cols.len() == table.schema.len() {
+            return Ok((source.to_string(), cols));
+        }
+        let alias = claim(&mut self.taken_tables, &format!("{root}.{source}"), |name| {
+            self.base.get(name).is_some()
+        });
+        let names: Vec<&str> = cols.iter().map(|c| c.name.as_str()).collect();
+        let view = table.try_project(&names).map_err(|column| PlanError::UnknownColumn {
+            column,
+            context: format!("scan of {source}"),
+        })?;
+        self.derived.register_as(alias.clone(), view);
+        Ok((alias, cols))
+    }
 
-        let mut pipeline = Pipeline::scan(scan_source);
-        for (i, op) in q.ops.iter().enumerate() {
-            match op {
-                LogicalOp::Filter(pred) => {
-                    let context = format!("filter over {source}");
-                    let kind = infer_kind(pred, &cols, &context)?;
-                    if kind != Kind::Bool {
-                        return Err(PlanError::TypeMismatch {
-                            context,
-                            expected: "boolean predicate",
-                            found: kind.describe().to_string(),
-                        });
-                    }
-                    let scope = Scope { cols: &cols, catalog: self.base };
-                    let resolved =
-                        pred.resolve(&scope).map_err(|e| map_resolve(e, &context))?;
-                    pipeline = pipeline.filter(resolved);
-                }
-                LogicalOp::Select(items) => {
-                    if items.is_empty() {
-                        return Err(PlanError::EmptySelect { query: q.name.clone() });
-                    }
-                    let context = format!("select over {source}");
-                    let mut exprs = Vec::with_capacity(items.len());
-                    let mut out_cols = Vec::with_capacity(items.len());
-                    for (name, e) in items {
-                        let kind = infer_kind(e, &cols, &context)?;
-                        if kind != Kind::Num {
-                            return Err(PlanError::TypeMismatch {
-                                context,
-                                expected: "numeric projection expression",
-                                found: kind.describe().to_string(),
-                            });
-                        }
-                        let scope = Scope { cols: &cols, catalog: self.base };
-                        exprs.push(e.resolve(&scope).map_err(|e| map_resolve(e, &context))?);
-                        // Projection outputs are materialised as f64; the
-                        // origin is only consulted for dictionary lookups,
-                        // which f64 columns never trigger.
-                        out_cols.push(ColInfo {
-                            name: name.clone(),
-                            dtype: DataType::F64,
-                            origin: source.to_string(),
-                        });
-                    }
-                    pipeline = pipeline.project(exprs);
-                    cols = out_cols;
-                }
-                LogicalOp::Join(j) => {
-                    // What later ops (and our own consumer) still need but
-                    // cannot see yet — candidates for this join's payload.
-                    // Track each name's first point of use: a name only
-                    // needed *after* a later join that can also provide it
-                    // is deferred to that join, so payloads ride the
-                    // latest (cheapest) hash table that can carry them —
-                    // e.g. Q5's n_name rides the small supplier build, not
-                    // the whole orders→customers→nations chain.
-                    let rest = &q.ops[i + 1..];
-                    let mut downstream: Vec<(String, usize)> = Vec::new();
-                    for (pos, later) in rest.iter().enumerate() {
-                        match later {
-                            LogicalOp::Filter(e) => downstream
-                                .extend(e.columns_used().into_iter().map(|n| (n, pos))),
-                            LogicalOp::Select(items) => downstream.extend(
-                                items
-                                    .iter()
-                                    .flat_map(|(_, e)| e.columns_used())
-                                    .map(|n| (n, pos)),
-                            ),
-                            LogicalOp::Join(later_join) => {
-                                downstream.push((later_join.probe_key.clone(), pos));
-                            }
-                            LogicalOp::Stateful(s) => {
-                                downstream
-                                    .extend(s.input_names().into_iter().map(|n| (n, pos)));
-                            }
-                        }
-                    }
-                    let end = rest.len();
-                    downstream.extend(q.group_by.iter().map(|n| (n.clone(), end)));
-                    for (_, e) in &q.aggs {
-                        downstream.extend(e.columns_used().into_iter().map(|n| (n, end)));
-                    }
-                    downstream.extend(export.iter().map(|n| (n.clone(), end)));
-                    let available = j.build.available_names(self.base)?;
-                    let mut payload: Vec<String> = Vec::new();
-                    'candidates: for (name, first_use) in &downstream {
-                        if cols.iter().any(|c| c.name == *name)
-                            || !available.contains(name)
-                            || payload.contains(name)
-                        {
-                            continue;
-                        }
-                        for later in rest.iter().take(*first_use) {
-                            if let LogicalOp::Join(later_join) = later {
-                                if later_join.build.available_names(self.base)?.contains(name) {
-                                    // A later join provides it before its
-                                    // first use; let that join carry it.
-                                    continue 'candidates;
-                                }
-                            }
-                        }
-                        payload.push(name.clone());
-                    }
+    fn lower_filter(&self, c: &Chain, pred: &NamedExpr) -> Result<PipeOp, PlanError> {
+        let context = format!("filter over {}", c.source);
+        let pred =
+            self.scope(&c.cols).typed(pred, Kind::Bool, "boolean predicate", &context)?;
+        Ok(PipeOp::Filter(pred))
+    }
 
-                    // Lower the build side, exporting payloads + its key —
-                    // or reuse a structurally identical build another site
-                    // already lowered (the memo; Q5's shared ASIA-nations
-                    // chain builds once).
-                    let mut build_export = payload.clone();
-                    if !build_export.contains(&j.build_key) {
-                        build_export.push(j.build_key.clone());
-                    }
-                    let mut skey = String::new();
-                    j.build.structural_key(&mut skey);
-                    let memo_key: BuildKey = (skey, j.build_key.clone());
-                    // Seed of the cross-query fingerprint: structure + key.
-                    // The exported column layout joins it below, once the
-                    // build side is lowered.
-                    let fp_base = format!("{}#key={}", memo_key.0, memo_key.1);
-                    let (ht, build_cols) = if self.collecting {
-                        self.export_unions
-                            .entry(memo_key)
-                            .or_default()
-                            .extend(build_export.iter().cloned());
-                        let (build_pipeline, build_cols) =
-                            self.lower_chain(&j.build, root, &build_export)?;
-                        self.push_build(
-                            &j.build,
-                            &j.build_key,
-                            root,
-                            build_pipeline,
-                            &build_cols,
-                        )?
-                    } else if let Some((ht, build_cols)) = self.built.get(&memo_key) {
-                        (ht.clone(), build_cols.clone())
-                    } else {
-                        // First site of this structure: lower with the
-                        // union of every site's exports so the shared
-                        // table carries all of their payloads.
-                        let exports: Vec<String> = self
-                            .export_unions
-                            .get(&memo_key)
-                            .map(|s| s.iter().cloned().collect())
-                            .unwrap_or_else(|| build_export.clone());
-                        let (build_pipeline, build_cols) =
-                            self.lower_chain(&j.build, root, &exports)?;
-                        let out = self.push_build(
-                            &j.build,
-                            &j.build_key,
-                            root,
-                            build_pipeline,
-                            &build_cols,
-                        )?;
-                        self.built.insert(memo_key, out.clone());
-                        out
+    /// A select replaces the visible columns with its f64 outputs.
+    fn lower_select(
+        &self,
+        c: &mut Chain,
+        items: &[(String, NamedExpr)],
+    ) -> Result<PipeOp, PlanError> {
+        if items.is_empty() {
+            return Err(PlanError::EmptySelect { query: c.q.name.clone() });
+        }
+        let context = format!("select over {}", c.source);
+        let scope = self.scope(&c.cols);
+        let exprs = items
+            .iter()
+            .map(|(_, e)| scope.typed(e, Kind::Num, "numeric projection expression", &context))
+            .collect::<Result<_, _>>()?;
+        c.replace_cols(items.iter().map(|(name, _)| name.clone()), DataType::F64);
+        Ok(PipeOp::Project(exprs))
+    }
+
+    /// Join `at` of the chain: choose its payload, lower (or reuse) its
+    /// build side and probe it; the payload columns join the visible ones.
+    fn lower_join(
+        &mut self,
+        c: &mut Chain,
+        at: usize,
+        j: &JoinSpec,
+    ) -> Result<PipeOp, PlanError> {
+        let payload = self.payload(c, at, &j.build)?;
+        let built = self.build_side(j, c.root, &payload)?;
+        check_key_type(&built.cols[built.key_col], &j.build.name)?;
+        let context = format!("probe side of join with {}", j.build.name);
+        let key_col = self.scope(&c.cols).resolve(&j.probe_key, &context)?;
+        check_key_type(&c.cols[key_col], c.source)?;
+        // Payload indices into the build output, ascending so the probe
+        // appends them in a stable physical order.
+        let (build, context) =
+            (self.scope(&built.cols), format!("build side {}", j.build.name));
+        let mut build_payload_cols = payload
+            .iter()
+            .map(|n| build.resolve(n, &context))
+            .collect::<Result<Vec<_>, _>>()?;
+        build_payload_cols.sort_unstable();
+        c.cols.extend(build_payload_cols.iter().map(|&b| built.cols[b].clone()));
+        Ok(PipeOp::JoinProbe { ht: built.ht, key_col, build_payload_cols, algo: j.algo })
+    }
+
+    /// The names join `at` carries as payload: each name read after it
+    /// that the probe side lacks and `build` provides — unless a later
+    /// join, before the name's first read, provides it too. Payloads so
+    /// ride the latest (cheapest) hash table that can carry them: Q5's
+    /// `n_name` rides the small supplier build, not the whole orders →
+    /// customer → nation chain. A later build side's names are listed on
+    /// first need, once.
+    fn payload(&self, c: &Chain, at: usize, build: &Query) -> Result<Vec<String>, PlanError> {
+        let available = build.available_names(self.base)?;
+        let mut provides: Vec<Option<Vec<String>>> = vec![None; c.q.ops.len()];
+        let mut payload: Vec<String> = Vec::new();
+        'candidates: for (name, first_use) in c.q.reads_from(at + 1, c.export) {
+            if c.cols.iter().any(|col| col.name == name)
+                || !available.contains(&name)
+                || payload.contains(&name)
+            {
+                continue;
+            }
+            for (op, names) in c.q.ops[at + 1..first_use].iter().zip(&mut provides[at + 1..]) {
+                if let LogicalOp::Join(later) = op {
+                    let names = match names {
+                        Some(names) => names,
+                        None => names.insert(later.build.available_names(self.base)?),
                     };
-                    if !self.collecting && !self.fingerprints.contains_key(&ht) {
-                        use std::fmt::Write as _;
-                        // The layout term: payload columns (names + types,
-                        // in physical order) determine the built batch and
-                        // the payload indices probe sites address, so two
-                        // queries share a cached table only when their
-                        // export unions coincide exactly.
-                        let mut fp = fp_base;
-                        let _ = write!(fp, "#cols=[");
-                        for c in &build_cols {
-                            let _ = write!(fp, "{}:{:?};", c.name, c.dtype);
-                        }
-                        let _ = write!(fp, "]");
-                        self.fingerprints.insert(ht.clone(), fp);
+                    if names.contains(&name) {
+                        continue 'candidates;
                     }
-                    let key_col = build_cols
-                        .iter()
-                        .position(|c| c.name == j.build_key)
-                        .ok_or_else(|| PlanError::UnknownColumn {
-                            column: j.build_key.clone(),
-                            context: format!("build side {}", j.build.name),
-                        })?;
-                    check_key_type(&build_cols[key_col], &j.build.name)?;
-
-                    let probe_col = cols
-                        .iter()
-                        .position(|c| c.name == j.probe_key)
-                        .ok_or_else(|| PlanError::UnknownColumn {
-                            column: j.probe_key.clone(),
-                            context: format!("probe side of join with {}", j.build.name),
-                        })?;
-                    check_key_type(&cols[probe_col], source)?;
-
-                    // Payload indices into the build output, ascending so
-                    // the probe appends them in a stable physical order.
-                    let mut payload_cols: Vec<usize> = payload
-                        .iter()
-                        .map(|n| {
-                            build_cols.iter().position(|c| c.name == *n).ok_or_else(|| {
-                                PlanError::UnknownColumn {
-                                    column: n.clone(),
-                                    context: format!("build side {}", j.build.name),
-                                }
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    payload_cols.sort_unstable();
-
-                    for &b in &payload_cols {
-                        cols.push(build_cols[b].clone());
-                    }
-                    pipeline = pipeline.join(ht, probe_col, payload_cols, j.algo);
-                }
-                LogicalOp::Stateful(s) => {
-                    let context = format!("stateful aggregate over {source}");
-                    let find = |name: &str| -> Result<usize, PlanError> {
-                        cols.iter().position(|c| c.name == name).ok_or_else(|| {
-                            PlanError::UnknownColumn {
-                                column: name.to_string(),
-                                context: context.clone(),
-                            }
-                        })
-                    };
-                    let (user_col, ts_col) = (find(&s.user)?, find(&s.ts)?);
-                    // Resolve an event-name literal through the event
-                    // column's base-table dictionary. Absent names map to
-                    // the -1 sentinel no dictionary code equals, so they
-                    // match no rows — same semantics as string filters.
-                    // Only a string column is looked up: a select alias or
-                    // an earlier aggregate's output names no base column
-                    // (and is refused by the contract check below).
-                    let base = self.base;
-                    let code = |i: usize, value: &str| -> i32 {
-                        let info: &ColInfo = &cols[i];
-                        base.get(&info.origin)
-                            .filter(|_| info.dtype == DataType::Str)
-                            .and_then(|t| t.column(&info.name).dict())
-                            .and_then(|d| d.code_of(value))
-                            .map_or(-1, |c| c as i32)
-                    };
-                    let agg = match &s.kind {
-                        StatefulKind::Sessionize { gap } => {
-                            StatefulAgg::Sessionize { user_col, ts_col, gap: *gap }
-                        }
-                        StatefulKind::WindowFunnel { event, steps, window } => {
-                            let ev = find(event)?;
-                            StatefulAgg::WindowFunnel {
-                                user_col,
-                                ts_col,
-                                event_col: ev,
-                                steps: steps.iter().map(|n| code(ev, n)).collect(),
-                                window: *window,
-                            }
-                        }
-                        StatefulKind::Retention { event, cohort, returns, period } => {
-                            let ev = find(event)?;
-                            StatefulAgg::Retention {
-                                user_col,
-                                ts_col,
-                                event_col: ev,
-                                cohort_event: code(ev, cohort),
-                                return_events: returns.iter().map(|n| code(ev, n)).collect(),
-                                period: *period,
-                            }
-                        }
-                        StatefulKind::SequenceMatch { event, pattern } => {
-                            let ev = find(event)?;
-                            StatefulAgg::SequenceMatch {
-                                user_col,
-                                ts_col,
-                                event_col: ev,
-                                pattern: pattern.iter().map(|n| code(ev, n)).collect(),
-                            }
-                        }
-                    };
-                    // The operator's input contract, stated once in
-                    // `plan::stateful_inputs`.
-                    for (_, column, accepted, expected) in crate::plan::stateful_inputs(&agg) {
-                        if !accepted.contains(&cols[column].dtype) {
-                            let found = format!("{:?}", cols[column].dtype);
-                            return Err(PlanError::TypeMismatch { context, expected, found });
-                        }
-                    }
-                    pipeline = pipeline.stateful(agg);
-                    // Output layout: one all-i64 row per user, user first.
-                    // Origin is only consulted for dictionary lookups,
-                    // which i64 columns never trigger.
-                    cols = s
-                        .output_names()
-                        .into_iter()
-                        .map(|name| ColInfo {
-                            name,
-                            dtype: DataType::I64,
-                            origin: source.to_string(),
-                        })
-                        .collect();
                 }
             }
+            payload.push(name);
         }
+        Ok(payload)
+    }
 
-        // ---- Exports must all be visible in the chain output.
-        for name in export {
-            if cols.iter().all(|c| c.name != *name) {
-                return Err(PlanError::UnknownColumn {
-                    column: name.clone(),
-                    context: format!("output of {}", q.name),
+    /// Lower `j`'s build side exporting `payload` and its key, and emit its
+    /// build stage — or, outside the collection pass, reuse the build a
+    /// structurally identical site already emitted (Q5's shared
+    /// ASIA-nations chain builds once). The first site lowers with the
+    /// union of every site's exports, so the one table carries all their
+    /// payloads.
+    fn build_side(
+        &mut self,
+        j: &JoinSpec,
+        root: &str,
+        payload: &[String],
+    ) -> Result<Built, PlanError> {
+        let mut export = payload.to_vec();
+        if !export.contains(&j.build_key) {
+            export.push(j.build_key.clone());
+        }
+        let mut structure = String::new();
+        j.build.structural_key(&mut structure);
+        let memo_key: BuildKey = (structure, j.build_key.clone());
+        if self.collecting {
+            self.export_unions
+                .entry(memo_key.clone())
+                .or_default()
+                .extend(export.iter().cloned());
+        } else if let Some(built) = self.built.get(&memo_key) {
+            return Ok(built.clone());
+        } else if let Some(union) = self.export_unions.get(&memo_key) {
+            export = union.iter().cloned().collect();
+        }
+        let (pipeline, cols) = self.lower_chain(&j.build, root, &export)?;
+        let context = format!("build side {}", j.build.name);
+        let key_col = self.scope(&cols).resolve(&j.build_key, &context)?;
+        let ht = claim(&mut self.taken_hts, &format!("{root}.{}", j.build.name), |_| false);
+        self.stages.push(Stage::Build { name: ht.clone(), key_col, pipeline });
+        let built = Built { ht, cols, key_col };
+        if !self.collecting {
+            self.fingerprints.insert(built.ht.clone(), fingerprint(&memo_key, &built.cols));
+            self.built.insert(memo_key, built.clone());
+        }
+        Ok(built)
+    }
+
+    /// A stateful per-user aggregate replaces the visible columns with its
+    /// output: one all-i64 row per user, user first.
+    fn lower_stateful(&self, c: &mut Chain, s: &StatefulSpec) -> Result<PipeOp, PlanError> {
+        let context = format!("stateful aggregate over {}", c.source);
+        let scope = self.scope(&c.cols);
+        // Event names resolve through the event column's dictionary. An
+        // absent name — or any name, when the event column is not a string
+        // column, which the contract check below refuses — is the -1
+        // sentinel no code equals, so it matches no rows, as in filters.
+        let agg = s.agg(
+            |name| scope.resolve(name, &context),
+            |event, value| scope.str_code(event, value).unwrap_or(-1),
+        )?;
+        // The operator's input contract, stated once in
+        // `plan::stateful_inputs`.
+        for (_, column, accepted, expected) in crate::plan::stateful_inputs(&agg) {
+            let found = c.cols[column].dtype;
+            if !accepted.contains(&found) {
+                let found = format!("{found:?}");
+                return Err(PlanError::TypeMismatch { context, expected, found });
+            }
+        }
+        c.replace_cols(s.output_names(), DataType::I64);
+        Ok(PipeOp::Stateful(agg))
+    }
+
+    /// The terminal aggregation over the chain's output. The group-by's
+    /// arity is the binding walk's to judge (its invariant 13), when
+    /// `QueryPlan::try_new` closes the lowering.
+    fn lower_aggregate(&self, c: &Chain) -> Result<AggSpec, PlanError> {
+        let scope = self.scope(&c.cols);
+        let context = format!("group-by of {}", c.q.name);
+        let mut group_by = Vec::with_capacity(c.q.group_by.len());
+        for g in &c.q.group_by {
+            let i = scope.resolve(g, &context)?;
+            if !crate::plan::is_group_key(c.cols[i].dtype) {
+                return Err(PlanError::TypeMismatch {
+                    context,
+                    expected: "integer, date or string group key",
+                    found: "f64".to_string(),
                 });
             }
+            group_by.push(i);
         }
-
-        // ---- Terminal aggregation.
-        if q.aggregates() {
-            let mut group_idx = Vec::with_capacity(q.group_by.len());
-            for g in &q.group_by {
-                let context = format!("group-by of {}", q.name);
-                let i = cols.iter().position(|c| c.name == *g).ok_or_else(|| {
-                    PlanError::UnknownColumn { column: g.clone(), context: context.clone() }
-                })?;
-                if !crate::plan::is_group_key(cols[i].dtype) {
-                    return Err(PlanError::TypeMismatch {
-                        context,
-                        expected: "integer, date or string group key",
-                        found: "f64".to_string(),
-                    });
-                }
-                group_idx.push(i);
-            }
-            let mut aggs = Vec::with_capacity(q.aggs.len());
-            for (func, e) in &q.aggs {
-                let context = format!("aggregate of {}", q.name);
-                if *func != AggFunc::Count {
-                    let kind = infer_kind(e, &cols, &context)?;
-                    if kind != Kind::Num {
-                        return Err(PlanError::TypeMismatch {
-                            context,
-                            expected: "numeric aggregate argument",
-                            found: kind.describe().to_string(),
-                        });
-                    }
-                }
-                let scope = Scope { cols: &cols, catalog: self.base };
-                aggs.push((*func, e.resolve(&scope).map_err(|e| map_resolve(e, &context))?));
-            }
-            // The group-by's arity is the binding walk's to judge (its
-            // invariant 13), when `QueryPlan::try_new` closes the lowering.
-            pipeline = pipeline.aggregate(AggSpec { group_by: group_idx, aggs });
+        let context = format!("aggregate of {}", c.q.name);
+        let mut aggs = Vec::with_capacity(c.q.aggs.len());
+        for (func, e) in &c.q.aggs {
+            let arg = match func {
+                AggFunc::Count => scope.expr(e, &context)?,
+                _ => scope.typed(e, Kind::Num, "numeric aggregate argument", &context)?,
+            };
+            aggs.push((*func, arg));
         }
-
-        Ok((pipeline, cols))
+        Ok(AggSpec { group_by, aggs })
     }
+}
+
+/// Claim a name derived from `want` that `taken` does not hold and that
+/// is not `reserved`: scan aliases must not shadow a base table; hash
+/// tables live in the run's table store, a namespace of their own.
+fn claim(taken: &mut HashSet<String>, want: &str, reserved: impl Fn(&str) -> bool) -> String {
+    let mut name = want.to_string();
+    let mut n = 1;
+    while taken.contains(&name) || reserved(&name) {
+        n += 1;
+        name = format!("{want}#{n}");
+    }
+    taken.insert(name.clone());
+    name
+}
+
+/// A build side's cross-query fingerprint (see
+/// [`LoweredQuery::build_fingerprints`]): its structure and key, then the
+/// layout term. Payload names and types, in physical order, determine the
+/// built batch and the payload indices probe sites address, so two queries
+/// share a cached table only when their export unions coincide exactly.
+fn fingerprint((structure, key): &BuildKey, cols: &[ColInfo]) -> String {
+    use std::fmt::Write as _;
+    let mut fp = format!("{structure}#key={key}#cols=[");
+    for c in cols {
+        let _ = write!(fp, "{}:{:?};", c.name, c.dtype);
+    }
+    fp.push(']');
+    fp
 }
 
 fn check_key_type(col: &ColInfo, side: &str) -> Result<(), PlanError> {
@@ -1025,18 +982,6 @@ fn check_key_type(col: &ColInfo, side: &str) -> Result<(), PlanError> {
         expected: "i32-typed key column",
         found: format!("{:?}", col.dtype),
     })
-}
-
-fn map_resolve(e: ResolveError, context: &str) -> PlanError {
-    match e {
-        ResolveError::UnknownColumn { column } => {
-            PlanError::UnknownColumn { column, context: context.to_string() }
-        }
-        ResolveError::StringLiteralContext { literal }
-        | ResolveError::StringLiteralType { literal, .. } => {
-            PlanError::StringComparedToNonString { literal, context: context.to_string() }
-        }
-    }
 }
 
 /// Infer an expression's result kind against the visible columns,
