@@ -7,8 +7,8 @@
 //! hardware itself. It estimates what a stage's packets look like and
 //! prices one of them with the functions the device providers charge every
 //! executed packet with — the same [`CpuCostModel`] formulas, the same GPU
-//! kernels on a [`GpuSim`], the same [`Link`](hape_sim::interconnect::Link)
-//! transfers — so the optimizer ([`crate::optimize::optimize`]) and the
+//! kernels on a [`GpuSim`], the same [`Link`] transfers — so the
+//! optimizer ([`crate::optimize::optimize`]) and the
 //! engine agree about the hardware by construction. What separates an
 //! estimate from the run is cardinality: the default selectivities below.
 //!
@@ -46,8 +46,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use hape_ops::gpu as gpu_ops;
+use hape_sim::interconnect::Link;
 use hape_sim::topology::{DeviceId, Server};
-use hape_sim::{CpuCostModel, Fidelity, GpuSim, SimTime};
+use hape_sim::{CpuCostModel, CpuSpec, Fidelity, GpuSim, GpuSpec, SimTime};
 use hape_storage::Column;
 
 use crate::catalog::Catalog;
@@ -316,11 +317,10 @@ impl PipelineEstimate {
     /// The stream up to (not including) its final probe, feeding no
     /// aggregation: what a co-processing stage's CPUs run before the join.
     fn prefix(&self) -> Option<PipelineEstimate> {
-        let (last, _) = self.pipeline.last_probe()?;
+        let (pipeline, _, _) = self.pipeline.split_at_last_probe()?;
         let mut prefix = self.clone();
         prefix.prices = RefCell::default();
-        prefix.pipeline.ops.truncate(last);
-        prefix.pipeline.agg = None;
+        prefix.pipeline = pipeline;
         let big = prefix.probes.pop()?;
         if prefix.probes.iter().all(|p| p.ht != big.ht) {
             prefix.tables.remove(&big.ht);
@@ -582,7 +582,7 @@ impl<'a> CostModel<'a> {
         let mut gpu_capacity: Option<u64> = None;
         for &device in devices {
             let DeviceId::Gpu(g) = device else { continue };
-            let (spec, link) = self.gpu_spec(g)?;
+            let (spec, link) = gpu_spec(self.server, g)?;
             let capacity = spec.dram_capacity as u64;
             gpu_capacity = Some(gpu_capacity.map_or(capacity, |c| c.min(capacity)));
             // Dedicated links broadcast in parallel: the slowest GPU's copy
@@ -613,11 +613,11 @@ impl<'a> CostModel<'a> {
         for &device in devices {
             lanes.push(match device {
                 DeviceId::Cpu(s) => {
-                    let workers = self.cpu_spec(s)?.cores.max(1);
+                    let workers = cpu_spec(self.server, s)?.cores.max(1);
                     Lane { workers, time: 0.0, moved: 0.0, seed: CPU_WORKER_SEED_NS_PER_BYTE }
                 }
                 DeviceId::Gpu(g) => {
-                    let moved = self.gpu_spec(g)?.1.duration(bytes.max(1)).as_secs();
+                    let moved = gpu_spec(self.server, g)?.1.duration(bytes.max(1)).as_secs();
                     Lane { workers: 1, time: 0.0, moved, seed: GPU_WORKER_SEED_NS_PER_BYTE }
                 }
             });
@@ -646,7 +646,7 @@ impl<'a> CostModel<'a> {
         if returns_output {
             for (&device, &n) in devices.iter().zip(&taken) {
                 let DeviceId::Gpu(g) = device else { continue };
-                let (_, link) = self.gpu_spec(g)?;
+                let (_, link) = gpu_spec(self.server, g)?;
                 let share = est.out_bytes * n as f64 / packets as f64;
                 cost.d2h_seconds = cost.d2h_seconds.max(share / link.bw + link.latency);
             }
@@ -673,7 +673,7 @@ impl<'a> CostModel<'a> {
         let fold = est.pipeline.agg.as_ref().zip(packet.fold);
         let t = match device {
             DeviceId::Cpu(s) => {
-                let spec = self.cpu_spec(s)?;
+                let spec = cpu_spec(self.server, s)?;
                 let model = CpuCostModel::new(spec.clone(), spec.cores);
                 let mut t = cpu_packet_cost(&model, packet.bytes, &packet.ops, &est.tables)?;
                 if let Some((agg, f)) = fold {
@@ -682,7 +682,7 @@ impl<'a> CostModel<'a> {
                 t
             }
             DeviceId::Gpu(g) => {
-                let sim = GpuSim::new(self.gpu_spec(g)?.0.clone(), Fidelity::Analytic);
+                let sim = GpuSim::new(gpu_spec(self.server, g)?.0.clone(), Fidelity::Analytic);
                 let (bytes, ops, none) = (packet.bytes, &packet.ops, &HashMap::new());
                 gpu_packet_cost(&sim, bytes, ops, fold, &est.tables, none)?
             }
@@ -697,7 +697,7 @@ impl<'a> CostModel<'a> {
         devices
             .iter()
             .map(|d| match d {
-                DeviceId::Cpu(s) => self.cpu_spec(*s).map(|c| c.cores),
+                DeviceId::Cpu(s) => cpu_spec(self.server, *s).map(|c| c.cores),
                 DeviceId::Gpu(_) => Ok(GPU_PACKET_SHARE),
             })
             .sum()
@@ -741,7 +741,7 @@ impl<'a> CostModel<'a> {
         let mut lanes: Vec<(u64, f64, f64, f64)> = Vec::new(); // (budget, link bw, dram bw, fixed s)
         for &d in gpus {
             let DeviceId::Gpu(g) = d else { continue };
-            let (spec, link) = self.gpu_spec(g)?;
+            let (spec, link) = gpu_spec(self.server, g)?;
             lanes.push((
                 hape_join::gpu_budget(spec.dram_capacity),
                 link.bw,
@@ -759,7 +759,7 @@ impl<'a> CostModel<'a> {
             DeviceId::Gpu(_) => None,
         });
         let Some(first_socket) = first_socket else { return Ok(None) };
-        let (cpu0, workers) = (self.cpu_spec(first_socket)?, self.shares(cpus)?);
+        let (cpu0, workers) = (cpu_spec(self.server, first_socket)?, self.shares(cpus)?);
         let n_sockets = cpus.iter().filter(|d| !d.is_gpu()).count().max(1);
 
         // The executing join's co-partitioning plan: fanout, the budget it
@@ -839,24 +839,20 @@ impl<'a> CostModel<'a> {
             capable_workers: 0,
         }))
     }
+}
 
-    fn cpu_spec(&self, socket: usize) -> Result<&hape_sim::CpuSpec, EngineError> {
-        self.server
-            .cpus
-            .get(socket)
-            .ok_or_else(|| EngineError::DeviceNotPresent { device: format!("cpu{socket}") })
-    }
+/// CPU socket `socket`'s spec on `server`, or
+/// [`EngineError::DeviceNotPresent`].
+pub(crate) fn cpu_spec(server: &Server, socket: usize) -> Result<&CpuSpec, EngineError> {
+    let absent = || EngineError::DeviceNotPresent { device: format!("cpu{socket}") };
+    server.cpus.get(socket).ok_or_else(absent)
+}
 
-    fn gpu_spec(
-        &self,
-        gpu: usize,
-    ) -> Result<(&hape_sim::GpuSpec, &hape_sim::interconnect::Link), EngineError> {
-        self.server
-            .gpus
-            .get(gpu)
-            .zip(self.server.pcie.get(gpu))
-            .ok_or_else(|| EngineError::DeviceNotPresent { device: format!("gpu{gpu}") })
-    }
+/// GPU `gpu`'s spec and PCIe link on `server`, or
+/// [`EngineError::DeviceNotPresent`].
+pub(crate) fn gpu_spec(server: &Server, gpu: usize) -> Result<(&GpuSpec, &Link), EngineError> {
+    let absent = || EngineError::DeviceNotPresent { device: format!("gpu{gpu}") };
+    server.gpus.get(gpu).zip(server.pcie.get(gpu)).ok_or_else(absent)
 }
 
 #[cfg(test)]

@@ -63,8 +63,9 @@ use std::sync::Arc;
 use hape_ops::agg::AggState;
 use hape_ops::expr::{same_expr, Program};
 use hape_ops::{AggFunc, AggSpec, Expr, GroupKey};
+use hape_sim::interconnect::Link;
 use hape_sim::topology::{DeviceId, Server};
-use hape_sim::{CpuCostModel, Fidelity, SimTime};
+use hape_sim::{CpuCostModel, CpuSpec, Fidelity, GpuSpec, SimTime};
 use hape_storage::{Batch, Column};
 
 use hape_join::{
@@ -72,18 +73,18 @@ use hape_join::{
 };
 
 use crate::catalog::Catalog;
+use crate::cost::{cpu_spec, gpu_spec};
 use crate::error::PlanError;
 use crate::exchange::{route, CandidateLoad};
 use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage};
-use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
+use crate::plan::{JoinTable, Pipeline, QueryPlan};
 use crate::provider::{
     cpu_packet_cost, run_ops, CpuWorker, DeviceProvider, GpuWorker, PacketWork, Scratch,
     TableStore,
 };
 use crate::runtime;
 use crate::trace::{Ledger, Span, SpanKind, TraceRecorder};
-use crate::traits::DeviceType;
 use crate::verify::{Diagnostic, DiagnosticKind, Pass};
 
 pub use crate::error::EngineError;
@@ -522,14 +523,12 @@ impl StageEnv<'_> {
         pipeline: &Pipeline,
         agg: Option<&AggState>,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
-        let (server, faults) = (self.server(), self.faults);
+        let server = self.server();
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for &device in devices {
             match device {
                 DeviceId::Cpu(socket) => {
-                    let spec = server.cpus.get(socket).ok_or_else(|| {
-                        EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
-                    })?;
+                    let spec = cpu_spec(&server, socket)?;
                     let model = CpuCostModel::new(spec.clone(), spec.cores);
                     for core in 0..spec.cores {
                         workers.push(Box::new(CpuWorker::new(
@@ -541,13 +540,7 @@ impl StageEnv<'_> {
                     }
                 }
                 DeviceId::Gpu(idx) => {
-                    if faults.is_active() && faults.is_excluded(idx) {
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{idx}") });
-                    }
-                    let (spec, link) =
-                        server.gpus.get(idx).zip(server.pcie.get(idx)).ok_or_else(|| {
-                            EngineError::DeviceNotPresent { device: format!("gpu{idx}") }
-                        })?;
+                    let (spec, link) = self.gpu_lane(&server, idx)?;
                     let broadcast =
                         pipeline.tables_probed().into_iter().map(str::to_string).collect();
                     workers.push(Box::new(
@@ -565,6 +558,20 @@ impl StageEnv<'_> {
             }
         }
         Ok(workers)
+    }
+
+    /// GPU `idx`'s spec and PCIe link on `server`: a lane the fault plane
+    /// quarantined is the recoverable [`EngineError::DeviceFailed`], one
+    /// the server lacks [`EngineError::DeviceNotPresent`].
+    fn gpu_lane<'s>(
+        &self,
+        server: &'s Server,
+        idx: usize,
+    ) -> Result<(&'s GpuSpec, &'s Link), EngineError> {
+        if self.faults.is_active() && self.faults.is_excluded(idx) {
+            return Err(EngineError::DeviceFailed { device: format!("gpu{idx}") });
+        }
+        gpu_spec(server, idx)
     }
 
     /// The server as the fault plane has it: a slowed device's link runs
@@ -593,9 +600,9 @@ impl StageEnv<'_> {
     ///    probes) stay views of the base table, and of the columns an
     ///    operator produced only the key and those step 3 gathers are
     ///    concatenated;
-    /// 2. the intermediate's key column is co-partitioned against the final
-    ///    probe's hash table (the co-processed table) and joined via
-    ///    `hape_join::coprocess_join_on` over the stage's GPU lanes — each
+    /// 2. the intermediate's key column is co-partitioned on the stage's
+    ///    sockets against the final probe's hash table (the co-processed
+    ///    table) and joined over the stage's GPU lanes — each
     ///    lane priced and capacity-checked against its own spec, link
     ///    (derated when slowed) and budget; what comes back is (build row,
     ///    probe row) match pairs, no columns, left in one vector pair per
@@ -634,31 +641,27 @@ impl StageEnv<'_> {
     ) -> Result<(AggRows, SimTime), EngineError> {
         let agg_spec = stream_agg(pipeline)?;
         // The co-processed join drives its GPU lanes outside the generic
-        // packet loop, so quarantined lanes are checked up front.
-        if self.faults.is_active() {
-            if let Some(g) = gpus.iter().find(|&&g| self.faults.is_excluded(g)) {
-                return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
-            }
+        // packet loop, so the stage's lanes are checked up front.
+        for &g in gpus {
+            self.gpu_lane(&self.engine.server, g)?;
         }
         // ---- Split the pipeline at its final probe.
         let invalid = || EngineError::InvalidCoProcessStage { scan: pipeline.source.clone() };
-        let (probe_idx, ht) = pipeline.last_probe().ok_or_else(invalid)?;
-        let PipeOp::JoinProbe { key_col, build_payload_cols, .. } = &pipeline.ops[probe_idx]
-        else {
-            return Err(invalid());
-        };
+        let (prefix, (ht, key_col, build_payload_cols), rest) =
+            pipeline.split_at_last_probe().ok_or_else(invalid)?;
         let (tables, threads) = (self.tables, self.threads);
         let jt = tables
             .get(ht)
             .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })?;
+        // The prefix runs on the stage's sockets, and the join plans its
+        // co-partitioning on their spec and count.
         let sockets: Vec<DeviceId> = cpus.iter().map(|&s| DeviceId::Cpu(s)).collect();
+        let socket_specs: Vec<CpuSpec> = cpus
+            .iter()
+            .map(|&c| cpu_spec(&self.engine.server, c).cloned())
+            .collect::<Result<_, _>>()?;
 
         // ---- 1. CPU prefix through the device providers.
-        let prefix = Pipeline {
-            source: pipeline.source.clone(),
-            ops: pipeline.ops[..probe_idx].to_vec(),
-            agg: None,
-        };
         let wall_prefix_start = self.ledger.recorder().now_ns();
         let pre = self.run_workers(&sockets, &prefix, start)?;
         let dop = pre.workers;
@@ -675,11 +678,6 @@ impl StageEnv<'_> {
         // the probe, the fold's spec reads its probe-side arguments
         // pre-evaluated, packet by packet, into columns past the joined
         // layout ([`evaluate_probe_args`]).
-        let rest = Pipeline {
-            source: pipeline.source.clone(),
-            ops: pipeline.ops[probe_idx + 1..].to_vec(),
-            agg: pipeline.agg.clone(),
-        };
         let n_probe = outputs.first().map_or(0, |b| b.columns.len());
         let n_cols = n_probe + build_payload_cols.len();
         let (fold_spec, evaluated) = if rest.ops.is_empty() && !outputs.is_empty() {
@@ -707,8 +705,8 @@ impl StageEnv<'_> {
                         &outputs.iter().map(|b| b.col(c).clone()).collect::<Vec<_>>(),
                     )
                 };
-                let keys = column(*key_col);
-                let read = |c| c != *key_col && reads.contains(&c);
+                let keys = column(key_col);
+                let read = |c| c != key_col && reads.contains(&c);
                 Batch::new(
                     (0..n_probe)
                         .map(|c| if read(c) { column(c) } else { keys.clone() })
@@ -729,7 +727,7 @@ impl StageEnv<'_> {
         if inter.rows() > 0 {
             // Zero-copy: the co-partitioner reads the Arc-backed key
             // column slice directly; no per-stage key vector is built.
-            let probe_keys: &[i32] = inter.col(*key_col).as_i32();
+            let probe_keys: &[i32] = inter.col(key_col).as_i32();
             let probe_vals: Vec<u32> = (0..inter.rows() as u32).collect();
             let build_vals: Vec<u32> = (0..jt.rows() as u32).collect();
             let cfg = CoprocessConfig {
@@ -743,6 +741,7 @@ impl StageEnv<'_> {
             let rep;
             (rep, pairs) = coprocess_join_parts(
                 &self.server(),
+                &socket_specs,
                 gpus,
                 JoinInput::new(&jt.keys, &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
@@ -775,11 +774,7 @@ impl StageEnv<'_> {
         // *and* the CPUs have finished the co-partitioning passes; the stage
         // ends when both the last join and the fold have finished.
         let fold_start = pre.end + first_join_done.max(cpu_partition_time);
-        let socket = *cpus.first().ok_or_else(invalid)?;
-        let spec =
-            self.engine.server.cpus.get(socket).ok_or_else(|| {
-                EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
-            })?;
+        let spec = socket_specs.first().ok_or_else(invalid)?;
         let model = CpuCostModel::new(spec.clone(), spec.cores);
         let chunk_rows = ExecConfig::auto_packet_rows(n_joined, dop, None);
         // Each chunk runs through `run_ops` on the worker pool and folds
@@ -884,7 +879,7 @@ impl StageEnv<'_> {
         // `DeviceFailed` hands recovery to the stepper's re-placement
         // loop.
         for w in workers.iter_mut() {
-            if let Some(g) = w.gpu_index().filter(|&g| self.faults.oom_at_install(g)) {
+            if let Some(g) = w.id().gpu().filter(|&g| self.faults.oom_at_install(g)) {
                 self.ledger.fault_fired(|| format!("broadcast OOM on gpu{g}"));
                 return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
             }
@@ -1018,10 +1013,10 @@ impl StageEnv<'_> {
             outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
         }
 
-        let busy_of = |device: DeviceType| {
-            workers.iter().filter(|w| w.device() == device).map(|w| w.busy()).sum()
+        let busy_of = |gpu: bool| {
+            workers.iter().filter(|w| w.id().is_gpu() == gpu).map(|w| w.busy()).sum()
         };
-        self.ledger.busy(busy_of(DeviceType::Cpu), busy_of(DeviceType::Gpu));
+        self.ledger.busy(busy_of(false), busy_of(true));
         Ok(Streamed { outputs, rows, end, workers: workers.len() })
     }
 }

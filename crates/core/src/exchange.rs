@@ -92,6 +92,15 @@ impl WorkerId {
         matches!(self, WorkerId::Gpu(_))
     }
 
+    /// The GPU index of a GPU worker — the fault plane's addressing key;
+    /// `None` for a CPU core.
+    pub fn gpu(&self) -> Option<usize> {
+        match *self {
+            WorkerId::CpuCore { .. } => None,
+            WorkerId::Gpu(idx) => Some(idx),
+        }
+    }
+
     /// The device the worker runs on.
     pub fn device(&self) -> DeviceId {
         match *self {

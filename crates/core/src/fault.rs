@@ -397,7 +397,7 @@ impl FaultSession {
         start: SimTime,
         bytes: u64,
     ) -> Result<u32, EngineError> {
-        let Some(gpu) = worker.gpu_index() else {
+        let Some(gpu) = worker.id().gpu() else {
             return Ok(0);
         };
         match self.on_gpu_packet(gpu) {

@@ -57,6 +57,10 @@ pub enum PipeOp {
     Stateful(StatefulAgg),
 }
 
+/// A pipeline's final probe ([`Pipeline::split_at_last_probe`]): the table
+/// it probes, its probe key column and the build payload columns it appends.
+pub(crate) type FinalProbe<'a> = (&'a str, usize, &'a [usize]);
+
 /// A pipeline: a source table streamed through fused operators, optionally
 /// ending in an aggregation.
 #[derive(Debug, Clone)]
@@ -136,6 +140,26 @@ impl Pipeline {
             PipeOp::JoinProbe { ht, .. } => Some((i, ht.as_str())),
             _ => None,
         })
+    }
+
+    /// The pipeline cut at its final probe ([`Pipeline::last_probe`]): the
+    /// prefix before it, feeding no aggregation; the probe's table, key
+    /// column and build payload columns; and the rest after it, with the
+    /// aggregation. A co-processing stage runs the prefix on its CPUs, the
+    /// probe as the §5 join and folds the rest.
+    pub(crate) fn split_at_last_probe(&self) -> Option<(Pipeline, FinalProbe<'_>, Pipeline)> {
+        let (i, probe) = self.ops.iter().enumerate().rev().find_map(|(i, op)| match op {
+            PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
+                Some((i, (ht.as_str(), *key_col, build_payload_cols.as_slice())))
+            }
+            _ => None,
+        })?;
+        let part = |ops: &[PipeOp], agg| Pipeline {
+            source: self.source.clone(),
+            ops: ops.to_vec(),
+            agg,
+        };
+        Some((part(&self.ops[..i], None), probe, part(&self.ops[i + 1..], self.agg.clone())))
     }
 
     /// `source` split into the packets this pipeline runs, of at most `rows`
@@ -667,6 +691,13 @@ mod tests {
             .join("b", 0, vec![], JoinAlgo::NonPartitioned);
         assert_eq!(p.last_probe(), Some((2, "b")));
         assert_eq!(Pipeline::scan("t").last_probe(), None);
+        let p = p.aggregate(agg());
+        let (prefix, probe, rest) = p.split_at_last_probe().unwrap();
+        assert_eq!(format!("{:?}", prefix.ops), format!("{:?}", &p.ops[..2]));
+        assert!(prefix.agg.is_none());
+        assert_eq!(probe, ("b", 0, &[][..]));
+        assert!(rest.ops.is_empty() && rest.agg.is_some());
+        assert!(Pipeline::scan("t").split_at_last_probe().is_none());
     }
 
     #[test]

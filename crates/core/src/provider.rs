@@ -28,7 +28,6 @@ use hape_storage::{Batch, Column};
 use crate::error::EngineError;
 use crate::exchange::WorkerId;
 use crate::plan::{JoinAlgo, JoinTable, PipeOp, Pipeline};
-use crate::traits::DeviceType;
 
 /// The built hash tables visible to probes.
 pub type TableStore = HashMap<String, Arc<JoinTable>>;
@@ -633,9 +632,6 @@ pub trait DeviceProvider: Send + Sync {
     /// This worker's identity.
     fn id(&self) -> WorkerId;
 
-    /// The device type executing the packets (the device trait).
-    fn device(&self) -> DeviceType;
-
     /// Relative packet-sizing weight: how many packet shares this worker
     /// wants in flight (GPUs pipeline transfers against kernels, so they
     /// run deeper queues).
@@ -706,13 +702,6 @@ pub trait DeviceProvider: Send + Sync {
 
     /// Total simulated busy time of the worker's compute resource.
     fn busy(&self) -> SimTime;
-
-    /// The GPU index this worker runs on, if it is a GPU lane — the
-    /// fault plane's addressing key. CPU workers return `None` and are
-    /// never fault targets.
-    fn gpu_index(&self) -> Option<usize> {
-        None
-    }
 
     /// Pure (no-queueing) duration of one `bytes` transfer on this
     /// worker's exchange path — what one failed transfer attempt wastes.
@@ -834,10 +823,6 @@ impl CpuWorker {
 impl DeviceProvider for CpuWorker {
     fn id(&self) -> WorkerId {
         WorkerId::CpuCore { socket: self.socket, core: self.core }
-    }
-
-    fn device(&self) -> DeviceType {
-        DeviceType::Cpu
     }
 
     fn ready_at(&self, start: SimTime, _bytes: u64) -> SimTime {
@@ -966,10 +951,6 @@ impl GpuWorker {
 impl DeviceProvider for GpuWorker {
     fn id(&self) -> WorkerId {
         WorkerId::Gpu(self.idx)
-    }
-
-    fn device(&self) -> DeviceType {
-        DeviceType::Gpu
     }
 
     fn packet_share(&self) -> usize {
@@ -1107,10 +1088,6 @@ impl DeviceProvider for GpuWorker {
 
     fn busy(&self) -> SimTime {
         self.res.busy_time()
-    }
-
-    fn gpu_index(&self) -> Option<usize> {
-        Some(self.idx)
     }
 
     fn transfer_duration(&self, bytes: u64) -> SimTime {
@@ -1518,7 +1495,7 @@ mod tests {
         for w in &mut workers {
             let h2d = w.install_tables(&p, &tables, SimTime::ZERO).unwrap();
             // Only the GPU worker needs the broadcast mem-move.
-            assert_eq!(h2d > 0, w.device() == DeviceType::Gpu, "{:?}", w.id());
+            assert_eq!(h2d > 0, w.id().is_gpu(), "{:?}", w.id());
             // Data plane: kernels + class pricing; control plane: commit;
             // data plane again: the fold — the engine's three beats.
             let work = run_ops(packet(1000), &p, &tables, &mut scratch).unwrap();

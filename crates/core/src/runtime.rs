@@ -13,7 +13,7 @@
 //!   is dispatched through [`scatter`] and [`drain`].
 //!
 //! Both live in the dependency-free `hape_pool` crate — the workspace's
-//! only spawn site, shared with `hape_join`'s partition passes — and are
+//! only spawn site, shared with `hape_join`'s per-co-partition joins — and are
 //! re-exported here for the engine. What stays in this module is how the
 //! thread count is chosen (see [`resolve_threads`]):
 //! [`crate::engine::ExecConfig::threads`] if set, else the `HAPE_THREADS`

@@ -817,8 +817,9 @@ impl Trace {
     }
 }
 
-/// Milliseconds with three decimals — matches the explain renderer's
-/// estimate formatting so est and actual columns compare directly.
+/// Milliseconds with three decimals — the profile's est and actual
+/// columns share it, so they compare directly. It is not the explain
+/// renderer's format, which prints four decimals and a spaced unit.
 fn fmt_ms(seconds: f64) -> String {
     format!("{:.3}ms", seconds * 1e3)
 }

@@ -27,10 +27,11 @@
 //!
 //! What the lanes materialise is the host work a CPU plan has no
 //! counterpart for, so it is kept to the join's own output. The CPU
-//! co-partitioning scatters straight from the inputs into its final buffers
-//! ([`crate::partition::radix_partition_pass_par`]); a co-partition's GPU
-//! join partitions and hashes its keys in place above the CPU's bits rather
-//! than on a shifted copy, and its passes are priced from per-partition
+//! co-partitioning is the one sequential pass of [`crate::partition`], which
+//! scatters straight from the inputs into its final buffers; threads reach
+//! only the per-co-partition joins. A co-partition's GPU join partitions
+//! and hashes its keys in place above the CPU's bits rather than on a
+//! shifted copy, and its passes are priced from per-partition
 //! runs, not per-tuple address lists; a join's match pairs are sized for
 //! its probe side. The pairs — `(build row, probe row)` — are the only
 //! thing a stage reads back: [`coprocess_join_parts`] hands them over as
@@ -45,7 +46,7 @@ use hape_sim::{Fidelity, GpuSim, SimTime};
 
 use crate::common::{JoinInput, JoinOutcome, JoinStats, OutputMode};
 use crate::gpu_radix::{gpu_radix_with_shift, BuildProbeVariant, GPU_RADIX_TAILS_BYTES};
-use crate::partition::radix_partition_with_threads;
+use crate::partition::radix_partition;
 use hape_sim::CpuCostModel;
 
 /// Maximum CPU-side partition passes the co-partitioning may take. Each
@@ -67,10 +68,10 @@ pub struct CoprocessConfig {
     pub mode: OutputMode,
     /// GPU memory-model fidelity.
     pub fidelity: Fidelity,
-    /// Real threads executing the co-partitioning passes and the
-    /// per-co-partition joins (the simulated cost is governed by
-    /// `cpu_workers`; this knob only changes the wall clock — results are
-    /// byte-identical at any value).
+    /// Real threads executing the per-co-partition joins; the
+    /// co-partitioning is one sequential pass (the simulated cost is
+    /// governed by `cpu_workers`; this knob only changes the wall clock —
+    /// results are byte-identical at any value).
     pub threads: usize,
 }
 
@@ -301,8 +302,9 @@ struct GpuLane {
 pub type MatchPairs = (Vec<u32>, Vec<u32>);
 
 /// Run the co-processing join on an explicit GPU subset (`gpu_ids` index
-/// into `server.gpus`). Every GPU is validated, priced and
-/// capacity-checked against its own spec, budget and PCIe link.
+/// into `server.gpus`), co-partitioned on every CPU socket of `server`.
+/// Every GPU is validated, priced and capacity-checked against its own
+/// spec, budget and PCIe link.
 pub fn coprocess_join_on(
     server: &Server,
     gpu_ids: &[usize],
@@ -310,7 +312,7 @@ pub fn coprocess_join_on(
     s: JoinInput<'_>,
     cfg: &CoprocessConfig,
 ) -> Result<CoprocessReport, CoprocessError> {
-    let (mut report, parts) = coprocess_join_parts(server, gpu_ids, r, s, cfg)?;
+    let (mut report, parts) = coprocess_join_parts(server, &server.cpus, gpu_ids, r, s, cfg)?;
     report.outcome.pairs = (cfg.mode == OutputMode::MatchIndices).then(|| {
         let total = parts.iter().map(|(r, _)| r.len()).sum();
         let (mut pr, mut ps) = (Vec::with_capacity(total), Vec::with_capacity(total));
@@ -329,8 +331,13 @@ pub fn coprocess_join_on(
 /// concatenation, and the report's `outcome.pairs` is `None`. A consumer
 /// that reads the pairs by position (the engine's §5 fold) spares the
 /// concatenated copy.
+///
+/// `cpus` are the sockets that co-partition: the plan ([`coprocess`]) reads
+/// the first one's spec and counts them, so a stage on some of a server's
+/// sockets is planned on those alone.
 pub fn coprocess_join_parts(
     server: &Server,
+    cpus: &[CpuSpec],
     gpu_ids: &[usize],
     r: JoinInput<'_>,
     s: JoinInput<'_>,
@@ -339,9 +346,9 @@ pub fn coprocess_join_parts(
     if gpu_ids.is_empty() || server.gpus.is_empty() {
         return Err(CoprocessError::NoGpus);
     }
-    if server.cpus.is_empty() {
+    let Some(cpu_spec) = cpus.first() else {
         return Err(CoprocessError::NoCpus);
-    }
+    };
     // ---- Validate the subset up front: every GPU must exist *and* have a
     // PCIe link (a topology listing fewer links than GPUs is a typed
     // error, not an out-of-bounds panic).
@@ -368,7 +375,6 @@ pub fn coprocess_join_parts(
     }
     let min_budget = lanes.iter().map(|l| l.budget).min().unwrap_or(0);
     let max_budget = lanes.iter().map(|l| l.budget).max().unwrap_or(0);
-    let cpu_spec = &server.cpus[0];
 
     // ---- Plan (`coprocess`) and execute the CPU-side co-partitioning;
     // the per-partition routing below skips GPUs a pair does not fit.
@@ -377,11 +383,11 @@ pub fn coprocess_join_parts(
         (s.len() as u64, s.bytes()),
         (min_budget, max_budget),
         cpu_spec,
-        (cfg.cpu_workers, server.cpus.len()),
+        (cfg.cpu_workers, cpus.len()),
     )?;
     let max_pass_bits = cpu_spec.max_partition_fanout().trailing_zeros().max(1);
-    let (rp, _) = radix_partition_with_threads(r, cpu_bits, max_pass_bits, cfg.threads);
-    let (sp, _) = radix_partition_with_threads(s, cpu_bits, max_pass_bits, cfg.threads);
+    let (rp, _) = radix_partition(r, cpu_bits, max_pass_bits);
+    let (sp, _) = radix_partition(s, cpu_bits, max_pass_bits);
     let fanout = rp.fanout();
 
     // ---- Data plane: a join's outcome is a pure function of (spec group,
@@ -578,8 +584,8 @@ mod tests {
             (cfg.cpu_workers, server.cpus.len()),
         )?;
         let max_pass_bits = cpu_spec.max_partition_fanout().trailing_zeros().max(1);
-        let (rp, _) = radix_partition_with_threads(r, cpu_bits, max_pass_bits, cfg.threads);
-        let (sp, _) = radix_partition_with_threads(s, cpu_bits, max_pass_bits, cfg.threads);
+        let (rp, _) = radix_partition(r, cpu_bits, max_pass_bits);
+        let (sp, _) = radix_partition(s, cpu_bits, max_pass_bits);
         let fanout = rp.fanout();
 
         // ---- Schedule co-partitions over GPUs (load-aware routing).
@@ -876,8 +882,8 @@ mod tests {
     #[test]
     fn partition_threads_are_a_pure_wall_clock_knob() {
         // Same results, pairs, simulated times and transfer bytes at any
-        // real-thread count: the chunked partition passes may not leak
-        // into anything observable.
+        // real-thread count: the per-co-partition joins on the pool may
+        // not leak into anything observable.
         let n = 1 << 14;
         let rk = gen_unique_keys(n, 91);
         let sk = gen_unique_keys(n, 92);

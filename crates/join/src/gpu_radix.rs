@@ -399,8 +399,8 @@ pub fn gpu_radix_with_shift(
         time += rep_r.time + rep_s.time;
     }
     // Functional partitioning (once, multi-pass-equivalent result).
-    let (rp, _) = radix_partition_above(r, shift, plan.total_bits, max_pass_bits, 1);
-    let (sp, _) = radix_partition_above(s, shift, plan.total_bits, max_pass_bits, 1);
+    let (rp, _) = radix_partition_above(r, shift, plan.total_bits, max_pass_bits);
+    let (sp, _) = radix_partition_above(s, shift, plan.total_bits, max_pass_bits);
 
     let (mut outcome, _report) = build_probe(sim, &rp, &sp, shift, variant, mode);
     outcome.time += time;

@@ -43,9 +43,7 @@ pub use cpu_npj::cpu_npj;
 pub use cpu_radix::{cpu_radix, plan_radix_cpu, RadixPlan};
 pub use gpu_npj::gpu_npj;
 pub use gpu_radix::{gpu_radix, plan_radix_gpu, BuildProbeVariant};
-pub use partition::{
-    radix_partition, radix_partition_pass_par, radix_partition_with_threads, RadixPartitions,
-};
+pub use partition::{radix_partition, radix_partition_with_threads, RadixPartitions};
 
 /// Commonly used items.
 pub mod prelude {

@@ -7,8 +7,6 @@
 //! the number of passes. This module is the skeleton: the device algorithms
 //! charge their own pass costs.
 
-use hape_pool::{drain, scatter};
-
 use crate::common::JoinInput;
 
 /// The result of radix-partitioning one input: tuples regrouped by the radix
@@ -89,88 +87,6 @@ pub fn radix_partition_pass(
     RadixPartitions { keys: out_keys, vals: out_vals, offsets, bits }
 }
 
-/// Inputs below this size run the sequential pass even when threads are
-/// available: thread start-up would dominate the scan.
-const PAR_MIN_ROWS: usize = 1 << 12;
-
-/// Deterministic parallel variant of [`radix_partition_pass`].
-///
-/// The input is cut into at most `threads` contiguous chunks. Each chunk
-/// builds its histogram on the pool; a global exclusive prefix over the
-/// per-chunk histograms then fixes, for every partition, where each chunk's
-/// run of it lands — chunk after chunk within the partition — and the final
-/// buffers are split (`split_at_mut`) into those disjoint runs. A second
-/// fan-out scatters each chunk once, straight into its own runs: no chunk
-/// builds private partitions and nothing is merged or copied afterwards.
-/// Both fan-outs go through the workspace's one pool ([`hape_pool`]).
-/// Because the sequential scatter preserves input order within a partition
-/// and so does a stable scatter of consecutive chunks into consecutive runs,
-/// the result is **byte-identical** to [`radix_partition_pass`] at any
-/// thread count — the thread count is a pure wall-clock knob, exactly like
-/// the engine's data-plane pool.
-pub fn radix_partition_pass_par(
-    keys: &[i32],
-    vals: &[u32],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-) -> RadixPartitions {
-    assert_eq!(keys.len(), vals.len());
-    let n = keys.len();
-    if threads <= 1 || n < PAR_MIN_ROWS {
-        return radix_partition_pass(keys, vals, shift, bits);
-    }
-    let fanout = 1usize << bits;
-    // `chunks` derives the chunk *count* from the chunk length — 5 000 rows
-    // over 128 threads are 125 chunks of 40 — so no chunk can start past
-    // the input.
-    let len = n.div_ceil(threads);
-    let chunks: Vec<(&[i32], &[u32])> = keys.chunks(len).zip(vals.chunks(len)).collect();
-    let hists = scatter(
-        threads,
-        chunks.len(),
-        |_| (),
-        |c, ()| {
-            let mut hist = vec![0usize; fanout];
-            for &k in chunks[c].0 {
-                hist[radix_of(k, shift, bits)] += 1;
-            }
-            hist
-        },
-    );
-    // Partition by partition, each chunk's run of it, in chunk order.
-    let mut out_keys = vec![0i32; n];
-    let mut out_vals = vec![0u32; n];
-    let mut key_runs: Vec<Vec<&mut [i32]>> =
-        hists.iter().map(|_| Vec::with_capacity(fanout)).collect();
-    let mut val_runs: Vec<Vec<&mut [u32]>> =
-        hists.iter().map(|_| Vec::with_capacity(fanout)).collect();
-    let mut offsets = Vec::with_capacity(fanout + 1);
-    offsets.push(0usize);
-    let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
-    for p in 0..fanout {
-        for (c, hist) in hists.iter().enumerate() {
-            let (khead, ktail) = std::mem::take(&mut krest).split_at_mut(hist[p]);
-            let (vhead, vtail) = std::mem::take(&mut vrest).split_at_mut(hist[p]);
-            (krest, vrest) = (ktail, vtail);
-            key_runs[c].push(khead);
-            val_runs[c].push(vhead);
-        }
-        offsets.push(n - krest.len());
-    }
-    let jobs: Vec<_> = chunks.into_iter().zip(key_runs.into_iter().zip(val_runs)).collect();
-    drain(threads, jobs, |((keys, vals), (mut kruns, mut vruns))| {
-        let mut at = vec![0usize; fanout];
-        for (&k, &v) in keys.iter().zip(vals) {
-            let p = radix_of(k, shift, bits);
-            kruns[p][at[p]] = k;
-            vruns[p][at[p]] = v;
-            at[p] += 1;
-        }
-    });
-    RadixPartitions { keys: out_keys, vals: out_vals, offsets, bits }
-}
-
 /// Multi-pass radix partitioning on bits `[0, total_bits)`, at most
 /// `bits_per_pass` bits per pass (the device's fanout bound).
 ///
@@ -183,34 +99,29 @@ pub fn radix_partition(
     total_bits: u32,
     bits_per_pass: u32,
 ) -> (RadixPartitions, Vec<u32>) {
-    radix_partition_with_threads(input, total_bits, bits_per_pass, 1)
+    radix_partition_above(input, 0, total_bits, bits_per_pass)
 }
 
-/// [`radix_partition`] with a real-thread count for the passes.
-///
-/// The first pass (one partition spanning the whole input) runs the
-/// chunked [`radix_partition_pass_par`]; later passes parallelise across
-/// the partitions of the previous pass instead, each sub-partitioned
-/// sequentially. Either way the output is byte-identical to `threads = 1`:
-/// the thread count never reaches the data layout, only the wall clock.
+/// [`radix_partition`] under the signature the `benchmarks/` package is
+/// frozen on. Its thread count reaches no pass: the partition pass is
+/// sequential.
 pub fn radix_partition_with_threads(
     input: JoinInput<'_>,
     total_bits: u32,
     bits_per_pass: u32,
-    threads: usize,
+    _threads: usize,
 ) -> (RadixPartitions, Vec<u32>) {
-    radix_partition_above(input, 0, total_bits, bits_per_pass, threads)
+    radix_partition(input, total_bits, bits_per_pass)
 }
 
-/// [`radix_partition_with_threads`] on the key bits `[low, low +
-/// total_bits)`: the partitions a multi-pass radix over the keys shifted
-/// right by `low` makes, without shifting a copy of the keys.
+/// [`radix_partition`] on the key bits `[low, low + total_bits)`: the
+/// partitions a multi-pass radix over the keys shifted right by `low`
+/// makes, without shifting a copy of the keys.
 pub(crate) fn radix_partition_above(
     input: JoinInput<'_>,
     low: u32,
     total_bits: u32,
     bits_per_pass: u32,
-    threads: usize,
 ) -> (RadixPartitions, Vec<u32>) {
     assert!(total_bits > 0 && total_bits <= 24, "unreasonable radix width {total_bits}");
     assert!(bits_per_pass > 0);
@@ -224,25 +135,16 @@ pub(crate) fn radix_partition_above(
     // First pass over the most significant of the radix bits, straight from
     // the input.
     let mut shift = low + total_bits - passes[0];
-    let mut current =
-        radix_partition_pass_par(input.keys, input.vals, shift, passes[0], threads);
+    let mut current = radix_partition_pass(input.keys, input.vals, shift, passes[0]);
     for &b in &passes[1..] {
         shift -= b;
         // Re-partition every existing partition on the next `b` bits.
-        let fanout_before = current.fanout();
-        let subs = scatter(
-            if current.keys.len() < PAR_MIN_ROWS { 1 } else { threads },
-            fanout_before,
-            |_| (),
-            |p, ()| {
-                let part = current.part(p);
-                radix_partition_pass(part.keys, part.vals, shift, b)
-            },
-        );
         let mut out_keys = Vec::with_capacity(current.keys.len());
         let mut out_vals = Vec::with_capacity(current.vals.len());
         let mut offsets = vec![0usize];
-        for sub in subs {
+        for p in 0..current.fanout() {
+            let part = current.part(p);
+            let sub = radix_partition_pass(part.keys, part.vals, shift, b);
             for sp in 0..sub.fanout() {
                 let s = sub.part(sp);
                 out_keys.extend_from_slice(s.keys);
@@ -330,62 +232,6 @@ mod tests {
         let (parts, passes) = radix_partition(JoinInput::new(&keys, &vals), 7, 3);
         assert_eq!(passes, vec![3, 3, 1]);
         assert_eq!(parts.fanout(), 128);
-    }
-
-    /// Inputs for the parallel passes: skewed keys, so chunks have unequal
-    /// histograms, at `PAR_MIN_ROWS` and above; one below it; lengths no
-    /// thread count divides; every key in one partition; keys that leave
-    /// most partitions empty. The 5 000-row input leaves, at each of its
-    /// larger thread counts, a shortfall of more than one chunk (125 / 186 /
-    /// 250 chunks of 40 / 27 / 20 rows, not 128 / 192 / 256).
-    fn parallel_inputs() -> Vec<(Vec<i32>, Vec<usize>)> {
-        let skewed = |n: u64| (0..n).map(|i| (i * 2654435761u64 % 977) as i32).collect();
-        let each = vec![2, 3, 8, 140];
-        vec![
-            (skewed(1 << 14), vec![2, 3, 8, 64]),
-            (skewed(5_000), vec![2, 128, 192, 256]),
-            ((0..PAR_MIN_ROWS as i32 - 1).map(|i| i * 7 % 301).collect(), each.clone()),
-            (
-                (0..10_007).map(|i| (i as u64 * 2654435761 % 4093) as i32).collect(),
-                each.clone(),
-            ),
-            (vec![-5; 9_001], each.clone()),
-            ((0..8_191).map(|i| (i % 3) << 5).collect(), each),
-        ]
-    }
-
-    #[test]
-    fn parallel_pass_is_byte_identical_to_sequential() {
-        for (keys, thread_counts) in parallel_inputs() {
-            let (keys, vals) = input_from(keys);
-            let (n, seq) = (keys.len(), radix_partition_pass(&keys, &vals, 2, 5));
-            for threads in thread_counts {
-                let par = radix_partition_pass_par(&keys, &vals, 2, 5, threads);
-                assert_eq!(par.keys, seq.keys, "n={n} threads={threads}");
-                assert_eq!(par.vals, seq.vals, "n={n} threads={threads}");
-                assert_eq!(par.offsets, seq.offsets, "n={n} threads={threads}");
-                assert_eq!(par.bits, seq.bits, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_pass_is_byte_identical_across_thread_counts() {
-        let even = (0..(1 << 14)).map(|i| i * 40503 % 4096).collect();
-        let inputs = parallel_inputs().into_iter().map(|(keys, _)| keys);
-        for keys in std::iter::once(even).chain(inputs) {
-            let (keys, vals) = input_from(keys);
-            let input = JoinInput::new(&keys, &vals);
-            let (n, (seq, seq_passes)) =
-                (keys.len(), radix_partition_with_threads(input, 9, 4, 1));
-            for threads in [2, 3, 8, 24, 140, 192] {
-                let (par, passes) = radix_partition_with_threads(input, 9, 4, threads);
-                assert_eq!(passes, seq_passes);
-                assert_eq!(par.keys, seq.keys, "n={n} threads={threads}");
-                assert_eq!(par.vals, seq.vals, "n={n} threads={threads}");
-                assert_eq!(par.offsets, seq.offsets, "n={n} threads={threads}");
-            }
-        }
     }
 
     #[test]

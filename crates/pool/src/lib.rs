@@ -2,9 +2,9 @@
 //!
 //! The only place in the workspace that spawns threads. The engine's
 //! parallel data plane (`hape_core::runtime` re-exports both functions)
-//! and the join's partition passes and per-co-partition joins
-//! (`hape_join::{partition, coprocess}`) dispatch through [`scatter`] and
-//! [`drain`]; a second spawn site fails CI.
+//! and the §5 join's per-co-partition joins (`hape_join::coprocess`)
+//! dispatch through [`scatter`] and [`drain`]; the radix partition pass is
+//! sequential. A second spawn site fails CI.
 //!
 //! The pool is deliberately simple (no external crates are available):
 //! [`std::thread::scope`] threads pull job indices off a shared atomic

@@ -18,8 +18,12 @@
 //!    `run_q9_hybrid` path (its makespan pinned).
 
 use hape::core::engine::EngineError;
-use hape::core::{ExecConfig, HapeError, JoinAlgo, PlacedStage, Placement, Query, Session};
+use hape::core::place::into_coprocess_stage;
+use hape::core::{
+    place_on, ExecConfig, HapeError, JoinAlgo, PlacedStage, Placement, Query, Session,
+};
 use hape::ops::{col, lit, AggFunc};
+use hape::sim::spec::CpuSpec;
 use hape::sim::topology::{DeviceId, Server};
 use hape::storage::datagen::gen_key_fk_table;
 use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
@@ -120,6 +124,36 @@ fn auto_completes_q9_through_a_coprocess_stage() {
     );
     assert!(auto.packets_gpu > 0, "co-partitions must reach the GPUs");
     assert!(auto.h2d_bytes > 0, "co-partitions must cross PCIe");
+}
+
+/// A co-process stage placed by hand on socket 1 of a two-socket server
+/// co-partitions on socket 1 alone: its rows and makespan are the same
+/// whether socket 0 is the paper testbed's Xeon or a copy with half its
+/// DRAM bandwidth.
+#[test]
+fn coprocess_stage_plans_on_its_own_sockets() {
+    let data = hape::tpch::generate(SF, 31337);
+    let q9 = q9_query(JoinAlgo::NonPartitioned);
+    let run = |socket0: CpuSpec| {
+        let mut server = Server::tpch_scaled(SF);
+        server.cpus[0] = socket0;
+        let session = queries::tpch_session(&data, server);
+        let lowered = session.lower(&q9).unwrap();
+        let on_socket1 = vec![vec![DeviceId::Cpu(1)]; lowered.plan.stages.len()];
+        let cfg = ExecConfig::new(Placement::CpuOnly);
+        let server = &session.engine().server;
+        let mut placed = place_on(&lowered.plan, &cfg, server, &on_socket1).unwrap();
+        let stream = placed.stages.pop().expect("the last stage is the stream");
+        let lanes = [DeviceId::Gpu(0), DeviceId::Gpu(1)];
+        placed.stages.push(into_coprocess_stage(stream, &lanes).unwrap());
+        session.engine().run_placed(&lowered.catalog, &placed).unwrap()
+    };
+    let xeon = Server::paper_testbed().cpus[0].clone();
+    let fast = run(xeon.clone());
+    let slow = run(CpuSpec { dram_bw: xeon.dram_bw / 2.0, ..xeon });
+    assert!(fast.packets_gpu > 0, "co-partitions must reach the GPUs");
+    assert_eq!(format!("{:?}", fast.rows), format!("{:?}", slow.rows));
+    assert_eq!(fast.time, slow.time, "socket 0 must not price a stage on socket 1");
 }
 
 /// Q9*'s joins with an operator *after* the co-processed probe — a filter
