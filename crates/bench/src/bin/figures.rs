@@ -18,10 +18,11 @@
 //! overrides the auto packet-sizing heuristic, which changes the simulated
 //! routing.
 //!
-//! Unknown `--flags`, unknown figure ids and flag values that do not parse
-//! (`--sf abc`, `--placements foo`) are rejected with an error and the
-//! usage synopsis (exit code 2) — a typo like `--placement auto` or `fig10`
-//! aborts instead of silently running something else, or nothing.
+//! Unknown `--flags`, unknown figure ids, a second figure id and flag
+//! values that do not parse (`--sf abc`, `--placements foo`) are rejected
+//! with an error and the usage synopsis (exit code 2) — a typo like
+//! `--placement auto` or `fig10`, or `fig7 fig8`, aborts instead of
+//! silently running something else, or less.
 
 use hape_bench::figures::{fig5, fig6, fig7, fig8, fig9, print_figure};
 use hape_core::Placement;
@@ -46,6 +47,13 @@ enum CliError {
     MissingValue(String),
     /// A positional argument that names no figure.
     UnknownFigure(String),
+    /// A second figure id: a run draws one figure, or `all`.
+    SecondFigure {
+        /// The id given first.
+        first: String,
+        /// The one after it.
+        second: String,
+    },
     /// A flag's value that does not parse as what the flag takes.
     BadValue {
         /// The flag.
@@ -61,6 +69,9 @@ impl std::fmt::Display for CliError {
             CliError::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
             CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
             CliError::UnknownFigure(id) => write!(f, "unknown figure: {id}"),
+            CliError::SecondFigure { first, second } => {
+                write!(f, "one figure per run (or all): {first}, then {second}")
+            }
             CliError::BadValue { flag, value } => write!(f, "bad value for {flag}: {value}"),
         }
     }
@@ -69,8 +80,8 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Every argument must be a known flag, a known flag's value (`--sf 0.1`
-/// must not make `0.1` the figure id), or a positional figure id. Returns
-/// the first figure id given.
+/// must not make `0.1` the figure id), or the one positional figure id,
+/// which it returns: a second is refused rather than dropped.
 fn validate_args(args: &[String]) -> Result<Option<&str>, CliError> {
     let mut is_value = false;
     let mut figure = None;
@@ -92,7 +103,13 @@ fn validate_args(args: &[String]) -> Result<Option<&str>, CliError> {
         if !FIGURE_IDS.contains(&a.as_str()) {
             return Err(CliError::UnknownFigure(a.clone()));
         }
-        figure = figure.or(Some(a.as_str()));
+        if let Some(first) = figure {
+            return Err(CliError::SecondFigure {
+                first: String::from(first),
+                second: a.clone(),
+            });
+        }
+        figure = Some(a.as_str());
     }
     if is_value {
         return Err(CliError::MissingValue(args.last().expect("non-empty").clone()));
@@ -215,6 +232,19 @@ mod tests {
             validate_args(&args("fig8 --sf")),
             Err(CliError::MissingValue(f)) if f == "--sf"
         ));
+    }
+
+    #[test]
+    fn a_second_figure_id_is_refused_not_dropped() {
+        for line in ["fig7 fig8 fig9", "fig7 --smoke all", "fig8 fig8"] {
+            let mut ids = line.split_whitespace().filter(|a| !a.starts_with("--"));
+            let (first, second) = (ids.next().expect("first"), ids.next().expect("second"));
+            let err = run(&args(line)).expect_err(line);
+            let CliError::SecondFigure { first: f, second: s } = &err else {
+                panic!("{line}: {err}")
+            };
+            assert_eq!((f.as_str(), s.as_str()), (first, second), "{line}");
+        }
     }
 
     #[test]

@@ -35,9 +35,11 @@
 //! column types (the scan views lowering pushes down), with classic default
 //! selectivities for filters and foreign-key match rates for joins — a
 //! probe keeps the share of its table's rows the build kept; the
-//! estimated hash-table footprint mirrors the executor's
-//! [`JoinTable`](crate::plan::JoinTable) layout (batch payload plus
-//! chained-table heads/next arrays). Estimates are deliberately mildly
+//! estimated hash-table footprint mirrors what the executor's
+//! [`JoinTable`](crate::plan::JoinTable) is priced at (batch payload plus
+//! the paper's chained layout, heads and next pointers, counted by
+//! [`ProbeTable::bytes`](hape_join::ProbeTable::bytes) whatever layout the
+//! host probes). Estimates are deliberately mildly
 //! conservative — an over-estimated broadcast footprint refuses a GPU that
 //! might have fit, never the reverse, which is the safe direction for the
 //! paper's Q9 capacity cliff.
@@ -45,6 +47,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use hape_join::probe::chained_bits;
 use hape_ops::gpu as gpu_ops;
 use hape_sim::interconnect::Link;
 use hape_sim::topology::{DeviceId, Server};
@@ -94,11 +97,11 @@ pub struct HtEstimate {
 }
 
 impl HtEstimate {
-    /// Bucket count of the chained table over the estimated rows, sized as
-    /// [`ChainedTable::build`](hape_join::common::ChainedTable::build)
-    /// sizes it.
+    /// Bucket count of the chained layout over the estimated rows, as
+    /// pricing reads it off a built table
+    /// ([`chained_bits`]).
     fn heads(&self) -> u64 {
-        (self.rows as u64).max(2).next_power_of_two()
+        1 << chained_bits(self.rows as usize)
     }
 
     /// Estimated chain entries a probe walks: its match plus half the
@@ -203,13 +206,12 @@ struct EstPacket {
 impl PipelineEstimate {
     /// Estimated [`JoinTable`](crate::plan::JoinTable) footprint of a hash
     /// table built over this pipeline's output: the batch payload plus the
-    /// chained table's heads (next power of two of the row count) and next
-    /// pointers, 4 bytes each — mirroring
-    /// [`ChainedTable::build`](hape_join::common::ChainedTable::build).
+    /// chained layout's heads (next power of two of the row count) and next
+    /// pointers, 4 bytes each — what
+    /// [`ProbeTable::bytes`](hape_join::ProbeTable::bytes) prices.
     pub fn table_estimate(&self) -> HtEstimate {
         let rows = self.out_rows.max(1.0);
-        let heads = (rows as u64).max(2).next_power_of_two();
-        let chained = (heads + rows as u64) * 4;
+        let chained = ((1 << chained_bits(rows as usize)) + rows as u64) * 4;
         let kept = (self.out_rows / self.in_rows).min(1.0);
         HtEstimate { rows, bytes: chained + self.out_bytes as u64, kept }
     }

@@ -60,7 +60,7 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use hape_ops::agg::AggState;
+use hape_ops::agg::{AggState, SlotFold};
 use hape_ops::expr::{same_expr, Program};
 use hape_ops::{AggFunc, AggSpec, Expr, GroupKey};
 use hape_sim::interconnect::Link;
@@ -69,7 +69,7 @@ use hape_sim::{CpuCostModel, CpuSpec, Fidelity, GpuSpec, SimTime};
 use hape_storage::{Batch, Column};
 
 use hape_join::{
-    coprocess_join_parts, BuildProbeVariant, CoprocessConfig, JoinInput, MatchPairs, OutputMode,
+    coprocess_join_parts, BuildProbeVariant, CoprocessConfig, JoinInput, OutputMode, PairRuns,
 };
 
 use crate::catalog::Catalog;
@@ -410,32 +410,6 @@ fn stream_agg(pipeline: &Pipeline) -> Result<&AggSpec, EngineError> {
     })
 }
 
-/// Rows `range` of the concatenation of `parts`' (build rows, probe rows)
-/// vectors, which begin at `starts` in it: borrowed when one part holds
-/// them, else copied out of the parts they span.
-fn pair_rows<'a>(
-    parts: &'a [MatchPairs],
-    starts: &[usize],
-    range: std::ops::Range<usize>,
-) -> (Cow<'a, [u32]>, Cow<'a, [u32]>) {
-    let first = starts.partition_point(|&s| s <= range.start) - 1;
-    let (build, probe) = &parts[first];
-    let within = range.start - starts[first]..range.end - starts[first];
-    if within.end <= probe.len() {
-        return (Cow::Borrowed(&build[within.clone()]), Cow::Borrowed(&probe[within]));
-    }
-    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-    for ((build, probe), &s) in parts[first..].iter().zip(&starts[first..]) {
-        if s >= range.end {
-            break;
-        }
-        let span = range.start.max(s) - s..(range.end - s).min(probe.len());
-        build_rows.extend_from_slice(&build[span.clone()]);
-        probe_rows.extend_from_slice(&probe[span]);
-    }
-    (Cow::Owned(build_rows), Cow::Owned(probe_rows))
-}
-
 /// The co-processing stage's fold spec and the columns it reads past the
 /// joined layout of `n_cols` columns: `spec` with each argument that is
 /// not a count's, not a bare column, and reads only probe-side columns (the
@@ -607,26 +581,28 @@ impl StageEnv<'_> {
     ///    (derated when slowed) and budget; what comes back is (build row,
     ///    probe row) match pairs, no columns, left in one vector pair per
     ///    co-partition (`hape_join::coprocess_join_parts`): a fold chunk
-    ///    reads its rows of their concatenation ([`pair_rows`]) without it
+    ///    reads its rows of their concatenation ([`PairRuns`]) without it
     ///    being built;
     /// 3. the rest of the pipeline (the operators after the final probe and
     ///    the aggregation) consumes the pairs fused, chunk by chunk: each
     ///    chunk gathers the columns the rest reads into the layout an
-    ///    in-pipeline probe produces, runs through [`run_ops`] and folds
-    ///    ([`AggState::fold`]) — the joined batch is never materialised.
-    ///    When no operator follows the probe, each aggregate argument that
-    ///    reads only probe-side columns (not a count's, not a bare column)
-    ///    is evaluated once over the prefix's output packets, in row order,
-    ///    into an `f64` column the fold's spec reads instead; a chunk
-    ///    gathers that column rather than every column the argument reads,
-    ///    and a column only such arguments read is never concatenated
-    ///    either. The charge is the rest's operators plus the fold of the
-    ///    *original* spec ([`hape_ops::cpu::agg_cost`]), spread over the CPU
-    ///    workers ([`fold_span`]): the pre-evaluation is host work the CPU
-    ///    plan does not price either, so no simulated time moves, and its
-    ///    values are the same element-wise `f64` operations the fold would
-    ///    have made, summed in the same pair order, so no bit of an answer
-    ///    moves.
+    ///    in-pipeline probe produces, runs through [`run_ops`] and folds into
+    ///    a [`SlotFold`] partial — the joined batch is never materialised.
+    ///    When no operator follows the probe, a chunk runs no operator and
+    ///    numbers no group: its pairs' groups come from the two sides' group
+    ///    columns, numbered once per stage, and it gathers no column only the
+    ///    group-by reads. Then, too, each aggregate argument that reads only
+    ///    probe-side columns (not a count's, not a bare column) is evaluated
+    ///    once over the prefix's output packets, in row order, into an `f64`
+    ///    column the fold's spec reads instead; a chunk gathers that column
+    ///    rather than every column the argument reads, and a column only such
+    ///    arguments read is never concatenated either. The charge is the
+    ///    rest's operators plus the fold of the *original* spec
+    ///    ([`hape_ops::cpu::agg_cost`]), spread over the CPU workers
+    ///    ([`fold_span`]): the pre-evaluation is host work the CPU plan does
+    ///    not price either, so no simulated time moves, and its values are
+    ///    the same element-wise `f64` operations the fold would have made,
+    ///    summed in the same pair order, so no bit of an answer moves.
     ///
     /// Returns the aggregated rows and the stage's end time. All failures
     /// are typed [`EngineError`]s — a pipeline with no probe is
@@ -686,13 +662,12 @@ impl StageEnv<'_> {
             (agg_spec.clone(), Vec::new())
         };
         let rest = Pipeline { agg: Some(fold_spec.clone()), ..rest };
-        let mut reads = fold_spec.group_by.clone();
         let args = fold_spec.aggs.iter().filter(|(f, _)| *f != AggFunc::Count);
-        reads.extend(args.flat_map(|(_, e)| e.columns_used()));
+        let mut reads: Vec<usize> = args.flat_map(|(_, e)| e.columns_used()).collect();
+        let group_by = &fold_spec.group_by;
         if !rest.ops.is_empty() {
             reads = (0..n_cols).collect();
         }
-        let lead = reads.first().copied().unwrap_or(0);
         // The intermediate concatenates the key column and the columns a
         // chunk reads; every other position holds the key column, never
         // looked at — so a column only a pre-evaluated argument reads is
@@ -706,7 +681,7 @@ impl StageEnv<'_> {
                     )
                 };
                 let keys = column(key_col);
-                let read = |c| c != key_col && reads.contains(&c);
+                let read = |c| c != key_col && (reads.contains(&c) || group_by.contains(&c));
                 Batch::new(
                     (0..n_probe)
                         .map(|c| if read(c) { column(c) } else { keys.clone() })
@@ -743,7 +718,7 @@ impl StageEnv<'_> {
                 &self.server(),
                 &socket_specs,
                 gpus,
-                JoinInput::new(&jt.keys, &build_vals),
+                JoinInput::new(jt.batch.col(jt.key_col).as_i32(), &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
                 &cfg,
             )?;
@@ -755,14 +730,10 @@ impl StageEnv<'_> {
             self.ledger.lanes_joined(lanes, rep.h2d_bytes);
             self.ledger.busy(cpu_partition_time, rep.gpu_busy);
         }
-        // The pairs stay in the co-partitions' vectors; `starts` is where
-        // each begins in their concatenation, which the fold reads.
-        pairs.retain(|(_, probe)| !probe.is_empty());
-        let starts: Vec<usize> = pairs
-            .iter()
-            .scan(0, |at, (_, probe)| Some(std::mem::replace(at, *at + probe.len())))
-            .collect();
-        let n_joined = pairs.iter().map(|(_, probe)| probe.len()).sum();
+        // The pairs stay in the co-partitions' vectors; the fold reads them
+        // by position in their concatenation.
+        let pairs = PairRuns::new(pairs);
+        let n_joined = pairs.len();
         let join_end = pre.end + join_time;
         let wall_join_end = self.ledger.recorder().now_ns();
 
@@ -783,14 +754,23 @@ impl StageEnv<'_> {
         // recorded for `rest`'s operators (the pairs stream through
         // registers: no scan) plus the fold's expression work and random
         // accesses into the final group table.
-        let empty = AggState::new(fold_spec.clone());
+        //
+        // With no operator after the probe, a chunk's groups are its pairs'
+        // (numbered once per stage), so a chunk neither runs `run_ops` nor
+        // gathers a column only the group-by reads.
+        let sides = (&inter, &jt.batch, n_probe, build_payload_cols);
+        let mut fold = SlotFold::new(fold_spec.clone(), rest.ops.is_empty().then_some(sides));
+        if !fold.numbers_pairs() {
+            reads.extend(group_by);
+        }
+        let lead = reads.first().copied().unwrap_or(0);
         let chunks = runtime::scatter(
             threads,
             n_joined.div_ceil(chunk_rows),
-            |_| Scratch::new(),
-            |i, scratch| {
+            |_| (Scratch::new(), Vec::new()),
+            |i, (scratch, local)| {
                 let (lo, hi) = (i * chunk_rows, n_joined.min((i + 1) * chunk_rows));
-                let (build, probe) = pair_rows(&pairs, &starts, lo..hi);
+                let (build, probe) = pairs.rows(lo..hi);
                 let (build, probe) = (&*build, &*probe);
                 let take = |c: usize| match (c.checked_sub(n_probe), c.checked_sub(n_cols)) {
                     (None, _) => inter.col(c).take(probe),
@@ -800,20 +780,23 @@ impl StageEnv<'_> {
                 let (first, own) = (take(lead), |c| c != lead && reads.contains(&c));
                 let width = n_cols + evaluated.len();
                 let columns = (0..width).map(|c| if own(c) { take(c) } else { first.clone() });
-                let work = run_ops(Batch::new(columns.collect()), &rest, tables, scratch)?;
-                let mut partial = empty.clone();
-                if let Some(groups) = &work.groups {
-                    partial.fold(&work.out, groups);
-                }
-                Ok::<_, EngineError>((partial, cpu_packet_cost(&model, 0, &work.ops, tables)?))
+                let batch = Batch::new(columns.collect());
+                let (partial, ops) = if fold.numbers_pairs() {
+                    (fold.fold_pairs(&batch, (build, probe), local), Vec::new())
+                } else {
+                    let work = run_ops(batch, &rest, tables, scratch)?;
+                    (fold.fold_numbered(&work.out, work.groups.as_ref()), work.ops)
+                };
+                Ok::<_, EngineError>((partial, cpu_packet_cost(&model, 0, &ops, tables)?))
             },
         );
-        let (mut state, mut ops_busy) = (empty, SimTime::ZERO);
+        let mut ops_busy = SimTime::ZERO;
         for chunk in chunks {
             let (partial, busy) = chunk?;
-            state.merge(&partial);
+            fold.merge(&partial);
             ops_busy += busy;
         }
+        let state = fold.state();
         let (folded, groups) = (state.rows_seen, state.n_groups());
         // Priced as the original spec: the pre-evaluation is not a charge.
         let fold_busy = ops_busy + hape_ops::cpu::agg_cost(agg_spec, folded, groups, &model);

@@ -8,8 +8,10 @@
 //! code with no intermediate materialisation points.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use hape_join::common::{ChainedTable, NIL};
+use hape_join::probe::{chained_bits, chained_bytes};
+use hape_join::ProbeTable;
 use hape_ops::expr::{ExprKind, KindMismatch};
 use hape_ops::{AggFunc, AggSpec, Expr, GroupKey, StatefulAgg};
 use hape_storage::{Batch, DataType};
@@ -562,50 +564,48 @@ pub(crate) fn bind_to<'a>(
     refuse(bind(views, Some(catalog))).map_err(EngineError::InvalidPlan)
 }
 
-/// A materialised build-side hash table (runtime object).
+/// A materialised build-side hash table (runtime object): the build rows,
+/// and their keys laid out for the probe kernel ([`hape_join::probe`]) —
+/// direct-addressed when the keys are dense, bucketed otherwise — on the
+/// first probe. Pricing reads only the paper's chained layout as numbers:
+/// each probe key's bucket length (its steps), [`JoinTable::bits`] and
+/// [`JoinTable::bytes`], none of which lays the keys out; so a table only
+/// the §5 join reads (its co-partitions build their own) is never laid out.
 #[derive(Debug)]
 pub struct JoinTable {
     /// The build rows.
     pub batch: Batch,
-    /// The chained hash table over the key column.
-    pub table: ChainedTable,
     /// Which column of `batch` is the key.
     pub key_col: usize,
-    /// Cached keys (decoded once).
-    pub keys: Vec<i32>,
+    /// The key column laid out for the probe kernel, once probed.
+    table: OnceLock<ProbeTable>,
 }
 
 impl JoinTable {
     /// Build from a batch and key column.
     pub fn build(batch: Batch, key_col: usize) -> Self {
-        let keys: Vec<i32> = batch.col(key_col).as_i32().to_vec();
-        let table = ChainedTable::build(&keys);
-        JoinTable { batch, table, key_col, keys }
+        JoinTable { batch, key_col, table: OnceLock::new() }
+    }
+
+    /// The key column laid out for the probe kernel (on the first call).
+    pub fn table(&self) -> &ProbeTable {
+        self.table.get_or_init(|| ProbeTable::build(self.batch.col(self.key_col).as_i32()))
     }
 
     /// Number of build rows.
     pub fn rows(&self) -> usize {
-        self.keys.len()
+        self.batch.rows()
     }
 
-    /// Working-set bytes of a probe (table + build rows touched).
+    /// log2 of the chained layout's bucket count.
+    pub fn bits(&self) -> u32 {
+        chained_bits(self.rows())
+    }
+
+    /// Working-set bytes of a probe: the chained layout plus the build
+    /// rows.
     pub fn bytes(&self) -> u64 {
-        self.table.bytes() + self.batch.bytes()
-    }
-
-    /// Probe one key; `on_match(build_row)` per hit; returns chain steps.
-    #[inline]
-    pub fn probe(&self, key: i32, mut on_match: impl FnMut(u32)) -> u32 {
-        let mut steps = 0;
-        let mut e = self.table.heads[hape_join::hash32(key, self.table.bits) as usize];
-        while e != NIL {
-            steps += 1;
-            if self.keys[e as usize] == key {
-                on_match(e);
-            }
-            e = self.table.next[e as usize];
-        }
-        steps
+        chained_bytes(self.rows()) + self.batch.bytes()
     }
 }
 
@@ -733,10 +733,9 @@ mod tests {
             Column::from_f64(vec![1.0, 2.0, 3.0]),
         ]);
         let jt = JoinTable::build(batch, 0);
-        let mut hits = Vec::new();
-        jt.probe(10, |e| hits.push(e));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![0, 2]);
+        let (mut probe_rows, mut hits) = (Vec::new(), Vec::new());
+        jt.table().probe(&[10], &mut probe_rows, &mut hits, |_| {});
+        assert_eq!(hits, vec![2, 0], "chain order: descending build rows");
         assert_eq!(jt.rows(), 3);
         assert!(jt.bytes() > 0);
     }

@@ -263,7 +263,7 @@ pub trait ProbedTables {
 impl ProbedTables for TableStore {
     fn probed(&self, ht: &str) -> Result<ProbedTable, EngineError> {
         let jt = lookup_ht(self, ht)?;
-        Ok(ProbedTable { bytes: jt.bytes(), bits: jt.table.bits })
+        Ok(ProbedTable { bytes: jt.bytes(), bits: jt.bits() })
     }
 }
 
@@ -733,16 +733,10 @@ pub fn probe_join_with(
     scratch: &mut Scratch,
 ) -> (Batch, f64) {
     let keys = packet.col(key_col).as_i32();
-    scratch.sel.clear();
-    scratch.build_sel.clear();
     let (probe_sel, build_sel) = (&mut scratch.sel, &mut scratch.build_sel);
-    let mut steps_total: u64 = 0;
-    for (i, &k) in keys.iter().enumerate() {
-        steps_total += jt.probe(k, |e| {
-            probe_sel.push(i as u32);
-            build_sel.push(e);
-        }) as u64;
-    }
+    probe_sel.clear();
+    build_sel.clear();
+    let steps_total = jt.table().probe(keys, probe_sel, build_sel, |_| {});
     let out = gather_matches(packet, jt, probe_sel, build_sel, build_payload_cols);
     let avg_chain = if keys.is_empty() { 0.0 } else { steps_total as f64 / keys.len() as f64 };
     (out, avg_chain)

@@ -377,11 +377,14 @@ impl Query {
     pub fn lower(&self, catalog: &Catalog) -> Result<LoweredQuery, PlanError> {
         // The first pass keeps only the export unions; it is cheap
         // (lowering touches no data) and keeps the payload derivation in
-        // one place.
-        let mut collect = Lowering::new(catalog, true);
-        collect.lower_chain(self, &self.name, &[])?;
-        let mut ctx =
-            Lowering { export_unions: collect.export_unions, ..Lowering::new(catalog, false) };
+        // one place. Only join sites add to them: a query without a join
+        // skips it.
+        let mut ctx = Lowering::new(catalog, false);
+        if self.ops.iter().any(|op| matches!(op, LogicalOp::Join(_))) {
+            let mut collect = Lowering::new(catalog, true);
+            collect.lower_chain(self, &self.name, &[])?;
+            ctx.export_unions = collect.export_unions;
+        }
         let (pipeline, _) = ctx.lower_chain(self, &self.name, &[])?;
         let mut stages = ctx.stages;
         stages.push(Stage::Stream { pipeline });

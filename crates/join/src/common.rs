@@ -1,4 +1,9 @@
 //! Shared join types, hashing, and the naive reference implementation.
+//!
+//! Every join probes through [`crate::probe`]. The paper's chained table,
+//! which the joins walked before, is kept here under `#[cfg(test)]` only, as
+//! the probe kernel's oracle: pricing reads that layout as numbers (bucket
+//! lengths, bits, bytes), never as memory.
 
 use hape_sim::SimTime;
 
@@ -134,30 +139,28 @@ pub fn reference_join(r: JoinInput<'_>, s: JoinInput<'_>) -> JoinOutcome {
     JoinOutcome { stats, pairs: Some(pairs), time: SimTime::ZERO }
 }
 
-/// A chained hash table over `i32` keys (bucket heads + next pointers),
-/// the physical layout all the hash joins share.
+/// The chained hash table over `i32` keys (bucket heads + next pointers)
+/// the joins walked before [`crate::probe`]: the probe kernel's oracle.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ChainedTable {
-    /// Bucket heads (`u32::MAX` = empty).
+pub(crate) struct ChainedTable {
+    /// Bucket heads (`NIL` = empty).
     pub heads: Vec<u32>,
-    /// Next pointers per entry (`u32::MAX` = end).
+    /// Next pointers per entry (`NIL` = end).
     pub next: Vec<u32>,
     /// log2 of bucket count.
     pub bits: u32,
 }
 
 /// Sentinel for empty slots.
-pub const NIL: u32 = u32::MAX;
+#[cfg(test)]
+pub(crate) const NIL: u32 = u32::MAX;
 
+#[cfg(test)]
 impl ChainedTable {
     /// Build over `keys`, with roughly 1 bucket per key (next power of two).
     pub fn build(keys: &[i32]) -> Self {
         let bits = (keys.len().max(2)).next_power_of_two().trailing_zeros();
-        Self::build_with_bits(keys, bits)
-    }
-
-    /// Build with an explicit bucket count of `2^bits`.
-    pub fn build_with_bits(keys: &[i32], bits: u32) -> Self {
         let mut heads = vec![NIL; 1usize << bits];
         let mut next = vec![NIL; keys.len()];
         for (i, &k) in keys.iter().enumerate() {
@@ -168,42 +171,28 @@ impl ChainedTable {
         ChainedTable { heads, next, bits }
     }
 
-    /// Rebuild over `keys` as [`ChainedTable::build`] does over the keys
-    /// `shift`ed right ([`shifted`]), in this table's buffers.
-    pub(crate) fn rebuild(&mut self, keys: &[i32], shift: u32) {
-        let bits = (keys.len().max(2)).next_power_of_two().trailing_zeros();
-        let (heads, next) = (&mut self.heads, &mut self.next);
-        heads.clear();
-        heads.resize(1usize << bits, NIL);
-        next.clear();
-        next.resize(keys.len(), NIL);
-        for (i, &k) in keys.iter().enumerate() {
-            let b = hash32(shifted(k, shift), bits) as usize;
-            next[i] = heads[b];
-            heads[b] = i as u32;
-        }
-        self.bits = bits;
-    }
-
     /// Bytes this table occupies (what the probe's working set is).
     pub fn bytes(&self) -> u64 {
         ((self.heads.len() + self.next.len()) * 4) as u64
     }
 
-    /// Probe one key, invoking `on_match(entry_index)` per hit; returns the
-    /// number of chain entries traversed (for measured-cost charging).
-    #[inline]
-    pub fn probe(&self, keys: &[i32], key: i32, mut on_match: impl FnMut(u32)) -> u32 {
-        let mut steps = 0;
+    /// The entries a walk of `key`'s bucket visits, in its order.
+    pub fn walk(&self, key: i32) -> Vec<u32> {
+        let mut entries = Vec::new();
         let mut e = self.heads[hash32(key, self.bits) as usize];
         while e != NIL {
-            steps += 1;
-            if keys[e as usize] == key {
-                on_match(e);
-            }
+            entries.push(e);
             e = self.next[e as usize];
         }
-        steps
+        entries
+    }
+
+    /// Probe one key, invoking `on_match(entry_index)` per hit; returns the
+    /// number of chain entries traversed (for measured-cost charging).
+    pub fn probe(&self, keys: &[i32], key: i32, mut on_match: impl FnMut(u32)) -> u32 {
+        let walked = self.walk(key);
+        walked.iter().filter(|&&e| keys[e as usize] == key).for_each(|&e| on_match(e));
+        walked.len() as u32
     }
 }
 

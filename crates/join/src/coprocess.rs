@@ -39,6 +39,8 @@
 //! [`coprocess_join_on`] concatenates them once, into vectors reserved at
 //! their exact total.
 
+use std::borrow::Cow;
+
 use hape_sim::des::Resource;
 use hape_sim::spec::CpuSpec;
 use hape_sim::topology::Server;
@@ -300,6 +302,61 @@ struct GpuLane {
 /// One joined co-partition's match pairs: its build rows and its probe
 /// rows, position for position.
 pub type MatchPairs = (Vec<u32>, Vec<u32>);
+
+/// The co-partitions' match pairs ([`coprocess_join_parts`]) read by
+/// position in their concatenation, which is never built.
+#[derive(Debug)]
+pub struct PairRuns {
+    /// The non-empty co-partitions' pairs, in partition order.
+    parts: Vec<MatchPairs>,
+    /// Where each part begins in the concatenation, then its length.
+    starts: Vec<usize>,
+}
+
+impl PairRuns {
+    /// Read `parts` as one sequence.
+    pub fn new(mut parts: Vec<MatchPairs>) -> PairRuns {
+        parts.retain(|(_, probe)| !probe.is_empty());
+        let mut starts = vec![0];
+        starts.extend(parts.iter().scan(0, |at, (_, probe)| {
+            *at += probe.len();
+            Some(*at)
+        }));
+        PairRuns { parts, starts }
+    }
+
+    /// Pairs in all.
+    pub fn len(&self) -> usize {
+        self.starts[self.parts.len()]
+    }
+
+    /// True when no co-partition matched.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Pairs `range` of the concatenation, as (build rows, probe rows):
+    /// borrowed when one part holds them, else copied out of the parts they
+    /// span.
+    pub fn rows(&self, range: std::ops::Range<usize>) -> (Cow<'_, [u32]>, Cow<'_, [u32]>) {
+        let first = self.starts.partition_point(|&s| s <= range.start) - 1;
+        let (build, probe) = &self.parts[first];
+        let within = range.start - self.starts[first]..range.end - self.starts[first];
+        if within.end <= probe.len() {
+            return (Cow::Borrowed(&build[within.clone()]), Cow::Borrowed(&probe[within]));
+        }
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        for ((build, probe), &s) in self.parts[first..].iter().zip(&self.starts[first..]) {
+            if s >= range.end {
+                break;
+            }
+            let span = range.start.max(s) - s..(range.end - s).min(probe.len());
+            build_rows.extend_from_slice(&build[span.clone()]);
+            probe_rows.extend_from_slice(&probe[span]);
+        }
+        (Cow::Owned(build_rows), Cow::Owned(probe_rows))
+    }
+}
 
 /// Run the co-processing join on an explicit GPU subset (`gpu_ids` index
 /// into `server.gpus`), co-partitioned on every CPU socket of `server`.

@@ -7,7 +7,8 @@
 
 use hape_sim::CpuCostModel;
 
-use crate::common::{ChainedTable, JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::common::{JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::probe::{record, ProbeTable};
 
 /// Parallel-efficiency of the shared build phase (atomic contention on
 /// bucket heads).
@@ -27,7 +28,7 @@ pub fn cpu_npj(
     mode: OutputMode,
 ) -> JoinOutcome {
     assert!(workers > 0);
-    let table = ChainedTable::build(r.keys);
+    let table = ProbeTable::build(r.keys);
     let ht_bytes = table.bytes();
 
     let mut stats = JoinStats::default();
@@ -35,17 +36,9 @@ pub fn cpu_npj(
         OutputMode::MatchIndices => Some((Vec::new(), Vec::new())),
         OutputMode::AggregateOnly => None,
     };
-    let mut chain_steps: u64 = 0;
-    for (&k, &sv) in s.keys.iter().zip(s.vals) {
-        chain_steps += table.probe(r.keys, k, |e| {
-            let rv = r.vals[e as usize];
-            stats.record(rv, sv);
-            if let Some((pr, ps)) = pairs.as_mut() {
-                pr.push(rv);
-                ps.push(sv);
-            }
-        }) as u64;
-    }
+    let (mut probe_sel, mut build_sel) = (Vec::new(), Vec::new());
+    let chain_steps = table.probe(s.keys, &mut probe_sel, &mut build_sel, |_| {});
+    record((r.vals, s.vals), (&probe_sel, &build_sel), &mut stats, &mut pairs);
 
     // Cost: build = stream r + insertions (random RMW on a DRAM-sized
     // table); probe = stream s + measured chain traversals; output streamed.

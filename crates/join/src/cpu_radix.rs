@@ -11,8 +11,9 @@
 use hape_sim::spec::CpuSpec;
 use hape_sim::{CpuCostModel, SimTime};
 
-use crate::common::{ChainedTable, JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::common::{JoinInput, JoinOutcome, JoinStats, OutputMode};
 use crate::partition::radix_partition;
+use crate::probe::{record, ProbeTable};
 
 /// A planned multi-pass partitioning schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,31 +104,24 @@ pub fn cpu_radix_with_plan(
         OutputMode::AggregateOnly => None,
     };
     let mut t_join = SimTime::ZERO;
-    let mut chain_steps: u64 = 0;
+    let mut table = ProbeTable::default();
+    let (mut probe_sel, mut build_sel) = (Vec::new(), Vec::new());
     for p in 0..rp.fanout() {
         let rpart = rp.part(p);
         let spart = sp.part(p);
         if rpart.is_empty() || spart.is_empty() {
             continue;
         }
-        let table = ChainedTable::build(rpart.keys);
+        table.rebuild(rpart.keys, 0, false);
         let ws = table.bytes() + rpart.bytes();
-        for (&k, &sv) in spart.keys.iter().zip(spart.vals) {
-            chain_steps += table.probe(rpart.keys, k, |e| {
-                let rv = rpart.vals[e as usize];
-                stats.record(rv, sv);
-                if let Some((pr, ps)) = pairs.as_mut() {
-                    pr.push(rv);
-                    ps.push(sv);
-                }
-            }) as u64;
-        }
-        let avg_chain =
-            if spart.is_empty() { 0.0 } else { chain_steps as f64 / spart.len().max(1) as f64 };
+        probe_sel.clear();
+        build_sel.clear();
+        let chain_steps = table.probe(spart.keys, &mut probe_sel, &mut build_sel, |_| {});
+        record((rpart.vals, spart.vals), (&probe_sel, &build_sel), &mut stats, &mut pairs);
+        let avg_chain = chain_steps as f64 / spart.len() as f64;
         t_join += model.seq_read(rpart.bytes()) + model.ht_build(rpart.len() as u64, ws);
         t_join += model.seq_read(spart.bytes())
             + model.ht_probe(spart.len() as u64, avg_chain.min(4.0), ws);
-        chain_steps = 0;
     }
     let out_bytes = match mode {
         OutputMode::AggregateOnly => 0,

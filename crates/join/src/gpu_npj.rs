@@ -8,7 +8,8 @@
 use hape_sim::gpu::OutOfGpuMemory;
 use hape_sim::{GpuMemPool, GpuSim, SimTime};
 
-use crate::common::{hash32, ChainedTable, JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::common::{hash32, JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::probe::{record, ProbeTable};
 
 /// Tuples processed per block in the build/probe kernels.
 const ITEMS_PER_BLOCK: usize = 8192;
@@ -28,9 +29,12 @@ pub fn gpu_npj(
     let r_buf = pool.alloc(r.bytes())?;
     let s_buf = pool.alloc(s.bytes())?;
 
-    let table = ChainedTable::build(r.keys);
-    let heads_buf = pool.alloc((table.heads.len() * 4) as u64)?;
-    let next_buf = pool.alloc(((table.next.len() + r.len()) * 4) as u64)?;
+    // The chained layout lists its buckets: the probe is priced per entry.
+    let mut table = ProbeTable::default();
+    table.rebuild(r.keys, 0, true);
+    let bits = table.bits();
+    let heads_buf = pool.alloc((1u64 << bits) * 4)?;
+    let next_buf = pool.alloc((r.len() * 2 * 4) as u64)?;
     // Entries region: keys+vals+next, the probe's chain working set.
     let entries_bytes = (r.len() * 12) as u64;
 
@@ -39,7 +43,6 @@ pub fn gpu_npj(
     // ---- Build kernel: stream r, hash, CAS bucket heads, append entries.
     let grid = r.len().div_ceil(ITEMS_PER_BLOCK).max(1);
     let cfg = hape_sim::LaunchConfig::new(grid, BLOCK_THREADS, 0);
-    let bits = table.bits;
     let build = sim.launch(&cfg, |blk| {
         let start = blk.block_idx * ITEMS_PER_BLOCK;
         let end = (start + ITEMS_PER_BLOCK).min(r.len());
@@ -76,27 +79,16 @@ pub fn gpu_npj(
         let n = (end - start) as u64;
         blk.global_read_stream(&s_buf.region, start as u64 * 8, n * 8);
         blk.compute(n, 6.0);
-        let mut head_offs = Vec::with_capacity(end - start);
-        let mut chain_offs = Vec::new();
-        let mut block_matches = 0u64;
-        for (&k, &sv) in s.keys[start..end].iter().zip(&s.vals[start..end]) {
-            head_offs.push(hash32(k, bits) as u64 * 4);
-            // Walk the real chain, recording the entry addresses touched.
-            let mut e = table.heads[hash32(k, bits) as usize];
-            while e != crate::common::NIL {
-                chain_offs.push(e as u64 * 12);
-                if r.keys[e as usize] == k {
-                    let rv = r.vals[e as usize];
-                    stats.record(rv, sv);
-                    block_matches += 1;
-                    if let Some((pr, ps)) = pairs.as_mut() {
-                        pr.push(rv);
-                        ps.push(sv);
-                    }
-                }
-                e = table.next[e as usize];
-            }
-        }
+        let keys = &s.keys[start..end];
+        let (mut probe_sel, mut build_sel) = (Vec::new(), Vec::new());
+        table.probe(keys, &mut probe_sel, &mut build_sel, |_| {});
+        let vals = (r.vals, &s.vals[start..end]);
+        record(vals, (&probe_sel, &build_sel), &mut stats, &mut pairs);
+        let block_matches = probe_sel.len() as u64;
+        // The real chains' entry addresses, as a chain walk touches them.
+        let head_offs: Vec<u64> = keys.iter().map(|&k| hash32(k, bits) as u64 * 4).collect();
+        let chain_offs: Vec<u64> =
+            keys.iter().flat_map(|&k| table.chain(k)).map(|e| e as u64 * 12).collect();
         blk.global_read(&heads_buf.region, &head_offs, 4);
         blk.global_read(&entries_region, &chain_offs, 12);
         if mode == OutputMode::MatchIndices {

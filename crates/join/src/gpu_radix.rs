@@ -24,9 +24,10 @@ use hape_sim::gpu::OutOfGpuMemory;
 use hape_sim::spec::GpuSpec;
 use hape_sim::{GpuMemPool, GpuSim, KernelReport, LaunchConfig, Region, SimTime};
 
-use crate::common::{shifted, ChainedTable, JoinInput, JoinOutcome, JoinStats, OutputMode};
+use crate::common::{hash32, shifted, JoinInput, JoinOutcome, JoinStats, OutputMode};
 use crate::cpu_radix::RadixPlan;
 use crate::partition::{radix_of, radix_partition_above, RadixPartitions};
+use crate::probe::{record, ProbeTable};
 
 /// Device memory the GPU join allocates for its partition tails, whatever
 /// the input size — working space the co-partition budget leaves beside
@@ -230,8 +231,11 @@ fn build_probe(
         OutputMode::AggregateOnly => None,
     };
 
-    // One co-partition's table and cost lists, reused block after block.
-    let mut table = ChainedTable::build(&[]);
+    // One co-partition's table, selection vectors and cost lists, reused
+    // block after block. The variants that spill the table price its
+    // per-entry addresses: their table lists its buckets.
+    let mut table = ProbeTable::default();
+    let (mut probe_sel, mut build_sel) = (Vec::new(), Vec::new());
     let mut probe_steps: Vec<u32> = Vec::new();
     let mut chain_offs: Vec<u64> = Vec::new();
     let mut bucket_words: Vec<u32> = Vec::new();
@@ -248,31 +252,19 @@ fn build_probe(
             return;
         }
         // Real join work for this co-partition.
-        table.rebuild(rpart.keys, shift);
+        table.rebuild(rpart.keys, shift, variant != BuildProbeVariant::Sm);
+        probe_sel.clear();
+        build_sel.clear();
         probe_steps.clear();
+        table.probe(spart.keys, &mut probe_sel, &mut build_sel, |st| probe_steps.push(st));
+        let pair_sels = (&probe_sel[..], &build_sel[..]);
+        record((rpart.vals, spart.vals), pair_sels, &mut stats, &mut pairs);
+        let block_matches = probe_sel.len() as u64;
         chain_offs.clear();
-        let mut block_matches = 0u64;
-        for (&k, &sv) in spart.keys.iter().zip(spart.vals) {
-            let k = shifted(k, shift);
-            let mut steps = 0u32;
-            let mut e = table.heads[crate::common::hash32(k, table.bits) as usize];
-            while e != crate::common::NIL {
-                steps += 1;
-                if variant != BuildProbeVariant::Sm {
-                    chain_offs.push(rp.offsets[p] as u64 * 12 + e as u64 * 12);
-                }
-                if shifted(rpart.keys[e as usize], shift) == k {
-                    let rv = rpart.vals[e as usize];
-                    stats.record(rv, sv);
-                    block_matches += 1;
-                    if let Some((pr, ps)) = pairs.as_mut() {
-                        pr.push(rv);
-                        ps.push(sv);
-                    }
-                }
-                e = table.next[e as usize];
-            }
-            probe_steps.push(steps);
+        if variant != BuildProbeVariant::Sm {
+            let at = rp.offsets[p] as u64 * 12;
+            let chains = spart.keys.iter().flat_map(|&k| table.chain(k));
+            chain_offs.extend(chains.map(|e| at + e as u64 * 12));
         }
 
         // ---- Cost mirroring.
@@ -283,7 +275,7 @@ fn build_probe(
         blk.global_read_stream(&s_region, s_off, ns * 8);
         blk.compute(nr, 5.0);
         blk.compute(ns, 7.0);
-        let hash = |&k: &i32| crate::common::hash32(shifted(k, shift), table.bits);
+        let hash = |&k: &i32| hash32(shifted(k, shift), table.bits());
         bucket_words.clear();
         bucket_words.extend(rpart.keys.iter().map(hash));
         probe_words.clear();

@@ -19,6 +19,10 @@
 //!   a single pass over PCIe, and per-co-partition GPU radix joins load
 //!   balanced over 1..N GPUs.
 //!
+//! * [`mod@probe`] — the one probe kernel all of them call, over a layout
+//!   each build picks from its own keys; pricing reads the paper's chained
+//!   layout as numbers (bucket lengths, bits, bytes).
+//!
 //! All algorithms compute *real* results over real data and return simulated
 //! time from the `hape-sim` substrate. Outputs are either aggregated (the
 //! paper's microbenchmark does a sum/count over payloads) or materialised
@@ -33,17 +37,19 @@ pub mod cpu_radix;
 pub mod gpu_npj;
 pub mod gpu_radix;
 pub mod partition;
+pub mod probe;
 
 pub use common::{hash32, reference_join, JoinInput, JoinOutcome, JoinStats, OutputMode};
 pub use coprocess::{
     coprocess, coprocess_join, coprocess_join_on, coprocess_join_parts, gpu_budget,
-    plan_cpu_bits, CoprocessConfig, CoprocessError, CoprocessReport, MatchPairs,
+    plan_cpu_bits, CoprocessConfig, CoprocessError, CoprocessReport, MatchPairs, PairRuns,
 };
 pub use cpu_npj::cpu_npj;
 pub use cpu_radix::{cpu_radix, plan_radix_cpu, RadixPlan};
 pub use gpu_npj::gpu_npj;
 pub use gpu_radix::{gpu_radix, plan_radix_gpu, BuildProbeVariant};
 pub use partition::{radix_partition, radix_partition_with_threads, RadixPartitions};
+pub use probe::ProbeTable;
 
 /// Commonly used items.
 pub mod prelude {

@@ -47,6 +47,18 @@
 //! is added to every counting accumulator once (integer sums: exact in any
 //! order), and each twin copies the sum it shares.
 //!
+//! # The co-processing stage's fold
+//!
+//! The §5 stage folds its join's match pairs chunk by chunk on the pool, and
+//! merges the chunks' partials in chunk order ([`SlotFold`]). When no
+//! operator follows the join, a pair's group is a function of its two rows:
+//! each side's group-by columns are numbered once per stage
+//! ([`group_ids`] over the probe side's rows and over the build side's), and
+//! a pair's slot combines the two ids. A chunk then numbers nothing and
+//! hashes nothing: it maps its pairs' slots to chunk-local groups through a
+//! per-thread table, folds them from identity accumulators, and the merge
+//! hashes a group's key once per stage, when it first arrives.
+//!
 //! # Bit-identity
 //!
 //! Results equal a row-at-a-time fold bit for bit (the `#[cfg(test)]`
@@ -468,6 +480,26 @@ impl FoldProgram {
             });
         }
     }
+
+    /// Fold `batch`'s rows into `accs`: row `k` into the accumulators of
+    /// batch-local group `ids[k]`, which start at `first[ids[k]]`.
+    fn fold_into(&self, accs: &mut [Acc], first: &[usize], batch: &Batch, ids: &[u32]) {
+        let sums = first.iter().flat_map(|&at| self.sums.iter().map(move |&(a, _)| at + a));
+        let sums = sums.map(|acc| accs[acc].sum).collect();
+        let mut batch_accs = BatchAccs { accs, first, sums, rows_of: vec![0u64; first.len()] };
+        self.args.for_each_block(batch, |off, regs| {
+            self.accumulate(&mut batch_accs, &ids[off..off + regs.rows], regs);
+        });
+        let BatchAccs { accs, sums, rows_of, .. } = batch_accs;
+        let slots = first.iter().flat_map(|&at| self.sums.iter().map(move |&(a, _)| at + a));
+        slots.zip(sums).for_each(|(acc, sum)| accs[acc].sum = sum);
+        for &(a, twin) in &self.twins {
+            first.iter().for_each(|&at| accs[at + a].sum = accs[at + twin].sum);
+        }
+        for &a in &self.counts {
+            first.iter().zip(&rows_of).for_each(|(&at, &n)| accs[at + a].count += n);
+        }
+    }
 }
 
 /// Where the values of a block's `k`-th selected row sit in its registers.
@@ -604,24 +636,7 @@ impl AggState {
         let width = self.spec().aggs.len();
         let first: Vec<usize> =
             groups.keys.iter().map(|&k| self.slot(k) as usize * width).collect();
-        let (program, accs) = (&self.program, &mut self.accs);
-        let sums = first.iter().flat_map(|&at| program.sums.iter().map(move |&(a, _)| at + a));
-        let sums = sums.map(|acc| accs[acc].sum).collect();
-        let mut batch_accs =
-            BatchAccs { accs, first: &first, sums, rows_of: vec![0u64; first.len()] };
-        program.args.for_each_block(batch, |off, regs| {
-            let ids = &groups.ids[off..off + regs.rows];
-            program.accumulate(&mut batch_accs, ids, regs);
-        });
-        let BatchAccs { accs, sums, rows_of, .. } = batch_accs;
-        let slots = first.iter().flat_map(|&at| program.sums.iter().map(move |&(a, _)| at + a));
-        slots.zip(sums).for_each(|(acc, sum)| accs[acc].sum = sum);
-        for &(a, twin) in &program.twins {
-            first.iter().for_each(|&at| accs[at + a].sum = accs[at + twin].sum);
-        }
-        for &a in &program.counts {
-            first.iter().zip(&rows_of).for_each(|(&at, &n)| accs[at + a].count += n);
-        }
+        self.program.fold_into(&mut self.accs, &first, batch, &groups.ids);
     }
 
     /// Merge another partial state (same spec) into this one.
@@ -662,6 +677,218 @@ impl AggState {
             .collect();
         out.sort_by_key(|a| a.0);
         out
+    }
+}
+
+/// Largest slot space [`PairGroups`] numbers: a per-thread `u32` map of
+/// 4 MiB.
+const PAIR_SLOTS_LIMIT: usize = 1 << 20;
+
+/// The groups of a join's match pairs, numbered once per stage: the
+/// group-by columns the probe side carries per probe row, and those the
+/// build side carries per build row, each side through [`group_ids`] (its
+/// dictionary / bounds rule). A pair's *slot* is its probe row's id times
+/// the build side's group count plus its build row's id.
+#[derive(Debug)]
+struct PairGroups {
+    probe: GroupIds,
+    build: GroupIds,
+    /// Per group-by column: whether the build side carries it, and its
+    /// component in that side's keys.
+    parts: Vec<(bool, usize)>,
+}
+
+impl PairGroups {
+    /// Number `spec`'s group-by columns, which index the joined layout:
+    /// column `c < n_probe` is `probe`'s column `c`, column `n_probe + j` is
+    /// `build`'s column `build_cols[j]`. `None` when a column is past that
+    /// layout or the slot space is over [`PAIR_SLOTS_LIMIT`].
+    fn new(
+        spec: &AggSpec,
+        probe: &Batch,
+        build: &Batch,
+        n_probe: usize,
+        build_cols: &[usize],
+    ) -> Option<PairGroups> {
+        let (mut probe_by, mut build_by, mut parts) = (vec![], vec![], vec![]);
+        for &c in &spec.group_by {
+            let (side, by, col) = match c.checked_sub(n_probe) {
+                None => (false, &mut probe_by, c),
+                Some(j) => (true, &mut build_by, *build_cols.get(j)?),
+            };
+            parts.push((side, by.len()));
+            by.push(col);
+        }
+        let number = |by: Vec<usize>, batch| group_ids(&AggSpec::grouped(by, vec![]), batch);
+        let groups = PairGroups {
+            probe: number(probe_by, probe),
+            build: number(build_by, build),
+            parts,
+        };
+        (groups.slots() <= PAIR_SLOTS_LIMIT).then_some(groups)
+    }
+
+    /// Size of the slot space.
+    fn slots(&self) -> usize {
+        self.probe.keys.len() * self.build.keys.len()
+    }
+
+    /// The slot of the pair (build row, probe row).
+    #[inline]
+    fn slot(&self, build_row: u32, probe_row: u32) -> u32 {
+        let n_build = self.build.keys.len() as u32;
+        self.probe.ids[probe_row as usize] * n_build + self.build.ids[build_row as usize]
+    }
+
+    /// The group key of `slot`: its columns in the spec's group-by order.
+    fn key(&self, slot: u32) -> GroupKey {
+        let n_build = self.build.keys.len() as u32;
+        let (probe, build) = (
+            self.probe.keys[(slot / n_build) as usize],
+            self.build.keys[(slot % n_build) as usize],
+        );
+        let mut key: GroupKey = [0; 4];
+        for (k, &(side, j)) in key.iter_mut().zip(&self.parts) {
+            *k = if side { build[j] } else { probe[j] };
+        }
+        key
+    }
+}
+
+/// One chunk's partial of a [`SlotFold`]: its groups in first-seen order —
+/// as pair slots, or as keys when the chunk numbered its own rows — and
+/// their accumulators side by side.
+#[derive(Debug)]
+pub struct SlotPartial {
+    groups: ChunkGroups,
+    accs: Vec<Acc>,
+    rows: u64,
+}
+
+#[derive(Debug)]
+enum ChunkGroups {
+    Slots(Vec<u32>),
+    Keys(Vec<GroupKey>),
+}
+
+impl ChunkGroups {
+    fn len(&self) -> usize {
+        match self {
+            ChunkGroups::Slots(slots) => slots.len(),
+            ChunkGroups::Keys(keys) => keys.len(),
+        }
+    }
+}
+
+/// The co-processing stage's fold: chunks of match pairs fold on the pool
+/// into [`SlotPartial`]s, each group accumulating from identity values in
+/// row order, and merge into one [`AggState`] in chunk order — every `f64`
+/// the per-chunk [`AggState`] fold and [`AggState::merge`] compute, bit for
+/// bit. A chunk whose rows are pairs as they left the join reads its groups
+/// off the stage's numbering: no key is numbered or hashed per chunk,
+/// and a group's key is hashed once per stage, when it first merges.
+#[derive(Debug)]
+pub struct SlotFold {
+    state: AggState,
+    pairs: Option<PairGroups>,
+    /// Per pair slot, its slot in `state` once merged (`u32::MAX` before).
+    merged: Vec<u32>,
+}
+
+impl SlotFold {
+    /// Fold under `spec`. Given the join's `sides` — its probe rows, its
+    /// build rows, how many columns of the joined layout are the probe's,
+    /// and which build columns follow them — pair chunks read their groups
+    /// off the sides' numbering when it fits (a slot space of at most
+    /// 2^20).
+    pub fn new(spec: AggSpec, sides: Option<(&Batch, &Batch, usize, &[usize])>) -> SlotFold {
+        let pairs = sides.and_then(|(probe, build, n_probe, build_cols)| {
+            PairGroups::new(&spec, probe, build, n_probe, build_cols)
+        });
+        let merged = vec![u32::MAX; pairs.as_ref().map_or(0, PairGroups::slots)];
+        SlotFold { state: AggState::new(spec), pairs, merged }
+    }
+
+    /// Whether pair chunks read their groups off the stage's numbering
+    /// ([`SlotFold::fold_pairs`]).
+    pub fn numbers_pairs(&self) -> bool {
+        self.pairs.is_some()
+    }
+
+    /// Fold a chunk of match pairs — `batch`'s row `k` is the pair
+    /// (`build[k]`, `probe[k]`) — through the stage's numbering. `local` is
+    /// the calling thread's map from pair slot to chunk group, all
+    /// `u32::MAX` between calls (grown here).
+    pub fn fold_pairs(
+        &self,
+        batch: &Batch,
+        (build, probe): (&[u32], &[u32]),
+        local: &mut Vec<u32>,
+    ) -> SlotPartial {
+        let pairs = self.pairs.as_ref().expect("a stage numbering of its pairs");
+        local.resize(local.len().max(pairs.slots()), u32::MAX);
+        let mut slots = Vec::new();
+        let ids: Vec<u32> = (build.iter().zip(probe))
+            .map(|(&b, &p)| {
+                let slot = pairs.slot(b, p);
+                let id = &mut local[slot as usize];
+                if *id == u32::MAX {
+                    *id = slots.len() as u32;
+                    slots.push(slot);
+                }
+                *id
+            })
+            .collect();
+        slots.iter().for_each(|&slot| local[slot as usize] = u32::MAX);
+        self.partial(batch, &ids, ChunkGroups::Slots(slots))
+    }
+
+    /// Fold a chunk that numbered its own rows ([`group_ids`]; `None` when
+    /// it has none).
+    pub fn fold_numbered(&self, batch: &Batch, groups: Option<&GroupIds>) -> SlotPartial {
+        match groups {
+            Some(g) => self.partial(batch, &g.ids, ChunkGroups::Keys(g.keys.clone())),
+            None => {
+                SlotPartial { groups: ChunkGroups::Keys(Vec::new()), accs: vec![], rows: 0 }
+            }
+        }
+    }
+
+    fn partial(&self, batch: &Batch, ids: &[u32], groups: ChunkGroups) -> SlotPartial {
+        let n = groups.len();
+        let width = self.state.spec().aggs.len();
+        let mut accs = vec![Acc::new(); n * width];
+        let first: Vec<usize> = (0..n).map(|g| g * width).collect();
+        self.state.program.fold_into(&mut accs, &first, batch, ids);
+        SlotPartial { groups, accs, rows: batch.rows() as u64 }
+    }
+
+    /// Merge the next chunk's partial (chunks merge in order).
+    pub fn merge(&mut self, partial: &SlotPartial) {
+        let width = self.state.spec().aggs.len();
+        self.state.rows_seen += partial.rows;
+        for g in 0..partial.groups.len() {
+            let at = match &partial.groups {
+                ChunkGroups::Slots(slots) => {
+                    let merged = &mut self.merged[slots[g] as usize];
+                    if *merged == u32::MAX {
+                        let key = self.pairs.as_ref().expect("pair slots").key(slots[g]);
+                        *merged = self.state.slot(key);
+                    }
+                    *merged
+                }
+                ChunkGroups::Keys(keys) => self.state.slot(keys[g]),
+            } as usize;
+            let theirs = &partial.accs[g * width..][..width];
+            for (m, o) in self.state.accs[at * width..][..width].iter_mut().zip(theirs) {
+                m.merge(o);
+            }
+        }
+    }
+
+    /// The merged state.
+    pub fn state(&self) -> &AggState {
+        &self.state
     }
 }
 
@@ -1186,5 +1413,87 @@ mod tests {
         assert_eq!(dims(&[Some(25), None]), Some(vec![(0, 25), (0, 1)]));
         assert_eq!(dims(&[None, Some(2)]), Some(vec![(1, 7), (0, 2)]));
         assert!(dims(&[Some(limit as u64), Some(2)]).is_none());
+    }
+
+    /// The co-processing stage's fold over seeded match pairs: chunk by
+    /// chunk through the stage's pair numbering ([`SlotFold::fold_pairs`])
+    /// and through each chunk's own numbering ([`SlotFold::fold_numbered`]),
+    /// both against a fresh [`AggState`] per chunk merged in chunk order —
+    /// every key, count and `f64` to the bit. Group columns come from both
+    /// sides in mixed order; one probe group holds only `-0.0` values; pair
+    /// slots never seen, and groups some chunks never see, are the norm.
+    #[test]
+    fn pair_slot_fold_equals_the_per_chunk_fold_to_the_bit() {
+        let mut rng = StdRng::seed_from_u64(46);
+        for case in 0..40 {
+            let (n_probe_rows, n_build_rows) = (rng.gen_range(1..400), rng.gen_range(1..60));
+            let values = [-0.0, 0.0, 1.5, -2.25, 0.1, 1e300, -1e-300, 3.0];
+            let value = |rng: &mut StdRng| values[rng.gen_range(0..values.len())];
+            let p_group: Vec<i32> = (0..n_probe_rows).map(|_| rng.gen_range(-3..5)).collect();
+            let p_val: Vec<f64> = (p_group.iter())
+                .map(|&g| if g == -3 { -0.0 } else { value(&mut rng) })
+                .collect();
+            let b_val: Vec<f64> = (0..n_build_rows).map(|_| value(&mut rng)).collect();
+            let b_group: Vec<i32> =
+                (0..n_build_rows).map(|_| rng.gen_range(0..4) * 1000).collect();
+            let probe = Batch::new(vec![Column::from_i32(p_group), Column::from_f64(p_val)]);
+            let build = Batch::new(vec![Column::from_f64(b_val), Column::from_i32(b_group)]);
+            // Joined layout: probe columns 0-1, then build columns 1 and 0.
+            let (pv, bv) = (Expr::col(1), Expr::col(3));
+            let disc = Expr::mul(pv.clone(), Expr::sub(Expr::LitF64(1.0), bv.clone()));
+            let aggs = vec![
+                (AggFunc::Sum, pv.clone()),
+                (AggFunc::Sum, bv.clone()),
+                (AggFunc::Sum, disc.clone()),
+                (AggFunc::Count, pv.clone()),
+                (AggFunc::Min, bv.clone()),
+                (AggFunc::Max, pv.clone()),
+                (AggFunc::Avg, disc.clone()),
+                (AggFunc::Avg, pv.clone()),
+                (AggFunc::Min, Expr::sub(pv.clone(), Expr::LitI32(7))),
+                (AggFunc::Max, disc),
+                (AggFunc::Sum, Expr::LitF64(2.0)),
+                (AggFunc::Sum, Expr::mul(pv, bv)),
+            ];
+            let spec = AggSpec::grouped(vec![2, 0], aggs);
+            let n_pairs = rng.gen_range(1..3000);
+            let pairs: (Vec<u32>, Vec<u32>) = (0..n_pairs)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..n_build_rows) as u32,
+                        rng.gen_range(0..n_probe_rows) as u32,
+                    )
+                })
+                .unzip();
+            let empty = AggState::new(spec.clone());
+            let mut slots = SlotFold::new(spec.clone(), Some((&probe, &build, 2, &[1, 0])));
+            assert!(slots.numbers_pairs());
+            let (mut oracle, mut numbered) = (empty.clone(), SlotFold::new(spec.clone(), None));
+            let mut local = Vec::new();
+            let chunk = rng.gen_range(1..400);
+            for (b, p) in pairs.0.chunks(chunk).zip(pairs.1.chunks(chunk)) {
+                let joined = Batch::new(vec![
+                    probe.col(0).take(p),
+                    probe.col(1).take(p),
+                    build.col(1).take(b),
+                    build.col(0).take(b),
+                ]);
+                let mut partial = empty.clone();
+                partial.update(&joined);
+                oracle.merge(&partial);
+                slots.merge(&slots.fold_pairs(&joined, (b, p), &mut local));
+                let ids = group_ids(&spec, &joined);
+                numbered.merge(&numbered.fold_numbered(&joined, Some(&ids)));
+                assert!(local.iter().all(|&l| l == u32::MAX), "case {case}: local map reset");
+            }
+            let bits = |st: &AggState| {
+                let rows = st.finish().into_iter();
+                let rows =
+                    rows.map(|(k, v)| (k, v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()));
+                (rows.collect::<Vec<_>>(), st.rows_seen, st.n_groups())
+            };
+            assert_eq!(bits(slots.state()), bits(&oracle), "case {case}: pair slots");
+            assert_eq!(bits(numbered.state()), bits(&oracle), "case {case}: chunk numbering");
+        }
     }
 }
