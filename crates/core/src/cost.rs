@@ -488,12 +488,25 @@ impl PlanCost {
 pub struct CostModel<'a> {
     server: &'a Server,
     catalog: &'a Catalog,
+    /// The run's explicit packet size ([`ExecConfig::packet_rows`]), which
+    /// the engine cuts stream stages and the §5 prefix with; builds
+    /// auto-size.
+    packet_rows: Option<usize>,
 }
 
 impl<'a> CostModel<'a> {
-    /// A model over `server`, with scan statistics from `catalog`.
+    /// A model over `server`, with scan statistics from `catalog`, pricing
+    /// auto-sized packets.
     pub fn new(server: &'a Server, catalog: &'a Catalog) -> Self {
-        CostModel { server, catalog }
+        CostModel { server, catalog, packet_rows: None }
+    }
+
+    /// Price the packets a run under `packet_rows`
+    /// ([`ExecConfig::packet_rows`]) cuts: its non-build stages split into
+    /// packets of that size, as the engine splits them.
+    pub fn with_packet_rows(mut self, packet_rows: Option<usize>) -> Self {
+        self.packet_rows = packet_rows;
+        self
     }
 
     /// Walk a pipeline's cardinalities: exact scan statistics from the
@@ -544,7 +557,8 @@ impl<'a> CostModel<'a> {
     /// once per stage).
     ///
     /// The scan splits into packets by the engine's own rule
-    /// ([`ExecConfig::auto_packet_rows`]); one estimated packet is priced on
+    /// ([`ExecConfig::auto_packet_rows`], under the model's explicit packet
+    /// size except for builds); one estimated packet is priced on
     /// every device of the subset by the functions its provider charges an
     /// executed packet with, and the packets are spread over the subset's
     /// workers the way the router spreads them.
@@ -572,11 +586,9 @@ impl<'a> CostModel<'a> {
         returns_output: bool,
         bound: f64,
     ) -> Result<StageCost, EngineError> {
-        // The engine's packet-sizing rule on the scan's row count, which
-        // `in_rows` holds exactly.
         let scanned = est.in_rows as usize;
-        let packet_rows = ExecConfig::auto_packet_rows(scanned, self.shares(devices)?, None);
-        let (rows, packets) = (packet_rows.min(scanned), scanned.div_ceil(packet_rows));
+        let (packet_rows, packets) = self.packets(scanned, devices, returns_output)?;
+        let rows = packet_rows.min(scanned);
         let last = (scanned - (packets - 1) * packet_rows) as f64 / rows as f64;
 
         let (tables, broadcast_bytes) = est.broadcast();
@@ -691,6 +703,20 @@ impl<'a> CostModel<'a> {
         };
         est.prices.borrow_mut().push((class, rows, t.as_secs()));
         Ok(t.as_secs())
+    }
+
+    /// The engine's packet size and count for a scan of `scanned` rows (the
+    /// estimate's `in_rows`, exact) on `devices`: its sizing rule under the
+    /// model's explicit packet size, which builds do not take.
+    fn packets(
+        &self,
+        scanned: usize,
+        devices: &[DeviceId],
+        build: bool,
+    ) -> Result<(usize, usize), EngineError> {
+        let explicit = self.packet_rows.filter(|_| !build);
+        let rows = ExecConfig::auto_packet_rows(scanned, self.shares(devices)?, explicit);
+        Ok((rows, scanned.div_ceil(rows)))
     }
 
     /// Packet shares `devices` request from the engine's packet sizer — a
@@ -1025,6 +1051,68 @@ mod tests {
                 (0.9..=1.1).contains(&ratio),
                 "{devices:?}: {estimate} s est, {actual} s run"
             );
+        }
+    }
+
+    #[test]
+    fn an_explicit_packet_size_prices_the_packets_the_engine_cuts() {
+        let (catalog, server) = setup();
+        let auto = CostModel::new(&server, &catalog);
+        let est = estimate(&auto, &join_pipeline(), &dim_estimates(&auto));
+        let scanned = est.in_rows as usize;
+        let (cpu, gpu) = ([0, 1].map(DeviceId::Cpu), [0, 1].map(DeviceId::Gpu));
+        for devices in [&cpu[..1], &cpu[..], &gpu[..1], &server.devices()[..]] {
+            // No override: the engine's auto rule, as before.
+            let shares = auto.shares(devices).unwrap();
+            let rows = ExecConfig::auto_packet_rows(scanned, shares, None);
+            assert_eq!(
+                auto.packets(scanned, devices, false).unwrap(),
+                (rows, scanned.div_ceil(rows))
+            );
+            // An override of the auto size prices every bit alike.
+            let same = auto.clone().with_packet_rows(Some(rows));
+            let cost =
+                |m: &CostModel| m.stage_cost(&est, devices, false).unwrap().total_seconds();
+            assert_eq!(cost(&same).to_bits(), cost(&auto).to_bits(), "{devices:?}");
+            // An override of `r` rows is ⌈rows / r⌉ packets; builds auto-size.
+            for r in [1000, 3000, scanned] {
+                let sized = auto.clone().with_packet_rows(Some(r));
+                let want = (r, scanned.div_ceil(r));
+                assert_eq!(sized.packets(scanned, devices, false).unwrap(), want);
+                let build = sized.packets(scanned, devices, true).unwrap();
+                assert_eq!(build, auto.packets(scanned, devices, true).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn the_estimate_follows_an_explicit_packet_size_to_the_engines_makespan() {
+        use crate::engine::{Engine, Placement};
+        use crate::place::place_on;
+        use crate::plan::{QueryPlan, Stage};
+        let (catalog, server) = setup();
+        let pipeline = Pipeline::scan("fact").aggregate(AggSpec::ungrouped(vec![
+            (AggFunc::Count, Expr::col(0)),
+            (AggFunc::Sum, Expr::col(1)),
+        ]));
+        let stages = vec![Stage::Stream { pipeline: pipeline.clone() }];
+        let plan = QueryPlan::try_new("scan", stages).unwrap();
+        let engine = Engine::new(server.clone());
+        let (cpu, gpu) = ([0, 1].map(DeviceId::Cpu), [0, 1].map(DeviceId::Gpu));
+        for r in [1 << 10, 1 << 15] {
+            let model = CostModel::new(&server, &catalog).with_packet_rows(Some(r));
+            let est = estimate(&model, &pipeline, &HtEstimates::new());
+            let cfg = ExecConfig::new(Placement::Hybrid).with_packet_rows(r);
+            for devices in [&cpu[..1], &cpu[..], &gpu[..1], &gpu[..]] {
+                let estimate = model.stage_cost(&est, devices, false).unwrap().total_seconds();
+                let placed = place_on(&plan, &cfg, &server, &[devices.to_vec()]).unwrap();
+                let actual = engine.run_placed(&catalog, &placed).unwrap().time.as_secs();
+                let ratio = estimate / actual;
+                assert!(
+                    (0.9..=1.1).contains(&ratio),
+                    "{devices:?} at {r} rows: {estimate} s est, {actual} s run"
+                );
+            }
         }
     }
 

@@ -29,25 +29,30 @@
 //! remains here are the state-dependent refusals (absent device,
 //! capacity).
 //!
-//! Every worker folds into a private aggregation state; states merge at
-//! the stage barrier — no cross-device shared mutable structures, the
-//! paper's answer to missing system-wide cache coherence.
+//! Every packet folds into a private partial state; partials merge at the
+//! stage barrier — no cross-device shared mutable structures, the paper's
+//! answer to missing system-wide cache coherence.
 //!
-//! **Determinism.** A packet loop has three beats on two planes:
+//! **Determinism.** A packet loop has two beats, one per plane:
 //!
-//! 1. *data plane* (the [`runtime`] pool, parallel) — every packet runs
-//!    the fused-kernel pass ([`run_ops`]) exactly once and is priced once
-//!    per class of alike workers ([`Server::class`],
-//!    [`DeviceProvider::charge`]): pure per packet, so the pool's schedule
-//!    cannot matter;
+//! 1. *data plane* (the [`runtime`] pool, parallel, one scope per stage
+//!    attempt) — every packet runs the fused-kernel pass ([`run_ops`])
+//!    exactly once, is priced once per class of alike workers
+//!    ([`Server::class`], [`DeviceProvider::charge`]) and, in a stream
+//!    stage, folds into a partial of its own through the group ids the
+//!    kernel pass computed ([`PacketWork::groups`], [`SlotFold`]): pure
+//!    per packet, so the pool's schedule cannot matter;
 //! 2. *control plane* (one sequential loop) — per packet, in packet order:
 //!    the candidates' `ready_at` state, the router's pick, the fault
 //!    plane's verdict, the commit against the routed worker's simulated
 //!    clocks ([`DeviceProvider::commit_packet`]), and one ledger entry;
-//! 3. *data plane again* — one fold job per worker folds the packets
-//!    routed to it, in routed order, through the group ids beat 1
-//!    computed ([`PacketWork::groups`]); partial states merge at the stage
-//!    barrier in worker order.
+//!    then the packets' partials merge into the stage's state in packet
+//!    order.
+//!
+//! The router's pick is a scheduling fact (§4.2): it moves simulated time,
+//! never an answer. A stream's rows depend only on the data and the packet
+//! split, so they are bit-identical however its packets were routed — warm
+//! or cold, retried or not.
 //!
 //! Everything observable — rows, makespans, the report, spans, counters,
 //! which fault fired where — is therefore derived on the control plane,
@@ -58,9 +63,9 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use hape_ops::agg::{AggState, SlotFold};
+use hape_ops::agg::{AggState, SlotFold, SlotPartial};
 use hape_ops::expr::{same_expr, Program};
 use hape_ops::{AggFunc, AggSpec, Expr, GroupKey};
 use hape_sim::interconnect::Link;
@@ -452,10 +457,18 @@ fn evaluate_probe_args(
             rest = tail;
         }
     }
+    // A job locks only its own packet's slices, once: nothing contends.
+    let blocks: Vec<Mutex<Vec<&mut [f64]>>> = blocks.into_iter().map(Mutex::new).collect();
     let program = Program::new(&exprs);
-    runtime::drain(threads, packets.iter().zip(blocks).collect(), |(packet, mut dsts)| {
-        program.eval_into(packet, &mut dsts);
-    });
+    runtime::scatter(
+        threads,
+        packets.len(),
+        |_| (),
+        |i, _| {
+            let mut dsts = blocks[i].lock().unwrap_or_else(PoisonError::into_inner);
+            program.eval_into(&packets[i], &mut dsts);
+        },
+    );
     (fold_spec, values.into_iter().map(Column::from_f64).collect())
 }
 
@@ -466,24 +479,13 @@ pub(crate) fn fold_span(busy: SimTime, workers: usize) -> SimTime {
     busy / (workers.max(1) as f64 * 0.9)
 }
 
-/// Merge the workers' partial aggregates at the stage barrier (cheap:
-/// group counts are small), in worker order for determinism, into a clone
-/// of the stage's `empty` state.
-fn merge_partials(empty: &AggState, workers: &mut [Box<dyn DeviceProvider>]) -> AggRows {
-    let mut merged = empty.clone();
-    for partial in workers.iter_mut().filter_map(|w| w.agg_mut()) {
-        merged.merge(partial);
-    }
-    merged.finish()
-}
-
 impl StageEnv<'_> {
     /// Instantiate the workers that run `pipeline` on `devices`: one
     /// [`CpuWorker`] per core of a CPU socket, one [`GpuWorker`] per GPU,
     /// which installs every table the pipeline probes (its segment's
     /// broadcast mem-moves, [`crate::place::Segment::exchanges`]), each
-    /// with a partial state of the pipeline's aggregation: a clone of the
-    /// stage's compiled `agg`. A device this server lacks is the typed
+    /// with a clone of the stage's compiled `agg`, the spec its share of
+    /// the fold is priced under. A device this server lacks is the typed
     /// [`EngineError::DeviceNotPresent`].
     ///
     /// The fault plane hooks in here: a segment targeting a quarantined
@@ -830,7 +832,7 @@ impl StageEnv<'_> {
         Ok((rows, end))
     }
 
-    /// The packet loop (the module header's three beats) over a catalog
+    /// The packet loop (the module header's two beats) over a catalog
     /// source: one router, N `dyn DeviceProvider` workers on `devices`
     /// ([`StageEnv::workers_for`]), no knowledge of device types beyond the
     /// trait.
@@ -840,9 +842,11 @@ impl StageEnv<'_> {
         pipeline: &Pipeline,
         start: SimTime,
     ) -> Result<Streamed, EngineError> {
-        // The stage's aggregation compiles once; every partial is a clone.
-        let empty = pipeline.agg.clone().map(AggState::new);
-        let mut workers = self.workers_for(devices, pipeline, empty.as_ref())?;
+        // The stage's aggregation compiles once: the workers' pricing
+        // states are clones of the fold's.
+        let fold = pipeline.agg.clone().map(|spec| SlotFold::new(spec, None));
+        let mut workers =
+            self.workers_for(devices, pipeline, fold.as_ref().map(SlotFold::state))?;
         let table = self.catalog.lookup(&pipeline.source)?;
         if workers.is_empty() {
             return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
@@ -884,14 +888,16 @@ impl StageEnv<'_> {
             })
             .collect();
 
-        // ---- Phase 1, data plane: kernels once per packet, priced per
-        // class, on the worker pool.
+        // ---- Phase 1, data plane: per packet, on the pool thread that
+        // takes it, the kernels once, the price once per class, and — a
+        // stream's packet — the fold into a partial of its own.
         let agg_spec = pipeline.agg.as_ref();
         let shared: &[Box<dyn DeviceProvider>] = &workers;
         // Per-packet wall interval + the pool thread that computed it —
         // measured on the data plane (zeros when the recorder is off),
         // shipped back with the results, entered on the control plane.
         type PacketWall = (u64, u64, usize);
+        type Charged = (PacketWork, Vec<SimTime>, Option<SlotPartial>, PacketWall);
         let rec = self.ledger.recorder();
         let charged = runtime::scatter(
             threads,
@@ -904,14 +910,17 @@ impl StageEnv<'_> {
                     .iter()
                     .map(|&r| shared[r].charge(&work, agg_spec, tables))
                     .collect::<Result<Vec<SimTime>, EngineError>>()?;
+                // Through the group ids `run_ops` numbered for pricing; a
+                // packet no row survived carries none and folds nothing.
+                let partial =
+                    fold.as_ref().map(|f| f.fold_numbered(&work.out, work.groups.as_ref()));
                 let wall = (wall_start, rec.now_ns(), state.1);
-                Ok::<(PacketWork, Vec<SimTime>, PacketWall), EngineError>((work, costs, wall))
+                Ok::<Charged, EngineError>((work, costs, partial, wall))
             },
         );
         // First error in packet order — the same packet the sequential
         // loop would have tripped on.
-        let mut works: Vec<(PacketWork, Vec<SimTime>, PacketWall)> =
-            Vec::with_capacity(charged.len());
+        let mut works: Vec<Charged> = Vec::with_capacity(charged.len());
         for r in charged {
             works.push(r?);
         }
@@ -919,9 +928,8 @@ impl StageEnv<'_> {
         // ---- Phase 2, control plane: sequential routing + sim-time
         // accounting, replaying worker `ready_at` state in packet order.
         let mut end = start;
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
         let mut candidates: Vec<CandidateLoad> = Vec::with_capacity(workers.len());
-        for (i, (work, costs, wall)) in works.iter().enumerate() {
+        for (i, (work, costs, _, wall)) in works.iter().enumerate() {
             let bytes = work.bytes.max(1);
             candidates.clear();
             candidates.extend(workers.iter().map(|w| CandidateLoad {
@@ -951,9 +959,8 @@ impl StageEnv<'_> {
             }
             let outcome = worker.commit_packet(work, costs[class_of[pick]], start);
             end = end.max(outcome.done);
-            assignments[pick].push(i);
             // The span's sim interval is the routed worker's occupancy;
-            // its wall interval is the data-plane kernel pass.
+            // its wall interval is the data-plane pass.
             self.ledger.packet_committed(worker.id(), outcome.h2d_bytes, &work.ops, || {
                 Span::new(SpanKind::Packet, format!("packet {i}"), "")
                     .pool_thread(wall.2)
@@ -963,38 +970,16 @@ impl StageEnv<'_> {
             });
         }
 
-        // ---- Phase 3: stage outputs (build), or the per-worker fold
-        // jobs (stream) — data plane again, one job per worker, each
-        // folding its packets in routed order.
-        let (mut outputs, mut rows) = (Vec::new(), AggRows::new());
-        if let Some(empty) = &empty {
-            let mut folds: Vec<Option<PacketWork>> =
-                works.into_iter().map(|(w, _, _)| Some(w)).collect();
-            let jobs: Vec<(&mut AggState, Vec<PacketWork>)> = workers
-                .iter_mut()
-                .zip(&assignments)
-                .filter(|(_, idxs)| !idxs.is_empty())
-                .filter_map(|(w, idxs)| {
-                    let mine = idxs
-                        .iter()
-                        .map(|&i| folds[i].take().expect("packet routed once"))
-                        .collect();
-                    Some((w.agg_mut()?, mine))
-                })
-                .collect();
-            // Through the group ids `run_ops` numbered for pricing; a packet
-            // no row survived carries none.
-            runtime::drain(threads, jobs, |(state, mine)| {
-                for work in &mine {
-                    if let Some(groups) = &work.groups {
-                        state.fold(&work.out, groups);
-                    }
-                }
-            });
-            rows = merge_partials(empty, &mut workers);
-        } else {
-            outputs = works.into_iter().map(|(work, _, _)| work.out).collect();
-        }
+        // ---- The stage's result: the packets' outputs (build), or their
+        // partials merged into the stage's state in packet order (stream),
+        // whichever workers the router picked.
+        let (outputs, rows) = match fold {
+            Some(mut fold) => {
+                works.iter().filter_map(|w| w.2.as_ref()).for_each(|p| fold.merge(p));
+                (Vec::new(), fold.state().finish())
+            }
+            None => (works.into_iter().map(|(work, ..)| work.out).collect(), AggRows::new()),
+        };
 
         let busy_of = |gpu: bool| {
             workers.iter().filter(|w| w.id().is_gpu() == gpu).map(|w| w.busy()).sum()

@@ -107,7 +107,7 @@ pub fn optimize_on(
     let mut candidates: Vec<(usize, Vec<DeviceId>)> =
         candidate_subsets(server, pool).into_iter().enumerate().collect();
     candidates.sort_by_key(|(_, subset)| std::cmp::Reverse(subset.len()));
-    let model = CostModel::new(server, catalog);
+    let model = CostModel::new(server, catalog).with_packet_rows(cfg.packet_rows);
     let mut hts = HtEstimates::new();
     let mut subsets: Vec<Vec<DeviceId>> = Vec::with_capacity(plan.stages.len());
     let mut costs: Vec<StageCost> = Vec::with_capacity(plan.stages.len());

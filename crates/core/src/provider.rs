@@ -447,16 +447,23 @@ pub struct PacketWork {
     pub ops: Vec<OpTrace>,
     /// Rows leaving the operator chain: the build output, or the rows the
     /// terminal aggregation folds. A folding pipeline's `out` may carry a
-    /// selection ([`Batch::selection`]); only the fold ([`AggState::fold`],
-    /// [`DeviceProvider::fold_packet`]), [`Batch::rows`] and
-    /// [`Batch::bytes`] read it. A build output never carries one.
+    /// selection ([`Batch::selection`]); only the fold (the engine's
+    /// [`SlotFold::fold_numbered`], [`DeviceProvider::fold_packet`]),
+    /// [`Batch::rows`] and [`Batch::bytes`] read it. A build output never
+    /// carries one.
+    ///
+    /// [`SlotFold::fold_numbered`]: hape_ops::agg::SlotFold::fold_numbered
     pub out: Batch,
     /// True when the pipeline ends in an aggregation (`out` feeds the
-    /// routed worker's fold instead of the stage output).
+    /// stage's fold instead of the stage output).
     pub folds: bool,
     /// The group ids of `out` under the pipeline's aggregation, when
-    /// `folds` and rows survived: pricing reads their `keys`, the routed
-    /// worker's fold ([`AggState::fold`]) their `ids`.
+    /// `folds` and rows survived: pricing reads their `keys` (the routed
+    /// worker's group-count mirror among them), and the packet's fold
+    /// ([`SlotFold::fold_numbered`], on the pool thread that ran its
+    /// kernels) their `ids`.
+    ///
+    /// [`SlotFold::fold_numbered`]: hape_ops::agg::SlotFold::fold_numbered
     pub groups: Option<GroupIds>,
 }
 
@@ -616,18 +623,18 @@ fn ranks(rows: &[u32], sub: &[u32]) -> Vec<u32> {
 /// a packet's recorded statistics on this worker's device, and the
 /// canonical kernels run through the free [`run_ops`]. The **control
 /// plane** calls the `&mut self` methods sequentially on the coordinator:
-/// [`install_tables`] executes the broadcast mem-moves,
+/// [`install_tables`] executes the broadcast mem-moves and
 /// [`commit_packet`] advances the worker's simulated clocks for a routed
-/// packet, and [`agg_mut`] lends the worker's partial aggregation state to
-/// the data plane's per-worker fold job, which folds the routed packets
-/// into it in routed order. The interpreter holds
-/// `Box<dyn DeviceProvider>` workers and treats CPU cores and GPUs
-/// identically.
+/// packet. A worker prices the fold of the packets routed to it; it does
+/// not fold them: the engine folds every packet into a partial of its own
+/// on the data plane ([`SlotFold`]), whichever worker the router picks.
+/// The interpreter holds `Box<dyn DeviceProvider>` workers and treats CPU
+/// cores and GPUs identically.
 ///
 /// [`charge`]: DeviceProvider::charge
 /// [`install_tables`]: DeviceProvider::install_tables
 /// [`commit_packet`]: DeviceProvider::commit_packet
-/// [`agg_mut`]: DeviceProvider::agg_mut
+/// [`SlotFold`]: hape_ops::agg::SlotFold
 pub trait DeviceProvider: Send + Sync {
     /// This worker's identity.
     fn id(&self) -> WorkerId;
@@ -686,18 +693,23 @@ pub trait DeviceProvider: Send + Sync {
         start: SimTime,
     ) -> CommitOutcome;
 
-    /// Fold a bare batch into the worker's partial aggregation state,
-    /// numbering its groups afresh ([`AggState::update`]); the engine folds
-    /// a packet through the ids [`run_ops`] carried instead, bit for bit
-    /// the same ([`AggState::fold`] on [`DeviceProvider::agg_mut`]).
+    /// Fold a bare batch into the worker's own aggregation state,
+    /// numbering its groups afresh ([`AggState::update`]) — for callers
+    /// that drive a worker by hand. The engine does not call it: it folds
+    /// each packet through the ids [`run_ops`] carried into a partial of
+    /// its own ([`SlotFold::fold_numbered`]) and merges the partials in
+    /// packet order.
+    ///
+    /// [`SlotFold::fold_numbered`]: hape_ops::agg::SlotFold::fold_numbered
     fn fold_packet(&mut self, batch: &Batch) {
         if let Some(state) = self.agg_mut() {
             state.update(batch);
         }
     }
 
-    /// The worker's partial aggregation state (stream stages): routed
-    /// packets fold into it, and it merges at the stage barrier.
+    /// The worker's own aggregation state (stream stages): the spec its
+    /// fold is priced under, and what [`DeviceProvider::fold_packet`] folds
+    /// into. The engine's answers never read it.
     fn agg_mut(&mut self) -> Option<&mut AggState>;
 
     /// Total simulated busy time of the worker's compute resource.
@@ -790,10 +802,11 @@ pub struct CpuWorker {
     /// Per-worker cost model (bandwidth share folded in).
     model: CpuCostModel,
     agg: Option<AggState>,
-    /// Distinct group keys of the packets committed so far — the control
-    /// plane's mirror of the fold state's group count, used to price the
-    /// cumulative group-table random-access term before the actual fold
-    /// (which runs later, on the data plane, in this same commit order).
+    /// Distinct group keys of the packets committed to this worker so far
+    /// — the group count a private table of its routed packets would hold,
+    /// which prices the cumulative group-table random-access term. Pricing
+    /// only: the engine folds each packet into a partial of its own on the
+    /// data plane, whichever worker the router picks.
     groups_seen: HashSet<GroupKey>,
     est: f64,
 }
@@ -1490,8 +1503,8 @@ mod tests {
             let h2d = w.install_tables(&p, &tables, SimTime::ZERO).unwrap();
             // Only the GPU worker needs the broadcast mem-move.
             assert_eq!(h2d > 0, w.id().is_gpu(), "{:?}", w.id());
-            // Data plane: kernels + class pricing; control plane: commit;
-            // data plane again: the fold — the engine's three beats.
+            // Data plane: kernels + class pricing; control plane: commit.
+            // The worker's own state takes a bare-batch fold.
             let work = run_ops(packet(1000), &p, &tables, &mut scratch).unwrap();
             assert!(work.folds);
             let base = w.charge(&work, Some(&agg), &tables).unwrap();

@@ -4,24 +4,27 @@
 //! The engine splits execution into a **deterministic control plane** and a
 //! **parallel data plane** (see [`crate::engine`]):
 //!
+//! - the *data plane* — per packet, the real columnar kernel work inside
+//!   [`crate::provider::run_ops`], its pricing, and the fold of a stream
+//!   packet into a partial of its own — is dispatched through [`scatter`],
+//!   one scope per stage attempt;
 //! - the *control plane* — routing picks and `SimTime` accounting — runs
 //!   sequentially on the coordinator, replaying worker `ready_at` state in
-//!   packet order, so simulated makespans and result rows are bit-identical
-//!   at any thread count;
-//! - the *data plane* — the real columnar kernel work inside
-//!   [`crate::provider::run_ops`] and the per-worker aggregation folds —
-//!   is dispatched through [`scatter`] and [`drain`].
+//!   packet order, then merges the packets' partials in packet order. So
+//!   simulated makespans are bit-identical at any thread count, and result
+//!   rows depend only on the data and the packet split: not on the thread
+//!   count, nor on which worker the router picked.
 //!
-//! Both live in the dependency-free `hape_pool` crate — the workspace's
-//! only spawn site, shared with `hape_join`'s per-co-partition joins — and are
-//! re-exported here for the engine. What stays in this module is how the
-//! thread count is chosen (see [`resolve_threads`]):
+//! [`scatter`] lives in the dependency-free `hape_pool` crate — the
+//! workspace's only spawn site, shared with `hape_join`'s per-co-partition
+//! joins — and is re-exported here for the engine. What stays in this
+//! module is how the thread count is chosen (see [`resolve_threads`]):
 //! [`crate::engine::ExecConfig::threads`] if set, else the `HAPE_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`].
 //! `threads = 1` runs every job inline on the coordinator — the sequential
 //! fallback CI exercises explicitly.
 
-pub use hape_pool::{drain, scatter};
+pub use hape_pool::scatter;
 
 use crate::error::EngineError;
 

@@ -1,10 +1,12 @@
 //! Aggregation: ungrouped and group-by, with mergeable partial states.
 //!
 //! Parallel aggregation follows the paper's horizontal co-processing example
-//! (§5): every worker (CPU core or GPU) folds its packets into a *partial*
-//! [`AggState`]; the states are then merged — the routers never have to
-//! synchronise on a shared hash table, which is exactly what makes the
-//! operator heterogeneity-oblivious.
+//! (§5): every packet folds into a *partial* state of its own, and the
+//! partials are then merged — the routers never have to synchronise on a
+//! shared hash table, which is exactly what makes the operator
+//! heterogeneity-oblivious. The engine merges them in packet order
+//! ([`SlotFold`]), so a sum depends on the data and the packet split, not on
+//! which device the router sent a packet to.
 //!
 //! A folded batch may carry a selection (what a filter leaves instead of a
 //! copy, see [`Batch::selection`]): both kernels below read its columns
@@ -47,10 +49,14 @@
 //! is added to every counting accumulator once (integer sums: exact in any
 //! order), and each twin copies the sum it shares.
 //!
-//! # The co-processing stage's fold
+//! # The stages' fold
 //!
-//! The §5 stage folds its join's match pairs chunk by chunk on the pool, and
-//! merges the chunks' partials in chunk order ([`SlotFold`]). When no
+//! Both of the engine's stage drivers fold through [`SlotFold`]. A stream
+//! stage folds each packet into a partial on the pool thread that ran its
+//! kernels, through the ids that pass numbered ([`SlotFold::fold_numbered`]),
+//! and merges the partials in packet order. The §5 stage folds its join's
+//! match pairs chunk by chunk on the pool, and merges the chunks' partials
+//! in chunk order. When no
 //! operator follows the join, a pair's group is a function of its two rows:
 //! each side's group-by columns are numbered once per stage
 //! ([`group_ids`] over the probe side's rows and over the build side's), and
@@ -568,8 +574,8 @@ fn add_sums<const S: usize>(
 /// A mergeable (partial) aggregation state.
 ///
 /// [`AggState::new`] compiles the spec's arguments once; a clone shares
-/// the compiled program, so the partial states of one stage (its workers
-/// and their merge, the co-processed fold's chunks) are clones of one empty
+/// the compiled program, so the states of one stage (the fold's merged
+/// state, its workers' pricing states) are clones of one empty
 /// state and compile nothing.
 #[derive(Debug, Clone)]
 pub struct AggState {
@@ -641,9 +647,8 @@ impl AggState {
 
     /// Merge another partial state (same spec) into this one.
     pub fn merge(&mut self, other: &AggState) {
-        // Every partial of one stage is built from the stage's one spec
-        // (the engine's workers, the co-processed fold's chunks, the
-        // baselines' streams), so the layouts agree.
+        // Partials merged together are built from one spec, so the
+        // layouts agree.
         debug_assert_eq!(
             self.spec().group_by,
             other.spec().group_by,
@@ -780,13 +785,15 @@ impl ChunkGroups {
     }
 }
 
-/// The co-processing stage's fold: chunks of match pairs fold on the pool
-/// into [`SlotPartial`]s, each group accumulating from identity values in
-/// row order, and merge into one [`AggState`] in chunk order — every `f64`
-/// the per-chunk [`AggState`] fold and [`AggState::merge`] compute, bit for
-/// bit. A chunk whose rows are pairs as they left the join reads its groups
-/// off the stage's numbering: no key is numbered or hashed per chunk,
-/// and a group's key is hashed once per stage, when it first merges.
+/// A stage's fold, for both of the engine's stage drivers: chunks — a
+/// stream stage's packets, or the §5 stage's runs of match pairs — fold on
+/// the pool into [`SlotPartial`]s, each group accumulating from identity
+/// values in row order, and merge into one [`AggState`] in chunk order —
+/// every `f64` the per-chunk [`AggState`] fold and [`AggState::merge`]
+/// compute, bit for bit. A chunk whose rows are pairs as they left the join
+/// reads its groups off the stage's numbering: no key is numbered or hashed
+/// per chunk, and a group's key is hashed once per stage, when it first
+/// merges.
 #[derive(Debug)]
 pub struct SlotFold {
     state: AggState,

@@ -1,10 +1,10 @@
 //! # hape-pool — the workspace's one fan-out
 //!
-//! The only place in the workspace that spawns threads. The engine's
-//! parallel data plane (`hape_core::runtime` re-exports both functions)
-//! and the §5 join's per-co-partition joins (`hape_join::coprocess`)
-//! dispatch through [`scatter`] and [`drain`]; the radix partition pass is
-//! sequential. A second spawn site fails CI.
+//! The only place in the workspace that spawns threads, through one
+//! function, [`scatter`]. The engine's parallel data plane
+//! (`hape_core::runtime` re-exports it) and the §5 join's per-co-partition
+//! joins (`hape_join::coprocess`) dispatch through it; the radix partition
+//! pass is sequential. A second spawn site fails CI.
 //!
 //! The pool is deliberately simple (no external crates are available):
 //! [`std::thread::scope`] threads pull job indices off a shared atomic
@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 /// Run `n` independent jobs across up to `threads` pool threads and return
 /// the results in job-index order.
@@ -84,47 +84,6 @@ where
     out.into_iter().map(|r| r.expect("pool delivered every job")).collect()
 }
 
-/// Consume `items` across up to `threads` pool threads, one job per item.
-///
-/// This is the fold-side fan-out: each item owns disjoint mutable state
-/// (a worker and the packets routed to it), so the jobs run concurrently
-/// without synchronising — one pool thread per device provider, bounded by
-/// the pool size. Item order within a job is whatever the item carries;
-/// which thread runs which item cannot affect results.
-pub fn drain<T, F>(threads: usize, items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let workers = threads.min(n);
-    if workers <= 1 {
-        for t in items {
-            f(t);
-        }
-        return;
-    }
-    let queue = Mutex::new(items.into_iter());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (queue, f) = (&queue, &f);
-                scope.spawn(move || loop {
-                    let next = queue.lock().expect("pool queue poisoned").next();
-                    match next {
-                        Some(t) => f(t),
-                        None => break,
-                    }
-                })
-            })
-            .collect();
-        join_all(handles);
-    });
-}
-
 /// Join every pool thread, re-raising the first worker panic as it was
 /// thrown. The handles are joined, never dropped: dropping a
 /// `ScopedJoinHandle` is a `pthread_detach`, and glibc's detach reads the
@@ -172,19 +131,5 @@ mod tests {
     fn scatter_handles_empty_and_single_jobs() {
         assert!(scatter(8, 0, |_| (), |i, _| i).is_empty());
         assert_eq!(scatter(8, 1, |_| (), |i, _| i + 42), vec![42]);
-    }
-
-    #[test]
-    fn drain_visits_every_item_exactly_once() {
-        for threads in [1, 3, 16] {
-            let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-            let items: Vec<usize> = (0..50).collect();
-            drain(threads, items, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "item {i} threads={threads}");
-            }
-        }
     }
 }

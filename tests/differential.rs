@@ -16,16 +16,19 @@
 //!   places a co-processing stage;
 //! - **threads** 2 and 8: the report is the one-thread report;
 //! - **traced**: the untraced report, with query and packet spans recorded;
-//! - **faulted** (`FaultPlan::canonical`): the clean run's rows — TPC-H's
-//!   `f64` sums within 1e-12 relative, a round-off canary far inside the
-//!   oracle's 1e-9 — or its error; or, where the clean run refused, the
-//!   reference, since recovery may re-place onto the CPUs; under cpu the
-//!   clean report itself; no faster when it retried or re-placed; the same
-//!   twice; across the fixed corpus some run retried and some re-placed;
+//! - **faulted** (`FaultPlan::canonical`): the clean run's rows, or its
+//!   error — bit for bit when no stage was re-placed (a retry or a slow
+//!   link moves the routing, and the routing moves no answer); after a
+//!   re-placement, which changes the packet split, TPC-H's `f64` sums within
+//!   1e-12 relative, a round-off canary far inside the oracle's 1e-9; or,
+//!   where the clean run refused, the reference, since recovery may
+//!   re-place onto the CPUs; under cpu the clean report itself; no faster
+//!   when it retried or re-placed; the same twice; across the fixed corpus
+//!   some run retried and some re-placed;
 //! - **served**: one cache-less `SessionServer` batch per fixture, forward at
 //!   one thread and reversed at eight, reports exactly the solo runs; a
-//!   warm, cached submission answers the cold one's rows (TPC-H's within
-//!   the same canary: a cached build moves the routing), no slower;
+//!   warm, cached submission answers the cold one's rows bit for bit (its
+//!   cached builds move the routing, not the placement), no slower;
 //! - **baselines**: DBMS C answers the reference; DBMS G too, or refuses
 //!   as `Unsupported`.
 //!
@@ -107,17 +110,23 @@ impl Subject<'_> {
     }
 
     /// A re-routed run's rows (faulted, or warm from the build cache)
-    /// against the plain run's: bit for bit, or — for a TPC-H oracle, whose
-    /// `f64` folds follow the routing — within 1e-12 relative, the
+    /// against the plain run's. A run that placed every stage where the
+    /// plain run did (no re-placement) split its packets alike, and the
+    /// routing moves no answer: its rows are the plain run's bit for bit.
+    /// One that re-placed a stage split that stage's packets anew: a TPC-H
+    /// oracle's `f64` sums then agree within 1e-12 relative, the
     /// accumulation round-off `rows_approx_eq` hides.
-    fn rerouted(&self, got: &Rows, plain: &Rows) -> bool {
+    fn rerouted(&self, got: &QueryReport, plain: &Rows) -> bool {
         let close =
             |(x, y): (&f64, &f64)| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1.0);
-        let rounded = got.len() == plain.len()
-            && got.iter().zip(plain).all(|((ka, va), (kb, vb))| {
+        let rounded = got.rows.len() == plain.len()
+            && got.rows.iter().zip(plain).all(|((ka, va), (kb, vb))| {
                 ka == kb && va.len() == vb.len() && va.iter().zip(vb).all(close)
             });
-        (self.approx && rounded) || got == plain
+        let bits = |rows: &Rows| -> Vec<(GroupKey, Vec<u64>)> {
+            rows.iter().map(|(k, v)| (*k, v.iter().map(|x| x.to_bits()).collect())).collect()
+        };
+        (self.approx && got.replans > 0 && rounded) || bits(&got.rows) == bits(plain)
     }
 }
 
@@ -213,7 +222,8 @@ fn sweep(s: &Subject, seed: u64, axes: &[Axis], queue: &mut Queue) -> Swept {
         Ok(g) => assert!(s.answers(&g.rows), "{name}: DBMS G"),
         Err(e) => assert!(matches!(e, BaselineError::Unsupported(_)), "{name}: {e}"),
     }
-    // A warm submission reuses the cold one's builds.
+    // A warm submission reuses the cold one's builds. Both placed at
+    // submission, before either ran, so alike.
     let (p, mut server) =
         (PLACEMENTS[seed as usize % 4], SessionServer::new(s.session.clone()));
     let (cold, warm) =
@@ -221,7 +231,8 @@ fn sweep(s: &Subject, seed: u64, axes: &[Axis], queue: &mut Queue) -> Swept {
     let batch = server.run_all();
     match (served(&batch, cold), served(&batch, warm)) {
         (Ok(c), Ok(w)) => {
-            assert!(s.rerouted(&w.rows, &c.rows), "{name}/{p}: warm rows {:?}", w.rows);
+            assert_eq!(w.replans + c.replans, 0, "{name}/{p}: no fault, no re-placement");
+            assert!(s.rerouted(&w, &c.rows), "{name}/{p}: warm rows {:?}", w.rows);
             assert!(w.time <= c.time, "{name}/{p}: warm {} > cold {}", w.time, c.time);
         }
         (c, w) => assert_eq!(c.err(), w.err(), "{name}/{p}: warm"),
@@ -238,7 +249,7 @@ fn faulted(s: &Subject, p: Placement, threads: usize, seed: u64, clean: &Run) ->
     same(&run(), &got, &ctx);
     match (clean, &got) {
         (Ok(c), Ok(f)) => {
-            assert!(s.rerouted(&f.rows, &c.rows), "{ctx}: rows");
+            assert!(s.rerouted(f, &c.rows), "{ctx}: rows");
             if p == Placement::CpuOnly {
                 assert_reports_identical(f, c, &ctx);
             }

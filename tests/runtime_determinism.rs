@@ -1,15 +1,22 @@
-//! Determinism of the two-plane runtime across data-plane thread counts,
-//! where one fixed query reaches a path the differential harness
-//! (`tests/differential.rs`, which sweeps thread counts over generated
-//! queries and the benchmark corpus) does not: Q9's optimizer-planned
-//! co-processing stage up to 140 threads, and a tiny-packet stress run that
-//! hammers the pool with thousands of packets per stage.
+//! Determinism of the two-plane runtime, where fixed queries reach a path
+//! the differential harness (`tests/differential.rs`, which sweeps thread
+//! counts over generated queries and the benchmark corpus) does not pin to
+//! the bit: Q9's optimizer-planned co-processing stage up to 140 threads, a
+//! tiny-packet stress run that hammers the pool with thousands of packets
+//! per stage, the stream fold against a packet-order oracle, and a stream's
+//! rows under a fault plan that moves packets between workers.
 
-use hape::core::{ExecConfig, JoinAlgo, Placement, Query, QueryReport, Session};
-use hape::ops::{col, AggFunc};
-use hape::sim::topology::Server;
+use hape::core::provider::{run_ops, Scratch, TableStore, GPU_PACKET_SHARE};
+use hape::core::trace::{SpanKind, TraceRecorder};
+use hape::core::{
+    ExecConfig, FaultKind, FaultPlan, FaultSpec, JoinAlgo, PlacedStage, Placement, Query,
+    QueryReport, RetryPolicy, Session, Trigger,
+};
+use hape::ops::agg::AggState;
+use hape::ops::{col, lit, AggFunc, GroupKey};
+use hape::sim::topology::{DeviceId, Server};
 use hape::storage::datagen::gen_key_fk_table;
-use hape::tpch::queries::{self, q9_query};
+use hape::tpch::queries::{self, q1_query, q5_query, q6_query, q9_query};
 
 const SF: f64 = 0.01;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -97,4 +104,121 @@ fn explicit_packet_rows_rides_the_config_into_the_stream_stage() {
         auto.packets_cpu
     );
     assert_eq!(tiny.packets_cpu, (1 << 16) / 256);
+}
+
+type Rows = Vec<(GroupKey, Vec<f64>)>;
+
+/// Rows with every value as its bits: `==` on these is to the bit.
+fn bits(rows: &Rows) -> Vec<(GroupKey, Vec<u64>)> {
+    rows.iter().map(|(k, v)| (*k, v.iter().map(|x| x.to_bits()).collect())).collect()
+}
+
+/// The fold oracle of `query`'s stream stage under `cfg`: the engine's
+/// packets cut again (its sizing rule over the stage's workers), each
+/// packet's rows through `run_ops` against the tables the plan's builds
+/// produced, folded by `AggState::update` from empty and merged in packet
+/// order. Also how many packets no row survived.
+fn packet_order_oracle(session: &Session, query: &Query, cfg: &ExecConfig) -> (Rows, usize) {
+    let (engine, server) = (session.engine(), &session.engine().server);
+    let lowered = session.lower(query).expect("the query lowers");
+    let placed = engine.place(&lowered.catalog, &lowered.plan, cfg).expect("it places");
+    let last = placed.stages.len() - 1;
+    let mut exec = engine.begin(&lowered.catalog, &placed).expect("it binds");
+    while exec.stage_index() < last {
+        exec.step().expect("its builds run");
+    }
+    let mut tables = TableStore::new();
+    for stage in &placed.stages[..last] {
+        if let PlacedStage::Build { name, .. } = stage {
+            tables.insert(name.clone(), exec.built_table(name).expect("a built table"));
+        }
+    }
+    let stage = &placed.stages[last];
+    assert!(matches!(stage, PlacedStage::Stream { .. }), "{}: a stream stage", query.name);
+    let shares = (stage.devices().iter())
+        .map(|d| match *d {
+            DeviceId::Cpu(s) => server.cpus[s].cores,
+            DeviceId::Gpu(_) => GPU_PACKET_SHARE,
+        })
+        .sum();
+    let pipeline = stage.pipeline();
+    let source = lowered.catalog.lookup(&pipeline.source).expect("a catalog source");
+    let rows = ExecConfig::auto_packet_rows(source.rows(), shares, cfg.packet_rows);
+    let spec = pipeline.agg.clone().expect("a stream aggregates");
+    let (mut merged, mut scratch, mut empty) = (AggState::new(spec.clone()), Scratch::new(), 0);
+    for packet in pipeline.packets(&source.data, rows) {
+        let work = run_ops(packet, pipeline, &tables, &mut scratch).expect("kernels run");
+        empty += usize::from(work.out.rows() == 0);
+        let mut state = AggState::new(spec.clone());
+        state.update(&work.out);
+        merged.merge(&state);
+    }
+    (merged.finish(), empty)
+}
+
+#[test]
+fn a_stream_folds_each_packet_from_empty_and_merges_in_packet_order() {
+    let session = tpch_session();
+    // An ungrouped stream no row survives.
+    let none = Query::new("none")
+        .from_table("lineitem")
+        .filter(col("l_quantity").lt(lit(0.0)))
+        .agg(vec![(AggFunc::Sum, col("l_extendedprice")), (AggFunc::Count, col("l_tax"))]);
+    let q5 = q5_query(JoinAlgo::NonPartitioned);
+    let mut emptied = 0;
+    for (query, packet_rows) in [
+        (q1_query(), None),
+        (q5, None),
+        (q6_query(), None),
+        (q6_query(), Some(64)),
+        (none, None),
+    ] {
+        for placement in [Placement::CpuOnly, Placement::Hybrid] {
+            let mut cfg = ExecConfig::new(placement);
+            cfg.packet_rows = packet_rows;
+            let (want, empty) = packet_order_oracle(&session, &query, &cfg);
+            emptied += empty;
+            assert_eq!(want.is_empty(), query.name == "none", "{}", query.name);
+            for threads in [1, 2] {
+                let got = session.execute_with(&query, &cfg.clone().with_threads(threads));
+                let ctx =
+                    format!("{}/{placement} {packet_rows:?} threads={threads}", query.name);
+                assert_eq!(bits(&got.unwrap().rows), bits(&want), "{ctx}");
+            }
+        }
+    }
+    assert!(emptied > 0, "some packet keeps no row");
+}
+
+#[test]
+fn a_stream_answers_alike_however_its_packets_were_routed() {
+    // Packets routed per worker, read off the run's packet spans.
+    let routed = |trace: &TraceRecorder| {
+        let mut lanes: Vec<String> = (trace.snapshot().spans.into_iter())
+            .filter(|s| s.kind == SpanKind::Packet)
+            .filter_map(|s| s.lane)
+            .collect();
+        lanes.sort();
+        lanes
+    };
+    let session = tpch_session();
+    let q1 = q1_query();
+    let trace = TraceRecorder::new();
+    let cfg = ExecConfig::new(Placement::Hybrid);
+    let clean = session.execute_with(&q1, &cfg.clone().with_trace(trace.clone())).unwrap();
+    let clean_routed = routed(&trace);
+    let slow = FaultSpec {
+        gpu: 0,
+        kind: FaultKind::DeviceSlow { factor: 8.0 },
+        trigger: Trigger::AtStage(0),
+    };
+    let faults = FaultPlan::new(vec![slow], RetryPolicy::default());
+    for threads in [1, 2] {
+        let trace = TraceRecorder::new();
+        let cfg = cfg.clone().with_threads(threads).with_faults(faults.clone());
+        let slowed = session.execute_with(&q1, &cfg.with_trace(trace.clone())).unwrap();
+        assert_eq!(slowed.replans, 0, "a slow link re-places nothing");
+        assert_ne!(routed(&trace), clean_routed, "the slow link moves packets between workers");
+        assert_eq!(bits(&slowed.rows), bits(&clean.rows), "threads={threads}");
+    }
 }
